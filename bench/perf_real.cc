@@ -1,23 +1,28 @@
 // Real-backend execution-mode benchmark: times identical seeded fitness
-// campaigns against the sample walutil target in all three exec modes —
+// campaigns against the sample real targets in each exec mode —
 //
-//   spawn      — fork+exec per test (the PR-5 baseline, where telemetry
-//                showed real.child_wait at ~86% of backend.run),
+//   spawn      — fork+exec per test,
 //   forkserver — one target process stopped pre-main, one bare fork per
 //                test, plan and feedback armed over a pipe, and
 //   persistent — the same server re-running walutil's entry function
 //                in-process via the afex_persistent_run hook.
 //
-// Every mode must produce the identical record sequence (checked with the
-// same FNV-1a record digest perf_sim uses) — the run exits non-zero on
-// divergence, so each benchmark run doubles as the determinism acceptance
-// check for the forkserver work. Each mode runs with a CampaignTelemetry
-// sink attached and its phase snapshot is embedded in the JSON, so the
-// artifact shows the real.child_wait share collapsing into the pipe
-// round-trip, not just the end-to-end speedup.
+// Two campaigns are timed: walutil over its default space in all three
+// modes, and txengine's two-phase crash→recover→verify campaign over the
+// storage-failure space in spawn and forkserver mode. Each two-phase test
+// runs the workload in the chosen mode plus two plain spawned processes
+// (recover, verify), so those cells carry real.recovery_run/real.verify.
+//
+// Within a campaign every mode must produce the identical record sequence
+// (checked with the same FNV-1a record digest perf_sim uses) — the run
+// exits non-zero on divergence, so each benchmark run doubles as the
+// determinism acceptance check for the exec modes. Each cell runs with a
+// CampaignTelemetry sink attached and its phase snapshot is embedded in
+// the JSON, so the artifact shows where backend.run goes, not just the
+// end-to-end speedup.
 //
 // Usage: perf_real [--out=FILE] [--budget=N] [--quick]
-//   --quick shrinks the budget so CI can smoke-run it in a few seconds;
+//   --quick shrinks the budgets so CI can smoke-run it in a few seconds;
 //   published numbers come from the default Release configuration.
 #include <algorithm>
 #include <chrono>
@@ -50,7 +55,8 @@ struct ModeResult {
 
 // FNV-1a over every record's fault indices, fitness bits, cluster id, and
 // full outcome — the same digest perf_sim uses for its reference-vs-
-// optimized equivalence check.
+// optimized equivalence check, plus the two-phase verdict flags (zero for
+// single-phase campaigns, so those digests are unchanged by them).
 uint64_t DigestRecords(const SessionResult& result) {
   uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](uint64_t v) {
@@ -75,7 +81,8 @@ uint64_t DigestRecords(const SessionResult& result) {
     mix(r.cluster_id);
     const TestOutcome& o = r.outcome;
     mix(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
-        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0));
+        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0) ^
+        (o.recovery_failed ? 0x1000 : 0) ^ (o.invariant_violated ? 0x2000 : 0));
     mix(o.new_blocks_covered);
     for (uint32_t block : o.new_block_ids) {
       mix(block);
@@ -177,17 +184,42 @@ const char* ModeName(exec::ExecMode mode) {
   return "?";
 }
 
-ModeResult RunCampaign(exec::ExecMode mode, size_t budget, uint64_t seed,
+// The campaigns perf_real times (see the header comment).
+enum class Workload { kWalutil, kTxengine };
+
+// txengine's <test, function, call, retval, mode> storage-failure space, as
+// in the recovery smoke test: 480 points. retval is pinned at 20, the
+// short_write byte count K.
+FaultSpace TxengineStorageSpace() {
+  std::vector<Axis> axes;
+  axes.push_back(Axis::MakeInterval("test", 1, 1));
+  axes.push_back(Axis::MakeSet("function", {"write", "fsync", "rename"}));
+  axes.push_back(Axis::MakeInterval("call", 1, 40));
+  axes.push_back(Axis::MakeInterval("retval", 20, 20));
+  axes.push_back(
+      Axis::MakeSet("mode", {"kill_at", "short_write", "drop_sync", "crash_after_rename"}));
+  return FaultSpace(std::move(axes), "txengine-storage");
+}
+
+ModeResult RunCampaign(Workload workload, exec::ExecMode mode, size_t budget, uint64_t seed,
                        obs::CampaignTelemetry& telemetry) {
   exec::RealTargetConfig config;
-  config.target_argv = {AFEX_WALUTIL_PATH, "{test}"};
-  config.num_tests = 6;
+  if (workload == Workload::kWalutil) {
+    config.target_argv = {AFEX_WALUTIL_PATH, "{test}"};
+    config.num_tests = 6;
+  } else {
+    config.target_argv = {AFEX_TXENGINE_PATH, "workload", "{test}"};
+    config.recovery_argv = {AFEX_TXENGINE_PATH, "recover"};
+    config.verify_argv = {AFEX_TXENGINE_PATH, "verify"};
+    config.functions = {"write", "fsync", "rename"};
+  }
   config.interposer_path = AFEX_INTERPOSER_PATH;
   config.timeout_ms = 10000;
   config.exec_mode = mode;
   exec::RealTargetHarness harness(config);
   harness.set_metrics_sink(&telemetry);
-  FaultSpace space = harness.MakeSpace(/*max_call=*/6);
+  FaultSpace space = workload == Workload::kWalutil ? harness.MakeSpace(/*max_call=*/6)
+                                                    : TxengineStorageSpace();
   // Stay in the non-exhausted regime (perf_sim's convention): a budget near
   // the space size degenerates into the fallback-scan path.
   budget = std::min(budget, space.TotalPoints() / 2);
@@ -218,87 +250,43 @@ ModeResult RunCampaign(exec::ExecMode mode, size_t budget, uint64_t seed,
   return result;
 }
 
-}  // namespace
-}  // namespace afex
-
-int main(int argc, char** argv) {
-  using namespace afex;
-
-  std::string out_path = "BENCH_real.json";
-  size_t budget = 2000;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      budget = static_cast<size_t>(std::strtoull(arg.c_str() + 9, nullptr, 10));
-    } else if (arg == "--quick") {
-      budget = 300;
-    } else {
-      std::fprintf(stderr, "usage: perf_real [--out=FILE] [--budget=N] [--quick]\n");
-      return 2;
-    }
-  }
-  if (budget == 0) {
-    std::fprintf(stderr, "--budget must be positive\n");
-    return 2;
-  }
-  const uint64_t seed = 7;
-  const exec::ExecMode modes[] = {exec::ExecMode::kSpawn, exec::ExecMode::kForkserver,
-                                  exec::ExecMode::kPersistent};
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-    return 2;
-  }
-  out << "{\n  \"benchmark\": \"real_exec_modes\",\n";
-  out << "  " << bench::HostJson() << ",\n";
-  out << "  \"config\": {\"target\": \"walutil\", \"strategy\": \"fitness\", "
-         "\"feedback\": true, \"budget\": "
-      << budget << ", \"num_tests\": 6, \"max_call\": 6, \"seed\": " << seed << "},\n";
-  out << "  \"results\": {\n";
-
-  ModeResult spawn_result;
+// Runs `workload` once per mode (the first is the baseline every other mode
+// must match record for record), prints one line per mode, and writes one
+// JSON object per mode into `out`. speedups[i] is modes[i]'s over modes[0].
+// Returns false when a mode's records diverged from the baseline's.
+bool RunModes(Workload workload, const std::vector<exec::ExecMode>& modes, size_t budget,
+              uint64_t seed, std::ofstream& out, std::vector<double>& speedups) {
+  ModeResult baseline;
   bool all_equivalent = true;
-  bool first = true;
-  double fs_speedup = 0.0;
-  double persistent_speedup = 0.0;
-  for (exec::ExecMode mode : modes) {
+  speedups.clear();
+  for (size_t i = 0; i < modes.size(); ++i) {
+    const exec::ExecMode mode = modes[i];
     std::printf("%-11s ", ModeName(mode));
     std::fflush(stdout);
     obs::CampaignTelemetry telemetry;
-    ModeResult result = RunCampaign(mode, budget, seed, telemetry);
-    double speedup =
-        result.seconds > 0.0 && mode != exec::ExecMode::kSpawn
-            ? spawn_result.seconds / result.seconds
-            : 1.0;
+    ModeResult result = RunCampaign(workload, mode, budget, seed, telemetry);
     bool equivalent = true;
-    if (mode == exec::ExecMode::kSpawn) {
-      spawn_result = result;
+    double speedup = 1.0;
+    if (i == 0) {
+      baseline = result;
     } else {
-      equivalent = result.record_digest == spawn_result.record_digest &&
-                   result.tests == spawn_result.tests &&
-                   result.crashes == spawn_result.crashes &&
-                   result.clusters == spawn_result.clusters;
+      speedup = result.seconds > 0.0 ? baseline.seconds / result.seconds : 0.0;
+      equivalent = result.record_digest == baseline.record_digest &&
+                   result.tests == baseline.tests && result.crashes == baseline.crashes &&
+                   result.clusters == baseline.clusters;
       all_equivalent = all_equivalent && equivalent;
-      if (mode == exec::ExecMode::kForkserver) {
-        fs_speedup = speedup;
-      } else {
-        persistent_speedup = speedup;
-      }
     }
+    speedups.push_back(speedup);
     std::printf("%8.0f tests/s  (%.3fs, %zu crashes, %zu clusters)  speedup %5.2fx%s\n",
                 result.tests_per_sec, result.seconds, result.crashes, result.clusters,
                 speedup, equivalent ? "" : "  [RECORDS DIVERGED]");
     if (!equivalent) {
-      std::fprintf(stderr, "FATAL: %s mode diverged from spawn-mode records\n",
-                   ModeName(mode));
+      std::fprintf(stderr, "FATAL: %s mode diverged from %s-mode records\n", ModeName(mode),
+                   ModeName(modes[0]));
     }
-    if (!first) {
+    if (i > 0) {
       out << ",\n";
     }
-    first = false;
     char buf[512];
     std::snprintf(buf, sizeof(buf),
                   "    \"%s\": {\"seconds\": %.6f, \"tests\": %zu, "
@@ -315,6 +303,71 @@ int main(int argc, char** argv) {
     telemetry.Snapshot().WriteJson(out, 3);
     out << "\n    }";
   }
+  return all_equivalent;
+}
+
+}  // namespace
+}  // namespace afex
+
+int main(int argc, char** argv) {
+  using namespace afex;
+
+  std::string out_path = "BENCH_real.json";
+  size_t budget = 2000;
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--out=", 0) == 0) {
+      out_path = arg.substr(6);
+    } else if (arg.rfind("--budget=", 0) == 0) {
+      budget = static_cast<size_t>(std::strtoull(arg.c_str() + 9, nullptr, 10));
+    } else if (arg == "--quick") {
+      budget = 300;
+      quick = true;
+    } else {
+      std::fprintf(stderr, "usage: perf_real [--out=FILE] [--budget=N] [--quick]\n");
+      return 2;
+    }
+  }
+  if (budget == 0) {
+    std::fprintf(stderr, "--budget must be positive\n");
+    return 2;
+  }
+  const uint64_t seed = 7;
+  // Two-phase tests cost three processes each; the campaign's own cap (half
+  // of the 480-point space) keeps the default run to a few seconds.
+  const size_t two_phase_budget = std::min<size_t>(budget, quick ? 60 : 240);
+
+  std::ofstream out(out_path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
+    return 2;
+  }
+  out << "{\n  \"benchmark\": \"real_exec_modes\",\n";
+  out << "  " << bench::HostJson() << ",\n";
+  out << "  \"config\": {\"target\": \"walutil\", \"strategy\": \"fitness\", "
+         "\"feedback\": true, \"budget\": "
+      << budget << ", \"num_tests\": 6, \"max_call\": 6, \"seed\": " << seed << "},\n";
+  out << "  \"results\": {\n";
+  std::vector<double> speedups;
+  bool all_equivalent =
+      RunModes(Workload::kWalutil,
+               {exec::ExecMode::kSpawn, exec::ExecMode::kForkserver,
+                exec::ExecMode::kPersistent},
+               budget, seed, out, speedups);
+  const double fs_speedup = speedups[1];
+  const double persistent_speedup = speedups[2];
+  out << "\n  },\n";
+
+  std::printf("two-phase txengine (budget %zu):\n", two_phase_budget);
+  out << "  \"two_phase\": {\"target\": \"txengine\", \"space\": \"txengine-storage\", "
+         "\"points\": 480, \"strategy\": \"fitness\", \"feedback\": true, \"budget\": "
+      << two_phase_budget << ", \"seed\": " << seed << ",\n";
+  all_equivalent =
+      RunModes(Workload::kTxengine, {exec::ExecMode::kSpawn, exec::ExecMode::kForkserver},
+               two_phase_budget, seed, out, speedups) &&
+      all_equivalent;
+  const double two_phase_fs_speedup = speedups[1];
   out << "\n  },\n";
 #ifdef AFEX_WALUTIL_COV_PATH
   {
@@ -349,13 +402,15 @@ int main(int argc, char** argv) {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"headline\": {\"forkserver_speedup\": %.2f, "
-                  "\"persistent_speedup\": %.2f, \"budget\": %zu},\n",
-                  fs_speedup, persistent_speedup, budget);
+                  "\"persistent_speedup\": %.2f, \"two_phase_forkserver_speedup\": %.2f, "
+                  "\"budget\": %zu},\n",
+                  fs_speedup, persistent_speedup, two_phase_fs_speedup, budget);
     out << buf;
   }
   out << "  \"all_modes_equivalent\": " << (all_equivalent ? "true" : "false") << "\n}\n";
   out.close();
-  std::printf("\nheadline: forkserver %.2fx, persistent %.2fx over spawn -> %s\n",
-              fs_speedup, persistent_speedup, out_path.c_str());
+  std::printf("\nheadline: forkserver %.2fx, persistent %.2fx over spawn; two-phase "
+              "forkserver %.2fx -> %s\n",
+              fs_speedup, persistent_speedup, two_phase_fs_speedup, out_path.c_str());
   return all_equivalent ? 0 : 1;
 }

@@ -8,7 +8,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <mutex>
 
@@ -21,6 +23,9 @@ namespace exec {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// How long a server gets to exit on control-pipe EOF before SIGKILL.
+constexpr uint64_t kShutdownGraceMs = 2000;
 
 uint64_t ElapsedMs(Clock::time_point since) {
   return static_cast<uint64_t>(
@@ -167,8 +172,10 @@ bool ForkserverClient::SpawnServer(std::string& error) {
 }
 
 void ForkserverClient::DrainOutput() {
-  if (out_read_ >= 0) {
-    DrainAvailable(out_read_, output_, options_.max_output_bytes);
+  // On EOF (the target closed fds 1 and 2) the pipe leaves the poll set:
+  // left in, it would report POLLHUP forever and spin WaitMsg.
+  if (out_read_ >= 0 && !DrainAvailable(out_read_, output_, options_.max_output_bytes)) {
+    CloseFd(out_read_);
   }
 }
 
@@ -197,7 +204,7 @@ ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_m
     }
     uint64_t remaining = deadline_ms - elapsed;
     struct pollfd fds[2] = {{status_read_, POLLIN, 0}, {out_read_, POLLIN, 0}};
-    ::poll(fds, 2, static_cast<int>(remaining < 20 ? remaining : 20));
+    ::poll(fds, 2, static_cast<int>(std::min<uint64_t>(remaining, INT_MAX)));
     // Keep the output pipe moving: a child that writes more than the pipe
     // buffer would otherwise deadlock against the server's waitpid.
     DrainOutput();
@@ -263,17 +270,19 @@ void ForkserverClient::Shutdown() {
   // EOF on the control pipe is the graceful-stop signal: the forkserver
   // loop _exits, the persistent loop returns into the target's main.
   CloseFd(ctl_write_);
-  for (int i = 0; i < 200; ++i) {
-    int status = 0;
-    pid_t r = ::waitpid(server_pid_, &status, WNOHANG);
-    if (r == server_pid_) {
-      last_death_status_ = status;
+  ChildWatch server(server_pid_);
+  const uint64_t deadline = obs::NowNs() + kShutdownGraceMs * 1000 * 1000;
+  bool unused = false;
+  while (true) {
+    if (server.Wait(-1, deadline, unused)) {
+      last_death_status_ = server.status();
       death_status_valid_ = true;
       server_pid_ = -1;
       break;
     }
-    struct timespec ts{0, 10 * 1000 * 1000};
-    ::nanosleep(&ts, nullptr);
+    if (obs::NowNs() >= deadline) {
+      break;
+    }
   }
   KillServer();  // no-op when already reaped; closes the remaining fds
 }

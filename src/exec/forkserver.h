@@ -102,7 +102,8 @@ class ForkserverClient {
                                uint32_t seq);
 
   // Graceful shutdown: close the control pipe (the server's read loop sees
-  // EOF and exits), reap with a short grace, SIGKILL stragglers.
+  // EOF and exits), wait up to 2 s for the exit (exec::ChildWatch), SIGKILL
+  // stragglers.
   void Shutdown();
 
   void set_metrics_sink(obs::MetricsSink* sink) { metrics_ = sink; }
@@ -123,7 +124,8 @@ class ForkserverClient {
   bool SpawnServer(std::string& error);
   bool ReadHello(std::string& error);
   // Polls the status pipe (draining target output on the side) until a
-  // whole message, server death, or `deadline_ms` from now.
+  // whole message, server death, or `deadline_ms` from now. Sleeps in
+  // poll between events; no fixed wakeup interval.
   Wait WaitMsg(FsMsg& msg, uint64_t deadline_ms);
   bool WriteRequest(uint32_t test_id, const std::vector<FaultSpec>& specs, uint32_t seq);
   void DrainOutput();

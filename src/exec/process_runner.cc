@@ -5,12 +5,12 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
+#include <climits>
 
 #include "obs/metrics.h"
 
@@ -19,14 +19,53 @@ namespace exec {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+constexpr uint64_t kNsPerMs = 1000 * 1000;
 
-uint64_t ElapsedMs(Clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - since).count());
+int OpenPidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  // pidfd_open's fds are close-on-exec, so concurrent spawns never inherit them.
+  return static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+#else
+  (void)pid;
+  return -1;
+#endif
 }
 
 }  // namespace
+
+ChildWatch::ChildWatch(pid_t pid) : pid_(pid), pidfd_(OpenPidfd(pid)) {}
+
+ChildWatch::~ChildWatch() {
+  if (pidfd_ >= 0) {
+    ::close(pidfd_);
+  }
+}
+
+bool ChildWatch::Wait(int fd, uint64_t deadline_ns, bool& fd_ready) {
+  int timeout_ms = -1;
+  if (deadline_ns != kNoDeadline) {
+    const uint64_t now = obs::NowNs();
+    const uint64_t left_ms =
+        now >= deadline_ns ? 0 : (deadline_ns - now + kNsPerMs - 1) / kNsPerMs;
+    timeout_ms = static_cast<int>(std::min<uint64_t>(left_ms, INT_MAX));
+  }
+  if (pidfd_ < 0 && (timeout_ms < 0 || timeout_ms > 1)) {
+    timeout_ms = 1;  // no exit notification: probe for it on a 1 ms tick
+  }
+  struct pollfd fds[2] = {{fd, POLLIN, 0}, {pidfd_, POLLIN, 0}};
+  const int ready = ::poll(fds, 2, timeout_ms);
+  fd_ready = ready > 0 && fds[0].revents != 0;
+  if (pidfd_ >= 0 && (ready <= 0 || fds[1].revents == 0)) {
+    return false;
+  }
+  // A readable pidfd means the child is a zombie, so the blocking waitpid
+  // returns at once; without a pidfd, probe.
+  pid_t reaped = 0;
+  do {
+    reaped = ::waitpid(pid_, &status_, pidfd_ >= 0 ? 0 : WNOHANG);
+  } while (reaped < 0 && errno == EINTR);
+  return reaped == pid_ || reaped < 0;  // < 0: nothing left to wait for
+}
 
 bool DrainAvailable(int fd, std::string& out, size_t cap) {
   char buf[4096];
@@ -109,8 +148,9 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   }
   argv.push_back(nullptr);
 
+  // Close-on-exec: a concurrent spawn's child must not hold this pipe open.
   int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
+  if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
     return result;
   }
 
@@ -139,48 +179,48 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   ::close(pipe_fds[1]);
   ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
   result.started = true;
-  result.spawn_ns = obs::NowNs() - result.spawn_start_ns;
+  const uint64_t wait_start_ns = obs::NowNs();
+  result.spawn_ns = wait_start_ns - result.spawn_start_ns;
 
-  const Clock::time_point start = Clock::now();
-  bool term_sent = false;
-  bool kill_sent = false;
-  bool pipe_open = true;
-  int status = 0;
-
+  // One poll over {pidfd, output pipe} per wakeup. Its deadline is the next
+  // escalation step: SIGTERM at timeout_ms, SIGKILL kill_grace_ms later,
+  // then none.
+  ChildWatch child(pid);
+  const uint64_t term_at = wait_start_ns + request.timeout_ms * kNsPerMs;
+  const uint64_t kill_at = term_at + request.kill_grace_ms * kNsPerMs;
+  int pipe_fd = pipe_fds[0];  // -1 once the pipe reports EOF
   while (true) {
-    pid_t done = ::waitpid(pid, &status, WNOHANG);
-    if (done == pid) {
-      break;
-    }
-    uint64_t elapsed = ElapsedMs(start);
-    if (!term_sent && elapsed >= request.timeout_ms) {
+    const uint64_t now = obs::NowNs();
+    if (!result.timed_out && now >= term_at) {
       result.timed_out = true;
       ::kill(pid, SIGTERM);
-      term_sent = true;
-    } else if (term_sent && !kill_sent &&
-               elapsed >= request.timeout_ms + request.kill_grace_ms) {
-      ::kill(pid, SIGKILL);
-      kill_sent = true;
     }
-    if (pipe_open) {
-      struct pollfd pfd{pipe_fds[0], POLLIN, 0};
-      ::poll(&pfd, 1, 20);
-      pipe_open = DrainAvailable(pipe_fds[0], result.output, request.max_output_bytes);
-    } else {
-      struct timespec ts{0, 5 * 1000 * 1000};
-      ::nanosleep(&ts, nullptr);
+    if (result.timed_out && !result.kill_escalated && now >= kill_at) {
+      result.kill_escalated = true;
+      ::kill(pid, SIGKILL);
+    }
+    const uint64_t deadline = !result.timed_out        ? term_at
+                              : !result.kill_escalated ? kill_at
+                                                       : ChildWatch::kNoDeadline;
+    bool pipe_ready = false;
+    if (child.Wait(pipe_fd, deadline, pipe_ready)) {
+      break;
+    }
+    if (pipe_ready && !DrainAvailable(pipe_fd, result.output, request.max_output_bytes)) {
+      pipe_fd = -1;
     }
   }
 
-  // Collect output written before exit that we have not read yet.
-  if (pipe_open) {
-    DrainAvailable(pipe_fds[0], result.output, request.max_output_bytes);
+  // Collect output written before exit that we have not read yet. A
+  // grandchild may still hold the pipe; it is not waited for.
+  if (pipe_fd >= 0) {
+    DrainAvailable(pipe_fd, result.output, request.max_output_bytes);
   }
   ::close(pipe_fds[0]);
 
-  result.wait_ns = obs::NowNs() - (result.spawn_start_ns + result.spawn_ns);
-  result.kill_escalated = kill_sent;
-  result.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  result.wait_ns = obs::NowNs() - wait_start_ns;
+  result.wall_seconds = static_cast<double>(result.wait_ns) / 1e9;
+  const int status = child.status();
   if (WIFEXITED(status)) {
     result.exited = true;
     result.exit_code = WEXITSTATUS(status);

@@ -7,6 +7,8 @@
 #ifndef AFEX_EXEC_PROCESS_RUNNER_H_
 #define AFEX_EXEC_PROCESS_RUNNER_H_
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -66,6 +68,36 @@ bool IsCrashSignal(int signal);
 std::vector<std::string> MaterializeEnv(
     const std::vector<std::pair<std::string, std::string>>& env,
     const std::string& preload);
+
+// Event-driven wait on one forked child. A pidfd (pidfd_open, Linux >= 5.3)
+// polls readable the moment the child exits, so each Wait is one poll over
+// {pidfd, the caller's fd} that sleeps until something actually happens —
+// no fixed-interval probing, and the child is reaped on exit rather than at
+// pipe EOF (a grandchild may hold the pipe) or at a timeout. Where
+// pidfd_open fails (old kernel, seccomp) the pidfd's slot becomes a 1 ms
+// reap tick, so a wait can neither hang nor overshoot its deadline.
+class ChildWatch {
+ public:
+  static constexpr uint64_t kNoDeadline = UINT64_MAX;
+
+  explicit ChildWatch(pid_t pid);
+  ~ChildWatch();
+  ChildWatch(const ChildWatch&) = delete;
+  ChildWatch& operator=(const ChildWatch&) = delete;
+
+  // Sleeps until the child exits, `fd` (skipped when negative) turns
+  // readable or hangs up, or `deadline_ns` (obs::NowNs timebase) passes.
+  // Returns true once the child is reaped; status() then holds its waitpid
+  // status (-1 if it was already gone). `fd_ready` reports whether `fd`
+  // woke the call.
+  bool Wait(int fd, uint64_t deadline_ns, bool& fd_ready);
+  int status() const { return status_; }
+
+ private:
+  pid_t pid_;
+  int pidfd_;
+  int status_ = -1;
+};
 
 // Drains whatever is readable right now from a nonblocking `fd` into `out`,
 // up to `cap` total bytes (excess is read and discarded so the writer never

@@ -1,6 +1,8 @@
 // Tests for the real-process execution backend (src/exec): fault-plan
 // round trips, the fork/exec process runner (exit codes, timeout → SIGKILL
-// escalation, crash-signal classification), the LD_PRELOAD interposer
+// escalation, crash-signal classification, event-driven reaping — on exit,
+// not at pipe EOF or timeout, with or without a pidfd, per-thread under
+// concurrency), the LD_PRELOAD interposer
 // observed end to end through a real child (counts, injected errno,
 // feedback block), the RealTargetHarness outcome translation, and a
 // campaign journal + resume leg over the real backend.
@@ -9,10 +11,21 @@
 //   AFEX_INTERPOSER_PATH — libafex_interpose.so
 //   AFEX_WALUTIL_PATH    — the sample real target
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
+//   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its stdio
+#include <errno.h>
 #include <gtest/gtest.h>
+#include <linux/audit.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
 #include <signal.h>
+#include <stddef.h>
+#include <sys/prctl.h>
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +33,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/target_profile.h"
@@ -211,10 +225,140 @@ TEST(ProcessRunnerTest, TimeoutEscalatesToSigkill) {
   ProcessResult result = RunProcess(request);
   ASSERT_TRUE(result.started);
   EXPECT_TRUE(result.timed_out);
+  EXPECT_TRUE(result.kill_escalated);
   EXPECT_FALSE(result.exited);
   EXPECT_EQ(result.term_signal, SIGKILL);
+  // SIGKILL goes out at timeout + grace, never before.
+  EXPECT_GE(result.wall_seconds, 0.3);
   EXPECT_LT(result.wall_seconds, 10.0);
 }
+
+TEST(ProcessRunnerTest, ReapsOnExitNotAtPipeEofOrTimeout) {
+  // The pipe reports EOF at once; the child lives on for 300 ms. It must be
+  // reaped when it exits: not at EOF (no status yet), not at the timeout.
+  ProcessRequest request;
+  request.argv = {"/bin/sh", "-c", "exec 1>&- 2>&-; sleep 0.3; exit 0"};
+  request.timeout_ms = 5000;
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_GE(result.wall_seconds, 0.3);
+  EXPECT_LT(result.wall_seconds, 2.5);
+  EXPECT_TRUE(result.output.empty()) << result.output;
+}
+
+TEST(ProcessRunnerTest, GrandchildHoldingThePipeDoesNotDelayTheReap) {
+  // The backgrounded sleep inherits the pipe and keeps it open for 5 s; the
+  // shell's exit alone ends the wait, with its output already captured.
+  ProcessRequest request;
+  request.argv = {"/bin/sh", "-c", "echo hi; sleep 5 & exit 3"};
+  request.timeout_ms = 10000;
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 3);
+  EXPECT_FALSE(result.timed_out);
+  EXPECT_NE(result.output.find("hi"), std::string::npos) << result.output;
+  EXPECT_LT(result.wall_seconds, 2.5);
+}
+
+TEST(ProcessRunnerTest, ConcurrentRunsEachReapOnlyTheirOwnChild) {
+  // The --jobs case: several threads in RunProcess at once. Children exit
+  // in the reverse of their start order, so a runner that reaped or read
+  // another thread's child would report the wrong code or output.
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<ProcessResult> results(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([i, &results] {
+        ProcessRequest request;
+        const std::string delay = "0.0" + std::to_string(2 * (kThreads - i));
+        request.argv = {"/bin/sh", "-c",
+                        "sleep " + delay + "; echo tag-" + std::to_string(i) + "; exit " +
+                            std::to_string(10 + i)};
+        request.timeout_ms = 10000;
+        results[i] = RunProcess(request);
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    for (int i = 0; i < kThreads; ++i) {
+      ASSERT_TRUE(results[i].started);
+      EXPECT_TRUE(results[i].exited) << "thread " << i;
+      EXPECT_EQ(results[i].exit_code, 10 + i) << "thread " << i;
+      EXPECT_EQ(results[i].output, "tag-" + std::to_string(i) + "\n") << "thread " << i;
+      EXPECT_FALSE(results[i].timed_out);
+    }
+  }
+}
+
+#if defined(__x86_64__) && defined(__NR_pidfd_open)
+// Installs a seccomp filter that fails pidfd_open with ENOSYS, the way an
+// old kernel or a container policy would. False when seccomp is refused.
+bool DenyPidfdOpen() {
+  struct sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, arch)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, AUDIT_ARCH_X86_64, 1, 0),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_pidfd_open, 0, 1),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | (ENOSYS & SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  struct sock_fprog prog = {static_cast<unsigned short>(sizeof(filter) / sizeof(filter[0])),
+                            filter};
+  return ::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0 &&
+         ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) == 0;
+}
+
+TEST(ProcessRunnerTest, WithoutPidfdStillReapsAndEscalates) {
+  // The filter is process-wide and irreversible, so the checks run in a
+  // forked child; its exit code names the first failed check.
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (!DenyPidfdOpen()) {
+      ::_exit(99);
+    }
+    if (::syscall(__NR_pidfd_open, ::getpid(), 0) >= 0 || errno != ENOSYS) {
+      ::_exit(1);
+    }
+    ProcessRequest quick;
+    quick.argv = {"/bin/sh", "-c", "echo hi; exit 4"};
+    ProcessResult r = RunProcess(quick);
+    if (!r.exited || r.exit_code != 4 || r.output != "hi\n") {
+      ::_exit(2);
+    }
+    ProcessRequest late;
+    late.argv = {"/bin/sh", "-c", "exec 1>&- 2>&-; sleep 0.2; exit 0"};
+    r = RunProcess(late);
+    if (!r.exited || r.exit_code != 0 || r.wall_seconds < 0.2 || r.wall_seconds > 2.5) {
+      ::_exit(3);
+    }
+    ProcessRequest stuck;
+    stuck.argv = {"/bin/sh", "-c", "trap '' TERM; sleep 30"};
+    stuck.timeout_ms = 200;
+    stuck.kill_grace_ms = 100;
+    r = RunProcess(stuck);
+    if (!r.timed_out || !r.kill_escalated || r.term_signal != SIGKILL ||
+        r.wall_seconds < 0.3 || r.wall_seconds > 10.0) {
+      ::_exit(4);
+    }
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  if (WEXITSTATUS(status) == 99) {
+    GTEST_SKIP() << "seccomp unavailable";
+  }
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "fallback check " << WEXITSTATUS(status) << " failed";
+}
+#endif
 
 TEST(ProcessRunnerTest, ClassifiesAbortSignal) {
   ProcessRequest request;
@@ -739,6 +883,44 @@ TEST(ForkserverClientTest, PersistentCrashRestartsAndKeepsServing) {
   EXPECT_NE(client.server_pid(), pid);
   EXPECT_GE(client.restarts(), 1u);
   EXPECT_TRUE(client.persistent_active());
+}
+
+double CpuSeconds() {
+  struct rusage usage;
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e6;
+}
+
+TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) {
+  // Once the target closes fds 1 and 2 the output pipe sits at EOF. Left in
+  // the poll set, it would wake WaitMsg on every poll for the whole 200 ms
+  // the iteration sleeps, burning the client's CPU.
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"), /*persistent=*/true);
+  opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+  ForkserverClient client(opts);
+  ForkserverTestResult warm = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(warm.ran) << warm.error;
+  EXPECT_EQ(warm.output, "fixture alive\n");
+  ASSERT_TRUE(client.persistent_active());
+
+  const double cpu_before = CpuSeconds();
+  const auto wall_before = std::chrono::steady_clock::now();
+  ForkserverTestResult closed = client.RunTest(2, {}, 2);
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_before).count();
+  const double cpu = CpuSeconds() - cpu_before;
+  ASSERT_TRUE(closed.ran) << closed.error;
+  EXPECT_EQ(closed.exit_code, 0);
+  EXPECT_GE(wall, 0.2);
+  EXPECT_LT(cpu, 0.05) << "client burned " << cpu << " s of CPU over a " << wall
+                       << " s iteration";
+
+  // The same incarnation keeps serving; its output simply has nowhere to go.
+  ForkserverTestResult after = client.RunTest(1, {}, 3);
+  ASSERT_TRUE(after.ran) << after.error;
+  EXPECT_EQ(after.exit_code, 0);
+  EXPECT_EQ(client.restarts(), 0u);
 }
 
 TEST(ForkserverClientTest, PersistentFallsBackWhenTargetNeverAdopts) {
