@@ -1,18 +1,13 @@
 #include "exec/fault_plan.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "exec/feedback_block.h"
-#include "util/strings.h"
 
 namespace afex {
 namespace exec {
 
 namespace {
 
-// Shared validity check for every codec in this file: the interposer must
+// Shared validity check for both directions of the codec: the interposer must
 // wrap the function, the ordinal window must be sane, and the kind must
 // apply to the function (a drop_sync on read() could never mean anything).
 bool ValidSpec(const FaultSpec& spec) {
@@ -30,101 +25,6 @@ bool ValidSpec(const FaultSpec& spec) {
 }
 
 }  // namespace
-
-bool WriteFaultPlan(const std::string& path, const std::vector<FaultSpec>& specs) {
-  std::string text = "afexplan " + std::to_string(kPlanFormatVersion) + "\n";
-  for (const FaultSpec& spec : specs) {
-    if (!ValidSpec(spec)) {
-      return false;
-    }
-    text += "inject ";
-    text += spec.function;
-    text += ' ';
-    text += std::to_string(spec.call_lo);
-    text += ' ';
-    text += std::to_string(spec.call_hi);
-    text += ' ';
-    text += std::to_string(spec.retval);
-    text += ' ';
-    text += std::to_string(spec.errno_value);
-    if (spec.kind != FaultKind::kErrno) {
-      text += ' ';
-      text += FaultKindName(spec.kind);
-      if (spec.kind == FaultKind::kShortWrite) {
-        text += ' ';
-        text += std::to_string(spec.param);
-      }
-    }
-    text += '\n';
-  }
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  out << text;
-  out.flush();
-  return static_cast<bool>(out);
-}
-
-bool ParseFaultPlanFile(const std::string& path, std::vector<FaultSpec>& out) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  out.clear();
-  std::string line;
-  if (!std::getline(in, line)) {
-    return false;
-  }
-  int version = 0;
-  {
-    std::istringstream header(line);
-    std::string tag;
-    if (!(header >> tag >> version) || tag != "afexplan" || version < 1 ||
-        version > kPlanFormatVersion) {
-      return false;
-    }
-  }
-  while (std::getline(in, line)) {
-    std::string_view trimmed = Trim(line);
-    if (trimmed.empty()) {
-      continue;
-    }
-    std::istringstream fields{std::string(trimmed)};
-    std::string directive;
-    FaultSpec spec;
-    if (!(fields >> directive >> spec.function >> spec.call_lo >> spec.call_hi >>
-          spec.retval >> spec.errno_value) ||
-        directive != "inject") {
-      return false;
-    }
-    std::string mode_word;
-    if (fields >> mode_word) {
-      if (version < 2) {
-        return false;  // v1 plans have no mode fields
-      }
-      auto kind = FaultKindFromName(mode_word);
-      if (!kind.has_value()) {
-        return false;
-      }
-      spec.kind = *kind;
-      if (spec.kind == FaultKind::kShortWrite) {
-        if (!(fields >> spec.param)) {
-          return false;  // short_write requires K
-        }
-      }
-    }
-    std::string extra;
-    if (fields >> extra) {
-      return false;
-    }
-    if (!ValidSpec(spec)) {
-      return false;
-    }
-    out.push_back(std::move(spec));
-  }
-  return true;
-}
 
 bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
                        std::vector<FsPlanEntry>& out) {
@@ -179,6 +79,19 @@ bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
     out.push_back(spec);
   }
   return true;
+}
+
+std::string HexEncodePlanEntries(const std::vector<FsPlanEntry>& entries) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  const auto* bytes = reinterpret_cast<const unsigned char*>(entries.data());
+  const size_t size = entries.size() * sizeof(FsPlanEntry);
+  std::string hex;
+  hex.reserve(2 * size);
+  for (size_t i = 0; i < size; ++i) {
+    hex += kDigits[bytes[i] >> 4];
+    hex += kDigits[bytes[i] & 0xF];
+  }
+  return hex;
 }
 
 }  // namespace exec

@@ -1,23 +1,15 @@
-// Control-file serialization for the real-process backend. The parent
-// writes one plan file per run describing the faults to inject; the child's
-// LD_PRELOADed interposer (pointed at it via AFEX_PLAN) parses it with its
-// own allocation-free reader. The format is line-oriented text:
-//
-//   afexplan 2
-//   inject <function> <call_lo> <call_hi> <retval> <errno> [<mode> [<K>]]
-//
-// e.g. "inject open 3 3 -1 13" = the third open() fails with EACCES, and
-// "inject write 2 2 0 0 short_write 40" = the second write() is torn to
-// its first 40 bytes. The optional trailing fields are the storage-failure
-// class (FaultKind label: errno / short_write / drop_sync / kill_at /
-// crash_after_rename; absent = errno) and, for short_write only, the byte
-// (write) / item (fwrite) count K actually performed. Version 1 plans (no
-// mode fields) still parse. Zero `inject` lines is a valid plan (run
-// without injection — the Phi_coreutils call-label-0 convention). The
-// parent-side parser here exists for tests and tooling round-trips; it
-// accepts exactly what the interposer accepts — including the per-kind
-// function constraints (drop_sync only on fsync/fdatasync, short_write
-// only on write/fwrite, crash_after_rename only on rename).
+// The fault plan's one wire format. The parent encodes a test's specs into
+// fixed-size FsPlanEntry records (exec/forkserver_protocol.h) once, and every
+// exec mode hands those same bytes to the LD_PRELOADed interposer, whose
+// ArmPlans is the only routine that arms them:
+//   spawn                  — hex-encoded in AFEX_PLAN (HexEncodePlanEntries);
+//                            the constructor of every process image in the
+//                            target's tree decodes and arms it;
+//   forkserver, persistent — raw, behind an FsRequest header on the control
+//                            pipe.
+// A plan is written and read within one test by code built from the same
+// tree, so it carries no version. Zero entries is a valid plan (run without
+// injection — the Phi_coreutils call-label-0 convention).
 #ifndef AFEX_EXEC_FAULT_PLAN_H_
 #define AFEX_EXEC_FAULT_PLAN_H_
 
@@ -30,22 +22,11 @@
 namespace afex {
 namespace exec {
 
-// v2 added the optional storage-failure mode fields; v1 files still parse.
-inline constexpr int kPlanFormatVersion = 2;
-
-// Writes the control file for `specs`. Returns false on I/O failure or when
-// a spec names a function the interposer does not wrap (injecting it could
-// never trigger, which would silently bias a campaign).
-bool WriteFaultPlan(const std::string& path, const std::vector<FaultSpec>& specs);
-
-// Parses a control file back into specs. Strict: unknown directives,
-// malformed numbers, unwrapped functions, and a bad header all fail.
-bool ParseFaultPlanFile(const std::string& path, std::vector<FaultSpec>& out);
-
-// Binary form of the same plan, as it travels over the forkserver control
-// pipe (one FsPlanEntry per `inject` line). Rejects exactly what
-// WriteFaultPlan rejects — unwrapped functions, bad ordinal windows — plus
-// plans wider than the interposer's fixed table (kFsMaxPlans).
+// Encodes `specs`. Rejects what the interposer could never honour: functions
+// it does not wrap (injecting them could never trigger, which would silently
+// bias a campaign), bad ordinal windows, kinds that do not apply to the
+// function, a negative short_write count, and plans wider than its fixed
+// table (kFsMaxPlans).
 bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
                        std::vector<FsPlanEntry>& out);
 
@@ -53,6 +34,10 @@ bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
 // interposer's ArmPlans accepts.
 bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
                        std::vector<FaultSpec>& out);
+
+// The AFEX_PLAN value for spawn mode: the entries' raw bytes as lowercase
+// hex, two digits per byte in memory order, no separators.
+std::string HexEncodePlanEntries(const std::vector<FsPlanEntry>& entries);
 
 }  // namespace exec
 }  // namespace afex

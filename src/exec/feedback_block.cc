@@ -1,5 +1,6 @@
 #include "exec/feedback_block.h"
 
+#include <cstddef>
 #include <cstdio>
 
 namespace afex {
@@ -20,23 +21,17 @@ FeedbackReadStatus ReadFeedbackBlockStatus(const char* path, FeedbackBlock& out)
   if (f == nullptr) {
     return FeedbackReadStatus::kMissing;
   }
-  // Byte-count read: a version-1 block (older interposer, or a feedback
-  // file the interposer never grew) is shorter than sizeof(FeedbackBlock),
-  // so the block is decoded by how many bytes are actually present.
+  // Byte-count read. A file shorter than the fixed counter region is torn
+  // whatever its header says; past it, the header (magic, version)
+  // classifies the block before the edge region's length is checked.
+  constexpr size_t kCounterRegionBytes = offsetof(FeedbackBlock, edges_supported);
   size_t bytes = std::fread(&out, 1, sizeof(out), f);
   std::fclose(f);
-  if (bytes < kFeedbackBlockV1Size) {
+  if (bytes < kCounterRegionBytes) {
     return FeedbackReadStatus::kShort;
   }
   if (out.magic != kFeedbackMagic) {
     return FeedbackReadStatus::kBadMagic;
-  }
-  if (out.version == 1) {
-    // Legacy layout: no edge region. Zero it so callers see a clean
-    // "edges unsupported" block and fall back to the libc proxy.
-    std::memset(reinterpret_cast<char*>(&out) + kFeedbackBlockV1Size, 0,
-                sizeof(out) - kFeedbackBlockV1Size);
-    return FeedbackReadStatus::kOk;
   }
   if (out.version != kFeedbackVersion) {
     return FeedbackReadStatus::kVersionSkew;

@@ -47,12 +47,10 @@ inline constexpr uint32_t kInterposedFunctionCount =
 inline constexpr uint32_t kMaxInterposedFunctions = 32;
 
 inline constexpr uint64_t kFeedbackMagic = 0x3130424658454641ULL;  // "AFEXFB01"
-// Version 2 appends the SanitizerCoverage edge-hit region after the v1
-// fields. A v1-sized block (from an older interposer) still parses: the
-// parent zero-fills the edge region and falls back to the libc proxy.
+// Version 2 added the SanitizerCoverage edge-hit region. The parent creates
+// the feedback file per test and the interposer is built from the same tree,
+// so a block of any other version can only come from a skewed build.
 inline constexpr uint32_t kFeedbackVersion = 2;
-// Byte size of the version-1 block prefix; the v2 edge region starts here.
-inline constexpr uint32_t kFeedbackBlockV1Size = 568;
 // Fixed capacity of the per-test new-edge list. The interposer dedups
 // edges child-side (an edge id is reported at most once per process), so
 // this bounds *new* edges per test, not total edges per test; overruns
@@ -64,8 +62,8 @@ inline constexpr uint32_t kMaxEdgeHits = 4096;
 inline constexpr uint32_t kMaxSancovEdges = 65536;
 
 // Slot index for a logical function name, or -1 when not interposed.
-// Linear scan: called once per decode on the parent and once per plan line
-// in the interposer, never per libc call.
+// Linear scan: called per plan encode/decode on the parent, never per libc
+// call.
 inline int InterposedSlot(const char* name) {
   for (uint32_t i = 0; i < kInterposedFunctionCount; ++i) {
     if (std::strcmp(kInterposedFunctions[i], name) == 0) {
@@ -83,7 +81,7 @@ struct FeedbackBlock {
   // preload actually took effect (a missing .so fails execve-silently via
   // ld.so warnings only).
   uint64_t attached = 0;
-  // Number of `inject` lines successfully parsed from the control file.
+  // Plan entries armed for this test.
   uint64_t plans_loaded = 0;
   // Per-slot call counts and injected-call counts (indexed as
   // kInterposedFunctions).
@@ -125,8 +123,6 @@ struct FeedbackBlock {
   // mode); each id appears at most once per child process.
   uint32_t edge_hits[kMaxEdgeHits] = {};
 };
-static_assert(offsetof(FeedbackBlock, edges_supported) == kFeedbackBlockV1Size,
-              "v2 edge region must start exactly where the v1 block ended");
 
 // Parent-side helpers (implemented in feedback_block.cc; not used by the
 // interposer, which maps the file itself).
@@ -142,9 +138,9 @@ bool CreateFeedbackFile(const char* path);
 enum class FeedbackReadStatus {
   kOk = 0,
   kMissing,      // open failed
-  kShort,        // fewer bytes than the block's version requires
+  kShort,        // fewer bytes than a whole block
   kBadMagic,     // magic mismatch: the interposer never attached
-  kVersionSkew,  // magic ok but a version this parent cannot decode
+  kVersionSkew,  // magic ok but not kFeedbackVersion (a skewed build)
 };
 
 // Reads the block back after the child exited, reporting what went wrong.

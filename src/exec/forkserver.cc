@@ -14,7 +14,6 @@
 #include <cstring>
 #include <mutex>
 
-#include "exec/fault_plan.h"
 #include "exec/process_runner.h"
 
 namespace afex {
@@ -82,7 +81,7 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   std::vector<std::pair<std::string, std::string>> env = options_.env;
   env.emplace_back(kForkserverEnvVar, options_.persistent ? kForkserverEnvPersistent
                                                           : kForkserverEnvFork);
-  // Plans travel over the pipe; a leaked control file from the outer
+  // Plans travel over the pipe; a leaked AFEX_PLAN from the outer
   // environment must not arm anything.
   env.emplace_back("AFEX_PLAN", "");
   std::vector<std::string> env_strings = MaterializeEnv(env, options_.preload);
@@ -211,12 +210,8 @@ ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_m
   }
 }
 
-bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FaultSpec>& specs,
+bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
                                     uint32_t seq) {
-  std::vector<FsPlanEntry> entries;
-  if (!EncodePlanEntries(specs, entries)) {
-    return false;
-  }
   char buf[sizeof(FsRequest) + kFsMaxPlans * sizeof(FsPlanEntry)];
   FsRequest req;
   req.magic = kFsRequestMagic;
@@ -224,12 +219,8 @@ bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FaultSpe
   req.test_id = test_id;
   req.plan_count = static_cast<uint32_t>(entries.size());
   std::memcpy(buf, &req, sizeof(req));
-  size_t len = sizeof(req);
-  for (const FsPlanEntry& entry : entries) {
-    std::memcpy(buf + len, &entry, sizeof(entry));
-    len += sizeof(entry);
-  }
-  return WriteAll(ctl_write_, buf, len);
+  std::memcpy(buf + sizeof(req), entries.data(), entries.size() * sizeof(FsPlanEntry));
+  return WriteAll(ctl_write_, buf, sizeof(req) + entries.size() * sizeof(FsPlanEntry));
 }
 
 void ForkserverClient::NoteServerDeath() {
@@ -338,23 +329,22 @@ bool ForkserverClient::ReadHello(std::string& error) {
 }
 
 ForkserverTestResult ForkserverClient::RunTest(uint32_t test_id,
-                                               const std::vector<FaultSpec>& specs,
+                                               const std::vector<FsPlanEntry>& entries,
                                                uint32_t seq) {
-  return options_.persistent ? RunPersistent(test_id, specs, seq)
-                             : RunForked(test_id, specs, seq);
+  if (entries.size() > kFsMaxPlans) {
+    // Wider than the server's table (and WriteRequest's buffer).
+    ForkserverTestResult result;
+    result.error = "forkserver: fault plan exceeds kFsMaxPlans entries";
+    return result;
+  }
+  return options_.persistent ? RunPersistent(test_id, entries, seq)
+                             : RunForked(test_id, entries, seq);
 }
 
 ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
-                                                 const std::vector<FaultSpec>& specs,
+                                                 const std::vector<FsPlanEntry>& entries,
                                                  uint32_t seq) {
   ForkserverTestResult result;
-  {
-    std::vector<FsPlanEntry> probe;
-    if (!EncodePlanEntries(specs, probe)) {
-      result.error = "forkserver: unencodable fault plan";
-      return result;
-    }
-  }
   output_.clear();
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
@@ -362,8 +352,8 @@ ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
       result.error = error;
       return result;
     }
-    if (!WriteRequest(test_id, specs, seq)) {
-      NoteServerDeath();
+    if (!WriteRequest(test_id, entries, seq)) {
+      KillServer();  // a failed write does not prove the server is gone
       result.server_restarted = true;
       continue;
     }
@@ -464,7 +454,7 @@ ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
 }
 
 ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
-                                                     const std::vector<FaultSpec>& specs,
+                                                     const std::vector<FsPlanEntry>& entries,
                                                      uint32_t seq) {
   ForkserverTestResult result;
   output_.clear();
@@ -479,8 +469,8 @@ ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
       result.error = error;
       return result;
     }
-    if (!WriteRequest(test_id, specs, seq)) {
-      NoteServerDeath();
+    if (!WriteRequest(test_id, entries, seq)) {
+      KillServer();  // a failed write does not prove the server is gone
       result.server_restarted = true;
       continue;
     }
@@ -496,7 +486,7 @@ ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
         if (metrics_ != nullptr) {
           metrics_->AddCounter("real.persistent_fallback", 1);
         }
-        ForkserverTestResult forked = RunForked(test_id, specs, seq);
+        ForkserverTestResult forked = RunForked(test_id, entries, seq);
         forked.persistent_fell_back = true;
         forked.server_restarted = forked.server_restarted || result.server_restarted;
         return forked;

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "exec/forkserver_protocol.h"
-#include "injection/fault_bus.h"
 #include "obs/metrics.h"
 
 namespace afex {
@@ -96,9 +95,11 @@ class ForkserverClient {
   bool EnsureServer(std::string& error);
 
   // Runs one test: test_id is substituted into the argv placeholders,
-  // specs are armed as the fault plan, seq stamps the feedback block
-  // (FeedbackBlock::test_seq) and sequences the protocol messages.
-  ForkserverTestResult RunTest(uint32_t test_id, const std::vector<FaultSpec>& specs,
+  // entries (EncodePlanEntries, exec/fault_plan.h) are armed as the fault
+  // plan, seq stamps the feedback block (FeedbackBlock::test_seq) and
+  // sequences the protocol messages. More than kFsMaxPlans entries is
+  // refused before anything is written.
+  ForkserverTestResult RunTest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
                                uint32_t seq);
 
   // Graceful shutdown: close the control pipe (the server's read loop sees
@@ -127,14 +128,14 @@ class ForkserverClient {
   // whole message, server death, or `deadline_ms` from now. Sleeps in
   // poll between events; no fixed wakeup interval.
   Wait WaitMsg(FsMsg& msg, uint64_t deadline_ms);
-  bool WriteRequest(uint32_t test_id, const std::vector<FaultSpec>& specs, uint32_t seq);
+  bool WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries, uint32_t seq);
   void DrainOutput();
   // Reaps the dead server (capturing its waitpid status), closes pipes.
   void NoteServerDeath();
   void KillServer();  // SIGKILL + NoteServerDeath
-  ForkserverTestResult RunForked(uint32_t test_id, const std::vector<FaultSpec>& specs,
+  ForkserverTestResult RunForked(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
                                  uint32_t seq);
-  ForkserverTestResult RunPersistent(uint32_t test_id, const std::vector<FaultSpec>& specs,
+  ForkserverTestResult RunPersistent(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
                                      uint32_t seq);
 
   ForkserverOptions options_;

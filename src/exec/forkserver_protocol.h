@@ -6,13 +6,13 @@
 // itself with a Hello message, and then serves test requests forever —
 // fork-per-test in forkserver mode, iterate-in-place in persistent mode.
 //
-// Requests replace the per-test AFEX_PLAN control file: the fault plan
-// travels as a fixed-size binary header plus plan entries over the control
-// pipe, so arming a test costs one pipe write instead of a file create +
-// parse. All messages are fixed-size PODs written/read whole; a short read
-// or a bad magic on either side means the peer is gone or corrupted, and the
-// correct response is always the same — server: _exit; client: kill the
-// server and respawn it.
+// A request is a fixed-size binary header plus the test's FsPlanEntry
+// records — the same bytes spawn mode passes hex-encoded in AFEX_PLAN
+// (exec/fault_plan.h), armed by the same interposer routine. All messages
+// are fixed-size PODs written/read whole; a short read or a bad magic on
+// either side means the peer is gone or corrupted, and the correct response
+// is always the same — server: _exit; client: kill the server and respawn
+// it.
 //
 // This header is included by the interposer, which is built free-standing
 // (no gtest, no afex libraries, no sanitizers): keep it to constants and
@@ -83,8 +83,8 @@ struct FsRequest {
   uint32_t plan_count = 0;
 };
 
-// One armed fault, the binary form of a fault_plan.h `inject` line. Slot
-// indexes kInterposedFunctions (feedback_block.h).
+// One armed fault: the plan's only wire format in every exec mode
+// (exec/fault_plan.h). Slot indexes kInterposedFunctions (feedback_block.h).
 struct FsPlanEntry {
   int32_t slot = -1;
   int32_t errno_value = 0;
@@ -100,7 +100,8 @@ struct FsPlanEntry {
 };
 
 // Matches the interposer's plan table capacity; a request claiming more is
-// a protocol violation and the server exits.
+// a protocol violation and the server exits, an AFEX_PLAN holding more arms
+// nothing.
 inline constexpr uint32_t kFsMaxPlans = 8;
 
 inline constexpr uint32_t kFsHelloFlagPersistent = 1u;

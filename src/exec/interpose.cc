@@ -5,24 +5,25 @@
 // the call ordinal falls inside an armed plan's window, injects the planned
 // fault: set errno, return the profiled error value, never enter libc.
 //
-// The per-run plan arrives via two environment variables set by the process
-// runner:
-//   AFEX_PLAN     — control file ("afexplan 1|2" header + `inject` lines,
-//                   exec/fault_plan.h)
+// In spawn mode the per-run plan arrives via two environment variables set by
+// the process runner:
+//   AFEX_PLAN     — the plan's FsPlanEntry records, hex-encoded
+//                   (exec/fault_plan.h), decoded into a static table and
+//                   armed by ArmPlans, the routine every exec mode uses
 //   AFEX_FEEDBACK — feedback file, pre-sized by the parent, mmapped here
 //
 // Engineering constraints, all consequences of living inside an arbitrary
 // target process:
 //  * No C++ runtime facilities that allocate or throw: a malloc interposer
-//    cannot call the allocator it replaces. Plan parsing and feedback setup
-//    use raw syscalls, fixed buffers, and manual tokenizing.
+//    cannot call the allocator it replaces. Plan decoding and feedback setup
+//    use raw syscalls and fixed buffers.
 //  * dlsym(RTLD_NEXT, ...) itself may allocate (dlerror state) before
 //    real_malloc is resolved; a small static bump arena serves those
 //    bootstrap allocations, and free()/realloc() recognize its range.
 //  * Counting starts only once the constructor has run (g_active): loader
 //    and pre-main libc initialization calls are excluded, so call ordinals
 //    are stable properties of the target program, not of ld.so internals.
-//  * Internal calls (parsing the plan, mapping feedback) run with
+//  * Internal calls (decoding the plan, mapping feedback) run with
 //    g_internal set so they are neither counted nor injected.
 //  * Built with -fno-sanitize=all: preloading a sanitized .so into an
 //    arbitrary child would require the sanitizer runtime to lead the
@@ -74,7 +75,6 @@ using afex::exec::FsMsg;
 using afex::exec::FsMsgKind;
 using afex::exec::FsPlanEntry;
 using afex::exec::FsRequest;
-using afex::exec::InterposedSlot;
 using afex::exec::kFeedbackMagic;
 using afex::exec::kFeedbackVersion;
 using afex::exec::kForkserverCtlFd;
@@ -295,8 +295,7 @@ struct Plan {
   int errno_value = 0;
 };
 
-constexpr int kMaxPlans = 8;
-Plan g_plans[kMaxPlans];
+Plan g_plans[kFsMaxPlans];
 int g_plan_count = 0;
 
 // Local fallback block, replaced by the mmap'd file when AFEX_FEEDBACK is
@@ -575,9 +574,8 @@ bool BufferedWrite(int fd, const void* buf, size_t count, long* result) {
 }
 
 // Arms (or disarms) buffering for one test and clears all per-test state.
-// Runs at plan-load time in spawn mode and from ArmPlans in forkserver /
-// persistent mode — in the server, before the fork, so every child starts
-// with an empty arena.
+// Runs from ArmPlans — in forkserver mode in the server, before the fork, so
+// every child starts with an empty arena.
 void ResetBuffering(int active) {
   g_buffering = active;
   g_write_record_count = 0;
@@ -585,152 +583,6 @@ void ResetBuffering(int active) {
   for (int fd = 0; fd < kMaxFdTrack; ++fd) {
     g_fd_info[fd] = FdInfo{};
   }
-}
-
-// ---------------------------------------------------------------------------
-// Allocation-free plan parsing (raw syscalls, fixed buffer).
-// ---------------------------------------------------------------------------
-bool ParseLong(const char*& p, long& out) {
-  while (*p == ' ') {
-    ++p;
-  }
-  bool negative = false;
-  if (*p == '-') {
-    negative = true;
-    ++p;
-  }
-  if (*p < '0' || *p > '9') {
-    return false;
-  }
-  long value = 0;
-  while (*p >= '0' && *p <= '9') {
-    value = value * 10 + (*p - '0');
-    ++p;
-  }
-  out = negative ? -value : value;
-  return true;
-}
-
-bool ParseWord(const char*& p, char* out, size_t cap) {
-  while (*p == ' ') {
-    ++p;
-  }
-  size_t n = 0;
-  while (*p != '\0' && *p != ' ' && *p != '\n') {
-    if (n + 1 >= cap) {
-      return false;
-    }
-    out[n++] = *p++;
-  }
-  out[n] = '\0';
-  return n > 0;
-}
-
-void LoadPlan() {
-  const char* path = getenv("AFEX_PLAN");
-  if (path == nullptr || *path == '\0') {
-    return;
-  }
-  Resolve(g_real_open, "open");
-  Resolve(g_real_read, "read");
-  Resolve(g_real_close, "close");
-  int fd = g_real_open(path, O_RDONLY);
-  if (fd < 0) {
-    return;
-  }
-  static char buf[4096];
-  ssize_t total = 0;
-  ssize_t n;
-  while ((n = g_real_read(fd, buf + total, sizeof(buf) - 1 - total)) > 0) {
-    total += n;
-    if (total >= static_cast<ssize_t>(sizeof(buf) - 1)) {
-      break;
-    }
-  }
-  g_real_close(fd);
-  buf[total] = '\0';
-
-  const char* p = buf;
-  // Header: "afexplan 1" or "afexplan 2" (v2 added the optional mode
-  // fields on inject lines).
-  char word[64];
-  long version = 0;
-  if (!ParseWord(p, word, sizeof(word)) || strcmp(word, "afexplan") != 0 ||
-      !ParseLong(p, version) || version < 1 || version > 2) {
-    return;
-  }
-  while (*p != '\0') {
-    if (*p == '\n') {
-      ++p;
-      continue;
-    }
-    if (!ParseWord(p, word, sizeof(word)) || strcmp(word, "inject") != 0) {
-      return;  // unknown directive: stop, keep what parsed so far armed
-    }
-    Plan plan;
-    char function[64];
-    long lo = 0;
-    long hi = 0;
-    long retval = 0;
-    long err = 0;
-    if (!ParseWord(p, function, sizeof(function)) || !ParseLong(p, lo) ||
-        !ParseLong(p, hi) || !ParseLong(p, retval) || !ParseLong(p, err)) {
-      return;
-    }
-    plan.slot = InterposedSlot(function);
-    plan.call_lo = static_cast<unsigned long>(lo);
-    plan.call_hi = static_cast<unsigned long>(hi);
-    plan.retval = retval;
-    plan.errno_value = static_cast<int>(err);
-    while (*p == ' ') {
-      ++p;
-    }
-    if (*p != '\n' && *p != '\0') {
-      // Optional "<mode> [<K>]" tail, v2 only.
-      char mode[32];
-      if (version < 2 || !ParseWord(p, mode, sizeof(mode))) {
-        return;
-      }
-      if (strcmp(mode, "errno") == 0) {
-        plan.kind = kKindErrno;
-      } else if (strcmp(mode, "short_write") == 0) {
-        plan.kind = kKindShortWrite;
-      } else if (strcmp(mode, "drop_sync") == 0) {
-        plan.kind = kKindDropSync;
-      } else if (strcmp(mode, "kill_at") == 0) {
-        plan.kind = kKindKillAt;
-      } else if (strcmp(mode, "crash_after_rename") == 0) {
-        plan.kind = kKindCrashAfterRename;
-      } else {
-        return;
-      }
-      if (plan.kind == kKindShortWrite) {
-        long param = 0;
-        if (!ParseLong(p, param) || param < 0) {
-          return;
-        }
-        plan.param = param;
-      }
-      while (*p == ' ') {
-        ++p;
-      }
-      if (*p != '\n' && *p != '\0') {
-        return;  // trailing junk on the line
-      }
-    }
-    if (plan.slot >= 0 && lo >= 1 && hi >= lo &&
-        KindAllowedForSlot(plan.kind, plan.slot) && g_plan_count < kMaxPlans) {
-      g_plans[g_plan_count++] = plan;
-      __atomic_add_fetch(&g_block->plans_loaded, 1, __ATOMIC_RELAXED);
-    }
-  }
-  int buffering = 0;
-  for (int i = 0; i < g_plan_count; ++i) {
-    if (g_plans[i].kind >= kKindDropSync) {
-      buffering = 1;
-    }
-  }
-  ResetBuffering(buffering);
 }
 
 void MapFeedback() {
@@ -855,6 +707,10 @@ void ResetFeedbackForTest(uint32_t seq) {
   b->test_seq = seq;
 }
 
+// Arms one test's plan; the only arming routine, in every exec mode (spawn:
+// LoadPlanFromEnv; forkserver / persistent: each request). Entries with an
+// unknown slot or kind, a bad ordinal window, a kind that does not apply to
+// the function, or a negative short_write count are dropped.
 void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
   g_plan_count = 0;
   uint64_t loaded = 0;
@@ -887,6 +743,45 @@ void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
   // Runs in the server before the fork (or between persistent iterations):
   // every test starts with an empty arena and a clean fd table.
   ResetBuffering(buffering);
+}
+
+// Lowercase only, as HexEncodePlanEntries writes it.
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') {
+    return c - '0';
+  }
+  if (c >= 'a' && c <= 'f') {
+    return c - 'a' + 10;
+  }
+  return -1;
+}
+
+// Spawn mode: decodes AFEX_PLAN's hex FsPlanEntry records and arms them. A
+// child that exec()s inherits the variable and re-arms the same plan in its
+// new image. A malformed value — odd length, a non-hex digit, a trailing
+// partial entry, more than kFsMaxPlans entries — arms nothing; ArmPlans
+// drops any well-formed entry it cannot honour.
+void LoadPlanFromEnv() {
+  const char* hex = getenv("AFEX_PLAN");
+  if (hex == nullptr || *hex == '\0') {
+    return;
+  }
+  static FsPlanEntry entries[kFsMaxPlans];
+  constexpr size_t kEntryHex = 2 * sizeof(FsPlanEntry);
+  const size_t len = strlen(hex);
+  if (len % kEntryHex != 0 || len / kEntryHex > kFsMaxPlans) {
+    return;
+  }
+  unsigned char* out = reinterpret_cast<unsigned char*>(entries);
+  for (size_t i = 0; i < len; i += 2) {
+    const int hi = HexDigit(hex[i]);
+    const int lo = HexDigit(hex[i + 1]);
+    if (hi < 0 || lo < 0) {
+      return;
+    }
+    out[i / 2] = static_cast<unsigned char>(hi << 4 | lo);
+  }
+  ArmPlans(entries, static_cast<uint32_t>(len / kEntryHex));
 }
 
 // Splices the request's test id over every "{test}" placeholder in the
@@ -1052,7 +947,7 @@ __attribute__((constructor)) void AfexInterposeInit(int argc, char** argv,
     // Forkserver child: plan and feedback were armed by the server before
     // the fork; fall through and activate exactly like a spawned process.
   } else {
-    LoadPlan();
+    LoadPlanFromEnv();
   }
   g_internal = 0;
   __atomic_store_n(&g_active, 1, __ATOMIC_RELEASE);

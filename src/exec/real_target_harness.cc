@@ -131,7 +131,6 @@ RealTargetHarness::RealTargetHarness(RealTargetConfig config)
                                                      : work_root_;
   }
   sandbox_dir_ = (fs::path(instance_dir_) / "sandbox").string();
-  plan_path_ = (fs::path(instance_dir_) / "plan.afex").string();
   feedback_path_ = (fs::path(instance_dir_) / "feedback.afexfb").string();
   fs::create_directories(sandbox_dir_, ec);
 }
@@ -225,6 +224,15 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
       specs.push_back(*plan.spec);
     }
   }
+  // One encoding for every exec mode: spawn passes these bytes hex-encoded
+  // in AFEX_PLAN, the server modes send them over the control pipe.
+  std::vector<FsPlanEntry> entries;
+  if (!EncodePlanEntries(specs, entries)) {
+    // E.g. a --space call interval past INT_MAX, wrapped negative on decode.
+    outcome.test_failed = true;
+    outcome.detail = "exec: unencodable fault plan";
+    return outcome;
+  }
 
   const std::string test_label = std::to_string(plan.test_id + 1);
   std::string feedback_path = feedback_path_;
@@ -234,16 +242,14 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
   std::error_code ec;
 
   if (config_.exec_mode == ExecMode::kSpawn) {
-    // ---- spawn: control files + one process per test ----
+    // ---- spawn: plan in the environment, one process per test ----
     obs::PhaseTimer plan_timer(metrics_, obs::Phase::kRealPlanWrite);
     fs::path run_dir(instance_dir_);
     fs::path sandbox(sandbox_dir_);
-    std::string plan_path = plan_path_;
     if (config_.keep_scratch) {
       // Debugging layout: everything for run N stays under run_N/.
       run_dir = fs::path(work_root_) / ("run_" + std::to_string(tests_run_));
       sandbox = run_dir / "sandbox";
-      plan_path = (run_dir / "plan.afex").string();
       feedback_path = (run_dir / "feedback.afexfb").string();
       phase_sandbox = sandbox.string();
     }
@@ -253,9 +259,9 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
       outcome.detail = "exec: cannot create sandbox " + sandbox.string();
       return outcome;
     }
-    if (!WriteFaultPlan(plan_path, specs) || !CreateFeedbackFile(feedback_path.c_str())) {
+    if (!CreateFeedbackFile(feedback_path.c_str())) {
       outcome.test_failed = true;
-      outcome.detail = "exec: cannot write control files under " + run_dir.string();
+      outcome.detail = "exec: cannot create feedback file under " + run_dir.string();
       return outcome;
     }
     plan_timer.Finish();
@@ -276,7 +282,8 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     }
     request.working_dir = sandbox.string();
     request.preload = config_.interposer_path;
-    request.env = {{"AFEX_PLAN", plan_path}, {"AFEX_FEEDBACK", feedback_path}};
+    request.env = {{"AFEX_PLAN", HexEncodePlanEntries(entries)},
+                   {"AFEX_FEEDBACK", feedback_path}};
     request.timeout_ms = config_.timeout_ms;
     request.max_output_bytes = config_.max_output_bytes;
 
@@ -313,7 +320,7 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     expect_seq = ++next_seq_;
     obs::PhaseTimer roundtrip(metrics_, obs::Phase::kRealFsRoundtrip);
     ForkserverTestResult fr = forkserver_->RunTest(
-        static_cast<uint32_t>(plan.test_id + 1), specs, expect_seq);
+        static_cast<uint32_t>(plan.test_id + 1), entries, expect_seq);
     roundtrip.Finish();
     run.started = fr.ran;
     run.exited = fr.exited;

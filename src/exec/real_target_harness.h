@@ -4,8 +4,9 @@
 //
 // Per test it: decodes the abstract fault through the same FaultDecoder the
 // sim backend uses (the libc profile names real functions, so the fault
-// space vocabulary transfers verbatim), writes the interposer control file,
-// creates the feedback file, runs the target under LD_PRELOAD in a
+// space vocabulary transfers verbatim), encodes the fault plan once
+// (exec/fault_plan.h), creates the feedback file, runs the target under
+// LD_PRELOAD in a
 // per-run scratch sandbox (process_runner), reads the feedback block back,
 // and translates it into a TestOutcome: per-function call profiles become
 // black-box "coverage" (one block per profiled libc function), injected-
@@ -152,10 +153,9 @@ class RealTargetHarness : public TargetBackend {
   std::string target_name_;     // basename of argv[0], for injection stacks
   // Per-harness recycled scratch (unique under work_root_, so --jobs nodes
   // sharing one root never collide): one sandbox emptied in place between
-  // tests, one plan file and one feedback file rewritten per test.
+  // tests, one feedback file rewritten per test.
   std::string instance_dir_;
   std::string sandbox_dir_;
-  std::string plan_path_;
   std::string feedback_path_;
   std::unique_ptr<ForkserverClient> forkserver_;
   uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (fs modes)

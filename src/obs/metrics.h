@@ -56,7 +56,7 @@ enum class Phase : uint8_t {
   kSimDecode,           // sim backend: fault decode
   kSimRun,              // sim backend: env setup + program execution
   kSimFeedbackMerge,    // sim backend: outcome fill + coverage merge
-  kRealPlanWrite,       // real backend: sandbox + plan/feedback control files
+  kRealPlanWrite,       // real backend: sandbox + feedback file
   kRealForkExec,        // real backend: env materialization + fork + exec
   kRealChildWait,       // real backend: child runtime until reaped
   kRealFeedbackRead,    // real backend: feedback block read + translation

@@ -25,6 +25,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -63,45 +64,6 @@ std::string TempDir(const std::string& name) {
 // Plan serialization
 // ---------------------------------------------------------------------------
 
-TEST(FaultPlanTest, RoundTripsSpecs) {
-  std::string path = TempDir("plan") + "/plan.afex";
-  std::vector<FaultSpec> specs = {
-      {.function = "open", .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
-      {.function = "malloc", .call_lo = 1, .call_hi = 7, .retval = 0, .errno_value = 12},
-  };
-  ASSERT_TRUE(WriteFaultPlan(path, specs));
-  std::vector<FaultSpec> parsed;
-  ASSERT_TRUE(ParseFaultPlanFile(path, parsed));
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].function, "open");
-  EXPECT_EQ(parsed[0].call_lo, 3);
-  EXPECT_EQ(parsed[0].call_hi, 3);
-  EXPECT_EQ(parsed[0].retval, -1);
-  EXPECT_EQ(parsed[0].errno_value, 13);
-  EXPECT_EQ(parsed[1].function, "malloc");
-  EXPECT_EQ(parsed[1].retval, 0);
-}
-
-TEST(FaultPlanTest, EmptyPlanIsValid) {
-  std::string path = TempDir("plan_empty") + "/plan.afex";
-  ASSERT_TRUE(WriteFaultPlan(path, {}));
-  std::vector<FaultSpec> parsed{{.function = "stale"}};
-  ASSERT_TRUE(ParseFaultPlanFile(path, parsed));
-  EXPECT_TRUE(parsed.empty());
-}
-
-TEST(FaultPlanTest, RejectsUnwrappedFunctionAndGarbage) {
-  std::string dir = TempDir("plan_bad");
-  // strtol is in the libc profile but not interposable: writing it would
-  // arm a fault that can never trigger.
-  EXPECT_FALSE(WriteFaultPlan(dir + "/p1", {{.function = "strtol"}}));
-  std::ofstream(dir + "/p2") << "afexplan 999\n";
-  std::vector<FaultSpec> parsed;
-  EXPECT_FALSE(ParseFaultPlanFile(dir + "/p2", parsed));
-  std::ofstream(dir + "/p3") << "afexplan 1\ninject open nonsense\n";
-  EXPECT_FALSE(ParseFaultPlanFile(dir + "/p3", parsed));
-}
-
 TEST(FaultPlanTest, PipeEntriesRoundTrip) {
   std::vector<FaultSpec> specs = {
       {.function = "open", .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
@@ -119,16 +81,16 @@ TEST(FaultPlanTest, PipeEntriesRoundTrip) {
   EXPECT_EQ(back[1].function, "malloc");
   EXPECT_EQ(back[1].retval, 0);
 
-  // Same rejection surface as the file form: unwrapped functions and plans
-  // wider than the interposer's fixed table.
+  // Rejected: functions the interposer does not wrap (strtol is in the libc
+  // profile, but arming it could never trigger) and plans wider than the
+  // interposer's fixed table.
   EXPECT_FALSE(EncodePlanEntries({{.function = "strtol"}}, entries));
   std::vector<FaultSpec> wide(kFsMaxPlans + 1,
                               {.function = "open", .call_lo = 1, .call_hi = 1});
   EXPECT_FALSE(EncodePlanEntries(wide, entries));
 }
 
-TEST(FaultPlanTest, V2ModeFieldsRoundTripInBothForms) {
-  std::string path = TempDir("plan_v2") + "/plan.afex";
+TEST(FaultPlanTest, ModeFieldsRoundTrip) {
   std::vector<FaultSpec> specs = {
       {.function = "write", .call_lo = 2, .call_hi = 2, .retval = 40, .errno_value = 0,
        .kind = FaultKind::kShortWrite, .param = 40},
@@ -137,16 +99,6 @@ TEST(FaultPlanTest, V2ModeFieldsRoundTripInBothForms) {
       {.function = "rename", .call_lo = 1, .call_hi = 1,
        .kind = FaultKind::kCrashAfterRename},
   };
-  ASSERT_TRUE(WriteFaultPlan(path, specs));
-  std::vector<FaultSpec> parsed;
-  ASSERT_TRUE(ParseFaultPlanFile(path, parsed));
-  ASSERT_EQ(parsed.size(), 4u);
-  EXPECT_EQ(parsed[0].kind, FaultKind::kShortWrite);
-  EXPECT_EQ(parsed[0].param, 40);
-  EXPECT_EQ(parsed[1].kind, FaultKind::kDropSync);
-  EXPECT_EQ(parsed[2].kind, FaultKind::kKillAt);
-  EXPECT_EQ(parsed[3].kind, FaultKind::kCrashAfterRename);
-
   std::vector<FsPlanEntry> entries;
   ASSERT_TRUE(EncodePlanEntries(specs, entries));
   std::vector<FaultSpec> back;
@@ -160,37 +112,37 @@ TEST(FaultPlanTest, V2ModeFieldsRoundTripInBothForms) {
 }
 
 TEST(FaultPlanTest, RejectsHostileModeDirectives) {
-  std::string dir = TempDir("plan_hostile");
-  int n = 0;
-  auto rejects = [&](const std::string& body) {
-    std::string path = dir + "/p" + std::to_string(++n);
-    std::ofstream(path) << body;
-    std::vector<FaultSpec> parsed;
-    EXPECT_FALSE(ParseFaultPlanFile(path, parsed)) << body;
-  };
-  // Garbage mode word.
-  rejects("afexplan 2\ninject write 1 1 0 0 long_write\n");
-  // kill_at with a trailing K (the parameter belongs to short_write only).
-  rejects("afexplan 2\ninject write 1 1 0 0 kill_at 7\n");
-  // short_write with a negative or missing K, or trailing junk after it.
-  rejects("afexplan 2\ninject write 1 1 0 0 short_write -4\n");
-  rejects("afexplan 2\ninject write 1 1 0 0 short_write\n");
-  rejects("afexplan 2\ninject write 1 1 0 0 short_write 4 junk\n");
-  // Kind incompatible with the function.
-  rejects("afexplan 2\ninject read 1 1 0 0 short_write 4\n");
-  rejects("afexplan 2\ninject write 1 1 0 0 drop_sync\n");
-  rejects("afexplan 2\ninject open 1 1 0 0 crash_after_rename\n");
-  // A v1 header cannot carry mode fields.
-  rejects("afexplan 1\ninject write 1 1 0 0 kill_at\n");
-
-  // The pipe codec rejects the same shapes.
   std::vector<FsPlanEntry> entries;
+  // short_write with a negative K.
+  EXPECT_FALSE(EncodePlanEntries(
+      {{.function = "write", .kind = FaultKind::kShortWrite, .param = -1}}, entries));
+  // Kind incompatible with the function.
   EXPECT_FALSE(EncodePlanEntries(
       {{.function = "read", .kind = FaultKind::kShortWrite, .param = 4}}, entries));
   EXPECT_FALSE(EncodePlanEntries(
-      {{.function = "write", .kind = FaultKind::kShortWrite, .param = -1}}, entries));
+      {{.function = "write", .kind = FaultKind::kDropSync}}, entries));
   EXPECT_FALSE(EncodePlanEntries(
       {{.function = "fsync", .kind = FaultKind::kCrashAfterRename}}, entries));
+
+  // The decoder refuses a kind number outside FaultKind.
+  ASSERT_TRUE(EncodePlanEntries({{.function = "write", .call_lo = 1, .call_hi = 1}}, entries));
+  entries[0].kind = static_cast<int32_t>(FaultKind::kCrashAfterRename) + 1;
+  std::vector<FaultSpec> back;
+  EXPECT_FALSE(DecodePlanEntries(entries, back));
+}
+
+TEST(FaultPlanTest, HexEncodingIsTheEntriesRawBytes) {
+  std::vector<FsPlanEntry> entries;
+  ASSERT_TRUE(EncodePlanEntries(
+      {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
+      entries));
+  const std::string hex = HexEncodePlanEntries(entries);
+  ASSERT_EQ(hex.size(), 2 * sizeof(FsPlanEntry));
+  if constexpr (std::endian::native == std::endian::little) {
+    // Slot 9 (open), then errno 13, each as its in-memory bytes.
+    EXPECT_EQ(hex.substr(0, 16), "090000000d000000");
+  }
+  EXPECT_EQ(HexEncodePlanEntries({}), "");
 }
 
 TEST(FeedbackBlockTest, CreateAndReadBackRejectsUnattached) {
@@ -387,26 +339,39 @@ TEST(ProcessRunnerTest, RunsInWorkingDirWithEnv) {
 // Interposer end to end
 // ---------------------------------------------------------------------------
 
-// Runs walutil scenario `test_id` under the interposer with `specs` armed;
-// returns the process result and fills `block`.
-ProcessResult RunWalutil(const std::string& dir, int test_id,
-                         const std::vector<FaultSpec>& specs, FeedbackBlock& block) {
-  std::string plan_path = dir + "/plan.afex";
+// The plan entries for `specs`; the calling test fails if they do not encode.
+std::vector<FsPlanEntry> Entries(const std::vector<FaultSpec>& specs) {
+  std::vector<FsPlanEntry> entries;
+  EXPECT_TRUE(EncodePlanEntries(specs, entries));
+  return entries;
+}
+
+// Runs `argv` under the interposer in `dir`/sandbox with AFEX_PLAN set to
+// `plan_value`, the way spawn mode does; returns the process result and
+// fills `block`.
+ProcessResult RunPreloaded(const std::string& dir, std::vector<std::string> argv,
+                           const std::string& plan_value, FeedbackBlock& block) {
   std::string feedback_path = dir + "/fb.bin";
   std::string sandbox = dir + "/sandbox";
   fs::create_directories(sandbox);
-  EXPECT_TRUE(WriteFaultPlan(plan_path, specs));
   EXPECT_TRUE(CreateFeedbackFile(feedback_path.c_str()));
 
   ProcessRequest request;
-  request.argv = {AFEX_WALUTIL_PATH, std::to_string(test_id)};
+  request.argv = std::move(argv);
   request.working_dir = sandbox;
   request.preload = AFEX_INTERPOSER_PATH;
-  request.env = {{"AFEX_PLAN", plan_path}, {"AFEX_FEEDBACK", feedback_path}};
+  request.env = {{"AFEX_PLAN", plan_value}, {"AFEX_FEEDBACK", feedback_path}};
   request.timeout_ms = 10000;
   ProcessResult result = RunProcess(request);
   EXPECT_TRUE(ReadFeedbackBlock(feedback_path.c_str(), block));
   return result;
+}
+
+// Runs walutil scenario `test_id` under the interposer with `specs` armed.
+ProcessResult RunWalutil(const std::string& dir, int test_id,
+                         const std::vector<FaultSpec>& specs, FeedbackBlock& block) {
+  return RunPreloaded(dir, {AFEX_WALUTIL_PATH, std::to_string(test_id)},
+                      HexEncodePlanEntries(Entries(specs)), block);
 }
 
 TEST(InterposerTest, CountsCallsWithoutInjection) {
@@ -447,6 +412,65 @@ TEST(InterposerTest, InjectedErrnoObservedByChild) {
   EXPECT_EQ(block.first_injected_call, 2u);
 }
 
+TEST(InterposerTest, ExecedImageRearmsThePlanFromTheEnvironment) {
+  // The spawned tree shares one plan: the shell exec()s walutil, whose
+  // constructor decodes AFEX_PLAN again and fires the same open #2 fault.
+  FeedbackBlock block;
+  ProcessResult result = RunPreloaded(
+      TempDir("inject_exec"),
+      {"/bin/sh", "-c", std::string("exec ") + AFEX_WALUTIL_PATH + " 1"},
+      HexEncodePlanEntries(Entries({{.function = "open", .call_lo = 2, .call_hi = 2,
+                                     .retval = -1, .errno_value = 13}})),
+      block);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.output.find("copy open source failed: errno=13"), std::string::npos)
+      << result.output;
+  EXPECT_EQ(block.plans_loaded, 1u);
+  EXPECT_EQ(block.injected_total, 1u);
+}
+
+TEST(InterposerTest, HostilePlanValuesArmNothing) {
+  // Each value is a damaged form of a plan that would fail walutil's second
+  // open; a decoder that salvaged any entry would make the run fail.
+  const FsPlanEntry open2 = Entries({{.function = "open", .call_lo = 2, .call_hi = 2,
+                                      .retval = -1, .errno_value = 13}})[0];
+  const std::string good = HexEncodePlanEntries({open2});
+  std::string non_hex = good;
+  non_hex[2 * offsetof(FsPlanEntry, pad)] = 'g';  // a byte ArmPlans never reads
+  FsPlanEntry bad_slot = open2;
+  bad_slot.slot = static_cast<int32_t>(kInterposedFunctionCount);
+  FsPlanEntry bad_kind = open2;
+  bad_kind.kind = static_cast<int32_t>(FaultKind::kCrashAfterRename) + 1;
+  FsPlanEntry zero_lo = open2;
+  zero_lo.call_lo = 0;
+  FsPlanEntry negative_short = Entries({{.function = "write", .call_lo = 1, .call_hi = 1,
+                                         .kind = FaultKind::kShortWrite, .param = 4}})[0];
+  negative_short.param = -1;
+  const std::pair<const char*, std::string> cases[] = {
+      {"odd length", good.substr(0, good.size() - 1)},
+      {"non-hex digit", non_hex},
+      {"trailing partial entry", good + good.substr(0, 16)},
+      {"more than kFsMaxPlans entries",
+       HexEncodePlanEntries(std::vector<FsPlanEntry>(kFsMaxPlans + 1, open2))},
+      {"slot out of range", HexEncodePlanEntries({bad_slot})},
+      {"kind out of range", HexEncodePlanEntries({bad_kind})},
+      {"call_lo == 0", HexEncodePlanEntries({zero_lo})},
+      {"short_write with a negative param", HexEncodePlanEntries({negative_short})},
+  };
+  int n = 0;
+  for (const auto& [name, value] : cases) {
+    FeedbackBlock block;
+    ProcessResult result = RunPreloaded(TempDir("hostile_plan_" + std::to_string(++n)),
+                                        {AFEX_WALUTIL_PATH, "1"}, value, block);
+    EXPECT_TRUE(result.exited) << name;
+    EXPECT_EQ(result.exit_code, 0) << name << ": " << result.output;
+    EXPECT_EQ(block.attached, 1u) << name;
+    EXPECT_EQ(block.plans_loaded, 0u) << name;
+    EXPECT_EQ(block.injected_total, 0u) << name;
+  }
+}
+
 TEST(InterposerTest, CatalogReadFaultCrashesChild) {
   // The walutil catalog scenario carries the MySQL #25097 pattern: the
   // failed read is detected and logged, then the never-initialized buffer
@@ -473,22 +497,9 @@ TEST(InterposerTest, CatalogReadFaultCrashesChild) {
 // inspect the crash state the run left on disk.
 ProcessResult RunTxengine(const std::string& dir, const std::vector<FaultSpec>& specs,
                           FeedbackBlock& block, std::string& sandbox_out) {
-  std::string plan_path = dir + "/plan.afex";
-  std::string feedback_path = dir + "/fb.bin";
   sandbox_out = dir + "/sandbox";
-  fs::create_directories(sandbox_out);
-  EXPECT_TRUE(WriteFaultPlan(plan_path, specs));
-  EXPECT_TRUE(CreateFeedbackFile(feedback_path.c_str()));
-
-  ProcessRequest request;
-  request.argv = {AFEX_TXENGINE_PATH, "workload", "1"};
-  request.working_dir = sandbox_out;
-  request.preload = AFEX_INTERPOSER_PATH;
-  request.env = {{"AFEX_PLAN", plan_path}, {"AFEX_FEEDBACK", feedback_path}};
-  request.timeout_ms = 10000;
-  ProcessResult result = RunProcess(request);
-  EXPECT_TRUE(ReadFeedbackBlock(feedback_path.c_str(), block));
-  return result;
+  return RunPreloaded(dir, {AFEX_TXENGINE_PATH, "workload", "1"},
+                      HexEncodePlanEntries(Entries(specs)), block);
 }
 
 std::string SlurpFile(const fs::path& path) {
@@ -703,7 +714,8 @@ TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   EXPECT_NE(clean.output.find("copied source.tbl"), std::string::npos) << clean.output;
 
   ForkserverTestResult injected = client.RunTest(
-      1, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
+      1,
+      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
       2);
   ASSERT_TRUE(injected.ran) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
@@ -711,7 +723,8 @@ TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
       << injected.output;
 
   ForkserverTestResult crashed = client.RunTest(
-      4, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}},
+      4,
+      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       3);
   ASSERT_TRUE(crashed.ran) << crashed.error;
   EXPECT_FALSE(crashed.exited);
@@ -731,7 +744,8 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   std::string fb = dir + "/fb.bin";
 
   ForkserverTestResult crashed = client.RunTest(
-      4, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}},
+      4,
+      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       1);
   ASSERT_TRUE(crashed.ran) << crashed.error;
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
@@ -853,7 +867,8 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
   // Injection still works in-process, including the exit() interception
   // that turns walutil's Fail() into an iteration result.
   ForkserverTestResult injected = client.RunTest(
-      1, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
+      1,
+      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
       ++seq);
   ASSERT_TRUE(injected.ran) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
@@ -871,7 +886,8 @@ TEST(ForkserverClientTest, PersistentCrashRestartsAndKeepsServing) {
   // A crashing iteration takes the whole persistent process down; the
   // client must report the crash truthfully, then respawn for the next test.
   ForkserverTestResult crashed = client.RunTest(
-      4, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}},
+      4,
+      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       2);
   ASSERT_TRUE(crashed.ran) << crashed.error;
   EXPECT_FALSE(crashed.exited);
@@ -981,6 +997,66 @@ TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
     EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
     EXPECT_EQ(spawn[i], persistent[i]) << "spawn vs persistent, record " << i;
   }
+}
+
+// Serialized outcomes of every point on the call axis of `space` (first test,
+// first function), run in order through a fresh walutil harness in `mode`.
+std::vector<std::string> SweepCallAxis(ExecMode mode, const std::string& dir,
+                                       const FaultSpace& space) {
+  RealTargetConfig config = WalutilConfig(dir);
+  config.exec_mode = mode;
+  RealTargetHarness harness(config);
+  std::vector<std::string> outcomes;
+  for (size_t call = 0; call < space.axis(2).cardinality(); ++call) {
+    outcomes.push_back(
+        SerializeOutcome(harness.RunFault(space, Fault(std::vector<size_t>{0, 0, call}))));
+  }
+  return outcomes;
+}
+
+TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
+  // A call interval past INT_MAX wraps negative in the decoded spec, which
+  // no exec mode can arm. Every mode must refuse it with the same record.
+  // The persistent leg runs in a forked child under an alarm, so a client
+  // that blocks on its live server fails the test instead of hanging it.
+  FaultSpace space({Axis::MakeInterval("test", 1, 1), Axis::MakeSet("function", {"open"}),
+                    Axis::MakeInterval("call", 2147483648LL, 2147483650LL)},
+                   "real:unencodable");
+  const std::vector<std::string> spawn =
+      SweepCallAxis(ExecMode::kSpawn, TempDir("unencodable_spawn"), space);
+  ASSERT_EQ(spawn.size(), 3u);
+  for (const std::string& outcome : spawn) {
+    EXPECT_NE(outcome.find("failed=1"), std::string::npos) << outcome;
+    EXPECT_NE(outcome.find("detail=" + EscapeField("exec: unencodable fault plan")),
+              std::string::npos)
+        << outcome;
+  }
+  EXPECT_EQ(SweepCallAxis(ExecMode::kForkserver, TempDir("unencodable_fs"), space), spawn);
+
+  const std::string dir = TempDir("unencodable_persistent");
+  const std::string listing = dir + "/outcomes.txt";
+  pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(60);
+    std::ofstream out(listing);
+    for (const std::string& outcome : SweepCallAxis(ExecMode::kPersistent, dir + "/w", space)) {
+      out << outcome << '\n';
+    }
+    out.close();
+    ::_exit(out ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "persistent leg hung (killed by signal "
+                                 << WTERMSIG(status) << ")";
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+  std::vector<std::string> persistent;
+  std::ifstream in(listing);
+  for (std::string line; std::getline(in, line);) {
+    persistent.push_back(line);
+  }
+  EXPECT_EQ(persistent, spawn);
 }
 
 // ---------------------------------------------------------------------------
@@ -1323,13 +1399,13 @@ TEST(FeedbackBlockHostileTest, MissingFileReadsMissing) {
 TEST(FeedbackBlockHostileTest, TruncatedBlockReadsShort) {
   std::string path = TempDir("fb_short") + "/fb.bin";
   FeedbackBlock block = AttachedBlock();
-  // Cut inside the v1 prefix: unreadable regardless of version.
+  // Cut inside the fixed counter region: unreadable regardless of version.
   WriteBlockBytes(path, block, 100);
   FeedbackBlock out;
   EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kShort);
-  // A v2 header whose edge region is cut off is short too — a v2 writer
+  // A block whose edge region is cut off is short too — the interposer
   // always produces the full block, so a partial one is torn output.
-  WriteBlockBytes(path, block, kFeedbackBlockV1Size + 16);
+  WriteBlockBytes(path, block, offsetof(FeedbackBlock, edges_supported) + 16);
   EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kShort);
 }
 
@@ -1342,28 +1418,6 @@ TEST(FeedbackBlockHostileTest, BadMagicRejected) {
   EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kBadMagic);
 }
 
-TEST(FeedbackBlockHostileTest, LegacyV1BlockParsesWithEdgeRegionZeroed) {
-  // An old-interposer block: v1-sized file, version 1, no edge region on
-  // disk. It must parse (uninstrumented fallback), and the in-memory edge
-  // fields must come back zeroed even if the caller's struct held garbage.
-  std::string path = TempDir("fb_v1") + "/fb.bin";
-  FeedbackBlock block = AttachedBlock();
-  block.version = 1;
-  block.calls[0] = 7;
-  WriteBlockBytes(path, block, kFeedbackBlockV1Size);
-  FeedbackBlock out;
-  out.edges_supported = 1;
-  out.edge_hit_count = 99;
-  out.edge_hits[0] = 123;
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kOk);
-  EXPECT_EQ(out.calls[0], 7u);
-  EXPECT_EQ(out.edges_supported, 0u);
-  EXPECT_EQ(out.edge_overflow, 0u);
-  EXPECT_EQ(out.edge_total, 0u);
-  EXPECT_EQ(out.edge_hit_count, 0u);
-  EXPECT_EQ(out.edge_hits[0], 0u);
-}
-
 TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
   std::string path = TempDir("fb_skew") + "/fb.bin";
   FeedbackBlock block = AttachedBlock();
@@ -1373,6 +1427,12 @@ TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
   EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
   block.version = 0;
   WriteBlockBytes(path, block, sizeof(block));
+  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
+  // A version-1 block (no edge region on disk) can only come from a skewed
+  // build: the parent creates the file per test for an interposer built
+  // from the same tree.
+  block.version = 1;
+  WriteBlockBytes(path, block, offsetof(FeedbackBlock, edges_supported));
   EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
 }
 
