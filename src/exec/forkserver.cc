@@ -5,12 +5,10 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
-#include <climits>
 #include <cstring>
 #include <mutex>
 
@@ -21,15 +19,28 @@ namespace exec {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+constexpr uint64_t kNsPerMs = 1000 * 1000;
 
 // How long a server gets to exit on control-pipe EOF before SIGKILL.
 constexpr uint64_t kShutdownGraceMs = 2000;
 
-uint64_t ElapsedMs(Clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - since)
-          .count());
+// Budget for spawn → Hello (covers execve + ld.so + interposer init), for
+// the persistent loop's pre-main + main-to-adoption stretch, and for the
+// server to report a forked child's pid.
+constexpr uint64_t kHandshakeTimeoutMs = 10000;
+
+// Persistent servers are recycled after this many iterations: an
+// exit()-interrupted iteration can leak fds/heap into the process, and the
+// cap bounds the accumulation without measurably denting throughput.
+constexpr uint32_t kPersistentMaxIterations = 256;
+
+uint64_t HandshakeDeadline() { return obs::NowNs() + kHandshakeTimeoutMs * kNsPerMs; }
+
+// A test that never ran; `why` becomes ProcessResult::error.
+ProcessResult NotStarted(std::string why) {
+  ProcessResult result;
+  result.error = std::move(why);
+  return result;
 }
 
 bool WriteAll(int fd, const void* buf, size_t len) {
@@ -98,10 +109,14 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   }
   argv.push_back(nullptr);
 
+  // Close-on-exec, so a concurrent spawn (another --jobs node) never
+  // inherits an end: a status-pipe write end held elsewhere would keep this
+  // server's death from ever reading as EOF.
   int ctl[2] = {-1, -1};
   int status[2] = {-1, -1};
   int out[2] = {-1, -1};
-  if (::pipe(ctl) != 0 || ::pipe(status) != 0 || ::pipe(out) != 0) {
+  if (::pipe2(ctl, O_CLOEXEC) != 0 || ::pipe2(status, O_CLOEXEC) != 0 ||
+      ::pipe2(out, O_CLOEXEC) != 0) {
     for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1]}) {
       if (fd >= 0) {
         ::close(fd);
@@ -135,12 +150,10 @@ bool ForkserverClient::SpawnServer(std::string& error) {
         ::dup2(status_w, kForkserverStatusFd) < 0) {
       ::_exit(127);
     }
-    for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1], ctl_r,
-                   status_w}) {
-      if (fd > STDERR_FILENO && fd != kForkserverCtlFd && fd != kForkserverStatusFd) {
-        ::close(fd);
-      }
-    }
+    // Stdio and the protocol fds only (exec/forkserver_protocol.h).
+    static_assert(kForkserverStatusFd == kForkserverCtlFd + 1);
+    ::syscall(SYS_close_range, 3u, kForkserverCtlFd - 1u, 0u);
+    ::syscall(SYS_close_range, kForkserverStatusFd + 1u, ~0u, 0u);
     if (!options_.working_dir.empty() &&
         ::chdir(options_.working_dir.c_str()) != 0) {
       ::_exit(126);
@@ -156,30 +169,24 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   ctl_write_ = ctl[1];
   status_read_ = status[0];
   out_read_ = out[0];
-  // Future spawns (other workers in this process) must not inherit our ends.
-  ::fcntl(ctl_write_, F_SETFD, FD_CLOEXEC);
-  ::fcntl(status_read_, F_SETFD, FD_CLOEXEC);
-  ::fcntl(out_read_, F_SETFD, FD_CLOEXEC);
   ::fcntl(status_read_, F_SETFL, O_NONBLOCK);
   ::fcntl(out_read_, F_SETFL, O_NONBLOCK);
   server_pid_ = pid;
   msg_have_ = 0;
   persistent_acked_ = false;
   iterations_ = 0;
-  death_status_valid_ = false;
   return true;
 }
 
 void ForkserverClient::DrainOutput() {
   // On EOF (the target closed fds 1 and 2) the pipe leaves the poll set:
   // left in, it would report POLLHUP forever and spin WaitMsg.
-  if (out_read_ >= 0 && !DrainAvailable(out_read_, output_, options_.max_output_bytes)) {
+  if (out_read_ >= 0 && !DrainAvailable(out_read_, output_, kMaxOutputBytes)) {
     CloseFd(out_read_);
   }
 }
 
-ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_ms) {
-  const Clock::time_point start = Clock::now();
+ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_ns) {
   while (true) {
     ssize_t n = ::read(status_read_, msg_buf_ + msg_have_, sizeof(FsMsg) - msg_have_);
     if (n > 0) {
@@ -197,17 +204,52 @@ ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_m
     if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       return Wait::kDeath;
     }
-    uint64_t elapsed = ElapsedMs(start);
-    if (elapsed >= deadline_ms) {
+    const int timeout_ms = PollTimeoutMs(deadline_ns);
+    if (timeout_ms == 0) {
       return Wait::kTimeout;
     }
-    uint64_t remaining = deadline_ms - elapsed;
     struct pollfd fds[2] = {{status_read_, POLLIN, 0}, {out_read_, POLLIN, 0}};
-    ::poll(fds, 2, static_cast<int>(std::min<uint64_t>(remaining, INT_MAX)));
+    ::poll(fds, 2, timeout_ms);
     // Keep the output pipe moving: a child that writes more than the pipe
     // buffer would otherwise deadlock against the server's waitpid.
     DrainOutput();
   }
+}
+
+ForkserverClient::Wait ForkserverClient::AwaitStatus(pid_t victim, FsMsgKind kind,
+                                                     uint32_t seq, KillLadder& ladder,
+                                                     FsMsg& msg) {
+  while (true) {
+    const uint64_t deadline = ladder.Advance(victim);
+    if (ladder.wedged()) {
+      KillServer();  // the server itself is stuck; nothing more to learn from it
+      return Wait::kTimeout;
+    }
+    switch (WaitMsg(msg, deadline)) {
+      case Wait::kMsg:
+        if (msg.magic == kFsMsgMagic && msg.kind == static_cast<uint32_t>(kind) &&
+            msg.seq == seq) {
+          return Wait::kMsg;
+        }
+        KillServer();
+        return Wait::kDesync;
+      case Wait::kDeath:
+        return Wait::kDeath;
+      default:
+        break;  // the next rung is due
+    }
+  }
+}
+
+ProcessResult ForkserverClient::Observe(const KillLadder& ladder, int status) {
+  ProcessResult result;
+  result.started = true;
+  result.timed_out = ladder.timed_out();
+  result.kill_escalated = ladder.kill_escalated();
+  DecodeWaitStatus(status, result);
+  DrainOutput();
+  result.output = output_;
+  return result;
 }
 
 bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
@@ -223,16 +265,15 @@ bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FsPlanEn
   return WriteAll(ctl_write_, buf, sizeof(req) + entries.size() * sizeof(FsPlanEntry));
 }
 
-void ForkserverClient::NoteServerDeath() {
+int ForkserverClient::NoteServerDeath() {
+  int status = -1;
   if (server_pid_ > 0) {
-    int status = 0;
     pid_t r;
     do {
       r = ::waitpid(server_pid_, &status, 0);
     } while (r < 0 && errno == EINTR);
-    if (r == server_pid_) {
-      last_death_status_ = status;
-      death_status_valid_ = true;
+    if (r != server_pid_) {
+      status = -1;
     }
   }
   server_pid_ = -1;
@@ -242,6 +283,7 @@ void ForkserverClient::NoteServerDeath() {
   msg_have_ = 0;
   persistent_acked_ = false;
   iterations_ = 0;
+  return status;
 }
 
 void ForkserverClient::KillServer() {
@@ -252,27 +294,18 @@ void ForkserverClient::KillServer() {
 }
 
 void ForkserverClient::Shutdown() {
-  if (server_pid_ <= 0) {
+  if (server_pid_ > 0) {
+    // EOF on the control pipe is the graceful-stop signal: the forkserver
+    // loop _exits, the persistent loop returns into the target's main.
     CloseFd(ctl_write_);
-    CloseFd(status_read_);
-    CloseFd(out_read_);
-    return;
-  }
-  // EOF on the control pipe is the graceful-stop signal: the forkserver
-  // loop _exits, the persistent loop returns into the target's main.
-  CloseFd(ctl_write_);
-  ChildWatch server(server_pid_);
-  const uint64_t deadline = obs::NowNs() + kShutdownGraceMs * 1000 * 1000;
-  bool unused = false;
-  while (true) {
-    if (server.Wait(-1, deadline, unused)) {
-      last_death_status_ = server.status();
-      death_status_valid_ = true;
-      server_pid_ = -1;
-      break;
-    }
-    if (obs::NowNs() >= deadline) {
-      break;
+    ChildWatch server(server_pid_);
+    const uint64_t deadline = obs::NowNs() + kShutdownGraceMs * kNsPerMs;
+    bool unused = false;
+    while (obs::NowNs() < deadline) {
+      if (server.Wait(-1, deadline, unused)) {
+        server_pid_ = -1;
+        break;
+      }
     }
   }
   KillServer();  // no-op when already reaped; closes the remaining fds
@@ -303,16 +336,15 @@ bool ForkserverClient::EnsureServer(std::string& error) {
 
 bool ForkserverClient::ReadHello(std::string& error) {
   FsMsg msg;
-  switch (WaitMsg(msg, options_.handshake_timeout_ms)) {
-    case Wait::kMsg:
-      break;
-    case Wait::kDeath:
-      error = "forkserver: server died before handshake (target missing or "
-              "interposer not preloaded?)";
-      return false;
-    case Wait::kTimeout:
-      error = "forkserver: handshake timeout";
-      return false;
+  const Wait w = WaitMsg(msg, HandshakeDeadline());
+  if (w == Wait::kDeath) {
+    error = "forkserver: server died before handshake (target missing or "
+            "interposer not preloaded?)";
+    return false;
+  }
+  if (w == Wait::kTimeout) {
+    error = "forkserver: handshake timeout";
+    return false;
   }
   if (msg.magic != kFsMsgMagic ||
       msg.kind != static_cast<uint32_t>(FsMsgKind::kHello) ||
@@ -328,155 +360,86 @@ bool ForkserverClient::ReadHello(std::string& error) {
   return true;
 }
 
-ForkserverTestResult ForkserverClient::RunTest(uint32_t test_id,
-                                               const std::vector<FsPlanEntry>& entries,
-                                               uint32_t seq) {
+ProcessResult ForkserverClient::RunTest(uint32_t test_id,
+                                        const std::vector<FsPlanEntry>& entries,
+                                        uint32_t seq) {
   if (entries.size() > kFsMaxPlans) {
     // Wider than the server's table (and WriteRequest's buffer).
-    ForkserverTestResult result;
-    result.error = "forkserver: fault plan exceeds kFsMaxPlans entries";
-    return result;
+    return NotStarted("forkserver: fault plan exceeds kFsMaxPlans entries");
   }
   return options_.persistent ? RunPersistent(test_id, entries, seq)
                              : RunForked(test_id, entries, seq);
 }
 
-ForkserverTestResult ForkserverClient::RunForked(uint32_t test_id,
-                                                 const std::vector<FsPlanEntry>& entries,
-                                                 uint32_t seq) {
-  ForkserverTestResult result;
+ProcessResult ForkserverClient::RunForked(uint32_t test_id,
+                                          const std::vector<FsPlanEntry>& entries,
+                                          uint32_t seq) {
   output_.clear();
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
     if (!EnsureServer(error)) {
-      result.error = error;
-      return result;
+      return NotStarted(error);
     }
     if (!WriteRequest(test_id, entries, seq)) {
       KillServer();  // a failed write does not prove the server is gone
-      result.server_restarted = true;
       continue;
     }
     FsMsg msg;
-    Wait w = WaitMsg(msg, options_.handshake_timeout_ms);
+    Wait w = WaitMsg(msg, HandshakeDeadline());
     if (w == Wait::kDeath) {
       NoteServerDeath();
-      result.server_restarted = true;
       continue;
     }
     if (w == Wait::kTimeout || msg.magic != kFsMsgMagic || msg.seq != seq) {
       KillServer();
-      result.server_restarted = true;
       continue;
     }
     if (msg.kind == static_cast<uint32_t>(FsMsgKind::kChildStatus) && msg.value == -1) {
-      result.error = "forkserver: server could not fork a child";
-      return result;
+      return NotStarted("forkserver: server could not fork a child");
     }
     if (msg.kind != static_cast<uint32_t>(FsMsgKind::kChildPid)) {
       KillServer();
-      result.server_restarted = true;
       continue;
     }
-    const pid_t child = static_cast<pid_t>(msg.value);
-    const Clock::time_point start = Clock::now();
-    bool term_sent = false;
-    bool kill_sent = false;
-    bool retry = false;
-    while (true) {
-      uint64_t elapsed = ElapsedMs(start);
-      uint64_t slice;
-      if (!term_sent) {
-        slice = options_.timeout_ms > elapsed ? options_.timeout_ms - elapsed : 0;
-      } else if (!kill_sent) {
-        uint64_t hard = options_.timeout_ms + options_.kill_grace_ms;
-        slice = hard > elapsed ? hard - elapsed : 0;
-      } else {
-        slice = 2000;  // post-SIGKILL the status message must arrive promptly
-      }
-      Wait w2 = WaitMsg(msg, slice);
-      if (w2 == Wait::kMsg) {
-        if (msg.magic != kFsMsgMagic ||
-            msg.kind != static_cast<uint32_t>(FsMsgKind::kChildStatus) ||
-            msg.seq != seq) {
-          KillServer();
-          result.server_restarted = true;
-          retry = true;
-          break;
-        }
-        int status = msg.value;
-        result.ran = true;
-        result.timed_out = term_sent;
-        result.kill_escalated = kill_sent;
-        if (status >= 0 && WIFEXITED(status)) {
-          result.exited = true;
-          result.exit_code = WEXITSTATUS(status);
-        } else if (status >= 0 && WIFSIGNALED(status)) {
-          result.term_signal = WTERMSIG(status);
-        }
-        DrainOutput();
-        result.output = output_;
-        return result;
-      }
-      if (w2 == Wait::kDeath) {
+    // The server is parked in waitpid, so the ladder signals the child.
+    KillLadder ladder(options_.timeout_ms);
+    switch (AwaitStatus(static_cast<pid_t>(msg.value), FsMsgKind::kChildStatus, seq, ladder,
+                        msg)) {
+      case Wait::kMsg:
+        return Observe(ladder, msg.value);
+      case Wait::kDeath:
         NoteServerDeath();
-        result.server_restarted = true;
-        retry = true;
-        break;
-      }
-      if (!term_sent) {
-        result.timed_out = true;
-        ::kill(child, SIGTERM);
-        term_sent = true;
-      } else if (!kill_sent) {
-        ::kill(child, SIGKILL);
-        kill_sent = true;
-      } else {
-        // The server itself is wedged; nothing more to learn from it.
-        KillServer();
-        result.server_restarted = true;
-        result.ran = true;
-        result.timed_out = true;
-        result.kill_escalated = true;
-        result.term_signal = SIGKILL;
-        result.output = output_;
-        return result;
-      }
-    }
-    if (retry) {
-      continue;
+        continue;
+      case Wait::kTimeout:
+        return Observe(ladder, W_EXITCODE(0, SIGKILL));
+      case Wait::kDesync:
+        continue;
     }
   }
-  if (result.error.empty()) {
-    result.error = "forkserver: unavailable after restart";
-  }
-  return result;
+  return NotStarted("forkserver: unavailable after restart");
 }
 
-ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
-                                                     const std::vector<FsPlanEntry>& entries,
-                                                     uint32_t seq) {
-  ForkserverTestResult result;
+ProcessResult ForkserverClient::RunPersistent(uint32_t test_id,
+                                              const std::vector<FsPlanEntry>& entries,
+                                              uint32_t seq) {
   output_.clear();
   // Planned recycle: bound the state an exit()-interrupted iteration can
   // leak (fds, heap) by restarting the process every N iterations.
-  if (server_pid_ > 0 && iterations_ >= options_.persistent_max_iterations) {
+  if (server_pid_ > 0 && iterations_ >= kPersistentMaxIterations) {
     Shutdown();
   }
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
     if (!EnsureServer(error)) {
-      result.error = error;
-      return result;
+      return NotStarted(error);
     }
     if (!WriteRequest(test_id, entries, seq)) {
       KillServer();  // a failed write does not prove the server is gone
-      result.server_restarted = true;
       continue;
     }
     if (!persistent_acked_) {
       FsMsg ack;
-      Wait w = WaitMsg(ack, options_.handshake_timeout_ms);
+      Wait w = WaitMsg(ack, HandshakeDeadline());
       if (w == Wait::kDeath && !ever_acked_) {
         // Died without ever reaching the loop: the target does not adopt
         // afex_persistent_run (or crashes pre-loop, where no fault can be
@@ -486,98 +449,35 @@ ForkserverTestResult ForkserverClient::RunPersistent(uint32_t test_id,
         if (metrics_ != nullptr) {
           metrics_->AddCounter("real.persistent_fallback", 1);
         }
-        ForkserverTestResult forked = RunForked(test_id, entries, seq);
-        forked.persistent_fell_back = true;
-        forked.server_restarted = forked.server_restarted || result.server_restarted;
-        return forked;
+        return RunForked(test_id, entries, seq);
       }
       if (w != Wait::kMsg || ack.magic != kFsMsgMagic ||
           ack.kind != static_cast<uint32_t>(FsMsgKind::kPersistentAck)) {
         KillServer();
-        result.server_restarted = true;
         continue;
       }
       persistent_acked_ = true;
       ever_acked_ = true;
     }
-    const Clock::time_point start = Clock::now();
-    bool term_sent = false;
-    bool kill_sent = false;
+    // A hung iteration hangs the whole server: the ladder signals it.
+    KillLadder ladder(options_.timeout_ms);
     FsMsg msg;
-    while (true) {
-      uint64_t elapsed = ElapsedMs(start);
-      uint64_t slice;
-      if (!term_sent) {
-        slice = options_.timeout_ms > elapsed ? options_.timeout_ms - elapsed : 0;
-      } else if (!kill_sent) {
-        uint64_t hard = options_.timeout_ms + options_.kill_grace_ms;
-        slice = hard > elapsed ? hard - elapsed : 0;
-      } else {
-        slice = 2000;
-      }
-      Wait w2 = WaitMsg(msg, slice);
-      if (w2 == Wait::kMsg) {
-        if (msg.magic != kFsMsgMagic ||
-            msg.kind != static_cast<uint32_t>(FsMsgKind::kIterStatus) ||
-            msg.seq != seq) {
-          KillServer();
-          result.server_restarted = true;
-          break;  // protocol desync: retry on a fresh server
-        }
-        result.ran = true;
-        result.exited = true;
-        result.exit_code = msg.value;
-        result.timed_out = term_sent;
-        result.kill_escalated = kill_sent;
+    switch (AwaitStatus(server_pid_, FsMsgKind::kIterStatus, seq, ladder, msg)) {
+      case Wait::kMsg:
         ++iterations_;
-        DrainOutput();
-        result.output = output_;
-        return result;
-      }
-      if (w2 == Wait::kDeath) {
+        return Observe(ladder, W_EXITCODE(msg.value & 0xff, 0));
+      case Wait::kDeath:
         // The iteration took the whole process down: crash (signal), or a
         // direct _exit that bypassed the exit() wrapper. The death status
         // IS the test observation; the next test gets a fresh server.
-        NoteServerDeath();
-        result.ran = true;
-        result.timed_out = term_sent;
-        result.kill_escalated = kill_sent;
-        if (death_status_valid_ && WIFSIGNALED(last_death_status_) && !term_sent) {
-          result.term_signal = WTERMSIG(last_death_status_);
-        } else if (death_status_valid_ && WIFEXITED(last_death_status_) && !term_sent) {
-          result.exited = true;
-          result.exit_code = WEXITSTATUS(last_death_status_);
-        } else if (term_sent) {
-          result.term_signal = death_status_valid_ && WIFSIGNALED(last_death_status_)
-                                   ? WTERMSIG(last_death_status_)
-                                   : SIGTERM;
-        }
-        result.output = output_;
-        return result;
-      }
-      // Timeout: a hung iteration hangs the whole server; kill the process.
-      if (!term_sent) {
-        result.timed_out = true;
-        ::kill(server_pid_, SIGTERM);
-        term_sent = true;
-      } else if (!kill_sent) {
-        ::kill(server_pid_, SIGKILL);
-        kill_sent = true;
-      } else {
-        KillServer();
-        result.ran = true;
-        result.timed_out = true;
-        result.kill_escalated = true;
-        result.term_signal = SIGKILL;
-        result.output = output_;
-        return result;
-      }
+        return Observe(ladder, NoteServerDeath());
+      case Wait::kTimeout:
+        return Observe(ladder, W_EXITCODE(0, SIGKILL));
+      case Wait::kDesync:
+        continue;
     }
   }
-  if (result.error.empty()) {
-    result.error = "forkserver: unavailable after restart";
-  }
-  return result;
+  return NotStarted("forkserver: unavailable after restart");
 }
 
 }  // namespace exec

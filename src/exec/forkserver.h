@@ -11,14 +11,17 @@
 // read, wrong magic, unexpected sequence number, server death — kills the
 // server and transparently respawns it, retrying the in-flight test once.
 // Two extra behaviors ride on that machinery:
-//  * Timeout kill: the server is blocked in waitpid while a child runs, so
-//    the client delivers SIGTERM → SIGKILL to the child pid reported in the
-//    kChildPid message, then collects the regular status message.
+//  * Timeout kill: the same KillLadder as spawn mode (exec/process_runner.h)
+//    signals the child pid reported in the kChildPid message (forkserver)
+//    or the server itself (persistent, where a hung iteration hangs the
+//    process). A server that reports nothing 2 s after the SIGKILL is
+//    wedged: it is killed and the test reads as a SIGKILL hang.
 //  * Persistent fallback: a persistent server that dies before ever
 //    sending kPersistentAck never reached afex_persistent_run (the target
 //    did not adopt the hook, or crashed pre-loop, where no fault can have
 //    been armed) — the client permanently downgrades itself to forkserver
 //    mode and reruns the test there.
+// Every server starts with stdio and the two protocol fds only.
 //
 // The first RunTest installs SIG_IGN for SIGPIPE process-wide (once):
 // request writes race against server death by design, and the failed
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "exec/forkserver_protocol.h"
+#include "exec/process_runner.h"
 #include "obs/metrics.h"
 
 namespace afex {
@@ -52,33 +56,6 @@ struct ForkserverOptions {
   std::vector<std::pair<std::string, std::string>> env;
   bool persistent = false;
   uint64_t timeout_ms = 5000;
-  uint64_t kill_grace_ms = 200;
-  // Budget for spawn → Hello (covers execve + ld.so + interposer init) and
-  // for the persistent loop's pre-main + main-to-adoption stretch.
-  uint64_t handshake_timeout_ms = 10000;
-  size_t max_output_bytes = 1 << 16;
-  // Persistent servers are recycled after this many iterations: an
-  // exit()-interrupted iteration can leak fds/heap into the process, and
-  // the cap bounds the accumulation without measurably denting throughput.
-  uint32_t persistent_max_iterations = 256;
-};
-
-struct ForkserverTestResult {
-  // False only when the test could not be executed at all (server
-  // unstartable even after a respawn); `error` says why.
-  bool ran = false;
-  bool exited = false;  // exit_code valid
-  int exit_code = -1;
-  int term_signal = 0;  // non-zero when the child/iteration died by signal
-  bool timed_out = false;
-  bool kill_escalated = false;
-  std::string output;  // the test's share of the server's stdout+stderr
-  std::string error;
-  // Diagnostics for tests/telemetry: a transparent respawn happened while
-  // serving this call / this call performed the persistent→forkserver
-  // downgrade.
-  bool server_restarted = false;
-  bool persistent_fell_back = false;
 };
 
 class ForkserverClient {
@@ -98,9 +75,11 @@ class ForkserverClient {
   // entries (EncodePlanEntries, exec/fault_plan.h) are armed as the fault
   // plan, seq stamps the feedback block (FeedbackBlock::test_seq) and
   // sequences the protocol messages. More than kFsMaxPlans entries is
-  // refused before anything is written.
-  ForkserverTestResult RunTest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                               uint32_t seq);
+  // refused before anything is written. started == false only when the
+  // test could not be executed at all (server unstartable even after a
+  // respawn); `error` then says why. The spawn-timing fields stay 0.
+  ProcessResult RunTest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
+                        uint32_t seq);
 
   // Graceful shutdown: close the control pipe (the server's read loop sees
   // EOF and exits), wait up to 2 s for the exit (exec::ChildWatch), SIGKILL
@@ -120,23 +99,34 @@ class ForkserverClient {
   int ctl_fd() const { return ctl_write_; }
 
  private:
-  enum class Wait { kMsg, kDeath, kTimeout };
+  // kDesync only comes from AwaitStatus.
+  enum class Wait { kMsg, kDeath, kTimeout, kDesync };
 
   bool SpawnServer(std::string& error);
   bool ReadHello(std::string& error);
   // Polls the status pipe (draining target output on the side) until a
-  // whole message, server death, or `deadline_ms` from now. Sleeps in
-  // poll between events; no fixed wakeup interval.
-  Wait WaitMsg(FsMsg& msg, uint64_t deadline_ms);
+  // whole message, server death, or `deadline_ns` (obs::NowNs timebase).
+  // Sleeps in poll between events; no fixed wakeup interval.
+  Wait WaitMsg(FsMsg& msg, uint64_t deadline_ns);
+  // Waits for the `kind` message that closes test `seq` while `ladder`
+  // signals `victim`. kMsg: `msg` holds it. kDeath: the server died (not
+  // yet reaped). kDesync: a message out of protocol; kTimeout: the ladder
+  // ran out (the server is wedged). Both of the last two kill the server.
+  Wait AwaitStatus(pid_t victim, FsMsgKind kind, uint32_t seq, KillLadder& ladder,
+                   FsMsg& msg);
+  // The test's observation: the ladder's flags, a waitpid `status`, and
+  // the output drained so far.
+  ProcessResult Observe(const KillLadder& ladder, int status);
   bool WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries, uint32_t seq);
   void DrainOutput();
-  // Reaps the dead server (capturing its waitpid status), closes pipes.
-  void NoteServerDeath();
+  // Reaps the dead server and closes its pipes. Returns its waitpid
+  // status, or -1 when there was none to collect.
+  int NoteServerDeath();
   void KillServer();  // SIGKILL + NoteServerDeath
-  ForkserverTestResult RunForked(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                                 uint32_t seq);
-  ForkserverTestResult RunPersistent(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                                     uint32_t seq);
+  ProcessResult RunForked(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
+                          uint32_t seq);
+  ProcessResult RunPersistent(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
+                              uint32_t seq);
 
   ForkserverOptions options_;
   obs::MetricsSink* metrics_ = nullptr;
@@ -150,9 +140,7 @@ class ForkserverClient {
   char msg_buf_[sizeof(FsMsg)];
   size_t msg_have_ = 0;
 
-  std::string output_;        // current test's drained output
-  int last_death_status_ = 0;  // waitpid status captured by NoteServerDeath
-  bool death_status_valid_ = false;
+  std::string output_;  // current test's drained output
 
   bool persistent_acked_ = false;  // this incarnation reached the loop
   bool ever_acked_ = false;        // some incarnation did (fallback gate)

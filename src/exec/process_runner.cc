@@ -41,14 +41,45 @@ ChildWatch::~ChildWatch() {
   }
 }
 
-bool ChildWatch::Wait(int fd, uint64_t deadline_ns, bool& fd_ready) {
-  int timeout_ms = -1;
-  if (deadline_ns != kNoDeadline) {
-    const uint64_t now = obs::NowNs();
-    const uint64_t left_ms =
-        now >= deadline_ns ? 0 : (deadline_ns - now + kNsPerMs - 1) / kNsPerMs;
-    timeout_ms = static_cast<int>(std::min<uint64_t>(left_ms, INT_MAX));
+int PollTimeoutMs(uint64_t deadline_ns) {
+  if (deadline_ns == ChildWatch::kNoDeadline) {
+    return -1;
   }
+  const uint64_t now = obs::NowNs();
+  const uint64_t left_ms =
+      now >= deadline_ns ? 0 : (deadline_ns - now + kNsPerMs - 1) / kNsPerMs;
+  return static_cast<int>(std::min<uint64_t>(left_ms, INT_MAX));
+}
+
+void DecodeWaitStatus(int status, ProcessResult& result) {
+  if (status >= 0 && WIFEXITED(status)) {
+    result.exited = true;
+    result.exit_code = WEXITSTATUS(status);
+  } else if (status >= 0 && WIFSIGNALED(status)) {
+    result.term_signal = WTERMSIG(status);
+  }
+}
+
+KillLadder::KillLadder(uint64_t timeout_ms) {
+  deadlines_[0] = obs::NowNs() + timeout_ms * kNsPerMs;
+  deadlines_[1] = deadlines_[0] + kKillGraceMs * kNsPerMs;
+  deadlines_[2] = deadlines_[1] + kWedgedMs * kNsPerMs;
+}
+
+uint64_t KillLadder::Advance(pid_t victim) {
+  const uint64_t now = obs::NowNs();
+  for (; rung_ < 3 && now >= deadlines_[rung_]; ++rung_) {
+    // The pid can come from a forkserver's message: never let a garbage
+    // value reach kill(2) as "every process" or "this process group".
+    if (rung_ < 2 && victim > 0) {
+      ::kill(victim, rung_ == 0 ? SIGTERM : SIGKILL);
+    }
+  }
+  return rung_ < 3 ? deadlines_[rung_] : ChildWatch::kNoDeadline;
+}
+
+bool ChildWatch::Wait(int fd, uint64_t deadline_ns, bool& fd_ready) {
+  int timeout_ms = PollTimeoutMs(deadline_ns);
   if (pidfd_ < 0 && (timeout_ms < 0 || timeout_ms > 1)) {
     timeout_ms = 1;  // no exit notification: probe for it on a 1 ms tick
   }
@@ -127,8 +158,13 @@ bool IsCrashSignal(int signal) {
 ProcessResult RunProcess(const ProcessRequest& request) {
   ProcessResult result;
   result.spawn_start_ns = obs::NowNs();
-  if (request.argv.empty()) {
+  auto not_started = [&request, &result] {
+    result.error = "failed to start " +
+                   (request.argv.empty() ? std::string("<empty>") : request.argv[0]);
     return result;
+  };
+  if (request.argv.empty()) {
+    return not_started();
   }
 
   // Everything the child needs is materialized BEFORE fork: with --jobs the
@@ -151,22 +187,23 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   // Close-on-exec: a concurrent spawn's child must not hold this pipe open.
   int pipe_fds[2];
   if (::pipe2(pipe_fds, O_CLOEXEC) != 0) {
-    return result;
+    return not_started();
   }
 
   pid_t pid = ::fork();
   if (pid < 0) {
     ::close(pipe_fds[0]);
     ::close(pipe_fds[1]);
-    return result;
+    return not_started();
   }
 
   if (pid == 0) {
     // ---- child ----
-    ::close(pipe_fds[0]);
     ::dup2(pipe_fds[1], STDOUT_FILENO);
     ::dup2(pipe_fds[1], STDERR_FILENO);
-    ::close(pipe_fds[1]);
+    // Stdio only: descriptors this process opened without O_CLOEXEC (the
+    // campaign journal, say) must not leak into the target.
+    ::syscall(SYS_close_range, 3u, ~0u, 0u);
     if (!request.working_dir.empty() && ::chdir(request.working_dir.c_str()) != 0) {
       ::_exit(126);
     }
@@ -182,31 +219,17 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   const uint64_t wait_start_ns = obs::NowNs();
   result.spawn_ns = wait_start_ns - result.spawn_start_ns;
 
-  // One poll over {pidfd, output pipe} per wakeup. Its deadline is the next
-  // escalation step: SIGTERM at timeout_ms, SIGKILL kill_grace_ms later,
-  // then none.
+  // One poll over {pidfd, output pipe} per wakeup, until the ladder's next
+  // rung. Past its last rung the SIGKILLed child is waited for unbounded.
   ChildWatch child(pid);
-  const uint64_t term_at = wait_start_ns + request.timeout_ms * kNsPerMs;
-  const uint64_t kill_at = term_at + request.kill_grace_ms * kNsPerMs;
+  KillLadder ladder(request.timeout_ms);
   int pipe_fd = pipe_fds[0];  // -1 once the pipe reports EOF
   while (true) {
-    const uint64_t now = obs::NowNs();
-    if (!result.timed_out && now >= term_at) {
-      result.timed_out = true;
-      ::kill(pid, SIGTERM);
-    }
-    if (result.timed_out && !result.kill_escalated && now >= kill_at) {
-      result.kill_escalated = true;
-      ::kill(pid, SIGKILL);
-    }
-    const uint64_t deadline = !result.timed_out        ? term_at
-                              : !result.kill_escalated ? kill_at
-                                                       : ChildWatch::kNoDeadline;
     bool pipe_ready = false;
-    if (child.Wait(pipe_fd, deadline, pipe_ready)) {
+    if (child.Wait(pipe_fd, ladder.Advance(pid), pipe_ready)) {
       break;
     }
-    if (pipe_ready && !DrainAvailable(pipe_fd, result.output, request.max_output_bytes)) {
+    if (pipe_ready && !DrainAvailable(pipe_fd, result.output, kMaxOutputBytes)) {
       pipe_fd = -1;
     }
   }
@@ -214,19 +237,14 @@ ProcessResult RunProcess(const ProcessRequest& request) {
   // Collect output written before exit that we have not read yet. A
   // grandchild may still hold the pipe; it is not waited for.
   if (pipe_fd >= 0) {
-    DrainAvailable(pipe_fd, result.output, request.max_output_bytes);
+    DrainAvailable(pipe_fd, result.output, kMaxOutputBytes);
   }
   ::close(pipe_fds[0]);
 
   result.wait_ns = obs::NowNs() - wait_start_ns;
-  result.wall_seconds = static_cast<double>(result.wait_ns) / 1e9;
-  const int status = child.status();
-  if (WIFEXITED(status)) {
-    result.exited = true;
-    result.exit_code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    result.term_signal = WTERMSIG(status);
-  }
+  result.timed_out = ladder.timed_out();
+  result.kill_escalated = ladder.kill_escalated();
+  DecodeWaitStatus(child.status(), result);
   return result;
 }
 

@@ -2,8 +2,9 @@
 // under test" script (paper §6.1) as a library. Runs one command in a
 // sandbox working directory with LD_PRELOAD and the AFEX control
 // environment set, captures combined stdout/stderr, enforces a wall-clock
-// timeout with SIGTERM → SIGKILL escalation, and reports how the process
-// died (exit code, terminating signal, or timeout).
+// timeout through the KillLadder every exec mode shares, and reports how
+// the process died (exit code, terminating signal, or timeout) as the
+// ProcessResult every exec mode returns.
 #ifndef AFEX_EXEC_PROCESS_RUNNER_H_
 #define AFEX_EXEC_PROCESS_RUNNER_H_
 
@@ -17,6 +18,11 @@
 namespace afex {
 namespace exec {
 
+// Combined stdout+stderr capture cap of every exec mode; output beyond it
+// is read and discarded (the child keeps a writable pipe, so it never
+// blocks on a full buffer).
+inline constexpr size_t kMaxOutputBytes = 1 << 16;
+
 struct ProcessRequest {
   // argv[0] is the executable (resolved via PATH, execvp semantics).
   std::vector<std::string> argv;
@@ -27,31 +33,58 @@ struct ProcessRequest {
   std::vector<std::pair<std::string, std::string>> env;
   // Shared library to LD_PRELOAD into the child ("" = none).
   std::string preload;
-  // Wall-clock budget. On expiry the child gets SIGTERM; if it is still
-  // alive kill_grace_ms later, SIGKILL.
+  // Wall-clock budget, enforced by a KillLadder. The child starts with
+  // stdio only: every other descriptor of this process is closed in it.
   uint64_t timeout_ms = 5000;
-  uint64_t kill_grace_ms = 200;
-  // Combined stdout+stderr capture cap; output beyond it is discarded (the
-  // child keeps a writable pipe, so it never blocks on a full buffer).
-  size_t max_output_bytes = 1 << 16;
 };
 
+// How one test's process ended, in every exec mode: RunProcess (spawn),
+// and ForkserverClient::RunTest (forkserver child or persistent iteration).
 struct ProcessResult {
-  bool started = false;   // fork/exec plumbing succeeded
+  bool started = false;   // the process (or server round trip) ran
+  std::string error;      // why started == false
   bool exited = false;    // terminated via exit(); exit_code valid
   int exit_code = -1;
   int term_signal = 0;    // non-zero when terminated by a signal
-  bool timed_out = false; // the runner had to kill it
+  bool timed_out = false; // the ladder had to signal it
   bool kill_escalated = false;  // SIGTERM grace expired; SIGKILL was sent
   std::string output;     // combined stdout+stderr, possibly truncated
-  double wall_seconds = 0.0;
-  // Timing breakdown on the obs::NowNs timebase, filled unconditionally
+  // Spawn-mode timing on the obs::NowNs timebase, filled unconditionally
   // (three clock reads are noise next to a fork): spawn covers env
   // materialization through fork-return, wait covers the child's lifetime
   // until it is reaped.
   uint64_t spawn_start_ns = 0;
   uint64_t spawn_ns = 0;
   uint64_t wait_ns = 0;
+};
+
+// Records a waitpid status in `result`: exited + exit_code, or
+// term_signal. A negative status (the process was reaped elsewhere) says
+// nothing and leaves both unset.
+void DecodeWaitStatus(int status, ProcessResult& result);
+
+// The one timeout policy of every exec mode: SIGTERM at timeout_ms,
+// SIGKILL kKillGraceMs later, and kWedgedMs after the SIGKILL the victim
+// counts as wedged (a forkserver that never reports its child's death).
+// Deadlines are on the obs::NowNs timebase, counted from construction.
+class KillLadder {
+ public:
+  static constexpr uint64_t kKillGraceMs = 200;
+  static constexpr uint64_t kWedgedMs = 2000;
+
+  explicit KillLadder(uint64_t timeout_ms);
+
+  // Sends `victim` every signal that is due by now and returns the
+  // deadline of the next rung: the SIGTERM, the SIGKILL, then the wedge
+  // deadline; ChildWatch::kNoDeadline once wedged.
+  uint64_t Advance(pid_t victim);
+  bool timed_out() const { return rung_ > 0; }
+  bool kill_escalated() const { return rung_ > 1; }
+  bool wedged() const { return rung_ > 2; }
+
+ private:
+  uint64_t deadlines_[3] = {};  // SIGTERM, SIGKILL, wedged
+  int rung_ = 0;           // rungs passed
 };
 
 ProcessResult RunProcess(const ProcessRequest& request);
@@ -98,6 +131,11 @@ class ChildWatch {
   int pidfd_;
   int status_ = -1;
 };
+
+// poll(2) timeout for an obs::NowNs deadline: milliseconds left, rounded
+// up and clamped; 0 once the deadline has passed, -1 (no timeout) for
+// ChildWatch::kNoDeadline.
+int PollTimeoutMs(uint64_t deadline_ns);
 
 // Drains whatever is readable right now from a nonblocking `fd` into `out`,
 // up to `cap` total bytes (excess is read and discarded so the writer never

@@ -53,18 +53,17 @@ void CleanDirInPlace(const fs::path& dir) {
   }
 }
 
-// How one test's process terminated, normalized across the three exec
-// modes so the outcome translation below is written once.
-struct RawRun {
-  bool started = false;
-  bool exited = false;
-  int exit_code = -1;
-  int term_signal = 0;
-  bool timed_out = false;
-  bool kill_escalated = false;
-  std::string output;
-  std::string start_error;  // why started == false
-};
+// Expands every "{test}" in `argv` to the test's 1-based id.
+std::vector<std::string> SubstituteTest(std::vector<std::string> argv,
+                                        const std::string& label) {
+  for (std::string& arg : argv) {
+    size_t pos;
+    while ((pos = arg.find("{test}")) != std::string::npos) {
+      arg.replace(pos, 6, label);
+    }
+  }
+  return argv;
+}
 
 }  // namespace
 
@@ -95,15 +94,22 @@ RealTargetHarness::RealTargetHarness(RealTargetConfig config)
   // must be pinned down now. A bare command name (no '/') keeps execvp
   // PATH-lookup semantics.
   std::error_code ec;
-  if (!config_.target_argv.empty() &&
-      config_.target_argv[0].find('/') != std::string::npos) {
-    config_.target_argv[0] = fs::absolute(config_.target_argv[0], ec).string();
+  std::vector<std::string>& argv = config_.target_argv;
+  if (!argv.empty()) {
+    if (argv[0].find('/') != std::string::npos) {
+      argv[0] = fs::absolute(argv[0], ec).string();
+    }
+    target_name_ = Basename(argv[0]);
+    // One {test} rule for every exec mode: a command without the
+    // placeholder takes the test id as its final argument.
+    if (std::none_of(argv.begin(), argv.end(), [](const std::string& arg) {
+          return arg.find("{test}") != std::string::npos;
+        })) {
+      argv.emplace_back("{test}");
+    }
   }
   if (!config_.interposer_path.empty()) {
     config_.interposer_path = fs::absolute(config_.interposer_path, ec).string();
-  }
-  if (!config_.target_argv.empty()) {
-    target_name_ = Basename(config_.target_argv[0]);
   }
   if (config_.work_root.empty()) {
     std::string pattern =
@@ -139,9 +145,9 @@ RealTargetHarness::~RealTargetHarness() {
   // Stop the server before its working directory disappears.
   forkserver_.reset();
   std::error_code ec;
-  if (own_work_root_ && !config_.keep_scratch) {
+  if (own_work_root_) {
     fs::remove_all(work_root_, ec);
-  } else if (!config_.keep_scratch && instance_dir_ != work_root_) {
+  } else if (instance_dir_ != work_root_) {
     fs::remove_all(instance_dir_, ec);
   }
 }
@@ -165,22 +171,11 @@ bool RealTargetHarness::EnsureForkserver(std::string& why) {
   }
   ForkserverOptions opts;
   opts.argv = config_.target_argv;
-  bool has_placeholder = false;
-  for (const std::string& arg : opts.argv) {
-    if (arg.find("{test}") != std::string::npos) {
-      has_placeholder = true;
-      break;
-    }
-  }
-  if (!has_placeholder) {
-    opts.argv.emplace_back("{test}");
-  }
   opts.working_dir = sandbox_dir_;
   opts.preload = config_.interposer_path;
   opts.env = {{"AFEX_FEEDBACK", feedback_path_}};
   opts.persistent = config_.exec_mode == ExecMode::kPersistent;
   opts.timeout_ms = config_.timeout_ms;
-  opts.max_output_bytes = config_.max_output_bytes;
   forkserver_ = std::make_unique<ForkserverClient>(std::move(opts));
   forkserver_->set_metrics_sink(metrics_);
   return true;
@@ -235,79 +230,42 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
   }
 
   const std::string test_label = std::to_string(plan.test_id + 1);
-  std::string feedback_path = feedback_path_;
-  std::string phase_sandbox = sandbox_dir_;  // where recovery/verify run
-  RawRun run;
+  ProcessResult run;
   uint32_t expect_seq = 0;
-  std::error_code ec;
 
   if (config_.exec_mode == ExecMode::kSpawn) {
     // ---- spawn: plan in the environment, one process per test ----
     obs::PhaseTimer plan_timer(metrics_, obs::Phase::kRealPlanWrite);
-    fs::path run_dir(instance_dir_);
-    fs::path sandbox(sandbox_dir_);
-    if (config_.keep_scratch) {
-      // Debugging layout: everything for run N stays under run_N/.
-      run_dir = fs::path(work_root_) / ("run_" + std::to_string(tests_run_));
-      sandbox = run_dir / "sandbox";
-      feedback_path = (run_dir / "feedback.afexfb").string();
-      phase_sandbox = sandbox.string();
-    }
-    fs::create_directories(sandbox, ec);
+    std::error_code ec;
+    fs::create_directories(sandbox_dir_, ec);
     if (ec) {
       outcome.test_failed = true;
-      outcome.detail = "exec: cannot create sandbox " + sandbox.string();
+      outcome.detail = "exec: cannot create sandbox " + sandbox_dir_;
       return outcome;
     }
-    if (!CreateFeedbackFile(feedback_path.c_str())) {
+    if (!CreateFeedbackFile(feedback_path_.c_str())) {
       outcome.test_failed = true;
-      outcome.detail = "exec: cannot create feedback file under " + run_dir.string();
+      outcome.detail = "exec: cannot create feedback file under " + instance_dir_;
       return outcome;
     }
     plan_timer.Finish();
 
     ProcessRequest request;
-    bool substituted = false;
-    for (const std::string& arg : config_.target_argv) {
-      std::string expanded = arg;
-      size_t pos;
-      while ((pos = expanded.find("{test}")) != std::string::npos) {
-        expanded.replace(pos, 6, test_label);
-        substituted = true;
-      }
-      request.argv.push_back(std::move(expanded));
-    }
-    if (!substituted) {
-      request.argv.push_back(test_label);
-    }
-    request.working_dir = sandbox.string();
+    request.argv = SubstituteTest(config_.target_argv, test_label);
+    request.working_dir = sandbox_dir_;
     request.preload = config_.interposer_path;
     request.env = {{"AFEX_PLAN", HexEncodePlanEntries(entries)},
-                   {"AFEX_FEEDBACK", feedback_path}};
+                   {"AFEX_FEEDBACK", feedback_path_}};
     request.timeout_ms = config_.timeout_ms;
-    request.max_output_bytes = config_.max_output_bytes;
-
-    ProcessResult pr = RunProcess(request);
+    run = RunProcess(request);
     if (metrics_ != nullptr) {
       // The runner stamps spawn/wait on the obs::NowNs timebase so the two
       // sub-phases line up with everything else in the trace.
-      metrics_->RecordPhase(obs::Phase::kRealForkExec, pr.spawn_start_ns, pr.spawn_ns);
-      if (pr.started) {
+      metrics_->RecordPhase(obs::Phase::kRealForkExec, run.spawn_start_ns, run.spawn_ns);
+      if (run.started) {
         metrics_->RecordPhase(obs::Phase::kRealChildWait,
-                              pr.spawn_start_ns + pr.spawn_ns, pr.wait_ns);
+                              run.spawn_start_ns + run.spawn_ns, run.wait_ns);
       }
-    }
-    run.started = pr.started;
-    run.exited = pr.exited;
-    run.exit_code = pr.exit_code;
-    run.term_signal = pr.term_signal;
-    run.timed_out = pr.timed_out;
-    run.kill_escalated = pr.kill_escalated;
-    run.output = std::move(pr.output);
-    if (!run.started) {
-      run.start_error =
-          "exec: failed to start " +
-          (request.argv.empty() ? std::string("<empty>") : request.argv[0]);
     }
   } else {
     // ---- forkserver / persistent: one pipe round-trip per test ----
@@ -319,19 +277,8 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     }
     expect_seq = ++next_seq_;
     obs::PhaseTimer roundtrip(metrics_, obs::Phase::kRealFsRoundtrip);
-    ForkserverTestResult fr = forkserver_->RunTest(
-        static_cast<uint32_t>(plan.test_id + 1), entries, expect_seq);
+    run = forkserver_->RunTest(static_cast<uint32_t>(plan.test_id + 1), entries, expect_seq);
     roundtrip.Finish();
-    run.started = fr.ran;
-    run.exited = fr.exited;
-    run.exit_code = fr.exit_code;
-    run.term_signal = fr.term_signal;
-    run.timed_out = fr.timed_out;
-    run.kill_escalated = fr.kill_escalated;
-    run.output = std::move(fr.output);
-    if (!run.started) {
-      run.start_error = "exec: " + fr.error;
-    }
   }
 
   // ---- translate the observation (identical across exec modes) ----
@@ -362,7 +309,7 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
 
   obs::PhaseTimer feedback_timer(metrics_, obs::Phase::kRealFeedbackRead);
   FeedbackBlock block;
-  FeedbackReadStatus feedback_status = ReadFeedbackBlockStatus(feedback_path.c_str(), block);
+  FeedbackReadStatus feedback_status = ReadFeedbackBlockStatus(feedback_path_.c_str(), block);
   switch (feedback_status) {
     case FeedbackReadStatus::kOk:
       count("real.feedback_ok");
@@ -462,13 +409,13 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     }
   } else if (feedback_status != FeedbackReadStatus::kOk &&
              !config_.interposer_path.empty()) {
-    AFEX_LOG(kWarn) << "no feedback block from " << feedback_path
+    AFEX_LOG(kWarn) << "no feedback block from " << feedback_path_
                     << " (interposer did not attach?)";
   }
   feedback_timer.Finish();
 
   if (!run.started) {
-    outcome.detail = run.start_error;
+    outcome.detail = "exec: " + run.error;
   } else if (outcome.hung) {
     outcome.detail = "timeout after " + std::to_string(config_.timeout_ms) + "ms";
     if (run.kill_escalated) {
@@ -500,17 +447,9 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     auto run_phase = [&](const std::vector<std::string>& argv,
                          std::string& first_line) {
       ProcessRequest req;
-      for (const std::string& arg : argv) {
-        std::string expanded = arg;
-        size_t pos;
-        while ((pos = expanded.find("{test}")) != std::string::npos) {
-          expanded.replace(pos, 6, test_label);
-        }
-        req.argv.push_back(std::move(expanded));
-      }
-      req.working_dir = phase_sandbox;
+      req.argv = SubstituteTest(argv, test_label);
+      req.working_dir = sandbox_dir_;
       req.timeout_ms = config_.timeout_ms;
-      req.max_output_bytes = config_.max_output_bytes;
       ProcessResult r = RunProcess(req);
       first_line = FirstLine(r.output);
       return r.started && r.exited && !r.timed_out && r.term_signal == 0 &&
@@ -542,19 +481,16 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     }
   }
 
-  if (!config_.keep_scratch && !config_.preserve_sandbox) {
-    // Recycle, don't recreate: drop the test's droppings, keep the sandbox.
-    obs::PhaseTimer cleanup_timer(metrics_, obs::Phase::kRealScratchCleanup);
-    CleanDirInPlace(sandbox_dir_);
-    // The recycled/preserved invariant: after recycling, nothing of this
-    // test may survive into the next one. A leak here means tests stopped
-    // being independent — surfaced, not silently tolerated.
-    std::error_code inv_ec;
-    if (fs::directory_iterator(sandbox_dir_, inv_ec) != fs::directory_iterator() &&
-        !inv_ec) {
-      count("real.recycle_leak");
-      AFEX_LOG(kWarn) << "sandbox not empty after recycle: " << sandbox_dir_;
-    }
+  // Recycle, don't recreate: drop the test's droppings, keep the sandbox.
+  obs::PhaseTimer cleanup_timer(metrics_, obs::Phase::kRealScratchCleanup);
+  CleanDirInPlace(sandbox_dir_);
+  // The recycling invariant: nothing of this test may survive into the
+  // next one. A leak here means tests stopped being independent —
+  // surfaced, not silently tolerated.
+  std::error_code inv_ec;
+  if (fs::directory_iterator(sandbox_dir_, inv_ec) != fs::directory_iterator() && !inv_ec) {
+    count("real.recycle_leak");
+    AFEX_LOG(kWarn) << "sandbox not empty after recycle: " << sandbox_dir_;
   }
   return outcome;
 }

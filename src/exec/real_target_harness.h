@@ -6,8 +6,9 @@
 // sim backend uses (the libc profile names real functions, so the fault
 // space vocabulary transfers verbatim), encodes the fault plan once
 // (exec/fault_plan.h), creates the feedback file, runs the target under
-// LD_PRELOAD in a
-// per-run scratch sandbox (process_runner), reads the feedback block back,
+// LD_PRELOAD in a recycled scratch sandbox (process_runner or the
+// forkserver client, both reporting an exec::ProcessResult), reads the
+// feedback block back,
 // and translates it into a TestOutcome: per-function call profiles become
 // black-box "coverage" (one block per profiled libc function), injected-
 // site hits become fault_triggered plus a synthetic injection stack for
@@ -52,35 +53,30 @@ inline constexpr uint32_t kEdgeBlockBase = 32;
 struct RealTargetConfig {
   // Target command. Every occurrence of "{test}" in any argument is
   // replaced by the 1-based test id; if no argument contains the
-  // placeholder, the id is appended as a final argument.
+  // placeholder, the constructor appends one, so the id becomes the final
+  // argument.
   std::vector<std::string> target_argv;
   // Cardinality of the test axis.
   size_t num_tests = 1;
   // Path to libafex_interpose.so.
   std::string interposer_path;
-  // Scratch root for per-run sandboxes. Empty = a fresh directory under
-  // the system temp dir, removed when the harness is destroyed.
+  // Scratch root. Each harness makes one sandbox and one feedback file
+  // under it and recycles both between tests: the sandbox is emptied in
+  // place after every test (after recovery and verify, which run in it).
+  // Empty = a fresh directory under the system temp dir. The harness
+  // removes its own scratch when destroyed.
   std::string work_root;
+  // Per-process budget of every command the harness runs (target,
+  // recovery, verify), enforced by exec::KillLadder; output is captured up
+  // to exec::kMaxOutputBytes.
   uint64_t timeout_ms = 5000;
-  size_t max_output_bytes = 1 << 16;
-  // Keep scratch state on disk for debugging. Spawn mode reverts to the
-  // old one-directory-per-run layout; forkserver/persistent modes (whose
-  // server pins one working directory at exec time) merely skip the
-  // between-test sandbox cleanup.
-  bool keep_scratch = false;
-  // Preserve each test's sandbox contents into the next test instead of
-  // recycling the sandbox in place. Rarely wanted for exploration (tests
-  // stop being independent) but explicit here because the two-phase flow
-  // below depends on the ordering contract: recovery and verify always run
-  // *before* any recycling, in the same sandbox the workload crashed in.
-  bool preserve_sandbox = false;
   // Two-phase crash→recover→verify (storage-failure campaigns). When
   // either is non-empty, after every workload run the harness re-runs the
   // target in recovery mode (`recovery_argv`) and then the verifier
   // (`verify_argv`) in the workload's sandbox — no interposer, no fault
   // plan — and folds the results into the same TestOutcome
-  // (recovery_failed / invariant_violated). "{test}" substitutes in both,
-  // like target_argv. Verify runs after every test, even a cleanly exited
+  // (recovery_failed / invariant_violated). "{test}" substitutes in both;
+  // neither gets an id appended. Verify runs after every test, even a cleanly exited
   // workload: silent corruption is exactly the case where only the
   // verifier notices.
   std::vector<std::string> recovery_argv;

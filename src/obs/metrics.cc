@@ -311,17 +311,17 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         buckets[b] += hist.buckets[b].load(std::memory_order_relaxed);
       }
     }
-    summary.min_ns = min_plus1 == 0 ? 0 : min_plus1 - 1;
-    if (summary.count > 0) {
-      summary.mean_ns =
-          static_cast<double>(summary.sum_ns) / static_cast<double>(summary.count);
-      summary.p50_ns =
-          BucketQuantile(buckets.data(), summary.count, 0.50, summary.min_ns, summary.max_ns);
-      summary.p90_ns =
-          BucketQuantile(buckets.data(), summary.count, 0.90, summary.min_ns, summary.max_ns);
-      summary.p99_ns =
-          BucketQuantile(buckets.data(), summary.count, 0.99, summary.min_ns, summary.max_ns);
+    if (summary.count == 0) {
+      continue;  // registered but never recorded: not part of the snapshot
     }
+    summary.min_ns = min_plus1 == 0 ? 0 : min_plus1 - 1;
+    summary.mean_ns = static_cast<double>(summary.sum_ns) / static_cast<double>(summary.count);
+    summary.p50_ns =
+        BucketQuantile(buckets.data(), summary.count, 0.50, summary.min_ns, summary.max_ns);
+    summary.p90_ns =
+        BucketQuantile(buckets.data(), summary.count, 0.90, summary.min_ns, summary.max_ns);
+    summary.p99_ns =
+        BucketQuantile(buckets.data(), summary.count, 0.99, summary.min_ns, summary.max_ns);
     snapshot.histograms.push_back(std::move(summary));
   }
   return snapshot;

@@ -113,7 +113,7 @@ struct CoveragePoint {
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;  // registration order
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSummary> histograms;
+  std::vector<HistogramSummary> histograms;  // only those with samples
   // Coverage-growth curve, recorded by CampaignTelemetry whenever covered
   // grows (decimated to a bounded point count). Empty when the campaign
   // produced no coverage signal; omitted from the JSON then.

@@ -138,7 +138,7 @@ std::string CampaignTelemetry::SynopsisLine() const {
   auto find = [&snapshot](Phase phase) -> const HistogramSummary* {
     for (const HistogramSummary& h : snapshot.histograms) {
       if (h.name == PhaseName(phase)) {
-        return h.count > 0 ? &h : nullptr;
+        return &h;
       }
     }
     return nullptr;

@@ -295,10 +295,10 @@ if(NOT feedback_ok EQUAL 10)
 endif()
 foreach(phase real.plan_write real.fork_exec real.child_wait)
   string(JSON phase_count ERROR_VARIABLE json_error GET "${metrics_json}" histograms ${phase} count)
-  if(NOT phase_count MATCHES "NOTFOUND" AND NOT phase_count EQUAL 0)
+  if(NOT phase_count MATCHES "NOTFOUND")
     message(FATAL_ERROR
-      "forkserver metrics: spawn-mode phase ${phase} recorded ${phase_count} samples, "
-      "expected none")
+      "forkserver metrics: spawn-mode phase ${phase} is in the snapshot "
+      "(count ${phase_count}), expected it absent")
   endif()
 endforeach()
 message(STATUS "forkserver telemetry: per-test cost is one pipe round-trip")

@@ -1,8 +1,9 @@
 // Tests for the real-process execution backend (src/exec): fault-plan
-// round trips, the fork/exec process runner (exit codes, timeout → SIGKILL
-// escalation, crash-signal classification, event-driven reaping — on exit,
-// not at pipe EOF or timeout, with or without a pidfd, per-thread under
-// concurrency), the LD_PRELOAD interposer
+// round trips, the fork/exec process runner (exit codes, crash-signal
+// classification, event-driven reaping — on exit, not at pipe EOF or
+// timeout, with or without a pidfd, per-thread under concurrency), the
+// forkserver client, the KillLadder's SIGTERM → SIGKILL escalation and fd
+// hygiene in every exec mode, the LD_PRELOAD interposer
 // observed end to end through a real child (counts, injected errno,
 // feedback block), the RealTargetHarness outcome translation, and a
 // campaign journal + resume leg over the real backend.
@@ -11,8 +12,10 @@
 //   AFEX_INTERPOSER_PATH — libafex_interpose.so
 //   AFEX_WALUTIL_PATH    — the sample real target
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
-//   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its stdio
+//   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its
+//                                  stdio or hangs past SIGTERM
 #include <errno.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <linux/audit.h>
 #include <linux/filter.h>
@@ -25,11 +28,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -52,6 +57,8 @@ namespace exec {
 namespace {
 
 namespace fs = std::filesystem;
+
+constexpr uint64_t kMs = 1000 * 1000;  // ProcessResult::wait_ns per millisecond
 
 std::string TempDir(const std::string& name) {
   fs::path dir = fs::path(::testing::TempDir()) / ("afex_exec_" + name);
@@ -168,23 +175,6 @@ TEST(ProcessRunnerTest, CapturesExitCodeAndOutput) {
   EXPECT_NE(result.output.find("hello-from-child"), std::string::npos);
 }
 
-TEST(ProcessRunnerTest, TimeoutEscalatesToSigkill) {
-  ProcessRequest request;
-  // The child ignores SIGTERM, so only the SIGKILL escalation can end it.
-  request.argv = {"/bin/sh", "-c", "trap '' TERM; sleep 30"};
-  request.timeout_ms = 200;
-  request.kill_grace_ms = 100;
-  ProcessResult result = RunProcess(request);
-  ASSERT_TRUE(result.started);
-  EXPECT_TRUE(result.timed_out);
-  EXPECT_TRUE(result.kill_escalated);
-  EXPECT_FALSE(result.exited);
-  EXPECT_EQ(result.term_signal, SIGKILL);
-  // SIGKILL goes out at timeout + grace, never before.
-  EXPECT_GE(result.wall_seconds, 0.3);
-  EXPECT_LT(result.wall_seconds, 10.0);
-}
-
 TEST(ProcessRunnerTest, ReapsOnExitNotAtPipeEofOrTimeout) {
   // The pipe reports EOF at once; the child lives on for 300 ms. It must be
   // reaped when it exits: not at EOF (no status yet), not at the timeout.
@@ -196,8 +186,8 @@ TEST(ProcessRunnerTest, ReapsOnExitNotAtPipeEofOrTimeout) {
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_FALSE(result.timed_out);
-  EXPECT_GE(result.wall_seconds, 0.3);
-  EXPECT_LT(result.wall_seconds, 2.5);
+  EXPECT_GE(result.wait_ns, 300 * kMs);
+  EXPECT_LT(result.wait_ns, 2500 * kMs);
   EXPECT_TRUE(result.output.empty()) << result.output;
 }
 
@@ -213,7 +203,7 @@ TEST(ProcessRunnerTest, GrandchildHoldingThePipeDoesNotDelayTheReap) {
   EXPECT_EQ(result.exit_code, 3);
   EXPECT_FALSE(result.timed_out);
   EXPECT_NE(result.output.find("hi"), std::string::npos) << result.output;
-  EXPECT_LT(result.wall_seconds, 2.5);
+  EXPECT_LT(result.wait_ns, 2500 * kMs);
 }
 
 TEST(ProcessRunnerTest, ConcurrentRunsEachReapOnlyTheirOwnChild) {
@@ -288,16 +278,15 @@ TEST(ProcessRunnerTest, WithoutPidfdStillReapsAndEscalates) {
     ProcessRequest late;
     late.argv = {"/bin/sh", "-c", "exec 1>&- 2>&-; sleep 0.2; exit 0"};
     r = RunProcess(late);
-    if (!r.exited || r.exit_code != 0 || r.wall_seconds < 0.2 || r.wall_seconds > 2.5) {
+    if (!r.exited || r.exit_code != 0 || r.wait_ns < 200 * kMs || r.wait_ns > 2500 * kMs) {
       ::_exit(3);
     }
     ProcessRequest stuck;
     stuck.argv = {"/bin/sh", "-c", "trap '' TERM; sleep 30"};
     stuck.timeout_ms = 200;
-    stuck.kill_grace_ms = 100;
     r = RunProcess(stuck);
     if (!r.timed_out || !r.kill_escalated || r.term_signal != SIGKILL ||
-        r.wall_seconds < 0.3 || r.wall_seconds > 10.0) {
+        r.wait_ns < (200 + KillLadder::kKillGraceMs) * kMs || r.wait_ns > 10000 * kMs) {
       ::_exit(4);
     }
     ::_exit(0);
@@ -707,26 +696,26 @@ TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   std::string dir = TempDir("fs_basic");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
 
-  ForkserverTestResult clean = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(clean.ran) << clean.error;
+  ProcessResult clean = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_TRUE(clean.exited);
   EXPECT_EQ(clean.exit_code, 0);
   EXPECT_NE(clean.output.find("copied source.tbl"), std::string::npos) << clean.output;
 
-  ForkserverTestResult injected = client.RunTest(
+  ProcessResult injected = client.RunTest(
       1,
       Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
       2);
-  ASSERT_TRUE(injected.ran) << injected.error;
+  ASSERT_TRUE(injected.started) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
 
-  ForkserverTestResult crashed = client.RunTest(
+  ProcessResult crashed = client.RunTest(
       4,
       Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       3);
-  ASSERT_TRUE(crashed.ran) << crashed.error;
+  ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_FALSE(crashed.exited);
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
 
@@ -743,19 +732,19 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
   std::string fb = dir + "/fb.bin";
 
-  ForkserverTestResult crashed = client.RunTest(
+  ProcessResult crashed = client.RunTest(
       4,
       Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       1);
-  ASSERT_TRUE(crashed.ran) << crashed.error;
+  ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
   FeedbackBlock block;
   ASSERT_TRUE(ReadFeedbackBlock(fb.c_str(), block));
   EXPECT_EQ(block.test_seq, 1u);
   EXPECT_EQ(block.injected_total, 1u);
 
-  ForkserverTestResult clean = client.RunTest(1, {}, 2);
-  ASSERT_TRUE(clean.ran) << clean.error;
+  ProcessResult clean = client.RunTest(1, {}, 2);
+  ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_EQ(clean.exit_code, 0);
   ASSERT_TRUE(ReadFeedbackBlock(fb.c_str(), block));
   EXPECT_EQ(block.test_seq, 2u);
@@ -769,7 +758,6 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   ForkserverOptions dead = WalutilFsOptions(TempDir("fs_dead"), false);
   dead.argv = {"/bin/true"};
   dead.preload.clear();
-  dead.handshake_timeout_ms = 5000;
   ForkserverClient dead_client(dead);
   std::string error;
   EXPECT_FALSE(dead_client.EnsureServer(error));
@@ -779,7 +767,6 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   ForkserverOptions noise = WalutilFsOptions(TempDir("fs_noise"), false);
   noise.argv = {"/bin/sh", "-c", "printf 'ABCDEFGHIJKLMNOP' >&199; sleep 1"};
   noise.preload.clear();
-  noise.handshake_timeout_ms = 5000;
   ForkserverClient noise_client(noise);
   error.clear();
   EXPECT_FALSE(noise_client.EnsureServer(error));
@@ -792,55 +779,53 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   ForkserverOptions opts = WalutilFsOptions(TempDir("fs_timeout"), false);
   opts.argv = {"/bin/sh", "-c", "sleep 30"};
   opts.timeout_ms = 300;
-  opts.kill_grace_ms = 200;
   ForkserverClient client(opts);
   pid_t pid = -1;
-  ForkserverTestResult result = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(result.ran) << result.error;
+  ProcessResult result = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(result.started) << result.error;
   EXPECT_TRUE(result.timed_out);
   EXPECT_FALSE(result.exited);
   EXPECT_EQ(result.term_signal, SIGTERM);
   pid = client.server_pid();
 
   // The server survived its child's killing and serves the next test.
-  ForkserverTestResult after = client.RunTest(1, {}, 2);
-  ASSERT_TRUE(after.ran) << after.error;
+  ProcessResult after = client.RunTest(1, {}, 2);
+  ASSERT_TRUE(after.started) << after.error;
   EXPECT_TRUE(after.timed_out);
-  EXPECT_FALSE(after.server_restarted);
+  EXPECT_EQ(client.restarts(), 0u);
   EXPECT_EQ(client.server_pid(), pid);
 }
 
 TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
   std::string dir = TempDir("fs_torn");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ForkserverTestResult first = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(first.ran) << first.error;
+  ProcessResult first = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(first.started) << first.error;
 
   // Desynchronize the control pipe: the server reads these bytes as the
   // head of the next request, sees a bad magic, and exits by contract.
   ASSERT_GE(client.ctl_fd(), 0);
   ASSERT_EQ(::write(client.ctl_fd(), "garbage", 7), 7);
 
-  ForkserverTestResult second = client.RunTest(1, {}, 2);
-  ASSERT_TRUE(second.ran) << second.error;
+  ProcessResult second = client.RunTest(1, {}, 2);
+  ASSERT_TRUE(second.started) << second.error;
   EXPECT_EQ(second.exit_code, 0);
-  EXPECT_TRUE(second.server_restarted);
   EXPECT_EQ(client.restarts(), 1u);
 }
 
 TEST(ForkserverClientTest, ServerDeathMidCampaignRestartsTransparently) {
   std::string dir = TempDir("fs_death");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ForkserverTestResult first = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(first.ran) << first.error;
+  ProcessResult first = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(first.started) << first.error;
   pid_t old_pid = client.server_pid();
   ASSERT_GT(old_pid, 0);
   ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
 
-  ForkserverTestResult second = client.RunTest(2, {}, 2);
-  ASSERT_TRUE(second.ran) << second.error;
+  ProcessResult second = client.RunTest(2, {}, 2);
+  ASSERT_TRUE(second.started) << second.error;
   EXPECT_EQ(second.exit_code, 0);
-  EXPECT_TRUE(second.server_restarted);
+  EXPECT_EQ(client.restarts(), 1u);
   EXPECT_NE(client.server_pid(), old_pid);
 }
 
@@ -848,15 +833,15 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
   std::string dir = TempDir("fs_persist");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
   uint32_t seq = 0;
-  ForkserverTestResult first = client.RunTest(1, {}, ++seq);
-  ASSERT_TRUE(first.ran) << first.error;
+  ProcessResult first = client.RunTest(1, {}, ++seq);
+  ASSERT_TRUE(first.started) << first.error;
   EXPECT_EQ(first.exit_code, 0);
   EXPECT_NE(first.output.find("copied source.tbl"), std::string::npos) << first.output;
   pid_t pid = client.server_pid();
 
   for (int i = 0; i < 20; ++i) {
-    ForkserverTestResult r = client.RunTest(static_cast<uint32_t>(1 + (i % 2)), {}, ++seq);
-    ASSERT_TRUE(r.ran) << r.error;
+    ProcessResult r = client.RunTest(static_cast<uint32_t>(1 + (i % 2)), {}, ++seq);
+    ASSERT_TRUE(r.started) << r.error;
     EXPECT_EQ(r.exit_code, 0);
   }
   // All iterations ran inside the original process.
@@ -866,11 +851,11 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
 
   // Injection still works in-process, including the exit() interception
   // that turns walutil's Fail() into an iteration result.
-  ForkserverTestResult injected = client.RunTest(
+  ProcessResult injected = client.RunTest(
       1,
       Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
       ++seq);
-  ASSERT_TRUE(injected.ran) << injected.error;
+  ASSERT_TRUE(injected.started) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
@@ -879,22 +864,22 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
 TEST(ForkserverClientTest, PersistentCrashRestartsAndKeepsServing) {
   std::string dir = TempDir("fs_persist_crash");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
-  ForkserverTestResult before = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(before.ran) << before.error;
+  ProcessResult before = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(before.started) << before.error;
   pid_t pid = client.server_pid();
 
   // A crashing iteration takes the whole persistent process down; the
   // client must report the crash truthfully, then respawn for the next test.
-  ForkserverTestResult crashed = client.RunTest(
+  ProcessResult crashed = client.RunTest(
       4,
       Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
       2);
-  ASSERT_TRUE(crashed.ran) << crashed.error;
+  ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_FALSE(crashed.exited);
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
 
-  ForkserverTestResult after = client.RunTest(1, {}, 3);
-  ASSERT_TRUE(after.ran) << after.error;
+  ProcessResult after = client.RunTest(1, {}, 3);
+  ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
   EXPECT_NE(client.server_pid(), pid);
   EXPECT_GE(client.restarts(), 1u);
@@ -915,26 +900,26 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"), /*persistent=*/true);
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   ForkserverClient client(opts);
-  ForkserverTestResult warm = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(warm.ran) << warm.error;
+  ProcessResult warm = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(warm.started) << warm.error;
   EXPECT_EQ(warm.output, "fixture alive\n");
   ASSERT_TRUE(client.persistent_active());
 
   const double cpu_before = CpuSeconds();
   const auto wall_before = std::chrono::steady_clock::now();
-  ForkserverTestResult closed = client.RunTest(2, {}, 2);
+  ProcessResult closed = client.RunTest(2, {}, 2);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_before).count();
   const double cpu = CpuSeconds() - cpu_before;
-  ASSERT_TRUE(closed.ran) << closed.error;
+  ASSERT_TRUE(closed.started) << closed.error;
   EXPECT_EQ(closed.exit_code, 0);
   EXPECT_GE(wall, 0.2);
   EXPECT_LT(cpu, 0.05) << "client burned " << cpu << " s of CPU over a " << wall
                        << " s iteration";
 
   // The same incarnation keeps serving; its output simply has nowhere to go.
-  ForkserverTestResult after = client.RunTest(1, {}, 3);
-  ASSERT_TRUE(after.ran) << after.error;
+  ProcessResult after = client.RunTest(1, {}, 3);
+  ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
   EXPECT_EQ(client.restarts(), 0u);
 }
@@ -946,17 +931,158 @@ TEST(ForkserverClientTest, PersistentFallsBackWhenTargetNeverAdopts) {
   ForkserverOptions opts = WalutilFsOptions(TempDir("fs_fallback"), /*persistent=*/true);
   opts.argv = {"/bin/sh", "-c", "echo no-adoption; exit 0"};
   ForkserverClient client(opts);
-  ForkserverTestResult result = client.RunTest(1, {}, 1);
-  ASSERT_TRUE(result.ran) << result.error;
+  ProcessResult result = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(result.started) << result.error;
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_TRUE(result.persistent_fell_back);
   EXPECT_FALSE(client.persistent_active());
+  const pid_t forkserver_pid = client.server_pid();
 
   // Subsequent tests stay in forkserver mode without re-probing.
-  ForkserverTestResult next = client.RunTest(1, {}, 2);
-  ASSERT_TRUE(next.ran) << next.error;
+  ProcessResult next = client.RunTest(1, {}, 2);
+  ASSERT_TRUE(next.started) << next.error;
   EXPECT_EQ(next.exit_code, 0);
-  EXPECT_FALSE(next.persistent_fell_back);
+  EXPECT_FALSE(client.persistent_active());
+  EXPECT_EQ(client.server_pid(), forkserver_pid);
+}
+
+// ---------------------------------------------------------------------------
+// One observation across exec modes: every mode's timeout runs through the
+// same KillLadder, and every process AFEX starts holds only its own fds.
+// ---------------------------------------------------------------------------
+
+TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
+  // Fixture scenario 3 ignores SIGTERM, so only the SIGKILL rung ends it.
+  constexpr uint64_t kTimeoutMs = 300;
+  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
+    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+    std::unique_ptr<ForkserverClient> client;
+    ProcessResult result;
+    uint64_t start = obs::NowNs();
+    if (mode == ExecMode::kSpawn) {
+      ProcessRequest request;
+      request.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "3"};
+      request.timeout_ms = kTimeoutMs;
+      result = RunProcess(request);
+    } else {
+      const bool persistent = mode == ExecMode::kPersistent;
+      ForkserverOptions opts =
+          WalutilFsOptions(TempDir(persistent ? "hang_persist" : "hang_fs"), persistent);
+      opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+      opts.timeout_ms = kTimeoutMs;
+      client = std::make_unique<ForkserverClient>(opts);
+      std::string error;
+      ASSERT_TRUE(client->EnsureServer(error)) << error;
+      start = obs::NowNs();
+      result = client->RunTest(3, {}, 1);
+    }
+    const uint64_t elapsed_ns = obs::NowNs() - start;
+    ASSERT_TRUE(result.started) << result.error;
+    EXPECT_TRUE(result.timed_out);
+    EXPECT_TRUE(result.kill_escalated);
+    EXPECT_FALSE(result.exited);
+    EXPECT_EQ(result.term_signal, SIGKILL);
+    EXPECT_GE(elapsed_ns, (kTimeoutMs + KillLadder::kKillGraceMs) * kMs);
+    EXPECT_LT(elapsed_ns, 10000 * kMs);
+    if (mode == ExecMode::kPersistent) {
+      // The SIGKILL took the whole server down: the next test runs on a
+      // fresh one, still in persistent mode.
+      ProcessResult next = client->RunTest(1, {}, 2);
+      ASSERT_TRUE(next.started) << next.error;
+      EXPECT_EQ(next.output, "fixture alive\n");
+      EXPECT_EQ(client->restarts(), 1u);
+      EXPECT_TRUE(client->persistent_active());
+    }
+  }
+}
+
+// Targets of /proc/<pid>/fd entries, keyed by fd.
+std::map<int, std::string> OpenFds(pid_t pid) {
+  std::map<int, std::string> fds;
+  std::error_code ec;
+  const fs::path dir = "/proc/" + std::to_string(pid) + "/fd";
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end; it.increment(ec)) {
+    std::error_code link_ec;
+    fds[std::stoi(it->path().filename().string())] =
+        fs::read_symlink(it->path(), link_ec).string();
+  }
+  return fds;
+}
+
+TEST(ExecFdTest, ChildrenStartWithStdioOnly) {
+  // A descriptor this process opened without O_CLOEXEC — the campaign
+  // journal is one — must reach neither a spawned target nor a server.
+  const std::string dir = TempDir("fd_inherit");
+  const std::string journal = dir + "/j.afexj";
+  const int fd = ::open(journal.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 3);
+
+  ProcessRequest request;
+  request.argv = {"/bin/ls", "-l", "/proc/self/fd"};
+  ProcessResult listed = RunProcess(request);
+  ASSERT_TRUE(listed.exited) << listed.output;
+  EXPECT_EQ(listed.exit_code, 0) << listed.output;
+  EXPECT_EQ(listed.output.find(journal), std::string::npos) << listed.output;
+
+  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
+  std::string error;
+  ASSERT_TRUE(client.EnsureServer(error)) << error;
+  for (const auto& [server_fd, target] : OpenFds(client.server_pid())) {
+    EXPECT_NE(target, journal) << "server fd " << server_fd;
+  }
+  ::close(fd);
+}
+
+TEST(ExecFdTest, ConcurrentSpawnsAndServersHoldOnlyTheirOwnPipes) {
+  // The --jobs shape: one thread cycles forkserver servers while another
+  // spawns children that list their fds. No child may hold a pipe beyond
+  // its stdio, no server one beyond its stdio and the two protocol fds.
+  std::atomic<bool> stop{false};
+  int handshakes = 0;
+  std::string server_leak;
+  std::thread cycler([&] {
+    const ForkserverOptions opts = WalutilFsOptions(TempDir("fd_stress"), false);
+    while (!stop.load()) {
+      ForkserverClient client(opts);
+      std::string error;
+      if (!client.EnsureServer(error)) {
+        continue;
+      }
+      ++handshakes;
+      for (const auto& [fd, target] : OpenFds(client.server_pid())) {
+        if (fd > STDERR_FILENO && fd != kForkserverCtlFd && fd != kForkserverStatusFd &&
+            target.rfind("pipe:", 0) == 0 && server_leak.empty()) {
+          server_leak = "fd " + std::to_string(fd) + " -> " + target;
+        }
+      }
+      client.Shutdown();
+    }
+  });
+
+  int children = 0;
+  std::string child_leak;
+  const uint64_t deadline = obs::NowNs() + 4000 * kMs;
+  while (children < 3000 && obs::NowNs() < deadline) {
+    ProcessRequest request;
+    request.argv = {"/bin/ls", "-l", "/proc/self/fd"};
+    ProcessResult listed = RunProcess(request);
+    ++children;
+    std::istringstream lines(listed.output);
+    for (std::string line; std::getline(lines, line);) {
+      const size_t arrow = line.find(" -> pipe:");
+      if (arrow == std::string::npos) {
+        continue;
+      }
+      const int fd = std::stoi(line.substr(line.rfind(' ', arrow - 1) + 1));
+      if (fd > STDERR_FILENO && child_leak.empty()) {
+        child_leak = line;
+      }
+    }
+  }
+  stop = true;
+  cycler.join();
+  EXPECT_GT(handshakes, 0);
+  EXPECT_EQ(child_leak, "") << "after " << children << " children";
+  EXPECT_EQ(server_leak, "") << "after " << handshakes << " servers";
 }
 
 // ---------------------------------------------------------------------------
@@ -1306,36 +1432,21 @@ TEST(TwoPhaseHarnessTest, TornPageAboveCheckpointSlipsPastRecovery) {
   EXPECT_NE(outcome.detail.find("torn page"), std::string::npos) << outcome.detail;
 }
 
-TEST(TwoPhaseHarnessTest, SandboxRecycledByDefaultPreservedOnRequest) {
-  auto find_sandbox = [](const std::string& work_root) {
-    for (const auto& entry : fs::recursive_directory_iterator(work_root)) {
-      if (entry.is_directory() && entry.path().filename() == "sandbox") {
-        return entry.path().string();
-      }
-    }
-    return std::string();
-  };
+TEST(TwoPhaseHarnessTest, SandboxRecycledAfterRecoveryAndVerify) {
+  // The sandbox is recycled after recovery/verify — empty between tests
+  // (the recycling invariant the harness asserts).
+  std::string root = TempDir("twophase_recycle");
+  RealTargetHarness harness(TxengineConfig(root));
   FaultSpace space = TxengineSpace(/*max_call=*/40);
-
-  // Default: the sandbox is recycled after recovery/verify — empty between
-  // tests (the recycled/preserved invariant the harness asserts).
-  std::string recycled_root = TempDir("twophase_recycle");
-  RealTargetHarness recycled(TxengineConfig(recycled_root));
-  recycled.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
-  std::string recycled_sandbox = find_sandbox(recycled_root);
-  ASSERT_FALSE(recycled_sandbox.empty());
-  EXPECT_TRUE(fs::is_empty(recycled_sandbox));
-
-  // preserve_sandbox: the crash state survives the test for post-mortem.
-  std::string preserved_root = TempDir("twophase_preserve");
-  RealTargetConfig config = TxengineConfig(preserved_root);
-  config.preserve_sandbox = true;
-  RealTargetHarness preserved(config);
-  preserved.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
-  std::string preserved_sandbox = find_sandbox(preserved_root);
-  ASSERT_FALSE(preserved_sandbox.empty());
-  EXPECT_TRUE(fs::exists(fs::path(preserved_sandbox) / "wal.log"));
-  EXPECT_TRUE(fs::exists(fs::path(preserved_sandbox) / "pages.db"));
+  harness.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
+  std::string sandbox;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (entry.is_directory() && entry.path().filename() == "sandbox") {
+      sandbox = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(sandbox.empty());
+  EXPECT_TRUE(fs::is_empty(sandbox));
 }
 
 // Spawn and forkserver must stay record-identical with the storage-failure

@@ -122,6 +122,18 @@ TEST(MetricsRegistry, HistogramCountAndSumAcrossThreads) {
   EXPECT_EQ(h.max_ns, 103u);
 }
 
+TEST(MetricsRegistry, SnapshotOmitsHistogramsWithoutSamples) {
+  MetricsRegistry registry;
+  registry.RegisterHistogram("never.recorded");
+  registry.RecordLatencyNs(registry.RegisterHistogram("recorded"), 42);
+  MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  EXPECT_EQ(snapshot.histograms[0].name, "recorded");
+  std::ostringstream out;
+  snapshot.WriteJson(out);
+  EXPECT_EQ(out.str().find("never.recorded"), std::string::npos) << out.str();
+}
+
 TEST(MetricsRegistry, HistogramMatchesRunningStatsOracle) {
   MetricsRegistry registry;
   uint32_t id = registry.RegisterHistogram("oracle");

@@ -3,7 +3,9 @@
 // that do to the process what a real target may do to it:
 //   1 — prints one line and returns 0;
 //   2 — closes fds 1 and 2 (the server's only output pipe), sleeps 200 ms,
-//       returns 0.
+//       returns 0;
+//   3 — hangs: ignores SIGTERM and sleeps 30 s, so only SIGKILL ends it.
+#include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <time.h>
@@ -20,6 +22,12 @@ int RunScenario(int id) {
       close(STDOUT_FILENO);
       close(STDERR_FILENO);
       struct timespec ts{0, 200 * 1000 * 1000};
+      nanosleep(&ts, nullptr);
+      return 0;
+    }
+    case 3: {
+      signal(SIGTERM, SIG_IGN);
+      struct timespec ts{30, 0};
       nanosleep(&ts, nullptr);
       return 0;
     }
@@ -42,7 +50,7 @@ int main(int argc, char** argv) {
     }
   }
   if (argc != 2) {
-    fprintf(stderr, "usage: persistent_fixture <test-id 1..2>\n");
+    fprintf(stderr, "usage: persistent_fixture <test-id 1..3>\n");
     return 2;
   }
   return RunScenario(static_cast<int>(strtol(argv[1], nullptr, 10)));
