@@ -4,8 +4,10 @@
 //   spawn      — fork+exec per test,
 //   forkserver — one target process stopped pre-main, one bare fork per
 //                test, plan and feedback armed over a pipe, and
-//   persistent — the same server re-running walutil's entry function
-//                in-process via the afex_persistent_run hook.
+//   persistent — the same server, whose child re-runs walutil's entry
+//                function in-process via the afex_persistent_run hook
+//                until exit() or a crash ends it and the next test forks
+//                a new one.
 //
 // Two campaigns are timed: walutil over its default space in all three
 // modes, and txengine's two-phase crash→recover→verify campaign over the

@@ -74,14 +74,15 @@ std::string JsonIndexArray(const std::vector<size_t>& values) {
 
 void ExportCsv(const FaultSpace& space, const SessionResult& result, std::ostream& out) {
   out << "test,fault,description,impact,fitness,cluster,fault_triggered,"
-         "test_failed,crashed,hung,exit_code,new_blocks\n";
+         "test_failed,crashed,hung,recovery_failed,invariant_violated,exit_code,new_blocks\n";
   for (size_t i = 0; i < result.records.size(); ++i) {
     const SessionRecord& r = result.records[i];
     out << i + 1 << ',' << CsvField(r.fault.ToString()) << ','
         << CsvField(space.Describe(r.fault)) << ',' << FormatDouble(r.impact) << ','
         << FormatDouble(r.fitness) << ',' << r.cluster_id << ',' << int{r.outcome.fault_triggered}
         << ',' << int{r.outcome.test_failed} << ',' << int{r.outcome.crashed} << ','
-        << int{r.outcome.hung} << ',' << r.outcome.exit_code << ','
+        << int{r.outcome.hung} << ',' << int{r.outcome.recovery_failed} << ','
+        << int{r.outcome.invariant_violated} << ',' << r.outcome.exit_code << ','
         << r.outcome.new_blocks_covered << '\n';
   }
 }
@@ -126,6 +127,8 @@ void ExportJson(const CampaignMeta& meta, const FaultSpace& space, const Session
         << ", \"test_failed\": " << JsonBool(r.outcome.test_failed)
         << ", \"crashed\": " << JsonBool(r.outcome.crashed)
         << ", \"hung\": " << JsonBool(r.outcome.hung)
+        << ", \"recovery_failed\": " << JsonBool(r.outcome.recovery_failed)
+        << ", \"invariant_violated\": " << JsonBool(r.outcome.invariant_violated)
         << ", \"exit_code\": " << r.outcome.exit_code
         << ", \"new_blocks\": " << r.outcome.new_blocks_covered << ", \"injection_stack\": [";
     for (size_t j = 0; j < r.outcome.injection_stack.size(); ++j) {

@@ -24,15 +24,9 @@ constexpr uint64_t kNsPerMs = 1000 * 1000;
 // How long a server gets to exit on control-pipe EOF before SIGKILL.
 constexpr uint64_t kShutdownGraceMs = 2000;
 
-// Budget for spawn → Hello (covers execve + ld.so + interposer init), for
-// the persistent loop's pre-main + main-to-adoption stretch, and for the
-// server to report a forked child's pid.
+// Budget for spawn → Hello (covers execve + ld.so + interposer init) and
+// for the server to report a forked child's pid.
 constexpr uint64_t kHandshakeTimeoutMs = 10000;
-
-// Persistent servers are recycled after this many iterations: an
-// exit()-interrupted iteration can leak fds/heap into the process, and the
-// cap bounds the accumulation without measurably denting throughput.
-constexpr uint32_t kPersistentMaxIterations = 256;
 
 uint64_t HandshakeDeadline() { return obs::NowNs() + kHandshakeTimeoutMs * kNsPerMs; }
 
@@ -173,8 +167,6 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   ::fcntl(out_read_, F_SETFL, O_NONBLOCK);
   server_pid_ = pid;
   msg_have_ = 0;
-  persistent_acked_ = false;
-  iterations_ = 0;
   return true;
 }
 
@@ -216,19 +208,19 @@ ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_n
   }
 }
 
-ForkserverClient::Wait ForkserverClient::AwaitStatus(pid_t victim, FsMsgKind kind,
-                                                     uint32_t seq, KillLadder& ladder,
+ForkserverClient::Wait ForkserverClient::AwaitStatus(uint32_t seq, KillLadder& ladder,
                                                      FsMsg& msg) {
   while (true) {
-    const uint64_t deadline = ladder.Advance(victim);
+    const uint64_t deadline = ladder.Advance(child_pid_);
     if (ladder.wedged()) {
       KillServer();  // the server itself is stuck; nothing more to learn from it
       return Wait::kTimeout;
     }
     switch (WaitMsg(msg, deadline)) {
       case Wait::kMsg:
-        if (msg.magic == kFsMsgMagic && msg.kind == static_cast<uint32_t>(kind) &&
-            msg.seq == seq) {
+        if (msg.magic == kFsMsgMagic && msg.seq == seq &&
+            (msg.kind == static_cast<uint32_t>(FsMsgKind::kIterStatus) ||
+             msg.kind == static_cast<uint32_t>(FsMsgKind::kChildStatus))) {
           return Wait::kMsg;
         }
         KillServer();
@@ -261,7 +253,9 @@ bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FsPlanEn
   req.test_id = test_id;
   req.plan_count = static_cast<uint32_t>(entries.size());
   std::memcpy(buf, &req, sizeof(req));
-  std::memcpy(buf + sizeof(req), entries.data(), entries.size() * sizeof(FsPlanEntry));
+  if (!entries.empty()) {  // an empty vector's data() may be null
+    std::memcpy(buf + sizeof(req), entries.data(), entries.size() * sizeof(FsPlanEntry));
+  }
   return WriteAll(ctl_write_, buf, sizeof(req) + entries.size() * sizeof(FsPlanEntry));
 }
 
@@ -277,12 +271,11 @@ int ForkserverClient::NoteServerDeath() {
     }
   }
   server_pid_ = -1;
+  child_pid_ = -1;  // killed with its server (PR_SET_PDEATHSIG)
   CloseFd(ctl_write_);
   CloseFd(status_read_);
   CloseFd(out_read_);
   msg_have_ = 0;
-  persistent_acked_ = false;
-  iterations_ = 0;
   return status;
 }
 
@@ -295,8 +288,8 @@ void ForkserverClient::KillServer() {
 
 void ForkserverClient::Shutdown() {
   if (server_pid_ > 0) {
-    // EOF on the control pipe is the graceful-stop signal: the forkserver
-    // loop _exits, the persistent loop returns into the target's main.
+    // EOF on the control pipe is the graceful-stop signal: a live persistent
+    // child returns into the target's main, then the server loop _exits.
     CloseFd(ctl_write_);
     ChildWatch server(server_pid_);
     const uint64_t deadline = obs::NowNs() + kShutdownGraceMs * kNsPerMs;
@@ -352,11 +345,6 @@ bool ForkserverClient::ReadHello(std::string& error) {
     error = "forkserver: bad hello (magic/version mismatch)";
     return false;
   }
-  const bool hello_persistent = (msg.seq & kFsHelloFlagPersistent) != 0;
-  if (hello_persistent != options_.persistent) {
-    error = "forkserver: hello mode does not match request";
-    return false;
-  }
   return true;
 }
 
@@ -367,13 +355,6 @@ ProcessResult ForkserverClient::RunTest(uint32_t test_id,
     // Wider than the server's table (and WriteRequest's buffer).
     return NotStarted("forkserver: fault plan exceeds kFsMaxPlans entries");
   }
-  return options_.persistent ? RunPersistent(test_id, entries, seq)
-                             : RunForked(test_id, entries, seq);
-}
-
-ProcessResult ForkserverClient::RunForked(uint32_t test_id,
-                                          const std::vector<FsPlanEntry>& entries,
-                                          uint32_t seq) {
   output_.clear();
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
@@ -384,93 +365,39 @@ ProcessResult ForkserverClient::RunForked(uint32_t test_id,
       KillServer();  // a failed write does not prove the server is gone
       continue;
     }
-    FsMsg msg;
-    Wait w = WaitMsg(msg, HandshakeDeadline());
-    if (w == Wait::kDeath) {
-      NoteServerDeath();
-      continue;
+    if (child_pid_ < 0) {
+      // No live child: the server forks one for this request.
+      FsMsg msg;
+      Wait w = WaitMsg(msg, HandshakeDeadline());
+      if (w == Wait::kDeath) {
+        NoteServerDeath();
+        continue;
+      }
+      if (w == Wait::kTimeout || msg.magic != kFsMsgMagic || msg.seq != seq) {
+        KillServer();
+        continue;
+      }
+      if (msg.kind == static_cast<uint32_t>(FsMsgKind::kChildStatus) && msg.value == -1) {
+        return NotStarted("forkserver: server could not fork a child");
+      }
+      if (msg.kind != static_cast<uint32_t>(FsMsgKind::kChildPid)) {
+        KillServer();
+        continue;
+      }
+      child_pid_ = static_cast<pid_t>(msg.value);
     }
-    if (w == Wait::kTimeout || msg.magic != kFsMsgMagic || msg.seq != seq) {
-      KillServer();
-      continue;
-    }
-    if (msg.kind == static_cast<uint32_t>(FsMsgKind::kChildStatus) && msg.value == -1) {
-      return NotStarted("forkserver: server could not fork a child");
-    }
-    if (msg.kind != static_cast<uint32_t>(FsMsgKind::kChildPid)) {
-      KillServer();
-      continue;
-    }
-    // The server is parked in waitpid, so the ladder signals the child.
     KillLadder ladder(options_.timeout_ms);
-    switch (AwaitStatus(static_cast<pid_t>(msg.value), FsMsgKind::kChildStatus, seq, ladder,
-                        msg)) {
+    FsMsg msg;
+    switch (AwaitStatus(seq, ladder, msg)) {
       case Wait::kMsg:
+        if (msg.kind == static_cast<uint32_t>(FsMsgKind::kIterStatus)) {
+          return Observe(ladder, W_EXITCODE(msg.value & 0xff, 0));  // child stays live
+        }
+        child_pid_ = -1;  // reaped by the server
         return Observe(ladder, msg.value);
       case Wait::kDeath:
         NoteServerDeath();
         continue;
-      case Wait::kTimeout:
-        return Observe(ladder, W_EXITCODE(0, SIGKILL));
-      case Wait::kDesync:
-        continue;
-    }
-  }
-  return NotStarted("forkserver: unavailable after restart");
-}
-
-ProcessResult ForkserverClient::RunPersistent(uint32_t test_id,
-                                              const std::vector<FsPlanEntry>& entries,
-                                              uint32_t seq) {
-  output_.clear();
-  // Planned recycle: bound the state an exit()-interrupted iteration can
-  // leak (fds, heap) by restarting the process every N iterations.
-  if (server_pid_ > 0 && iterations_ >= kPersistentMaxIterations) {
-    Shutdown();
-  }
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::string error;
-    if (!EnsureServer(error)) {
-      return NotStarted(error);
-    }
-    if (!WriteRequest(test_id, entries, seq)) {
-      KillServer();  // a failed write does not prove the server is gone
-      continue;
-    }
-    if (!persistent_acked_) {
-      FsMsg ack;
-      Wait w = WaitMsg(ack, HandshakeDeadline());
-      if (w == Wait::kDeath && !ever_acked_) {
-        // Died without ever reaching the loop: the target does not adopt
-        // afex_persistent_run (or crashes pre-loop, where no fault can be
-        // armed). Downgrade permanently and rerun there.
-        NoteServerDeath();
-        options_.persistent = false;
-        if (metrics_ != nullptr) {
-          metrics_->AddCounter("real.persistent_fallback", 1);
-        }
-        return RunForked(test_id, entries, seq);
-      }
-      if (w != Wait::kMsg || ack.magic != kFsMsgMagic ||
-          ack.kind != static_cast<uint32_t>(FsMsgKind::kPersistentAck)) {
-        KillServer();
-        continue;
-      }
-      persistent_acked_ = true;
-      ever_acked_ = true;
-    }
-    // A hung iteration hangs the whole server: the ladder signals it.
-    KillLadder ladder(options_.timeout_ms);
-    FsMsg msg;
-    switch (AwaitStatus(server_pid_, FsMsgKind::kIterStatus, seq, ladder, msg)) {
-      case Wait::kMsg:
-        ++iterations_;
-        return Observe(ladder, W_EXITCODE(msg.value & 0xff, 0));
-      case Wait::kDeath:
-        // The iteration took the whole process down: crash (signal), or a
-        // direct _exit that bypassed the exit() wrapper. The death status
-        // IS the test observation; the next test gets a fresh server.
-        return Observe(ladder, NoteServerDeath());
       case Wait::kTimeout:
         return Observe(ladder, W_EXITCODE(0, SIGKILL));
       case Wait::kDesync:

@@ -1,27 +1,22 @@
-// Parent-side client for the interposer's forkserver / persistent serve
-// loop (exec/forkserver_protocol.h). One client owns one long-lived target
+// Parent-side client for the interposer's serve loop
+// (exec/forkserver_protocol.h). One client owns one long-lived target
 // process: it spawns the target with the control/status pipes dup'd to the
 // protocol fds, performs the Hello handshake, and then turns each RunTest
-// call into one request → one forked child (forkserver mode) or one
-// in-process iteration (persistent mode). This is what collapses the real
+// call into one request. The server forks a child per test; in persistent
+// mode a child that adopted afex_persistent_run stays live and runs the
+// following requests in-process, until exit(), a crash or a timeout ends it
+// and the next test forks a new one. This is what collapses the real
 // backend's per-test cost from fork+execve+ld.so+libc-init down to a pipe
-// round-trip plus (in forkserver mode) a bare fork.
+// round-trip plus at most a bare fork.
 //
 // Failure policy, in one sentence: any protocol irregularity — short pipe
 // read, wrong magic, unexpected sequence number, server death — kills the
 // server and transparently respawns it, retrying the in-flight test once.
-// Two extra behaviors ride on that machinery:
-//  * Timeout kill: the same KillLadder as spawn mode (exec/process_runner.h)
-//    signals the child pid reported in the kChildPid message (forkserver)
-//    or the server itself (persistent, where a hung iteration hangs the
-//    process). A server that reports nothing 2 s after the SIGKILL is
-//    wedged: it is killed and the test reads as a SIGKILL hang.
-//  * Persistent fallback: a persistent server that dies before ever
-//    sending kPersistentAck never reached afex_persistent_run (the target
-//    did not adopt the hook, or crashed pre-loop, where no fault can have
-//    been armed) — the client permanently downgrades itself to forkserver
-//    mode and reruns the test there.
-// Every server starts with stdio and the two protocol fds only.
+// Timeouts use the same KillLadder as spawn mode (exec/process_runner.h),
+// aimed at the child pid from the kChildPid message. A server that reports
+// nothing 2 s after the SIGKILL is wedged: it is killed and the test reads
+// as a SIGKILL hang. Every server starts with stdio and the two protocol
+// fds only.
 //
 // The first RunTest installs SIG_IGN for SIGPIPE process-wide (once):
 // request writes race against server death by design, and the failed
@@ -45,7 +40,7 @@ namespace exec {
 
 struct ForkserverOptions {
   // Target command, with "{test}" placeholders left literal: the server's
-  // forked children substitute the per-request test id in place.
+  // forked children substitute the per-request test id.
   std::vector<std::string> argv;
   // Working directory for the server (inherited by every child).
   std::string working_dir;
@@ -88,9 +83,10 @@ class ForkserverClient {
 
   void set_metrics_sink(obs::MetricsSink* sink) { metrics_ = sink; }
 
-  // True until a persistent client downgrades itself to forkserver mode.
-  bool persistent_active() const { return options_.persistent; }
-  // Respawns after the initial spawn (deaths + generation recycles).
+  // The live child's pid, or -1 when none is (test hook). Between tests only
+  // a persistent child that adopted the hook stays live.
+  pid_t child_pid() const { return child_pid_; }
+  // Respawns after the initial spawn.
   uint64_t restarts() const { return restarts_; }
   // Server incarnations that completed a handshake.
   uint64_t generations() const { return generations_; }
@@ -108,12 +104,12 @@ class ForkserverClient {
   // whole message, server death, or `deadline_ns` (obs::NowNs timebase).
   // Sleeps in poll between events; no fixed wakeup interval.
   Wait WaitMsg(FsMsg& msg, uint64_t deadline_ns);
-  // Waits for the `kind` message that closes test `seq` while `ladder`
-  // signals `victim`. kMsg: `msg` holds it. kDeath: the server died (not
-  // yet reaped). kDesync: a message out of protocol; kTimeout: the ladder
-  // ran out (the server is wedged). Both of the last two kill the server.
-  Wait AwaitStatus(pid_t victim, FsMsgKind kind, uint32_t seq, KillLadder& ladder,
-                   FsMsg& msg);
+  // Waits for the kIterStatus or kChildStatus message that closes test `seq`
+  // while `ladder` signals the live child. kMsg: `msg` holds it. kDeath:
+  // the server died (not yet reaped). kDesync: a message out of protocol;
+  // kTimeout: the ladder ran out (the server is wedged). Both of the last
+  // two kill the server.
+  Wait AwaitStatus(uint32_t seq, KillLadder& ladder, FsMsg& msg);
   // The test's observation: the ladder's flags, a waitpid `status`, and
   // the output drained so far.
   ProcessResult Observe(const KillLadder& ladder, int status);
@@ -123,15 +119,12 @@ class ForkserverClient {
   // status, or -1 when there was none to collect.
   int NoteServerDeath();
   void KillServer();  // SIGKILL + NoteServerDeath
-  ProcessResult RunForked(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                          uint32_t seq);
-  ProcessResult RunPersistent(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                              uint32_t seq);
 
   ForkserverOptions options_;
   obs::MetricsSink* metrics_ = nullptr;
 
   pid_t server_pid_ = -1;
+  pid_t child_pid_ = -1;
   int ctl_write_ = -1;
   int status_read_ = -1;
   int out_read_ = -1;
@@ -142,9 +135,6 @@ class ForkserverClient {
 
   std::string output_;  // current test's drained output
 
-  bool persistent_acked_ = false;  // this incarnation reached the loop
-  bool ever_acked_ = false;        // some incarnation did (fallback gate)
-  uint32_t iterations_ = 0;        // in the current incarnation
   uint64_t restarts_ = 0;
   uint64_t generations_ = 0;
 };

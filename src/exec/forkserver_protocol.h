@@ -3,8 +3,11 @@
 // side). The client spawns the target once with two inherited pipes dup'd to
 // fixed descriptors (AFL convention: control on 198, status on 199) and sets
 // AFEX_FORKSERVER; the interposer's constructor sees the variable, announces
-// itself with a Hello message, and then serves test requests forever —
-// fork-per-test in forkserver mode, iterate-in-place in persistent mode.
+// itself with a Hello message, and then serves test requests forever, one
+// forked child per test in both modes. A persistent-mode child keeps the
+// two fds: once its main reaches afex_persistent_run it reads and runs the
+// following requests itself, until it exits or crashes and the server forks
+// the next one.
 //
 // A request is a fixed-size binary header plus the test's FsPlanEntry
 // records — the same bytes spawn mode passes hex-encoded in AFEX_PLAN
@@ -36,10 +39,11 @@ inline constexpr const char* kForkserverEnvVar = "AFEX_FORKSERVER";
 inline constexpr const char* kForkserverEnvFork = "1";
 inline constexpr const char* kForkserverEnvPersistent = "2";
 
-// v2 widened FsPlanEntry with the storage-failure fields (kind, param).
+// v2 widened FsPlanEntry with the storage-failure fields (kind, param); v3
+// moved persistent iterations into the forked child (no ack, no hello flag).
 // Client and server are compiled from the same tree, so the version is a
 // handshake sanity check, not a negotiation.
-inline constexpr uint32_t kForkserverProtocolVersion = 2;
+inline constexpr uint32_t kForkserverProtocolVersion = 3;
 
 inline constexpr uint32_t kFsMsgMagic = 0x4146534DU;      // "AFSM"
 inline constexpr uint32_t kFsRequestMagic = 0x41465351U;  // "AFSQ"
@@ -47,23 +51,21 @@ inline constexpr uint32_t kFsRequestMagic = 0x41465351U;  // "AFSQ"
 // Server → client messages. One fixed shape for every kind keeps the
 // server's writer trivially async-signal-safe.
 enum class FsMsgKind : uint32_t {
-  // Constructor reached the serve loop. value = protocol version,
-  // seq = flag bits (kFsHelloFlagPersistent).
+  // Constructor reached the serve loop. value = protocol version.
   kHello = 1,
-  // Forkserver: a child was forked for the request. value = child pid,
-  // seq = the request's test_seq. The client needs the pid to deliver
-  // timeout signals — the server itself is blocked in waitpid.
+  // Child: forked for the request. value = its pid, seq = the request's
+  // test_seq. The child sends it first thing, so it precedes anything else
+  // the child writes. The client needs the pid to deliver timeout
+  // signals — the server itself is blocked in waitpid.
   kChildPid = 2,
-  // Forkserver: the child was reaped. value = raw waitpid status
-  // (decode with WIFEXITED/WIFSIGNALED), or -1 if fork itself failed.
+  // Server: the child was reaped. value = raw waitpid status (decode with
+  // WIFEXITED/WIFSIGNALED), or -1 if fork itself failed. seq = the test the
+  // child was running (FeedbackBlock::test_seq): a persistent child may
+  // have served several.
   kChildStatus = 3,
-  // Persistent: the target's main called afex_persistent_run and the
-  // iteration loop is live. Sent once per server process, before the
-  // first iteration runs. A server that dies without ever sending this
-  // never adopted the hook — the client falls back to forkserver mode.
-  kPersistentAck = 4,
-  // Persistent: one iteration finished in-process. value = entry
-  // function's return value (or exit() status) masked to 0..255.
+  // Persistent child: one iteration returned. value = the entry function's
+  // return value masked to 0..255; the child stays live for the next
+  // request.
   kIterStatus = 5,
 };
 
@@ -103,8 +105,6 @@ struct FsPlanEntry {
 // a protocol violation and the server exits, an AFEX_PLAN holding more arms
 // nothing.
 inline constexpr uint32_t kFsMaxPlans = 8;
-
-inline constexpr uint32_t kFsHelloFlagPersistent = 1u;
 
 }  // namespace exec
 }  // namespace afex

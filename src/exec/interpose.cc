@@ -36,12 +36,14 @@
 //
 // Execution modes (exec/forkserver_protocol.h): when AFEX_FORKSERVER is set
 // the constructor does not fall through into the target. It announces itself
-// on the status pipe and serves tests — forkserver mode forks one pristine
-// child per request (plan armed and feedback reset *before* the fork, so the
-// child starts counting from zero exactly like a spawned process), while
-// persistent mode waits for the target's main to hand its entry function to
-// afex_persistent_run() and then re-runs it in-process, one iteration per
-// request. The serve loop uses only async-signal-safe primitives (raw
+// on the status pipe and serves tests, forking one pristine child per
+// request (plan armed and feedback reset *before* the fork, so the child
+// starts counting from zero exactly like a spawned process). In persistent
+// mode the child keeps the protocol fds: once the target's main hands its
+// entry function to afex_persistent_run(), the child runs the request it was
+// forked for and then reads and runs further requests in-process, one
+// iteration each, until it exits or crashes and the server forks the next
+// child. The serve loop uses only async-signal-safe primitives (raw
 // g_real_read/g_real_write on fixed fds, fork, waitpid, _exit): it runs
 // before main in an arbitrary target and forks while holding no locks.
 #ifndef _LARGEFILE64_SOURCE
@@ -51,7 +53,6 @@
 #include <dlfcn.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <setjmp.h>
 #include <signal.h>
 #include <sys/syscall.h>
 #include <stdarg.h>
@@ -59,6 +60,7 @@
 #include <stdio.h>
 #include <string.h>
 #include <sys/mman.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -81,7 +83,6 @@ using afex::exec::kForkserverCtlFd;
 using afex::exec::kForkserverEnvVar;
 using afex::exec::kForkserverProtocolVersion;
 using afex::exec::kForkserverStatusFd;
-using afex::exec::kFsHelloFlagPersistent;
 using afex::exec::kFsMaxPlans;
 using afex::exec::kFsMsgMagic;
 using afex::exec::kFsRequestMagic;
@@ -148,7 +149,6 @@ using ListenFn = int (*)(int, int);
 using AcceptFn = int (*)(int, struct sockaddr*, socklen_t*);
 using SendFn = ssize_t (*)(int, const void*, size_t, int);
 using RecvFn = ssize_t (*)(int, void*, size_t, int);
-using ExitFn = void (*)(int);
 
 MallocFn g_real_malloc;
 CallocFn g_real_calloc;
@@ -180,7 +180,6 @@ ListenFn g_real_listen;
 AcceptFn g_real_accept;
 SendFn g_real_send;
 RecvFn g_real_recv;
-ExitFn g_real_exit;
 
 // Set while this thread resolves a symbol: its allocator calls route to the
 // bootstrap arena. Thread-local so one thread's resolution never misroutes
@@ -298,8 +297,9 @@ struct Plan {
 Plan g_plans[kFsMaxPlans];
 int g_plan_count = 0;
 
-// Local fallback block, replaced by the mmap'd file when AFEX_FEEDBACK is
-// set — the wrappers never need a null check.
+// Local fallback block, replaced by a MAP_SHARED mapping (the AFEX_FEEDBACK
+// file, or anonymous memory) so a forked child's counts and test_seq reach
+// the server — the wrappers never need a null check.
 FeedbackBlock g_local_block;
 FeedbackBlock* g_block = &g_local_block;
 
@@ -587,22 +587,15 @@ void ResetBuffering(int active) {
 
 void MapFeedback() {
   const char* path = getenv("AFEX_FEEDBACK");
-  if (path == nullptr || *path == '\0') {
-    return;
+  const int fd = path != nullptr && *path != '\0' ? g_real_open(path, O_RDWR) : -1;
+  void* mem = mmap(nullptr, sizeof(FeedbackBlock), PROT_READ | PROT_WRITE,
+                   MAP_SHARED | (fd < 0 ? MAP_ANONYMOUS : 0), fd, 0);
+  if (fd >= 0) {
+    g_real_close(fd);
   }
-  Resolve(g_real_open, "open");
-  Resolve(g_real_close, "close");
-  int fd = g_real_open(path, O_RDWR);
-  if (fd < 0) {
-    return;
+  if (mem != MAP_FAILED) {
+    g_block = static_cast<FeedbackBlock*>(mem);
   }
-  void* mem =
-      mmap(nullptr, sizeof(FeedbackBlock), PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  g_real_close(fd);
-  if (mem == MAP_FAILED) {
-    return;
-  }
-  g_block = static_cast<FeedbackBlock*>(mem);
 }
 
 // ---------------------------------------------------------------------------
@@ -611,14 +604,12 @@ void MapFeedback() {
 int g_fs_mode = 0;  // 0 = plain run, 1 = forkserver, 2 = persistent
 int g_argc = 0;     // captured by the constructor (glibc passes main's args
 char** g_argv = nullptr;  // to ELF constructors) for per-child rewriting
-
-// Persistent-iteration state. The pid guard keeps an exit() in a process the
-// iteration forked from longjmp'ing into its parent's stack.
-pid_t g_persistent_pid = 0;
-jmp_buf g_persistent_jmp;
-volatile int g_exit_armed = 0;
-volatile int g_exit_status = 0;
 int g_persistent_entered = 0;
+
+// The request in flight: read by the server, inherited by the child it forks
+// for it; a persistent child reads its later requests into the same slots.
+FsRequest g_request;
+FsPlanEntry g_request_plans[kFsMaxPlans];
 
 // Whole-buffer pipe I/O on the raw fds, EINTR-proof. False means the peer is
 // gone (EOF / hard error): the server's only correct move is to exit, the
@@ -784,10 +775,10 @@ void LoadPlanFromEnv() {
   ArmPlans(entries, static_cast<uint32_t>(len / kEntryHex));
 }
 
-// Splices the request's test id over every "{test}" placeholder in the
-// captured argv, in place (the id renders in at most as many bytes as the
-// placeholder, so the strings only shrink). Runs in the forked child; the
-// server's own argv keeps the literal placeholder for the next fork.
+// Substitutes the request's test id for every "{test}" placeholder in the
+// captured argv: each such argument is rebuilt in a fresh buffer and its
+// argv slot repointed. Runs in the forked child, which is single-threaded;
+// the server's own argv keeps the literal placeholder for the next fork.
 void RewriteArgvForTest(uint32_t test_id) {
   char digits[12];
   int nd = 0;
@@ -796,66 +787,77 @@ void RewriteArgvForTest(uint32_t test_id) {
     digits[nd++] = static_cast<char>('0' + v % 10);
     v /= 10;
   } while (v != 0);
-  if (nd > 6) {
-    return;  // wider than "{test}": cannot rewrite in place (ids > 999999)
-  }
   for (int i = 0; i < nd / 2; ++i) {
     char t = digits[i];
     digits[i] = digits[nd - 1 - i];
     digits[nd - 1 - i] = t;
   }
   for (int a = 0; a < g_argc; ++a) {
-    char* p = g_argv[a];
-    if (p == nullptr) {
+    const char* p = g_argv[a];
+    if (p == nullptr || strstr(p, "{test}") == nullptr) {
       continue;
     }
-    while ((p = strstr(p, "{test}")) != nullptr) {
-      memcpy(p, digits, static_cast<size_t>(nd));
-      memmove(p + nd, p + 6, strlen(p + 6) + 1);
-      p += nd;
+    // Each 6-byte placeholder grows to at most 10 digits.
+    char* out = static_cast<char*>(g_real_malloc(strlen(p) * 2 + 1));
+    if (out == nullptr) {
+      continue;
     }
+    g_argv[a] = out;
+    while (*p != '\0') {
+      if (strncmp(p, "{test}", 6) == 0) {
+        memcpy(out, digits, static_cast<size_t>(nd));
+        out += nd;
+        p += 6;
+      } else {
+        *out++ = *p++;
+      }
+    }
+    *out = '\0';
   }
 }
 
-// The serve loop. Persistent mode returns immediately after the handshake
-// (requests are consumed by afex_persistent_run once main reaches it);
-// forkserver mode loops here forever and only ever returns in a forked
+// The serve loop: runs forever in the server and returns only in a forked
 // child, which falls back into the constructor and on into the program.
 void ServeForkserver() {
-  FsMsg hello;
-  hello.magic = kFsMsgMagic;
-  hello.kind = static_cast<uint32_t>(FsMsgKind::kHello);
-  hello.value = static_cast<int32_t>(kForkserverProtocolVersion);
-  hello.seq = g_fs_mode == 2 ? kFsHelloFlagPersistent : 0;
-  if (!WriteFull(kForkserverStatusFd, &hello, sizeof(hello))) {
+  if (!SendMsg(FsMsgKind::kHello, static_cast<int32_t>(kForkserverProtocolVersion), 0)) {
     _exit(0);
   }
-  if (g_fs_mode == 2) {
-    return;
-  }
+  const pid_t server = getpid();
   for (;;) {
-    FsRequest req;
-    FsPlanEntry entries[kFsMaxPlans];
-    if (!ReadRequest(req, entries)) {
+    if (!ReadRequest(g_request, g_request_plans)) {
       _exit(0);  // client gone or protocol torn: clean shutdown
     }
-    ResetFeedbackForTest(req.test_seq);
-    ArmPlans(entries, req.plan_count);
+    ResetFeedbackForTest(g_request.test_seq);
+    ArmPlans(g_request_plans, g_request.plan_count);
     pid_t pid = fork();
     if (pid == 0) {
-      g_real_close(kForkserverCtlFd);
-      g_real_close(kForkserverStatusFd);
-      RewriteArgvForTest(req.test_id);
-      return;  // child: finish the constructor, then run the program
+      // Die with the server: a persistent child holds the status pipe's
+      // write end and, outliving it, would keep its death from reading as
+      // EOF on the client side.
+      prctl(PR_SET_PDEATHSIG, SIGKILL);
+      // The child announces its own pid: written before anything else it
+      // sends, so it reaches the client ahead of a persistent child's first
+      // kIterStatus (a server-side send after fork() could lose that race).
+      if (getppid() != server ||
+          !SendMsg(FsMsgKind::kChildPid, static_cast<int32_t>(getpid()), g_request.test_seq)) {
+        _exit(0);
+      }
+      if (g_fs_mode == 2) {
+        // Kept for the iterations, hidden from anything the target execs.
+        fcntl(kForkserverCtlFd, F_SETFD, FD_CLOEXEC);
+        fcntl(kForkserverStatusFd, F_SETFD, FD_CLOEXEC);
+      } else {
+        g_real_close(kForkserverCtlFd);
+        g_real_close(kForkserverStatusFd);
+      }
+      RewriteArgvForTest(g_request.test_id);
+      return;
     }
     if (pid < 0) {
-      if (!SendMsg(FsMsgKind::kChildStatus, -1, req.test_seq)) {
+      if (!SendMsg(FsMsgKind::kChildStatus, -1, g_request.test_seq)) {
         _exit(0);
       }
       continue;
-    }
-    if (!SendMsg(FsMsgKind::kChildPid, static_cast<int32_t>(pid), req.test_seq)) {
-      _exit(0);
     }
     int status = 0;
     for (;;) {
@@ -869,7 +871,8 @@ void ServeForkserver() {
       status = -1;
       break;
     }
-    if (!SendMsg(FsMsgKind::kChildStatus, status, req.test_seq)) {
+    // The block is shared, so its stamp names the test the child died in.
+    if (!SendMsg(FsMsgKind::kChildStatus, status, g_block->test_seq)) {
       _exit(0);
     }
   }
@@ -910,7 +913,6 @@ void ResolveAll() {
   Resolve(g_real_accept, "accept");
   Resolve(g_real_send, "send");
   Resolve(g_real_recv, "recv");
-  Resolve(g_real_exit, "exit");
 }
 
 // glibc passes main's (argc, argv, envp) to ELF constructors; argv is what
@@ -935,17 +937,9 @@ __attribute__((constructor)) void AfexInterposeInit(int argc, char** argv,
     // and a leaked AFEX_FORKSERVER would make it serve the protocol on fds
     // that no longer exist instead of running the real program.
     unsetenv(kForkserverEnvVar);
+    // Returns in a forked child, its plan and feedback armed by the server
+    // before the fork: fall through and activate like a spawned process.
     ServeForkserver();
-    if (g_fs_mode == 2) {
-      // Persistent server: stay inactive through the target's own pre-loop
-      // initialization; counting switches on per iteration inside
-      // afex_persistent_run. (Equivalent to spawn mode for targets that make
-      // no interposed calls before handing over their entry function.)
-      g_internal = 0;
-      return;
-    }
-    // Forkserver child: plan and feedback were armed by the server before
-    // the fork; fall through and activate exactly like a spawned process.
   } else {
     LoadPlanFromEnv();
   }
@@ -1416,26 +1410,6 @@ ssize_t recv(int sockfd, void* buf, size_t len, int flags) {
   return g_real_recv(sockfd, buf, len, flags);
 }
 
-// exit() interposition exists for persistent mode: a target whose error
-// paths call exit() (walutil's Fail does) would otherwise take the whole
-// persistent process down on every detected failure. While an iteration is
-// armed, exit() becomes "end this iteration with that status" via longjmp
-// back into afex_persistent_run. atexit handlers and stdio flushing are
-// skipped on that path — the adoption contract (README) requires iterations
-// not to depend on them. Everywhere else (spawn mode, forkserver children,
-// forked grandchildren — note the pid guard) it forwards to the real exit.
-void exit(int status) {
-  if (g_exit_armed && getpid() == g_persistent_pid) {
-    g_exit_status = status;
-    longjmp(g_persistent_jmp, 1);
-  }
-  Resolve(g_real_exit, "exit");
-  if (g_real_exit != nullptr) {
-    g_real_exit(status);
-  }
-  _exit(status);
-}
-
 // SanitizerCoverage adoption point. An instrumented target's sancov client
 // (exec/sancov_client.cc) declares this weak-undefined and calls it with
 // the module's byte-counter region; uninstrumented targets never reference
@@ -1472,54 +1446,42 @@ void afex_sancov_region(void* begin, void* end) {
 //     if (rc >= 0) return rc;   // loop ran (or plain preload: rc == -1)
 //   }
 //
-// Returns -1 immediately when persistent mode is not active (plain runs,
-// spawn mode, forkserver children), so adopted targets behave identically
-// outside it. Otherwise runs the iteration loop — receive request, re-arm
-// plan, reset feedback, call entry with counting on — until the client
-// closes the control pipe, then returns the loop's final status (0).
+// Returns -1 at once outside a persistent-mode child (plain runs, spawn
+// mode, forkserver children), so adopted targets behave identically there.
+// It also returns -1 when the target already made an interposed call for the
+// in-flight test: later iterations would skip that pre-hook call and so
+// shift their ordinals, so the child finishes as a forkserver child, with
+// spawn's records. Otherwise it runs
+// the request the child was forked for, then reads, arms and runs requests
+// itself until the client closes the control pipe, and returns 0. exit()
+// or a crash inside an iteration ends the child, as in forkserver mode.
 int afex_persistent_run(int (*entry)(int test_id)) {
   if (g_fs_mode != 2 || g_persistent_entered || entry == nullptr) {
     return -1;
   }
-  g_persistent_pid = getpid();
-  g_persistent_entered = 1;
-  ++g_internal;
-  if (!SendMsg(FsMsgKind::kPersistentAck, 0, 0)) {
-    --g_internal;
-    return 0;  // client already gone: let main unwind normally
-  }
-  // Static so no automatic state is live across the longjmp (the loop is
-  // single-threaded and reentrancy-guarded above).
-  static FsRequest req;
-  static FsPlanEntry entries[kFsMaxPlans];
-  while (ReadRequest(req, entries)) {
-    ResetFeedbackForTest(req.test_seq);
-    ArmPlans(entries, req.plan_count);
-    volatile int code = 0;
-    g_exit_armed = 1;
-    if (setjmp(g_persistent_jmp) == 0) {
-      --g_internal;
-      __atomic_store_n(&g_active, 1, __ATOMIC_RELEASE);
-      code = entry(static_cast<int>(req.test_id)) & 0xff;
-      ++g_internal;
-    } else {
-      // Iteration ended through the exit() wrapper.
-      ++g_internal;
-      code = g_exit_status & 0xff;
+  for (uint32_t i = 0; i < kInterposedFunctionCount; ++i) {
+    if (g_block->calls[i] != 0) {
+      return -1;
     }
-    g_exit_armed = 0;
-    __atomic_store_n(&g_active, 0, __ATOMIC_RELEASE);
+  }
+  g_persistent_entered = 1;
+  for (;;) {
+    const int code = entry(static_cast<int>(g_request.test_id)) & 0xff;
+    ++g_internal;
     // Final harvest for this iteration: edges touched after the entry's
     // last libc call land in this test's list, not the next one's. Must
     // complete before the status message — the client reads the block as
     // soon as kIterStatus arrives.
     SancovHarvest();
-    if (!SendMsg(FsMsgKind::kIterStatus, code, req.test_seq)) {
-      break;
+    if (!SendMsg(FsMsgKind::kIterStatus, code, g_request.test_seq) ||
+        !ReadRequest(g_request, g_request_plans)) {
+      --g_internal;
+      return 0;
     }
+    ResetFeedbackForTest(g_request.test_seq);
+    ArmPlans(g_request_plans, g_request.plan_count);
+    --g_internal;
   }
-  --g_internal;
-  return 0;
 }
 
 }  // extern "C"

@@ -36,9 +36,10 @@ class ForkserverClient;
 // How each test becomes a process (README "Execution modes"):
 //   kSpawn      — fork+exec the target per test (the PR-5 baseline).
 //   kForkserver — one long-lived target stopped pre-main; fork per test.
-//   kPersistent — same server, but the target's entry function is re-run
-//                 in-process via afex_persistent_run; falls back to
-//                 kForkserver when the target never adopts the hook.
+//   kPersistent — same server, but a child whose main adopts
+//                 afex_persistent_run re-runs the target's entry function
+//                 in-process until exit(), a crash or a timeout ends it;
+//                 a target that never adopts the hook runs as kForkserver.
 // All three produce record-identical campaigns for well-behaved targets;
 // they differ only in per-test cost.
 enum class ExecMode { kSpawn, kForkserver, kPersistent };

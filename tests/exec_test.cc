@@ -13,7 +13,8 @@
 //   AFEX_WALUTIL_PATH    — the sample real target
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
 //   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its
-//                                  stdio or hangs past SIGTERM
+//                                  stdio, hangs past SIGTERM, or calls libc
+//                                  ahead of the hook
 #include <errno.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -829,7 +830,49 @@ TEST(ForkserverClientTest, ServerDeathMidCampaignRestartsTransparently) {
   EXPECT_NE(client.server_pid(), old_pid);
 }
 
-TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
+TEST(ForkserverClientTest, ServerDeathWithALivePersistentChildRestartsAtOnce) {
+  // The live child holds the status pipe's write end; it dies with its
+  // server, so the death reads as EOF and the next test runs on a new
+  // server instead of waiting out a timeout.
+  std::string dir = TempDir("fs_persist_death");
+  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
+  ProcessResult first = client.RunTest(1, {}, 1);
+  ASSERT_TRUE(first.started) << first.error;
+  ASSERT_GT(client.child_pid(), 0);
+  const pid_t old_pid = client.server_pid();
+  ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
+  // Wait for the death without reaping it: the child's death signal is
+  // sent as the server exits, so no iteration can answer after this.
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(old_pid), &info, WEXITED | WNOWAIT), 0);
+
+  const uint64_t start = obs::NowNs();
+  ProcessResult second = client.RunTest(2, {}, 2);
+  const uint64_t elapsed_ns = obs::NowNs() - start;
+  ASSERT_TRUE(second.started) << second.error;
+  EXPECT_EQ(second.exit_code, 0);
+  EXPECT_FALSE(second.timed_out);
+  EXPECT_LT(elapsed_ns, 5000 * kMs);
+  EXPECT_EQ(client.restarts(), 1u);
+  EXPECT_NE(client.server_pid(), old_pid);
+}
+
+TEST(ForkserverClientTest, TestIdsWiderThanThePlaceholderAreSubstituted) {
+  // "{test}" is six bytes; a seven-digit id must still reach the program.
+  for (bool persistent : {false, true}) {
+    SCOPED_TRACE(persistent ? "persistent" : "forkserver");
+    ForkserverOptions opts =
+        WalutilFsOptions(TempDir(persistent ? "fs_wide_pers" : "fs_wide"), persistent);
+    opts.argv = {"/bin/sh", "-c", "echo \"$0\"", "{test}"};
+    ForkserverClient client(opts);
+    ProcessResult result = client.RunTest(1000000, {}, 1);
+    ASSERT_TRUE(result.started) << result.error;
+    EXPECT_EQ(result.exit_code, 0);
+    EXPECT_EQ(result.output, "1000000\n");
+  }
+}
+
+TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   std::string dir = TempDir("fs_persist");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
   uint32_t seq = 0;
@@ -837,20 +880,20 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
   ASSERT_TRUE(first.started) << first.error;
   EXPECT_EQ(first.exit_code, 0);
   EXPECT_NE(first.output.find("copied source.tbl"), std::string::npos) << first.output;
-  pid_t pid = client.server_pid();
+  const pid_t child = client.child_pid();
+  ASSERT_GT(child, 0);
 
   for (int i = 0; i < 20; ++i) {
     ProcessResult r = client.RunTest(static_cast<uint32_t>(1 + (i % 2)), {}, ++seq);
     ASSERT_TRUE(r.started) << r.error;
     EXPECT_EQ(r.exit_code, 0);
   }
-  // All iterations ran inside the original process.
-  EXPECT_EQ(client.server_pid(), pid);
+  // All iterations ran inside the first child.
+  EXPECT_EQ(client.child_pid(), child);
   EXPECT_EQ(client.restarts(), 0u);
-  EXPECT_TRUE(client.persistent_active());
 
-  // Injection still works in-process, including the exit() interception
-  // that turns walutil's Fail() into an iteration result.
+  // Injection still works in-process. walutil's Fail() calls exit(), which
+  // ends the child with that status; the next test forks a new one.
   ProcessResult injected = client.RunTest(
       1,
       Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
@@ -859,17 +902,27 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneProcess) {
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
+  EXPECT_EQ(client.child_pid(), -1);
+
+  ProcessResult after = client.RunTest(1, {}, ++seq);
+  ASSERT_TRUE(after.started) << after.error;
+  EXPECT_EQ(after.exit_code, 0);
+  EXPECT_GT(client.child_pid(), 0);
+  EXPECT_NE(client.child_pid(), child);
+  EXPECT_EQ(client.restarts(), 0u);
 }
 
-TEST(ForkserverClientTest, PersistentCrashRestartsAndKeepsServing) {
+TEST(ForkserverClientTest, PersistentCrashEndsOnlyTheChild) {
   std::string dir = TempDir("fs_persist_crash");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
   ProcessResult before = client.RunTest(1, {}, 1);
   ASSERT_TRUE(before.started) << before.error;
-  pid_t pid = client.server_pid();
+  const pid_t server = client.server_pid();
+  const pid_t child = client.child_pid();
+  ASSERT_GT(child, 0);
 
-  // A crashing iteration takes the whole persistent process down; the
-  // client must report the crash truthfully, then respawn for the next test.
+  // A crashing iteration takes its child down; the client must report the
+  // crash truthfully, and the same server forks the next test's child.
   ProcessResult crashed = client.RunTest(
       4,
       Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
@@ -881,9 +934,10 @@ TEST(ForkserverClientTest, PersistentCrashRestartsAndKeepsServing) {
   ProcessResult after = client.RunTest(1, {}, 3);
   ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
-  EXPECT_NE(client.server_pid(), pid);
-  EXPECT_GE(client.restarts(), 1u);
-  EXPECT_TRUE(client.persistent_active());
+  EXPECT_EQ(client.server_pid(), server);
+  EXPECT_EQ(client.restarts(), 0u);
+  EXPECT_GT(client.child_pid(), 0);
+  EXPECT_NE(client.child_pid(), child);
 }
 
 double CpuSeconds() {
@@ -903,7 +957,7 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   ProcessResult warm = client.RunTest(1, {}, 1);
   ASSERT_TRUE(warm.started) << warm.error;
   EXPECT_EQ(warm.output, "fixture alive\n");
-  ASSERT_TRUE(client.persistent_active());
+  ASSERT_GT(client.child_pid(), 0);
 
   const double cpu_before = CpuSeconds();
   const auto wall_before = std::chrono::steady_clock::now();
@@ -924,25 +978,25 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   EXPECT_EQ(client.restarts(), 0u);
 }
 
-TEST(ForkserverClientTest, PersistentFallsBackWhenTargetNeverAdopts) {
-  // /bin/sh never calls afex_persistent_run: the persistent server runs
-  // main to completion and exits before any ack — the client downgrades
-  // itself to forkserver mode and reruns the test there.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_fallback"), /*persistent=*/true);
+TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
+  // /bin/sh never calls afex_persistent_run: each test's child runs main to
+  // completion and exits, exactly as in forkserver mode, on one server.
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_non_adopter"), /*persistent=*/true);
   opts.argv = {"/bin/sh", "-c", "echo no-adoption; exit 0"};
   ForkserverClient client(opts);
   ProcessResult result = client.RunTest(1, {}, 1);
   ASSERT_TRUE(result.started) << result.error;
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_FALSE(client.persistent_active());
-  const pid_t forkserver_pid = client.server_pid();
+  EXPECT_EQ(result.output, "no-adoption\n");
+  EXPECT_EQ(client.child_pid(), -1);
+  const pid_t server = client.server_pid();
 
-  // Subsequent tests stay in forkserver mode without re-probing.
   ProcessResult next = client.RunTest(1, {}, 2);
   ASSERT_TRUE(next.started) << next.error;
   EXPECT_EQ(next.exit_code, 0);
-  EXPECT_FALSE(client.persistent_active());
-  EXPECT_EQ(client.server_pid(), forkserver_pid);
+  EXPECT_EQ(client.child_pid(), -1);
+  EXPECT_EQ(client.server_pid(), server);
+  EXPECT_EQ(client.restarts(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -984,13 +1038,13 @@ TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
     EXPECT_GE(elapsed_ns, (kTimeoutMs + KillLadder::kKillGraceMs) * kMs);
     EXPECT_LT(elapsed_ns, 10000 * kMs);
     if (mode == ExecMode::kPersistent) {
-      // The SIGKILL took the whole server down: the next test runs on a
-      // fresh one, still in persistent mode.
+      // The SIGKILL ended only the child: the same server forks a new one,
+      // which stays live for the next iteration.
       ProcessResult next = client->RunTest(1, {}, 2);
       ASSERT_TRUE(next.started) << next.error;
       EXPECT_EQ(next.output, "fixture alive\n");
-      EXPECT_EQ(client->restarts(), 1u);
-      EXPECT_TRUE(client->persistent_active());
+      EXPECT_EQ(client->restarts(), 0u);
+      EXPECT_GT(client->child_pid(), 0);
     }
   }
 }
@@ -1125,17 +1179,20 @@ TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
   }
 }
 
-// Serialized outcomes of every point on the call axis of `space` (first test,
-// first function), run in order through a fresh walutil harness in `mode`.
-std::vector<std::string> SweepCallAxis(ExecMode mode, const std::string& dir,
-                                       const FaultSpace& space) {
-  RealTargetConfig config = WalutilConfig(dir);
+// Serialized outcomes of every point of `space` (test-major order), run in
+// order through a fresh harness for `config` in `mode`.
+std::vector<std::string> SweepSpace(RealTargetConfig config, ExecMode mode,
+                                    const FaultSpace& space) {
   config.exec_mode = mode;
   RealTargetHarness harness(config);
   std::vector<std::string> outcomes;
-  for (size_t call = 0; call < space.axis(2).cardinality(); ++call) {
-    outcomes.push_back(
-        SerializeOutcome(harness.RunFault(space, Fault(std::vector<size_t>{0, 0, call}))));
+  for (size_t test = 0; test < space.axis(0).cardinality(); ++test) {
+    for (size_t function = 0; function < space.axis(1).cardinality(); ++function) {
+      for (size_t call = 0; call < space.axis(2).cardinality(); ++call) {
+        outcomes.push_back(SerializeOutcome(
+            harness.RunFault(space, Fault(std::vector<size_t>{test, function, call}))));
+      }
+    }
   }
   return outcomes;
 }
@@ -1149,7 +1206,7 @@ TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
                     Axis::MakeInterval("call", 2147483648LL, 2147483650LL)},
                    "real:unencodable");
   const std::vector<std::string> spawn =
-      SweepCallAxis(ExecMode::kSpawn, TempDir("unencodable_spawn"), space);
+      SweepSpace(WalutilConfig(TempDir("unencodable_spawn")), ExecMode::kSpawn, space);
   ASSERT_EQ(spawn.size(), 3u);
   for (const std::string& outcome : spawn) {
     EXPECT_NE(outcome.find("failed=1"), std::string::npos) << outcome;
@@ -1157,7 +1214,8 @@ TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
               std::string::npos)
         << outcome;
   }
-  EXPECT_EQ(SweepCallAxis(ExecMode::kForkserver, TempDir("unencodable_fs"), space), spawn);
+  EXPECT_EQ(SweepSpace(WalutilConfig(TempDir("unencodable_fs")), ExecMode::kForkserver, space),
+            spawn);
 
   const std::string dir = TempDir("unencodable_persistent");
   const std::string listing = dir + "/outcomes.txt";
@@ -1166,7 +1224,8 @@ TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
   if (pid == 0) {
     ::alarm(60);
     std::ofstream out(listing);
-    for (const std::string& outcome : SweepCallAxis(ExecMode::kPersistent, dir + "/w", space)) {
+    for (const std::string& outcome :
+         SweepSpace(WalutilConfig(dir + "/w"), ExecMode::kPersistent, space)) {
       out << outcome << '\n';
     }
     out.close();
@@ -1183,6 +1242,39 @@ TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
     persistent.push_back(line);
   }
   EXPECT_EQ(persistent, spawn);
+}
+
+// The fixture's open/close scenario behind a main that opens /dev/null
+// before it hands over the entry function.
+RealTargetConfig OpenFirstFixtureConfig(const std::string& work_root) {
+  RealTargetConfig config;
+  config.target_argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}", "open-first"};
+  config.num_tests = 4;
+  config.interposer_path = AFEX_INTERPOSER_PATH;
+  config.work_root = work_root;
+  config.timeout_ms = 10000;
+  return config;
+}
+
+TEST(ExecModeEquivalenceTest, InterposedCallAheadOfTheHookKeepsSpawnOrdinals) {
+  // The pre-hook open is call 1 in a spawned process; a persistent child
+  // that counted it declines to iterate, so every mode fires the same open.
+  FaultSpace space({Axis::MakeInterval("test", 4, 4), Axis::MakeSet("function", {"open", "close"}),
+                    Axis::MakeInterval("call", 1, 2)},
+                   "real:open_first");
+  const std::vector<std::string> spawn =
+      SweepSpace(OpenFirstFixtureConfig(TempDir("open_first_spawn")), ExecMode::kSpawn, space);
+  ASSERT_EQ(spawn.size(), 4u);
+  EXPECT_NE(spawn[0].find("exit=4"), std::string::npos) << spawn[0];  // open #1: pre-hook
+  EXPECT_NE(spawn[1].find("exit=3"), std::string::npos) << spawn[1];  // open #2: scenario
+  EXPECT_NE(spawn[2].find("exit=5"), std::string::npos) << spawn[2];  // close #1
+  EXPECT_NE(spawn[3].find("trig=0"), std::string::npos) << spawn[3];  // close #2: never
+  EXPECT_EQ(SweepSpace(OpenFirstFixtureConfig(TempDir("open_first_fs")), ExecMode::kForkserver,
+                       space),
+            spawn);
+  EXPECT_EQ(SweepSpace(OpenFirstFixtureConfig(TempDir("open_first_pers")),
+                       ExecMode::kPersistent, space),
+            spawn);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@
 #                                   checkpoint (short_write), recfail=1
 # Each is confirmed by the recovery/verify phase that flagged it (recfail=1
 # or inv=1 on the same journal line as the folded first-line message).
-# Both exec modes run the same exhaustive campaign with a kill-and-resume
-# leg; the exported records must be byte-identical. Metrics + trace
-# artifacts land in OUTPUT_DIR for CI upload. Invoked via cmake -P.
+# Every exec mode runs the same exhaustive campaign with a kill-and-resume
+# leg; the exported records must be byte-identical. afex_txengine never
+# adopts the persistent hook, so the persistent leg runs the non-adopting
+# path end to end. Metrics + trace artifacts land in OUTPUT_DIR for CI
+# upload. Invoked via cmake -P.
 
 file(MAKE_DIRECTORY "${OUTPUT_DIR}")
 
@@ -48,7 +50,7 @@ mode : { kill_at, short_write, drop_sync, crash_after_rename }
 set(full_budget 480)
 set(interrupted_budget 160)
 
-foreach(mode spawn forkserver)
+foreach(mode spawn forkserver persistent)
   set(journal "${OUTPUT_DIR}/recovery_${mode}.afexj")
   set(export_file "${OUTPUT_DIR}/recovery_${mode}.csv")
   set(leg1_metrics_file "${OUTPUT_DIR}/recovery_${mode}_leg1_metrics.json")
@@ -113,6 +115,20 @@ foreach(mode spawn forkserver)
       message(FATAL_ERROR "${mode}: counter ${counter} is zero")
     endif()
   endforeach()
+  # The export carries the two-phase flags: a verifier-confirmed finding is
+  # an invariant_violated row, a refused recovery a recovery_failed one
+  # (the last four columns: recovery_failed, invariant_violated, exit_code,
+  # new_blocks).
+  file(READ "${export_file}" export_csv)
+  if(NOT export_csv MATCHES ",recovery_failed,invariant_violated,exit_code,new_blocks\n")
+    message(FATAL_ERROR "${mode}: export header lacks the two-phase columns")
+  endif()
+  if(NOT export_csv MATCHES ",[01],1,-?[0-9]+,[0-9]+\n")
+    message(FATAL_ERROR "${mode}: no exported row has invariant_violated set")
+  endif()
+  if(NOT export_csv MATCHES ",1,[01],-?[0-9]+,[0-9]+\n")
+    message(FATAL_ERROR "${mode}: no exported row has recovery_failed set")
+  endif()
   file(READ "${trace_file}" trace_json)
   string(JSON trace_events LENGTH "${trace_json}" traceEvents)
   if(trace_events EQUAL 0)
@@ -122,12 +138,14 @@ endforeach()
 
 # Record-identical across exec modes, kills and torn writes included.
 file(READ "${OUTPUT_DIR}/recovery_spawn.csv" spawn_csv)
-file(READ "${OUTPUT_DIR}/recovery_forkserver.csv" forkserver_csv)
-if(NOT spawn_csv STREQUAL forkserver_csv)
-  message(FATAL_ERROR
-    "spawn and forkserver storage-failure campaigns diverged:\n${forkserver_csv}")
-endif()
+foreach(mode forkserver persistent)
+  file(READ "${OUTPUT_DIR}/recovery_${mode}.csv" mode_csv)
+  if(NOT spawn_csv STREQUAL mode_csv)
+    message(FATAL_ERROR
+      "spawn and ${mode} storage-failure campaigns diverged:\n${mode_csv}")
+  endif()
+endforeach()
 
 message(STATUS
-  "recovery smoke: all planted bugs found and phase-confirmed in both exec "
-  "modes, kill-and-resume record-identical")
+  "recovery smoke: all planted bugs found and phase-confirmed in every exec "
+  "mode, kill-and-resume record-identical")

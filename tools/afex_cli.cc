@@ -106,8 +106,8 @@ struct Options {
   uint64_t timeout_ms = 5000;
   size_t num_tests = 6;     // test-axis cardinality for the real backend
   // How the real backend turns tests into processes: fork+exec per test
-  // (spawn), an AFL-style forkserver, or in-process persistent iterations
-  // with automatic forkserver fallback. README "Execution modes".
+  // (spawn), an AFL-style forkserver, or persistent iterations inside the
+  // forkserver's child. README "Execution modes".
   std::string exec_mode = "spawn";
   // Derive the fault space from static analysis of the target binary: the
   // function axis is pruned to the interposable libc functions the binary
@@ -161,9 +161,11 @@ void PrintUsage() {
                "seeding fitness priorities from per-function callsite counts.\n"
                "--exec-mode picks how tests become processes: spawn (fork+exec per\n"
                "test, the default), forkserver (one target stopped pre-main, one\n"
-               "bare fork per test), or persistent (in-process iterations via the\n"
-               "afex_persistent_run hook, falling back to forkserver when the\n"
-               "target never adopts it). All modes produce identical records.\n"
+               "bare fork per test), or persistent (the forkserver's child runs\n"
+               "in-process iterations via the afex_persistent_run hook until\n"
+               "exit(), a crash or a timeout ends it; a target that never adopts\n"
+               "the hook runs as forkserver children). All modes produce\n"
+               "identical records.\n"
                "--coverage picks the fitness coverage signal: proxy (one block per\n"
                "interposed libc call), edges (real SanitizerCoverage edges streamed\n"
                "from a -fsanitize-coverage build, e.g. the afex_*_cov variants), or\n"

@@ -398,16 +398,15 @@ int RunScenario(int id) {
 
 }  // namespace
 
-// Persistent-mode hook, exported by libafex_interpose.so when the process
-// was launched as a persistent server (AFEX_FORKSERVER=2). Weak: when the
-// binary runs standalone or under spawn/forkserver the symbol is absent and
-// the pointer is null, so adoption costs one branch.
+// Persistent-mode hook, exported by libafex_interpose.so. Weak: when the
+// binary runs standalone the symbol is absent and the pointer is null, so
+// adoption costs one branch; under spawn or forkserver mode it returns -1.
 extern "C" int afex_persistent_run(int (*entry)(int test_id)) __attribute__((weak));
 
 int main(int argc, char** argv) {
   // Unbuffered stdio keeps the scenarios persistent-safe: buffered streams
   // flush through libc-internal writes that bypass the PLT (so ordinals are
-  // unaffected either way), but an exit()-interrupted iteration would carry
+  // unaffected either way), but an iteration that returns would carry
   // buffered output into the next test's capture window.
   setvbuf(stdout, nullptr, _IONBF, 0);
   setvbuf(stderr, nullptr, _IONBF, 0);
@@ -417,7 +416,7 @@ int main(int argc, char** argv) {
       return rc;
     }
     // rc < 0: the preload is present but this process is not a persistent
-    // server (spawn or forkserver mode) — run the normal argv path.
+    // child (spawn or forkserver mode) — run the normal argv path.
   }
   if (argc != 2) {
     fprintf(stderr, "usage: afex_walutil <test-id 1..%d>\n", kNumScenarios);
