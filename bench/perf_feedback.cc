@@ -42,8 +42,6 @@
 #include <vector>
 
 #include "bench/host_info.h"
-#include "cluster/node_manager.h"
-#include "cluster/parallel_session.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
 #include "obs/telemetry.h"
@@ -120,37 +118,25 @@ ModeResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_
   const SearchTarget target{.max_tests = budget};
   ModeResult mode;
   auto started = std::chrono::steady_clock::now();
-  const SessionResult* result = nullptr;
-  std::optional<ExplorationSession> serial;
-  std::optional<ParallelSession> parallel;
+  // Node 0 is `harness`; every other node gets its own.
   std::vector<std::unique_ptr<TargetHarness>> node_harnesses;
-  if (jobs == 1) {
-    serial.emplace(explorer, harness.MakeRunner(space), session_config);
-    result = &serial->Run(target);
-  } else {
-    std::vector<std::unique_ptr<NodeManager>> managers;
-    for (size_t i = 0; i < jobs; ++i) {
-      node_harnesses.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
-      TargetHarness* h = node_harnesses.back().get();
-      managers.push_back(std::make_unique<NodeManager>(
-          "node" + std::to_string(i),
-          NodeManager::Hooks{.test = [h, &space](const Fault& f) {
-            return h->RunFault(space, f);
-          }}));
-    }
-    parallel.emplace(explorer, std::move(managers), session_config);
-    result = &parallel->Run(target);
+  std::vector<Runner> runners{harness.MakeRunner(space)};
+  for (size_t i = 1; i < jobs; ++i) {
+    node_harnesses.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
+    runners.push_back(node_harnesses.back()->MakeRunner(space));
   }
+  ExplorationSession session(explorer, std::move(runners), session_config);
+  const SessionResult& result = session.Run(target);
   mode.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  mode.tests = result->tests_executed;
+  mode.tests = result.tests_executed;
   mode.tests_per_sec = mode.seconds > 0.0 ? mode.tests / mode.seconds : 0.0;
-  mode.failed = result->failed_tests;
-  mode.crashes = result->crashes;
-  mode.clusters = result->clusters;
-  mode.unique_failures = result->unique_failures;
-  mode.unique_crashes = result->unique_crashes;
-  mode.record_digest = DigestRecords(*result);
+  mode.failed = result.failed_tests;
+  mode.crashes = result.crashes;
+  mode.clusters = result.clusters;
+  mode.unique_failures = result.unique_failures;
+  mode.unique_crashes = result.unique_crashes;
+  mode.record_digest = DigestRecords(result);
   return mode;
 }
 

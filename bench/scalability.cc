@@ -17,8 +17,6 @@
 #include <thread>
 
 #include "bench/bench_common.h"
-#include "cluster/node_manager.h"
-#include "cluster/parallel_session.h"
 #include "targets/coreutils/suite.h"
 #include "targets/minidb/suite.h"
 
@@ -50,19 +48,16 @@ int main(int argc, char** argv) {
   double base_rate = 0.0;
   for (size_t managers : {1, 2, 4, 8, 14}) {
     std::vector<std::unique_ptr<TargetHarness>> harnesses;
-    std::vector<std::unique_ptr<NodeManager>> nodes;
+    std::vector<Runner> nodes;
     for (size_t i = 0; i < managers; ++i) {
       harnesses.push_back(std::make_unique<TargetHarness>(suite));
-      TargetHarness* h = harnesses.back().get();
-      nodes.push_back(std::make_unique<NodeManager>(
-          "node" + std::to_string(i),
-          NodeManager::Hooks{.test = [h, &space, test_cost](const Fault& f) {
-            SimulateTestDuration(test_cost);
-            return h->RunFault(space, f);
-          }}));
+      nodes.push_back([runner = harnesses.back()->MakeRunner(space), test_cost](const Fault& f) {
+        SimulateTestDuration(test_cost);
+        return runner(f);
+      });
     }
     FitnessExplorer explorer(space, {.seed = 1});
-    ParallelSession session(explorer, std::move(nodes));
+    ExplorationSession session(explorer, std::move(nodes));
     auto start = Clock::now();
     session.Run({.max_tests = kTests});
     double seconds = std::chrono::duration<double>(Clock::now() - start).count();

@@ -42,9 +42,9 @@ struct CampaignMeta {
   std::string strategy;
   uint64_t seed = 1;
   uint64_t space_fingerprint = 0;
-  // Node managers executing the campaign (1 = serial ExplorationSession).
-  // Round-batched parallel execution is only deterministic for a fixed
-  // width, so jobs is part of the campaign identity.
+  // Session nodes executing the campaign (1 = serial). Round-batched
+  // execution is only deterministic for a fixed node count, so jobs is part
+  // of the campaign identity.
   size_t jobs = 1;
   // Online redundancy feedback (paper §7.4) alters the fitness stream fed
   // to the explorer, so it too is part of the identity.

@@ -1,38 +1,68 @@
 #include "core/session.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <unordered_set>
 
 #include "util/log.h"
 
 namespace afex {
 
-ExplorationSession::ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config)
+ExplorationSession::ExplorationSession(Explorer& explorer, std::vector<Runner> nodes,
+                                       SessionConfig config)
     : explorer_(&explorer),
-      runner_(std::move(runner)),
+      nodes_(std::move(nodes)),
       config_(std::move(config)),
-      clusterer_(config_.cluster_config) {}
+      clusterer_(config_.cluster_config),
+      outcomes_(nodes_.size()),
+      pool_(nodes_.size() > 1 ? std::make_unique<ThreadPool>(nodes_.size() - 1) : nullptr) {
+  round_.reserve(nodes_.size());
+}
+
+ExplorationSession::ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config)
+    : ExplorationSession(explorer, std::vector<Runner>{std::move(runner)}, std::move(config)) {}
 
 ExplorationSession::ExplorationSession(Explorer& explorer, TargetBackend& backend,
                                        const FaultSpace& space, SessionConfig config)
-    : ExplorationSession(
-          explorer,
-          [&backend, &space](const Fault& fault) { return backend.RunFault(space, fault); },
-          std::move(config)) {}
+    : ExplorationSession(explorer, backend.MakeRunner(space), std::move(config)) {}
 
-bool ExplorationSession::Step() {
-  obs::PhaseTimer next_timer(config_.metrics, obs::Phase::kExplorerNext);
-  auto candidate = explorer_->NextCandidate();
-  next_timer.Finish();
-  if (!candidate.has_value()) {
-    result_.space_exhausted = true;
-    return false;
+bool ExplorationSession::Step() { return RunRound(nodes_.size()); }
+
+bool ExplorationSession::RunRound(size_t size) {
+  while (round_.size() < size) {
+    obs::PhaseTimer next_timer(config_.metrics, obs::Phase::kExplorerNext);
+    auto candidate = explorer_->NextCandidate();
+    next_timer.Finish();
+    if (!candidate.has_value()) {
+      result_.space_exhausted = true;
+      break;
+    }
+    round_.push_back(std::move(*candidate));
   }
+  for (size_t i = 1; i < round_.size(); ++i) {
+    pool_->Submit([this, i] { Execute(i); });
+  }
+  if (!round_.empty()) {
+    Execute(0);
+  }
+  if (round_.size() > 1) {
+    pool_->Wait();
+  }
+  ScoreRound(/*notify_observer=*/true);
+  return !result_.space_exhausted;
+}
+
+void ExplorationSession::ScoreRound(bool notify_observer) {
+  for (size_t i = 0; i < round_.size(); ++i) {
+    Process(round_[i], std::move(outcomes_[i]), notify_observer);
+  }
+  round_.clear();
+}
+
+void ExplorationSession::Execute(size_t node) {
+  // Timed on the executing thread: each node's events land on its own
+  // registry shard and trace track.
   obs::PhaseTimer run_timer(config_.metrics, obs::Phase::kBackendRun);
-  TestOutcome outcome = runner_(*candidate);
-  run_timer.Finish();
-  Process(*candidate, std::move(outcome), /*notify_observer=*/true);
-  return true;
+  outcomes_[node] = nodes_[node](round_[node]);
 }
 
 bool ExplorationSession::Replay(const SessionRecord& record) {
@@ -40,29 +70,31 @@ bool ExplorationSession::Replay(const SessionRecord& record) {
   if (!candidate.has_value() || !(*candidate == record.fault)) {
     return false;
   }
-  Process(record.fault, record.outcome, /*notify_observer=*/false);
+  outcomes_[round_.size()] = record.outcome;
+  round_.push_back(std::move(*candidate));
+  if (round_.size() == nodes_.size()) {
+    ScoreRound(/*notify_observer=*/false);
+  }
   return true;
 }
 
-void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
-                          RedundancyClusterer& clusterer, SessionResult& result,
-                          const Fault& fault, TestOutcome outcome, bool notify_observer) {
+void ExplorationSession::Process(const Fault& fault, TestOutcome outcome, bool notify_observer) {
   SessionRecord record;
   record.fault = fault;
   record.outcome = std::move(outcome);
-  record.impact = config.policy.Score(record.outcome);
+  record.impact = config_.policy.Score(record.outcome);
   record.fitness = record.impact;
 
-  if (config.environment_model != nullptr) {
-    record.fitness *= config.environment_model->Relevance(explorer.space(), record.fault);
+  if (config_.environment_model != nullptr) {
+    record.fitness *= config_.environment_model->Relevance(explorer_->space(), record.fault);
   }
   // Feedback weighting and cluster assignment share one sweep over the
   // cluster representatives (the observation measures similarity against
   // the representatives as they stood before this stack was assigned).
   static const std::vector<std::string> kNoStack;
-  const bool want_similarity = config.redundancy_feedback && record.outcome.fault_triggered;
-  obs::PhaseTimer observe_timer(config.metrics, obs::Phase::kClusterObserve);
-  ClusterObservation observation = clusterer.Observe(
+  const bool want_similarity = config_.redundancy_feedback && record.outcome.fault_triggered;
+  obs::PhaseTimer observe_timer(config_.metrics, obs::Phase::kClusterObserve);
+  ClusterObservation observation = clusterer_.Observe(
       record.outcome.fault_triggered ? record.outcome.injection_stack : kNoStack,
       want_similarity);
   observe_timer.Finish();
@@ -73,52 +105,46 @@ void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
   }
   record.cluster_id = observation.cluster_id;
 
-  explorer.ReportResult(record.fault, record.fitness);
+  explorer_->ReportResult(record.fault, record.fitness);
 
-  ++result.tests_executed;
+  ++result_.tests_executed;
   if (record.outcome.test_failed) {
-    ++result.failed_tests;
+    ++result_.failed_tests;
   }
   if (record.outcome.crashed) {
-    ++result.crashes;
+    ++result_.crashes;
   }
   if (record.outcome.hung) {
-    ++result.hangs;
+    ++result_.hangs;
   }
   if (record.outcome.recovery_failed) {
-    ++result.recovery_failures;
+    ++result_.recovery_failures;
   }
   if (record.outcome.invariant_violated) {
-    ++result.invariant_violations;
+    ++result_.invariant_violations;
   }
-  // new_block_ids are disjoint across records by construction (each id is
-  // new relative to the backend's accumulator), so the sum is the count of
-  // distinct blocks the campaign has covered.
-  result.blocks_covered += record.outcome.new_block_ids.size();
-  result.total_impact += record.impact;
-  result.records.push_back(std::move(record));
-  if (notify_observer && config.record_observer) {
-    config.record_observer(result.records.back());
+  covered_blocks_.insert(record.outcome.new_block_ids.begin(),
+                         record.outcome.new_block_ids.end());
+  result_.blocks_covered = covered_blocks_.size();
+  result_.total_impact += record.impact;
+  result_.records.push_back(std::move(record));
+  if (notify_observer && config_.record_observer) {
+    config_.record_observer(result_.records.back());
   }
   // Progress fires only for live executions — replayed records already
   // counted in the original run and would skew the rate.
-  if (notify_observer && config.metrics != nullptr) {
+  if (notify_observer && config_.metrics != nullptr) {
     obs::ProgressUpdate update;
-    update.tests_executed = result.tests_executed;
-    update.failed_tests = result.failed_tests;
-    update.crashes = result.crashes;
-    update.hangs = result.hangs;
-    update.clusters = clusterer.cluster_count();
-    update.recovery_failures = result.recovery_failures;
-    update.invariant_violations = result.invariant_violations;
-    update.covered_blocks = result.blocks_covered;
-    config.metrics->OnTestExecuted(update);
+    update.tests_executed = result_.tests_executed;
+    update.failed_tests = result_.failed_tests;
+    update.crashes = result_.crashes;
+    update.hangs = result_.hangs;
+    update.clusters = clusterer_.cluster_count();
+    update.recovery_failures = result_.recovery_failures;
+    update.invariant_violations = result_.invariant_violations;
+    update.covered_blocks = result_.blocks_covered;
+    config_.metrics->OnTestExecuted(update);
   }
-}
-
-void ExplorationSession::Process(const Fault& fault, TestOutcome outcome, bool notify_observer) {
-  ProcessSessionRecord(config_, *explorer_, clusterer_, result_, fault, std::move(outcome),
-                       notify_observer);
 }
 
 const SessionResult& ExplorationSession::Run(const SearchTarget& target) {
@@ -145,19 +171,27 @@ const SessionResult& ExplorationSession::Run(const SearchTarget& target) {
     if (target.stop_after_crashes > 0 && crashes_found >= target.stop_after_crashes) {
       break;
     }
-    if (!Step()) {
-      break;
+    size_t round = nodes_.size();
+    if (target.max_tests > 0) {
+      round = std::min(round, target.max_tests - result_.tests_executed);
     }
-    const SessionRecord& last = result_.records.back();
-    if (last.impact >= target.impact_threshold) {
-      ++found_above_threshold;
+    const size_t before = result_.records.size();
+    const bool more = RunRound(round);
+    for (size_t i = before; i < result_.records.size(); ++i) {
+      const SessionRecord& r = result_.records[i];
+      if (r.impact >= target.impact_threshold) {
+        ++found_above_threshold;
+      }
+      if (r.outcome.crashed) {
+        ++crashes_found;
+      }
     }
-    if (last.outcome.crashed) {
-      ++crashes_found;
-    }
-    if (result_.tests_executed % 1000 == 0) {
+    if (result_.tests_executed / 1000 != before / 1000) {
       AFEX_LOG(kInfo) << "session: " << result_.tests_executed << " tests, "
                       << result_.failed_tests << " failed, " << result_.crashes << " crashes";
+    }
+    if (!more) {
+      break;
     }
   }
 

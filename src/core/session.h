@@ -1,19 +1,21 @@
 // ExplorationSession: drives one fault-exploration run end to end (paper
-// §6): pull candidates from an Explorer, execute each via a user-provided
-// runner, score the outcome with the ImpactPolicy, optionally weigh fitness
-// by environment relevance (§7.5) and by online redundancy feedback (§7.4),
+// §6): pull candidates from an Explorer, execute each on a node runner,
+// score the outcome with the ImpactPolicy, optionally weigh fitness by
+// environment relevance (§7.5) and by online redundancy feedback (§7.4),
 // report fitness back to the explorer, and stop when the search target is
 // met.
 //
-// The runner abstracts the node-manager side (start scripts, injectors,
-// sensors); for the simulated targets it is a closure around a sim harness,
-// and the cluster/ module provides a parallel implementation with the same
-// semantics.
+// A runner abstracts one node manager (start scripts, injectors, sensors);
+// for the simulated targets it is a closure around a sim harness. One
+// explorer feeds one or more runners (paper §6.1): a serial campaign is the
+// one-node case, and --jobs=N is N runners.
 #ifndef AFEX_CORE_SESSION_H_
 #define AFEX_CORE_SESSION_H_
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/clustering.h"
@@ -21,6 +23,7 @@
 #include "core/impact.h"
 #include "core/relevance.h"
 #include "obs/metrics.h"
+#include "util/thread_pool.h"
 
 namespace afex {
 
@@ -58,13 +61,16 @@ struct SessionConfig {
   const EnvironmentModel* environment_model = nullptr;
   // Called with every *executed* record, in report order, right after it is
   // appended to the result. Replayed records (campaign resume) do not fire
-  // it. The campaign journal hooks in here; both the serial and the
-  // parallel session invoke it identically.
+  // it. The campaign journal hooks in here.
   std::function<void(const SessionRecord&)> record_observer;
   // Optional telemetry sink (obs/telemetry.h). Null disables every
   // instrumentation site at the cost of one predicted branch per phase.
   obs::MetricsSink* metrics = nullptr;
 };
+
+// One node's test execution: run this fault, observe the outcome. Must be
+// deterministic in the fault for campaign resume to hold.
+using Runner = std::function<TestOutcome(const Fault&)>;
 
 // TargetBackend: the execution side of a campaign — "run this fault against
 // this space, observe the outcome" — plus the coverage bookkeeping the
@@ -80,6 +86,11 @@ class TargetBackend {
   // Executes one fault-injection test. Must be deterministic in `fault`
   // (and the backend's own seed) for campaign resume to hold.
   virtual TestOutcome RunFault(const FaultSpace& space, const Fault& fault) = 0;
+
+  // Session runner bound to `space`; both must outlive it.
+  Runner MakeRunner(const FaultSpace& space) {
+    return [this, &space](const Fault& fault) { return RunFault(space, fault); };
+  }
 
   // Pre-seeds session coverage from journaled new-block ids, so a resumed
   // campaign keeps counting "new" relative to the whole campaign.
@@ -123,60 +134,86 @@ struct SessionResult {
   bool space_exhausted = false;
 };
 
-// The one scoring pipeline both the serial and the parallel session (and
-// their journal-replay paths) run per executed test: score the outcome,
-// weigh fitness by relevance and redundancy, cluster, report to the
-// explorer, update the result counters, append the record, and — for live
-// executions only — fire the record observer. Keeping this shared is what
-// guarantees serial and cluster campaigns score identical outcomes
-// identically (and that replay reproduces both).
-void ProcessSessionRecord(const SessionConfig& config, Explorer& explorer,
-                          RedundancyClusterer& clusterer, SessionResult& result,
-                          const Fault& fault, TestOutcome outcome, bool notify_observer);
-
 class ExplorationSession {
  public:
-  using Runner = std::function<TestOutcome(const Fault&)>;
+  // One runner per node; `nodes` must be non-empty. Each round issues one
+  // candidate per node, runs node 0 on the calling thread and the others on
+  // a pool of nodes - 1 workers, then scores the results in node order.
+  // Round-batching keeps a campaign deterministic for a fixed node count
+  // (at the cost of a barrier per round) and gives journal replay a
+  // reproducible issue / report interleaving.
+  ExplorationSession(Explorer& explorer, std::vector<Runner> nodes, SessionConfig config = {});
 
+  // One-node forms. The backend one runs every candidate through
+  // `backend.RunFault(space, fault)`; both must outlive the session.
   ExplorationSession(Explorer& explorer, Runner runner, SessionConfig config = {});
-
-  // Backend-agnostic form: runs every candidate through
-  // `backend.RunFault(space, fault)`. Both must outlive the session.
   ExplorationSession(Explorer& explorer, TargetBackend& backend, const FaultSpace& space,
                      SessionConfig config = {});
 
-  // Runs until the target is met or the space is exhausted. Returns the
-  // accumulated result (also available via result()).
+  // Runs rounds until the target is met or the space is exhausted; the last
+  // round is clamped to the remaining test budget. Returns the accumulated
+  // result (also available via result()).
   const SessionResult& Run(const SearchTarget& target);
 
-  // Runs exactly one more test; returns false when the space is exhausted.
-  // Exposed so callers can interleave their own bookkeeping (the figure
-  // benches sample the failure curve every iteration this way).
+  // Runs exactly one more round (one test per node); returns false once the
+  // space is exhausted. Exposed so callers can interleave their own
+  // bookkeeping (the figure benches sample the failure curve every
+  // iteration this way).
   bool Step();
 
-  // Rebuilds one step of session state from a journaled record without
-  // executing the runner: pulls the next candidate from the explorer,
-  // verifies it matches `record.fault`, and routes `record.outcome` through
-  // the normal scoring / clustering / feedback path. Impact and fitness are
-  // recomputed, so a resumed session is bit-identical to the uninterrupted
-  // one. Returns false when the explorer is exhausted or produces a
-  // different candidate — i.e. the journal was not written by a session
-  // with this explorer, seed, and config. Does not fire the record
+  // Rebuilds session state from one journaled record without executing it:
+  // pulls the next candidate from the explorer and verifies it matches
+  // `record.fault`. The journaled outcome is held until a whole round of
+  // node_count() records has arrived, then the round is routed through the
+  // normal scoring / clustering / feedback path, so the issue / report
+  // interleaving is the one Run used. Impact and fitness are recomputed,
+  // so a resumed session is bit-identical to the uninterrupted one.
+  //
+  // Candidates of a trailing partial round stay pending: they re-execute at
+  // the head of the next round Run or Step runs (execution is
+  // deterministic), and result().tests_executed counts only the records
+  // consumed. With one node nothing is ever pending.
+  //
+  // Returns false when the explorer is exhausted or produces a different
+  // candidate — i.e. the journal was not written by a session with this
+  // explorer, seed, node count, and config. Does not fire the record
   // observer.
   bool Replay(const SessionRecord& record);
 
   const SessionResult& result() const { return result_; }
   const RedundancyClusterer& clusterer() const { return clusterer_; }
+  size_t node_count() const { return nodes_.size(); }
 
  private:
-  // Shared tail of Step/Replay: score, weigh, cluster, report, record.
+  // Fills the round with up to `size` candidates (pending ones first),
+  // executes them, and scores them in node order. Returns false once the
+  // space is exhausted.
+  bool RunRound(size_t size);
+  // Runs round_[node] on node `node` into outcomes_[node].
+  void Execute(size_t node);
+  // Processes the round's outcomes in node order and empties the round.
+  void ScoreRound(bool notify_observer);
+  // The scoring pipeline every executed or replayed test runs through:
+  // score the outcome, weigh fitness by relevance and redundancy, cluster,
+  // report to the explorer, update the result counters, append the record,
+  // and — for live executions only — fire the record observer and progress.
   void Process(const Fault& fault, TestOutcome outcome, bool notify_observer);
 
   Explorer* explorer_;
-  Runner runner_;
+  std::vector<Runner> nodes_;
   SessionConfig config_;
   RedundancyClusterer clusterer_;
   SessionResult result_;
+  // Distinct block ids across all records: each node's new_block_ids are
+  // new only to that node's accumulator.
+  std::unordered_set<uint32_t> covered_blocks_;
+  // Round buffers, reused across rounds: the round's candidates (a replayed
+  // partial round's stay pending here) and one outcome slot per node.
+  std::vector<Fault> round_;
+  std::vector<TestOutcome> outcomes_;
+  // Workers for nodes 1..N-1; null with one node. Declared last so its
+  // workers are joined before the buffers they write are destroyed.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace afex

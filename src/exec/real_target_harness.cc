@@ -495,9 +495,5 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
   return outcome;
 }
 
-ExplorationSession::Runner RealTargetHarness::MakeRunner(const FaultSpace& space) {
-  return [this, &space](const Fault& fault) { return RunFault(space, fault); };
-}
-
 }  // namespace exec
 }  // namespace afex

@@ -112,7 +112,6 @@ class RealTargetHarness : public TargetBackend {
   FaultSpace MakeSpace(size_t max_call, bool include_zero_call = false) const;
 
   TestOutcome RunFault(const FaultSpace& space, const Fault& fault) override;
-  ExplorationSession::Runner MakeRunner(const FaultSpace& space);
 
   void SeedCoverage(const std::vector<uint32_t>& blocks) override {
     coverage_.MergeIds(blocks);

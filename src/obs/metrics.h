@@ -179,8 +179,8 @@ class MetricsRegistry {
 // ---- sink + timer ----------------------------------------------------------
 
 // Aggregate progress counters, fired once per live executed test from
-// ProcessSessionRecord (serially even under --jobs: results are reported in
-// manager order).
+// ExplorationSession (serially even with several nodes: a round's results
+// are scored in node order on the calling thread).
 struct ProgressUpdate {
   size_t tests_executed = 0;
   size_t failed_tests = 0;

@@ -5,8 +5,8 @@
 // quickly but still tracks slowdowns; ETA divides the remaining budget by
 // that rate.
 //
-// Driven from ProcessSessionRecord, which reports results serially even
-// under --jobs, so no locking is needed. The rate/ETA math is exposed as
+// Driven from ExplorationSession, which scores results serially even with
+// several nodes, so no locking is needed. The rate/ETA math is exposed as
 // static helpers and an injectable-clock entry point (OnTestExecutedAt) so
 // obs_test pins it down without sleeping.
 #ifndef AFEX_OBS_PROGRESS_H_

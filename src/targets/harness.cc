@@ -78,10 +78,6 @@ TestOutcome TargetHarness::RunFault(const FaultSpace& space, const Fault& fault)
   return outcome;
 }
 
-ExplorationSession::Runner TargetHarness::MakeRunner(const FaultSpace& space) {
-  return [this, &space](const Fault& fault) { return RunFault(space, fault); };
-}
-
 size_t TargetHarness::RunSuiteWithoutInjection() {
   size_t failed = 0;
   for (size_t t = 0; t < suite_.num_tests; ++t) {

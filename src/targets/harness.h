@@ -38,9 +38,6 @@ class TargetHarness : public TargetBackend {
   // SimEnv seed derives from the harness seed and the test id only.
   TestOutcome RunFault(const FaultSpace& space, const Fault& fault) override;
 
-  // Session-compatible runner bound to `space` (which must outlive it).
-  ExplorationSession::Runner MakeRunner(const FaultSpace& space);
-
   // Runs every suite test once without injection (the "plain test suite"
   // baseline of Table 1); returns the number of failing tests.
   size_t RunSuiteWithoutInjection();

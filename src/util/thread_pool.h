@@ -1,5 +1,5 @@
-// Fixed-size thread pool backing the cluster substrate (paper §6.1): the
-// explorer enqueues test executions, node managers drain them. Tests are
+// Fixed-size thread pool behind a multi-node ExplorationSession (paper
+// §6.1): each round enqueues one test execution per extra node. Tests are
 // independent ("embarrassing parallelism"), so a plain work queue suffices.
 #ifndef AFEX_UTIL_THREAD_POOL_H_
 #define AFEX_UTIL_THREAD_POOL_H_

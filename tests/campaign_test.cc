@@ -14,8 +14,6 @@
 #include "campaign/journal.h"
 #include "campaign/serde.h"
 #include "campaign/store.h"
-#include "cluster/node_manager.h"
-#include "cluster/parallel_session.h"
 #include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
@@ -450,17 +448,12 @@ TEST_P(ResumeEquivalenceTest, ParallelInterruptMidRoundAndResumeMatchesUninterru
 
   auto make_session = [&](std::vector<std::unique_ptr<TargetHarness>>& harnesses,
                           Explorer& explorer, const SessionConfig& config) {
-    std::vector<std::unique_ptr<NodeManager>> managers;
+    std::vector<Runner> nodes;
     for (size_t i = 0; i < kJobs; ++i) {
       harnesses.push_back(std::make_unique<TargetHarness>(suite_, kSeed));
-      TargetHarness* h = harnesses.back().get();
-      managers.push_back(std::make_unique<NodeManager>(
-          "node" + std::to_string(i),
-          NodeManager::Hooks{.test = [h, &space](const Fault& f) {
-            return h->RunFault(space, f);
-          }}));
+      nodes.push_back(harnesses.back()->MakeRunner(space));
     }
-    return std::make_unique<ParallelSession>(explorer, std::move(managers), config);
+    return std::make_unique<ExplorationSession>(explorer, std::move(nodes), config);
   };
 
   std::vector<std::unique_ptr<TargetHarness>> baseline_harnesses;
@@ -488,10 +481,12 @@ TEST_P(ResumeEquivalenceTest, ParallelInterruptMidRoundAndResumeMatchesUninterru
   std::vector<std::unique_ptr<TargetHarness>> harnesses;
   auto explorer = MakeExplorer(strategy, space, kSeed);
   auto session = make_session(harnesses, *explorer, {});
-  std::optional<size_t> consumed = session->Replay(store.records(), target);
-  ASSERT_TRUE(consumed.has_value());
-  EXPECT_EQ(*consumed, 6u);  // two full rounds of 3; the partial round is dropped
-  store.CommitResume(*consumed);
+  for (const SessionRecord& record : store.records()) {
+    ASSERT_TRUE(session->Replay(record));
+  }
+  const size_t consumed = session->result().tests_executed;
+  EXPECT_EQ(consumed, 6u);  // two full rounds of 3; the partial round stays pending
+  store.CommitResume(consumed);
   for (size_t i = 0; i < kJobs; ++i) {
     harnesses[i]->SeedCoverage(store.CoverageIdsForNode(i));
   }

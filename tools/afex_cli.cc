@@ -47,10 +47,8 @@
 #include "analysis/target_profile.h"
 #include "campaign/export.h"
 #include "campaign/store.h"
-#include "cluster/node_manager.h"
 #include "exec/feedback_block.h"
 #include "exec/real_target_harness.h"
-#include "cluster/parallel_session.h"
 #include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
@@ -784,19 +782,20 @@ int main(int argc, char** argv) {
     meta.analysis_fingerprint = analysis::TargetProfileFingerprint(*profile);
   }
 
-  const SessionResult* result = nullptr;  // owned by whichever session ran
-  const RedundancyClusterer* clusterer = nullptr;
   const SearchTarget search_target{.max_tests = options.budget};
   size_t replayed_tests = 0;   // journal records consumed by --resume
   double campaign_seconds = 0.0;
 
   // Declared at function scope: the report section below reads the
-  // session's clusterer, and the sessions hold references to the store
-  // (observer) and the node harnesses (runner hooks).
+  // session's result and clusterer, and the session holds references to
+  // the store (observer) and the node backends (runners). Node 0 is
+  // `backend`; nodes 1..jobs-1 each get their own backend (its own coverage
+  // accumulator, and for real targets its own scratch root), as on a real
+  // cluster where every machine observes coverage locally.
   std::optional<CampaignStore> store;
-  std::optional<ExplorationSession> serial_session;
-  std::optional<ParallelSession> parallel_session;
-  std::vector<std::unique_ptr<TargetBackend>> node_backends;
+  std::vector<std::unique_ptr<TargetBackend>> extra_backends;
+  std::vector<TargetBackend*> nodes{backend};
+  std::optional<ExplorationSession> session;
 
   // Campaign telemetry (src/obs): constructed only when one of the three
   // observability flags asked for it — otherwise every instrumentation site
@@ -808,11 +807,11 @@ int main(int argc, char** argv) {
     telemetry_config.trace = !options.trace_file.empty();
     telemetry_config.progress.interval_seconds = options.status_interval;
     telemetry_config.progress.budget = options.budget;
-    // Under --jobs the progress line samples node 0's local coverage view
-    // (the cross-node union is only aggregated at campaign end).
-    telemetry_config.progress.coverage_fraction = [backend, &node_backends]() -> double {
-      return node_backends.empty() ? backend->CoverageFraction()
-                                   : node_backends[0]->CoverageFraction();
+    // The session's distinct-block count is the cross-node union.
+    telemetry_config.progress.coverage_fraction = [backend, &session]() -> double {
+      uint32_t total = backend->coverage_total_blocks();
+      return total == 0 ? 0.0
+                        : static_cast<double>(session->result().blocks_covered) / total;
     };
     if (options.strategy == "fitness") {
       auto* fitness = static_cast<FitnessExplorer*>(explorer.get());
@@ -846,7 +845,7 @@ int main(int argc, char** argv) {
     }
     if (options.resume && store->records().size() > options.budget) {
       // A smaller budget would truncate completed results out of the
-      // journal (and, serially, over-run the requested budget on replay).
+      // journal (and over-run the requested budget on replay).
       std::fprintf(stderr,
                    "--budget=%zu is smaller than the %zu tests already journaled in '%s'; "
                    "resume with --budget >= %zu\n",
@@ -870,84 +869,55 @@ int main(int argc, char** argv) {
                    options.journal.c_str());
     };
 
-    if (options.jobs == 1) {
-      // Serial campaign.
-      auto& session = serial_session;
-      session.emplace(*explorer, *backend, space, session_config);
-      if (options.resume) {
-        for (const SessionRecord& record : store->records()) {
-          if (!session->Replay(record)) {
-            print_replay_mismatch();
-            return 2;
-          }
-        }
-        store->CommitResume(store->records().size());
-        backend->SeedCoverage(store->CoverageIdsForNode(0));
-        replayed_tests = store->records().size();
-        std::printf("resumed %zu journaled tests from %s\n", store->records().size(),
-                    options.journal.c_str());
+    for (size_t i = 1; i < options.jobs; ++i) {
+      if (real_backend) {
+        extra_backends.push_back(std::make_unique<exec::RealTargetHarness>(real_config));
+      } else {
+        extra_backends.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
       }
-      auto started = std::chrono::steady_clock::now();
-      result = &session->Run(search_target);
-      campaign_seconds = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - started).count();
-      clusterer = &session->clusterer();
-    } else {
-      // Cluster campaign: one backend (with its own coverage accumulator,
-      // and for real targets its own scratch root) per job, as on a real
-      // cluster where every machine observes coverage locally.
-      std::vector<std::unique_ptr<NodeManager>> managers;
-      for (size_t i = 0; i < options.jobs; ++i) {
-        if (real_backend) {
-          node_backends.push_back(std::make_unique<exec::RealTargetHarness>(real_config));
-        } else {
-          node_backends.push_back(std::make_unique<TargetHarness>(suite, harness_seed));
-        }
-        TargetBackend* b = node_backends[i].get();
-        b->set_metrics_sink(metrics_sink);
-        managers.push_back(std::make_unique<NodeManager>(
-            "node" + std::to_string(i),
-            NodeManager::Hooks{.test = [b, &space](const Fault& f) {
-              return b->RunFault(space, f);
-            }}));
-      }
-      auto& session = parallel_session;
-      session.emplace(*explorer, std::move(managers), session_config);
-      if (options.resume) {
-        std::optional<size_t> consumed = session->Replay(store->records(), search_target);
-        if (!consumed.has_value()) {
+      extra_backends.back()->set_metrics_sink(metrics_sink);
+      nodes.push_back(extra_backends.back().get());
+    }
+    std::vector<Runner> runners;
+    for (TargetBackend* node : nodes) {
+      runners.push_back(node->MakeRunner(space));
+    }
+    session.emplace(*explorer, std::move(runners), session_config);
+    if (options.resume) {
+      for (const SessionRecord& record : store->records()) {
+        if (!session->Replay(record)) {
           print_replay_mismatch();
           return 2;
         }
-        size_t dropped = store->records().size() - *consumed;
-        store->CommitResume(*consumed);
-        for (size_t i = 0; i < options.jobs; ++i) {
-          node_backends[i]->SeedCoverage(store->CoverageIdsForNode(i));
-        }
-        replayed_tests = *consumed;
-        std::printf("resumed %zu journaled tests from %s", *consumed, options.journal.c_str());
-        if (dropped > 0) {
-          std::printf(" (%zu from an incomplete round will re-execute)", dropped);
-        }
-        std::printf("\n");
       }
-      auto started = std::chrono::steady_clock::now();
-      result = &session->Run(search_target);
-      campaign_seconds = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - started).count();
-      clusterer = &session->clusterer();
+      replayed_tests = session->result().tests_executed;
+      size_t pending = store->records().size() - replayed_tests;
+      store->CommitResume(replayed_tests);
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        nodes[i]->SeedCoverage(store->CoverageIdsForNode(i));
+      }
+      std::printf("resumed %zu journaled tests from %s", replayed_tests,
+                  options.journal.c_str());
+      if (pending > 0) {
+        std::printf(" (%zu from an incomplete round will re-execute)", pending);
+      }
+      std::printf("\n");
     }
+    auto started = std::chrono::steady_clock::now();
+    const SessionResult& result = session->Run(search_target);
+    campaign_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
 
     std::printf("\nexecuted %zu tests: %zu failed, %zu crashed, %zu hung; "
                 "%zu behaviour clusters (%zu failure, %zu crash)\n",
-                result->tests_executed, result->failed_tests, result->crashes, result->hangs,
-                result->clusters, result->unique_failures, result->unique_crashes);
+                result.tests_executed, result.failed_tests, result.crashes, result.hangs,
+                result.clusters, result.unique_failures, result.unique_crashes);
     // Campaign throughput, so tests/sec is visible without the bench
     // binaries. Replayed (resumed) records are bookkeeping, not executions,
     // and are excluded from the rate.
-    size_t live_tests = result->tests_executed - replayed_tests;
-    size_t sim_steps = backend->total_sim_steps();
-    for (const auto& node : node_backends) {
+    size_t live_tests = result.tests_executed - replayed_tests;
+    size_t sim_steps = 0;
+    for (const TargetBackend* node : nodes) {
       sim_steps += node->total_sim_steps();
     }
     std::printf("campaign wall time %.3f s", campaign_seconds);
@@ -962,21 +932,19 @@ int main(int argc, char** argv) {
       }
     }
     std::printf("\n");
-    if (options.jobs == 1) {
-      std::printf("coverage %.1f%% (recovery %.1f%%)\n", 100 * backend->CoverageFraction(),
-                  100 * backend->RecoveryCoverageFraction());
-    } else {
-      // Aggregate coverage across nodes: every covered block was new to its
-      // node exactly once, so the union of per-record new-block ids is the
-      // union of all blocks covered anywhere on the cluster.
-      CoverageAccumulator aggregate(node_backends[0]->coverage_total_blocks(),
-                                    node_backends[0]->coverage_recovery_base());
-      for (const SessionRecord& r : result->records) {
-        aggregate.MergeIds(r.outcome.new_block_ids);
-      }
-      std::printf("coverage %.1f%% (recovery %.1f%%) across %zu nodes\n",
-                  100 * aggregate.Fraction(), 100 * aggregate.RecoveryFraction(), options.jobs);
+    // Every covered block was new to its node exactly once, so the union
+    // of per-record new-block ids is every block covered on any node.
+    CoverageAccumulator covered(backend->coverage_total_blocks(),
+                                backend->coverage_recovery_base());
+    for (const SessionRecord& r : result.records) {
+      covered.MergeIds(r.outcome.new_block_ids);
     }
+    std::printf("coverage %.1f%% (recovery %.1f%%)", 100 * covered.Fraction(),
+                100 * covered.RecoveryFraction());
+    if (options.jobs > 1) {
+      std::printf(" across %zu nodes", options.jobs);
+    }
+    std::printf("\n");
   } catch (const CampaignError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -1011,7 +979,7 @@ int main(int argc, char** argv) {
   if (telemetry.has_value()) {
     builder.set_telemetry_note(telemetry->SynopsisLine());
   }
-  Report report = builder.Build(*result, *clusterer,
+  Report report = builder.Build(session->result(), session->clusterer(),
                                 /*min_impact=*/options.crashes_only ? 20.0 : 10.0);
   std::printf("\n%s", builder.Render(report).c_str());
   std::printf("\ntop findings (one representative per behaviour cluster):\n");
@@ -1041,9 +1009,9 @@ int main(int argc, char** argv) {
     }
     std::ostream& out = to_stdout ? std::cout : file;
     if (options.export_format == "csv") {
-      ExportCsv(space, *result, out);
+      ExportCsv(space, session->result(), out);
     } else {
-      ExportJson(meta, space, *result, out,
+      ExportJson(meta, space, session->result(), out,
                  metrics_snapshot.has_value() ? &*metrics_snapshot : nullptr);
     }
     out.flush();
