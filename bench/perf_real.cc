@@ -16,7 +16,7 @@
 // (recover, verify), so those cells carry real.recovery_run/real.verify.
 //
 // Within a campaign every mode must produce the identical record sequence
-// (checked with the same FNV-1a record digest perf_sim uses) — the run
+// (checked with bench::DigestRecords, the digest perf_sim uses) — the run
 // exits non-zero on divergence, so each benchmark run doubles as the
 // determinism acceptance check for the exec modes. Each cell runs with a
 // CampaignTelemetry sink attached and its phase snapshot is embedded in
@@ -29,11 +29,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "bench/host_info.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
@@ -54,48 +54,6 @@ struct ModeResult {
   uint64_t record_digest = 0;
   uint64_t server_restarts = 0;
 };
-
-// FNV-1a over every record's fault indices, fitness bits, cluster id, and
-// full outcome — the same digest perf_sim uses for its reference-vs-
-// optimized equivalence check, plus the two-phase verdict flags (zero for
-// single-phase campaigns, so those digests are unchanged by them).
-uint64_t DigestRecords(const SessionResult& result) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h = (h ^ ((v >> shift) & 0xff)) * 0x100000001b3ULL;
-    }
-  };
-  auto mix_string = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h = (h ^ c) * 0x100000001b3ULL;
-    }
-    h = (h ^ 0xff) * 0x100000001b3ULL;  // terminator: "ab","c" != "a","bc"
-  };
-  for (const SessionRecord& r : result.records) {
-    for (size_t i = 0; i < r.fault.dimensions(); ++i) {
-      mix(r.fault[i]);
-    }
-    uint64_t fitness_bits;
-    static_assert(sizeof(fitness_bits) == sizeof(r.fitness));
-    std::memcpy(&fitness_bits, &r.fitness, sizeof(fitness_bits));
-    mix(fitness_bits);
-    mix(r.cluster_id);
-    const TestOutcome& o = r.outcome;
-    mix(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
-        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0) ^
-        (o.recovery_failed ? 0x1000 : 0) ^ (o.invariant_violated ? 0x2000 : 0));
-    mix(o.new_blocks_covered);
-    for (uint32_t block : o.new_block_ids) {
-      mix(block);
-    }
-    for (const std::string& frame : o.injection_stack) {
-      mix_string(frame);
-    }
-    mix_string(o.detail);
-  }
-  return h;
-}
 
 #ifdef AFEX_WALUTIL_COV_PATH
 // Proxy-vs-edges coverage A/B cell: identical seeded fitness campaigns on
@@ -222,8 +180,8 @@ ModeResult RunCampaign(Workload workload, exec::ExecMode mode, size_t budget, ui
   harness.set_metrics_sink(&telemetry);
   FaultSpace space = workload == Workload::kWalutil ? harness.MakeSpace(/*max_call=*/6)
                                                     : TxengineStorageSpace();
-  // Stay in the non-exhausted regime (perf_sim's convention): a budget near
-  // the space size degenerates into the fallback-scan path.
+  // Stay in the non-exhausted regime: a budget near the space size
+  // degenerates into the fallback-scan path.
   budget = std::min(budget, space.TotalPoints() / 2);
 
   FitnessExplorerConfig explorer_config;
@@ -245,7 +203,7 @@ ModeResult RunCampaign(Workload workload, exec::ExecMode mode, size_t budget, ui
   result.failed = outcome.failed_tests;
   result.crashes = outcome.crashes;
   result.clusters = outcome.clusters;
-  result.record_digest = DigestRecords(outcome);
+  result.record_digest = bench::DigestRecords(outcome);
   if (harness.forkserver() != nullptr) {
     result.server_restarts = harness.forkserver()->restarts();
   }

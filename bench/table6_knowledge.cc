@@ -26,8 +26,8 @@ using bench::Strategy;
 namespace {
 
 // Key identifying a target scenario independent of which space it came from.
-std::string ScenarioKey(const FaultSpace& space, const Fault& fault) {
-  InjectionPlan plan = DecodeFault(space, fault);
+std::string ScenarioKey(const FaultDecoder& decoder, const Fault& fault) {
+  InjectionPlan plan = decoder.Decode(fault);
   if (!plan.spec.has_value()) {
     return "";
   }
@@ -61,13 +61,14 @@ size_t SamplesToFindAll(const TargetSuite& suite, const FaultSpace& space, Strat
   SessionConfig config;
   config.environment_model = model;
   ExplorationSession session(*explorer, harness.MakeRunner(space), config);
+  const FaultDecoder decoder(space);
   size_t samples = 0;
   while (!remaining.empty()) {
     if (!session.Step()) {
       break;  // space exhausted
     }
     ++samples;
-    remaining.erase(ScenarioKey(space, session.result().records.back().fault));
+    remaining.erase(ScenarioKey(decoder, session.result().records.back().fault));
   }
   return samples;
 }

@@ -58,7 +58,7 @@ int main() {
       category = "other: " + r.outcome.detail;
     }
     if (++categories[category] == 1) {
-      example[category] = FormatPlan(DecodeFault(space, r.fault));
+      example[category] = FormatPlan(FaultDecoder(space).Decode(r.fault));
     }
   }
 

@@ -8,6 +8,21 @@
 #include "util/gaussian.h"
 
 namespace afex {
+namespace {
+
+// Epsilon floor on parent-selection weights so zero-fitness tests retain a
+// small chance of being chosen (Algorithm 1 line 2).
+constexpr double kMinSelectionWeight = 0.05;
+
+// Probability of issuing a fresh uniform-random candidate instead of a
+// mutation; keeps discovering new vicinities (complements aging).
+constexpr double kRandomRestartProb = 0.05;
+
+// Attempts at producing a novel, valid mutation before falling back to a
+// random sample.
+constexpr int kMaxGenerationAttempts = 64;
+
+}  // namespace
 
 FitnessExplorer::FitnessExplorer(const FaultSpace& space, FitnessExplorerConfig config)
     : space_(&space),
@@ -74,7 +89,7 @@ std::optional<Fault> FitnessExplorer::NextCandidate() {
   // to random whenever the pool is empty (e.g. all entries retired) and mix
   // in occasional random restarts.
   bool want_random = issued_.size() < config_.initial_batch || PoolEmpty() ||
-                     rng_.NextBernoulli(config_.random_restart_prob);
+                     rng_.NextBernoulli(kRandomRestartProb);
   if (!want_random) {
     if (auto mutation = GenerateMutation()) {
       exhausted_probes_ = 0;
@@ -123,7 +138,7 @@ std::optional<Fault> FitnessExplorer::ScanForUnissued() {
 }
 
 std::optional<Fault> FitnessExplorer::SampleRandomNovel() {
-  for (int attempt = 0; attempt < config_.max_generation_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxGenerationAttempts; ++attempt) {
     auto f = space_->SampleUniform(rng_);
     if (f && !AlreadyIssued(*f)) {
       issued_.Insert(*f);
@@ -135,7 +150,7 @@ std::optional<Fault> FitnessExplorer::SampleRandomNovel() {
 
 std::optional<Fault> FitnessExplorer::GenerateMutation() {
   assert(!PoolEmpty());
-  for (int attempt = 0; attempt < config_.max_generation_attempts; ++attempt) {
+  for (int attempt = 0; attempt < kMaxGenerationAttempts; ++attempt) {
     // Lines 1-4: sample a parent proportionally to fitness, with an epsilon
     // floor so low-fitness tests keep a non-zero chance.
     size_t parent_slot;
@@ -146,7 +161,7 @@ std::optional<Fault> FitnessExplorer::GenerateMutation() {
       }
       std::vector<double> weights;
       weights.reserve(priority_.size());
-      double floor = config_.min_selection_weight * std::max(max_fitness, 1.0);
+      double floor = kMinSelectionWeight * std::max(max_fitness, 1.0);
       for (const Entry& e : priority_) {
         weights.push_back(e.fitness + floor);
       }
@@ -283,7 +298,7 @@ size_t FitnessExplorer::SampleParentSlot() {
   // SampleWeighted over {aged fitness + floor}, answered by the Fenwick
   // descent instead of a materialized weight array.
   double max_fitness = live_count_ == 0 ? 0.0 : max_fitness_.Max() * decay_scale_;
-  double floor = config_.min_selection_weight * std::max(max_fitness, 1.0);
+  double floor = kMinSelectionWeight * std::max(max_fitness, 1.0);
   double total = decay_scale_ * fit_fen_.Total() +
                  floor * static_cast<double>(live_count_);
   if (total <= 0.0) {

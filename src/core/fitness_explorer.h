@@ -65,18 +65,6 @@ struct FitnessExplorerConfig {
   double aging_decay = 0.98;
   double retirement_fraction = 0.05;
 
-  // Epsilon floor on parent-selection weights so zero-fitness tests retain
-  // a small chance of being chosen (Algorithm 1 line 2).
-  double min_selection_weight = 0.05;
-
-  // Probability of issuing a fresh uniform-random candidate instead of a
-  // mutation; keeps discovering new vicinities (complements aging).
-  double random_restart_prob = 0.05;
-
-  // Attempts at producing a novel, valid mutation before falling back to a
-  // random sample.
-  int max_generation_attempts = 64;
-
   // Run the original algorithms: per-attempt weight/max-fitness rebuilds in
   // the mutation retry loop, O(pool) eviction weight scans and retirement
   // sweeps per result, eager aging, and from-scratch lexicographic fallback

@@ -6,75 +6,6 @@
 
 namespace afex {
 
-InjectionPlan DecodeFault(const FaultSpace& space, const Fault& fault,
-                          const LibcProfile& profile) {
-  InjectionPlan plan;
-
-  auto test_axis = space.AxisIndexByName("test");
-  if (!test_axis.has_value()) {
-    throw std::invalid_argument("fault space has no 'test' axis: " + space.name());
-  }
-  uint64_t test_label = 0;
-  if (!ParseUint(space.axis(*test_axis).Label(fault[*test_axis]), test_label) || test_label == 0) {
-    throw std::invalid_argument("unparsable test label in space " + space.name());
-  }
-  plan.test_id = static_cast<size_t>(test_label - 1);  // labels are 1-based
-
-  auto func_axis = space.AxisIndexByName("function");
-  auto call_axis = space.AxisIndexByName("call");
-  if (!func_axis.has_value() || !call_axis.has_value()) {
-    return plan;  // a test-only space: no injection
-  }
-
-  uint64_t call_number = 0;
-  if (!ParseUint(space.axis(*call_axis).Label(fault[*call_axis]), call_number)) {
-    throw std::invalid_argument("unparsable call label in space " + space.name());
-  }
-  if (call_number == 0) {
-    return plan;  // call 0 = the no-injection point (Phi_coreutils convention)
-  }
-
-  FaultSpec spec;
-  spec.function = space.axis(*func_axis).Label(fault[*func_axis]);
-  spec.call_lo = static_cast<int>(call_number);
-  spec.call_hi = static_cast<int>(call_number);
-
-  auto fn_profile = profile.Find(spec.function);
-  spec.retval = fn_profile.has_value() ? fn_profile->error_retval : -1;
-  spec.errno_value =
-      fn_profile.has_value() && !fn_profile->errnos.empty() ? fn_profile->errnos.front() : 0;
-
-  if (auto errno_axis = space.AxisIndexByName("errno")) {
-    std::string label = space.axis(*errno_axis).Label(fault[*errno_axis]);
-    if (auto value = sim_errno::ValueFromName(label)) {
-      spec.errno_value = *value;
-    } else {
-      throw std::invalid_argument("unknown errno label '" + label + "'");
-    }
-  }
-  if (auto retval_axis = space.AxisIndexByName("retval")) {
-    spec.retval = std::stoll(space.axis(*retval_axis).Label(fault[*retval_axis]));
-  }
-  if (auto mode_axis = space.AxisIndexByName("mode")) {
-    std::string label = space.axis(*mode_axis).Label(fault[*mode_axis]);
-    auto kind = FaultKindFromName(label);
-    if (!kind.has_value()) {
-      throw std::invalid_argument("unknown mode label '" + label + "'");
-    }
-    spec.kind = *kind;
-  }
-  if (spec.kind == FaultKind::kShortWrite) {
-    // The short write returns the count it performed, so the retval axis
-    // doubles as K (negative profiled defaults clamp to a 0-byte write).
-    spec.param = spec.retval >= 0 ? spec.retval : 0;
-    spec.retval = spec.param;
-    spec.errno_value = 0;  // a short write is not an error return
-  }
-
-  plan.spec = std::move(spec);
-  return plan;
-}
-
 FaultDecoder::FaultDecoder(const FaultSpace& space, const LibcProfile& profile) {
   roles_.test = space.AxisIndexByName("test");
   if (!roles_.test.has_value()) {
@@ -174,9 +105,11 @@ InjectionPlan FaultDecoder::Decode(const Fault& fault) const {
     spec.kind = kind_by_value_[fault[*roles_.mode]];
   }
   if (spec.kind == FaultKind::kShortWrite) {
+    // The short write returns the count it performed, so the retval axis
+    // doubles as K (negative profiled defaults clamp to a 0-byte write).
     spec.param = spec.retval >= 0 ? spec.retval : 0;
     spec.retval = spec.param;
-    spec.errno_value = 0;
+    spec.errno_value = 0;  // a short write is not an error return
   }
   plan.spec = std::move(spec);
   return plan;

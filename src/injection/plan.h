@@ -36,18 +36,12 @@ struct InjectionPlan {
   std::optional<FaultSpec> spec;       // nullopt = run with no injection
 };
 
-// Decodes `fault` against `space` using the axis-name conventions above.
-// Throws std::invalid_argument when the space lacks a "test" axis or labels
-// don't parse.
-InjectionPlan DecodeFault(const FaultSpace& space, const Fault& fault,
-                          const LibcProfile& profile = LibcProfile::Default());
-
-// Decode cache for one space: axis roles are resolved and every axis label
-// parsed/profiled once up front, so the per-test decode — which the harness
-// runs before every single execution — is table lookups instead of
-// axis-name scans, label stringification, and a linear profile search.
-// Throws std::invalid_argument on the same malformed spaces DecodeFault
-// rejects. The space must outlive the decoder.
+// Decodes faults of one space using the axis-name conventions above. Axis
+// roles are resolved and every axis label parsed/profiled once up front, so
+// the per-test decode — which the harness runs before every single
+// execution — is table lookups. The constructor throws
+// std::invalid_argument when the space lacks a "test" axis or a label
+// doesn't parse.
 class FaultDecoder {
  public:
   explicit FaultDecoder(const FaultSpace& space,

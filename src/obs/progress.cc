@@ -7,6 +7,13 @@
 
 namespace afex {
 namespace obs {
+namespace {
+
+// EWMA smoothing factor for the tests/sec rate (weight of the newest
+// interval's rate).
+constexpr double kEwmaAlpha = 0.3;
+
+}  // namespace
 
 ProgressReporter::ProgressReporter(ProgressConfig config) : config_(std::move(config)) {}
 
@@ -109,7 +116,7 @@ void ProgressReporter::OnTestExecutedAt(const ProgressUpdate& update, double now
   }
   double rate =
       static_cast<double>(update.tests_executed - last_emit_tests_) / elapsed;
-  ewma_rate_ = have_rate_ ? UpdateEwma(ewma_rate_, rate, config_.ewma_alpha) : rate;
+  ewma_rate_ = have_rate_ ? UpdateEwma(ewma_rate_, rate, kEwmaAlpha) : rate;
   have_rate_ = true;
   AFEX_LOG(kInfo) << ComposeLine(update);
   ++lines_emitted_;

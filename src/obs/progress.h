@@ -26,9 +26,6 @@ struct ProgressConfig {
   double interval_seconds = 0.0;
   // Campaign budget (max tests); 0 = unknown (no percentage, no ETA).
   size_t budget = 0;
-  // EWMA smoothing factor for the tests/sec rate (weight of the newest
-  // interval's rate).
-  double ewma_alpha = 0.3;
   // Optional live probes, sampled at emission time. Null = omitted from
   // the line.
   std::function<double()> coverage_fraction;

@@ -27,7 +27,6 @@ std::string FormatNs(double ns) {
 
 CampaignTelemetry::CampaignTelemetry(TelemetryConfig config)
     : config_(std::move(config)),
-      trace_(config_.trace_capacity_per_track),
       progress_(config_.progress) {
   for (size_t p = 0; p < kPhaseCount; ++p) {
     phase_histograms_[p] = registry_.RegisterHistogram(PhaseName(static_cast<Phase>(p)));

@@ -33,7 +33,6 @@ namespace obs {
 struct TelemetryConfig {
   // Record Chrome-trace events for every timed phase (--trace-file).
   bool trace = false;
-  size_t trace_capacity_per_track = TraceWriter::kDefaultCapacityPerTrack;
   ProgressConfig progress;
 };
 

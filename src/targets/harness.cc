@@ -38,14 +38,7 @@ SimEnv& TargetHarness::EnvForRun(uint64_t seed, std::optional<SimEnv>& fresh) {
 
 TestOutcome TargetHarness::RunFault(const FaultSpace& space, const Fault& fault) {
   obs::PhaseTimer decode_timer(metrics_, obs::Phase::kSimDecode);
-  InjectionPlan plan;
-  if (reference_sim_) {
-    // The seed decoded every fault from scratch (axis scans, label parsing,
-    // linear profile search); the baseline keeps paying that per test.
-    plan = DecodeFault(space, fault);
-  } else {
-    plan = decoder_.Decode(space, fault);
-  }
+  InjectionPlan plan = decoder_.Decode(space, fault);
   decode_timer.Finish();
   obs::PhaseTimer run_timer(metrics_, obs::Phase::kSimRun);
   std::optional<SimEnv> fresh;

@@ -119,7 +119,7 @@ TEST(PlanTest, DecodesTestFunctionCall) {
   FaultSpace space = MakeCanonicalSpace();
   // test index 4 -> label "5" -> test_id 4; function 1 -> read; call index
   // 2 -> label "2".
-  InjectionPlan plan = DecodeFault(space, Fault({4, 1, 2}));
+  InjectionPlan plan = FaultDecoder(space).Decode(Fault({4, 1, 2}));
   EXPECT_EQ(plan.test_id, 4u);
   ASSERT_TRUE(plan.spec.has_value());
   EXPECT_EQ(plan.spec->function, "read");
@@ -130,14 +130,14 @@ TEST(PlanTest, DecodesTestFunctionCall) {
 
 TEST(PlanTest, CallZeroMeansNoInjection) {
   FaultSpace space = MakeCanonicalSpace();
-  InjectionPlan plan = DecodeFault(space, Fault({0, 0, 0}));
+  InjectionPlan plan = FaultDecoder(space).Decode(Fault({0, 0, 0}));
   EXPECT_EQ(plan.test_id, 0u);
   EXPECT_FALSE(plan.spec.has_value());
 }
 
 TEST(PlanTest, MallocProfileDefaults) {
   FaultSpace space = MakeCanonicalSpace();
-  InjectionPlan plan = DecodeFault(space, Fault({0, 0, 1}));
+  InjectionPlan plan = FaultDecoder(space).Decode(Fault({0, 0, 1}));
   ASSERT_TRUE(plan.spec.has_value());
   EXPECT_EQ(plan.spec->retval, 0);  // NULL
   EXPECT_EQ(plan.spec->errno_value, sim_errno::kENOMEM);
@@ -151,17 +151,46 @@ TEST(PlanTest, ExplicitErrnoAndRetvalAxes) {
   axes.push_back(Axis::MakeSet("errno", {"EINTR", "EIO"}));
   axes.push_back(Axis::MakeSet("retval", {"-1"}));
   FaultSpace space(std::move(axes), "full");
-  InjectionPlan plan = DecodeFault(space, Fault({0, 0, 0, 1, 0}));
+  InjectionPlan plan = FaultDecoder(space).Decode(Fault({0, 0, 0, 1, 0}));
   ASSERT_TRUE(plan.spec.has_value());
   EXPECT_EQ(plan.spec->errno_value, sim_errno::kEIO);
   EXPECT_EQ(plan.spec->retval, -1);
+}
+
+TEST(PlanTest, ModeAxisShortWriteUsesRetvalAsByteCount) {
+  std::vector<Axis> axes;
+  axes.push_back(Axis::MakeInterval("test", 1, 3));
+  axes.push_back(Axis::MakeSet("function", {"write"}));
+  axes.push_back(Axis::MakeInterval("call", 1, 5));
+  axes.push_back(Axis::MakeSet("mode", {"errno", "short_write"}));
+  axes.push_back(Axis::MakeSet("retval", {"20", "-1"}));
+  FaultSpace space(std::move(axes), "modes");
+  FaultDecoder decoder(space);
+
+  InjectionPlan plan = decoder.Decode(Fault({0, 0, 0, 1, 0}));
+  ASSERT_TRUE(plan.spec.has_value());
+  EXPECT_EQ(plan.spec->kind, FaultKind::kShortWrite);
+  EXPECT_EQ(plan.spec->param, 20);
+  EXPECT_EQ(plan.spec->retval, 20);
+  EXPECT_EQ(plan.spec->errno_value, 0);
+
+  // A negative retval label clamps K to a 0-byte write.
+  plan = decoder.Decode(Fault({0, 0, 0, 1, 1}));
+  ASSERT_TRUE(plan.spec.has_value());
+  EXPECT_EQ(plan.spec->param, 0);
+  EXPECT_EQ(plan.spec->retval, 0);
+
+  std::vector<Axis> bad_axes = space.axes();
+  bad_axes[3] = Axis::MakeSet("mode", {"errno", "torn_page"});
+  FaultSpace bad(std::move(bad_axes), "bad-mode");
+  EXPECT_THROW(FaultDecoder{bad}, std::invalid_argument);
 }
 
 TEST(PlanTest, MissingTestAxisThrows) {
   std::vector<Axis> axes;
   axes.push_back(Axis::MakeSet("function", {"read"}));
   FaultSpace space(std::move(axes), "broken");
-  EXPECT_THROW(DecodeFault(space, Fault({0})), std::invalid_argument);
+  EXPECT_THROW(FaultDecoder{space}, std::invalid_argument);
 }
 
 TEST(PlanTest, PermutedAxesStillDecodeByLabel) {
@@ -172,13 +201,13 @@ TEST(PlanTest, PermutedAxesStillDecodeByLabel) {
   axes[0] = axes[0].Permuted({2, 0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
                               15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28});
   FaultSpace shuffled(std::move(axes), "shuffled");
-  InjectionPlan plan = DecodeFault(shuffled, Fault({0, 0, 1}));
+  InjectionPlan plan = FaultDecoder(shuffled).Decode(Fault({0, 0, 1}));
   EXPECT_EQ(plan.test_id, 2u);  // label "3" -> test_id 2
 }
 
 TEST(PlanTest, FormatMatchesPaperShape) {
   FaultSpace space = MakeCanonicalSpace();
-  InjectionPlan plan = DecodeFault(space, Fault({22, 0, 1}));
+  InjectionPlan plan = FaultDecoder(space).Decode(Fault({22, 0, 1}));
   std::string rendered = FormatPlan(plan);
   EXPECT_NE(rendered.find("function malloc"), std::string::npos);
   EXPECT_NE(rendered.find("errno ENOMEM"), std::string::npos);
