@@ -12,20 +12,17 @@ namespace analysis {
 
 namespace {
 
-// LP64 aliases the interposer folds into their logical slot; the analyzer
-// must fold the same way or an LFS-built binary (importing open64) would
-// look like it never calls open. Fortified aliases (__read_chk, ...) are
-// deliberately not folded: the interposer does not wrap them, so a fault on
-// the logical name would never trigger through them.
+// The libc table's LP64 aliases, which the interposer counts in their row's
+// slot; the analyzer must fold the same way or an LFS-built binary
+// (importing open64) would look like it never calls open. Fortified aliases
+// (__read_chk, ...) are deliberately not in the table: the interposer does
+// not wrap them, so a fault on the logical name would never trigger through
+// them.
 std::string_view FoldAlias(std::string_view name) {
-  if (name == "open64") {
-    return "open";
-  }
-  if (name == "fopen64") {
-    return "fopen";
-  }
-  if (name == "lseek64") {
-    return "lseek";
+  for (const LibcTableRow& row : kLibcTable) {
+    if (*row.alias != '\0' && name == row.alias) {
+      return row.name;
+    }
   }
   return name;
 }
@@ -174,17 +171,12 @@ const ImportedFunction* TargetProfile::Find(std::string_view name) const {
 }
 
 std::vector<std::string> TargetProfile::InterposableImports() const {
-  // Libc-profile (category) order, so the pruned axis keeps the neighbour
-  // similarity the Gaussian mutation exploits — same order as the full axis
-  // exec::InterposableFunctions() builds.
+  // Slot (table) order, so the pruned axis keeps the neighbour similarity
+  // the Gaussian mutation exploits — same order as the full axis.
   std::vector<std::string> names;
-  for (const FunctionErrorProfile& fn : LibcProfile::Default().functions()) {
-    if (exec::InterposedSlot(fn.function.c_str()) < 0) {
-      continue;
-    }
-    const ImportedFunction* imported = Find(fn.function);
-    if (imported != nullptr && imported->interposable) {
-      names.push_back(fn.function);
+  for (const char* name : exec::kInterposedFunctions) {
+    if (Imports(name)) {
+      names.push_back(name);
     }
   }
   return names;

@@ -22,11 +22,11 @@
 namespace afex {
 namespace exec {
 
-// Encodes `specs`. Rejects what the interposer could never honour: functions
-// it does not wrap (injecting them could never trigger, which would silently
-// bias a campaign), bad ordinal windows, kinds that do not apply to the
-// function, a negative short_write count, and plans wider than its fixed
-// table (kFsMaxPlans).
+// Encodes `specs`. Rejects what the interposer could never honour
+// (ValidPlanEntry: functions it does not wrap — injecting them could never
+// trigger, which would silently bias a campaign — bad ordinal windows, kinds
+// that do not apply to the function, a negative short_write count) and plans
+// wider than its fixed table (kFsMaxPlans).
 bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
                        std::vector<FsPlanEntry>& out);
 

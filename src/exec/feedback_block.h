@@ -22,29 +22,32 @@
 #include <cstdint>
 #include <cstring>
 
+#include "injection/libc_table.h"
+
 namespace afex {
 namespace exec {
 
-// The logical libc functions the interposer profiles, in the category order
-// of injection/libc_profile.cc (memory, file, dir, net) so the real
-// backend's function axis keeps the neighbour-similarity the Gaussian
-// mutation exploits. Slot index in this table = index into
-// FeedbackBlock::calls / ::injected. LP64 aliases (open64, fopen64,
-// lseek64) are folded into their logical slot by the interposer.
-inline constexpr const char* kInterposedFunctions[] = {
-    "malloc", "calloc",  "realloc",                                // memory
-    "fopen",  "fclose",  "fread",  "fwrite", "fgets", "fflush",    // stdio
-    "open",   "close",   "read",   "write",  "lseek",              // fd I/O
-    "fsync",  "fdatasync",                                         // durability
-    "rename", "unlink",  "mkdir",                                  // dir/meta
-    "socket", "bind",    "listen", "accept", "connect",            // net
-    "send",   "recv",
-};
+// The interposer's slots: the wrapped rows of the libc function table
+// (injection/libc_table.h), in table order, so the real backend's function
+// axis keeps the category neighbour-similarity the Gaussian mutation
+// exploits. Slot = a function's rank among the wrapped rows = index into
+// FeedbackBlock::calls / ::injected; an LP64 alias (open64, ...) counts in
+// its row's slot.
+#define AFEX_EXEC_SLOT_NAME(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(#name, )
+#define AFEX_EXEC_SLOT_KINDS(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(kinds, )
+inline constexpr const char* kInterposedFunctions[] = {AFEX_LIBC_TABLE(AFEX_EXEC_SLOT_NAME)};
+// Each slot's storage-kinds column, for KindAppliesTo.
+inline constexpr uint32_t kInterposedStorageKinds[] = {AFEX_LIBC_TABLE(AFEX_EXEC_SLOT_KINDS)};
+#undef AFEX_EXEC_SLOT_NAME
+#undef AFEX_EXEC_SLOT_KINDS
 inline constexpr uint32_t kInterposedFunctionCount =
     sizeof(kInterposedFunctions) / sizeof(kInterposedFunctions[0]);
 // Fixed array size in the block; > kInterposedFunctionCount so the layout
 // survives adding a few functions without a version bump.
 inline constexpr uint32_t kMaxInterposedFunctions = 32;
+static_assert(kInterposedFunctionCount <= kMaxInterposedFunctions);
 
 inline constexpr uint64_t kFeedbackMagic = 0x3130424658454641ULL;  // "AFEXFB01"
 // Version 2 added the SanitizerCoverage edge-hit region. The parent creates

@@ -18,12 +18,14 @@
 // it.
 //
 // This header is included by the interposer, which is built free-standing
-// (no gtest, no afex libraries, no sanitizers): keep it to constants and
-// POD types only.
+// (no gtest, no afex libraries, no sanitizers): keep it to constants, POD
+// types, and allocation-free inline helpers.
 #ifndef AFEX_EXEC_FORKSERVER_PROTOCOL_H_
 #define AFEX_EXEC_FORKSERVER_PROTOCOL_H_
 
 #include <cstdint>
+
+#include "exec/feedback_block.h"
 
 namespace afex {
 namespace exec {
@@ -93,9 +95,8 @@ struct FsPlanEntry {
   uint64_t call_lo = 0;
   uint64_t call_hi = 0;
   int64_t retval = -1;
-  // Storage-failure class (numeric FaultKind: 0 errno, 1 short_write,
-  // 2 drop_sync, 3 kill_at, 4 crash_after_rename) and its parameter
-  // (short_write: the byte/item count actually performed).
+  // Storage-failure class (numeric FaultKind, injection/libc_table.h) and
+  // its parameter (short_write: the byte/item count actually performed).
   int32_t kind = 0;
   int32_t pad = 0;  // keep the struct 8-byte aligned, deterministic bytes
   int64_t param = 0;
@@ -105,6 +106,17 @@ struct FsPlanEntry {
 // a protocol violation and the server exits, an AFEX_PLAN holding more arms
 // nothing.
 inline constexpr uint32_t kFsMaxPlans = 8;
+
+// The one rule for an entry the interposer can honour, applied by its
+// ArmPlans (which drops anything else) and by the parent's plan codec
+// (exec/fault_plan.h): a wrapped slot, a 1-based ordinal window, a kind that
+// applies to the slot's function, and a non-negative short_write count.
+inline bool ValidPlanEntry(const FsPlanEntry& e) {
+  return e.slot >= 0 && e.slot < static_cast<int32_t>(kInterposedFunctionCount) &&
+         e.call_lo >= 1 && e.call_hi >= e.call_lo &&
+         KindAppliesTo(e.kind, kInterposedStorageKinds[e.slot]) &&
+         (e.kind != static_cast<int32_t>(FaultKind::kShortWrite) || e.param >= 0);
+}
 
 }  // namespace exec
 }  // namespace afex

@@ -1,6 +1,8 @@
 // libafex_interpose.so — the real-process injection mechanism (the LFI role
-// of paper §6.1, realized as an LD_PRELOAD libc interposer). Wraps the
-// profiled libc entry points; each wrapper counts the call in a mmap'd
+// of paper §6.1, realized as an LD_PRELOAD libc interposer). Wraps the rows
+// of injection/libc_table.h marked wrapped: the slots, the real-libc
+// pointers and their resolution derive from the table, and only the wrapper
+// bodies are written here. Each wrapper counts the call in a mmap'd
 // feedback block (exec/feedback_block.h) shared with the parent and, when
 // the call ordinal falls inside an armed plan's window, injects the planned
 // fault: set errno, return the profiled error value, never enter libc.
@@ -72,6 +74,7 @@
 
 namespace {
 
+using afex::FaultKind;
 using afex::exec::FeedbackBlock;
 using afex::exec::FsMsg;
 using afex::exec::FsMsgKind;
@@ -90,6 +93,7 @@ using afex::exec::kInterposedFunctionCount;
 using afex::exec::kMaxEdgeHits;
 using afex::exec::kMaxInterposedFunctions;
 using afex::exec::kMaxSancovEdges;
+using afex::exec::ValidPlanEntry;
 
 // ---------------------------------------------------------------------------
 // Bootstrap allocator: serves allocations made while dlsym resolves the real
@@ -123,63 +127,17 @@ size_t BootChunkSize(const void* p) {
 // ---------------------------------------------------------------------------
 // Real-function resolution.
 // ---------------------------------------------------------------------------
-using MallocFn = void* (*)(size_t);
-using CallocFn = void* (*)(size_t, size_t);
-using ReallocFn = void* (*)(void*, size_t);
-using FreeFn = void (*)(void*);
-using OpenFn = int (*)(const char*, int, ...);
-using CloseFn = int (*)(int);
-using ReadFn = ssize_t (*)(int, void*, size_t);
-using WriteFn = ssize_t (*)(int, const void*, size_t);
-using LseekFn = off_t (*)(int, off_t, int);
-using Lseek64Fn = off64_t (*)(int, off64_t, int);
-using FsyncFn = int (*)(int);
-using FopenFn = FILE* (*)(const char*, const char*);
-using FcloseFn = int (*)(FILE*);
-using FreadFn = size_t (*)(void*, size_t, size_t, FILE*);
-using FwriteFn = size_t (*)(const void*, size_t, size_t, FILE*);
-using FgetsFn = char* (*)(char*, int, FILE*);
-using FflushFn = int (*)(FILE*);
-using UnlinkFn = int (*)(const char*);
-using RenameFn = int (*)(const char*, const char*);
-using MkdirFn = int (*)(const char*, mode_t);
-using SocketFn = int (*)(int, int, int);
-using SockaddrFn = int (*)(int, const struct sockaddr*, socklen_t);
-using ListenFn = int (*)(int, int);
-using AcceptFn = int (*)(int, struct sockaddr*, socklen_t*);
-using SendFn = ssize_t (*)(int, const void*, size_t, int);
-using RecvFn = ssize_t (*)(int, void*, size_t, int);
-
-MallocFn g_real_malloc;
-CallocFn g_real_calloc;
-ReallocFn g_real_realloc;
-FreeFn g_real_free;
-OpenFn g_real_open;
-OpenFn g_real_open64;
-CloseFn g_real_close;
-ReadFn g_real_read;
-WriteFn g_real_write;
-LseekFn g_real_lseek;
-Lseek64Fn g_real_lseek64;
-FsyncFn g_real_fsync;
-FsyncFn g_real_fdatasync;
-FopenFn g_real_fopen;
-FopenFn g_real_fopen64;
-FcloseFn g_real_fclose;
-FreadFn g_real_fread;
-FwriteFn g_real_fwrite;
-FgetsFn g_real_fgets;
-FflushFn g_real_fflush;
-UnlinkFn g_real_unlink;
-RenameFn g_real_rename;
-MkdirFn g_real_mkdir;
-SocketFn g_real_socket;
-SockaddrFn g_real_connect;
-SockaddrFn g_real_bind;
-ListenFn g_real_listen;
-AcceptFn g_real_accept;
-SendFn g_real_send;
-RecvFn g_real_recv;
+// One pointer per wrapped row and per LP64 alias, typed as the libc
+// declaration (g_real_open, g_real_open64, ...). free is wrapped only so
+// the bootstrap arena's chunks are never handed to libc: it cannot fail,
+// so it has no table row.
+#define AFEX_REAL_DECL(sym) decltype(&::sym) g_real_##sym;
+#define AFEX_REAL_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(AFEX_REAL_DECL(name) __VA_OPT__(AFEX_REAL_DECL(__VA_ARGS__)))
+AFEX_LIBC_TABLE(AFEX_REAL_ROW)
+AFEX_REAL_DECL(free)
+#undef AFEX_REAL_ROW
+#undef AFEX_REAL_DECL
 
 // Set while this thread resolves a symbol: its allocator calls route to the
 // bootstrap arena. Thread-local so one thread's resolution never misroutes
@@ -205,69 +163,16 @@ void Resolve(Fn& slot, const char* name) {
 // ---------------------------------------------------------------------------
 // Plan + feedback state.
 // ---------------------------------------------------------------------------
-// Slot constants, kept in sync with kInterposedFunctions by static_asserts
-// on the names that anchor each group.
-enum Slot : int {
-  kSlotMalloc = 0,
-  kSlotCalloc,
-  kSlotRealloc,
-  kSlotFopen,
-  kSlotFclose,
-  kSlotFread,
-  kSlotFwrite,
-  kSlotFgets,
-  kSlotFflush,
-  kSlotOpen,
-  kSlotClose,
-  kSlotRead,
-  kSlotWrite,
-  kSlotLseek,
-  kSlotFsync,
-  kSlotFdatasync,
-  kSlotRename,
-  kSlotUnlink,
-  kSlotMkdir,
-  kSlotSocket,
-  kSlotBind,
-  kSlotListen,
-  kSlotAccept,
-  kSlotConnect,
-  kSlotSend,
-  kSlotRecv,
-};
-static_assert(afex::exec::kInterposedFunctions[kSlotMalloc][0] == 'm');
-static_assert(afex::exec::kInterposedFunctions[kSlotFopen][1] == 'o');
-static_assert(afex::exec::kInterposedFunctions[kSlotOpen][0] == 'o');
-static_assert(afex::exec::kInterposedFunctions[kSlotFsync][1] == 's');
-static_assert(afex::exec::kInterposedFunctions[kSlotRecv][0] == 'r');
-static_assert(kSlotRecv + 1 == static_cast<int>(kInterposedFunctionCount));
+// kSlot_<name>: a wrapped row's rank among the wrapped rows, the same
+// number InterposedSlot gives the parent.
+#define AFEX_SLOT_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(kSlot_##name, )
+enum Slot : int { AFEX_LIBC_TABLE(AFEX_SLOT_ROW) };
+#undef AFEX_SLOT_ROW
 
-// Numeric fault kinds, matching injection/fault_bus.h FaultKind (this file
-// is freestanding and cannot include it).
-enum PlanKind : int {
-  kKindErrno = 0,
-  kKindShortWrite = 1,
-  kKindDropSync = 2,
-  kKindKillAt = 3,
-  kKindCrashAfterRename = 4,
-};
-
-// Per-kind function constraints, the slot-level mirror of
-// FaultKindAppliesTo: a drop_sync on read() could never mean anything.
-bool KindAllowedForSlot(int kind, int slot) {
-  switch (kind) {
-    case kKindErrno:
-    case kKindKillAt:
-      return true;
-    case kKindShortWrite:
-      return slot == kSlotWrite || slot == kSlotFwrite;
-    case kKindDropSync:
-      return slot == kSlotFsync || slot == kSlotFdatasync;
-    case kKindCrashAfterRename:
-      return slot == kSlotRename;
-    default:
-      return false;
-  }
+// Armed entries passed ValidPlanEntry, so their kind is a FaultKind.
+bool Is(const FsPlanEntry* plan, FaultKind kind) {
+  return plan->kind == static_cast<int32_t>(kind);
 }
 
 // The power cut. Raw syscalls so no wrapper, atexit handler, or stdio flush
@@ -284,17 +189,8 @@ void SancovHarvest();
   }
 }
 
-struct Plan {
-  int slot = -1;
-  int kind = kKindErrno;
-  unsigned long call_lo = 0;
-  unsigned long call_hi = 0;
-  long retval = -1;
-  long param = 0;  // short_write: byte (write) / item (fwrite) count kept
-  int errno_value = 0;
-};
-
-Plan g_plans[kFsMaxPlans];
+// The armed entries, as they arrived (only ValidPlanEntry ones).
+FsPlanEntry g_plans[kFsMaxPlans];
 int g_plan_count = 0;
 
 // Local fallback block, replaced by a MAP_SHARED mapping (the AFEX_FEEDBACK
@@ -364,9 +260,9 @@ void SancovHarvest() {
 }
 
 // First armed plan covering call ordinal `n` of `slot`, else null.
-const Plan* MatchPlan(int slot, unsigned long n) {
+const FsPlanEntry* MatchPlan(int slot, unsigned long n) {
   for (int i = 0; i < g_plan_count; ++i) {
-    const Plan& p = g_plans[i];
+    const FsPlanEntry& p = g_plans[i];
     if (p.slot == slot && n >= p.call_lo && n <= p.call_hi) {
       return &p;
     }
@@ -381,7 +277,7 @@ const Plan* MatchPlan(int slot, unsigned long n) {
 // the child exits. g_active is read with acquire to pair with the
 // constructor's release store (plan and feedback state are published
 // before counting starts).
-const Plan* OnCallCount(int slot, unsigned long& n) {
+const FsPlanEntry* OnCallCount(int slot, unsigned long& n) {
   if (!__atomic_load_n(&g_active, __ATOMIC_ACQUIRE) || g_internal) {
     return nullptr;
   }
@@ -406,17 +302,17 @@ void RecordInjection(int slot, unsigned long n) {
 // storage-specific kinds (short_write, drop_sync, crash_after_rename) can
 // only be armed on their own slots — those wrappers use OnCallCount
 // directly and finish the job themselves.
-const Plan* OnCall(int slot) {
+const FsPlanEntry* OnCall(int slot) {
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(slot, n);
+  const FsPlanEntry* plan = OnCallCount(slot, n);
   if (plan == nullptr) {
     return nullptr;
   }
-  if (plan->kind == kKindKillAt) {
+  if (Is(plan, FaultKind::kKillAt)) {
     RecordInjection(slot, n);
     RawKill();
   }
-  if (plan->kind != kKindErrno) {
+  if (!Is(plan, FaultKind::kErrno)) {
     return nullptr;  // arming validated kind/slot pairs; never reached
   }
   RecordInjection(slot, n);
@@ -699,38 +595,21 @@ void ResetFeedbackForTest(uint32_t seq) {
 }
 
 // Arms one test's plan; the only arming routine, in every exec mode (spawn:
-// LoadPlanFromEnv; forkserver / persistent: each request). Entries with an
-// unknown slot or kind, a bad ordinal window, a kind that does not apply to
-// the function, or a negative short_write count are dropped.
+// LoadPlanFromEnv; forkserver / persistent: each request). Entries failing
+// ValidPlanEntry are dropped.
 void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
   g_plan_count = 0;
-  uint64_t loaded = 0;
   int buffering = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    const FsPlanEntry& e = entries[i];
-    if (e.slot < 0 || e.slot >= static_cast<int32_t>(kInterposedFunctionCount) ||
-        e.call_lo < 1 || e.call_hi < e.call_lo) {
+    if (!ValidPlanEntry(entries[i])) {
       continue;
     }
-    if (e.kind < kKindErrno || e.kind > kKindCrashAfterRename ||
-        !KindAllowedForSlot(e.kind, e.slot) ||
-        (e.kind == kKindShortWrite && e.param < 0)) {
-      continue;
-    }
-    Plan& p = g_plans[g_plan_count++];
-    p.slot = e.slot;
-    p.kind = e.kind;
-    p.call_lo = static_cast<unsigned long>(e.call_lo);
-    p.call_hi = static_cast<unsigned long>(e.call_hi);
-    p.retval = static_cast<long>(e.retval);
-    p.param = static_cast<long>(e.param);
-    p.errno_value = e.errno_value;
-    if (p.kind >= kKindDropSync) {
+    g_plans[g_plan_count++] = entries[i];
+    if (entries[i].kind >= static_cast<int32_t>(FaultKind::kDropSync)) {
       buffering = 1;
     }
-    ++loaded;
   }
-  g_block->plans_loaded = loaded;
+  g_block->plans_loaded = static_cast<uint64_t>(g_plan_count);
   // Runs in the server before the fork (or between persistent iterations):
   // every test starts with an empty arena and a clean fd table.
   ResetBuffering(buffering);
@@ -882,38 +761,15 @@ void ServeForkserver() {
 // process is still single-threaded (program threads cannot exist before
 // preload constructors finish), so after this no wrapper ever writes a
 // g_real_* pointer again — multithreaded targets only read them.
+#define AFEX_RESOLVE(sym) Resolve(g_real_##sym, #sym);
+#define AFEX_RESOLVE_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(AFEX_RESOLVE(name) __VA_OPT__(AFEX_RESOLVE(__VA_ARGS__)))
 void ResolveAll() {
-  Resolve(g_real_malloc, "malloc");
-  Resolve(g_real_calloc, "calloc");
-  Resolve(g_real_realloc, "realloc");
-  Resolve(g_real_free, "free");
-  Resolve(g_real_open, "open");
-  Resolve(g_real_open64, "open64");
-  Resolve(g_real_close, "close");
-  Resolve(g_real_read, "read");
-  Resolve(g_real_write, "write");
-  Resolve(g_real_lseek, "lseek");
-  Resolve(g_real_lseek64, "lseek64");
-  Resolve(g_real_fsync, "fsync");
-  Resolve(g_real_fdatasync, "fdatasync");
-  Resolve(g_real_fopen, "fopen");
-  Resolve(g_real_fopen64, "fopen64");
-  Resolve(g_real_fclose, "fclose");
-  Resolve(g_real_fread, "fread");
-  Resolve(g_real_fwrite, "fwrite");
-  Resolve(g_real_fgets, "fgets");
-  Resolve(g_real_fflush, "fflush");
-  Resolve(g_real_unlink, "unlink");
-  Resolve(g_real_rename, "rename");
-  Resolve(g_real_mkdir, "mkdir");
-  Resolve(g_real_socket, "socket");
-  Resolve(g_real_connect, "connect");
-  Resolve(g_real_bind, "bind");
-  Resolve(g_real_listen, "listen");
-  Resolve(g_real_accept, "accept");
-  Resolve(g_real_send, "send");
-  Resolve(g_real_recv, "recv");
+  AFEX_RESOLVE(free)
+  AFEX_LIBC_TABLE(AFEX_RESOLVE_ROW)
 }
+#undef AFEX_RESOLVE_ROW
+#undef AFEX_RESOLVE
 
 // glibc passes main's (argc, argv, envp) to ELF constructors; argv is what
 // lets forked children substitute their test id without the server ever
@@ -962,32 +818,86 @@ __attribute__((destructor)) void AfexInterposeFini() {
 
 // Inject helper: sets errno and produces the planned return value.
 template <typename T>
-T Inject(const Plan* plan) {
+T Inject(const FsPlanEntry* plan) {
   errno = plan->errno_value;
   return reinterpret_cast<T>(static_cast<intptr_t>(plan->retval));
 }
 template <>
-int Inject<int>(const Plan* plan) {
+int Inject<int>(const FsPlanEntry* plan) {
   errno = plan->errno_value;
   return static_cast<int>(plan->retval);
 }
 template <>
-long Inject<long>(const Plan* plan) {
+long Inject<long>(const FsPlanEntry* plan) {
   errno = plan->errno_value;
   return plan->retval;
 }
 template <>
-size_t Inject<size_t>(const Plan* plan) {
+size_t Inject<size_t>(const FsPlanEntry* plan) {
   errno = plan->errno_value;
   return static_cast<size_t>(plan->retval < 0 ? 0 : plan->retval);
+}
+
+// The bodies an LP64 alias shares with its row's function (open64, lseek64,
+// fopen64): each wrapper resolves its own libc entry and passes it in, and
+// both count in the row's slot.
+
+// glibc reads the variadic mode whenever the call can create a file: for
+// O_CREAT and for O_TMPFILE (__OPEN_NEEDS_MODE).
+int OpenWith(decltype(&::open) real, const char* path, int flags, va_list args) {
+  const bool needs_mode = (flags & O_CREAT) != 0 || (flags & O_TMPFILE) == O_TMPFILE;
+  const mode_t mode = needs_mode ? va_arg(args, mode_t) : 0;
+  if (const FsPlanEntry* plan = OnCall(kSlot_open)) {
+    return Inject<int>(plan);
+  }
+  const int fd = real(path, flags, mode);
+  if (fd >= 0 && !g_internal) {
+    NoteOpen(fd, flags);
+  }
+  return fd;
+}
+
+// off_t and off64_t are the same type on LP64, so lseek64's entry fits.
+off_t LseekWith(decltype(&::lseek) real, int fd, off_t offset, int whence) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_lseek)) {
+    return Inject<long>(plan);
+  }
+  if (g_buffering && !g_internal && fd >= 0 && fd < kMaxFdTrack) {
+    FdInfo& info = g_fd_info[fd];
+    if (info.tracked && !info.writethrough && !info.append) {
+      if (whence == SEEK_CUR) {
+        // Deferred writes never advanced the kernel offset; resolve the
+        // relative seek against the shadow offset instead.
+        offset += static_cast<off_t>(info.offset);
+        whence = SEEK_SET;
+      } else if (whence == SEEK_END) {
+        FlushFd(fd);  // the logical EOF includes deferred data
+      }
+      off_t r = real(fd, offset, whence);
+      if (r >= 0) {
+        info.offset = static_cast<long>(r);
+      }
+      return r;
+    }
+  }
+  return real(fd, offset, whence);
+}
+
+FILE* FopenWith(decltype(&::fopen) real, const char* path, const char* mode) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_fopen)) {
+    return Inject<FILE*>(plan);
+  }
+  return real(path, mode);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// The wrappers. All extern "C" with the exact libc signatures.
+// The wrappers. All extern "C" with the exact libc signatures, and the only
+// symbols the library exports (it is built with hidden visibility).
 // ---------------------------------------------------------------------------
 extern "C" {
+#pragma GCC visibility push(default)
 
 void* malloc(size_t size) {
   if (g_real_malloc == nullptr) {
@@ -999,7 +909,7 @@ void* malloc(size_t size) {
       return BootAlloc(size);
     }
   }
-  if (const Plan* plan = OnCall(kSlotMalloc)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_malloc)) {
     return Inject<void*>(plan);
   }
   return g_real_malloc(size);
@@ -1019,7 +929,7 @@ void* calloc(size_t nmemb, size_t size) {
       return nullptr;
     }
   }
-  if (const Plan* plan = OnCall(kSlotCalloc)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_calloc)) {
     return Inject<void*>(plan);
   }
   return g_real_calloc(nmemb, size);
@@ -1037,7 +947,7 @@ void* realloc(void* ptr, size_t size) {
     }
     return fresh;
   }
-  if (const Plan* plan = OnCall(kSlotRealloc)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_realloc)) {
     return Inject<void*>(plan);
   }
   return g_real_realloc(ptr, size);
@@ -1052,46 +962,26 @@ void free(void* ptr) {
 }
 
 int open(const char* path, int flags, ...) {
-  mode_t mode = 0;
-  if (flags & O_CREAT) {
-    va_list args;
-    va_start(args, flags);
-    mode = va_arg(args, mode_t);
-    va_end(args);
-  }
   Resolve(g_real_open, "open");
-  if (const Plan* plan = OnCall(kSlotOpen)) {
-    return Inject<int>(plan);
-  }
-  int fd = g_real_open(path, flags, mode);
-  if (fd >= 0 && !g_internal) {
-    NoteOpen(fd, flags);
-  }
+  va_list args;
+  va_start(args, flags);
+  const int fd = OpenWith(g_real_open, path, flags, args);
+  va_end(args);
   return fd;
 }
 
 int open64(const char* path, int flags, ...) {
-  mode_t mode = 0;
-  if (flags & O_CREAT) {
-    va_list args;
-    va_start(args, flags);
-    mode = va_arg(args, mode_t);
-    va_end(args);
-  }
   Resolve(g_real_open64, "open64");
-  if (const Plan* plan = OnCall(kSlotOpen)) {
-    return Inject<int>(plan);
-  }
-  int fd = g_real_open64(path, flags, mode);
-  if (fd >= 0 && !g_internal) {
-    NoteOpen(fd, flags);
-  }
+  va_list args;
+  va_start(args, flags);
+  const int fd = OpenWith(g_real_open64, path, flags, args);
+  va_end(args);
   return fd;
 }
 
 int close(int fd) {
   Resolve(g_real_close, "close");
-  if (const Plan* plan = OnCall(kSlotClose)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_close)) {
     return Inject<int>(plan);
   }
   if (g_buffering && !g_internal) {
@@ -1105,7 +995,7 @@ int close(int fd) {
 
 ssize_t read(int fd, void* buf, size_t count) {
   Resolve(g_real_read, "read");
-  if (const Plan* plan = OnCall(kSlotRead)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_read)) {
     return Inject<long>(plan);
   }
   return g_real_read(fd, buf, count);
@@ -1114,19 +1004,19 @@ ssize_t read(int fd, void* buf, size_t count) {
 ssize_t write(int fd, const void* buf, size_t count) {
   Resolve(g_real_write, "write");
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(kSlotWrite, n);
+  const FsPlanEntry* plan = OnCallCount(kSlot_write, n);
   if (plan != nullptr) {
-    if (plan->kind == kKindKillAt) {
-      RecordInjection(kSlotWrite, n);
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(kSlot_write, n);
       RawKill();
-    } else if (plan->kind == kKindErrno) {
-      RecordInjection(kSlotWrite, n);
+    } else if (Is(plan, FaultKind::kErrno)) {
+      RecordInjection(kSlot_write, n);
       return Inject<long>(plan);
-    } else if (plan->kind == kKindShortWrite &&
+    } else if (Is(plan, FaultKind::kShortWrite) &&
                static_cast<unsigned long>(plan->param) < count) {
       // The torn write: only the first K bytes happen. When K covers the
       // whole buffer the call is untouched and no injection is recorded.
-      RecordInjection(kSlotWrite, n);
+      RecordInjection(kSlot_write, n);
       count = static_cast<size_t>(plan->param);
     }
   }
@@ -1139,73 +1029,27 @@ ssize_t write(int fd, const void* buf, size_t count) {
 
 off_t lseek(int fd, off_t offset, int whence) {
   Resolve(g_real_lseek, "lseek");
-  if (const Plan* plan = OnCall(kSlotLseek)) {
-    return Inject<long>(plan);
-  }
-  if (g_buffering && !g_internal && fd >= 0 && fd < kMaxFdTrack) {
-    FdInfo& info = g_fd_info[fd];
-    if (info.tracked && !info.writethrough && !info.append) {
-      if (whence == SEEK_CUR) {
-        // Deferred writes never advanced the kernel offset; resolve the
-        // relative seek against the shadow offset instead.
-        offset += static_cast<off_t>(info.offset);
-        whence = SEEK_SET;
-      } else if (whence == SEEK_END) {
-        FlushFd(fd);  // the logical EOF includes deferred data
-      }
-      off_t r = g_real_lseek(fd, offset, whence);
-      if (r >= 0) {
-        info.offset = static_cast<long>(r);
-      }
-      return r;
-    }
-  }
-  return g_real_lseek(fd, offset, whence);
+  return LseekWith(g_real_lseek, fd, offset, whence);
 }
 
 off64_t lseek64(int fd, off64_t offset, int whence) {
   Resolve(g_real_lseek64, "lseek64");
-  if (const Plan* plan = OnCall(kSlotLseek)) {
-    return Inject<long>(plan);
-  }
-  if (g_buffering && !g_internal && fd >= 0 && fd < kMaxFdTrack) {
-    FdInfo& info = g_fd_info[fd];
-    if (info.tracked && !info.writethrough && !info.append) {
-      if (whence == SEEK_CUR) {
-        offset += static_cast<off64_t>(info.offset);
-        whence = SEEK_SET;
-      } else if (whence == SEEK_END) {
-        FlushFd(fd);
-      }
-      off64_t r = g_real_lseek64(fd, offset, whence);
-      if (r >= 0) {
-        info.offset = static_cast<long>(r);
-      }
-      return r;
-    }
-  }
-  return g_real_lseek64(fd, offset, whence);
+  return LseekWith(g_real_lseek64, fd, offset, whence);
 }
 
 FILE* fopen(const char* path, const char* mode) {
   Resolve(g_real_fopen, "fopen");
-  if (const Plan* plan = OnCall(kSlotFopen)) {
-    return Inject<FILE*>(plan);
-  }
-  return g_real_fopen(path, mode);
+  return FopenWith(g_real_fopen, path, mode);
 }
 
 FILE* fopen64(const char* path, const char* mode) {
   Resolve(g_real_fopen64, "fopen64");
-  if (const Plan* plan = OnCall(kSlotFopen)) {
-    return Inject<FILE*>(plan);
-  }
-  return g_real_fopen64(path, mode);
+  return FopenWith(g_real_fopen64, path, mode);
 }
 
 int fclose(FILE* stream) {
   Resolve(g_real_fclose, "fclose");
-  if (const Plan* plan = OnCall(kSlotFclose)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_fclose)) {
     return Inject<int>(plan);
   }
   return g_real_fclose(stream);
@@ -1213,7 +1057,7 @@ int fclose(FILE* stream) {
 
 size_t fread(void* ptr, size_t size, size_t nmemb, FILE* stream) {
   Resolve(g_real_fread, "fread");
-  if (const Plan* plan = OnCall(kSlotFread)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_fread)) {
     return Inject<size_t>(plan);
   }
   return g_real_fread(ptr, size, nmemb, stream);
@@ -1222,21 +1066,21 @@ size_t fread(void* ptr, size_t size, size_t nmemb, FILE* stream) {
 size_t fwrite(const void* ptr, size_t size, size_t nmemb, FILE* stream) {
   Resolve(g_real_fwrite, "fwrite");
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(kSlotFwrite, n);
+  const FsPlanEntry* plan = OnCallCount(kSlot_fwrite, n);
   if (plan != nullptr) {
-    if (plan->kind == kKindKillAt) {
-      RecordInjection(kSlotFwrite, n);
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(kSlot_fwrite, n);
       RawKill();
     }
-    if (plan->kind == kKindErrno) {
-      RecordInjection(kSlotFwrite, n);
+    if (Is(plan, FaultKind::kErrno)) {
+      RecordInjection(kSlot_fwrite, n);
       return Inject<size_t>(plan);
     }
-    if (plan->kind == kKindShortWrite &&
+    if (Is(plan, FaultKind::kShortWrite) &&
         static_cast<unsigned long>(plan->param) < nmemb) {
       // Torn stdio write: only the first K items happen. K covering all
       // items means the call is untouched and nothing is recorded.
-      RecordInjection(kSlotFwrite, n);
+      RecordInjection(kSlot_fwrite, n);
       return g_real_fwrite(ptr, size, static_cast<size_t>(plan->param), stream);
     }
   }
@@ -1245,7 +1089,7 @@ size_t fwrite(const void* ptr, size_t size, size_t nmemb, FILE* stream) {
 
 char* fgets(char* s, int size, FILE* stream) {
   Resolve(g_real_fgets, "fgets");
-  if (const Plan* plan = OnCall(kSlotFgets)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_fgets)) {
     return Inject<char*>(plan);
   }
   return g_real_fgets(s, size, stream);
@@ -1253,7 +1097,7 @@ char* fgets(char* s, int size, FILE* stream) {
 
 int fflush(FILE* stream) {
   Resolve(g_real_fflush, "fflush");
-  if (const Plan* plan = OnCall(kSlotFflush)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_fflush)) {
     return Inject<int>(plan);
   }
   return g_real_fflush(stream);
@@ -1261,7 +1105,7 @@ int fflush(FILE* stream) {
 
 int unlink(const char* path) {
   Resolve(g_real_unlink, "unlink");
-  if (const Plan* plan = OnCall(kSlotUnlink)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_unlink)) {
     return Inject<int>(plan);
   }
   return g_real_unlink(path);
@@ -1270,20 +1114,20 @@ int unlink(const char* path) {
 int rename(const char* oldpath, const char* newpath) {
   Resolve(g_real_rename, "rename");
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(kSlotRename, n);
+  const FsPlanEntry* plan = OnCallCount(kSlot_rename, n);
   if (plan != nullptr) {
-    if (plan->kind == kKindKillAt) {
-      RecordInjection(kSlotRename, n);
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(kSlot_rename, n);
       RawKill();
     }
-    if (plan->kind == kKindErrno) {
-      RecordInjection(kSlotRename, n);
+    if (Is(plan, FaultKind::kErrno)) {
+      RecordInjection(kSlot_rename, n);
       return Inject<int>(plan);
     }
-    if (plan->kind == kKindCrashAfterRename) {
+    if (Is(plan, FaultKind::kCrashAfterRename)) {
       // The rename reaches the directory; the power dies before anything
       // else does. Deferred data (the arena) is lost with the process.
-      RecordInjection(kSlotRename, n);
+      RecordInjection(kSlot_rename, n);
       g_real_rename(oldpath, newpath);
       RawKill();
     }
@@ -1294,24 +1138,24 @@ int rename(const char* oldpath, const char* newpath) {
 int fsync(int fd) {
   Resolve(g_real_fsync, "fsync");
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(kSlotFsync, n);
+  const FsPlanEntry* plan = OnCallCount(kSlot_fsync, n);
   if (plan != nullptr) {
-    if (plan->kind == kKindKillAt) {
-      RecordInjection(kSlotFsync, n);
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(kSlot_fsync, n);
       RawKill();
     }
-    if (plan->kind == kKindDropSync) {
+    if (Is(plan, FaultKind::kDropSync)) {
       // The lying drive: report durable, discard the fd's pending data.
       // Only a later crash exposes it — a clean run flushes nothing stale
       // because the discarded records are gone either way.
-      RecordInjection(kSlotFsync, n);
+      RecordInjection(kSlot_fsync, n);
       DiscardFd(fd);
       return 0;
     }
-    if (plan->kind == kKindErrno) {
+    if (Is(plan, FaultKind::kErrno)) {
       // Classic fsyncgate injection: the fd's pending data stays pending
       // (a failed fsync promises nothing about durability).
-      RecordInjection(kSlotFsync, n);
+      RecordInjection(kSlot_fsync, n);
       return Inject<int>(plan);
     }
   }
@@ -1324,19 +1168,19 @@ int fsync(int fd) {
 int fdatasync(int fd) {
   Resolve(g_real_fdatasync, "fdatasync");
   unsigned long n = 0;
-  const Plan* plan = OnCallCount(kSlotFdatasync, n);
+  const FsPlanEntry* plan = OnCallCount(kSlot_fdatasync, n);
   if (plan != nullptr) {
-    if (plan->kind == kKindKillAt) {
-      RecordInjection(kSlotFdatasync, n);
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(kSlot_fdatasync, n);
       RawKill();
     }
-    if (plan->kind == kKindDropSync) {
-      RecordInjection(kSlotFdatasync, n);
+    if (Is(plan, FaultKind::kDropSync)) {
+      RecordInjection(kSlot_fdatasync, n);
       DiscardFd(fd);
       return 0;
     }
-    if (plan->kind == kKindErrno) {
-      RecordInjection(kSlotFdatasync, n);
+    if (Is(plan, FaultKind::kErrno)) {
+      RecordInjection(kSlot_fdatasync, n);
       return Inject<int>(plan);
     }
   }
@@ -1348,7 +1192,7 @@ int fdatasync(int fd) {
 
 int mkdir(const char* path, mode_t mode) {
   Resolve(g_real_mkdir, "mkdir");
-  if (const Plan* plan = OnCall(kSlotMkdir)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_mkdir)) {
     return Inject<int>(plan);
   }
   return g_real_mkdir(path, mode);
@@ -1356,7 +1200,7 @@ int mkdir(const char* path, mode_t mode) {
 
 int socket(int domain, int type, int protocol) {
   Resolve(g_real_socket, "socket");
-  if (const Plan* plan = OnCall(kSlotSocket)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_socket)) {
     return Inject<int>(plan);
   }
   return g_real_socket(domain, type, protocol);
@@ -1364,7 +1208,7 @@ int socket(int domain, int type, int protocol) {
 
 int connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen) {
   Resolve(g_real_connect, "connect");
-  if (const Plan* plan = OnCall(kSlotConnect)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_connect)) {
     return Inject<int>(plan);
   }
   return g_real_connect(sockfd, addr, addrlen);
@@ -1372,7 +1216,7 @@ int connect(int sockfd, const struct sockaddr* addr, socklen_t addrlen) {
 
 int bind(int sockfd, const struct sockaddr* addr, socklen_t addrlen) {
   Resolve(g_real_bind, "bind");
-  if (const Plan* plan = OnCall(kSlotBind)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_bind)) {
     return Inject<int>(plan);
   }
   return g_real_bind(sockfd, addr, addrlen);
@@ -1380,7 +1224,7 @@ int bind(int sockfd, const struct sockaddr* addr, socklen_t addrlen) {
 
 int listen(int sockfd, int backlog) {
   Resolve(g_real_listen, "listen");
-  if (const Plan* plan = OnCall(kSlotListen)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_listen)) {
     return Inject<int>(plan);
   }
   return g_real_listen(sockfd, backlog);
@@ -1388,7 +1232,7 @@ int listen(int sockfd, int backlog) {
 
 int accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {
   Resolve(g_real_accept, "accept");
-  if (const Plan* plan = OnCall(kSlotAccept)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_accept)) {
     return Inject<int>(plan);
   }
   return g_real_accept(sockfd, addr, addrlen);
@@ -1396,7 +1240,7 @@ int accept(int sockfd, struct sockaddr* addr, socklen_t* addrlen) {
 
 ssize_t send(int sockfd, const void* buf, size_t len, int flags) {
   Resolve(g_real_send, "send");
-  if (const Plan* plan = OnCall(kSlotSend)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_send)) {
     return Inject<long>(plan);
   }
   return g_real_send(sockfd, buf, len, flags);
@@ -1404,7 +1248,7 @@ ssize_t send(int sockfd, const void* buf, size_t len, int flags) {
 
 ssize_t recv(int sockfd, void* buf, size_t len, int flags) {
   Resolve(g_real_recv, "recv");
-  if (const Plan* plan = OnCall(kSlotRecv)) {
+  if (const FsPlanEntry* plan = OnCall(kSlot_recv)) {
     return Inject<long>(plan);
   }
   return g_real_recv(sockfd, buf, len, flags);
@@ -1484,4 +1328,5 @@ int afex_persistent_run(int (*entry)(int test_id)) {
   }
 }
 
+#pragma GCC visibility pop
 }  // extern "C"

@@ -6,13 +6,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <system_error>
 
 #include "exec/fault_plan.h"
 #include "exec/feedback_block.h"
 #include "exec/forkserver.h"
 #include "exec/process_runner.h"
-#include "injection/libc_profile.h"
 #include "injection/plan.h"
 #include "util/log.h"
 
@@ -68,13 +68,7 @@ std::vector<std::string> SubstituteTest(std::vector<std::string> argv,
 }  // namespace
 
 std::vector<std::string> InterposableFunctions() {
-  std::vector<std::string> names;
-  for (const FunctionErrorProfile& f : LibcProfile::Default().functions()) {
-    if (InterposedSlot(f.function.c_str()) >= 0) {
-      names.push_back(f.function);
-    }
-  }
-  return names;
+  return {std::begin(kInterposedFunctions), std::end(kInterposedFunctions)};
 }
 
 static_assert(kEdgeBlockBase >= kMaxInterposedFunctions,

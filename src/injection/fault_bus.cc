@@ -3,43 +3,25 @@
 namespace afex {
 
 const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kErrno:
-      return "errno";
-    case FaultKind::kShortWrite:
-      return "short_write";
-    case FaultKind::kDropSync:
-      return "drop_sync";
-    case FaultKind::kKillAt:
-      return "kill_at";
-    case FaultKind::kCrashAfterRename:
-      return "crash_after_rename";
-  }
-  return "errno";
+  const int k = static_cast<int>(kind);
+  return k >= 0 && k < kFaultKindCount ? kFaultKindNames[k] : kFaultKindNames[0];
 }
 
 std::optional<FaultKind> FaultKindFromName(std::string_view name) {
-  if (name == "errno") return FaultKind::kErrno;
-  if (name == "short_write") return FaultKind::kShortWrite;
-  if (name == "drop_sync") return FaultKind::kDropSync;
-  if (name == "kill_at") return FaultKind::kKillAt;
-  if (name == "crash_after_rename") return FaultKind::kCrashAfterRename;
+  for (int k = 0; k < kFaultKindCount; ++k) {
+    if (name == kFaultKindNames[k]) {
+      return static_cast<FaultKind>(k);
+    }
+  }
   return std::nullopt;
 }
 
 bool FaultKindAppliesTo(FaultKind kind, std::string_view function) {
-  switch (kind) {
-    case FaultKind::kErrno:
-    case FaultKind::kKillAt:
-      return true;  // any ordinal can fail classically or take a power cut
-    case FaultKind::kShortWrite:
-      return function == "write" || function == "fwrite";
-    case FaultKind::kDropSync:
-      return function == "fsync" || function == "fdatasync";
-    case FaultKind::kCrashAfterRename:
-      return function == "rename";
-  }
-  return false;
+  // Function ids are table row numbers (LibcProfile::Default is built in
+  // table order).
+  const uint32_t id = LibcFunctionId(function);
+  return KindAppliesTo(static_cast<int>(kind),
+                       id == kUnknownLibcFn ? 0 : kLibcTable[id].storage_kinds);
 }
 
 uint32_t FaultBus::CachedLibcFunctionId(const char* function) {

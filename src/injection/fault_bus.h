@@ -36,29 +36,16 @@
 
 namespace afex {
 
-// What an armed fault *does* at the matched call. kErrno is the classic
-// AFEX fault (return error_retval, set errno); the storage-failure kinds
-// model the faults recovery code actually dies on. Only the real backend's
-// interposer implements the non-errno kinds — the simulated libc treats
-// every spec as kErrno.
-enum class FaultKind : int {
-  kErrno = 0,            // return `retval`, set `errno_value`, skip the call
-  kShortWrite = 1,       // write/fwrite only `param` bytes/items, return that
-  kDropSync = 2,         // fsync/fdatasync reports success; synced data is
-                         //   discarded (lying-drive emulation)
-  kKillAt = 3,           // SIGKILL at the matched ordinal (power cut)
-  kCrashAfterRename = 4, // perform the rename, then SIGKILL
-};
+// FaultKind and its one applicability rule live in injection/libc_table.h.
 
-// Canonical axis-label spellings ("errno", "short_write", "drop_sync",
-// "kill_at", "crash_after_rename").
+// Axis-label spellings (kFaultKindNames).
 const char* FaultKindName(FaultKind kind);
 std::optional<FaultKind> FaultKindFromName(std::string_view name);
 
-// True when `kind` is meaningful on libc function `function` (e.g.
-// drop_sync only applies to fsync/fdatasync). kErrno and kKillAt apply
-// everywhere; incompatible (kind, function) points decode but are never
-// armed — the harness runs them fault-free.
+// KindAppliesTo for a libc function by name (e.g. drop_sync only applies
+// to fsync/fdatasync); a name outside the table takes errno and kill_at
+// only. Incompatible (kind, function) points decode but are never armed —
+// the harness runs them fault-free.
 bool FaultKindAppliesTo(FaultKind kind, std::string_view function);
 
 struct FaultSpec {

@@ -3,46 +3,34 @@
 #include <cstdio>
 #include <cstdlib>
 #include <unordered_map>
+#include <utility>
 
 namespace afex {
 
 namespace sim_errno {
+namespace {
+constexpr std::pair<const char*, int> kNames[] = {
+    {"ENOMEM", kENOMEM}, {"EINTR", kEINTR},   {"EIO", kEIO},
+    {"EACCES", kEACCES}, {"ENOENT", kENOENT}, {"EAGAIN", kEAGAIN},
+    {"ENOSPC", kENOSPC}, {"EBADF", kEBADF},   {"EMFILE", kEMFILE},
+    {"ECONNRESET", kECONNRESET},
+};
+}  // namespace
+
 std::string Name(int err) {
-  switch (err) {
-    case kENOMEM:
-      return "ENOMEM";
-    case kEINTR:
-      return "EINTR";
-    case kEIO:
-      return "EIO";
-    case kEACCES:
-      return "EACCES";
-    case kENOENT:
-      return "ENOENT";
-    case kEAGAIN:
-      return "EAGAIN";
-    case kENOSPC:
-      return "ENOSPC";
-    case kEBADF:
-      return "EBADF";
-    case kEMFILE:
-      return "EMFILE";
-    case kECONNRESET:
-      return "ECONNRESET";
-    case 0:
-      return "OK";
-    default:
-      return "E" + std::to_string(err);
+  if (err == 0) {
+    return "OK";
   }
+  for (const auto& [n, v] : kNames) {
+    if (err == v) {
+      return n;
+    }
+  }
+  return "E" + std::to_string(err);
 }
+
 std::optional<int> ValueFromName(const std::string& name) {
-  static const std::pair<const char*, int> kTable[] = {
-      {"ENOMEM", kENOMEM}, {"EINTR", kEINTR},   {"EIO", kEIO},
-      {"EACCES", kEACCES}, {"ENOENT", kENOENT}, {"EAGAIN", kEAGAIN},
-      {"ENOSPC", kENOSPC}, {"EBADF", kEBADF},   {"EMFILE", kEMFILE},
-      {"ECONNRESET", kECONNRESET},
-  };
-  for (const auto& [n, v] : kTable) {
+  for (const auto& [n, v] : kNames) {
     if (name == n) {
       return v;
     }
@@ -56,60 +44,10 @@ const LibcProfile& LibcProfile::Default() {
   static const LibcProfile* profile = [] {
     using namespace sim_errno;
     auto* p = new LibcProfile();
-    auto add = [&](std::string fn, int64_t retval, std::vector<int> errnos, std::string cat) {
-      p->functions_.push_back({std::move(fn), retval, std::move(errnos), std::move(cat)});
-    };
-    // Memory management. A failed allocator returns NULL (0).
-    add("malloc", 0, {kENOMEM}, "memory");
-    add("calloc", 0, {kENOMEM}, "memory");
-    add("realloc", 0, {kENOMEM}, "memory");
-    add("strdup", 0, {kENOMEM}, "memory");
-    // Stream / file descriptor I/O.
-    add("fopen", 0, {kENOENT, kEACCES, kEMFILE}, "file");
-    add("fclose", -1, {kEIO, kEBADF}, "file");
-    add("fread", 0, {kEIO, kEINTR}, "file");
-    add("fwrite", 0, {kEIO, kENOSPC}, "file");
-    add("fgets", 0, {kEIO, kEINTR}, "file");
-    add("fflush", -1, {kEIO, kENOSPC}, "file");
-    add("ferror", 1, {}, "file");  // injected "error indicator set"
-    add("fputc", -1, {kEIO, kENOSPC}, "file");
-    add("open", -1, {kENOENT, kEACCES, kEMFILE}, "file");
-    add("close", -1, {kEIO, kEBADF}, "file");
-    add("read", -1, {kEINTR, kEIO, kEAGAIN}, "file");
-    add("write", -1, {kEINTR, kEIO, kENOSPC}, "file");
-    add("lseek", -1, {kEBADF}, "file");
-    // Durability calls: the storage-failure fault kinds (drop_sync) hang
-    // off these, but they also take classic errno injection (fsyncgate).
-    add("fsync", -1, {kEIO, kEINTR}, "file");
-    add("fdatasync", -1, {kEIO, kEINTR}, "file");
-    add("stat", -1, {kENOENT, kEACCES}, "file");
-    add("rename", -1, {kEACCES, kENOENT}, "file");
-    add("unlink", -1, {kENOENT, kEACCES}, "file");
-    // Directory operations.
-    add("opendir", 0, {kENOENT, kEACCES, kEMFILE}, "dir");
-    add("readdir", 0, {kEIO}, "dir");
-    add("closedir", -1, {kEBADF}, "dir");
-    add("chdir", -1, {kENOENT, kEACCES}, "dir");
-    add("getcwd", 0, {kENOMEM}, "dir");
-    add("mkdir", -1, {kEACCES, kENOSPC}, "dir");
-    // Networking.
-    add("socket", -1, {kEMFILE, kENOMEM}, "net");
-    add("bind", -1, {kEACCES}, "net");
-    add("listen", -1, {kEMFILE}, "net");
-    add("accept", -1, {kEINTR, kEMFILE, kECONNRESET}, "net");
-    add("connect", -1, {kECONNRESET, kEINTR}, "net");
-    add("send", -1, {kECONNRESET, kEINTR, kEAGAIN}, "net");
-    add("recv", -1, {kECONNRESET, kEINTR, kEAGAIN}, "net");
-    add("pipe", -1, {kEMFILE}, "net");
-    // Miscellaneous.
-    add("clock_gettime", -1, {kEINTR}, "misc");
-    add("setlocale", 0, {kENOMEM}, "misc");
-    add("getrlimit", -1, {kEINTR}, "misc");
-    add("setrlimit", -1, {kEACCES}, "misc");
-    add("strtol", 0, {}, "misc");
-    add("wait", -1, {kEINTR}, "misc");
-    add("pthread_mutex_lock", -1, {kEAGAIN}, "misc");
-    add("pthread_mutex_unlock", -1, {}, "misc");
+#define AFEX_PROFILE_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
+  p->functions_.push_back({#name, retval, AFEX_LIBC_LIST errnos, #category});
+    AFEX_LIBC_TABLE(AFEX_PROFILE_ROW)
+#undef AFEX_PROFILE_ROW
     return p;
   }();
   return *profile;

@@ -1,9 +1,11 @@
 // Per-function error profiles — the equivalent of LFI's callsite analyzer
 // applied to libc.so (paper §7, "Fault Space Definition Methodology"): for
-// each interposable function, the plausible error return value and the errno
+// each profiled function, the plausible error return value and the errno
 // codes it can set. Fault spaces and injectors consult this so they only
 // inject faults the real library interface could produce (holes in the
-// fault space correspond to impossible combinations, paper §2).
+// fault space correspond to impossible combinations, paper §2). The rows
+// themselves live in injection/libc_table.h, which every layer — the
+// interposer included — derives its view of the function set from.
 #ifndef AFEX_INJECTION_LIBC_PROFILE_H_
 #define AFEX_INJECTION_LIBC_PROFILE_H_
 
@@ -12,6 +14,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "injection/libc_table.h"
 
 namespace afex {
 
@@ -22,10 +26,8 @@ struct FunctionErrorProfile {
   std::string category;            // memory | file | dir | net | misc
 };
 
-// The built-in profile table for the simulated libc. Ordering groups
-// functions by category (memory, then file, then dir, net, misc), giving
-// the function axis the neighbour-similarity that AFEX's Gaussian mutation
-// exploits (paper §3: "close is related to open").
+// The profile of every row of AFEX_LIBC_TABLE, in table order (grouped by
+// category, so function axes keep their neighbour-similarity).
 class LibcProfile {
  public:
   // Profile table covering every function SimLibc implements.
@@ -54,21 +56,8 @@ size_t LibcFunctionCount();
 uint32_t LibcFunctionId(std::string_view name);
 const std::string& LibcFunctionName(uint32_t id);
 
-// Symbolic errno values used throughout the simulation. We define our own
-// constants instead of <cerrno> macros so the simulated environment is
-// fully host-independent.
+// Spellings of the sim_errno constants (injection/libc_table.h).
 namespace sim_errno {
-inline constexpr int kENOMEM = 12;
-inline constexpr int kEINTR = 4;
-inline constexpr int kEIO = 5;
-inline constexpr int kEACCES = 13;
-inline constexpr int kENOENT = 2;
-inline constexpr int kEAGAIN = 11;
-inline constexpr int kENOSPC = 28;
-inline constexpr int kEBADF = 9;
-inline constexpr int kEMFILE = 24;
-inline constexpr int kECONNRESET = 104;
-
 std::string Name(int err);
 // Reverse lookup; nullopt for unknown names.
 std::optional<int> ValueFromName(const std::string& name);

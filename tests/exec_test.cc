@@ -13,8 +13,9 @@
 //   AFEX_WALUTIL_PATH    — the sample real target
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
 //   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its
-//                                  stdio, hangs past SIGTERM, or calls libc
-//                                  ahead of the hook
+//                                  stdio, hangs past SIGTERM, calls libc
+//                                  ahead of the hook, or opens an O_TMPFILE
+//                                  file
 #include <errno.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -432,6 +433,8 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
   bad_slot.slot = static_cast<int32_t>(kInterposedFunctionCount);
   FsPlanEntry bad_kind = open2;
   bad_kind.kind = static_cast<int32_t>(FaultKind::kCrashAfterRename) + 1;
+  FsPlanEntry wrong_kind = open2;
+  wrong_kind.kind = static_cast<int32_t>(FaultKind::kDropSync);
   FsPlanEntry zero_lo = open2;
   zero_lo.call_lo = 0;
   FsPlanEntry negative_short = Entries({{.function = "write", .call_lo = 1, .call_hi = 1,
@@ -445,6 +448,7 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
        HexEncodePlanEntries(std::vector<FsPlanEntry>(kFsMaxPlans + 1, open2))},
       {"slot out of range", HexEncodePlanEntries({bad_slot})},
       {"kind out of range", HexEncodePlanEntries({bad_kind})},
+      {"kind that does not apply to the slot", HexEncodePlanEntries({wrong_kind})},
       {"call_lo == 0", HexEncodePlanEntries({zero_lo})},
       {"short_write with a negative param", HexEncodePlanEntries({negative_short})},
   };
@@ -459,6 +463,18 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
     EXPECT_EQ(block.plans_loaded, 0u) << name;
     EXPECT_EQ(block.injected_total, 0u) << name;
   }
+}
+
+TEST(InterposerTest, TmpfileOpenKeepsItsMode) {
+  // glibc reads open's variadic mode for O_TMPFILE as it does for O_CREAT;
+  // a wrapper that passed 0 instead would create the file with mode 000.
+  FeedbackBlock block;
+  ProcessResult result = RunPreloaded(TempDir("tmpfile"), {AFEX_PERSISTENT_FIXTURE_PATH, "5"},
+                                      "", block);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_NE(result.output.find("tmpfile mode 600"), std::string::npos) << result.output;
+  EXPECT_EQ(block.calls[InterposedSlot("open")], 1u);
 }
 
 TEST(InterposerTest, CatalogReadFaultCrashesChild) {

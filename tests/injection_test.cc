@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "exec/feedback_block.h"
 #include "injection/fault_bus.h"
 #include "injection/libc_profile.h"
 #include "injection/plan.h"
@@ -103,6 +106,49 @@ TEST(LibcProfileTest, ErrnoNames) {
   EXPECT_EQ(sim_errno::Name(0), "OK");
   EXPECT_EQ(sim_errno::ValueFromName("EINTR"), std::optional<int>(sim_errno::kEINTR));
   EXPECT_EQ(sim_errno::ValueFromName("EWHAT"), std::nullopt);
+}
+
+// ---- the libc function table ----
+
+TEST(LibcTableTest, KindMatrixAndSlotOrder) {
+  // errno and kill_at apply to every function; each storage kind only to
+  // the functions listed here.
+  const std::map<std::string, FaultKind> storage_kind = {
+      {"write", FaultKind::kShortWrite},     {"fwrite", FaultKind::kShortWrite},
+      {"fsync", FaultKind::kDropSync},       {"fdatasync", FaultKind::kDropSync},
+      {"rename", FaultKind::kCrashAfterRename},
+  };
+  for (const FunctionErrorProfile& fn : LibcProfile::Default().functions()) {
+    const auto it = storage_kind.find(fn.function);
+    for (int k = 0; k < kFaultKindCount; ++k) {
+      const FaultKind kind = static_cast<FaultKind>(k);
+      const bool expected = kind == FaultKind::kErrno || kind == FaultKind::kKillAt ||
+                            (it != storage_kind.end() && it->second == kind);
+      EXPECT_EQ(FaultKindAppliesTo(kind, fn.function), expected)
+          << fn.function << " x " << FaultKindName(kind);
+    }
+  }
+  EXPECT_FALSE(KindAppliesTo(-1, ~0u));
+  EXPECT_FALSE(KindAppliesTo(kFaultKindCount, ~0u));
+
+  // Wrapped functions take consecutive slots in profile order, and the
+  // slot-level kinds agree with the by-name rule.
+  int last_slot = -1;
+  for (const FunctionErrorProfile& fn : LibcProfile::Default().functions()) {
+    const int slot = exec::InterposedSlot(fn.function.c_str());
+    if (slot < 0) {
+      continue;
+    }
+    EXPECT_EQ(slot, last_slot + 1) << fn.function;
+    last_slot = slot;
+    for (int k = 0; k < kFaultKindCount; ++k) {
+      EXPECT_EQ(KindAppliesTo(k, exec::kInterposedStorageKinds[slot]),
+                FaultKindAppliesTo(static_cast<FaultKind>(k), fn.function))
+          << fn.function << " x " << k;
+    }
+  }
+  EXPECT_EQ(last_slot + 1, static_cast<int>(exec::kInterposedFunctionCount));
+  EXPECT_EQ(exec::InterposedSlot("open"), 9);
 }
 
 // ---- plan decoding ----

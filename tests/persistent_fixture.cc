@@ -6,15 +6,20 @@
 //       returns 0;
 //   3 — hangs: ignores SIGTERM and sleeps 30 s, so only SIGKILL ends it;
 //   4 — opens /dev/null and closes it: returns 3 when the open fails, 5
-//       when the close does, else 0.
+//       when the close does, else 0;
+//   5 — creates an unnamed O_TMPFILE file in the working directory with
+//       mode 0600 and prints the mode it got: returns 0 when that is 600,
+//       6 when the open or fstat fails, else 7.
 // A second argument "open-first" makes main open /dev/null before it hands
 // over the entry function (returning 4 when that open fails): an interposed
 // call ahead of the hook, which must leave every mode with spawn's ordinals.
+#include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -45,6 +50,21 @@ int RunScenario(int id) {
       }
       return close(fd) == 0 ? 0 : 5;
     }
+    case 5: {
+      const int fd = open(".", O_TMPFILE | O_RDWR, 0600);
+      if (fd < 0) {
+        printf("tmpfile open failed: errno=%d\n", errno);
+        return 6;
+      }
+      struct stat st{};
+      const int rc = fstat(fd, &st);
+      close(fd);
+      if (rc != 0) {
+        return 6;
+      }
+      printf("tmpfile mode %o\n", st.st_mode & 07777);
+      return (st.st_mode & 07777) == 0600 ? 0 : 7;
+    }
     default:
       fprintf(stderr, "unknown test id %d\n", id);
       return 2;
@@ -67,7 +87,7 @@ int main(int argc, char** argv) {
     }
   }
   if (argc < 2) {
-    fprintf(stderr, "usage: persistent_fixture <test-id 1..4> [open-first]\n");
+    fprintf(stderr, "usage: persistent_fixture <test-id 1..5> [open-first]\n");
     return 2;
   }
   return RunScenario(static_cast<int>(strtol(argv[1], nullptr, 10)));
