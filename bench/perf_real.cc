@@ -16,7 +16,7 @@
 // (recover, verify), so those cells carry real.recovery_run/real.verify.
 //
 // Within a campaign every mode must produce the identical record sequence
-// (checked with bench::DigestRecords, the digest perf_sim uses) — the run
+// (checked with DigestRecords, the digest perf_sim uses) — the run
 // exits non-zero on divergence, so each benchmark run doubles as the
 // determinism acceptance check for the exec modes. Each cell runs with a
 // CampaignTelemetry sink attached and its phase snapshot is embedded in
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "bench/host_info.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
@@ -203,7 +202,7 @@ ModeResult RunCampaign(Workload workload, exec::ExecMode mode, size_t budget, ui
   result.failed = outcome.failed_tests;
   result.crashes = outcome.crashes;
   result.clusters = outcome.clusters;
-  result.record_digest = bench::DigestRecords(outcome);
+  result.record_digest = DigestRecords(outcome);
   if (harness.forkserver() != nullptr) {
     result.server_restarts = harness.forkserver()->restarts();
   }

@@ -1,6 +1,7 @@
 // Simulated-target campaign benchmark: times whole fitness campaigns
 // (redundancy feedback on) across the four simulated targets, serial and
-// cluster-mode (--jobs), and checks the two retained reference
+// in cluster mode (four nodes), checks every cell's record digest against
+// the committed golden table, and checks the two retained reference
 // implementations against the library defaults. Every cell runs the same
 // seeded campaign three times:
 //
@@ -19,7 +20,7 @@
 //                        ClusterConfig::naive_reference).
 //
 // Each reference leg must reproduce the optimized campaign exactly — the
-// same totals, sim steps, and bench::DigestRecords digest over every
+// same totals, sim steps, and DigestRecords digest over every
 // record's fault, fitness bits, cluster id, and full outcome — or the run
 // exits 1 naming the leg and cell, so every benchmark run doubles as an
 // equivalence check of both optimized paths against their oracles. The
@@ -27,11 +28,13 @@
 // value equality of its trajectory additionally rests on floating-point
 // reformulations (lazy decay scaling, prefix-sum selection) staying on the
 // same side of every comparison, which this check and feedback_perf_test
-// verify empirically.
+// verify empirically. The optimized campaign of every cell must also
+// reproduce its digest in kGoldenCells, or the run exits 1 printing the
+// cell, the expected digest and the observed digest.
 //
 // Each target/jobs cell runs at two Qpriority capacities: the library
-// default (64, interactive-scale) and a campaign-scale pool (--pool,
-// default = the budget) — the paper's "does not discard any tests, rather
+// default (64, interactive-scale) and a campaign-scale pool (the
+// budget) — the paper's "does not discard any tests, rather
 // only prioritizes their execution" (§3) reading. Budgets are not capped
 // at the space size, so the coreutils and webserver cells run to
 // exhaustion and exercise the fallback scan. The headline is the serial
@@ -39,19 +42,19 @@
 // is re-run with a CampaignTelemetry sink attached, which must not change
 // the records. Results are emitted as machine-readable JSON (BENCH_sim.json).
 //
-// Usage: perf_sim [--out=FILE] [--budget=N] [--jobs=N] [--pool=N] [--quick]
+// Usage: perf_sim [--out=FILE] [--quick]
 //   --quick shrinks the budget so CI can smoke-run it in a few seconds;
 //   published numbers come from the default Release configuration.
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "bench/host_info.h"
 #include "core/fitness_explorer.h"
 #include "core/session.h"
@@ -111,6 +114,69 @@ struct LegResult {
   }
 };
 
+constexpr size_t kDefaultBudget = 20000;
+constexpr size_t kQuickBudget = 2000;
+constexpr size_t kClusterJobs = 4;
+
+// Frozen record digest of every cell perf_sim runs: both budgets, every
+// target, serial and kClusterJobs nodes, the default and the campaign-scale
+// pool. A cell whose digest differs fails the run. A change that alters
+// campaign records on purpose copies the printed digest here and explains
+// why in CHANGES.md.
+struct GoldenCell {
+  size_t budget;
+  const char* target;
+  size_t jobs;
+  size_t pool;
+  uint64_t digest;
+};
+constexpr GoldenCell kGoldenCells[] = {
+    {2000, "coreutils", 1, 64, 0xe086b4df90c7f0feULL},
+    {2000, "coreutils", 1, 2000, 0x16405e337a14a3c7ULL},
+    {2000, "coreutils", 4, 64, 0xc41a771d0bb0b883ULL},
+    {2000, "coreutils", 4, 2000, 0xfef815ad05f74776ULL},
+    {2000, "minidb", 1, 64, 0xe6b67866915912c6ULL},
+    {2000, "minidb", 1, 2000, 0x1648a592c1c1195aULL},
+    {2000, "minidb", 4, 64, 0xe325bb2de7f2d734ULL},
+    {2000, "minidb", 4, 2000, 0xf0feba16963912d8ULL},
+    {2000, "webserver", 1, 64, 0xdc77e5744dcd40b0ULL},
+    {2000, "webserver", 1, 2000, 0x99a2093d88972b11ULL},
+    {2000, "webserver", 4, 64, 0x192f2f388b184beeULL},
+    {2000, "webserver", 4, 2000, 0x667a3f57e047f5cfULL},
+    {2000, "docstore-v2.0", 1, 64, 0xe2f2180364c54699ULL},
+    {2000, "docstore-v2.0", 1, 2000, 0xca23a503a7e81e0aULL},
+    {2000, "docstore-v2.0", 4, 64, 0x75ed8bc3c0ba61abULL},
+    {2000, "docstore-v2.0", 4, 2000, 0x37b8f57126a1e3fdULL},
+    {20000, "coreutils", 1, 64, 0xe086b4df90c7f0feULL},
+    {20000, "coreutils", 1, 20000, 0x16405e337a14a3c7ULL},
+    {20000, "coreutils", 4, 64, 0xc41a771d0bb0b883ULL},
+    {20000, "coreutils", 4, 20000, 0xfef815ad05f74776ULL},
+    {20000, "minidb", 1, 64, 0x548e5abbbabba30bULL},
+    {20000, "minidb", 1, 20000, 0x1c8c2d0386565f80ULL},
+    {20000, "minidb", 4, 64, 0x08f7f23f4788f03cULL},
+    {20000, "minidb", 4, 20000, 0xef6aa152fb35cf0bULL},
+    {20000, "webserver", 1, 64, 0x063a0a4397bb2c75ULL},
+    {20000, "webserver", 1, 20000, 0x5ed44a3ee76141faULL},
+    {20000, "webserver", 4, 64, 0x171bfbca5e23232dULL},
+    {20000, "webserver", 4, 20000, 0x45140baad7cdfa82ULL},
+    {20000, "docstore-v2.0", 1, 64, 0x4161e0bdac6c2170ULL},
+    {20000, "docstore-v2.0", 1, 20000, 0x3f0c5d8c759265e5ULL},
+    {20000, "docstore-v2.0", 4, 64, 0xc8bdee04e6c65612ULL},
+    {20000, "docstore-v2.0", 4, 20000, 0xfd71a7fa078efa43ULL},
+};
+
+// The committed digest of a cell, or nullopt if the table has none.
+std::optional<uint64_t> GoldenDigest(size_t budget, const char* target, size_t jobs,
+                                     size_t pool) {
+  for (const GoldenCell& cell : kGoldenCells) {
+    if (cell.budget == budget && std::strcmp(cell.target, target) == 0 && cell.jobs == jobs &&
+        cell.pool == pool) {
+      return cell.digest;
+    }
+  }
+  return std::nullopt;
+}
+
 LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t pool, Leg leg,
                       uint64_t seed, obs::MetricsSink* metrics = nullptr) {
   const bool feedback_reference = leg == Leg::kFeedbackReference;
@@ -152,7 +218,7 @@ LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t
   r.clusters = result.clusters;
   r.unique_failures = result.unique_failures;
   r.unique_crashes = result.unique_crashes;
-  r.record_digest = bench::DigestRecords(result);
+  r.record_digest = DigestRecords(result);
   return r;
 }
 
@@ -185,34 +251,20 @@ int main(int argc, char** argv) {
   using namespace afex;
 
   std::string out_path = "BENCH_sim.json";
-  size_t budget = 20000;
-  size_t cluster_jobs = 4;
-  size_t pool = 0;  // 0 = size to the budget (campaign-scale Qpriority)
+  size_t budget = kDefaultBudget;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg.rfind("--budget=", 0) == 0) {
-      budget = static_cast<size_t>(std::strtoull(arg.c_str() + 9, nullptr, 10));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      cluster_jobs = static_cast<size_t>(std::strtoull(arg.c_str() + 7, nullptr, 10));
-    } else if (arg.rfind("--pool=", 0) == 0) {
-      pool = static_cast<size_t>(std::strtoull(arg.c_str() + 7, nullptr, 10));
     } else if (arg == "--quick") {
-      budget = 2000;
+      budget = kQuickBudget;
     } else {
-      std::fprintf(stderr,
-                   "usage: perf_sim [--out=FILE] [--budget=N] [--jobs=N] [--pool=N] [--quick]\n");
+      std::fprintf(stderr, "usage: perf_sim [--out=FILE] [--quick]\n");
       return 2;
     }
   }
-  if (budget == 0 || cluster_jobs == 0) {
-    std::fprintf(stderr, "--budget and --jobs must be positive\n");
-    return 2;
-  }
-  if (pool == 0) {
-    pool = budget;  // never-evict: every executed test stays prioritized
-  }
+  const size_t cluster_jobs = kClusterJobs;
+  const size_t pool = budget;  // never-evict: every executed test stays prioritized
   const size_t kDefaultPool = FitnessExplorerConfig{}.priority_capacity;
 
   // docstore-v2.0 is the headline: max_call sized so the space (840 tests x
@@ -240,6 +292,7 @@ int main(int argc, char** argv) {
 
   std::array<LegResult, 3> headline;  // indexed by Leg
   bool all_equivalent = true;
+  bool all_golden = true;
   bool first = true;
   std::vector<size_t> jobs_list = {1};
   if (cluster_jobs != 1) {
@@ -257,6 +310,16 @@ int main(int argc, char** argv) {
         std::array<LegResult, 3> legs;  // indexed by Leg
         legs[0] = RunCampaign(spec, budget, jobs, pool_size, Leg::kOptimized, seed);
         std::printf("%8.0f t/s", legs[0].tests_per_sec());
+        const std::optional<uint64_t> golden = GoldenDigest(budget, spec.name, jobs, pool_size);
+        if (golden != legs[0].record_digest) {
+          all_golden = false;
+          std::fprintf(stderr,
+                       "\nFATAL: %s budget=%zu jobs=%zu pool=%zu: expected digest %016llx, "
+                       "observed %016llx\n",
+                       spec.name, budget, jobs, pool_size,
+                       static_cast<unsigned long long>(golden.value_or(0)),
+                       static_cast<unsigned long long>(legs[0].record_digest));
+        }
         if (!first) {
           out << ",\n";
         }
@@ -322,12 +385,13 @@ int main(int argc, char** argv) {
                   feedback_slowdown);
     out << buf;
   }
-  out << "  \"all_legs_equivalent\": " << (all_equivalent ? "true" : "false") << "\n}\n";
+  out << "  \"all_legs_equivalent\": " << (all_equivalent ? "true" : "false") << ",\n";
+  out << "  \"all_cells_match_golden\": " << (all_golden ? "true" : "false") << "\n}\n";
   out.close();
   std::printf(
       "\nheadline: %s serial (pool %zu) %.0f t/s; sim_reference %.2fx, feedback_reference "
       "%.2fx slower -> %s\n",
       headline_spec.name, pool, headline[0].tests_per_sec(), sim_slowdown, feedback_slowdown,
       out_path.c_str());
-  return all_equivalent ? 0 : 1;
+  return all_equivalent && all_golden ? 0 : 1;
 }

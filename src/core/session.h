@@ -134,6 +134,13 @@ struct SessionResult {
   bool space_exhausted = false;
 };
 
+// FNV-1a over every record's fault indices, fitness bits, cluster id, and
+// full outcome, two-phase verdict flags included (always zero on simulated
+// targets). Two campaigns agree on this iff their record sequences, and the
+// target observations inside them, are identical; the benchmarks and the
+// golden campaign tests compare it against committed values.
+uint64_t DigestRecords(const SessionResult& result);
+
 class ExplorationSession {
  public:
   // One runner per node; `nodes` must be non-empty. Each round issues one
