@@ -1,51 +1,30 @@
 // Simulated-target campaign benchmark: times whole fitness campaigns
 // (redundancy feedback on) across the four simulated targets, serial and
-// in cluster mode (four nodes), checks every cell's record digest against
-// the committed golden table, and checks the two retained reference
-// implementations against the library defaults. Every cell runs the same
-// seeded campaign three times:
-//
-//   optimized          — the library defaults: flat interned-path SimEnv
-//                        tables and pointer-cached bus counters, the
-//                        interned/memoized clusterer, and the incremental
-//                        explorer;
-//   sim_reference      — the std::map-backed SimEnv tables and map-backed
-//                        fault-bus counters on every node
-//                        (SimEnvConfig::reference_structures: the sim layer
-//                        as originally shipped);
-//   feedback_reference — the original feedback-path algorithms (naive
-//                        unpruned clustering sweeps, per-attempt weight
-//                        rebuilds, eager aging, from-scratch fallback scans:
-//                        FitnessExplorerConfig::reference_algorithms plus
-//                        ClusterConfig::naive_reference).
-//
-// Each reference leg must reproduce the optimized campaign exactly — the
-// same totals, sim steps, and DigestRecords digest over every
-// record's fault, fitness bits, cluster id, and full outcome — or the run
-// exits 1 naming the leg and cell, so every benchmark run doubles as an
-// equivalence check of both optimized paths against their oracles. The
-// feedback reference consumes the RNG stream identically by construction;
-// value equality of its trajectory additionally rests on floating-point
-// reformulations (lazy decay scaling, prefix-sum selection) staying on the
-// same side of every comparison, which this check and feedback_perf_test
-// verify empirically. The optimized campaign of every cell must also
-// reproduce its digest in kGoldenCells, or the run exits 1 printing the
-// cell, the expected digest and the observed digest.
+// in cluster mode (four nodes), and checks every cell's record digest
+// against a committed golden table.
 //
 // Each target/jobs cell runs at two Qpriority capacities: the library
-// default (64, interactive-scale) and a campaign-scale pool (the
-// budget) — the paper's "does not discard any tests, rather
-// only prioritizes their execution" (§3) reading. Budgets are not capped
-// at the space size, so the coreutils and webserver cells run to
-// exhaustion and exercise the fallback scan. The headline is the serial
-// docstore-v2.0 campaign at the campaign-scale pool; its optimized campaign
-// is re-run with a CampaignTelemetry sink attached, which must not change
-// the records. Results are emitted as machine-readable JSON (BENCH_sim.json).
+// default (64, interactive-scale) and a campaign-scale pool (the budget) —
+// the paper's "does not discard any tests, rather only prioritizes their
+// execution" (§3) reading. Budgets are not capped at the space size, so the
+// coreutils and webserver cells run to exhaustion and exercise the fallback
+// scan. The headline is the serial docstore-v2.0 campaign at the
+// campaign-scale pool; it is re-run with a CampaignTelemetry sink attached,
+// which must not change the records. Results are emitted as
+// machine-readable JSON (BENCH_sim.json).
+//
+// Frozen-golden contract: kGoldenCells holds the DigestRecords digest
+// (every record's fault, fitness bits, cluster id, and full outcome) of
+// every cell of both configurations. A cell whose digest differs, or a
+// telemetry-attached headline that differs from the plain one, makes the
+// run exit 1 after printing the cell, the expected digest and the observed
+// digest. Timing never fails a run. A change that alters campaign records
+// on purpose copies the printed digest into kGoldenCells and explains why
+// in CHANGES.md.
 //
 // Usage: perf_sim [--out=FILE] [--quick]
 //   --quick shrinks the budget so CI can smoke-run it in a few seconds;
 //   published numbers come from the default Release configuration.
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -75,22 +54,7 @@ struct TargetSpec {
   bool zero_call;
 };
 
-enum class Leg { kOptimized, kSimReference, kFeedbackReference };
-constexpr Leg kReferenceLegs[] = {Leg::kSimReference, Leg::kFeedbackReference};
-
-const char* LegName(Leg leg) {
-  switch (leg) {
-    case Leg::kOptimized:
-      return "optimized";
-    case Leg::kSimReference:
-      return "sim_reference";
-    case Leg::kFeedbackReference:
-      return "feedback_reference";
-  }
-  return "?";
-}
-
-struct LegResult {
+struct CellResult {
   double seconds = 0.0;
   size_t tests = 0;
   size_t failed = 0;
@@ -103,20 +67,11 @@ struct LegResult {
 
   double tests_per_sec() const { return seconds > 0.0 ? tests / seconds : 0.0; }
   double steps_per_sec() const { return seconds > 0.0 ? sim_steps / seconds : 0.0; }
-  double SlowdownVs(const LegResult& optimized) const {
-    return optimized.seconds > 0.0 ? seconds / optimized.seconds : 0.0;
-  }
-  bool SameCampaignAs(const LegResult& o) const {
-    return tests == o.tests && failed == o.failed && crashes == o.crashes &&
-           clusters == o.clusters && unique_failures == o.unique_failures &&
-           unique_crashes == o.unique_crashes && sim_steps == o.sim_steps &&
-           record_digest == o.record_digest;
-  }
 };
 
 constexpr size_t kDefaultBudget = 20000;
 constexpr size_t kQuickBudget = 2000;
-constexpr size_t kClusterJobs = 4;
+constexpr size_t kClusterJobs = 4;  // nodes of the cluster-mode cells
 
 // Frozen record digest of every cell perf_sim runs: both budgets, every
 // target, serial and kClusterJobs nodes, the default and the campaign-scale
@@ -177,14 +132,12 @@ std::optional<uint64_t> GoldenDigest(size_t budget, const char* target, size_t j
   return std::nullopt;
 }
 
-LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t pool, Leg leg,
-                      uint64_t seed, obs::MetricsSink* metrics = nullptr) {
-  const bool feedback_reference = leg == Leg::kFeedbackReference;
+CellResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t pool,
+                       uint64_t seed, obs::MetricsSink* metrics = nullptr) {
   TargetSuite suite = spec.make();
   std::vector<std::unique_ptr<TargetHarness>> harnesses;
   for (size_t i = 0; i < jobs; ++i) {
-    harnesses.push_back(
-        std::make_unique<TargetHarness>(suite, seed ^ 0x5eed, leg == Leg::kSimReference));
+    harnesses.push_back(std::make_unique<TargetHarness>(suite, seed ^ 0x5eed));
   }
   harnesses[0]->set_metrics_sink(metrics);
   FaultSpace space = harnesses[0]->MakeSpace(spec.max_call, spec.zero_call);
@@ -192,12 +145,10 @@ LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t
   FitnessExplorerConfig explorer_config;
   explorer_config.seed = seed;
   explorer_config.priority_capacity = pool;
-  explorer_config.reference_algorithms = feedback_reference;
   FitnessExplorer explorer(space, explorer_config);
 
   SessionConfig session_config;
   session_config.redundancy_feedback = true;
-  session_config.cluster_config.naive_reference = feedback_reference;
   session_config.metrics = metrics;
 
   auto started = std::chrono::steady_clock::now();
@@ -207,7 +158,7 @@ LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t
   }
   ExplorationSession session(explorer, std::move(runners), session_config);
   const SessionResult& result = session.Run({.max_tests = budget});
-  LegResult r;
+  CellResult r;
   r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   for (const auto& harness : harnesses) {
     r.sim_steps += harness->total_sim_steps();
@@ -222,26 +173,21 @@ LegResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t
   return r;
 }
 
-// Writes one leg's JSON object; reference legs also carry their slowdown
-// against `optimized` and whether they reproduced it.
-void EmitLeg(std::ofstream& out, Leg leg, const LegResult& m, const LegResult& optimized) {
-  char buf[512];
+// Writes one cell's JSON object.
+void EmitCell(std::ofstream& out, const char* target, size_t jobs, size_t pool,
+              const CellResult& m, bool golden) {
+  char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "      \"%s\": {\"seconds\": %.6f, \"tests\": %zu, \"tests_per_sec\": %.1f, "
-                "\"sim_steps\": %zu, \"sim_steps_per_sec\": %.0f, \"failed\": %zu, "
-                "\"crashes\": %zu, \"clusters\": %zu, \"unique_failures\": %zu, "
-                "\"unique_crashes\": %zu, \"record_digest\": \"%016llx\"",
-                LegName(leg), m.seconds, m.tests, m.tests_per_sec(), m.sim_steps,
+                "    {\"target\": \"%s\", \"jobs\": %zu, \"pool\": %zu, \"seconds\": %.6f, "
+                "\"tests\": %zu, \"tests_per_sec\": %.1f, \"sim_steps\": %zu, "
+                "\"sim_steps_per_sec\": %.0f, \"failed\": %zu, \"crashes\": %zu, "
+                "\"clusters\": %zu, \"unique_failures\": %zu, \"unique_crashes\": %zu, "
+                "\"record_digest\": \"%016llx\", \"golden\": %s}",
+                target, jobs, pool, m.seconds, m.tests, m.tests_per_sec(), m.sim_steps,
                 m.steps_per_sec(), m.failed, m.crashes, m.clusters, m.unique_failures,
-                m.unique_crashes, static_cast<unsigned long long>(m.record_digest));
+                m.unique_crashes, static_cast<unsigned long long>(m.record_digest),
+                golden ? "true" : "false");
   out << buf;
-  if (leg != Leg::kOptimized) {
-    std::snprintf(buf, sizeof(buf), ", \"slowdown\": %.2f, \"equivalent\": %s",
-                  m.SlowdownVs(optimized),
-                  m.SameCampaignAs(optimized) ? "true" : "false");
-    out << buf;
-  }
-  out << "}";
 }
 
 }  // namespace
@@ -263,7 +209,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const size_t cluster_jobs = kClusterJobs;
   const size_t pool = budget;  // never-evict: every executed test stays prioritized
   const size_t kDefaultPool = FitnessExplorerConfig{}.priority_capacity;
 
@@ -286,67 +231,39 @@ int main(int argc, char** argv) {
   out << "{\n  \"benchmark\": \"sim_campaign\",\n";
   out << "  " << bench::HostJson() << ",\n";
   out << "  \"config\": {\"strategy\": \"fitness\", \"feedback\": true, \"budget\": " << budget
-      << ", \"cluster_jobs\": " << cluster_jobs << ", \"default_pool\": " << kDefaultPool
+      << ", \"cluster_jobs\": " << kClusterJobs << ", \"default_pool\": " << kDefaultPool
       << ", \"campaign_pool\": " << pool << ", \"seed\": " << seed << "},\n";
   out << "  \"results\": [\n";
 
-  std::array<LegResult, 3> headline;  // indexed by Leg
-  bool all_equivalent = true;
+  CellResult headline;
   bool all_golden = true;
   bool first = true;
-  std::vector<size_t> jobs_list = {1};
-  if (cluster_jobs != 1) {
-    jobs_list.push_back(cluster_jobs);
-  }
-  std::vector<size_t> pool_list = {kDefaultPool};
-  if (pool != kDefaultPool) {
-    pool_list.push_back(pool);
-  }
   for (const TargetSpec& spec : targets) {
-    for (size_t jobs : jobs_list) {
-      for (size_t pool_size : pool_list) {
-        std::printf("%-14s jobs=%zu pool=%-6zu optimized ", spec.name, jobs, pool_size);
+    for (size_t jobs : {size_t{1}, kClusterJobs}) {
+      for (size_t pool_size : {kDefaultPool, pool}) {
+        std::printf("%-14s jobs=%zu pool=%-6zu ", spec.name, jobs, pool_size);
         std::fflush(stdout);
-        std::array<LegResult, 3> legs;  // indexed by Leg
-        legs[0] = RunCampaign(spec, budget, jobs, pool_size, Leg::kOptimized, seed);
-        std::printf("%8.0f t/s", legs[0].tests_per_sec());
+        CellResult r = RunCampaign(spec, budget, jobs, pool_size, seed);
         const std::optional<uint64_t> golden = GoldenDigest(budget, spec.name, jobs, pool_size);
-        if (golden != legs[0].record_digest) {
-          all_golden = false;
+        const bool matches = golden == r.record_digest;
+        all_golden = all_golden && matches;
+        std::printf("%8.0f t/s  digest %016llx%s\n", r.tests_per_sec(),
+                    static_cast<unsigned long long>(r.record_digest),
+                    matches ? "" : " [MISMATCH]");
+        std::fflush(stdout);
+        if (!matches) {
           std::fprintf(stderr,
-                       "\nFATAL: %s budget=%zu jobs=%zu pool=%zu: expected digest %016llx, "
+                       "FATAL: %s budget=%zu jobs=%zu pool=%zu: expected digest %016llx, "
                        "observed %016llx\n",
                        spec.name, budget, jobs, pool_size,
                        static_cast<unsigned long long>(golden.value_or(0)),
-                       static_cast<unsigned long long>(legs[0].record_digest));
+                       static_cast<unsigned long long>(r.record_digest));
         }
-        if (!first) {
-          out << ",\n";
-        }
+        out << (first ? "" : ",\n");
         first = false;
-        out << "    {\"target\": \"" << spec.name << "\", \"jobs\": " << jobs
-            << ", \"pool\": " << pool_size << ",\n";
-        EmitLeg(out, Leg::kOptimized, legs[0], legs[0]);
-        for (Leg leg : kReferenceLegs) {
-          std::printf("  %s ", LegName(leg));
-          std::fflush(stdout);
-          LegResult& r = legs[static_cast<size_t>(leg)];
-          r = RunCampaign(spec, budget, jobs, pool_size, leg, seed);
-          const bool equivalent = r.SameCampaignAs(legs[0]);
-          all_equivalent = all_equivalent && equivalent;
-          std::printf("%8.0f t/s (%5.2fx)%s", r.tests_per_sec(), r.SlowdownVs(legs[0]),
-                      equivalent ? "" : " [MISMATCH]");
-          if (!equivalent) {
-            std::fprintf(stderr, "\nFATAL: %s diverged from optimized on %s jobs=%zu pool=%zu\n",
-                         LegName(leg), spec.name, jobs, pool_size);
-          }
-          out << ",\n";
-          EmitLeg(out, leg, r, legs[0]);
-        }
-        std::printf("\n");
-        out << "\n    }";
+        EmitCell(out, spec.name, jobs, pool_size, r, matches);
         if (&spec == &headline_spec && jobs == 1 && pool_size == pool) {
-          headline = legs;
+          headline = r;
         }
       }
     }
@@ -359,39 +276,35 @@ int main(int argc, char** argv) {
   std::printf("%-14s jobs=1 pool=%-6zu telemetry-attached ", headline_spec.name, pool);
   std::fflush(stdout);
   obs::CampaignTelemetry telemetry;
-  LegResult instrumented =
-      RunCampaign(headline_spec, budget, 1, pool, Leg::kOptimized, seed, &telemetry);
-  const bool telemetry_equivalent = instrumented.SameCampaignAs(headline[0]);
-  all_equivalent = all_equivalent && telemetry_equivalent;
+  CellResult instrumented = RunCampaign(headline_spec, budget, 1, pool, seed, &telemetry);
+  const bool telemetry_equivalent = instrumented.record_digest == headline.record_digest &&
+                                    instrumented.sim_steps == headline.sim_steps;
   std::printf("%8.0f t/s  digest %s\n", instrumented.tests_per_sec(),
               telemetry_equivalent ? "unchanged" : "DIVERGED");
   if (!telemetry_equivalent) {
-    std::fprintf(stderr, "FATAL: attaching telemetry changed the %s campaign's records\n",
-                 headline_spec.name);
+    std::fprintf(stderr,
+                 "FATAL: attaching telemetry changed the %s campaign: expected digest %016llx, "
+                 "observed %016llx\n",
+                 headline_spec.name, static_cast<unsigned long long>(headline.record_digest),
+                 static_cast<unsigned long long>(instrumented.record_digest));
   }
   out << "  \"telemetry_equivalent\": " << (telemetry_equivalent ? "true" : "false") << ",\n";
   out << "  \"telemetry\": ";
   telemetry.Snapshot().WriteJson(out, 2);
   out << ",\n";
-  const double sim_slowdown = headline[1].SlowdownVs(headline[0]);
-  const double feedback_slowdown = headline[2].SlowdownVs(headline[0]);
   {
-    char buf[384];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"headline\": {\"target\": \"%s\", \"jobs\": 1, \"pool\": %zu, "
-                  "\"budget\": %zu, \"optimized_tests_per_sec\": %.1f, "
-                  "\"sim_reference_slowdown\": %.2f, \"feedback_reference_slowdown\": %.2f},\n",
-                  headline_spec.name, pool, budget, headline[0].tests_per_sec(), sim_slowdown,
-                  feedback_slowdown);
+                  "\"budget\": %zu, \"tests_per_sec\": %.1f},\n",
+                  headline_spec.name, pool, budget, headline.tests_per_sec());
     out << buf;
   }
-  out << "  \"all_legs_equivalent\": " << (all_equivalent ? "true" : "false") << ",\n";
   out << "  \"all_cells_match_golden\": " << (all_golden ? "true" : "false") << "\n}\n";
   out.close();
-  std::printf(
-      "\nheadline: %s serial (pool %zu) %.0f t/s; sim_reference %.2fx, feedback_reference "
-      "%.2fx slower -> %s\n",
-      headline_spec.name, pool, headline[0].tests_per_sec(), sim_slowdown, feedback_slowdown,
-      out_path.c_str());
-  return all_equivalent && all_golden ? 0 : 1;
+  std::printf("\nheadline: %s serial (pool %zu) %.0f t/s; %s -> %s\n", headline_spec.name, pool,
+              headline.tests_per_sec(),
+              all_golden ? "every cell matches its golden digest" : "GOLDEN MISMATCH",
+              out_path.c_str());
+  return all_golden && telemetry_equivalent ? 0 : 1;
 }

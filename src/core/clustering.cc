@@ -17,7 +17,7 @@ double RedundancyClusterer::BestSimilarity::Value() const {
     return 0.0;
   }
   // Same expression TokenSimilarity evaluates, so the result is bit-equal
-  // to the naive max-of-doubles scan.
+  // to a max-of-doubles scan over it.
   return 1.0 - static_cast<double>(distance) / static_cast<double>(length);
 }
 
@@ -44,7 +44,7 @@ void RedundancyClusterer::Sweep(const std::vector<uint32_t>& ids, bool want_simi
 
     // Assignment only cares about distances within the threshold that beat
     // the best candidate so far (ties keep the earlier representative, as
-    // the reference argmin does).
+    // a first-minimum argmin does).
     size_t assign_cut = kNone;
     if (want_assign) {
       assign_cut = config_.distance_threshold;
@@ -91,9 +91,6 @@ void RedundancyClusterer::Sweep(const std::vector<uint32_t>& ids, bool want_simi
 }
 
 double RedundancyClusterer::NearestSimilarity(const std::vector<std::string>& stack) const {
-  if (config_.naive_reference) {
-    return NaiveNearestSimilarity(stack);
-  }
   if (stack.empty()) {
     // An empty trace has similarity 0 to every (non-empty) representative.
     return 0.0;
@@ -116,15 +113,6 @@ size_t RedundancyClusterer::Assign(const std::vector<std::string>& stack) {
 
 ClusterObservation RedundancyClusterer::Observe(const std::vector<std::string>& stack,
                                                 bool want_similarity) {
-  if (config_.naive_reference) {
-    ClusterObservation obs;
-    if (want_similarity) {
-      obs.similarity = NaiveNearestSimilarity(stack);
-    }
-    obs.cluster_id = NaiveAssign(stack);
-    return obs;
-  }
-
   ClusterObservation obs;
   if (stack.empty()) {
     ++sizes_[0];
@@ -158,44 +146,6 @@ ClusterObservation RedundancyClusterer::Observe(const std::vector<std::string>& 
   rep_tokens_.push_back(std::move(ids));
   sizes_.push_back(1);
   return obs;
-}
-
-double RedundancyClusterer::NaiveNearestSimilarity(const std::vector<std::string>& stack) const {
-  double best = 0.0;
-  bool any = false;
-  // Slot 0 (the never-triggered cluster) is not a behaviour to steer away
-  // from, so it never participates in similarity.
-  for (size_t i = 1; i < representatives_.size(); ++i) {
-    double sim = TokenSimilarity(stack, representatives_[i]);
-    if (!any || sim > best) {
-      best = sim;
-      any = true;
-    }
-  }
-  return any ? best : 0.0;
-}
-
-size_t RedundancyClusterer::NaiveAssign(const std::vector<std::string>& stack) {
-  if (stack.empty()) {
-    ++sizes_[0];
-    return 0;
-  }
-  size_t best_cluster = kNone;
-  size_t best_distance = kNone;
-  for (size_t i = 1; i < representatives_.size(); ++i) {
-    size_t d = LevenshteinDistanceTokens(stack, representatives_[i]);
-    if (d < best_distance) {
-      best_distance = d;
-      best_cluster = i;
-    }
-  }
-  if (best_cluster != kNone && best_distance <= config_.distance_threshold) {
-    ++sizes_[best_cluster];
-    return best_cluster;
-  }
-  representatives_.push_back(stack);
-  sizes_.push_back(1);
-  return representatives_.size() - 1;
 }
 
 }  // namespace afex

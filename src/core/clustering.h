@@ -5,18 +5,22 @@
 // a new test is scaled down by its similarity to previously seen traces,
 // steering exploration away from re-triggering the same underlying bug.
 //
-// The online use makes this a per-test cost, so the default implementation
-// is engineered for throughput: frames are interned to integer token ids, a
+// The online use makes this a per-test cost, so the implementation is
+// engineered for throughput: frames are interned to integer token ids, a
 // whole-stack exact-match memo resolves repeat traces (the common case)
 // without any edit-distance work, the feedback similarity and the cluster
 // assignment are computed in one combined sweep over the representatives,
 // and each representative is compared with a length-difference prune plus a
 // cutoff-banded distance that aborts once it can no longer beat the best
-// candidate so far. The naive reference path (full pairwise Levenshtein,
-// exactly the original implementation) is retained behind
-// ClusterConfig::naive_reference; the two are observably identical — the
-// property suite asserts bit-equal assignments and similarities — and the
-// reference serves as the baseline of the feedback-path benchmark.
+// candidate so far. Results equal a full pairwise Levenshtein scan bit for
+// bit: ties keep the earlier representative and the similarity is the
+// max-of-doubles such a scan computes.
+//
+// Assignments and similarities are frozen by committed goldens:
+// feedback_perf_test holds one digest per distance threshold and
+// bench/perf_sim holds every benchmark cell's record digest. A change that
+// alters them on purpose copies the printed digest into the golden and
+// explains why in CHANGES.md.
 #ifndef AFEX_CORE_CLUSTERING_H_
 #define AFEX_CORE_CLUSTERING_H_
 
@@ -36,11 +40,6 @@ struct ClusterConfig {
   // targets, where one frame of difference already means a different
   // failing callsite; real, deep backtraces warrant a larger threshold.
   size_t distance_threshold = 0;
-
-  // Run the original unpruned string-based implementation instead of the
-  // interned/memoized one. Kept for equivalence tests and as the perf
-  // baseline; results are identical either way.
-  bool naive_reference = false;
 };
 
 // Result of one combined feedback-and-assignment pass.
@@ -97,7 +96,7 @@ class RedundancyClusterer {
   // Best similarity seen so far, tracked as the exact rational distance/len
   // pair so pruning decisions never depend on floating-point rounding. The
   // final double is produced once, from the winning pair, which yields the
-  // bit-identical value the naive max-of-doubles scan computes.
+  // bit-identical value a max-of-doubles scan over TokenSimilarity computes.
   struct BestSimilarity {
     bool any = false;
     size_t distance = 0;
@@ -115,17 +114,12 @@ class RedundancyClusterer {
   void Sweep(const std::vector<uint32_t>& ids, bool want_similarity, bool want_assign,
              BestSimilarity& sim, size_t& best_cluster, size_t& best_distance) const;
 
-  // The original implementation, kept verbatim as the reference.
-  double NaiveNearestSimilarity(const std::vector<std::string>& stack) const;
-  size_t NaiveAssign(const std::vector<std::string>& stack);
-
   ClusterConfig config_;
   std::vector<std::vector<std::string>> representatives_;  // [0] reserved
   std::vector<size_t> sizes_;
 
-  // Optimized-path state (unused under naive_reference). Interner is
-  // mutated only by the non-const Observe/Assign path; const queries
-  // translate through read-only lookups.
+  // Interner is mutated only by the non-const Observe/Assign path; const
+  // queries translate through read-only lookups.
   StringInterner interner_;
   std::vector<std::vector<uint32_t>> rep_tokens_;  // parallel to representatives_
   // Exact-match memo: interned representative trace -> cluster id. Every

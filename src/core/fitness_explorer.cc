@@ -31,13 +31,13 @@ FitnessExplorer::FitnessExplorer(const FaultSpace& space, FitnessExplorerConfig 
       axis_history_(space.dimensions()),
       sensitivity_(space.dimensions(), 1.0) {
   assert(space.dimensions() > 0);
-  issued_.Init(space, /*use_bitmap=*/!config_.reference_algorithms);
+  issued_.Init(space);
 }
 
 // ---- IssuedSet ----
 
-void FitnessExplorer::IssuedSet::Init(const FaultSpace& space, bool use_bitmap) {
-  if (!use_bitmap || space.TotalPoints() > kBitmapLimit) {
+void FitnessExplorer::IssuedSet::Init(const FaultSpace& space) {
+  if (space.TotalPoints() > kBitmapLimit) {
     return;  // hash mode
   }
   cardinalities_.reserve(space.dimensions());
@@ -92,13 +92,11 @@ std::optional<Fault> FitnessExplorer::NextCandidate() {
                      rng_.NextBernoulli(kRandomRestartProb);
   if (!want_random) {
     if (auto mutation = GenerateMutation()) {
-      exhausted_probes_ = 0;
       return mutation;
     }
     // Mutation space around the pool is exhausted; fall through to random.
   }
   if (auto random = SampleRandomNovel()) {
-    exhausted_probes_ = 0;
     return random;
   }
   // Both mutation and random sampling failed to find novelty. Scan
@@ -109,15 +107,6 @@ std::optional<Fault> FitnessExplorer::NextCandidate() {
 }
 
 std::optional<Fault> FitnessExplorer::ScanForUnissued() {
-  if (config_.reference_algorithms) {
-    for (auto f = space_->FirstValid(); f.has_value(); f = space_->NextValid(*f)) {
-      if (!AlreadyIssued(*f)) {
-        issued_.Insert(*f);
-        return f;
-      }
-    }
-    return std::nullopt;
-  }
   // Points are never un-issued, so everything the cursor has passed stays
   // ineligible forever and the scan can resume where it last stopped; the
   // whole campaign pays for at most one walk of the space in total.
@@ -153,23 +142,7 @@ std::optional<Fault> FitnessExplorer::GenerateMutation() {
   for (int attempt = 0; attempt < kMaxGenerationAttempts; ++attempt) {
     // Lines 1-4: sample a parent proportionally to fitness, with an epsilon
     // floor so low-fitness tests keep a non-zero chance.
-    size_t parent_slot;
-    if (config_.reference_algorithms) {
-      double max_fitness = 0.0;
-      for (const Entry& e : priority_) {
-        max_fitness = std::max(max_fitness, e.fitness);
-      }
-      std::vector<double> weights;
-      weights.reserve(priority_.size());
-      double floor = kMinSelectionWeight * std::max(max_fitness, 1.0);
-      for (const Entry& e : priority_) {
-        weights.push_back(e.fitness + floor);
-      }
-      parent_slot = rng_.SampleWeighted(weights);
-    } else {
-      parent_slot = SampleParentSlot();
-    }
-    const Entry& parent = priority_[parent_slot];
+    const Entry& parent = priority_[SampleParentSlot()];
 
     // Lines 5-6: choose the attribute to mutate proportionally to the
     // normalized sensitivity vector.
@@ -246,7 +219,7 @@ void FitnessExplorer::SeedPriorityHint(const Fault& fault, double fitness) {
   InsertIntoPriority(Entry{fault, fitness, 0.0});
 }
 
-// ---- optimized-path pool maintenance ----
+// ---- pool maintenance ----
 
 void FitnessExplorer::AppendSlot(Entry entry) {
   size_t slot = priority_.size();
@@ -294,9 +267,8 @@ size_t FitnessExplorer::LiveSlotAtOrBefore(size_t slot) const {
 }
 
 size_t FitnessExplorer::SampleParentSlot() {
-  // Same distribution (and the same single RNG draw) as the reference
-  // SampleWeighted over {aged fitness + floor}, answered by the Fenwick
-  // descent instead of a materialized weight array.
+  // Fitness-proportional over {aged fitness + floor} with one RNG draw,
+  // answered by the Fenwick descent instead of a materialized weight array.
   double max_fitness = live_count_ == 0 ? 0.0 : max_fitness_.Max() * decay_scale_;
   double floor = kMinSelectionWeight * std::max(max_fitness, 1.0);
   double total = decay_scale_ * fit_fen_.Total() +
@@ -362,26 +334,6 @@ void FitnessExplorer::MaybeCompact() {
 }
 
 void FitnessExplorer::InsertIntoPriority(Entry entry) {
-  if (config_.reference_algorithms) {
-    if (priority_.size() < config_.priority_capacity) {
-      priority_.push_back(std::move(entry));
-      return;
-    }
-    // Evict a victim sampled with probability inversely proportional to
-    // fitness, so the queue's average fitness rises over time (paper §3).
-    double max_fitness = 0.0;
-    for (const Entry& e : priority_) {
-      max_fitness = std::max(max_fitness, e.fitness);
-    }
-    std::vector<double> weights;
-    weights.reserve(priority_.size());
-    for (const Entry& e : priority_) {
-      weights.push_back(max_fitness - e.fitness + 1.0);
-    }
-    size_t victim = rng_.SampleWeighted(weights);
-    priority_[victim] = std::move(entry);
-    return;
-  }
   // Store normalized by the current decay scale, so this entry ages in
   // lockstep with the pool through the one global scalar.
   entry.fitness /= decay_scale_;
@@ -389,19 +341,12 @@ void FitnessExplorer::InsertIntoPriority(Entry entry) {
     AppendSlot(std::move(entry));
     return;
   }
+  // Evict a victim sampled with probability inversely proportional to
+  // fitness, so the queue's average fitness rises over time (paper §3).
   ReplaceSlot(SampleEvictionVictim(), std::move(entry));
 }
 
 void FitnessExplorer::AgeAndRetire() {
-  if (config_.reference_algorithms) {
-    for (Entry& e : priority_) {
-      e.fitness *= config_.aging_decay;
-    }
-    std::erase_if(priority_, [this](const Entry& e) {
-      return e.impact > 0.0 && e.fitness < config_.retirement_fraction * e.impact;
-    });
-    return;
-  }
   // Lazy aging: one scalar multiply ages the whole pool.
   decay_scale_ *= config_.aging_decay;
   if (decay_scale_ < 1e-150) {

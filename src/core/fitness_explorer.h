@@ -7,7 +7,7 @@
 // duplicates are suppressed via a history set; queued fitness ages so the
 // search cannot camp forever on one vicinity.
 //
-// Because candidate generation runs once per executed test, the default
+// Because candidate generation runs once per executed test, the
 // implementation keeps its per-test cost logarithmic in the pool: the pool
 // lives in a slot vector with tombstones, two Fenwick trees (stored fitness
 // and liveness per slot) answer both the parent-selection draw and the
@@ -19,13 +19,13 @@
 // order) instead of sweeping the pool, and the last-resort lexicographic
 // scan for unissued points resumes from a cached cursor. Tombstones are
 // compacted away once they outnumber live entries, so the amortized cost
-// per reported result is O(log pool). The original implementation is
-// retained behind FitnessExplorerConfig::reference_algorithms; both consume
-// the RNG stream identically by construction, and the floating-point
-// reformulations (lazy decay, Fenwick partial sums) are kept on the same
-// side of every comparison in practice — the regression suite and the perf
-// benchmark run whole campaigns in both modes and assert identical record
-// sequences.
+// per reported result is O(log pool).
+//
+// The candidate sequence is frozen by committed goldens: feedback_perf_test
+// holds record digests of seeded campaigns and bench/perf_sim holds every
+// benchmark cell's record digest. A change that alters the sequence on
+// purpose copies the printed digest into the golden and explains why in
+// CHANGES.md.
 #ifndef AFEX_CORE_FITNESS_EXPLORER_H_
 #define AFEX_CORE_FITNESS_EXPLORER_H_
 
@@ -64,14 +64,6 @@ struct FitnessExplorerConfig {
   // falls below retirement_fraction of its original impact.
   double aging_decay = 0.98;
   double retirement_fraction = 0.05;
-
-  // Run the original algorithms: per-attempt weight/max-fitness rebuilds in
-  // the mutation retry loop, O(pool) eviction weight scans and retirement
-  // sweeps per result, eager aging, and from-scratch lexicographic fallback
-  // scans. Kept for the equivalence regression tests and as the perf-bench
-  // baseline; the candidate sequence is identical to the optimized path for
-  // the same seed.
-  bool reference_algorithms = false;
 };
 
 class FitnessExplorer : public Explorer {
@@ -105,17 +97,14 @@ class FitnessExplorer : public Explorer {
   std::vector<double> NormalizedSensitivity() const;
 
   // Current number of live entries in Qpriority.
-  size_t priority_queue_size() const {
-    return config_.reference_algorithms ? priority_.size() : live_count_;
-  }
+  size_t priority_queue_size() const { return live_count_; }
 
  private:
   struct Entry {
     Fault fault;
-    // Reference mode: the aged fitness, multiplied down in place per
-    // result. Optimized mode: fitness normalized by the decay scale at
-    // insert time, so the current aged value is fitness * decay_scale_ and
-    // aging the whole pool is one scalar multiply.
+    // Fitness normalized by the decay scale at insert time, so the current
+    // aged value is fitness * decay_scale_ and aging the whole pool is one
+    // scalar multiply.
     double fitness;
     double impact;  // as reported, never aged
   };
@@ -124,15 +113,15 @@ class FitnessExplorer : public Explorer {
     uint64_t gen;
   };
 
-  // Qpending ∪ History ∪ Qpriority. The optimized path stores membership as
-  // a bitmap over the space's mixed-radix ordinal when the space is small
-  // enough (every canonical target space is), turning the per-candidate
-  // dedup checks — several per executed test — into one bit probe instead
-  // of hashing a heap-allocated fault vector into a node-based set; the
-  // reference path (and spaces beyond the bitmap limit) keeps the hash set.
+  // Qpending ∪ History ∪ Qpriority. Membership is a bitmap over the space's
+  // mixed-radix ordinal when the space is small enough (every canonical
+  // target space is), turning the per-candidate dedup checks — several per
+  // executed test — into one bit probe instead of hashing a heap-allocated
+  // fault vector into a node-based set; spaces beyond the bitmap limit keep
+  // the hash set.
   class IssuedSet {
    public:
-    void Init(const FaultSpace& space, bool use_bitmap);
+    void Init(const FaultSpace& space);
     bool Contains(const Fault& f) const;
     void Insert(const Fault& f);
     size_t size() const { return count_; }
@@ -157,12 +146,10 @@ class FitnessExplorer : public Explorer {
   std::optional<Fault> ScanForUnissued();
   void InsertIntoPriority(Entry entry);
   void AgeAndRetire();
-  bool PoolEmpty() const {
-    return config_.reference_algorithms ? priority_.empty() : live_count_ == 0;
-  }
+  bool PoolEmpty() const { return live_count_ == 0; }
   bool AlreadyIssued(const Fault& f) const { return issued_.Contains(f); }
 
-  // ---- optimized-path pool maintenance (tombstoned slots + Fenwicks) ----
+  // ---- pool maintenance (tombstoned slots + Fenwicks) ----
   void AppendSlot(Entry entry);
   void ReplaceSlot(size_t slot, Entry entry);
   void KillSlot(size_t slot);
@@ -180,9 +167,8 @@ class FitnessExplorer : public Explorer {
   FitnessExplorerConfig config_;
   Rng rng_;
 
-  // Qpriority. Reference mode: every element live, erase_if compaction.
-  // Optimized mode: slot vector with tombstones (slot_live_), compacted
-  // once tombstones dominate.
+  // Qpriority: a slot vector with tombstones (slot_live_), compacted once
+  // tombstones dominate.
   std::vector<Entry> priority_;
   IssuedSet issued_;
   // Which axis was mutated to generate each outstanding candidate; absent
@@ -193,9 +179,7 @@ class FitnessExplorer : public Explorer {
   // Sliding window of recent mutation fitness per axis.
   std::vector<std::deque<double>> axis_history_;
   std::vector<double> sensitivity_;
-  size_t exhausted_probes_ = 0;  // consecutive failures to find novelty
 
-  // ---- optimized-path state (unused under reference_algorithms) ----
   // Global aging scalar: aged fitness of entry e = e.fitness * decay_scale_.
   // Renormalized back to 1.0 before it can underflow on long campaigns.
   double decay_scale_ = 1.0;

@@ -47,7 +47,7 @@ uint32_t FaultBus::CachedLibcFunctionId(const char* function) {
 }
 
 void FaultBus::Arm(FaultSpec spec) {
-  spec_ids_.push_back(reference_ ? 0 : LibcFunctionId(spec.function));
+  spec_ids_.push_back(LibcFunctionId(spec.function));
   specs_.push_back(std::move(spec));
 }
 
@@ -76,35 +76,27 @@ const FaultSpec* FaultBus::OnUnprofiledCall(std::string_view function) {
 }
 
 const FaultSpec* FaultBus::OnCall(std::string_view function) {
-  if (!reference_) {
-    uint32_t id = LibcFunctionId(function);
-    if (id == kUnknownLibcFn) {
-      return OnUnprofiledCall(function);
-    }
-    return MatchSpec(id, ++counts_vec_[id]);
+  uint32_t id = LibcFunctionId(function);
+  if (id == kUnknownLibcFn) {
+    return OnUnprofiledCall(function);
   }
-  // Reference counting is exactly the name-keyed slow lane.
-  return OnUnprofiledCall(function);
+  return MatchSpec(id, ++counts_vec_[id]);
 }
 
 size_t FaultBus::CallCount(std::string_view function) const {
-  if (!reference_) {
-    uint32_t id = LibcFunctionId(function);
-    if (id != kUnknownLibcFn) {
-      return counts_vec_[id];
-    }
+  uint32_t id = LibcFunctionId(function);
+  if (id != kUnknownLibcFn) {
+    return counts_vec_[id];
   }
   auto it = counts_.find(function);
   return it == counts_.end() ? 0 : it->second;
 }
 
 FaultBus::CountMap FaultBus::call_counts() const {
-  CountMap out = counts_;  // reference counters, or the flat overflow names
-  if (!reference_) {
-    for (uint32_t id = 0; id < LibcFunctionCount(); ++id) {
-      if (counts_vec_[id] > 0) {
-        out.emplace(LibcFunctionName(id), counts_vec_[id]);
-      }
+  CountMap out = counts_;  // the overflow names
+  for (uint32_t id = 0; id < LibcFunctionCount(); ++id) {
+    if (counts_vec_[id] > 0) {
+      out.emplace(LibcFunctionName(id), counts_vec_[id]);
     }
   }
   return out;

@@ -9,18 +9,21 @@
 // "inject an EINTR error in the third read call, and an ENOMEM error in the
 // seventh malloc call").
 //
-// Counting runs once per libc call, so the default counters are flat: the
-// profiled libc functions have process-wide dense ids (libc_profile), the
-// per-bus counter table is a fixed array indexed by that id, and the hot
+// Counting runs once per libc call, so the counters are flat: the profiled
+// libc functions have process-wide dense ids (libc_profile), the per-bus
+// counter table is a fixed array indexed by that id, and the hot
 // `const char*` entry point resolves names through a thread-local cache
 // keyed by the literal's pointer identity (SimLibc passes string literals),
 // so the steady state is one probe, one array increment, and an integer
 // spec compare — no hashing, no allocation, no per-run table build. Names
 // outside the profile (only tests arm those) fall back to a name-keyed
-// overflow map. The original ordered-map counters are retained behind the
-// constructor's `reference_counters` flag (SimEnvConfig::
-// reference_structures plumbs it) as the equivalence oracle and benchmark
-// baseline.
+// overflow map.
+//
+// Counting and matching are frozen by committed goldens
+// (sim_equivalence_test's BusCountersAndWindows transcript and the sim
+// record digests of bench/perf_sim). A change that alters them on purpose
+// copies the printed transcript or digest into the golden and explains why
+// in CHANGES.md.
 #ifndef AFEX_INJECTION_FAULT_BUS_H_
 #define AFEX_INJECTION_FAULT_BUS_H_
 
@@ -68,11 +71,8 @@ struct FaultSpec {
 
 class FaultBus {
  public:
-  explicit FaultBus(bool reference_counters = false) : reference_(reference_counters) {}
-
   // Ordered so the ltrace-style profile report iterates functions
-  // deterministically; the reference mode maintains it per call, the flat
-  // mode materializes it on demand (call_counts()).
+  // deterministically; materialized on demand (call_counts()).
   using CountMap = std::map<std::string, size_t, std::less<>>;
 
   // Arms a fault. Counters are NOT reset; arm before running the target.
@@ -93,9 +93,6 @@ class FaultBus {
   // `.c_str()` caller binds to the safe string_view entry point above.
   // Inline: it runs once per simulated libc call.
   const FaultSpec* OnCallLiteral(const char* function) {
-    if (reference_) {
-      return OnCall(std::string_view(function));
-    }
     uint32_t id = CachedLibcFunctionId(function);
     if (id == kUnknownLibcFn) {
       return OnUnprofiledCall(function);
@@ -130,19 +127,16 @@ class FaultBus {
   // passes string literals): thread-local, so entries survive across the
   // millions of short-lived envs a campaign creates. Defined in the .cc.
   static uint32_t CachedLibcFunctionId(const char* function);
-  // Name-keyed count-and-match lane: the reference-mode counters, doubling
-  // as the flat mode's overflow for names outside the libc profile.
+  // Name-keyed count-and-match lane for names outside the libc profile.
   const FaultSpec* OnUnprofiledCall(std::string_view function);
 
-  bool reference_;
   std::vector<FaultSpec> specs_;
-  std::vector<uint32_t> spec_ids_;  // parallel to specs_; flat mode only
+  std::vector<uint32_t> spec_ids_;  // parallel to specs_
   size_t trigger_count_ = 0;
 
-  // ---- flat counters (default): indexed by process-wide function id ----
+  // Counters indexed by process-wide function id.
   std::array<size_t, kMaxLibcFunctions> counts_vec_{};
-
-  // ---- reference counters; doubles as the flat overflow map ----
+  // Overflow counters for names outside the libc profile.
   CountMap counts_;
 };
 

@@ -9,14 +9,7 @@
 namespace afex {
 
 SimEnv::SimEnv(uint64_t seed, size_t step_budget)
-    : SimEnv(SimEnvConfig{seed, step_budget, /*reference_structures=*/false}) {}
-
-SimEnv::SimEnv(const SimEnvConfig& config)
-    : bus_(config.reference_structures),
-      rng_(config.seed),
-      step_budget_(config.step_budget),
-      reference_(config.reference_structures),
-      libc_(new SimLibc(*this)) {}
+    : rng_(seed), step_budget_(step_budget), libc_(new SimLibc(*this)) {}
 
 SimEnv::~SimEnv() { delete libc_; }
 
@@ -26,7 +19,6 @@ void SimEnv::ResetForRun(uint64_t seed, size_t step_budget) {
   rng_ = Rng(seed);
   errno_ = 0;
   stack_.clear();
-  ref_stack_.clear();
   injection_stack_.clear();
   steps_ = 0;
   step_budget_ = step_budget;
@@ -49,12 +41,6 @@ void SimEnv::ResetForRun(uint64_t seed, size_t step_budget) {
     payload_free_.push_back(static_cast<int32_t>(i));
   }
   live_allocs_ = 0;
-  fs_map_.clear();
-  open_files_map_.clear();
-  sockets_map_.clear();
-  heap_map_.clear();
-  heap_payload_map_.clear();
-  mutexes_map_.clear();
   next_fd_ = kFirstFd;
   next_handle_ = kHandleBase;
   cwd_ = "/";
@@ -88,19 +74,10 @@ void SimEnv::EnsureFsSlot(uint32_t id) {
 }
 
 void SimEnv::AddFile(std::string_view path, std::string_view content) {
-  if (reference_) {
-    fs_map_[std::string(path)] = FileNode{std::string(content), /*is_dir=*/false, true, true};
-    return;
-  }
   AddFileById(names_.Intern(path), content);
 }
 
 void SimEnv::AddFileById(uint32_t path_id, std::string_view content) {
-  if (reference_) {
-    fs_map_[names_.Spelling(path_id)] =
-        FileNode{std::string(content), /*is_dir=*/false, true, true};
-    return;
-  }
   EnsureFsSlot(path_id);
   if (fs_epoch_[path_id] != epoch_) {
     fs_epoch_[path_id] = epoch_;
@@ -121,10 +98,6 @@ void SimEnv::AddFileById(uint32_t path_id, std::string_view content) {
 }
 
 void SimEnv::AddDir(std::string_view path) {
-  if (reference_) {
-    fs_map_[std::string(path)] = FileNode{"", /*is_dir=*/true, true, true};
-    return;
-  }
   uint32_t id = names_.Intern(path);
   AddFileById(id, "");
   fs_nodes_[id].is_dir = true;
@@ -138,10 +111,6 @@ bool SimEnv::IsDir(std::string_view path) const {
 }
 
 const SimEnv::FileNode* SimEnv::Find(std::string_view path) const {
-  if (reference_) {
-    auto it = fs_map_.find(std::string(path));
-    return it == fs_map_.end() ? nullptr : &it->second;
-  }
   uint32_t id = names_.Lookup(path);
   return id < fs_epoch_.size() && fs_epoch_[id] == epoch_ ? &fs_nodes_[id] : nullptr;
 }
@@ -150,35 +119,11 @@ SimEnv::FileNode* SimEnv::FindMutable(std::string_view path) {
   return const_cast<FileNode*>(std::as_const(*this).Find(path));
 }
 
-const SimEnv::FileNode* SimEnv::RefFindById(uint32_t path_id) const {
-  if (path_id == kNoPath) {
-    return nullptr;
-  }
-  auto it = fs_map_.find(names_.Spelling(path_id));
-  return it == fs_map_.end() ? nullptr : &it->second;
-}
-
 bool SimEnv::Remove(std::string_view path) {
-  if (reference_) {
-    auto it = fs_map_.find(std::string(path));
-    if (it == fs_map_.end()) {
-      return false;
-    }
-    fs_map_.erase(it);
-    return true;
-  }
   return RemoveById(names_.Lookup(path));
 }
 
 bool SimEnv::RemoveById(uint32_t path_id) {
-  if (reference_) {
-    auto it = fs_map_.find(names_.Spelling(path_id));
-    if (it == fs_map_.end()) {
-      return false;
-    }
-    fs_map_.erase(it);
-    return true;
-  }
   if (path_id >= fs_epoch_.size() || fs_epoch_[path_id] != epoch_) {
     return false;
   }
@@ -196,35 +141,23 @@ std::vector<std::string> SimEnv::ListDir(std::string_view dir) const {
     prefix += '/';
   }
   std::vector<std::string> entries;
-  auto consider = [&](const std::string& path) {
-    if (path.size() <= prefix.size() || path.compare(0, prefix.size(), prefix) != 0) {
-      return;
-    }
-    // Direct children only: no further '/' in the remainder.
-    std::string_view rest = std::string_view(path).substr(prefix.size());
-    if (rest.find('/') == std::string_view::npos) {
-      entries.emplace_back(rest);
-    }
-  };
-  if (reference_) {
-    for (const auto& [path, node] : fs_map_) {
-      consider(path);
-    }
-    return entries;
-  }
   // Sorted index: paths sharing the prefix form one contiguous run, so the
   // scan starts at the run and stops at its end instead of walking the
-  // whole table. Iteration order (lexicographic) matches the map's.
+  // whole table. Entries come out in lexicographic order.
   auto begin = std::lower_bound(fs_sorted_.begin(), fs_sorted_.end(), std::string_view(prefix),
                                 [this](uint32_t lhs, std::string_view rhs) {
                                   return names_.Spelling(lhs) < rhs;
                                 });
   for (auto it = begin; it != fs_sorted_.end(); ++it) {
     const std::string& path = names_.Spelling(*it);
-    if (!prefix.empty() && !StartsWith(path, prefix)) {
+    if (!StartsWith(path, prefix)) {
       break;
     }
-    consider(path);
+    // Direct children only: a non-empty remainder with no further '/'.
+    std::string_view rest = std::string_view(path).substr(prefix.size());
+    if (!rest.empty() && rest.find('/') == std::string_view::npos) {
+      entries.emplace_back(rest);
+    }
   }
   return entries;
 }
@@ -233,21 +166,12 @@ std::vector<std::string> SimEnv::ListDir(std::string_view dir) const {
 
 uint64_t SimEnv::AllocHandle(size_t bytes) {
   uint64_t h = next_handle_++;
-  if (reference_) {
-    heap_map_[h] = bytes;
-    return h;
-  }
   heap_slots_.push_back(HeapSlot{bytes, -1, true});
   ++live_allocs_;
   return h;
 }
 
 void SimEnv::FreeHandle(uint64_t handle) {
-  if (reference_) {
-    heap_map_.erase(handle);
-    heap_payload_map_.erase(handle);
-    return;
-  }
   if (handle < kHandleBase || handle - kHandleBase >= heap_slots_.size()) {
     return;
   }
@@ -265,9 +189,6 @@ void SimEnv::FreeHandle(uint64_t handle) {
 }
 
 bool SimEnv::HandleValid(uint64_t handle) const {
-  if (reference_) {
-    return heap_map_.contains(handle);
-  }
   return handle >= kHandleBase && handle - kHandleBase < heap_slots_.size() &&
          heap_slots_[handle - kHandleBase].live;
 }
@@ -296,10 +217,6 @@ std::string& SimEnv::PayloadSlot(HeapSlot& slot) {
 }
 
 void SimEnv::SetHandlePayload(uint64_t handle, std::string_view payload) {
-  if (reference_) {
-    heap_payload_map_[handle].assign(payload);
-    return;
-  }
   if (HandleValid(handle)) {
     PayloadSlot(heap_slots_[handle - kHandleBase]).assign(payload);
   }
@@ -307,27 +224,16 @@ void SimEnv::SetHandlePayload(uint64_t handle, std::string_view payload) {
 
 const std::string& SimEnv::HandlePayload(uint64_t handle) {
   Deref(handle, "payload access");
-  if (reference_) {
-    return heap_payload_map_[handle];
-  }
   return PayloadSlot(heap_slots_[handle - kHandleBase]);
 }
 
 size_t SimEnv::live_allocations() const {
-  return reference_ ? heap_map_.size() : live_allocs_;
+  return live_allocs_;
 }
 
 // ---- mutexes ----
 
 void SimEnv::MutexLock(std::string_view name) {
-  if (reference_) {
-    bool& locked = mutexes_map_[std::string(name)];
-    if (locked) {
-      throw SimHang("deadlock: mutex '" + std::string(name) + "' locked twice");
-    }
-    locked = true;
-    return;
-  }
   uint32_t id = names_.Intern(name);
   if (id >= mutex_epoch_.size()) {
     mutex_epoch_.resize(id + 1, 0);
@@ -341,14 +247,6 @@ void SimEnv::MutexLock(std::string_view name) {
 }
 
 void SimEnv::MutexUnlock(std::string_view name) {
-  if (reference_) {
-    auto it = mutexes_map_.find(std::string(name));
-    if (it == mutexes_map_.end() || !it->second) {
-      throw SimAbort("pthread_mutex_unlock of unlocked mutex '" + std::string(name) + "'");
-    }
-    it->second = false;
-    return;
-  }
   uint32_t id = names_.Lookup(name);
   if (id >= mutex_epoch_.size() || mutex_epoch_[id] != epoch_) {
     throw SimAbort("pthread_mutex_unlock of unlocked mutex '" + std::string(name) + "'");
@@ -357,30 +255,13 @@ void SimEnv::MutexUnlock(std::string_view name) {
 }
 
 bool SimEnv::MutexLocked(std::string_view name) const {
-  if (reference_) {
-    auto it = mutexes_map_.find(std::string(name));
-    return it != mutexes_map_.end() && it->second;
-  }
   uint32_t id = names_.Lookup(name);
   return id < mutex_epoch_.size() && mutex_epoch_[id] == epoch_;
 }
 
 // ---- fd table / sockets ----
 
-SimEnv::OpenFile* SimEnv::RefFindOpenFile(int fd) {
-  auto it = open_files_map_.find(fd);
-  return it == open_files_map_.end() ? nullptr : &it->second;
-}
-
-SimEnv::Socket* SimEnv::RefFindSocket(int fd) {
-  auto it = sockets_map_.find(fd);
-  return it == sockets_map_.end() ? nullptr : &it->second;
-}
-
 SimEnv::OpenFile& SimEnv::CreateOpenFile(int fd) {
-  if (reference_) {
-    return open_files_map_[fd] = OpenFile{};
-  }
   size_t idx = static_cast<size_t>(fd - kFirstFd);
   if (idx >= fds_.size()) {
     if (fds_.capacity() < idx + 1) {
@@ -403,17 +284,11 @@ SimEnv::OpenFile& SimEnv::CreateOpenFile(int fd) {
 }
 
 bool SimEnv::HasOpenFile(int fd) const {
-  if (reference_) {
-    return open_files_map_.contains(fd);
-  }
   const FdEntry* entry = FdAt(fd);
   return entry != nullptr && entry->kind == kFdFile && entry->epoch == epoch_;
 }
 
 bool SimEnv::RemoveOpenFile(int fd) {
-  if (reference_) {
-    return open_files_map_.erase(fd) > 0;
-  }
   FdEntry* entry = FdAt(fd);
   if (entry == nullptr || entry->kind != kFdFile || entry->epoch != epoch_) {
     return false;
@@ -423,9 +298,6 @@ bool SimEnv::RemoveOpenFile(int fd) {
 }
 
 SimEnv::Socket& SimEnv::AddSocket(int fd) {
-  if (reference_) {
-    return sockets_map_[fd] = Socket{};
-  }
   size_t idx = static_cast<size_t>(fd - kFirstFd);
   if (idx >= fds_.size()) {
     if (fds_.capacity() < idx + 1) {
@@ -446,9 +318,6 @@ SimEnv::Socket& SimEnv::AddSocket(int fd) {
 }
 
 bool SimEnv::RemoveSocket(int fd) {
-  if (reference_) {
-    return sockets_map_.erase(fd) > 0;
-  }
   FdEntry* entry = FdAt(fd);
   if (entry == nullptr || entry->kind != kFdSocket || entry->epoch != epoch_) {
     return false;

@@ -5,22 +5,23 @@
 // deterministic given the seed.
 //
 // The environment sits on the hot path of every simulated libc call, so its
-// tables are flat by default: paths and mutex names are interned to dense
-// uint32 ids (util/interner) and every table is directly indexed by that id
-// (interned ids are dense, so the open-addressed hash degenerates into its
+// tables are flat: paths and mutex names are interned to dense uint32 ids
+// (util/interner) and every table is directly indexed by that id (interned
+// ids are dense, so the open-addressed hash degenerates into its
 // perfect-hash special case), file descriptors index a dense slot vector,
-// and heap handles are a dense slot vector plus a payload free-list instead
-// of two ordered maps. A small sorted index of live path ids preserves the
-// lexicographic-order guarantee ListDir/readdir inherited from the original
-// std::map filesystem. The original std::map-backed tables are retained
-// behind SimEnvConfig::reference_structures as the equivalence oracle and
-// the perf baseline; both modes are observably identical (asserted by
-// sim_equivalence_test and enforced per benchmark run by bench/perf_sim).
+// and heap handles are a dense slot vector plus a payload free-list. A small
+// sorted index of live path ids keeps ListDir/readdir in lexicographic
+// order.
+//
+// Observable behaviour is frozen by committed goldens: sim_equivalence_test
+// holds inline transcripts and fuzz-script digests, and bench/perf_sim holds
+// every benchmark cell's record digest. A change that alters behaviour on
+// purpose copies the printed transcript or digest into the golden and
+// explains why in CHANGES.md.
 #ifndef AFEX_SIM_ENV_H_
 #define AFEX_SIM_ENV_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,19 +36,9 @@ namespace afex {
 
 class SimLibc;
 
-struct SimEnvConfig {
-  uint64_t seed = 1;
-  size_t step_budget = 1'000'000;
-  // Run the original std::map-backed environment tables (and the map-backed
-  // fault-bus call counters): the equivalence oracle and the benchmark
-  // baseline for the flat structures.
-  bool reference_structures = false;
-};
-
 class SimEnv {
  public:
   explicit SimEnv(uint64_t seed = 1, size_t step_budget = 1'000'000);
-  explicit SimEnv(const SimEnvConfig& config);
   ~SimEnv();
 
   SimEnv(const SimEnv&) = delete;
@@ -70,7 +61,6 @@ class SimEnv {
   CoverageSet& coverage() { return coverage_; }
   const CoverageSet& coverage() const { return coverage_; }
   Rng& rng() { return rng_; }
-  bool reference_structures() const { return reference_; }
 
   // ---- errno ----
   int sim_errno() const { return errno_; }
@@ -79,21 +69,9 @@ class SimEnv {
   // ---- synthetic call stack (for injection-point traces) ----
   // Frames are stored as raw pointers; callers pass string literals (the
   // StackFrame RAII guard below), so no per-frame string is constructed on
-  // the no-fault path. Strings materialize only when a fault triggers. The
-  // reference mode additionally constructs the per-frame std::string the
-  // seed implementation built, so the baseline keeps the original cost.
-  void PushFrame(const char* name) {
-    stack_.push_back(name);
-    if (reference_) {
-      ref_stack_.emplace_back(name);
-    }
-  }
-  void PopFrame() {
-    stack_.pop_back();
-    if (reference_) {
-      ref_stack_.pop_back();
-    }
-  }
+  // the no-fault path. Strings materialize only when a fault triggers.
+  void PushFrame(const char* name) { stack_.push_back(name); }
+  void PopFrame() { stack_.pop_back(); }
   std::vector<std::string> CaptureStack() const {
     return std::vector<std::string>(stack_.begin(), stack_.end());
   }
@@ -126,9 +104,8 @@ class SimEnv {
     bool readable = true;
     bool writable = true;
   };
-  // Content is copied; in flat mode it is assigned into the node's warm
-  // buffer, so re-creating a path an arena env has seen before allocates
-  // nothing.
+  // Content is copied into the node's warm buffer, so re-creating a path an
+  // arena env has seen before allocates nothing.
   void AddFile(std::string_view path, std::string_view content);
   void AddDir(std::string_view path);
   bool Exists(std::string_view path) const;
@@ -147,11 +124,8 @@ class SimEnv {
   // the path.
   static constexpr uint32_t kNoPath = StringInterner::kUnknown;
   uint32_t InternPath(std::string_view path) { return names_.Intern(path); }
-  // Inline fast lane: one bounds-checked index in flat mode.
+  // Inline fast lane: one bounds-checked index.
   const FileNode* FindById(uint32_t path_id) const {
-    if (reference_) {
-      return RefFindById(path_id);
-    }
     return path_id < fs_epoch_.size() && fs_epoch_[path_id] == epoch_ ? &fs_nodes_[path_id]
                                                                       : nullptr;
   }
@@ -211,9 +185,6 @@ class SimEnv {
   // the caller to fill in place; buffers warmed by earlier runs are reused.
   OpenFile& CreateOpenFile(int fd);
   OpenFile* FindOpenFile(int fd) {
-    if (reference_) {
-      return RefFindOpenFile(fd);
-    }
     FdEntry* entry = FdAt(fd);
     return entry != nullptr && entry->kind == kFdFile && entry->epoch == epoch_ ? &entry->file
                                                                                : nullptr;
@@ -223,9 +194,6 @@ class SimEnv {
   bool RemoveOpenFile(int fd);
   Socket& AddSocket(int fd);
   Socket* FindSocket(int fd) {
-    if (reference_) {
-      return RefFindSocket(fd);
-    }
     FdEntry* entry = FdAt(fd);
     return entry != nullptr && entry->kind == kFdSocket && entry->epoch == epoch_
                ? &entry->socket
@@ -267,26 +235,19 @@ class SimEnv {
   void EnsureFsSlot(uint32_t id);
   std::string& PayloadSlot(HeapSlot& slot);
   [[noreturn]] void ThrowHang();
-  const FileNode* RefFindById(uint32_t path_id) const;
-  OpenFile* RefFindOpenFile(int fd);
-  Socket* RefFindSocket(int fd);
 
   FaultBus bus_;
   CoverageSet coverage_;
   Rng rng_;
   int errno_ = 0;
   std::vector<const char*> stack_;
-  std::vector<std::string> ref_stack_;  // reference mode: the seed's string stack
   std::vector<std::string> injection_stack_;
   size_t steps_ = 0;
   size_t step_budget_;
-  bool reference_ = false;
 
-  // Shared interner for paths and mutex names (both modes intern, so open
-  // files can carry ids either way; only the tables differ).
+  // Shared interner for paths and mutex names.
   StringInterner names_;
 
-  // ---- flat structures (default) ----
   // Liveness is epoch-tagged (live iff tag == epoch_) so ResetForRun can
   // invalidate every table without sweeping it.
   uint32_t epoch_ = 1;
@@ -301,14 +262,6 @@ class SimEnv {
   std::vector<int32_t> payload_free_;
   size_t live_allocs_ = 0;
   std::vector<uint32_t> mutex_epoch_;  // indexed by name id; locked iff == epoch_
-
-  // ---- reference structures (SimEnvConfig::reference_structures) ----
-  std::map<std::string, FileNode> fs_map_;
-  std::map<int, OpenFile> open_files_map_;
-  std::map<int, Socket> sockets_map_;
-  std::map<uint64_t, size_t> heap_map_;  // handle -> size
-  std::map<uint64_t, std::string> heap_payload_map_;
-  std::map<std::string, bool> mutexes_map_;
 
   int next_fd_ = kFirstFd;
   uint64_t next_handle_ = kHandleBase;

@@ -7,21 +7,6 @@
 
 namespace afex {
 
-namespace {
-// The seed implementation materialized content.substr() into a fresh string
-// on every read; the reference mode reproduces that per-read chunk
-// allocation so the benchmark baseline keeps the original cost, while the
-// default appends straight out of the node into the caller's buffer.
-void AppendChunk(bool reference, std::string& out, const std::string& content, size_t off,
-                 size_t take) {
-  if (reference) {
-    out.append(content.substr(off, take));
-  } else {
-    out.append(content, off, take);
-  }
-}
-}  // namespace
-
 using sim_errno::kEBADF;
 using sim_errno::kECONNRESET;
 using sim_errno::kEIO;
@@ -150,7 +135,7 @@ size_t SimLibc::Fread(uint64_t stream, std::string& out, size_t n) {
     return 0;  // EOF
   }
   size_t take = std::min(n, node->content.size() - off);
-  AppendChunk(env_->reference_structures(), out, node->content, off, take);
+  out.append(node->content, off, take);
   of->offset += take;
   return take;
 }
@@ -201,7 +186,7 @@ bool SimLibc::Fgets(uint64_t stream, std::string& line) {
   size_t off = of->offset;
   size_t nl = node->content.find('\n', off);
   size_t end = nl == std::string::npos ? node->content.size() : nl + 1;
-  AppendChunk(env_->reference_structures(), line, node->content, off, end - off);
+  line.append(node->content, off, end - off);
   of->offset = end;
   return true;
 }
@@ -288,7 +273,7 @@ long SimLibc::Read(int fd, std::string& out, size_t n) {
     return 0;
   }
   size_t take = std::min(n, node->content.size() - off);
-  AppendChunk(env_->reference_structures(), out, node->content, off, take);
+  out.append(node->content, off, take);
   of->offset += take;
   return static_cast<long>(take);
 }
@@ -555,7 +540,7 @@ long SimLibc::Recv(int fd, std::string& out, size_t n) {
     return -1;
   }
   size_t take = std::min(n, socket->inbox.size());
-  AppendChunk(env_->reference_structures(), out, socket->inbox, 0, take);
+  out.append(socket->inbox, 0, take);
   socket->inbox.erase(0, take);
   return static_cast<long>(take);
 }

@@ -8,11 +8,8 @@
 
 namespace afex {
 
-TargetHarness::TargetHarness(TargetSuite suite, uint64_t seed, bool reference_sim_structures)
-    : suite_(std::move(suite)),
-      seed_(seed),
-      reference_sim_(reference_sim_structures),
-      coverage_(suite_.total_blocks, suite_.recovery_base) {}
+TargetHarness::TargetHarness(TargetSuite suite, uint64_t seed)
+    : suite_(std::move(suite)), seed_(seed), coverage_(suite_.total_blocks, suite_.recovery_base) {}
 
 FaultSpace TargetHarness::MakeSpace(size_t max_call, bool include_zero_call) const {
   std::vector<Axis> axes;
@@ -23,13 +20,9 @@ FaultSpace TargetHarness::MakeSpace(size_t max_call, bool include_zero_call) con
   return FaultSpace(std::move(axes), suite_.name);
 }
 
-SimEnv& TargetHarness::EnvForRun(uint64_t seed, std::optional<SimEnv>& fresh) {
-  if (reference_sim_) {
-    fresh.emplace(SimEnvConfig{seed, suite_.step_budget, /*reference_structures=*/true});
-    return *fresh;
-  }
+SimEnv& TargetHarness::EnvForRun(uint64_t seed) {
   if (!arena_.has_value()) {
-    arena_.emplace(SimEnvConfig{seed, suite_.step_budget, /*reference_structures=*/false});
+    arena_.emplace(seed, suite_.step_budget);
   } else {
     arena_->ResetForRun(seed, suite_.step_budget);
   }
@@ -41,9 +34,7 @@ TestOutcome TargetHarness::RunFault(const FaultSpace& space, const Fault& fault)
   InjectionPlan plan = decoder_.Decode(space, fault);
   decode_timer.Finish();
   obs::PhaseTimer run_timer(metrics_, obs::Phase::kSimRun);
-  std::optional<SimEnv> fresh;
-  SimEnv& env =
-      EnvForRun(seed_ ^ (0x9e3779b97f4a7c15ULL * (plan.test_id + 1)), fresh);
+  SimEnv& env = EnvForRun(seed_ ^ (0x9e3779b97f4a7c15ULL * (plan.test_id + 1)));
   if (plan.spec.has_value()) {
     env.bus().Arm(*plan.spec);
   }
@@ -74,8 +65,7 @@ TestOutcome TargetHarness::RunFault(const FaultSpace& space, const Fault& fault)
 size_t TargetHarness::RunSuiteWithoutInjection() {
   size_t failed = 0;
   for (size_t t = 0; t < suite_.num_tests; ++t) {
-    std::optional<SimEnv> fresh;
-    SimEnv& env = EnvForRun(seed_ ^ (0x9e3779b97f4a7c15ULL * (t + 1)), fresh);
+    SimEnv& env = EnvForRun(seed_ ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
     RunOutcome run = RunProgram(env, [&](SimEnv& e) { return suite_.run_test(e, t); });
     if (run.exit_code != 0 || run.crashed || run.hung) {
       ++failed;

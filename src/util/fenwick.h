@@ -63,8 +63,8 @@ class Fenwick {
 
 // Smallest 0-based index i such that the cumulative weight through element
 // i strictly exceeds r, where the weight of element j is
-// a * f[j] + b * c[j]; returns size()-1 when no prefix exceeds r (matching
-// Rng::SampleWeightedPrefix's clamp). Requires non-negative per-element
+// a * f[j] + b * c[j]; returns size()-1 when no prefix exceeds r (a draw
+// that rounds up to the total weight). Requires non-negative per-element
 // weights (cumulative weight non-decreasing) and f.size() == c.size() > 0.
 // One synchronized descent over both trees: O(log n).
 inline size_t SelectByWeight(const Fenwick<double>& f, const Fenwick<int64_t>& c, double a,

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace afex {
@@ -111,21 +110,6 @@ size_t Rng::SampleWeighted(std::span<const double> weights) {
     r -= w;
   }
   return weights.size() - 1;
-}
-
-size_t Rng::SampleWeightedPrefix(std::span<const double> prefix) {
-  double total = prefix.empty() ? 0.0 : prefix.back();
-  if (total <= 0.0) {
-    return NextBelow(prefix.size());
-  }
-  double r = NextDouble() * total;
-  // First index whose cumulative weight strictly exceeds r — the element
-  // SampleWeighted's subtraction scan selects, up to floating-point
-  // accumulation order (the two round differently at ulp scale; callers
-  // that need agreement with the scan verify it empirically).
-  size_t idx = static_cast<size_t>(
-      std::upper_bound(prefix.begin(), prefix.end(), r) - prefix.begin());
-  return std::min(idx, prefix.size() - 1);
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }

@@ -52,15 +52,6 @@ class Rng {
   // violation), falls back to uniform.
   size_t SampleWeighted(std::span<const double> weights);
 
-  // Same distribution as SampleWeighted, but over a precomputed inclusive
-  // prefix-sum array (prefix[i] = w_0 + ... + w_i, weights non-negative):
-  // one uniform draw plus a binary search instead of a linear subtraction
-  // scan. Draws exactly one value from the stream — callers that maintain
-  // the prefix array incrementally get O(log n) selection with the same
-  // seeded trajectory a SampleWeighted-based caller would consume.
-  // Falls back to uniform when the total weight is zero.
-  size_t SampleWeightedPrefix(std::span<const double> prefix);
-
   // Fisher-Yates shuffle of v.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

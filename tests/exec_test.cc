@@ -180,6 +180,9 @@ TEST(ProcessRunnerTest, CapturesExitCodeAndOutput) {
 TEST(ProcessRunnerTest, ReapsOnExitNotAtPipeEofOrTimeout) {
   // The pipe reports EOF at once; the child lives on for 300 ms. It must be
   // reaped when it exits: not at EOF (no status yet), not at the timeout.
+  // The wait clock starts only after fork() returns in the parent, by which
+  // time a loaded host may already have run part of the child's sleep, so
+  // the lifetime bound counts from spawn_start_ns (taken before the fork).
   ProcessRequest request;
   request.argv = {"/bin/sh", "-c", "exec 1>&- 2>&-; sleep 0.3; exit 0"};
   request.timeout_ms = 5000;
@@ -188,7 +191,7 @@ TEST(ProcessRunnerTest, ReapsOnExitNotAtPipeEofOrTimeout) {
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_FALSE(result.timed_out);
-  EXPECT_GE(result.wait_ns, 300 * kMs);
+  EXPECT_GE(result.spawn_ns + result.wait_ns, 300 * kMs);
   EXPECT_LT(result.wait_ns, 2500 * kMs);
   EXPECT_TRUE(result.output.empty()) << result.output;
 }
@@ -280,7 +283,9 @@ TEST(ProcessRunnerTest, WithoutPidfdStillReapsAndEscalates) {
     ProcessRequest late;
     late.argv = {"/bin/sh", "-c", "exec 1>&- 2>&-; sleep 0.2; exit 0"};
     r = RunProcess(late);
-    if (!r.exited || r.exit_code != 0 || r.wait_ns < 200 * kMs || r.wait_ns > 2500 * kMs) {
+    // Lifetime counted from before the fork (see ReapsOnExitNotAtPipeEofOrTimeout).
+    if (!r.exited || r.exit_code != 0 || r.spawn_ns + r.wait_ns < 200 * kMs ||
+        r.wait_ns > 2500 * kMs) {
       ::_exit(3);
     }
     ProcessRequest stuck;

@@ -1,11 +1,9 @@
 // Golden suite for the optimized per-test feedback path: the
 // interned/memoized/banded clusterer and the incremental fitness explorer
 // are checked against committed digests of their outputs (cluster ids,
-// similarity bits, and whole-campaign record sequences). Until the naive
-// reference implementations are deleted, both paths are checked against
-// the same goldens. Also covers the primitives the optimized path is built
-// from (bounded token distance, prefix-sum weighted sampling, Fenwick
-// descents, incremental coverage counts).
+// similarity bits, and whole-campaign record sequences). Also covers the
+// primitives the optimized path is built from (bounded token distance,
+// Fenwick descents, incremental coverage counts).
 //
 // The goldens freeze observable behaviour. A change that alters it on
 // purpose updates the golden from the printed digest and explains why in
@@ -86,31 +84,6 @@ TEST(InternerTest, InternLookupRoundTrip) {
   EXPECT_EQ(interner.Lookup("never-seen"), StringInterner::kUnknown);
   EXPECT_EQ(interner.Spelling(a), "main");
   EXPECT_EQ(interner.size(), 2u);
-}
-
-// ---- prefix-sum weighted sampling ----
-
-TEST(RngTest, SampleWeightedPrefixMatchesLinearScan) {
-  std::vector<double> weights = {3.0, 0.0, 5.0, 1.0, 7.0, 2.0};
-  std::vector<double> prefix(weights.size());
-  double total = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    total += weights[i];
-    prefix[i] = total;
-  }
-  Rng linear(123), prefixed(123);
-  for (int i = 0; i < 20000; ++i) {
-    ASSERT_EQ(linear.SampleWeighted(weights), prefixed.SampleWeightedPrefix(prefix));
-  }
-}
-
-TEST(RngTest, SampleWeightedPrefixZeroTotalFallsBackToUniform) {
-  std::vector<double> prefix = {0.0, 0.0, 0.0};
-  Rng rng(9);
-  for (int i = 0; i < 100; ++i) {
-    size_t idx = rng.SampleWeightedPrefix(prefix);
-    ASSERT_LT(idx, prefix.size());
-  }
 }
 
 // ---- Fenwick trees and the weighted-selection descent ----
@@ -240,29 +213,24 @@ TEST(ClustererEquivalenceTest, RandomizedStacksMatchGoldens) {
       {3, 0xeaae043408191738ULL, 21},
   };
   for (const ClusterGolden& golden : kGoldens) {
-    for (bool naive : {true, false}) {
-      RedundancyClusterer clusterer(
-          ClusterConfig{.distance_threshold = golden.threshold, .naive_reference = naive});
-      Rng rng(1000 + golden.threshold);
-      Fnv1a digest;
-      for (int i = 0; i < 1500; ++i) {
-        std::vector<std::string> stack = RandomStack(rng, 6, 5);
-        bool want_similarity = rng.NextBernoulli(0.7);
-        ClusterObservation obs = clusterer.Observe(stack, want_similarity);
-        digest.Mix(uint64_t{obs.cluster_id});
-        digest.Mix(obs.similarity);
-        std::vector<std::string> probe = RandomStack(rng, 6, 5);
-        digest.Mix(clusterer.NearestSimilarity(probe));
-      }
-      for (size_t size : clusterer.cluster_sizes()) {
-        digest.Mix(uint64_t{size});
-      }
-      EXPECT_EQ(clusterer.cluster_count(), golden.clusters)
-          << "threshold " << golden.threshold << (naive ? " naive" : " optimized");
-      EXPECT_EQ(digest.value(), golden.digest)
-          << "threshold " << golden.threshold << (naive ? " naive" : " optimized")
-          << ": observed 0x" << std::hex << digest.value();
+    RedundancyClusterer clusterer(ClusterConfig{.distance_threshold = golden.threshold});
+    Rng rng(1000 + golden.threshold);
+    Fnv1a digest;
+    for (int i = 0; i < 1500; ++i) {
+      std::vector<std::string> stack = RandomStack(rng, 6, 5);
+      bool want_similarity = rng.NextBernoulli(0.7);
+      ClusterObservation obs = clusterer.Observe(stack, want_similarity);
+      digest.Mix(uint64_t{obs.cluster_id});
+      digest.Mix(obs.similarity);
+      std::vector<std::string> probe = RandomStack(rng, 6, 5);
+      digest.Mix(clusterer.NearestSimilarity(probe));
     }
+    for (size_t size : clusterer.cluster_sizes()) {
+      digest.Mix(uint64_t{size});
+    }
+    EXPECT_EQ(clusterer.cluster_count(), golden.clusters) << "threshold " << golden.threshold;
+    EXPECT_EQ(digest.value(), golden.digest)
+        << "threshold " << golden.threshold << ": observed 0x" << std::hex << digest.value();
   }
 }
 
@@ -301,7 +269,7 @@ TestOutcome SyntheticOutcome(const Fault& fault) {
   return outcome;
 }
 
-SessionResult RunSyntheticCampaign(bool reference, size_t budget, size_t pool) {
+SessionResult RunSyntheticCampaign(size_t budget, size_t pool) {
   std::vector<Axis> axes;
   axes.push_back(Axis::MakeInterval("test", 1, 40));
   axes.push_back(Axis::MakeInterval("function", 1, 8));
@@ -310,24 +278,20 @@ SessionResult RunSyntheticCampaign(bool reference, size_t budget, size_t pool) {
   FitnessExplorerConfig config;
   config.seed = 77;
   config.priority_capacity = pool;
-  config.reference_algorithms = reference;
   FitnessExplorer explorer(space, config);
   SessionConfig session_config;
   session_config.redundancy_feedback = true;
-  session_config.cluster_config.naive_reference = reference;
   ExplorationSession session(explorer, SyntheticOutcome, session_config);
   return session.Run({.max_tests = budget});
 }
 
 // Checks a campaign against its committed record count and record digest.
 void ExpectGoldenCampaign(const SessionResult& result, size_t records, uint64_t digest,
-                          const std::string& what) {
+                          const std::string& what = "") {
   EXPECT_EQ(result.records.size(), records) << what;
   EXPECT_EQ(DigestRecords(result), digest)
-      << what << ": observed 0x" << std::hex << DigestRecords(result);
+      << what << " observed 0x" << std::hex << DigestRecords(result);
 }
-
-std::string ModeName(bool reference) { return reference ? "reference" : "optimized"; }
 
 struct PoolGolden {
   size_t pool;
@@ -346,11 +310,8 @@ TEST(ExplorerEquivalenceTest, SeededCampaignMatchesGoldens) {
       {512, 1200, 0xbef677b67b9705f4ULL},
   };
   for (const PoolGolden& golden : kGoldens) {
-    for (bool reference : {true, false}) {
-      ExpectGoldenCampaign(RunSyntheticCampaign(reference, 1200, golden.pool), golden.records,
-                           golden.digest,
-                           ModeName(reference) + " pool " + std::to_string(golden.pool));
-    }
+    ExpectGoldenCampaign(RunSyntheticCampaign(1200, golden.pool), golden.records, golden.digest,
+                         "pool " + std::to_string(golden.pool));
   }
 }
 
@@ -359,39 +320,29 @@ TEST(ExplorerEquivalenceTest, RetirementHeavySteadyStateMatchesGolden) {
   // many times over (default decay retires an entry ~150 results after
   // insertion), so the insertion-order retirement queue, slot tombstones,
   // and compaction all churn continuously.
-  for (bool reference : {true, false}) {
-    ExpectGoldenCampaign(RunSyntheticCampaign(reference, 2500, 256), 1920, 0x372685193133ea9fULL,
-                         ModeName(reference));
-  }
+  ExpectGoldenCampaign(RunSyntheticCampaign(2500, 256), 1920, 0x372685193133ea9fULL);
 }
 
 TEST(ExplorerEquivalenceTest, SpaceExhaustionThroughTheFallbackScanMatchesGolden) {
   // Budget above the space size: the campaign runs through mutation
   // failure, random-sampling failure, and the cursor-cached lexicographic
   // fallback scan to full exhaustion.
-  for (bool reference : {true, false}) {
-    SessionResult result = RunSyntheticCampaign(reference, 3000, 32);
-    EXPECT_TRUE(result.space_exhausted);
-    ExpectGoldenCampaign(result, 1920, 0xcafee9e623c66ab7ULL, ModeName(reference));
-  }
+  SessionResult result = RunSyntheticCampaign(3000, 32);
+  EXPECT_TRUE(result.space_exhausted);
+  ExpectGoldenCampaign(result, 1920, 0xcafee9e623c66ab7ULL);
 }
 
 TEST(ExplorerEquivalenceTest, RealTargetCampaignMatchesGolden) {
-  for (bool reference : {true, false}) {
-    TargetSuite suite = docstore::MakeSuiteV20();
-    TargetHarness harness(suite, 0x5eed);
-    FaultSpace space = harness.MakeSpace(10, false);
-    FitnessExplorerConfig config;
-    config.seed = 7;
-    config.reference_algorithms = reference;
-    FitnessExplorer explorer(space, config);
-    SessionConfig session_config;
-    session_config.redundancy_feedback = true;
-    session_config.cluster_config.naive_reference = reference;
-    ExplorationSession session(explorer, harness.MakeRunner(space), session_config);
-    ExpectGoldenCampaign(session.Run({.max_tests = 800}), 800, 0x01f603bbab4c8ff9ULL,
-                         ModeName(reference));
-  }
+  TargetSuite suite = docstore::MakeSuiteV20();
+  TargetHarness harness(suite, 0x5eed);
+  FaultSpace space = harness.MakeSpace(10, false);
+  FitnessExplorerConfig config;
+  config.seed = 7;
+  FitnessExplorer explorer(space, config);
+  SessionConfig session_config;
+  session_config.redundancy_feedback = true;
+  ExplorationSession session(explorer, harness.MakeRunner(space), session_config);
+  ExpectGoldenCampaign(session.Run({.max_tests = 800}), 800, 0x01f603bbab4c8ff9ULL);
 }
 
 TEST(ExplorerEquivalenceTest, WarmStartMatchesGolden) {
@@ -400,20 +351,15 @@ TEST(ExplorerEquivalenceTest, WarmStartMatchesGolden) {
   axes.push_back(Axis::MakeInterval("function", 1, 8));
   axes.push_back(Axis::MakeInterval("call", 1, 6));
   FaultSpace space(std::move(axes), "synthetic");
-  for (bool reference : {true, false}) {
-    FitnessExplorerConfig config;
-    config.seed = 5;
-    config.reference_algorithms = reference;
-    FitnessExplorer explorer(space, config);
-    explorer.WarmStart(Fault({3, 2, 1}), 25.0);
-    explorer.WarmStart(Fault({10, 5, 4}), 12.0);
-    SessionConfig session_config;
-    session_config.redundancy_feedback = true;
-    session_config.cluster_config.naive_reference = reference;
-    ExplorationSession session(explorer, SyntheticOutcome, session_config);
-    ExpectGoldenCampaign(session.Run({.max_tests = 500}), 500, 0xce18856d554e4937ULL,
-                         ModeName(reference));
-  }
+  FitnessExplorerConfig config;
+  config.seed = 5;
+  FitnessExplorer explorer(space, config);
+  explorer.WarmStart(Fault({3, 2, 1}), 25.0);
+  explorer.WarmStart(Fault({10, 5, 4}), 12.0);
+  SessionConfig session_config;
+  session_config.redundancy_feedback = true;
+  ExplorationSession session(explorer, SyntheticOutcome, session_config);
+  ExpectGoldenCampaign(session.Run({.max_tests = 500}), 500, 0xce18856d554e4937ULL);
 }
 
 // ---- incremental coverage counts ----

@@ -5,8 +5,8 @@
 // return value, errno, and piece of visible state and compares it with the
 // committed transcript inline; each seeded fuzz script compares the FNV-1a
 // digest and length of its transcript with committed values and prints the
-// transcript on a mismatch. Until the map-backed reference structures are
-// deleted, both modes are checked against the same goldens.
+// transcript on a mismatch. A reset arena env must replay every script
+// exactly like a fresh one.
 //
 // The goldens freeze observable behaviour. A change that alters it on
 // purpose updates the golden from the printed transcript or digest and
@@ -27,21 +27,15 @@
 namespace afex {
 namespace {
 
-SimEnvConfig Config(bool reference, uint64_t seed = 1) {
-  return SimEnvConfig{seed, 1'000'000, reference};
-}
-
 using Script = std::function<void(SimEnv&, std::string&)>;
 
-// Runs `script` against a fresh env in each mode and checks both
-// transcripts against the committed golden.
+// Runs `script` against a fresh env and checks its transcript against the
+// committed golden.
 void ExpectTranscript(const Script& script, std::string_view golden) {
-  for (bool reference : {true, false}) {
-    std::string log;
-    SimEnv env(Config(reference));
-    script(env, log);
-    EXPECT_EQ(log, golden) << (reference ? "reference" : "flat") << " mode";
-  }
+  std::string log;
+  SimEnv env;
+  script(env, log);
+  EXPECT_EQ(log, golden);
 }
 
 // ---- fd lifecycle ----
@@ -169,7 +163,7 @@ TEST(SimEquivalenceTest, HeapHandlesAndPayloads) {
     log += " live=" + std::to_string(env.live_allocations());
     log += " payload=" + env.HandlePayload(b);
     libc.Free(a);
-    libc.Free(a);  // double free is a silent no-op, as in the reference
+    libc.Free(a);  // double free is a silent no-op
     log += " live=" + std::to_string(env.live_allocations());
     log += " a_valid=" + std::to_string(env.HandleValid(a));
     uint64_t d = libc.Realloc(c, 64);
@@ -209,8 +203,8 @@ TEST(SimEquivalenceTest, BusCountersAndWindows) {
     for (const auto& [fn, count] : env.bus().call_counts()) {
       log += ' ' + fn + ':' + std::to_string(count);
     }
-    // Names outside the libc profile take the overflow lane but must count
-    // and match specs identically.
+    // Names outside the libc profile take the overflow lane but count and
+    // match specs the same way.
     env.bus().Arm({.function = "custom_fn", .call_lo = 2, .call_hi = 2, .retval = -7});
     log += " c1=" + std::to_string(env.bus().OnCall("custom_fn") != nullptr);
     log += " c2=" + std::to_string(env.bus().OnCall(std::string_view("custom_fn")) != nullptr);
@@ -221,11 +215,11 @@ TEST(SimEquivalenceTest, BusCountersAndWindows) {
     "c2=1 custom=2");
 }
 
-// ---- randomized op-script fuzz equivalence ----
+// ---- randomized op-script fuzz goldens ----
 
 // Drives a random mix of filesystem / stream / fd / socket / mutex / heap
-// operations (same seeded sequence in both modes, plus through an arena
-// reset) and transcribes every observable result.
+// operations from a seeded sequence and transcribes every observable
+// result.
 void FuzzScript(uint64_t seed, SimEnv& env, std::string& log) {
   SimLibc& libc = env.libc();
   Rng rng(seed);
@@ -370,26 +364,23 @@ constexpr FuzzGolden kFuzzGoldens[] = {
 TEST(SimEquivalenceTest, RandomizedOpScriptsMatchGoldensAndArenaReuse) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     const FuzzGolden& golden = kFuzzGoldens[seed - 1];
-    for (bool reference : {true, false}) {
-      std::string log;
-      SimEnv env(Config(reference, seed));
-      FuzzScript(seed, env, log);
-      EXPECT_TRUE(Fnv1a(log) == golden.digest && log.size() == golden.length)
-          << (reference ? "reference" : "flat") << " mode, seed " << seed << ": digest 0x"
-          << std::hex << Fnv1a(log) << std::dec << " length " << log.size()
-          << ", transcript:\n"
-          << log;
-    }
+    std::string log;
+    SimEnv env(seed);
+    FuzzScript(seed, env, log);
+    EXPECT_TRUE(Fnv1a(log) == golden.digest && log.size() == golden.length)
+        << "seed " << seed << ": digest 0x" << std::hex << Fnv1a(log) << std::dec << " length "
+        << log.size() << ", transcript:\n"
+        << log;
 
     // One arena env replaying every seed so far: each ResetForRun must
     // behave exactly like a fresh construction, warm buffers and all.
-    SimEnv arena(Config(/*reference=*/false, 999));
+    SimEnv arena(999);
     for (uint64_t replay = 1; replay <= seed; ++replay) {
       arena.ResetForRun(replay, 1'000'000);
       std::string arena_log;
       std::string fresh_log;
       FuzzScript(replay, arena, arena_log);
-      SimEnv fresh(Config(/*reference=*/false, replay));
+      SimEnv fresh(replay);
       FuzzScript(replay, fresh, fresh_log);
       ASSERT_EQ(arena_log, fresh_log) << "seed " << seed << " replay " << replay;
     }
