@@ -9,9 +9,10 @@
 //                until exit() or a crash ends it and the next test forks
 //                a new one.
 //
-// Two campaigns are timed: walutil over its default space in all three
-// modes, and txengine's two-phase crash→recover→verify campaign over the
-// storage-failure space in spawn and forkserver mode. Each two-phase test
+// Two campaigns are timed, each cell built from a Recipe (the definition
+// afex_cli wires campaigns from): walutil over its default space in all
+// three modes, and txengine's two-phase crash→recover→verify campaign over
+// recovery_smoke's storage-failure space in spawn and forkserver mode. Each two-phase test
 // runs the workload in the chosen mode plus two plain spawned processes
 // (recover, verify), so those cells carry real.recovery_run/real.verify.
 //
@@ -30,11 +31,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/host_info.h"
-#include "core/fitness_explorer.h"
+#include "campaign/recipe.h"
 #include "core/session.h"
 #include "exec/forkserver.h"
 #include "exec/real_target_harness.h"
@@ -43,6 +45,18 @@
 namespace afex {
 namespace {
 
+// A cell's recipe: a seeded fitness search with redundancy feedback over a
+// real target command, spawned per test until a cell picks its exec mode.
+Recipe CellRecipe(std::string target_cmd, uint64_t seed) {
+  Recipe recipe;
+  recipe.backend = "real";
+  recipe.target_cmd = std::move(target_cmd);
+  recipe.timeout_ms = 10000;
+  recipe.seed = seed;
+  recipe.feedback = true;
+  return recipe;
+}
+
 struct ModeResult {
   double seconds = 0.0;
   size_t tests = 0;
@@ -50,9 +64,40 @@ struct ModeResult {
   size_t failed = 0;
   size_t crashes = 0;
   size_t clusters = 0;
+  size_t covered_blocks = 0;
   uint64_t record_digest = 0;
   uint64_t server_restarts = 0;
 };
+
+// Times the recipe's campaign with `telemetry` attached, run to `budget`
+// capped at half the space: a budget near the space size degenerates into
+// the fallback-scan path.
+ModeResult RunRecipe(const Recipe& recipe, size_t budget, obs::CampaignTelemetry& telemetry) {
+  std::unique_ptr<Campaign> campaign = recipe.Build(AFEX_INTERPOSER_PATH, nullptr);
+  auto& harness = static_cast<exec::RealTargetHarness&>(*campaign->nodes[0]);
+  harness.set_metrics_sink(&telemetry);
+  SessionConfig session_config;
+  session_config.redundancy_feedback = recipe.feedback;
+  session_config.metrics = &telemetry;
+  auto started = std::chrono::steady_clock::now();
+  ExplorationSession session(*campaign->explorer, std::move(campaign->runners), session_config);
+  const SessionResult& outcome = session.Run(
+      SearchTarget{.max_tests = std::min(budget, campaign->space.TotalPoints() / 2)});
+  ModeResult result;
+  result.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  result.tests = outcome.tests_executed;
+  result.tests_per_sec = result.seconds > 0.0 ? result.tests / result.seconds : 0.0;
+  result.failed = outcome.failed_tests;
+  result.crashes = outcome.crashes;
+  result.clusters = outcome.clusters;
+  result.covered_blocks = outcome.blocks_covered;
+  result.record_digest = DigestRecords(outcome);
+  if (harness.forkserver() != nullptr) {
+    result.server_restarts = harness.forkserver()->restarts();
+  }
+  return result;
+}
 
 #ifdef AFEX_WALUTIL_COV_PATH
 // Proxy-vs-edges coverage A/B cell: identical seeded fitness campaigns on
@@ -62,48 +107,20 @@ struct ModeResult {
 // interposed libc call) saturates after a few dozen tests, while the edge
 // signal keeps paying fitness feedback well past that wall.
 struct CoverageCell {
-  double seconds = 0.0;
-  size_t tests = 0;
-  size_t covered_blocks = 0;
+  ModeResult run;
   uint64_t last_growth_test = 0;  // last test index where coverage grew
   size_t growth_points = 0;
   double edges_total = 0.0;  // gauge real.edges_total; stays 0 in proxy mode
-  size_t crashes = 0;
-  size_t clusters = 0;
 };
 
 CoverageCell RunCoverageCell(bool use_edges, size_t budget, uint64_t seed) {
-  exec::RealTargetConfig config;
-  config.target_argv = {AFEX_WALUTIL_COV_PATH, "{test}"};
-  config.num_tests = 6;
-  config.interposer_path = AFEX_INTERPOSER_PATH;
-  config.timeout_ms = 10000;
-  config.exec_mode = exec::ExecMode::kForkserver;
-  config.use_edges = use_edges;
-  exec::RealTargetHarness harness(config);
+  Recipe recipe = CellRecipe(AFEX_WALUTIL_COV_PATH " {test}", seed);
+  recipe.exec_mode = "forkserver";
+  recipe.max_call = 6;
+  recipe.coverage = use_edges ? "edges" : "proxy";
   obs::CampaignTelemetry telemetry;
-  harness.set_metrics_sink(&telemetry);
-  FaultSpace space = harness.MakeSpace(/*max_call=*/6);
-  budget = std::min(budget, space.TotalPoints() / 2);
-
-  FitnessExplorerConfig explorer_config;
-  explorer_config.seed = seed;
-  FitnessExplorer explorer(space, explorer_config);
-
-  SessionConfig session_config;
-  session_config.redundancy_feedback = true;
-  session_config.metrics = &telemetry;
-
   CoverageCell cell;
-  auto started = std::chrono::steady_clock::now();
-  ExplorationSession session(explorer, harness, space, session_config);
-  const SessionResult& outcome = session.Run(SearchTarget{.max_tests = budget});
-  cell.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  cell.tests = outcome.tests_executed;
-  cell.covered_blocks = outcome.blocks_covered;
-  cell.crashes = outcome.crashes;
-  cell.clusters = outcome.clusters;
+  cell.run = RunRecipe(recipe, budget, telemetry);
   obs::MetricsSnapshot snapshot = telemetry.Snapshot();
   cell.growth_points = snapshot.coverage_growth.size();
   if (!snapshot.coverage_growth.empty()) {
@@ -124,106 +141,37 @@ void EmitCoverageCell(std::ofstream& out, const char* key, const CoverageCell& c
                 "\"covered_blocks\": %zu, \"last_growth_test\": %llu, "
                 "\"growth_points\": %zu, \"edges_total\": %.0f, "
                 "\"crashes\": %zu, \"clusters\": %zu}",
-                key, c.seconds, c.tests, c.covered_blocks,
+                key, c.run.seconds, c.run.tests, c.run.covered_blocks,
                 static_cast<unsigned long long>(c.last_growth_test), c.growth_points,
-                c.edges_total, c.crashes, c.clusters);
+                c.edges_total, c.run.crashes, c.run.clusters);
   out << buf;
 }
 #endif  // AFEX_WALUTIL_COV_PATH
 
-const char* ModeName(exec::ExecMode mode) {
-  switch (mode) {
-    case exec::ExecMode::kSpawn:
-      return "spawn";
-    case exec::ExecMode::kForkserver:
-      return "forkserver";
-    case exec::ExecMode::kPersistent:
-      return "persistent";
-  }
-  return "?";
-}
-
-// The campaigns perf_real times (see the header comment).
-enum class Workload { kWalutil, kTxengine };
-
-// txengine's <test, function, call, retval, mode> storage-failure space, as
-// in the recovery smoke test: 480 points. retval is pinned at 20, the
+// txengine's <test, function, call, retval, mode> storage-failure space, the
+// recovery smoke test's: 480 points. retval is pinned at 20, the
 // short_write byte count K.
-FaultSpace TxengineStorageSpace() {
-  std::vector<Axis> axes;
-  axes.push_back(Axis::MakeInterval("test", 1, 1));
-  axes.push_back(Axis::MakeSet("function", {"write", "fsync", "rename"}));
-  axes.push_back(Axis::MakeInterval("call", 1, 40));
-  axes.push_back(Axis::MakeInterval("retval", 20, 20));
-  axes.push_back(
-      Axis::MakeSet("mode", {"kill_at", "short_write", "drop_sync", "crash_after_rename"}));
-  return FaultSpace(std::move(axes), "txengine-storage");
-}
+constexpr char kTxengineStorageSpace[] =
+    "txstorage\ntest : [1,1]\nfunction : { write, fsync, rename }\ncall : [1,40]\n"
+    "retval : [20,20]\nmode : { kill_at, short_write, drop_sync, crash_after_rename }\n;\n";
 
-ModeResult RunCampaign(Workload workload, exec::ExecMode mode, size_t budget, uint64_t seed,
-                       obs::CampaignTelemetry& telemetry) {
-  exec::RealTargetConfig config;
-  if (workload == Workload::kWalutil) {
-    config.target_argv = {AFEX_WALUTIL_PATH, "{test}"};
-    config.num_tests = 6;
-  } else {
-    config.target_argv = {AFEX_TXENGINE_PATH, "workload", "{test}"};
-    config.recovery_argv = {AFEX_TXENGINE_PATH, "recover"};
-    config.verify_argv = {AFEX_TXENGINE_PATH, "verify"};
-    config.functions = {"write", "fsync", "rename"};
-  }
-  config.interposer_path = AFEX_INTERPOSER_PATH;
-  config.timeout_ms = 10000;
-  config.exec_mode = mode;
-  exec::RealTargetHarness harness(config);
-  harness.set_metrics_sink(&telemetry);
-  FaultSpace space = workload == Workload::kWalutil ? harness.MakeSpace(/*max_call=*/6)
-                                                    : TxengineStorageSpace();
-  // Stay in the non-exhausted regime: a budget near the space size
-  // degenerates into the fallback-scan path.
-  budget = std::min(budget, space.TotalPoints() / 2);
-
-  FitnessExplorerConfig explorer_config;
-  explorer_config.seed = seed;
-  FitnessExplorer explorer(space, explorer_config);
-
-  SessionConfig session_config;
-  session_config.redundancy_feedback = true;
-  session_config.metrics = &telemetry;
-
-  ModeResult result;
-  auto started = std::chrono::steady_clock::now();
-  ExplorationSession session(explorer, harness, space, session_config);
-  const SessionResult& outcome = session.Run(SearchTarget{.max_tests = budget});
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  result.tests = outcome.tests_executed;
-  result.tests_per_sec = result.seconds > 0.0 ? result.tests / result.seconds : 0.0;
-  result.failed = outcome.failed_tests;
-  result.crashes = outcome.crashes;
-  result.clusters = outcome.clusters;
-  result.record_digest = DigestRecords(outcome);
-  if (harness.forkserver() != nullptr) {
-    result.server_restarts = harness.forkserver()->restarts();
-  }
-  return result;
-}
-
-// Runs `workload` once per mode (the first is the baseline every other mode
-// must match record for record), prints one line per mode, and writes one
-// JSON object per mode into `out`. speedups[i] is modes[i]'s over modes[0].
-// Returns false when a mode's records diverged from the baseline's.
-bool RunModes(Workload workload, const std::vector<exec::ExecMode>& modes, size_t budget,
-              uint64_t seed, std::ofstream& out, std::vector<double>& speedups) {
+// Runs `recipe` once per exec mode (the first is the baseline every other
+// mode must match record for record), prints one line per mode, and writes
+// one JSON object per mode into `out`. speedups[i] is modes[i]'s over
+// modes[0]. Returns false when a mode's records diverged from the
+// baseline's.
+bool RunModes(Recipe recipe, const std::vector<const char*>& modes, size_t budget,
+              std::ofstream& out, std::vector<double>& speedups) {
   ModeResult baseline;
   bool all_equivalent = true;
   speedups.clear();
   for (size_t i = 0; i < modes.size(); ++i) {
-    const exec::ExecMode mode = modes[i];
-    std::printf("%-11s ", ModeName(mode));
+    const char* mode = modes[i];
+    std::printf("%-11s ", mode);
     std::fflush(stdout);
     obs::CampaignTelemetry telemetry;
-    ModeResult result = RunCampaign(workload, mode, budget, seed, telemetry);
+    recipe.exec_mode = mode;
+    ModeResult result = RunRecipe(recipe, budget, telemetry);
     bool equivalent = true;
     double speedup = 1.0;
     if (i == 0) {
@@ -240,8 +188,7 @@ bool RunModes(Workload workload, const std::vector<exec::ExecMode>& modes, size_
                 result.tests_per_sec, result.seconds, result.crashes, result.clusters,
                 speedup, equivalent ? "" : "  [RECORDS DIVERGED]");
     if (!equivalent) {
-      std::fprintf(stderr, "FATAL: %s mode diverged from %s-mode records\n", ModeName(mode),
-                   ModeName(modes[0]));
+      std::fprintf(stderr, "FATAL: %s mode diverged from %s-mode records\n", mode, modes[0]);
     }
     if (i > 0) {
       out << ",\n";
@@ -253,7 +200,7 @@ bool RunModes(Workload workload, const std::vector<exec::ExecMode>& modes, size_
                   "\"clusters\": %zu, \"speedup_vs_spawn\": %.2f, "
                   "\"server_restarts\": %llu, \"record_digest\": \"%016llx\", "
                   "\"equivalent_to_spawn\": %s,\n      \"telemetry\": ",
-                  ModeName(mode), result.seconds, result.tests, result.tests_per_sec,
+                  mode, result.seconds, result.tests, result.tests_per_sec,
                   result.failed, result.crashes, result.clusters, speedup,
                   static_cast<unsigned long long>(result.server_restarts),
                   static_cast<unsigned long long>(result.record_digest),
@@ -309,11 +256,10 @@ int main(int argc, char** argv) {
       << budget << ", \"num_tests\": 6, \"max_call\": 6, \"seed\": " << seed << "},\n";
   out << "  \"results\": {\n";
   std::vector<double> speedups;
+  Recipe walutil = CellRecipe(AFEX_WALUTIL_PATH " {test}", seed);
+  walutil.max_call = 6;
   bool all_equivalent =
-      RunModes(Workload::kWalutil,
-               {exec::ExecMode::kSpawn, exec::ExecMode::kForkserver,
-                exec::ExecMode::kPersistent},
-               budget, seed, out, speedups);
+      RunModes(walutil, {"spawn", "forkserver", "persistent"}, budget, out, speedups);
   const double fs_speedup = speedups[1];
   const double persistent_speedup = speedups[2];
   out << "\n  },\n";
@@ -322,9 +268,12 @@ int main(int argc, char** argv) {
   out << "  \"two_phase\": {\"target\": \"txengine\", \"space\": \"txengine-storage\", "
          "\"points\": 480, \"strategy\": \"fitness\", \"feedback\": true, \"budget\": "
       << two_phase_budget << ", \"seed\": " << seed << ",\n";
+  Recipe txengine = CellRecipe(AFEX_TXENGINE_PATH " workload {test}", seed);
+  txengine.recovery_cmd = AFEX_TXENGINE_PATH " recover";
+  txengine.verify_cmd = AFEX_TXENGINE_PATH " verify";
+  txengine.space = kTxengineStorageSpace;
   all_equivalent =
-      RunModes(Workload::kTxengine, {exec::ExecMode::kSpawn, exec::ExecMode::kForkserver},
-               two_phase_budget, seed, out, speedups) &&
+      RunModes(txengine, {"spawn", "forkserver"}, two_phase_budget, out, speedups) &&
       all_equivalent;
   const double two_phase_fs_speedup = speedups[1];
   out << "\n  },\n";
@@ -338,7 +287,7 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     CoverageCell proxy_cell = RunCoverageCell(/*use_edges=*/false, cov_budget, seed);
     std::printf("%zu blocks, growth stops at test %llu  edges... ",
-                proxy_cell.covered_blocks,
+                proxy_cell.run.covered_blocks,
                 static_cast<unsigned long long>(proxy_cell.last_growth_test));
     std::fflush(stdout);
     CoverageCell edges_cell = RunCoverageCell(/*use_edges=*/true, cov_budget, seed);

@@ -38,21 +38,10 @@
 #include "core/fitness_explorer.h"
 #include "core/session.h"
 #include "obs/telemetry.h"
-#include "targets/coreutils/suite.h"
-#include "targets/docstore/suite.h"
 #include "targets/harness.h"
-#include "targets/minidb/suite.h"
-#include "targets/webserver/suite.h"
 
 namespace afex {
 namespace {
-
-struct TargetSpec {
-  const char* name;
-  TargetSuite (*make)();
-  size_t max_call;
-  bool zero_call;
-};
 
 struct CellResult {
   double seconds = 0.0;
@@ -132,15 +121,23 @@ std::optional<uint64_t> GoldenDigest(size_t budget, const char* target, size_t j
   return std::nullopt;
 }
 
-CellResult RunCampaign(const TargetSpec& spec, size_t budget, size_t jobs, size_t pool,
+// docstore-v2.0 is the headline: a max_call of 24 (its registry default is
+// 10) sizes the space (840 tests x functions x calls) to hold the full
+// 20k-test campaign.
+constexpr const char* kHeadlineTarget = "docstore-v2.0";
+constexpr size_t kHeadlineMaxCall = 24;
+
+CellResult RunCampaign(const SimTarget& spec, size_t budget, size_t jobs, size_t pool,
                        uint64_t seed, obs::MetricsSink* metrics = nullptr) {
-  TargetSuite suite = spec.make();
+  TargetSuite suite = spec.make_suite();
   std::vector<std::unique_ptr<TargetHarness>> harnesses;
   for (size_t i = 0; i < jobs; ++i) {
     harnesses.push_back(std::make_unique<TargetHarness>(suite, seed ^ 0x5eed));
   }
   harnesses[0]->set_metrics_sink(metrics);
-  FaultSpace space = harnesses[0]->MakeSpace(spec.max_call, spec.zero_call);
+  const size_t max_call =
+      std::strcmp(spec.name, kHeadlineTarget) == 0 ? kHeadlineMaxCall : spec.default_max_call;
+  FaultSpace space = harnesses[0]->MakeSpace(max_call, spec.zero_call);
 
   FitnessExplorerConfig explorer_config;
   explorer_config.seed = seed;
@@ -212,15 +209,9 @@ int main(int argc, char** argv) {
   const size_t pool = budget;  // never-evict: every executed test stays prioritized
   const size_t kDefaultPool = FitnessExplorerConfig{}.priority_capacity;
 
-  // docstore-v2.0 is the headline: max_call sized so the space (840 tests x
-  // functions x calls) holds the full 20k-test campaign.
-  const TargetSpec targets[] = {
-      {"coreutils", &coreutils::MakeSuite, 2, true},
-      {"minidb", &minidb::MakeSuite, 100, false},
-      {"webserver", &webserver::MakeSuite, 10, false},
-      {"docstore-v2.0", &docstore::MakeSuiteV20, 24, false},
-  };
-  const TargetSpec& headline_spec = targets[3];
+  const SimTarget* targets[] = {FindSimTarget("coreutils"), FindSimTarget("minidb"),
+                                FindSimTarget("webserver"), FindSimTarget(kHeadlineTarget)};
+  const SimTarget& headline_spec = *targets[3];
   const uint64_t seed = 7;
 
   std::ofstream out(out_path);
@@ -238,7 +229,8 @@ int main(int argc, char** argv) {
   CellResult headline;
   bool all_golden = true;
   bool first = true;
-  for (const TargetSpec& spec : targets) {
+  for (const SimTarget* target : targets) {
+    const SimTarget& spec = *target;
     for (size_t jobs : {size_t{1}, kClusterJobs}) {
       for (size_t pool_size : {kDefaultPool, pool}) {
         std::printf("%-14s jobs=%zu pool=%-6zu ", spec.name, jobs, pool_size);

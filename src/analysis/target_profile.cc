@@ -6,6 +6,7 @@
 #include "analysis/elf_reader.h"
 #include "exec/feedback_block.h"
 #include "injection/libc_profile.h"
+#include "util/fnv1a.h"
 
 namespace afex {
 namespace analysis {
@@ -138,26 +139,6 @@ void CountCallsites(const ElfReader& elf,
   }
 }
 
-// Local FNV-1a so the analysis layer does not reach into campaign's serde;
-// same construction (component + 0x1f separator per Mix).
-class Hasher {
- public:
-  void Mix(std::string_view component) {
-    for (unsigned char c : component) {
-      Byte(c);
-    }
-    Byte(0x1f);
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  void Byte(unsigned char c) {
-    h_ ^= c;
-    h_ *= 0x100000001b3ULL;
-  }
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 }  // namespace
 
 const ImportedFunction* TargetProfile::Find(std::string_view name) const {
@@ -253,7 +234,7 @@ std::optional<TargetProfile> AnalyzeTargetBinary(const std::string& path,
 uint64_t TargetProfileFingerprint(const TargetProfile& profile) {
   // Path deliberately excluded: the identity is the boundary profile, not
   // where the binary happens to live.
-  Hasher hasher;
+  Fnv1aHasher hasher;
   for (const std::string& lib : profile.needed) {
     hasher.Mix(lib);
   }

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "util/fnv1a.h"
 #include "util/strings.h"
 
 namespace afex {
@@ -458,6 +459,9 @@ std::string SerializeMeta(const CampaignMeta& meta) {
   if (meta.version >= 2) {
     out += " analysis=" + FingerprintHex(meta.analysis_fingerprint);
   }
+  if (meta.version >= 4 && !meta.recipe.empty()) {
+    out += " recipe=" + SerializeStringList(meta.recipe);
+  }
   return out;
 }
 
@@ -518,15 +522,21 @@ bool ParseMeta(std::string_view s, CampaignMeta& out) {
         return false;
       }
       seen |= 1u << 8;
+    } else if (key == "recipe") {
+      if (!ParseStringList(value, out.recipe)) {
+        return false;
+      }
+      seen |= 1u << 9;
     } else {
       return false;
     }
   }
   // `analysis=` exists exactly from v2 on: a v1 line carrying it, or a v2
   // line missing it, is malformed — strictness keeps hand-edited journals
-  // detectable.
+  // detectable. `recipe=` is optional, and only from v4 on.
+  const uint32_t recipe_bit = 1u << 9;
   uint32_t required = out.version >= 2 ? (1u << 9) - 1 : (1u << 8) - 1;
-  return seen == required;
+  return (seen & ~recipe_bit) == required && (out.version >= 4 || (seen & recipe_bit) == 0);
 }
 
 uint64_t FaultSpaceFingerprint(const FaultSpace& space) {
@@ -555,24 +565,6 @@ uint64_t FaultSpaceFingerprint(const FaultSpace& space) {
     }
   }
   return hasher.value();
-}
-
-bool PeekMetaVersion(std::string_view s, int& version) {
-  std::vector<std::pair<std::string_view, std::string_view>> fields;
-  if (!SplitFields(s, fields)) {
-    return false;
-  }
-  for (const auto& [key, value] : fields) {
-    if (key == "v") {
-      int64_t v = 0;
-      if (!ParseInt64(value, v) || v <= 0 || v > INT32_MAX) {
-        return false;
-      }
-      version = static_cast<int>(v);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace afex

@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/fault_space.h"
 #include "core/session.h"
@@ -30,8 +31,10 @@ class CampaignError : public std::runtime_error {
 // (static target-profile fingerprint). v1 journals still parse (the field
 // defaults to 0 = "no analysis recorded"). v3 — adds the `recfail=` /
 // `inv=` outcome fields (two-phase crash-recovery facets). v1/v2 journals
-// still parse (both facets default to false).
-inline constexpr int kCampaignFormatVersion = 3;
+// still parse (both facets default to false). v4 — adds the optional
+// `recipe=` meta field (the campaign's canonical flags, a string list; see
+// campaign/recipe.h); older journals parse without it.
+inline constexpr int kCampaignFormatVersion = 4;
 
 // Identity of a campaign: everything that must match for a journal to be
 // resumable — the same target, strategy, seed, fault space, execution
@@ -61,6 +64,10 @@ struct CampaignMeta {
   // replay faults it can no longer (or differently) experience. Serialized
   // from format v2 on; absent (and 0) in v1 journals.
   uint64_t analysis_fingerprint = 0;
+  // The campaign's canonical flags (Recipe::ToArgs; empty = none
+  // recorded), so a resume can rebuild the campaign from the journal
+  // alone. Serialized from format v4 on, and only when non-empty.
+  std::vector<std::string> recipe;
 };
 
 // Percent-escaping: bytes outside printable ASCII plus the format's
@@ -86,29 +93,11 @@ bool ParseOutcome(std::string_view s, TestOutcome& out);
 std::string SerializeRecord(const SessionRecord& record);
 bool ParseRecord(std::string_view s, SessionRecord& out);
 
+// A failed ParseMeta leaves the fields read before the offending one in
+// `out`: SerializeMeta writes `v=` first, so a reader can still tell a
+// newer format (whose extra fields this build rejects) from a corrupt one.
 std::string SerializeMeta(const CampaignMeta& meta);
 bool ParseMeta(std::string_view s, CampaignMeta& out);
-
-// FNV-1a streaming hasher behind every campaign fingerprint (space and
-// warm-start knowledge). Each Mix appends the component followed by a
-// \x1f separator, so concatenation ambiguities cannot collide.
-class Fnv1aHasher {
- public:
-  void Mix(std::string_view component) {
-    for (unsigned char c : component) {
-      Byte(c);
-    }
-    Byte(0x1f);
-  }
-  uint64_t value() const { return h_; }
-
- private:
-  void Byte(unsigned char c) {
-    h_ ^= c;
-    h_ *= 0x100000001b3ULL;
-  }
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 // Stable fingerprint of a fault space's structure: name, axis order, axis
 // names/kinds, label sets and interval bounds (FNV-1a over a canonical
@@ -116,11 +105,6 @@ class Fnv1aHasher {
 // function of the identity captured here. Campaigns refuse to resume onto
 // a space with a different fingerprint.
 uint64_t FaultSpaceFingerprint(const FaultSpace& space);
-
-// Extracts just the `v=` field of a serialized meta line, so readers can
-// report "version too new" even when a future version adds header fields
-// that the full ParseMeta would reject as unknown.
-bool PeekMetaVersion(std::string_view s, int& version);
 
 // 16-digit lowercase hex rendering of a fingerprint (for headers and
 // error messages).

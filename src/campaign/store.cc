@@ -1,7 +1,9 @@
 #include "campaign/store.h"
 
 #include <algorithm>
+#include <tuple>
 
+#include "util/fnv1a.h"
 #include "util/strings.h"
 
 namespace afex {
@@ -36,16 +38,16 @@ CampaignStore CampaignStore::Open(const std::string& path) {
     throw CampaignError("'" + path + "' is not an AFEX campaign journal");
   }
   std::string_view meta_line = std::string_view(loaded.header).substr(kHeaderMagic.size());
-  // Check the version before the strict full parse, so a newer journal
-  // with extra header fields gets the version diagnostic, not "malformed".
-  int version = 0;
-  if (PeekMetaVersion(meta_line, version) && version > kCampaignFormatVersion) {
+  // A newer journal may carry header fields this build rejects: report
+  // its version rather than "malformed".
+  CampaignMeta meta;
+  const bool parsed = ParseMeta(meta_line, meta);
+  if (meta.version > kCampaignFormatVersion) {
     throw CampaignError("journal '" + path + "' has format version " +
-                        std::to_string(version) + "; this build reads up to " +
+                        std::to_string(meta.version) + "; this build reads up to " +
                         std::to_string(kCampaignFormatVersion));
   }
-  CampaignMeta meta;
-  if (!ParseMeta(meta_line, meta)) {
+  if (!parsed) {
     throw CampaignError("journal '" + path + "' has a malformed header");
   }
 
@@ -71,40 +73,43 @@ CampaignStore CampaignStore::Open(const std::string& path) {
 
 CampaignStore CampaignStore::Open(const std::string& path, const CampaignMeta& expected) {
   CampaignStore store = Open(path);
-  const CampaignMeta& meta = store.meta_;
-  std::string mismatches;
-  auto check = [&mismatches](bool same, const std::string& field, const std::string& stored,
-                             const std::string& current) {
-    if (!same) {
-      mismatches += "\n  " + field + ": journal has " + stored + ", campaign has " + current;
-    }
-  };
-  check(meta.target == expected.target, "target", meta.target, expected.target);
-  check(meta.strategy == expected.strategy, "strategy", meta.strategy, expected.strategy);
-  check(meta.seed == expected.seed, "seed", std::to_string(meta.seed),
-        std::to_string(expected.seed));
-  check(meta.space_fingerprint == expected.space_fingerprint, "space fingerprint",
-        FingerprintHex(meta.space_fingerprint), FingerprintHex(expected.space_fingerprint));
-  check(meta.jobs == expected.jobs, "jobs", std::to_string(meta.jobs),
-        std::to_string(expected.jobs));
-  check(meta.feedback == expected.feedback, "feedback", meta.feedback ? "on" : "off",
-        expected.feedback ? "on" : "off");
-  check(meta.warm_fingerprint == expected.warm_fingerprint, "warm-start",
-        meta.warm_fingerprint == 0 ? "none" : FingerprintHex(meta.warm_fingerprint),
-        expected.warm_fingerprint == 0 ? "none" : FingerprintHex(expected.warm_fingerprint));
+  store.Verify(expected);
+  return store;
+}
+
+void CampaignStore::Verify(const CampaignMeta& expected) {
+  const CampaignMeta& meta = meta_;
+  auto fingerprint = [](uint64_t fp) { return fp == 0 ? "none" : FingerprintHex(fp); };
   // A differing target-profile fingerprint means the target binary was
-  // rebuilt with a different libc boundary since the journal was written —
+  // rebuilt with a different libc boundary since the journal was written:
   // replaying its faults against the new binary is not a resume.
-  check(meta.analysis_fingerprint == expected.analysis_fingerprint,
-        "target binary profile (static analysis)",
-        meta.analysis_fingerprint == 0 ? "none" : FingerprintHex(meta.analysis_fingerprint),
-        expected.analysis_fingerprint == 0 ? "none"
-                                           : FingerprintHex(expected.analysis_fingerprint));
+  const std::tuple<const char*, std::string, std::string> fields[] = {
+      {"target", meta.target, expected.target},
+      {"strategy", meta.strategy, expected.strategy},
+      {"seed", std::to_string(meta.seed), std::to_string(expected.seed)},
+      {"space fingerprint", FingerprintHex(meta.space_fingerprint),
+       FingerprintHex(expected.space_fingerprint)},
+      {"jobs", std::to_string(meta.jobs), std::to_string(expected.jobs)},
+      {"feedback", meta.feedback ? "on" : "off", expected.feedback ? "on" : "off"},
+      {"warm-start", fingerprint(meta.warm_fingerprint), fingerprint(expected.warm_fingerprint)},
+      {"target binary profile (static analysis)", fingerprint(meta.analysis_fingerprint),
+       fingerprint(expected.analysis_fingerprint)},
+  };
+  std::string mismatches;
+  for (const auto& [field, stored, current] : fields) {
+    if (stored != current) {
+      mismatches += "\n  " + std::string(field) + ": journal has " + stored + ", campaign has " +
+                    current;
+    }
+  }
   if (!mismatches.empty()) {
-    throw CampaignError("refusing to resume from '" + path +
+    throw CampaignError("refusing to resume from '" + path_ +
                         "': campaign configuration mismatch" + mismatches);
   }
-  return store;
+  // The identity holds, so the journal now describes the campaign as
+  // resumed: CommitResume's rewritten header carries the expected meta
+  // (its recipe's budget, and the recipe itself for a pre-v4 journal).
+  meta_ = expected;
 }
 
 void CampaignStore::CommitResume(size_t n) {

@@ -47,9 +47,14 @@ class CampaignStore {
   // CampaignError on I/O or parse failure.
   static CampaignStore Open(const std::string& path);
 
-  // As Open, but additionally verifies the stored meta against `expected`
-  // and throws CampaignError with a field-by-field message on mismatch.
+  // Open followed by Verify(expected).
   static CampaignStore Open(const std::string& path, const CampaignMeta& expected);
+
+  // Verifies the loaded meta against `expected` and throws CampaignError
+  // with a field-by-field message on mismatch. On success the store adopts
+  // `expected` as its meta, so CommitResume rewrites the header as the
+  // resumed campaign's.
+  void Verify(const CampaignMeta& expected);
 
   const CampaignMeta& meta() const { return meta_; }
 

@@ -183,4 +183,15 @@ std::string FaultSpace::Describe(const Fault& f) const {
   return out;
 }
 
+FaultSpace MakeCallSpace(std::string name, size_t num_tests,
+                         const std::vector<std::string>& functions, size_t max_call,
+                         bool include_zero_call) {
+  std::vector<Axis> axes;
+  axes.push_back(Axis::MakeInterval("test", 1, static_cast<int64_t>(num_tests)));
+  axes.push_back(Axis::MakeSet("function", functions));
+  axes.push_back(
+      Axis::MakeInterval("call", include_zero_call ? 0 : 1, static_cast<int64_t>(max_call)));
+  return FaultSpace(std::move(axes), std::move(name));
+}
+
 }  // namespace afex

@@ -75,6 +75,15 @@ class FaultSpace {
   ValidityFn validity_;
 };
 
+// The canonical <test, function, call> space both backends explore by
+// default: tests 1..num_tests, `functions` in order, and call ordinals
+// 1..max_call. With `include_zero_call` the call axis starts at 0, whose
+// label "0" means "run the test with no injection" (the Phi_coreutils
+// convention).
+FaultSpace MakeCallSpace(std::string name, size_t num_tests,
+                         const std::vector<std::string>& functions, size_t max_call,
+                         bool include_zero_call);
+
 }  // namespace afex
 
 #endif  // AFEX_CORE_FAULT_SPACE_H_

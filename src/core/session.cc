@@ -4,6 +4,7 @@
 #include <bit>
 #include <unordered_set>
 
+#include "util/fnv1a.h"
 #include "util/log.h"
 
 namespace afex {
@@ -218,38 +219,31 @@ const SessionResult& ExplorationSession::Run(const SearchTarget& target) {
 }
 
 uint64_t DigestRecords(const SessionResult& result) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h = (h ^ ((v >> shift) & 0xff)) * 0x100000001b3ULL;
-    }
-  };
+  Fnv1aHasher h;
   auto mix_string = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h = (h ^ c) * 0x100000001b3ULL;
-    }
-    h = (h ^ 0xff) * 0x100000001b3ULL;  // terminator: "ab","c" != "a","bc"
+    h.Bytes(s);
+    h.Byte(0xff);  // terminator: "ab","c" != "a","bc"
   };
   for (const SessionRecord& r : result.records) {
     for (size_t i = 0; i < r.fault.dimensions(); ++i) {
-      mix(r.fault[i]);
+      h.U64(r.fault[i]);
     }
-    mix(std::bit_cast<uint64_t>(r.fitness));
-    mix(r.cluster_id);
+    h.U64(std::bit_cast<uint64_t>(r.fitness));
+    h.U64(r.cluster_id);
     const TestOutcome& o = r.outcome;
-    mix(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
-        (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0) ^
-        (o.recovery_failed ? 0x1000 : 0) ^ (o.invariant_violated ? 0x2000 : 0));
-    mix(o.new_blocks_covered);
+    h.U64(static_cast<uint64_t>(o.exit_code) ^ (o.test_failed ? 0x100 : 0) ^
+          (o.crashed ? 0x200 : 0) ^ (o.hung ? 0x400 : 0) ^ (o.fault_triggered ? 0x800 : 0) ^
+          (o.recovery_failed ? 0x1000 : 0) ^ (o.invariant_violated ? 0x2000 : 0));
+    h.U64(o.new_blocks_covered);
     for (uint32_t block : o.new_block_ids) {
-      mix(block);
+      h.U64(block);
     }
     for (const std::string& frame : o.injection_stack) {
       mix_string(frame);
     }
     mix_string(o.detail);
   }
-  return h;
+  return h.value();
 }
 
 }  // namespace afex

@@ -176,12 +176,8 @@ bool RealTargetHarness::EnsureForkserver(std::string& why) {
 }
 
 FaultSpace RealTargetHarness::MakeSpace(size_t max_call, bool include_zero_call) const {
-  std::vector<Axis> axes;
-  axes.push_back(Axis::MakeInterval("test", 1, static_cast<int64_t>(config_.num_tests)));
-  axes.push_back(Axis::MakeSet("function", config_.functions));
-  axes.push_back(
-      Axis::MakeInterval("call", include_zero_call ? 0 : 1, static_cast<int64_t>(max_call)));
-  return FaultSpace(std::move(axes), "real:" + target_name_);
+  return MakeCallSpace("real:" + target_name_, config_.num_tests, config_.functions, max_call,
+                       include_zero_call);
 }
 
 TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fault) {

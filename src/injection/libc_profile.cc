@@ -13,7 +13,7 @@ constexpr std::pair<const char*, int> kNames[] = {
     {"ENOMEM", kENOMEM}, {"EINTR", kEINTR},   {"EIO", kEIO},
     {"EACCES", kEACCES}, {"ENOENT", kENOENT}, {"EAGAIN", kEAGAIN},
     {"ENOSPC", kENOSPC}, {"EBADF", kEBADF},   {"EMFILE", kEMFILE},
-    {"ECONNRESET", kECONNRESET},
+    {"ECONNRESET", kECONNRESET}, {"EEXIST", kEEXIST},
 };
 }  // namespace
 

@@ -31,6 +31,7 @@ inline constexpr int kENOMEM = 12;
 inline constexpr int kEINTR = 4;
 inline constexpr int kEIO = 5;
 inline constexpr int kEACCES = 13;
+inline constexpr int kEEXIST = 17;
 inline constexpr int kENOENT = 2;
 inline constexpr int kEAGAIN = 11;
 inline constexpr int kENOSPC = 28;

@@ -452,7 +452,7 @@ int SimLibc::Mkdir(std::string_view path) {
     return static_cast<int>(spec->retval);
   }
   if (env_->Exists(path)) {
-    env_->set_sim_errno(sim_errno::kEACCES);
+    env_->set_sim_errno(sim_errno::kEEXIST);
     return -1;
   }
   env_->AddDir(path);

@@ -12,12 +12,8 @@ TargetHarness::TargetHarness(TargetSuite suite, uint64_t seed)
     : suite_(std::move(suite)), seed_(seed), coverage_(suite_.total_blocks, suite_.recovery_base) {}
 
 FaultSpace TargetHarness::MakeSpace(size_t max_call, bool include_zero_call) const {
-  std::vector<Axis> axes;
-  axes.push_back(Axis::MakeInterval("test", 1, static_cast<int64_t>(suite_.num_tests)));
-  axes.push_back(Axis::MakeSet("function", suite_.functions));
-  axes.push_back(
-      Axis::MakeInterval("call", include_zero_call ? 0 : 1, static_cast<int64_t>(max_call)));
-  return FaultSpace(std::move(axes), suite_.name);
+  return MakeCallSpace(suite_.name, suite_.num_tests, suite_.functions, max_call,
+                       include_zero_call);
 }
 
 SimEnv& TargetHarness::EnvForRun(uint64_t seed) {

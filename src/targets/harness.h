@@ -17,6 +17,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/impact.h"
 #include "core/session.h"
@@ -31,9 +32,8 @@ class TargetHarness : public TargetBackend {
  public:
   explicit TargetHarness(TargetSuite suite, uint64_t seed = 42);
 
-  // Builds the canonical <test, function, call> fault space. When
-  // `include_zero_call` is true the call axis starts at 0, whose label "0"
-  // means "run the test with no injection" (the Phi_coreutils convention).
+  // The canonical <test, function, call> fault space over the suite's
+  // tests and functions (MakeCallSpace).
   FaultSpace MakeSpace(size_t max_call, bool include_zero_call = false) const;
 
   // Executes the fault and returns the observation. Deterministic: the
@@ -80,6 +80,18 @@ class TargetHarness : public TargetBackend {
   // drives one space; rebuilt transparently if the space changes).
   CachedFaultDecoder decoder_;
 };
+
+// A built-in simulated target: its suite and the call-axis shape campaigns
+// over it default to.
+struct SimTarget {
+  const char* name;
+  TargetSuite (*make_suite)();
+  size_t default_max_call;
+  bool zero_call;  // MakeSpace's include_zero_call
+};
+
+// The built-in target called `name`, or nullptr.
+const SimTarget* FindSimTarget(std::string_view name);
 
 }  // namespace afex
 

@@ -12,6 +12,7 @@
 
 #include "campaign/export.h"
 #include "campaign/journal.h"
+#include "campaign/recipe.h"
 #include "campaign/serde.h"
 #include "campaign/store.h"
 #include "core/exhaustive_explorer.h"
@@ -163,6 +164,7 @@ TEST(SerdeTest, MetaRoundTrip) {
   meta.feedback = true;
   meta.warm_fingerprint = 0xfeed5eed0000ffffULL;
   meta.analysis_fingerprint = 0x24dfe2f30004db42ULL;
+  meta.recipe = {"--backend=real", "--target-cmd=./bin {test} |x", "--space=s\nf : { a, b }\n;\n"};
   CampaignMeta parsed;
   ASSERT_TRUE(ParseMeta(SerializeMeta(meta), parsed));
   EXPECT_EQ(parsed.version, meta.version);
@@ -174,6 +176,7 @@ TEST(SerdeTest, MetaRoundTrip) {
   EXPECT_EQ(parsed.feedback, meta.feedback);
   EXPECT_EQ(parsed.warm_fingerprint, meta.warm_fingerprint);
   EXPECT_EQ(parsed.analysis_fingerprint, meta.analysis_fingerprint);
+  EXPECT_EQ(parsed.recipe, meta.recipe);
 }
 
 TEST(SerdeTest, MetaVersioningGatesTheAnalysisField) {
@@ -322,9 +325,14 @@ TEST(JournalTest, OpenRejectsNonJournalsAndNewerVersions) {
   {
     std::ofstream out(path, std::ios::binary);
     out << "AFEXJ v=999 target=x strategy=y seed=1 space=0000000000000000 jobs=1 feedback=0 "
-           "warm=0000000000000000\n";
+           "warm=0000000000000000 newfield=1\n";
   }
-  EXPECT_THROW(CampaignStore::Open(path), CampaignError);
+  try {
+    CampaignStore::Open(path);
+    FAIL() << "a newer journal format was accepted";
+  } catch (const CampaignError& e) {
+    EXPECT_NE(std::string(e.what()).find("has format version 999"), std::string::npos) << e.what();
+  }
   EXPECT_THROW(CampaignStore::Open(TempPath("does_not_exist.afexj")), CampaignError);
 }
 
@@ -697,6 +705,78 @@ TEST(StoreTest, JournalReloadsExactlyWhatTheSessionRecorded) {
     SCOPED_TRACE("record " + std::to_string(i));
     ExpectRecordsEqual(reloaded.records()[i], result.records[i]);
   }
+}
+
+// --- recipe ------------------------------------------------------------------
+
+TEST(RecipeTest, CanonicalArgsRoundTripAndResumeChecksConflicts) {
+  const std::string space_path = TempPath("recipe_space.afex");
+  {
+    std::ofstream out(space_path);
+    out << "sp # comment\ntest : [1,3]\nfunction : { malloc, read }\ncall : [1,2]\n;\n";
+  }
+  Recipe recipe = Recipe::FromArgs(
+      {"--target=minidb", "--space=" + space_path, "--seed=9", "--feedback", "--budget=40"});
+  std::vector<std::string> args = recipe.ToArgs();
+  EXPECT_EQ(args.front(), "--backend=sim");
+  EXPECT_EQ(args.back(), "--budget=40");
+  Recipe restored = Recipe::FromArgs(args, /*files_inline=*/true);
+  EXPECT_EQ(restored.ToArgs(), args);
+  EXPECT_EQ(restored.space,
+            "sp\ntest : [ 1 , 3 ]\nfunction : { malloc, read }\ncall : [ 1 , 2 ]\n;\n");
+
+  // A resume may raise the budget and repeat stored values; anything else
+  // names the flag and both values.
+  Recipe resumed = Recipe::Resume(restored, {"--budget=80", "--seed=9", "--feedback"});
+  EXPECT_EQ(resumed.budget, 80u);
+  try {
+    Recipe::Resume(restored, {"--seed=2"});
+    FAIL() << "a conflicting --seed was accepted";
+  } catch (const CampaignError& e) {
+    EXPECT_STREQ(e.what(),
+                 "--seed conflicts with the journal's recipe: journal has '9', command line "
+                 "has '2'");
+  }
+  EXPECT_THROW(Recipe::FromArgs({"--num-tests=3"}), CampaignError);  // real-only flag
+  EXPECT_THROW(Recipe::FromArgs({"--budget=0"}), CampaignError);
+  EXPECT_THROW(Recipe::FromArgs({"--bogus"}), CampaignError);
+}
+
+TEST(RecipeTest, PreRecipeJournalParsesAndResumesFromFullFlags) {
+  // A v3 meta line has no recipe= field: it still parses, and carrying
+  // the field before v4 is malformed.
+  const std::vector<std::string> flags = {"--strategy=random", "--seed=3", "--budget=30"};
+  CampaignMeta v3 = Recipe::FromArgs(flags).Build("", nullptr)->meta;
+  v3.version = 3;
+  const std::string line = SerializeMeta(v3);
+  EXPECT_EQ(line.find("recipe="), std::string::npos);
+  CampaignMeta parsed;
+  ASSERT_TRUE(ParseMeta(line, parsed));
+  EXPECT_TRUE(parsed.recipe.empty());
+  EXPECT_FALSE(ParseMeta(line + " recipe=1:--seed%3D3", parsed));
+
+  // Journal part of the campaign under the v3 header, then resume it the
+  // pre-recipe way: the full flags rebuild a meta whose identity matches.
+  const std::string path = TempPath("v3.afexj");
+  {
+    std::unique_ptr<Campaign> first = Recipe::FromArgs(flags).Build("", nullptr);
+    CampaignStore store = CampaignStore::Create(path, v3);
+    SessionConfig config;
+    config.record_observer = store.MakeObserver();
+    ExplorationSession session(*first->explorer, std::move(first->runners), config);
+    session.Run({.max_tests = 12});
+  }
+  std::unique_ptr<Campaign> resumed = Recipe::FromArgs(flags).Build("", nullptr);
+  CampaignStore store = CampaignStore::Open(path, resumed->meta);
+  EXPECT_EQ(store.records().size(), 12u);
+  ExplorationSession session(*resumed->explorer, std::move(resumed->runners));
+  for (const SessionRecord& record : store.records()) {
+    ASSERT_TRUE(session.Replay(record));
+  }
+  store.CommitResume(12);
+  // The rewritten header is the resumed campaign's: v4, with its recipe.
+  EXPECT_EQ(CampaignStore::Open(path).meta().version, kCampaignFormatVersion);
+  EXPECT_EQ(CampaignStore::Open(path).meta().recipe, Recipe::FromArgs(flags).ToArgs());
 }
 
 }  // namespace

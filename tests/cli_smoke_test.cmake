@@ -18,7 +18,7 @@ function(run_cli out_var)
   set(${out_var}_stderr "${cli_stderr}" PARENT_SCOPE)
 endfunction()
 
-# Asserts the CLI rejects the flags with a non-zero exit and a stderr
+# Asserts the CLI rejects the flags with exit status 2 and a stderr
 # message matching `expect_pattern`.
 function(expect_cli_error expect_pattern)
   execute_process(
@@ -26,8 +26,8 @@ function(expect_cli_error expect_pattern)
     OUTPUT_VARIABLE cli_stdout
     ERROR_VARIABLE cli_stderr
     RESULT_VARIABLE cli_status)
-  if(cli_status EQUAL 0)
-    message(FATAL_ERROR "afex_cli ${ARGN} was expected to fail but exited 0")
+  if(NOT cli_status EQUAL 2)
+    message(FATAL_ERROR "afex_cli ${ARGN} was expected to exit 2 but exited ${cli_status}")
   endif()
   if(NOT cli_stderr MATCHES "${expect_pattern}")
     message(FATAL_ERROR
@@ -70,13 +70,29 @@ if(NOT second_leg MATCHES "executed 50 tests")
 endif()
 message(STATUS "cluster kill-and-resume: combined budget reached under --jobs=2")
 
+# --- resume from the journal's recipe ---------------------------------------
+# The journal stores the campaign's recipe: a conflicting recipe flag given
+# with --resume exits 2 naming the flag and both values, and the journal
+# alone (plus a larger --budget) continues the campaign.
+set(journal "${CMAKE_CURRENT_BINARY_DIR}/smoke_recipe.afexj")
+file(REMOVE "${journal}")
+run_cli(recipe_leg1 --target=minidb --budget=20 --seed=1 "--journal=${journal}")
+expect_cli_error("--seed conflicts with the journal's recipe: journal has '1', command line has '2'"
+  --resume "--journal=${journal}" --budget=50 --seed=2)
+run_cli(recipe_leg2 --resume "--journal=${journal}" --budget=50)
+if(NOT recipe_leg2 MATCHES "resumed 20 journaled tests" OR
+   NOT recipe_leg2 MATCHES "executed 50 tests")
+  message(FATAL_ERROR "journal-only resume did not continue to 50 tests:\n${recipe_leg2}")
+endif()
+message(STATUS "recipe resume: conflicting --seed rejected, journal-only resume reached 50")
+
 # --- backend flag validation ------------------------------------------------
 expect_cli_error("--backend expects 'sim' or 'real'" --backend=bogus --budget=5)
 expect_cli_error("--backend=real requires --target-cmd"
   --backend=real --budget=5)
-expect_cli_error("only apply to --backend=real"
+expect_cli_error("--target-cmd only applies to --backend=real"
   --target=minidb --budget=5 "--target-cmd=/bin/true")
-expect_cli_error("only apply to --backend=real" --target=minidb --budget=5 --num-tests=9)
+expect_cli_error("--num-tests only applies to --backend=real" --target=minidb --budget=5 --num-tests=9)
 expect_cli_error("the system under test is --target-cmd"
   --backend=real "--target-cmd=/bin/true" --target=minidb --budget=5)
 expect_cli_error("--timeout-ms expects an integer"
@@ -93,7 +109,7 @@ expect_cli_error("--auto-space only applies to --backend=real"
 expect_cli_error("--exec-mode expects 'spawn', 'forkserver', or 'persistent'"
   --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" "--interposer=${AFEX_INTERPOSER}"
   --budget=5 --exec-mode=turbo)
-expect_cli_error("only apply to --backend=real"
+expect_cli_error("--exec-mode only applies to --backend=real"
   --target=minidb --budget=5 --exec-mode=forkserver)
 set(space_file "${CMAKE_CURRENT_BINARY_DIR}/smoke_space.afex")
 file(WRITE "${space_file}" "real\ntest : [1,2]\nfunction : { read, write }\ncall : [1,2]\n;\n")
@@ -307,7 +323,7 @@ message(STATUS "forkserver telemetry: per-test cost is one pipe round-trip")
 expect_cli_error("--coverage expects 'auto', 'proxy', or 'edges'"
   --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" "--interposer=${AFEX_INTERPOSER}"
   --budget=5 --coverage=branches)
-expect_cli_error("only apply to --backend=real"
+expect_cli_error("--coverage only applies to --backend=real"
   --target=minidb --budget=5 --coverage=edges)
 # --coverage=edges against the uninstrumented build must fail before any
 # test runs.

@@ -21,6 +21,7 @@
 #include "targets/docstore/suite.h"
 #include "targets/harness.h"
 #include "util/fenwick.h"
+#include "util/fnv1a.h"
 #include "util/interner.h"
 #include "util/levenshtein.h"
 #include "util/rng.h"
@@ -181,21 +182,6 @@ std::vector<std::string> RandomStack(Rng& rng, size_t max_depth, size_t vocab) {
   return stack;
 }
 
-// FNV-1a over 64-bit words.
-class Fnv1a {
- public:
-  void Mix(uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h_ = (h_ ^ ((v >> shift) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
-  void Mix(double v) { Mix(std::bit_cast<uint64_t>(v)); }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 struct ClusterGolden {
   size_t threshold;
   uint64_t digest;
@@ -215,18 +201,18 @@ TEST(ClustererEquivalenceTest, RandomizedStacksMatchGoldens) {
   for (const ClusterGolden& golden : kGoldens) {
     RedundancyClusterer clusterer(ClusterConfig{.distance_threshold = golden.threshold});
     Rng rng(1000 + golden.threshold);
-    Fnv1a digest;
+    Fnv1aHasher digest;
     for (int i = 0; i < 1500; ++i) {
       std::vector<std::string> stack = RandomStack(rng, 6, 5);
       bool want_similarity = rng.NextBernoulli(0.7);
       ClusterObservation obs = clusterer.Observe(stack, want_similarity);
-      digest.Mix(uint64_t{obs.cluster_id});
-      digest.Mix(obs.similarity);
+      digest.U64(obs.cluster_id);
+      digest.U64(std::bit_cast<uint64_t>(obs.similarity));
       std::vector<std::string> probe = RandomStack(rng, 6, 5);
-      digest.Mix(clusterer.NearestSimilarity(probe));
+      digest.U64(std::bit_cast<uint64_t>(clusterer.NearestSimilarity(probe)));
     }
     for (size_t size : clusterer.cluster_sizes()) {
-      digest.Mix(uint64_t{size});
+      digest.U64(size);
     }
     EXPECT_EQ(clusterer.cluster_count(), golden.clusters) << "threshold " << golden.threshold;
     EXPECT_EQ(digest.value(), golden.digest)
@@ -333,16 +319,32 @@ TEST(ExplorerEquivalenceTest, SpaceExhaustionThroughTheFallbackScanMatchesGolden
 }
 
 TEST(ExplorerEquivalenceTest, RealTargetCampaignMatchesGolden) {
-  TargetSuite suite = docstore::MakeSuiteV20();
-  TargetHarness harness(suite, 0x5eed);
-  FaultSpace space = harness.MakeSpace(10, false);
-  FitnessExplorerConfig config;
-  config.seed = 7;
-  FitnessExplorer explorer(space, config);
-  SessionConfig session_config;
-  session_config.redundancy_feedback = true;
-  ExplorationSession session(explorer, harness.MakeRunner(space), session_config);
-  ExpectGoldenCampaign(session.Run({.max_tests = 800}), 800, 0x01f603bbab4c8ff9ULL);
+  // At distance_threshold 0 distinct representatives never tie, so the
+  // second campaign clusters with a nonzero threshold: there a stack can
+  // sit equally close to two representatives, and the clusterer's
+  // tie-break (the earlier one wins) shapes every later cluster id.
+  struct ThresholdGolden {
+    size_t threshold;
+    uint64_t digest;
+  };
+  constexpr ThresholdGolden kGoldens[] = {
+      {0, 0x01f603bbab4c8ff9ULL},
+      {2, 0xa0aa862b1982fc86ULL},
+  };
+  for (const ThresholdGolden& golden : kGoldens) {
+    TargetSuite suite = docstore::MakeSuiteV20();
+    TargetHarness harness(suite, 0x5eed);
+    FaultSpace space = harness.MakeSpace(10, false);
+    FitnessExplorerConfig config;
+    config.seed = 7;
+    FitnessExplorer explorer(space, config);
+    SessionConfig session_config;
+    session_config.redundancy_feedback = true;
+    session_config.cluster_config.distance_threshold = golden.threshold;
+    ExplorationSession session(explorer, harness.MakeRunner(space), session_config);
+    ExpectGoldenCampaign(session.Run({.max_tests = 800}), 800, golden.digest,
+                         "threshold " + std::to_string(golden.threshold));
+  }
 }
 
 TEST(ExplorerEquivalenceTest, WarmStartMatchesGolden) {

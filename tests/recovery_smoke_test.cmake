@@ -11,7 +11,8 @@
 # Each is confirmed by the recovery/verify phase that flagged it (recfail=1
 # or inv=1 on the same journal line as the folded first-line message).
 # Every exec mode runs the same exhaustive campaign with a kill-and-resume
-# leg; the exported records must be byte-identical. afex_txengine never
+# leg that resumes from the journal alone (its stored recipe); the exported
+# records must be byte-identical. afex_txengine never
 # adopts the persistent hook, so the persistent leg runs the non-adopting
 # path end to end. Metrics + trace artifacts land in OUTPUT_DIR for CI
 # upload. Invoked via cmake -P.
@@ -64,11 +65,9 @@ foreach(mode spawn forkserver persistent)
     "--interposer=${AFEX_INTERPOSER}" "--space=${space_file}" --strategy=exhaustive
     --timeout-ms=10000 --budget=${interrupted_budget} --seed=1 --exec-mode=${mode}
     "--journal=${journal}" "--metrics-file=${leg1_metrics_file}")
-  run_cli(leg2 --backend=real "--target-cmd=${AFEX_TXENGINE} workload {test}"
-    "--recovery-cmd=${AFEX_TXENGINE} recover" "--verify-cmd=${AFEX_TXENGINE} verify"
-    "--interposer=${AFEX_INTERPOSER}" "--space=${space_file}" --strategy=exhaustive
-    --timeout-ms=10000 --budget=${full_budget} --seed=1 --exec-mode=${mode}
-    "--journal=${journal}" --resume
+  # The resume takes the campaign from the journal's recipe: only the
+  # larger budget and the output flags are given.
+  run_cli(leg2 "--journal=${journal}" --resume --budget=${full_budget}
     --export=csv "--export-file=${export_file}"
     "--metrics-file=${metrics_file}" "--trace-file=${trace_file}")
   if(NOT leg2 MATCHES "resumed ${interrupted_budget} journaled tests")

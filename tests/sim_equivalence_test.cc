@@ -22,6 +22,7 @@
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace afex {
@@ -147,7 +148,7 @@ TEST(SimEquivalenceTest, ErrnoRoundTrips) {
   ExpectTranscript(script,
     "open_missing=-1/2 fopen_missing=0/2 unlink_missing=-1/2 stat_missing=-1/2 "
     "read_badf=-1/9 write_badf=-1/9 close_badf=-1/9 lseek_badf=-1/9 opendir_missing=0/2 "
-    "chdir_missing=-1/2 recv_badf=-1/104 send_badf=-1/104 mkdir_exists=-1/13 "
+    "chdir_missing=-1/2 recv_badf=-1/104 send_badf=-1/104 mkdir_exists=-1/17 "
     "read_injected=-1/4 ");
 }
 
@@ -338,11 +339,9 @@ void FuzzScript(uint64_t seed, SimEnv& env, std::string& log) {
 }
 
 uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : bytes) {
-    h = (h ^ c) * 0x100000001b3ULL;
-  }
-  return h;
+  Fnv1aHasher h;
+  h.Bytes(bytes);
+  return h.value();
 }
 
 // Committed transcript digest and length of FuzzScript for seeds 1..8.
