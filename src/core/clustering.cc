@@ -16,8 +16,9 @@ double RedundancyClusterer::BestSimilarity::Value() const {
   if (!any) {
     return 0.0;
   }
-  // Same expression TokenSimilarity evaluates, so the result is bit-equal
-  // to a max-of-doubles scan over it.
+  // Similarity = 1 - distance / max(len a, len b), evaluated once from the
+  // winning pair, so the result is bit-equal to a max-of-doubles scan over
+  // every representative's similarity.
   return 1.0 - static_cast<double>(distance) / static_cast<double>(length);
 }
 

@@ -95,8 +95,9 @@ class RedundancyClusterer {
  private:
   // Best similarity seen so far, tracked as the exact rational distance/len
   // pair so pruning decisions never depend on floating-point rounding. The
-  // final double is produced once, from the winning pair, which yields the
-  // bit-identical value a max-of-doubles scan over TokenSimilarity computes.
+  // final double is produced once, from the winning pair, as
+  // 1 - distance / max(len a, len b), which yields the bit-identical value a
+  // max-of-doubles scan over that expression computes.
   struct BestSimilarity {
     bool any = false;
     size_t distance = 0;

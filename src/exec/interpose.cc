@@ -175,15 +175,18 @@ bool Is(const FsPlanEntry* plan, FaultKind kind) {
   return plan->kind == static_cast<int32_t>(kind);
 }
 
-// The power cut. Raw syscalls so no wrapper, atexit handler, or stdio flush
-// runs between the decision to die and death — exactly like losing power.
-// The feedback block is MAP_SHARED, so injections recorded before the kill
-// survive for the parent to read. Edges touched since the last libc call
-// are harvested first — the harvest only writes the shared block, which
+// The power cut. The undo log rolls back every unsynced write first, then
+// raw syscalls kill the process, so no wrapper, atexit handler, or stdio
+// flush runs between the decision to die and death — exactly like losing
+// power. The feedback block is MAP_SHARED, so injections recorded before the
+// kill survive for the parent to read. Edges touched since the last libc
+// call are harvested first — the harvest only writes the shared block, which
 // survives the kill exactly like the injection counters do.
 void SancovHarvest();
+void Undo(int fd);
 [[noreturn]] void RawKill() {
   SancovHarvest();
+  Undo(-1);
   syscall(SYS_kill, syscall(SYS_getpid), SIGKILL);
   for (;;) {
   }
@@ -320,165 +323,184 @@ const FsPlanEntry* OnCall(int slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred-durability write buffer. Armed whenever any plan carries a
-// crash-shaped kind (drop_sync, kill_at, crash_after_rename): emulating a
-// power cut with SIGKILL only works if unsynced data can actually be lost,
-// and the kernel page cache survives process death. So while a crash kind
-// is armed, every write() to a target-opened regular file is deferred into
-// a static arena and only reaches the file on fsync/fdatasync/close/clean
-// exit — the interposer plays the page cache. A SIGKILL (kill_at,
-// crash_after_rename) loses whatever is pending, exactly like pulling the
-// plug; a faulted drop_sync reports success and discards the fd's pending
-// records, the classic lying drive.
+// Crash model: an undo log. Armed whenever any plan carries a crash-shaped
+// kind (drop_sync, kill_at, crash_after_rename): emulating a power cut with
+// SIGKILL only works if unsynced data can actually be lost, and the kernel
+// page cache survives process death. Writes still reach the kernel unchanged,
+// so read, fstat and lseek see them as they would on a real system; only
+// durability is modelled, as in ALICE and CrashMonkey. Before each write()
+// to a regular file the target open()ed, the bytes the write will overwrite
+// and the file's prior size are saved in a static arena.
 //
-// Scope (documented limitation): sequential WAL/page-store I/O. Tracked
-// fds are those the target open()s; O_APPEND fds flush via plain write,
-// others via pwrite at the offset the app saw (shadow-tracked through
-// lseek). Reads of not-yet-flushed data return stale bytes. fds opened
-// O_SYNC/O_DSYNC are write-through — the app asked for synchronous
-// durability and gets it. stdio streams bypass this entirely (libc's
-// internal write does not cross the PLT), so an oracle file written with
-// fwrite+fflush survives the kill — harnesses rely on that.
+// An fd's entries retire (its data counts as durable) on a successful
+// fsync/fdatasync, on close, and under log pressure — a full arena or
+// kMaxUndoEntries entries — as the kernel's writeback would. A power cut
+// (kill_at, crash_after_rename) undoes every live entry, newest first, just
+// before the SIGKILL; a faulted drop_sync reports success and undoes the
+// fd's live entries at once, the classic lying drive. Undoing an entry
+// writes its pre-image back and then cuts the file to its prior size. A
+// process that dies any other way (a signal AFEX did not send, a timeout,
+// _exit) keeps its writes, as it would with a real page cache.
+//
+// Scope (documented limitation): write() only; positioned I/O is not
+// interposed. fds opened O_SYNC/O_DSYNC are write-through — the app asked
+// for synchronous durability and gets it. stdio streams bypass the model
+// entirely (libc's internal write does not cross the PLT), so an oracle
+// file written with fwrite+fflush survives the kill — harnesses rely on
+// that. The log reads and restores files through raw syscalls, so it counts
+// no call ordinal.
 // ---------------------------------------------------------------------------
 constexpr int kMaxFdTrack = 128;
-struct FdInfo {
-  unsigned char tracked = 0;       // open()'d by the target while buffering
-  unsigned char writethrough = 0;  // O_SYNC/O_DSYNC: app asked for durability
-  unsigned char append = 0;        // O_APPEND: flush via plain write
-  long offset = 0;                 // shadow file offset (non-append fds)
-};
-FdInfo g_fd_info[kMaxFdTrack];
+// Set for an fd the target open()ed while the log is armed, unless it asked
+// for O_SYNC/O_DSYNC.
+unsigned char g_fd_logged[kMaxFdTrack];
 
-alignas(16) char g_write_arena[256 * 1024];
-size_t g_write_arena_used = 0;
-struct WriteRecord {
+alignas(16) char g_undo_arena[256 * 1024];
+size_t g_undo_arena_used = 0;
+struct UndoEntry {
   int fd = -1;
   int live = 0;
-  long offset = 0;  // -1 = append record
-  size_t len = 0;
+  long offset = 0;      // where the write lands
+  long prior_size = 0;  // the file's size before it
+  size_t len = 0;       // pre-image bytes: the part of the write below prior_size
   size_t arena_off = 0;
 };
-constexpr int kMaxWriteRecords = 512;
-WriteRecord g_write_records[kMaxWriteRecords];
-int g_write_record_count = 0;
-int g_buffering = 0;
+constexpr int kMaxUndoEntries = 512;
+UndoEntry g_undo[kMaxUndoEntries];
+int g_undo_count = 0;
+int g_logging = 0;
 
 void MaybeResetArena() {
-  for (int i = 0; i < g_write_record_count; ++i) {
-    if (g_write_records[i].live) {
+  for (int i = 0; i < g_undo_count; ++i) {
+    if (g_undo[i].live) {
       return;
     }
   }
-  g_write_record_count = 0;
-  g_write_arena_used = 0;
+  g_undo_count = 0;
+  g_undo_arena_used = 0;
 }
 
-// Replays `fd`'s pending records, in order. pwrite for positioned records
-// so the kernel offset (which deferred writes never advanced) stays
-// untouched; plain write for O_APPEND records.
-void FlushFd(int fd) {
-  for (int i = 0; i < g_write_record_count; ++i) {
-    WriteRecord& rec = g_write_records[i];
-    if (!rec.live || rec.fd != fd) {
+// `fd`'s entries become durable: nothing will undo them.
+void RetireFd(int fd) {
+  for (int i = 0; i < g_undo_count; ++i) {
+    if (g_undo[i].live && g_undo[i].fd == fd) {
+      g_undo[i].live = 0;
+    }
+  }
+  MaybeResetArena();
+}
+
+// Rolls back `fd`'s live entries, or every fd's when `fd` < 0, newest first.
+void Undo(int fd) {
+  for (int i = g_undo_count - 1; i >= 0; --i) {
+    UndoEntry& entry = g_undo[i];
+    if (!entry.live || (fd >= 0 && entry.fd != fd)) {
       continue;
     }
-    const char* data = g_write_arena + rec.arena_off;
+    const char* data = g_undo_arena + entry.arena_off;
     size_t done = 0;
-    while (done < rec.len) {
-      long w;
-      if (rec.offset < 0) {
-        w = g_real_write(fd, data + done, rec.len - done);
-      } else {
-        w = syscall(SYS_pwrite64, fd, data + done, rec.len - done,
-                    static_cast<long>(rec.offset) + static_cast<long>(done));
-      }
+    while (done < entry.len) {
+      const long w = syscall(SYS_pwrite64, entry.fd, data + done, entry.len - done,
+                             entry.offset + static_cast<long>(done));
       if (w <= 0) {
         break;
       }
       done += static_cast<size_t>(w);
     }
-    rec.live = 0;
+    syscall(SYS_ftruncate, entry.fd, entry.prior_size);
+    entry.live = 0;
   }
   MaybeResetArena();
 }
 
-void FlushAll() {
-  for (int fd = 0; fd < kMaxFdTrack; ++fd) {
-    if (g_fd_info[fd].tracked) {
-      FlushFd(fd);
-    }
+// Writes `v` in decimal to `out` (no terminator); returns the digit count.
+int FormatDecimal(uint32_t v, char* out) {
+  char rev[10];
+  int n = 0;
+  do {
+    rev[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  for (int i = 0; i < n; ++i) {
+    out[i] = rev[n - 1 - i];
   }
+  return n;
 }
 
-// The lying drive: the fd's pending records vanish as if they were never
-// written.
-void DiscardFd(int fd) {
-  for (int i = 0; i < g_write_record_count; ++i) {
-    if (g_write_records[i].live && g_write_records[i].fd == fd) {
-      g_write_records[i].live = 0;
+// Reads `len` bytes at `offset` of `fd`'s file. An O_WRONLY fd cannot read,
+// so its bytes come through a read-only reopen of /proc/self/fd/N.
+bool ReadPreImage(int fd, bool write_only, char* out, size_t len, long offset) {
+  int src = fd;
+  if (write_only) {
+    char path[32] = "/proc/self/fd/";
+    path[14 + FormatDecimal(static_cast<uint32_t>(fd), path + 14)] = '\0';
+    src = static_cast<int>(syscall(SYS_openat, AT_FDCWD, path, O_RDONLY | O_CLOEXEC));
+    if (src < 0) {
+      return false;
     }
   }
-  MaybeResetArena();
+  size_t got = 0;
+  while (got < len) {
+    const long r = syscall(SYS_pread64, src, out + got, len - got,
+                           offset + static_cast<long>(got));
+    if (r <= 0) {
+      break;
+    }
+    got += static_cast<size_t>(r);
+  }
+  if (write_only) {
+    syscall(SYS_close, src);
+  }
+  return got == len;
+}
+
+// Logs what a write of `count` bytes to `fd` is about to overwrite. An
+// O_APPEND write lands at end of file and overwrites nothing. Log pressure
+// retires the fd's entries and lets this write through unlogged; so does a
+// pre-image that cannot be read, since nothing could undo the write.
+void LogWrite(int fd, size_t count) {
+  if (!g_logging || fd < 0 || fd >= kMaxFdTrack || !g_fd_logged[fd]) {
+    return;
+  }
+  struct stat st;
+  const long flags = syscall(SYS_fcntl, fd, F_GETFL);
+  if (flags < 0 || syscall(SYS_fstat, fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    return;
+  }
+  const long offset =
+      (flags & O_APPEND) != 0 ? st.st_size : syscall(SYS_lseek, fd, 0, SEEK_CUR);
+  if (offset < 0) {
+    return;
+  }
+  const size_t below_eof = offset < st.st_size ? static_cast<size_t>(st.st_size - offset) : 0;
+  const size_t len = count < below_eof ? count : below_eof;
+  if (g_undo_count >= kMaxUndoEntries || g_undo_arena_used + len > sizeof(g_undo_arena)) {
+    RetireFd(fd);
+    return;
+  }
+  if (len > 0 && !ReadPreImage(fd, (flags & O_ACCMODE) == O_WRONLY,
+                               g_undo_arena + g_undo_arena_used, len, offset)) {
+    return;
+  }
+  g_undo[g_undo_count++] = UndoEntry{fd, 1, offset, st.st_size, len, g_undo_arena_used};
+  g_undo_arena_used += len;
 }
 
 void NoteOpen(int fd, int flags) {
-  if (!g_buffering || fd < 0 || fd >= kMaxFdTrack) {
+  if (!g_logging || fd < 0 || fd >= kMaxFdTrack) {
     return;
   }
-  FdInfo& info = g_fd_info[fd];
-  info.tracked = (flags & O_DIRECTORY) == 0;
-  info.writethrough = (flags & (O_SYNC | O_DSYNC)) != 0;
-  info.append = (flags & O_APPEND) != 0;
-  info.offset = 0;
+  g_fd_logged[fd] = (flags & (O_SYNC | O_DSYNC)) == 0;
 }
 
-void ClearFd(int fd) {
-  if (fd >= 0 && fd < kMaxFdTrack) {
-    g_fd_info[fd] = FdInfo{};
-  }
-}
-
-// True when the write was absorbed into the arena (*result = full count).
-// Arena pressure flushes the fd and falls back to write-through — the same
-// thing the kernel's writeback does under memory pressure.
-bool BufferedWrite(int fd, const void* buf, size_t count, long* result) {
-  if (!g_buffering || fd < 0 || fd >= kMaxFdTrack) {
-    return false;
-  }
-  FdInfo& info = g_fd_info[fd];
-  if (!info.tracked || info.writethrough) {
-    return false;
-  }
-  if (g_write_record_count >= kMaxWriteRecords ||
-      g_write_arena_used + count > sizeof(g_write_arena)) {
-    FlushFd(fd);
-    return false;
-  }
-  WriteRecord& rec = g_write_records[g_write_record_count++];
-  rec.fd = fd;
-  rec.live = 1;
-  rec.offset = info.append ? -1 : info.offset;
-  rec.len = count;
-  rec.arena_off = g_write_arena_used;
-  memcpy(g_write_arena + rec.arena_off, buf, count);
-  g_write_arena_used += count;
-  if (!info.append) {
-    info.offset += static_cast<long>(count);
-  }
-  *result = static_cast<long>(count);
-  return true;
-}
-
-// Arms (or disarms) buffering for one test and clears all per-test state.
+// Arms (or disarms) the log for one test and clears all per-test state.
 // Runs from ArmPlans — in forkserver mode in the server, before the fork, so
-// every child starts with an empty arena.
-void ResetBuffering(int active) {
-  g_buffering = active;
-  g_write_record_count = 0;
-  g_write_arena_used = 0;
-  for (int fd = 0; fd < kMaxFdTrack; ++fd) {
-    g_fd_info[fd] = FdInfo{};
-  }
+// every child starts with an empty log.
+void ResetLog(int active) {
+  g_logging = active;
+  g_undo_count = 0;
+  g_undo_arena_used = 0;
+  memset(g_fd_logged, 0, sizeof(g_fd_logged));
 }
 
 void MapFeedback() {
@@ -599,20 +621,20 @@ void ResetFeedbackForTest(uint32_t seq) {
 // ValidPlanEntry are dropped.
 void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
   g_plan_count = 0;
-  int buffering = 0;
+  int logging = 0;
   for (uint32_t i = 0; i < count; ++i) {
     if (!ValidPlanEntry(entries[i])) {
       continue;
     }
     g_plans[g_plan_count++] = entries[i];
     if (entries[i].kind >= static_cast<int32_t>(FaultKind::kDropSync)) {
-      buffering = 1;
+      logging = 1;
     }
   }
   g_block->plans_loaded = static_cast<uint64_t>(g_plan_count);
   // Runs in the server before the fork (or between persistent iterations):
-  // every test starts with an empty arena and a clean fd table.
-  ResetBuffering(buffering);
+  // every test starts with an empty undo log and a clean fd table.
+  ResetLog(logging);
 }
 
 // Lowercase only, as HexEncodePlanEntries writes it.
@@ -659,18 +681,8 @@ void LoadPlanFromEnv() {
 // argv slot repointed. Runs in the forked child, which is single-threaded;
 // the server's own argv keeps the literal placeholder for the next fork.
 void RewriteArgvForTest(uint32_t test_id) {
-  char digits[12];
-  int nd = 0;
-  uint32_t v = test_id;
-  do {
-    digits[nd++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  for (int i = 0; i < nd / 2; ++i) {
-    char t = digits[i];
-    digits[i] = digits[nd - 1 - i];
-    digits[nd - 1 - i] = t;
-  }
+  char digits[10];
+  const int nd = FormatDecimal(test_id, digits);
   for (int a = 0; a < g_argc; ++a) {
     const char* p = g_argv[a];
     if (p == nullptr || strstr(p, "{test}") == nullptr) {
@@ -803,17 +815,8 @@ __attribute__((constructor)) void AfexInterposeInit(int argc, char** argv,
   __atomic_store_n(&g_active, 1, __ATOMIC_RELEASE);
 }
 
-// Clean process shutdown is the writeback path: exit() runs DSO
-// destructors, so pending deferred writes reach the file. Only an actual
-// kill (SIGKILL from kill_at / crash_after_rename, or a target calling
-// _exit directly) loses them — which is the point.
 __attribute__((destructor)) void AfexInterposeFini() {
   SancovHarvest();  // edges touched after the last libc call
-  if (g_buffering) {
-    ++g_internal;
-    FlushAll();
-    --g_internal;
-  }
 }
 
 // Inject helper: sets errno and produces the planned return value.
@@ -862,24 +865,6 @@ off_t LseekWith(decltype(&::lseek) real, int fd, off_t offset, int whence) {
   if (const FsPlanEntry* plan = OnCall(kSlot_lseek)) {
     return Inject<long>(plan);
   }
-  if (g_buffering && !g_internal && fd >= 0 && fd < kMaxFdTrack) {
-    FdInfo& info = g_fd_info[fd];
-    if (info.tracked && !info.writethrough && !info.append) {
-      if (whence == SEEK_CUR) {
-        // Deferred writes never advanced the kernel offset; resolve the
-        // relative seek against the shadow offset instead.
-        offset += static_cast<off_t>(info.offset);
-        whence = SEEK_SET;
-      } else if (whence == SEEK_END) {
-        FlushFd(fd);  // the logical EOF includes deferred data
-      }
-      off_t r = real(fd, offset, whence);
-      if (r >= 0) {
-        info.offset = static_cast<long>(r);
-      }
-      return r;
-    }
-  }
   return real(fd, offset, whence);
 }
 
@@ -888,6 +873,36 @@ FILE* FopenWith(decltype(&::fopen) real, const char* path, const char* mode) {
     return Inject<FILE*>(plan);
   }
   return real(path, mode);
+}
+
+// fsync and fdatasync: the same kinds and the same undo-log rules.
+int SyncWith(decltype(&::fsync) real, int slot, int fd) {
+  unsigned long n = 0;
+  const FsPlanEntry* plan = OnCallCount(slot, n);
+  if (plan != nullptr) {
+    if (Is(plan, FaultKind::kKillAt)) {
+      RecordInjection(slot, n);
+      RawKill();
+    }
+    if (Is(plan, FaultKind::kDropSync)) {
+      // The lying drive: report durable, undo the fd's unsynced writes at
+      // once — they are gone whether or not a crash follows.
+      RecordInjection(slot, n);
+      Undo(fd);
+      return 0;
+    }
+    if (Is(plan, FaultKind::kErrno)) {
+      // Classic fsyncgate injection: the fd's entries stay live (a failed
+      // sync promises nothing about durability).
+      RecordInjection(slot, n);
+      return Inject<int>(plan);
+    }
+  }
+  const int rc = real(fd);
+  if (rc == 0 && g_logging && !g_internal) {
+    RetireFd(fd);
+  }
+  return rc;
 }
 
 }  // namespace
@@ -984,11 +999,11 @@ int close(int fd) {
   if (const FsPlanEntry* plan = OnCall(kSlot_close)) {
     return Inject<int>(plan);
   }
-  if (g_buffering && !g_internal) {
-    // A clean close is the writeback path: pending deferred writes reach
-    // the file, as the page cache eventually would.
-    FlushFd(fd);
-    ClearFd(fd);
+  if (g_logging && !g_internal && fd >= 0 && fd < kMaxFdTrack) {
+    // A clean close retires the fd's entries: its data counts as durable,
+    // as the page cache would eventually write it back.
+    RetireFd(fd);
+    g_fd_logged[fd] = 0;
   }
   return g_real_close(fd);
 }
@@ -1020,10 +1035,7 @@ ssize_t write(int fd, const void* buf, size_t count) {
       count = static_cast<size_t>(plan->param);
     }
   }
-  long result = 0;
-  if (BufferedWrite(fd, buf, count, &result)) {
-    return result;
-  }
+  LogWrite(fd, count);
   return g_real_write(fd, buf, count);
 }
 
@@ -1126,7 +1138,7 @@ int rename(const char* oldpath, const char* newpath) {
     }
     if (Is(plan, FaultKind::kCrashAfterRename)) {
       // The rename reaches the directory; the power dies before anything
-      // else does. Deferred data (the arena) is lost with the process.
+      // else does. RawKill undoes every unsynced write first.
       RecordInjection(kSlot_rename, n);
       g_real_rename(oldpath, newpath);
       RawKill();
@@ -1137,57 +1149,12 @@ int rename(const char* oldpath, const char* newpath) {
 
 int fsync(int fd) {
   Resolve(g_real_fsync, "fsync");
-  unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(kSlot_fsync, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(kSlot_fsync, n);
-      RawKill();
-    }
-    if (Is(plan, FaultKind::kDropSync)) {
-      // The lying drive: report durable, discard the fd's pending data.
-      // Only a later crash exposes it — a clean run flushes nothing stale
-      // because the discarded records are gone either way.
-      RecordInjection(kSlot_fsync, n);
-      DiscardFd(fd);
-      return 0;
-    }
-    if (Is(plan, FaultKind::kErrno)) {
-      // Classic fsyncgate injection: the fd's pending data stays pending
-      // (a failed fsync promises nothing about durability).
-      RecordInjection(kSlot_fsync, n);
-      return Inject<int>(plan);
-    }
-  }
-  if (g_buffering && !g_internal) {
-    FlushFd(fd);
-  }
-  return g_real_fsync(fd);
+  return SyncWith(g_real_fsync, kSlot_fsync, fd);
 }
 
 int fdatasync(int fd) {
   Resolve(g_real_fdatasync, "fdatasync");
-  unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(kSlot_fdatasync, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(kSlot_fdatasync, n);
-      RawKill();
-    }
-    if (Is(plan, FaultKind::kDropSync)) {
-      RecordInjection(kSlot_fdatasync, n);
-      DiscardFd(fd);
-      return 0;
-    }
-    if (Is(plan, FaultKind::kErrno)) {
-      RecordInjection(kSlot_fdatasync, n);
-      return Inject<int>(plan);
-    }
-  }
-  if (g_buffering && !g_internal) {
-    FlushFd(fd);
-  }
-  return g_real_fdatasync(fd);
+  return SyncWith(g_real_fdatasync, kSlot_fdatasync, fd);
 }
 
 int mkdir(const char* path, mode_t mode) {

@@ -48,8 +48,8 @@ inline constexpr int kECONNRESET = 104;
 enum class FaultKind : int {
   kErrno = 0,            // return `retval`, set `errno_value`, skip the call
   kShortWrite = 1,       // write/fwrite only `param` bytes/items, return that
-  kDropSync = 2,         // fsync/fdatasync reports success; synced data is
-                         //   discarded (lying-drive emulation)
+  kDropSync = 2,         // fsync/fdatasync reports success; the fd's
+                         //   unsynced writes are undone (lying drive)
   kKillAt = 3,           // SIGKILL at the matched ordinal (power cut)
   kCrashAfterRename = 4, // perform the rename, then SIGKILL
 };

@@ -33,8 +33,6 @@ size_t EditDistance(const Seq& a, const Seq& b) {
 
 }  // namespace
 
-size_t LevenshteinDistance(std::string_view a, std::string_view b) { return EditDistance(a, b); }
-
 size_t LevenshteinDistanceTokens(std::span<const std::string> a, std::span<const std::string> b) {
   return EditDistance(a, b);
 }
@@ -86,15 +84,6 @@ size_t BoundedLevenshteinDistanceTokens(std::span<const uint32_t> a, std::span<c
     std::swap(prev, cur);
   }
   return std::min(prev[m], kOver);
-}
-
-double TokenSimilarity(std::span<const std::string> a, std::span<const std::string> b) {
-  size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) {
-    return 1.0;
-  }
-  size_t d = LevenshteinDistanceTokens(a, b);
-  return 1.0 - static_cast<double>(d) / static_cast<double>(longest);
 }
 
 }  // namespace afex

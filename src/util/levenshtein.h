@@ -8,17 +8,14 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace afex {
 
-// Classic character-level edit distance with two-row dynamic programming.
-size_t LevenshteinDistance(std::string_view a, std::string_view b);
-
-// Token-level edit distance: stack traces are sequences of frames, and a
-// one-frame difference should cost 1 regardless of how long the frame's
-// symbol name is. This is what the clustering module uses.
+// Token-level edit distance with two-row dynamic programming: stack traces
+// are sequences of frames, and a one-frame difference should cost 1
+// regardless of how long the frame's symbol name is. The unbounded
+// reference for BoundedLevenshteinDistanceTokens.
 size_t LevenshteinDistanceTokens(std::span<const std::string> a, std::span<const std::string> b);
 
 // Cutoff-bounded token edit distance over interned token ids. Returns the
@@ -29,10 +26,6 @@ size_t LevenshteinDistanceTokens(std::span<const std::string> a, std::span<const
 // length-difference lower bound |n - m| is applied before any DP work.
 size_t BoundedLevenshteinDistanceTokens(std::span<const uint32_t> a, std::span<const uint32_t> b,
                                         size_t limit);
-
-// Normalized similarity in [0, 1]: 1 means identical, 0 means maximally
-// distant (distance == max(len a, len b)). Two empty sequences are identical.
-double TokenSimilarity(std::span<const std::string> a, std::span<const std::string> b);
 
 }  // namespace afex
 

@@ -3,10 +3,10 @@
 // classification, event-driven reaping — on exit, not at pipe EOF or
 // timeout, with or without a pidfd, per-thread under concurrency), the
 // forkserver client, the KillLadder's SIGTERM → SIGKILL escalation and fd
-// hygiene in every exec mode, the LD_PRELOAD interposer
-// observed end to end through a real child (counts, injected errno,
-// feedback block), the RealTargetHarness outcome translation, and a
-// campaign journal + resume leg over the real backend.
+// hygiene in every exec mode, the LD_PRELOAD interposer observed end to end
+// through a real child (counts, injected errno, feedback block, the crash
+// model's undo log on disk), the RealTargetHarness outcome translation, and
+// a campaign journal + resume leg over the real backend.
 //
 // The build injects the artifact locations:
 //   AFEX_INTERPOSER_PATH — libafex_interpose.so
@@ -14,8 +14,9 @@
 //   AFEX_TXENGINE_PATH   — the WAL/transaction-engine crash-recovery target
 //   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its
 //                                  stdio, hangs past SIGTERM, calls libc
-//                                  ahead of the hook, or opens an O_TMPFILE
-//                                  file
+//                                  ahead of the hook, opens an O_TMPFILE
+//                                  file, or runs the storage scenarios the
+//                                  undo log is checked on
 #include <errno.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -576,10 +577,10 @@ TEST(StorageFaultTest, KillAtFiresAtTheExactOrdinal) {
 
 TEST(StorageFaultTest, DropSyncLeavesLogStaleAfterKill) {
   // The lying-drive scenario end to end: txengine's first commit fsync
-  // reports success but the log records are discarded; a later power cut
-  // (kill_at) then loses them for good. The oracle line — stdio, flushed
-  // through libc-internal writes the interposer does not defer — survives,
-  // which is exactly the contradiction the verifier later flags.
+  // reports success but the log records are undone; a later power cut
+  // (kill_at) undoes the next ones too. The oracle line — stdio, flushed
+  // through libc-internal writes the undo log never sees — survives, which
+  // is exactly the contradiction the verifier later flags.
   FeedbackBlock block;
   std::string sandbox;
   ProcessResult result = RunTxengine(
@@ -590,8 +591,8 @@ TEST(StorageFaultTest, DropSyncLeavesLogStaleAfterKill) {
   ASSERT_TRUE(result.started);
   EXPECT_EQ(result.term_signal, SIGKILL);
   EXPECT_EQ(block.injected_total, 2u);
-  // wal.log exists but holds nothing: txn 17's records died in the dropped
-  // sync, txn 18's died in the buffer with the process.
+  // wal.log exists but holds nothing: txn 17's records were undone by the
+  // dropped sync, txn 18's by the power cut.
   fs::path wal = fs::path(sandbox) / "wal.log";
   ASSERT_TRUE(fs::exists(wal));
   EXPECT_EQ(fs::file_size(wal), 0u);
@@ -603,7 +604,8 @@ TEST(StorageFaultTest, DropSyncLeavesLogStaleAfterKill) {
 TEST(StorageFaultTest, CrashAfterRenamePerformsTheRenameFirst) {
   // txengine's first checkpoint renames meta.tmp over meta.chk; the fault
   // kills the process immediately after the rename lands, so the new
-  // checkpoint must be on disk (its content was flushed at close).
+  // checkpoint must be on disk (its close retired the writes from the undo
+  // log).
   FeedbackBlock block;
   std::string sandbox;
   ProcessResult result = RunTxengine(
@@ -1018,6 +1020,113 @@ TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
   EXPECT_EQ(client.child_pid(), -1);
   EXPECT_EQ(client.server_pid(), server);
   EXPECT_EQ(client.restarts(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The crash model's undo log: writes reach the kernel at once, and a crash
+// plan rolls back only what was never synced. Checked byte for byte on disk
+// through the persistent fixture's storage scenarios (6-11).
+// ---------------------------------------------------------------------------
+
+// One fixture run; `client` keeps a forkserver or persistent server (and a
+// persistent child) alive while the caller inspects `sandbox`.
+struct FixtureRun {
+  ProcessResult result;
+  fs::path sandbox;
+  std::unique_ptr<ForkserverClient> client;
+};
+
+FixtureRun RunFixture(ExecMode mode, const std::string& dir, int scenario,
+                      const std::vector<FaultSpec>& specs) {
+  FixtureRun run;
+  run.sandbox = fs::path(dir) / "sandbox";
+  if (mode == ExecMode::kSpawn) {
+    FeedbackBlock block;
+    run.result = RunPreloaded(dir, {AFEX_PERSISTENT_FIXTURE_PATH, std::to_string(scenario)},
+                              HexEncodePlanEntries(Entries(specs)), block);
+    return run;
+  }
+  ForkserverOptions opts = WalutilFsOptions(dir, mode == ExecMode::kPersistent);
+  opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+  run.client = std::make_unique<ForkserverClient>(opts);
+  run.result = run.client->RunTest(static_cast<uint32_t>(scenario), Entries(specs), 1);
+  return run;
+}
+
+// A kill_at on a write ordinal the scenario never reaches: it arms the
+// undo log for the whole run and never fires.
+const std::vector<FaultSpec> kNeverFiringKill = {
+    {.function = "write", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}};
+
+TEST(UndoLogTest, ReadsSeeUnsyncedWritesInEveryExecMode) {
+  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
+    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+    FixtureRun run = RunFixture(
+        mode, TempDir("read_back_" + std::to_string(static_cast<int>(mode))), 6,
+        kNeverFiringKill);
+    ASSERT_TRUE(run.result.started) << run.result.error;
+    EXPECT_TRUE(run.result.exited);
+    EXPECT_EQ(run.result.exit_code, 0) << "8 = stale read: " << run.result.output;
+  }
+}
+
+TEST(UndoLogTest, PersistentIterationWritesLandInEveryExecMode) {
+  // Scenario 7 returns with p.dat still open: the write is in the file as
+  // soon as the test ends, whether or not the process that made it lives on.
+  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
+    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+    FixtureRun run = RunFixture(
+        mode, TempDir("iteration_lands_" + std::to_string(static_cast<int>(mode))), 7,
+        kNeverFiringKill);
+    ASSERT_TRUE(run.result.started) << run.result.error;
+    EXPECT_EQ(run.result.exit_code, 0) << run.result.output;
+    if (mode == ExecMode::kPersistent) {
+      EXPECT_GT(run.client->child_pid(), 0);  // the iteration's process lives on
+    }
+    EXPECT_EQ(SlurpFile(run.sandbox / "p.dat"), "left open...\n");
+  }
+}
+
+TEST(UndoLogTest, KillUndoesAnInPlaceOverwriteThroughEitherAccessMode) {
+  // Scenario 8 overwrites through an O_RDWR fd, 9 through an O_WRONLY one,
+  // whose pre-image the log can only read through a second descriptor.
+  for (int scenario : {8, 9}) {
+    SCOPED_TRACE("scenario " + std::to_string(scenario));
+    const std::string tag = std::to_string(scenario);
+    FixtureRun clean = RunFixture(
+        ExecMode::kSpawn, TempDir("overwrite_clean_" + tag), scenario,
+        {{.function = "close", .call_lo = 3, .call_hi = 3, .kind = FaultKind::kKillAt}});
+    EXPECT_EQ(clean.result.exit_code, 0) << clean.result.output;
+    EXPECT_EQ(SlurpFile(clean.sandbox / "u.dat"), "01abcdefghijkl");
+
+    FixtureRun killed = RunFixture(
+        ExecMode::kSpawn, TempDir("overwrite_killed_" + tag), scenario,
+        {{.function = "close", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
+    EXPECT_EQ(killed.result.term_signal, SIGKILL);
+    EXPECT_EQ(SlurpFile(killed.sandbox / "u.dat"), "0123456789");
+  }
+}
+
+TEST(UndoLogTest, KillCutsAnAppendBackToTheSyncedSize) {
+  FixtureRun run = RunFixture(
+      ExecMode::kSpawn, TempDir("append_killed"), 10,
+      {{.function = "close", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
+  EXPECT_EQ(run.result.term_signal, SIGKILL);
+  EXPECT_EQ(SlurpFile(run.sandbox / "a.dat"), "base");
+}
+
+TEST(UndoLogTest, DropSyncUndoesOnlyItsOwnFd) {
+  // The lied-to fsync undoes d1.dat's write at once; d2.dat's unsynced
+  // write stays until the power cut at the first close undoes it too.
+  FixtureRun run = RunFixture(
+      ExecMode::kSpawn, TempDir("drop_sync_own_fd"), 11,
+      {{.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
+       {.function = "close", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kKillAt}});
+  EXPECT_NE(run.result.output.find("after fsync: d1.dat=0 d2.dat=4"), std::string::npos)
+      << run.result.output;
+  EXPECT_EQ(run.result.term_signal, SIGKILL);
+  EXPECT_EQ(SlurpFile(run.sandbox / "d1.dat"), "");
+  EXPECT_EQ(SlurpFile(run.sandbox / "d2.dat"), "");
 }
 
 // ---------------------------------------------------------------------------

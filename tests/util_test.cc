@@ -244,29 +244,12 @@ TEST(StatsTest, SpanHelpers) {
 
 // ---- Levenshtein ----
 
-TEST(LevenshteinTest, CharacterDistanceClassics) {
-  EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(LevenshteinDistance("", "abc"), 3u);
-  EXPECT_EQ(LevenshteinDistance("abc", ""), 3u);
-  EXPECT_EQ(LevenshteinDistance("same", "same"), 0u);
-}
-
 TEST(LevenshteinTest, TokenDistanceCountsFrames) {
   std::vector<std::string> a = {"main", "parse", "read"};
   std::vector<std::string> b = {"main", "parse", "write"};
   EXPECT_EQ(LevenshteinDistanceTokens(a, b), 1u);
   std::vector<std::string> c = {"main"};
   EXPECT_EQ(LevenshteinDistanceTokens(a, c), 2u);
-}
-
-TEST(LevenshteinTest, TokenSimilarityRange) {
-  std::vector<std::string> a = {"f", "g"};
-  std::vector<std::string> b = {"f", "g"};
-  EXPECT_DOUBLE_EQ(TokenSimilarity(a, b), 1.0);
-  std::vector<std::string> c = {"x", "y"};
-  EXPECT_DOUBLE_EQ(TokenSimilarity(a, c), 0.0);
-  std::vector<std::string> empty;
-  EXPECT_DOUBLE_EQ(TokenSimilarity(empty, empty), 1.0);
 }
 
 TEST(LevenshteinTest, SymmetricDistance) {
