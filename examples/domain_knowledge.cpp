@@ -12,9 +12,9 @@
 #include "core/relevance.h"
 #include "core/session.h"
 #include "injection/libc_profile.h"
-#include "injection/tracer.h"
 #include "sim/env.h"
 #include "sim/process.h"
+#include "sim/tracer.h"
 #include "targets/coreutils/suite.h"
 #include "targets/coreutils/utils.h"
 #include "targets/harness.h"

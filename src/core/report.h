@@ -40,8 +40,9 @@ class ReportBuilder {
   ReportBuilder(const FaultSpace& space, std::string algorithm_name)
       : space_(&space), algorithm_name_(std::move(algorithm_name)) {}
 
-  // Optional telemetry phase-share summary (CampaignTelemetry::SynopsisLine)
-  // appended to the synopsis on its own line.
+  // Optional telemetry lines (CampaignTelemetry::SynopsisLine, the share of
+  // tests the backend answered without running them) appended to the
+  // synopsis.
   void set_telemetry_note(std::string note) { telemetry_note_ = std::move(note); }
 
   // Builds the ranked report from a finished session. `min_impact` filters

@@ -105,6 +105,9 @@ class TargetBackend {
   virtual size_t tests_run() const = 0;
   // Simulated instruction counter; real-process backends have none.
   virtual size_t total_sim_steps() const { return 0; }
+  // Of tests_run(), those answered without running the target (the real
+  // backend's provable no-ops); the sim backend answers none.
+  virtual size_t tests_answered() const { return 0; }
 
   // Attaches a telemetry sink for backend-internal sub-phase timing
   // (sim decode/run/merge, real plan-write/fork-exec/...). Backends that

@@ -16,15 +16,36 @@
 // timeout map onto failed / crashed / hung. Everything downstream —
 // fitness, clustering, campaign journaling, resume, --jobs — consumes the
 // result unchanged.
+//
+// Provable no-ops are answered, not run (the paper's ltrace methodology,
+// §7, applied per test). The first live run of a test id that started, did
+// not hang and left a fresh feedback block with nothing injected *is* that
+// test's fault-free run: the harness keeps its per-function call counts,
+// its touched coverage set and every other outcome field. From then on a
+// point whose plan cannot fire — no injection (call 0), a kind that does
+// not apply to the function, or a call window starting past the cached
+// count for its function — gets the cached outcome, with coverage merged
+// anew so new-block accounting and every record stay byte-identical to a
+// live run, and no process is started. This assumes the target is
+// deterministic per test id, and the harness checks it: the first predicted
+// no-op of each test id and every kNoopVerifyEvery-th after it run live
+// anyway; if that run disagrees with the cache (outcome, new blocks or call
+// counts), its result is the record, real.noop_mismatch is counted and the
+// test id runs live from then on. The cache lives in the harness, so a
+// resumed campaign and each --jobs node start cold.
 #ifndef AFEX_EXEC_REAL_TARGET_HARNESS_H_
 #define AFEX_EXEC_REAL_TARGET_HARNESS_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/session.h"
+#include "exec/feedback_block.h"
+#include "exec/forkserver_protocol.h"
 #include "injection/plan.h"
 #include "sim/coverage.h"
 
@@ -50,6 +71,10 @@ enum class ExecMode { kSpawn, kForkserver, kPersistent };
 // journal seeded from proxy records can never alias an edge block (and
 // vice versa) on resume.
 inline constexpr uint32_t kEdgeBlockBase = 32;
+
+// Of each test id's predicted no-ops, the 1st, (1+N)th, (1+2N)th, ... run
+// live to check the target's determinism; the rest are answered.
+inline constexpr uint64_t kNoopVerifyEvery = 16;
 
 struct RealTargetConfig {
   // Target command. Every occurrence of "{test}" in any argument is
@@ -128,10 +153,12 @@ class RealTargetHarness : public TargetBackend {
   double CoverageFraction() const override { return coverage_.Fraction(); }
   double RecoveryCoverageFraction() const override { return 0.0; }
   size_t tests_run() const override { return tests_run_; }
+  size_t tests_answered() const override { return tests_answered_; }
   // Sub-phase timing (spawn: real.plan_write / fork_exec / child_wait;
   // forkserver/persistent: real.fs_roundtrip / fs_restart; all modes:
   // feedback_read / scratch_cleanup, plus recovery_run / verify when the
-  // two-phase commands are configured) plus outcome-breakdown counters.
+  // two-phase commands are configured; real.noop_answer for answered
+  // tests) plus outcome-breakdown and real.noop_* counters.
   void set_metrics_sink(obs::MetricsSink* sink) override;
 
   const RealTargetConfig& config() const { return config_; }
@@ -141,7 +168,29 @@ class RealTargetHarness : public TargetBackend {
   ForkserverClient* forkserver() { return forkserver_.get(); }
 
  private:
+  // One live test: the outcome without its coverage fields, the coverage
+  // it touched and the block's call counts.
+  struct LiveRun {
+    TestOutcome outcome;
+    CoverageSet touched;
+    std::array<uint64_t, kMaxInterposedFunctions> calls{};
+    // Started, did not hang, left a fresh readable block with nothing
+    // injected and a complete coverage list: the test's fault-free run.
+    bool fault_free = false;
+  };
+  // A test id's fault-free run, the source of its answered no-ops.
+  struct FaultFreeRun {
+    LiveRun run;
+    uint64_t predicted = 0;  // no-ops predicted so far (drives sampling)
+    bool disabled = false;   // a sampled live run disagreed: always run live
+  };
+
   bool EnsureForkserver(std::string& why);
+  LiveRun RunLive(size_t test_id, const std::vector<FsPlanEntry>& entries);
+  // Merges `touched` into the session coverage, filling the outcome's
+  // new-block fields (and the edge counters) exactly as a live run does.
+  void MergeTouched(const CoverageSet& touched, TestOutcome& outcome);
+  void Count(const char* name);
 
   RealTargetConfig config_;
   std::string work_root_;       // resolved scratch root
@@ -162,7 +211,10 @@ class RealTargetHarness : public TargetBackend {
   uint64_t edges_total_ = 0;
   bool edge_total_known_ = false;
   CachedFaultDecoder decoder_;  // per-space decode tables, built once
+  // Per test id (0-based): its fault-free run, once one was observed.
+  std::unordered_map<size_t, FaultFreeRun> fault_free_;
   size_t tests_run_ = 0;
+  size_t tests_answered_ = 0;
   obs::MetricsSink* metrics_ = nullptr;
 };
 

@@ -119,6 +119,8 @@ const char* PhaseName(Phase phase) {
       return "real.verify";
     case Phase::kRealEdgeMerge:
       return "real.edge_merge";
+    case Phase::kRealNoopAnswer:
+      return "real.noop_answer";
   }
   return "unknown";
 }

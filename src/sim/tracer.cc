@@ -1,4 +1,4 @@
-#include "injection/tracer.h"
+#include "sim/tracer.h"
 
 #include "injection/libc_profile.h"
 #include "sim/env.h"

@@ -2,8 +2,8 @@
 // suite without injection and records per-test libc call counts; from these
 // the fault-space definition derives which functions to put on the Xfunc
 // axis and how deep the Xcall axis needs to go.
-#ifndef AFEX_INJECTION_TRACER_H_
-#define AFEX_INJECTION_TRACER_H_
+#ifndef AFEX_SIM_TRACER_H_
+#define AFEX_SIM_TRACER_H_
 
 #include <functional>
 #include <map>
@@ -39,4 +39,4 @@ class Tracer {
 
 }  // namespace afex
 
-#endif  // AFEX_INJECTION_TRACER_H_
+#endif  // AFEX_SIM_TRACER_H_

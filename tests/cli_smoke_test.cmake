@@ -254,6 +254,27 @@ message(STATUS
   "sim telemetry: metrics/trace/export written, ${trace_events} trace events, progress on stderr")
 
 # --- telemetry: real-process campaign ---------------------------------------
+# Sets `out` to the tests of a `budget`-test real campaign that ran live: the
+# rest were answered from their test's fault-free run (real.noop_answered,
+# each timed as one real.noop_answer phase, no process started).
+function(live_test_count metrics_json budget out)
+  string(JSON answered ERROR_VARIABLE json_error GET "${metrics_json}" counters real.noop_answered)
+  if(answered MATCHES "NOTFOUND")
+    set(answered 0)
+  endif()
+  string(JSON answer_count ERROR_VARIABLE json_error
+    GET "${metrics_json}" histograms real.noop_answer count)
+  if(answer_count MATCHES "NOTFOUND")
+    set(answer_count 0)
+  endif()
+  if(NOT answer_count EQUAL answered)
+    message(FATAL_ERROR
+      "real metrics: real.noop_answer count = ${answer_count}, real.noop_answered = ${answered}")
+  endif()
+  math(EXPR live "${budget} - ${answered}")
+  set(${out} ${live} PARENT_SCOPE)
+endfunction()
+
 # The same three flags against the real backend: the real.* sub-phases and
 # outcome-breakdown counters must be populated.
 set(metrics_file "${CMAKE_CURRENT_BINARY_DIR}/smoke_real_metrics.json")
@@ -263,18 +284,30 @@ run_cli(real_telemetry_leg --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" 
   "--interposer=${AFEX_INTERPOSER}" --timeout-ms=10000 --budget=10 --seed=1
   "--metrics-file=${metrics_file}" "--trace-file=${trace_file}")
 file(READ "${metrics_file}" metrics_json)
-foreach(phase backend.run real.plan_write real.fork_exec real.child_wait real.feedback_read
+live_test_count("${metrics_json}" 10 live_tests)
+string(JSON phase_count GET "${metrics_json}" histograms backend.run count)
+if(NOT phase_count EQUAL 10)
+  message(FATAL_ERROR
+    "real metrics snapshot: backend.run count = ${phase_count}, expected 10")
+endif()
+foreach(phase real.plan_write real.fork_exec real.child_wait real.feedback_read
         real.scratch_cleanup)
   string(JSON phase_count GET "${metrics_json}" histograms ${phase} count)
-  if(NOT phase_count EQUAL 10)
+  if(NOT phase_count EQUAL live_tests)
     message(FATAL_ERROR
-      "real metrics snapshot: ${phase} count = ${phase_count}, expected 10")
+      "real metrics snapshot: ${phase} count = ${phase_count}, expected ${live_tests}")
   endif()
 endforeach()
 string(JSON feedback_ok GET "${metrics_json}" counters real.feedback_ok)
-if(NOT feedback_ok EQUAL 10)
+if(NOT feedback_ok EQUAL live_tests)
   message(FATAL_ERROR
-    "real metrics snapshot: real.feedback_ok = ${feedback_ok}, expected 10")
+    "real metrics snapshot: real.feedback_ok = ${feedback_ok}, expected ${live_tests}")
+endif()
+# The report synopsis states the answered share.
+math(EXPR answered "10 - ${live_tests}")
+if(answered GREATER 0 AND
+   NOT real_telemetry_leg MATCHES "${answered} of 10 tests answered from fault-free call counts")
+  message(FATAL_ERROR "real campaign synopsis lacks the answered share:\n${real_telemetry_leg}")
 endif()
 file(READ "${trace_file}" trace_json)
 string(JSON trace_events LENGTH "${trace_json}" traceEvents)
@@ -294,10 +327,11 @@ run_cli(fs_telemetry_leg --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" --
   "--interposer=${AFEX_INTERPOSER}" --timeout-ms=10000 --budget=10 --seed=1
   --exec-mode=forkserver "--metrics-file=${metrics_file}")
 file(READ "${metrics_file}" metrics_json)
+live_test_count("${metrics_json}" 10 live_tests)
 string(JSON roundtrip_count GET "${metrics_json}" histograms real.fs_roundtrip count)
-if(NOT roundtrip_count EQUAL 10)
+if(NOT roundtrip_count EQUAL live_tests)
   message(FATAL_ERROR
-    "forkserver metrics: real.fs_roundtrip count = ${roundtrip_count}, expected 10")
+    "forkserver metrics: real.fs_roundtrip count = ${roundtrip_count}, expected ${live_tests}")
 endif()
 string(JSON restart_count GET "${metrics_json}" histograms real.fs_restart count)
 if(NOT restart_count EQUAL 1)
@@ -305,9 +339,9 @@ if(NOT restart_count EQUAL 1)
     "forkserver metrics: real.fs_restart count = ${restart_count}, expected 1 (initial spawn)")
 endif()
 string(JSON feedback_ok GET "${metrics_json}" counters real.feedback_ok)
-if(NOT feedback_ok EQUAL 10)
+if(NOT feedback_ok EQUAL live_tests)
   message(FATAL_ERROR
-    "forkserver metrics: real.feedback_ok = ${feedback_ok}, expected 10")
+    "forkserver metrics: real.feedback_ok = ${feedback_ok}, expected ${live_tests}")
 endif()
 foreach(phase real.plan_write real.fork_exec real.child_wait)
   string(JSON phase_count ERROR_VARIABLE json_error GET "${metrics_json}" histograms ${phase} count)
@@ -367,10 +401,11 @@ if(DEFINED AFEX_WALUTIL_COV)
   if(edges_new LESS_EQUAL 0)
     message(FATAL_ERROR "edge campaign: real.edges_new = ${edges_new}, expected > 0")
   endif()
+  live_test_count("${metrics_json}" 30 live_tests)
   string(JSON merge_count GET "${metrics_json}" histograms real.edge_merge count)
-  if(NOT merge_count EQUAL 30)
+  if(NOT merge_count EQUAL live_tests)
     message(FATAL_ERROR
-      "edge campaign: real.edge_merge count = ${merge_count}, expected 30")
+      "edge campaign: real.edge_merge count = ${merge_count}, expected ${live_tests}")
   endif()
   string(JSON growth_points LENGTH "${metrics_json}" coverage_growth)
   if(growth_points LESS_EQUAL 1)

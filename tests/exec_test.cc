@@ -5,8 +5,9 @@
 // forkserver client, the KillLadder's SIGTERM → SIGKILL escalation and fd
 // hygiene in every exec mode, the LD_PRELOAD interposer observed end to end
 // through a real child (counts, injected errno, feedback block, the crash
-// model's undo log on disk), the RealTargetHarness outcome translation, and
-// a campaign journal + resume leg over the real backend.
+// model's undo log on disk), the RealTargetHarness outcome translation, a
+// campaign journal + resume leg over the real backend, and the answers the
+// harness gives for provable no-ops instead of running them.
 //
 // The build injects the artifact locations:
 //   AFEX_INTERPOSER_PATH — libafex_interpose.so
@@ -15,8 +16,9 @@
 //   AFEX_PERSISTENT_FIXTURE_PATH — a persistent-mode target that closes its
 //                                  stdio, hangs past SIGTERM, calls libc
 //                                  ahead of the hook, opens an O_TMPFILE
-//                                  file, or runs the storage scenarios the
-//                                  undo log is checked on
+//                                  file, runs the storage scenarios the
+//                                  undo log is checked on, or fails with
+//                                  its pid (not deterministic)
 #include <errno.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -643,6 +645,15 @@ TEST(StorageFaultTest, FsyncErrnoFaultGoesUnnoticedByTheEngine) {
 // ---------------------------------------------------------------------------
 // RealTargetHarness
 // ---------------------------------------------------------------------------
+
+uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) {
+      return value;
+    }
+  }
+  return 0;
+}
 
 RealTargetConfig WalutilConfig(const std::string& work_root) {
   RealTargetConfig config;
@@ -1656,19 +1667,31 @@ TEST(TwoPhaseHarnessTest, TornPageAboveCheckpointSlipsPastRecovery) {
 
 TEST(TwoPhaseHarnessTest, SandboxRecycledAfterRecoveryAndVerify) {
   // The sandbox is recycled after recovery/verify — empty between tests
-  // (the recycling invariant the harness asserts).
-  std::string root = TempDir("twophase_recycle");
-  RealTargetHarness harness(TxengineConfig(root));
-  FaultSpace space = TxengineSpace(/*max_call=*/40);
-  harness.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at"));
-  std::string sandbox;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (entry.is_directory() && entry.path().filename() == "sandbox") {
-      sandbox = entry.path().string();
+  // (the recycling invariant the harness asserts). The second verifier
+  // leaves a nested directory behind as well as files.
+  for (const char* verify : {"", "mkdir -p nest/deeper && touch nest/deeper/f top"}) {
+    SCOPED_TRACE(verify);
+    std::string root = TempDir("twophase_recycle");
+    RealTargetConfig config = TxengineConfig(root);
+    if (*verify != '\0') {
+      config.verify_argv = {"/bin/sh", "-c", verify};
     }
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    FaultSpace space = TxengineSpace(/*max_call=*/40);
+    EXPECT_FALSE(
+        harness.RunFault(space, MakeModeFault(space, 1, "write", 40, "kill_at")).test_failed);
+    std::string sandbox;
+    for (const auto& entry : fs::recursive_directory_iterator(root)) {
+      if (entry.is_directory() && entry.path().filename() == "sandbox") {
+        sandbox = entry.path().string();
+      }
+    }
+    ASSERT_FALSE(sandbox.empty());
+    EXPECT_TRUE(fs::is_empty(sandbox));
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.recycle_leak"), 0u);
   }
-  ASSERT_FALSE(sandbox.empty());
-  EXPECT_TRUE(fs::is_empty(sandbox));
 }
 
 // Spawn and forkserver must stay record-identical with the storage-failure
@@ -1775,15 +1798,6 @@ TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
 // poison the campaign. The corrupting step always runs exec env LD_PRELOAD=
 // so no interposer holds a live mapping of the block while it is mangled.
 // ---------------------------------------------------------------------------
-
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
-  for (const auto& [counter, value] : snapshot.counters) {
-    if (counter == name) {
-      return value;
-    }
-  }
-  return 0;
-}
 
 double GaugeValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
   for (const auto& [gauge, value] : snapshot.gauges) {
@@ -1910,6 +1924,213 @@ TEST(FeedbackHealthCounterTest, HostileEdgeBlockIsClampedNotTrusted) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// No-op answers: once a test id's fault-free run is known, a point whose plan
+// cannot fire is answered from it without starting a process. Every answer
+// must be the record a live run would have produced.
+// ---------------------------------------------------------------------------
+
+constexpr ExecMode kAllModes[] = {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent};
+
+std::string ModeLabel(ExecMode mode) {
+  return "exec mode " + std::to_string(static_cast<int>(mode));
+}
+
+// Every point of `space` in enumeration order.
+std::vector<Fault> AllPoints(const FaultSpace& space) {
+  std::vector<Fault> points;
+  std::vector<size_t> coords(space.dimensions(), 0);
+  for (;;) {
+    points.emplace_back(coords);
+    size_t d = space.dimensions();
+    while (d > 0 && ++coords[d - 1] == space.axis(d - 1).cardinality()) {
+      coords[--d] = 0;
+    }
+    if (d == 0) {
+      return points;
+    }
+  }
+}
+
+// Sweeps `space` on one harness and, for each point, runs a fresh harness
+// seeded with the coverage the sweep had reached: the fresh harness runs
+// the point live (its first point of the test id), so each of the sweep's
+// outcomes, answered or not, must equal it field by field. Returns how many
+// points the sweep answered.
+size_t ExpectAnswersEqualLiveRuns(const RealTargetConfig& config, const FaultSpace& space) {
+  RealTargetHarness warm(config);
+  std::vector<uint32_t> covered;
+  for (const Fault& point : AllPoints(space)) {
+    TestOutcome answer = warm.RunFault(space, point);
+    RealTargetHarness fresh(config);
+    fresh.SeedCoverage(covered);
+    TestOutcome live = fresh.RunFault(space, point);
+    EXPECT_EQ(fresh.tests_answered(), 0u);
+    EXPECT_EQ(SerializeOutcome(answer), SerializeOutcome(live)) << "point " << point.ToString();
+    covered.insert(covered.end(), answer.new_block_ids.begin(), answer.new_block_ids.end());
+  }
+  return warm.tests_answered();
+}
+
+TEST(NoopAnswerTest, AnsweredOutcomesEqualLiveRunsInEveryMode) {
+  // txengine test 1 calls fsync 5 times and rename once: call 6 of either
+  // never fires, call 0 injects nothing, short_write applies to neither, and
+  // drop_sync not to rename. The two-phase flags and folded detail ride
+  // along in every answer.
+  FaultSpace space({Axis::MakeInterval("test", 1, 1), Axis::MakeSet("function", {"fsync", "rename"}),
+                    Axis::MakeSet("call", {"0", "1", "5", "6"}), Axis::MakeInterval("retval", 20, 20),
+                    Axis::MakeSet("mode", {"kill_at", "short_write", "drop_sync"})},
+                   "txengine-noop");
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = TxengineConfig(TempDir("noop_equal"));
+    config.exec_mode = mode;
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
+    // A verifier that always objects: every answer must carry the failed
+    // test, the invariant flag and the folded verifier line.
+    config.verify_argv = {"/bin/sh", "-c", "echo verifier objects to {test}; exit 3"};
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
+  }
+}
+
+TEST(NoopAnswerTest, CallZeroAndKindIncompatiblePointsAreAnsweredOnceWarm) {
+  RealTargetConfig config = TxengineConfig(TempDir("noop_kinds"));
+  RealTargetHarness harness(config);
+  obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+  harness.set_metrics_sink(&telemetry);
+  FaultSpace space = TxengineSpace(/*max_call=*/6);
+  // Fresh harness: even a point that can never fire runs live and becomes
+  // test 1's fault-free run.
+  harness.RunFault(space, MakeModeFault(space, 1, "rename", 1, "short_write"));
+  EXPECT_EQ(harness.tests_answered(), 0u);
+  // The first predicted no-op of the test id is the determinism sample.
+  harness.RunFault(space, MakeModeFault(space, 1, "fsync", 2, "crash_after_rename"));
+  EXPECT_EQ(harness.tests_answered(), 0u);
+  EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.noop_verified"), 1u);
+  // Kind-incompatible points from now on: answered.
+  harness.RunFault(space, MakeModeFault(space, 1, "fsync", 3, "short_write"));
+  harness.RunFault(space, MakeModeFault(space, 1, "rename", 1, "drop_sync"));
+  EXPECT_EQ(harness.tests_answered(), 2u);
+  // Call 0 is the no-injection point: answered too.
+  FaultSpace zero({Axis::MakeInterval("test", 1, 1), Axis::MakeSet("function", {"write"}),
+                   Axis::MakeInterval("call", 0, 0)},
+                  "txengine-call0");
+  TestOutcome call0 = harness.RunFault(zero, Fault(std::vector<size_t>{0, 0, 0}));
+  EXPECT_EQ(harness.tests_answered(), 3u);
+  EXPECT_FALSE(call0.test_failed);
+  const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+  EXPECT_EQ(CounterValue(snapshot, "real.noop_answered"), 3u);
+  EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 0u);
+  // Answered tests start nothing: only the two live runs counted an exit.
+  EXPECT_EQ(CounterValue(snapshot, "real.exit_clean"), 2u);
+}
+
+TEST(NoopAnswerTest, APointWhoseWindowReachesTheCachedCountRunsLive) {
+  RealTargetHarness harness(TxengineConfig(TempDir("noop_window")));
+  obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+  harness.set_metrics_sink(&telemetry);
+  FaultSpace space = TxengineSpace(/*max_call=*/6);
+  // fsync call 5 is test 1's last fsync: the plan fires, so the run is not
+  // the test's fault-free run and the point runs every time it comes back.
+  for (size_t i = 0; i < 2 * kNoopVerifyEvery; ++i) {
+    TestOutcome outcome = harness.RunFault(space, MakeModeFault(space, 1, "fsync", 5, "drop_sync"));
+    EXPECT_TRUE(outcome.fault_triggered);
+  }
+  EXPECT_EQ(harness.tests_answered(), 0u);
+  // One past it cannot fire: the first such run is the fault-free run, the
+  // second the determinism sample, the third is answered.
+  for (int i = 0; i < 3; ++i) {
+    harness.RunFault(space, MakeModeFault(space, 1, "fsync", 6, "drop_sync"));
+  }
+  EXPECT_EQ(harness.tests_answered(), 1u);
+  // With the cache warm, call 5 still reaches the cached count: live.
+  EXPECT_TRUE(harness.RunFault(space, MakeModeFault(space, 1, "fsync", 5, "kill_at")).fault_triggered);
+  EXPECT_EQ(harness.tests_answered(), 1u);
+  const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+  EXPECT_EQ(CounterValue(snapshot, "real.noop_verified"), 1u);
+  EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 0u);
+}
+
+TEST(NoopAnswerTest, NondeterministicTargetTripsMismatchAndRunsLive) {
+  // Fixture scenario 12 fails with its pid and run count in the first line:
+  // no two runs agree, in any exec mode.
+  FaultSpace space({Axis::MakeInterval("test", 12, 12), Axis::MakeSet("function", {"open", "close"}),
+                    Axis::MakeInterval("call", 0, 3)},
+                   "real:nondeterministic");
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config;
+    config.target_argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+    config.num_tests = 12;
+    config.interposer_path = AFEX_INTERPOSER_PATH;
+    config.work_root = TempDir("noop_mismatch");
+    config.timeout_ms = 10000;
+    config.exec_mode = mode;
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    const TestOutcome baseline = harness.RunFault(space, Fault(std::vector<size_t>{0, 0, 0}));
+    ASSERT_TRUE(baseline.test_failed);
+    ASSERT_EQ(baseline.detail.rfind("pid ", 0), 0u) << baseline.detail;
+    // The sampled no-op disagrees with the cache: the live run is the record.
+    const TestOutcome sampled = harness.RunFault(space, Fault(std::vector<size_t>{0, 0, 2}));
+    EXPECT_NE(sampled.detail, baseline.detail);
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.noop_mismatch"), 1u);
+    // From then on every no-op of the test id runs live.
+    const size_t later = 2 * kNoopVerifyEvery;
+    for (size_t i = 0; i < later; ++i) {
+      harness.RunFault(space, Fault(std::vector<size_t>{0, i % 2, 2 + i % 2}));
+    }
+    EXPECT_EQ(harness.tests_answered(), 0u);
+    const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+    EXPECT_EQ(CounterValue(snapshot, "real.exit_nonzero"), 2 + later);
+    EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 1u);
+    EXPECT_EQ(CounterValue(snapshot, "real.noop_answered"), 0u);
+  }
+}
+
+TEST(NoopAnswerTest, UntriggeredReadBackPointsNeverFailLive) {
+  // Fixture scenario 6 writes 13 bytes, seeks back and reads them (exit 8 on
+  // a stale read). A crash plan that never fires must leave that run
+  // fault-free. A fresh harness per point runs every point live, so the
+  // property is checked on real runs, not on answers.
+  FaultSpace space({Axis::MakeInterval("test", 6, 6), Axis::MakeSet("function", {"write", "close"}),
+                    Axis::MakeInterval("call", 1, 3), Axis::MakeInterval("retval", 20, 20),
+                    Axis::MakeSet("mode", {"kill_at", "short_write", "drop_sync",
+                                           "crash_after_rename"})},
+                   "readback");
+  std::vector<std::string> spawn_outcomes;
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config;
+    config.target_argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+    config.num_tests = 6;
+    config.interposer_path = AFEX_INTERPOSER_PATH;
+    config.work_root = TempDir("noop_readback");
+    config.timeout_ms = 10000;
+    config.exec_mode = mode;
+    std::vector<std::string> outcomes;
+    size_t untriggered = 0;
+    for (const Fault& point : AllPoints(space)) {
+      RealTargetHarness harness(config);
+      TestOutcome outcome = harness.RunFault(space, point);
+      EXPECT_EQ(harness.tests_answered(), 0u);
+      if (!outcome.fault_triggered) {
+        ++untriggered;
+        EXPECT_FALSE(outcome.test_failed) << point.ToString() << ": " << outcome.detail;
+      }
+      outcomes.push_back(SerializeOutcome(outcome));
+    }
+    EXPECT_EQ(outcomes.size(), 24u);
+    EXPECT_GT(untriggered, 0u);
+    if (mode == ExecMode::kSpawn) {
+      spawn_outcomes = outcomes;
+    } else {
+      EXPECT_EQ(outcomes, spawn_outcomes);
+    }
+  }
+}
+
 #ifdef AFEX_WALUTIL_COV_PATH
 
 // ---------------------------------------------------------------------------
@@ -2009,6 +2230,20 @@ TEST(SancovCoverageTest, EdgeFedCampaignRecordIdenticalAcrossExecModes) {
   for (size_t i = 0; i < budget; ++i) {
     EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
     EXPECT_EQ(spawn[i], persistent[i]) << "spawn vs persistent, record " << i;
+  }
+}
+
+TEST(SancovCoverageTest, AnsweredEdgeOutcomesEqualLiveRuns) {
+  // Edge mode caches the fault-free run's edge list: an answer's new edges
+  // are those a live run would add to the same coverage.
+  FaultSpace space({Axis::MakeInterval("test", 1, 2), Axis::MakeSet("function", {"open", "close"}),
+                    Axis::MakeSet("call", {"0", "2", "9"})},
+                   "real:walutil_cov");
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = WalutilCovConfig(TempDir("sancov_noop"));
+    config.exec_mode = mode;
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
   }
 }
 

@@ -6,9 +6,9 @@
 #include "injection/fault_bus.h"
 #include "injection/libc_profile.h"
 #include "injection/plan.h"
-#include "injection/tracer.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"
+#include "sim/tracer.h"
 #include "targets/coreutils/suite.h"
 
 namespace afex {

@@ -20,7 +20,10 @@
 //   10 — writes "base" to a.dat, fsyncs and closes it, then appends "tail"
 //        through an O_APPEND fd and closes that;
 //   11 — writes 4 bytes each to d1.dat and d2.dat, fsyncs d1.dat, prints
-//        both sizes, then closes both.
+//        both sizes, then closes both;
+//   12 — not deterministic: opens and closes /dev/null, then fails (returns
+//        1) with its pid and how often this process ran the scenario in its
+//        first output line, which differ between runs in every exec mode.
 // Scenarios 8–11 return 9 when a call fails, else 0; their files hold what
 // a crash plan left on disk.
 // A second argument "open-first" makes main open /dev/null before it hands
@@ -139,6 +142,15 @@ int RunScenario(int id) {
       printf("after fsync: d1.dat=%d d2.dat=%d\n", FileSize(d1), FileSize(d2));
       return close(d1) == 0 && close(d2) == 0 ? 0 : 9;
     }
+    case 12: {
+      static int runs = 0;
+      const int fd = open("/dev/null", O_RDONLY);
+      if (fd < 0 || close(fd) != 0) {
+        return 9;
+      }
+      printf("pid %d run %d\n", static_cast<int>(getpid()), ++runs);
+      return 1;
+    }
     default:
       fprintf(stderr, "unknown test id %d\n", id);
       return 2;
@@ -161,7 +173,7 @@ int main(int argc, char** argv) {
     }
   }
   if (argc < 2) {
-    fprintf(stderr, "usage: persistent_fixture <test-id 1..11> [open-first]\n");
+    fprintf(stderr, "usage: persistent_fixture <test-id 1..12> [open-first]\n");
     return 2;
   }
   return RunScenario(static_cast<int>(strtol(argv[1], nullptr, 10)));

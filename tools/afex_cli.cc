@@ -313,9 +313,17 @@ void Run(const CliFlags& flags, const std::vector<std::string>& recipe_args, Rec
   }
 
   ReportBuilder builder(space, recipe.strategy);
-  if (telemetry.has_value()) {
-    builder.set_telemetry_note(telemetry->SynopsisLine());
+  std::string note = telemetry.has_value() ? telemetry->SynopsisLine() : "";
+  size_t answered = 0;
+  for (const std::unique_ptr<TargetBackend>& node : campaign->nodes) {
+    answered += node->tests_answered();
   }
+  if (answered > 0) {
+    // tests/sec above counts these too; they started no process.
+    note += (note.empty() ? "" : "\n") + std::to_string(answered) + " of " +
+            std::to_string(live_tests) + " tests answered from fault-free call counts";
+  }
+  builder.set_telemetry_note(note);
   Report report = builder.Build(result, session->clusterer(),
                                 /*min_impact=*/flags.crashes_only ? 20.0 : 10.0);
   std::printf("\n%s", builder.Render(report).c_str());
