@@ -1,24 +1,16 @@
-# Paper transcript golden (CTest label: bench). Runs the paper's table,
-# figure and ablation binaries in order, concatenates their stdout and
-# compares it byte for byte with bench/paper_golden.txt. Every section is
-# seeded, so a difference means a campaign produced other records or a
-# section prints them differently. The observed transcript is left in
-# OUTPUT. Invoked via cmake -P.
+# Paper transcript golden (CTest label: bench). Runs bench/paper and
+# compares its stdout byte for byte with bench/paper_golden.txt. Every
+# section is seeded, so a difference means a campaign produced other
+# records or a section prints them differently. The observed transcript is
+# left in OUTPUT. Invoked via cmake -P.
 
-set(transcript "")
-foreach(binary table1_minidb table2_webserver table3_coreutils table4_structure
-               table5_feedback table6_knowledge fig1_fault_map fig8_failure_curve
-               fig9_docstore ablations)
-  execute_process(
-    COMMAND "${BENCH_DIR}/${binary}"
-    OUTPUT_VARIABLE stdout
-    RESULT_VARIABLE status)
-  if(NOT status EQUAL 0)
-    message(FATAL_ERROR "${binary} exited with status ${status}")
-  endif()
-  string(APPEND transcript "${stdout}")
-endforeach()
-file(WRITE "${OUTPUT}" "${transcript}")
+execute_process(
+  COMMAND "${PAPER}"
+  OUTPUT_FILE "${OUTPUT}"
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "${PAPER} exited with status ${status}")
+endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files "${GOLDEN}" "${OUTPUT}"

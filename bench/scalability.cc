@@ -16,8 +16,10 @@
 #include <cstdlib>
 #include <thread>
 
-#include "bench/bench_common.h"
+#include "core/fitness_explorer.h"
+#include "core/session.h"
 #include "targets/coreutils/suite.h"
+#include "targets/harness.h"
 #include "targets/minidb/suite.h"
 
 using namespace afex;
@@ -36,7 +38,7 @@ int main(int argc, char** argv) {
       std::chrono::microseconds(argc > 1 ? std::atoll(argv[1]) : 1000);
   const size_t kTests = 512;
 
-  bench::PrintHeader("Scalability (paper 7.7): parallel node managers");
+  std::printf("\n==== Scalability (paper 7.7): parallel node managers ====\n");
   std::printf("per-test simulated execution cost: %lldus, %zu tests per run\n\n",
               static_cast<long long>(test_cost.count()), kTests);
   std::printf("%10s %14s %12s %12s\n", "managers", "tests/sec", "speedup", "efficiency");
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
   }
 
   // Explorer-only throughput on a Phi_MySQL-sized space.
-  bench::PrintHeader("Explorer-only test generation throughput");
+  std::printf("\n==== Explorer-only test generation throughput ====\n");
   TargetSuite db_suite = minidb::MakeSuite();
   FaultSpace db_space = TargetHarness(db_suite).MakeSpace(100, false);
   FitnessExplorer explorer(db_space, {.seed = 2});

@@ -20,7 +20,7 @@ int main() {
   TargetSuite suite = minidb::MakeSuite();
   TargetHarness harness(suite);
   // Focus on the create/insert families with a moderate call depth; the
-  // full Phi_MySQL (2.18M points) is bench/table1_minidb's job.
+  // full Phi_MySQL (2.18M points) is bench/paper's Table 1.
   std::vector<Axis> axes;
   axes.push_back(Axis::MakeInterval("test", 1, 350));
   axes.push_back(Axis::MakeSet("function", suite.functions));

@@ -16,9 +16,7 @@
 
 #include "analysis/target_profile.h"
 #include "campaign/store.h"
-#include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
-#include "core/random_explorer.h"
 #include "core/space_lang.h"
 #include "exec/feedback_block.h"
 #include "exec/real_target_harness.h"
@@ -460,15 +458,7 @@ std::unique_ptr<Campaign> Recipe::Build(const std::string& interposer, std::FILE
        c.meta.target.c_str(), c.space.name().c_str(), c.space.TotalPoints(), strategy.c_str(),
        budget, static_cast<unsigned long long>(seed), jobs);
 
-  if (strategy == "fitness") {
-    FitnessExplorerConfig config;
-    config.seed = seed;
-    c.explorer = std::make_unique<FitnessExplorer>(c.space, config);
-  } else if (strategy == "random") {
-    c.explorer = std::make_unique<RandomExplorer>(c.space, seed);
-  } else {
-    c.explorer = std::make_unique<ExhaustiveExplorer>(c.space);
-  }
+  c.explorer = MakeExplorer(strategy, c.space, seed);
   if (auto_space && strategy == "fitness") {
     // Callsite-weight priors bias the first parent selections toward the
     // functions called from the most places; they age out as real fitness

@@ -10,7 +10,10 @@
 #ifndef AFEX_CORE_EXPLORER_H_
 #define AFEX_CORE_EXPLORER_H_
 
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "core/fault.h"
 #include "core/fault_space.h"
@@ -37,6 +40,11 @@ class Explorer {
   // Number of candidates issued so far.
   virtual size_t issued_count() const = 0;
 };
+
+// The explorer for `strategy` ("fitness", "random" or "exhaustive") over
+// `space`, seeded with `seed`; throws std::invalid_argument for any other name.
+std::unique_ptr<Explorer> MakeExplorer(const std::string& strategy, const FaultSpace& space,
+                                       uint64_t seed);
 
 }  // namespace afex
 

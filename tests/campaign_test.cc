@@ -15,7 +15,6 @@
 #include "campaign/recipe.h"
 #include "campaign/serde.h"
 #include "campaign/store.h"
-#include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
 #include "targets/coreutils/suite.h"
@@ -29,19 +28,6 @@ std::string TempPath(const std::string& name) {
   std::string path = ::testing::TempDir() + "afex_campaign_" + name;
   std::remove(path.c_str());  // Create refuses to overwrite leftovers
   return path;
-}
-
-std::unique_ptr<Explorer> MakeExplorer(const std::string& strategy, const FaultSpace& space,
-                                       uint64_t seed) {
-  if (strategy == "fitness") {
-    FitnessExplorerConfig config;
-    config.seed = seed;
-    return std::make_unique<FitnessExplorer>(space, config);
-  }
-  if (strategy == "random") {
-    return std::make_unique<RandomExplorer>(space, seed);
-  }
-  return std::make_unique<ExhaustiveExplorer>(space);
 }
 
 void ExpectOutcomesEqual(const TestOutcome& a, const TestOutcome& b) {

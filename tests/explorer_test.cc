@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "core/exhaustive_explorer.h"
@@ -244,6 +245,11 @@ TEST(FitnessExplorerTest, InitialBatchIsUnbiased) {
     EXPECT_TRUE(space.InBounds(*f));
     EXPECT_TRUE(unique.insert(f->indices()).second);
   }
+}
+
+TEST(MakeExplorerTest, RejectsUnknownStrategy) {
+  FaultSpace space = MakeSmallSpace();
+  EXPECT_THROW(MakeExplorer("guided", space, 1), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <set>
 
-#include "core/exhaustive_explorer.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
 #include "core/session.h"
@@ -175,9 +174,7 @@ INSTANTIATE_TEST_SUITE_P(Radii, VicinityProperty, ::testing::Values(0, 1, 2, 3, 
 
 // ---- session accounting holds for every explorer ----
 
-enum class ExplorerKind { kFitness, kRandom, kExhaustive };
-
-class SessionAccountingProperty : public ::testing::TestWithParam<ExplorerKind> {};
+class SessionAccountingProperty : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SessionAccountingProperty, CountsAreConsistent) {
   std::vector<Axis> axes;
@@ -196,18 +193,7 @@ TEST_P(SessionAccountingProperty, CountsAreConsistent) {
     return o;
   };
 
-  std::unique_ptr<Explorer> explorer;
-  switch (GetParam()) {
-    case ExplorerKind::kFitness:
-      explorer = std::make_unique<FitnessExplorer>(space, FitnessExplorerConfig{.seed = 42});
-      break;
-    case ExplorerKind::kRandom:
-      explorer = std::make_unique<RandomExplorer>(space, 42);
-      break;
-    case ExplorerKind::kExhaustive:
-      explorer = std::make_unique<ExhaustiveExplorer>(space);
-      break;
-  }
+  std::unique_ptr<Explorer> explorer = MakeExplorer(GetParam(), space, 42);
   ExplorationSession session(*explorer, runner);
   SessionResult result = session.Run({});  // drain the space
 
@@ -227,8 +213,7 @@ TEST_P(SessionAccountingProperty, CountsAreConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExplorers, SessionAccountingProperty,
-                         ::testing::Values(ExplorerKind::kFitness, ExplorerKind::kRandom,
-                                           ExplorerKind::kExhaustive));
+                         ::testing::Values("fitness", "random", "exhaustive"));
 
 // ---- impact policy linearity ----
 
