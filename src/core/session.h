@@ -108,6 +108,10 @@ class TargetBackend {
   // Of tests_run(), those answered without running the target (the real
   // backend's provable no-ops); the sim backend answers none.
   virtual size_t tests_answered() const { return 0; }
+  // Of the tests that ran the target, those whose recover/verify pair was
+  // answered from a crash state seen before (the real backend's two-phase
+  // campaigns); the sim backend answers none.
+  virtual size_t crash_states_answered() const { return 0; }
 
   // Attaches a telemetry sink for backend-internal sub-phase timing
   // (sim decode/run/merge, real plan-write/fork-exec/...). Backends that

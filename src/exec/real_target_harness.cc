@@ -2,13 +2,17 @@
 
 #include <dirent.h>
 #include <errno.h>
+#include <fcntl.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <iterator>
+#include <optional>
+#include <string_view>
 #include <system_error>
 
 #include "exec/fault_plan.h"
@@ -16,6 +20,7 @@
 #include "exec/forkserver.h"
 #include "exec/process_runner.h"
 #include "injection/plan.h"
+#include "util/fnv1a.h"
 #include "util/log.h"
 
 namespace afex {
@@ -67,6 +72,75 @@ bool CleanDirInPlace(const std::string& dir) {
   }
   ::closedir(handle);
   return empty;
+}
+
+// Streams `fd`'s bytes into `hasher`; false unless there were exactly
+// `size` of them (a file that grows or shrinks under the read is still
+// being written).
+bool HashContents(int fd, uint64_t size, Fnv1aHasher& hasher) {
+  char buf[16 * 1024];
+  uint64_t got = 0;
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return n == 0 && got == size;
+    }
+    got += static_cast<uint64_t>(n);
+    if (got > size) {
+      return false;
+    }
+    hasher.Bytes(std::string_view(buf, static_cast<size_t>(n)));
+  }
+}
+
+// The crash state a workload left in `dir`, as one digest: the test id,
+// then each entry in name order — its name, mode bits, size and bytes.
+// An entry that is not a readable regular file (a subdirectory, a FIFO, a
+// symlink, a file still being written) means no digest.
+std::optional<uint64_t> DigestSandbox(const std::string& dir, size_t test_id) {
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) {
+    return std::nullopt;
+  }
+  const int dir_fd = ::dirfd(handle);
+  std::vector<std::string> names;
+  bool digestible = true;
+  while (const struct dirent* entry = ::readdir(handle)) {
+    const char* name = entry->d_name;
+    if (strcmp(name, ".") == 0 || strcmp(name, "..") == 0) {
+      continue;
+    }
+    // d_type filters without opening (a FIFO open could block); the fstat
+    // below decides for file systems that report DT_UNKNOWN.
+    if (entry->d_type != DT_REG && entry->d_type != DT_UNKNOWN) {
+      digestible = false;
+      break;
+    }
+    names.emplace_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  Fnv1aHasher hasher;
+  hasher.U64(test_id);
+  for (size_t i = 0; digestible && i < names.size(); ++i) {
+    const int fd =
+        ::openat(dir_fd, names[i].c_str(), O_RDONLY | O_NOFOLLOW | O_NONBLOCK | O_CLOEXEC);
+    struct stat st{};
+    digestible = fd >= 0 && ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    if (digestible) {
+      hasher.Mix(names[i]);
+      hasher.U64(st.st_mode & 07777);
+      hasher.U64(static_cast<uint64_t>(st.st_size));
+      digestible = HashContents(fd, static_cast<uint64_t>(st.st_size), hasher);
+    }
+    if (fd >= 0) {
+      ::close(fd);
+    }
+  }
+  ::closedir(handle);
+  return digestible ? std::optional<uint64_t>(hasher.value()) : std::nullopt;
 }
 
 // Expands every "{test}" in `argv` to the test's 1-based id.
@@ -238,14 +312,15 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
 
   // ---- provable no-op: answer from the test's fault-free run ----
   auto cached = fault_free_.find(plan.test_id);
-  FaultFreeRun* baseline =
-      cached != fault_free_.end() && !cached->second.disabled ? &cached->second : nullptr;
+  FaultFreeRun* baseline = cached != fault_free_.end() && !cached->second.sampler.disabled
+                               ? &cached->second
+                               : nullptr;
   const bool noop =
       baseline != nullptr &&
       std::none_of(entries.begin(), entries.end(), [baseline](const FsPlanEntry& e) {
         return baseline->run.calls[static_cast<size_t>(e.slot)] >= e.call_lo;
       });
-  if (noop && baseline->predicted++ % kNoopVerifyEvery != 0) {
+  if (noop && baseline->sampler.Answer()) {
     obs::PhaseTimer answer_timer(metrics_, obs::Phase::kRealNoopAnswer);
     outcome = baseline->run.outcome;
     MergeTouched(baseline->run.touched, outcome);
@@ -274,15 +349,16 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
   outcome = std::move(live.outcome);
   MergeTouched(live.touched, outcome);
   const TestOutcome& want = baseline->run.outcome;
-  if (live.fault_free && live.calls == baseline->run.calls &&
-      predicted_new == outcome.new_block_ids && outcome.test_failed == want.test_failed &&
-      outcome.crashed == want.crashed && outcome.exit_code == want.exit_code &&
-      outcome.recovery_failed == want.recovery_failed &&
-      outcome.invariant_violated == want.invariant_violated && outcome.detail == want.detail) {
+  if (baseline->sampler.Settle(
+          live.fault_free && live.calls == baseline->run.calls &&
+          predicted_new == outcome.new_block_ids && outcome.test_failed == want.test_failed &&
+          outcome.crashed == want.crashed && outcome.exit_code == want.exit_code &&
+          outcome.recovery_failed == want.recovery_failed &&
+          outcome.invariant_violated == want.invariant_violated &&
+          outcome.detail == want.detail)) {
     Count("real.noop_verified");
   } else {
     // The live result is the record; the cache no longer speaks for this test.
-    baseline->disabled = true;
     Count("real.noop_mismatch");
     AFEX_LOG(kWarn) << "test " << plan.test_id + 1
                     << " differs from its fault-free run; its no-op points run live from now on";
@@ -503,10 +579,12 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   // Runs after every test (not just crashed ones: silent corruption is
   // invisible until the verifier looks), in the same sandbox the workload
   // ran in, strictly before any recycling — the crash state on disk IS the
-  // input to these phases. No interposer, no fault plan: recovery and
+  // input to these phases, and a state seen before is answered from its
+  // digest (RecoverAndVerify). No interposer, no fault plan: recovery and
   // verification are observed, never faulted.
   if (run.started &&
       (!config_.recovery_argv.empty() || !config_.verify_argv.empty())) {
+    const PhaseVerdict verdict = RecoverAndVerify(test_id, test_label);
     auto fold_detail = [&outcome](const std::string& tag, const std::string& line) {
       if (!outcome.detail.empty()) {
         outcome.detail += "; ";
@@ -516,37 +594,15 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
         outcome.detail += ": " + line;
       }
     };
-    auto run_phase = [&](const std::vector<std::string>& argv,
-                         std::string& first_line) {
-      ProcessRequest req;
-      req.argv = SubstituteTest(argv, test_label);
-      req.working_dir = sandbox_dir_;
-      req.timeout_ms = config_.timeout_ms;
-      ProcessResult r = RunProcess(req);
-      first_line = FirstLine(r.output);
-      return r.started && r.exited && !r.timed_out && r.term_signal == 0 &&
-             r.exit_code == 0;
-    };
-    if (!config_.recovery_argv.empty()) {
-      obs::PhaseTimer recovery_timer(metrics_, obs::Phase::kRealRecoveryRun);
-      std::string line;
-      if (!run_phase(config_.recovery_argv, line)) {
-        outcome.recovery_failed = true;
-        Count("real.recovery_failed");
-        fold_detail("recovery failed", line);
-      }
-      recovery_timer.Finish();
+    if (verdict.recovery_failed) {
+      outcome.recovery_failed = true;
+      Count("real.recovery_failed");
+      fold_detail("recovery failed", verdict.recovery_line);
     }
-    // A store that never came back up has nothing to verify.
-    if (!outcome.recovery_failed && !config_.verify_argv.empty()) {
-      obs::PhaseTimer verify_timer(metrics_, obs::Phase::kRealVerify);
-      std::string line;
-      if (!run_phase(config_.verify_argv, line)) {
-        outcome.invariant_violated = true;
-        Count("real.invariant_violated");
-        fold_detail("invariant violated", line);
-      }
-      verify_timer.Finish();
+    if (verdict.invariant_violated) {
+      outcome.invariant_violated = true;
+      Count("real.invariant_violated");
+      fold_detail("invariant violated", verdict.verify_line);
     }
     if (outcome.recovery_failed || outcome.invariant_violated) {
       outcome.test_failed = true;
@@ -563,6 +619,69 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
     AFEX_LOG(kWarn) << "sandbox not empty after recycle: " << sandbox_dir_;
   }
   return live;
+}
+
+RealTargetHarness::PhaseVerdict RealTargetHarness::RecoverAndVerify(
+    size_t test_id, const std::string& test_label) {
+  obs::PhaseTimer digest_timer(metrics_, obs::Phase::kRealStateDigest);
+  const std::optional<uint64_t> digest = DigestSandbox(sandbox_dir_, test_id);
+  digest_timer.Finish();
+  if (!digest.has_value()) {
+    return RunPhasesLive(test_label);
+  }
+  auto [it, first_seen] = crash_states_.try_emplace(*digest);
+  CrashState& state = it->second;
+  if (first_seen) {
+    state.verdict = RunPhasesLive(test_label);
+    return state.verdict;
+  }
+  if (state.sampler.disabled) {
+    return RunPhasesLive(test_label);
+  }
+  if (state.sampler.Answer()) {
+    ++crash_states_answered_;
+    Count("real.state_answered");
+    return state.verdict;
+  }
+  PhaseVerdict live = RunPhasesLive(test_label);
+  if (state.sampler.Settle(live == state.verdict)) {
+    Count("real.state_verified");
+  } else {
+    // The live verdict is the record; the cache no longer speaks for this state.
+    Count("real.state_mismatch");
+    AFEX_LOG(kWarn) << "test " << test_id + 1
+                    << ": recover/verify disagree with an earlier run on the same crash state;"
+                       " that state runs live from now on";
+  }
+  return live;
+}
+
+RealTargetHarness::PhaseVerdict RealTargetHarness::RunPhasesLive(const std::string& test_label) {
+  // Runs one phase command; on failure keeps its first output line.
+  auto run_phase = [&](const std::vector<std::string>& argv, std::string& failure_line) {
+    ProcessRequest req;
+    req.argv = SubstituteTest(argv, test_label);
+    req.working_dir = sandbox_dir_;
+    req.timeout_ms = config_.timeout_ms;
+    ProcessResult r = RunProcess(req);
+    const bool passed = r.started && r.exited && !r.timed_out && r.term_signal == 0 &&
+                        r.exit_code == 0;
+    if (!passed) {
+      failure_line = FirstLine(r.output);
+    }
+    return passed;
+  };
+  PhaseVerdict verdict;
+  if (!config_.recovery_argv.empty()) {
+    obs::PhaseTimer recovery_timer(metrics_, obs::Phase::kRealRecoveryRun);
+    verdict.recovery_failed = !run_phase(config_.recovery_argv, verdict.recovery_line);
+  }
+  // A store that never came back up has nothing to verify.
+  if (!verdict.recovery_failed && !config_.verify_argv.empty()) {
+    obs::PhaseTimer verify_timer(metrics_, obs::Phase::kRealVerify);
+    verdict.invariant_violated = !run_phase(config_.verify_argv, verdict.verify_line);
+  }
+  return verdict;
 }
 
 }  // namespace exec

@@ -31,8 +31,23 @@
 // no-op of each test id and every kNoopVerifyEvery-th after it run live
 // anyway; if that run disagrees with the cache (outcome, new blocks or call
 // counts), its result is the record, real.noop_mismatch is counted and the
-// test id runs live from then on. The cache lives in the harness, so a
-// resumed campaign and each --jobs node start cold.
+// test id runs live from then on.
+//
+// Repeated crash states are answered too. With two-phase commands
+// configured, recover and verify are a function of what the workload left
+// on disk, and many crash points leave the same state. After every started
+// workload run the harness digests the sandbox (the test id, then each
+// entry in name order: name, mode bits, size, bytes; timed as
+// real.state_digest) and keeps, per digest, the recovery/verify flags and
+// first lines. A digest seen before gets that verdict folded into the
+// outcome — same flags, detail and counters — and neither process starts
+// (real.state_answered). A sandbox holding anything but readable regular
+// files has no digest and always runs both phases. The sampling rule is the
+// no-ops' one: the first repeat of each state and every kNoopVerifyEvery-th
+// after it run live (real.state_verified); a disagreement makes the live
+// verdict the record, counts real.state_mismatch and stops answering for
+// that digest. Both caches live in the harness, so a resumed campaign and
+// each --jobs node start cold.
 #ifndef AFEX_EXEC_REAL_TARGET_HARNESS_H_
 #define AFEX_EXEC_REAL_TARGET_HARNESS_H_
 
@@ -72,8 +87,9 @@ enum class ExecMode { kSpawn, kForkserver, kPersistent };
 // vice versa) on resume.
 inline constexpr uint32_t kEdgeBlockBase = 32;
 
-// Of each test id's predicted no-ops, the 1st, (1+N)th, (1+2N)th, ... run
-// live to check the target's determinism; the rest are answered.
+// Of each test id's predicted no-ops (and of each crash state's repeats),
+// the 1st, (1+N)th, (1+2N)th, ... run live to check the target's
+// determinism; the rest are answered.
 inline constexpr uint64_t kNoopVerifyEvery = 16;
 
 struct RealTargetConfig {
@@ -154,11 +170,13 @@ class RealTargetHarness : public TargetBackend {
   double RecoveryCoverageFraction() const override { return 0.0; }
   size_t tests_run() const override { return tests_run_; }
   size_t tests_answered() const override { return tests_answered_; }
+  size_t crash_states_answered() const override { return crash_states_answered_; }
   // Sub-phase timing (spawn: real.plan_write / fork_exec / child_wait;
   // forkserver/persistent: real.fs_roundtrip / fs_restart; all modes:
-  // feedback_read / scratch_cleanup, plus recovery_run / verify when the
-  // two-phase commands are configured; real.noop_answer for answered
-  // tests) plus outcome-breakdown and real.noop_* counters.
+  // feedback_read / scratch_cleanup, plus state_digest / recovery_run /
+  // verify when the two-phase commands are configured; real.noop_answer
+  // for answered tests) plus outcome-breakdown, real.noop_* and
+  // real.state_* counters.
   void set_metrics_sink(obs::MetricsSink* sink) override;
 
   const RealTargetConfig& config() const { return config_; }
@@ -178,15 +196,47 @@ class RealTargetHarness : public TargetBackend {
     // injected and a complete coverage list: the test's fault-free run.
     bool fault_free = false;
   };
+  // The sampling rule both answer caches share: each predicted repeat is
+  // counted, the 1st and every kNoopVerifyEvery-th run live, and a live
+  // run that disagrees with the cache disables the entry for good.
+  struct AnswerSampler {
+    uint64_t predicted = 0;
+    bool disabled = false;
+    // Counts one predicted repeat: true = answer it, false = run it live.
+    bool Answer() { return predicted++ % kNoopVerifyEvery != 0; }
+    // Records whether a live sample agreed with the cache; a disagreement
+    // leaves the entry disabled. Returns `agreed`.
+    bool Settle(bool agreed) {
+      disabled = !agreed;
+      return agreed;
+    }
+  };
   // A test id's fault-free run, the source of its answered no-ops.
   struct FaultFreeRun {
     LiveRun run;
-    uint64_t predicted = 0;  // no-ops predicted so far (drives sampling)
-    bool disabled = false;   // a sampled live run disagreed: always run live
+    AnswerSampler sampler;
+  };
+  // What recover and verify made of one crash state: the two flags and the
+  // first output line of the phase that failed (empty for one that passed).
+  struct PhaseVerdict {
+    bool recovery_failed = false;
+    std::string recovery_line;
+    bool invariant_violated = false;
+    std::string verify_line;
+    bool operator==(const PhaseVerdict&) const = default;
+  };
+  // A crash state's verdict, the source of its answered recover/verify.
+  struct CrashState {
+    PhaseVerdict verdict;
+    AnswerSampler sampler;
   };
 
   bool EnsureForkserver(std::string& why);
   LiveRun RunLive(size_t test_id, const std::vector<FsPlanEntry>& entries);
+  // The recover/verify verdict on the sandbox the workload left: answered
+  // from a seen crash state, or both commands run live.
+  PhaseVerdict RecoverAndVerify(size_t test_id, const std::string& test_label);
+  PhaseVerdict RunPhasesLive(const std::string& test_label);
   // Merges `touched` into the session coverage, filling the outcome's
   // new-block fields (and the edge counters) exactly as a live run does.
   void MergeTouched(const CoverageSet& touched, TestOutcome& outcome);
@@ -213,8 +263,11 @@ class RealTargetHarness : public TargetBackend {
   CachedFaultDecoder decoder_;  // per-space decode tables, built once
   // Per test id (0-based): its fault-free run, once one was observed.
   std::unordered_map<size_t, FaultFreeRun> fault_free_;
+  // Per crash-state digest: its recover/verify verdict.
+  std::unordered_map<uint64_t, CrashState> crash_states_;
   size_t tests_run_ = 0;
   size_t tests_answered_ = 0;
+  size_t crash_states_answered_ = 0;
   obs::MetricsSink* metrics_ = nullptr;
 };
 

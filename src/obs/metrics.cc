@@ -121,6 +121,8 @@ const char* PhaseName(Phase phase) {
       return "real.edge_merge";
     case Phase::kRealNoopAnswer:
       return "real.noop_answer";
+    case Phase::kRealStateDigest:
+      return "real.state_digest";
   }
   return "unknown";
 }

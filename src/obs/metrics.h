@@ -68,8 +68,10 @@ enum class Phase : uint8_t {
   kRealEdgeMerge,       // real backend: sancov edge-hit translation + merge
   kRealNoopAnswer,      // real backend: a no-op test answered from the
                         // test's fault-free run, no process started
+  kRealStateDigest,     // real backend: post-crash sandbox digest that keys
+                        // the recover/verify answers
 };
-inline constexpr size_t kPhaseCount = 19;
+inline constexpr size_t kPhaseCount = 20;
 
 // Dotted metric name for a phase, e.g. "real.fork_exec".
 const char* PhaseName(Phase phase);

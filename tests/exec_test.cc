@@ -1952,12 +1952,19 @@ std::vector<Fault> AllPoints(const FaultSpace& space) {
   }
 }
 
+// What a sweep answered: whole tests (no-ops) and recover/verify pairs
+// (repeated crash states).
+struct Answered {
+  size_t tests = 0;
+  size_t crash_states = 0;
+};
+
 // Sweeps `space` on one harness and, for each point, runs a fresh harness
 // seeded with the coverage the sweep had reached: the fresh harness runs
-// the point live (its first point of the test id), so each of the sweep's
-// outcomes, answered or not, must equal it field by field. Returns how many
-// points the sweep answered.
-size_t ExpectAnswersEqualLiveRuns(const RealTargetConfig& config, const FaultSpace& space) {
+// the point live, recover and verify included (its first point of the test
+// id and its first crash state), so each of the sweep's outcomes, answered
+// or not, must equal it field by field.
+Answered ExpectAnswersEqualLiveRuns(const RealTargetConfig& config, const FaultSpace& space) {
   RealTargetHarness warm(config);
   std::vector<uint32_t> covered;
   for (const Fault& point : AllPoints(space)) {
@@ -1966,10 +1973,11 @@ size_t ExpectAnswersEqualLiveRuns(const RealTargetConfig& config, const FaultSpa
     fresh.SeedCoverage(covered);
     TestOutcome live = fresh.RunFault(space, point);
     EXPECT_EQ(fresh.tests_answered(), 0u);
+    EXPECT_EQ(fresh.crash_states_answered(), 0u);
     EXPECT_EQ(SerializeOutcome(answer), SerializeOutcome(live)) << "point " << point.ToString();
     covered.insert(covered.end(), answer.new_block_ids.begin(), answer.new_block_ids.end());
   }
-  return warm.tests_answered();
+  return {warm.tests_answered(), warm.crash_states_answered()};
 }
 
 TEST(NoopAnswerTest, AnsweredOutcomesEqualLiveRunsInEveryMode) {
@@ -1985,11 +1993,11 @@ TEST(NoopAnswerTest, AnsweredOutcomesEqualLiveRunsInEveryMode) {
     SCOPED_TRACE(ModeLabel(mode));
     RealTargetConfig config = TxengineConfig(TempDir("noop_equal"));
     config.exec_mode = mode;
-    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space).tests, 0u);
     // A verifier that always objects: every answer must carry the failed
     // test, the invariant flag and the folded verifier line.
     config.verify_argv = {"/bin/sh", "-c", "echo verifier objects to {test}; exit 3"};
-    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space).tests, 0u);
   }
 }
 
@@ -2131,6 +2139,167 @@ TEST(NoopAnswerTest, UntriggeredReadBackPointsNeverFailLive) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Crash-state answers: recover and verify are a function of what the
+// workload left in the sandbox, so a crash state seen before gets its
+// verdict without either process starting. Every answer must be the record
+// a live run would have produced.
+// ---------------------------------------------------------------------------
+
+TEST(CrashStateAnswerTest, AnsweredOutcomesEqualLiveRunsInEveryMode) {
+  // Under the undo log a power cut between two syncs leaves the last
+  // synced state, so many kill_at and drop_sync points share a crash state.
+  FaultSpace space({Axis::MakeInterval("test", 1, 2), Axis::MakeSet("function", {"write", "fsync"}),
+                    Axis::MakeInterval("call", 1, 8), Axis::MakeInterval("retval", 20, 20),
+                    Axis::MakeSet("mode", {"kill_at", "drop_sync"})},
+                   "txengine-states");
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = TxengineConfig(TempDir("state_equal"));
+    config.exec_mode = mode;
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space).crash_states, 0u);
+    // A verifier that names the test it objects to: an answer for one test
+    // id must never come from another's identical crash state.
+    config.verify_argv = {"/bin/sh", "-c", "echo verifier objects to {test}; exit 3"};
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space).crash_states, 0u);
+  }
+}
+
+TEST(CrashStateAnswerTest, SameNamesAndSizesWithOtherBytesAreAnotherState) {
+  // Fixture scenario 8 writes "0123456789", fsyncs, then overwrites from
+  // offset 2. A power cut at that second write rolls u.dat back to
+  // "0123456789"; a short write of 8 bytes there leaves "01abcdefgh". Same
+  // name, mode and size, other bytes, and the verifier tells them apart.
+  FaultSpace space({Axis::MakeInterval("test", 8, 8), Axis::MakeSet("function", {"write"}),
+                    Axis::MakeInterval("call", 2, 2), Axis::MakeInterval("retval", 8, 8),
+                    Axis::MakeSet("mode", {"kill_at", "short_write"})},
+                   "same-size-states");
+  const Fault power_cut(std::vector<size_t>{0, 0, 0, 0, 0});
+  const Fault torn(std::vector<size_t>{0, 0, 0, 0, 1});
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config;
+    config.target_argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+    config.verify_argv = {"/bin/sh", "-c", "grep -q abc u.dat || { echo no abc; exit 1; }"};
+    config.num_tests = 8;
+    config.interposer_path = AFEX_INTERPOSER_PATH;
+    config.work_root = TempDir("state_bytes");
+    config.timeout_ms = 10000;
+    config.exec_mode = mode;
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    // The power-cut state, run live and then sampled once: the next repeat
+    // of it would be answered.
+    std::vector<uint32_t> covered;
+    for (int i = 0; i < 2; ++i) {
+      const TestOutcome outcome = harness.RunFault(space, power_cut);
+      EXPECT_TRUE(outcome.invariant_violated);
+      covered.insert(covered.end(), outcome.new_block_ids.begin(), outcome.new_block_ids.end());
+    }
+    const TestOutcome answer = harness.RunFault(space, torn);
+    EXPECT_FALSE(answer.invariant_violated) << answer.detail;
+    RealTargetHarness fresh(config);
+    fresh.SeedCoverage(covered);
+    EXPECT_EQ(SerializeOutcome(answer), SerializeOutcome(fresh.RunFault(space, torn)));
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.state_mismatch"), 0u);
+  }
+}
+
+TEST(CrashStateAnswerTest, NondeterministicRecoveryTripsMismatchAndRunsLive) {
+  // Every recovery fails with a run count kept outside the sandbox in its
+  // first line: no two runs on the same crash state agree.
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    const std::string root = TempDir("state_mismatch");
+    const std::string counter = (fs::path(root) / "recovery_runs").string();
+    RealTargetConfig config = TxengineConfig((fs::path(root) / "work").string());
+    config.exec_mode = mode;
+    config.recovery_argv = {"/bin/sh", "-c",
+                            "n=$(($(cat " + counter + " 2>/dev/null || echo 0) + 1)); echo $n > " +
+                                counter + "; echo recovery run $n; exit 1"};
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    FaultSpace space = TxengineSpace(/*max_call=*/40);
+    // The fault fires every time, so the workload always runs live and
+    // always leaves the same crash state.
+    const Fault point = MakeModeFault(space, 1, "write", 12, "kill_at");
+    const TestOutcome first = harness.RunFault(space, point);
+    ASSERT_TRUE(first.recovery_failed);
+    EXPECT_NE(first.detail.find("recovery failed: recovery run 1"), std::string::npos)
+        << first.detail;
+    // The first repeat is the determinism sample: it disagrees, and the
+    // live verdict is the record.
+    const TestOutcome sampled = harness.RunFault(space, point);
+    EXPECT_NE(sampled.detail.find("recovery failed: recovery run 2"), std::string::npos)
+        << sampled.detail;
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.state_mismatch"), 1u);
+    // From then on the state runs recover live every time.
+    const size_t later = 2 * kNoopVerifyEvery;
+    for (size_t i = 0; i < later; ++i) {
+      const TestOutcome outcome = harness.RunFault(space, point);
+      EXPECT_NE(outcome.detail.find("recovery run " + std::to_string(3 + i)), std::string::npos)
+          << outcome.detail;
+    }
+    EXPECT_EQ(harness.crash_states_answered(), 0u);
+    const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+    EXPECT_EQ(CounterValue(snapshot, "real.recovery_failed"), 2 + later);
+    EXPECT_EQ(CounterValue(snapshot, "real.state_mismatch"), 1u);
+    EXPECT_EQ(CounterValue(snapshot, "real.state_answered"), 0u);
+    EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 0u);
+  }
+}
+
+TEST(CrashStateAnswerTest, SandboxWithASubdirectoryOrFifoIsNeverAnswered) {
+  // Fixture scenarios 13 and 14 leave a subdirectory or a FIFO beside
+  // s.dat; scenario 7 leaves p.dat alone, the control. kill_at on the first
+  // write fires every time, so each run leaves the same state.
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    for (size_t test : {7, 13, 14}) {
+      SCOPED_TRACE("scenario " + std::to_string(test));
+      RealTargetConfig config;
+      config.target_argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
+      config.recovery_argv = {"/bin/sh", "-c", test == 7 ? "test -f p.dat" : "test -f s.dat"};
+      config.verify_argv = {"/bin/sh", "-c", "ls"};
+      config.num_tests = 14;
+      config.interposer_path = AFEX_INTERPOSER_PATH;
+      config.work_root = TempDir("state_unusual");
+      config.timeout_ms = 10000;
+      config.exec_mode = mode;
+      RealTargetHarness harness(config);
+      obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+      harness.set_metrics_sink(&telemetry);
+      const auto id = static_cast<int64_t>(test);
+      FaultSpace space({Axis::MakeInterval("test", id, id), Axis::MakeSet("function", {"write"}),
+                        Axis::MakeInterval("call", 1, 1), Axis::MakeInterval("retval", 0, 0),
+                        Axis::MakeSet("mode", {"kill_at"})},
+                       "unusual-sandbox");
+      const Fault point(std::vector<size_t>{0, 0, 0, 0, 0});
+      const size_t runs = 1 + kNoopVerifyEvery;
+      for (size_t i = 0; i < runs; ++i) {
+        const TestOutcome outcome = harness.RunFault(space, point);
+        EXPECT_TRUE(outcome.fault_triggered);
+        EXPECT_FALSE(outcome.recovery_failed) << outcome.detail;
+        EXPECT_FALSE(outcome.invariant_violated) << outcome.detail;
+      }
+      const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+      if (test == 7) {
+        // One live run, then kNoopVerifyEvery repeats: the first is the
+        // determinism sample, the rest are answered.
+        EXPECT_EQ(harness.crash_states_answered(), runs - 2);
+        EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 1u);
+      } else {
+        EXPECT_EQ(harness.crash_states_answered(), 0u);
+        EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 0u);
+      }
+      EXPECT_EQ(CounterValue(snapshot, "real.state_mismatch"), 0u);
+      EXPECT_EQ(CounterValue(snapshot, "real.recycle_leak"), 0u);
+    }
+  }
+}
+
 #ifdef AFEX_WALUTIL_COV_PATH
 
 // ---------------------------------------------------------------------------
@@ -2243,7 +2412,7 @@ TEST(SancovCoverageTest, AnsweredEdgeOutcomesEqualLiveRuns) {
     SCOPED_TRACE(ModeLabel(mode));
     RealTargetConfig config = WalutilCovConfig(TempDir("sancov_noop"));
     config.exec_mode = mode;
-    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space), 0u);
+    EXPECT_GT(ExpectAnswersEqualLiveRuns(config, space).tests, 0u);
   }
 }
 

@@ -23,9 +23,11 @@
 //        both sizes, then closes both;
 //   12 — not deterministic: opens and closes /dev/null, then fails (returns
 //        1) with its pid and how often this process ran the scenario in its
-//        first output line, which differ between runs in every exec mode.
-// Scenarios 8–11 return 9 when a call fails, else 0; their files hold what
-// a crash plan left on disk.
+//        first output line, which differ between runs in every exec mode;
+//   13, 14 — make the subdirectory nest (13) or the FIFO q.fifo (14), then
+//            write 13 bytes to s.dat and close it.
+// Scenarios 8–11, 13 and 14 return 9 when a call fails, else 0; their
+// files hold what a crash plan left on disk.
 // A second argument "open-first" makes main open /dev/null before it hands
 // over the entry function (returning 4 when that open fails): an interposed
 // call ahead of the hook, which must leave every mode with spawn's ordinals.
@@ -151,6 +153,14 @@ int RunScenario(int id) {
       printf("pid %d run %d\n", static_cast<int>(getpid()), ++runs);
       return 1;
     }
+    case 13:
+    case 14: {
+      if ((id == 13 ? mkdir("nest", 0755) : mkfifo("q.fifo", 0644)) != 0) {
+        return 9;
+      }
+      const int fd = open("s.dat", O_CREAT | O_WRONLY | O_TRUNC, 0644);
+      return fd >= 0 && WriteAll(fd, "beside it...\n") && close(fd) == 0 ? 0 : 9;
+    }
     default:
       fprintf(stderr, "unknown test id %d\n", id);
       return 2;
@@ -173,7 +183,7 @@ int main(int argc, char** argv) {
     }
   }
   if (argc < 2) {
-    fprintf(stderr, "usage: persistent_fixture <test-id 1..12> [open-first]\n");
+    fprintf(stderr, "usage: persistent_fixture <test-id 1..14> [open-first]\n");
     return 2;
   }
   return RunScenario(static_cast<int>(strtol(argv[1], nullptr, 10)));

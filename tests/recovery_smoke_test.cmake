@@ -19,8 +19,12 @@
 # each leg must answer some of those points from the fault-free run
 # (real.noop_answered > 0). Whether a never-firing point really leaves the
 # run fault-free is checked live, point by point, in exec_test
-# (NoopAnswerTest.UntriggeredReadBackPointsNeverFailLive). Metrics + trace
-# artifacts land in OUTPUT_DIR for CI upload. Invoked via cmake -P.
+# (NoopAnswerTest.UntriggeredReadBackPointsNeverFailLive). Many crash points
+# leave the same state on disk, so each leg must also answer some
+# recover/verify pairs from a crash state seen before (real.state_answered
+# > 0, and the report's synopsis line saying so), and no determinism
+# sample may disagree (real.state_mismatch absent or 0). Metrics + trace artifacts land in OUTPUT_DIR for CI upload.
+# Invoked via cmake -P.
 
 file(MAKE_DIRECTORY "${OUTPUT_DIR}")
 
@@ -126,6 +130,21 @@ foreach(mode spawn forkserver persistent)
     if(NOT answered GREATER 0)
       message(FATAL_ERROR "${mode}: ${json} has real.noop_answered = '${answered}', expected > 0")
     endif()
+    # Repeated crash states answer recover/verify, and every determinism
+    # sample of a state agrees with its first run.
+    string(JSON states ERROR_VARIABLE json_error GET "${${json}}" counters real.state_answered)
+    if(NOT states GREATER 0)
+      message(FATAL_ERROR "${mode}: ${json} has real.state_answered = '${states}', expected > 0")
+    endif()
+    string(JSON mismatches ERROR_VARIABLE json_error GET "${${json}}" counters real.state_mismatch)
+    if(json_error STREQUAL "NOTFOUND" AND NOT mismatches EQUAL 0)
+      message(FATAL_ERROR "${mode}: ${json} has real.state_mismatch = ${mismatches}, expected 0")
+    endif()
+  endforeach()
+  foreach(leg leg1 leg2)
+    if(NOT ${leg} MATCHES "\n[1-9][0-9]* recover/verify pairs answered from crash-state digests")
+      message(FATAL_ERROR "${mode}: ${leg}'s report lacks the crash-state synopsis line:\n${${leg}}")
+    endif()
   endforeach()
   # The export carries the two-phase flags: a verifier-confirmed finding is
   # an invariant_violated row, a refused recovery a recovery_failed one
@@ -160,4 +179,5 @@ endforeach()
 
 message(STATUS
   "recovery smoke: all planted bugs found and phase-confirmed in every exec "
-  "mode, kill-and-resume record-identical, never-firing points answered")
+  "mode, kill-and-resume record-identical, never-firing points and repeated "
+  "crash states answered")

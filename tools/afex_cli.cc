@@ -315,13 +315,19 @@ void Run(const CliFlags& flags, const std::vector<std::string>& recipe_args, Rec
   ReportBuilder builder(space, recipe.strategy);
   std::string note = telemetry.has_value() ? telemetry->SynopsisLine() : "";
   size_t answered = 0;
+  size_t states_answered = 0;
   for (const std::unique_ptr<TargetBackend>& node : campaign->nodes) {
     answered += node->tests_answered();
+    states_answered += node->crash_states_answered();
   }
   if (answered > 0) {
     // tests/sec above counts these too; they started no process.
     note += (note.empty() ? "" : "\n") + std::to_string(answered) + " of " +
             std::to_string(live_tests) + " tests answered from fault-free call counts";
+  }
+  if (states_answered > 0) {
+    note += (note.empty() ? "" : "\n") + std::to_string(states_answered) +
+            " recover/verify pairs answered from crash-state digests";
   }
   builder.set_telemetry_note(note);
   Report report = builder.Build(result, session->clusterer(),
