@@ -3,7 +3,8 @@
 //
 //   spawn      — fork+exec per test,
 //   forkserver — one target process stopped pre-main, one bare fork per
-//                test, plan and feedback armed over a pipe, and
+//                test, the plan armed from the feedback block and the
+//                test started over a pipe, and
 //   persistent — the same server, whose child re-runs walutil's entry
 //                function in-process via the afex_persistent_run hook
 //                until exit() or a crash ends it and the next test forks

@@ -1,7 +1,5 @@
 #include "exec/fault_plan.h"
 
-#include "exec/feedback_block.h"
-
 namespace afex {
 namespace exec {
 
@@ -53,19 +51,6 @@ bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
     out.push_back(spec);
   }
   return true;
-}
-
-std::string HexEncodePlanEntries(const std::vector<FsPlanEntry>& entries) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  const auto* bytes = reinterpret_cast<const unsigned char*>(entries.data());
-  const size_t size = entries.size() * sizeof(FsPlanEntry);
-  std::string hex;
-  hex.reserve(2 * size);
-  for (size_t i = 0; i < size; ++i) {
-    hex += kDigits[bytes[i] >> 4];
-    hex += kDigits[bytes[i] & 0xF];
-  }
-  return hex;
 }
 
 }  // namespace exec

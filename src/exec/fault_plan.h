@@ -1,22 +1,20 @@
-// The fault plan's one wire format. The parent encodes a test's specs into
-// fixed-size FsPlanEntry records (exec/forkserver_protocol.h) once, and every
-// exec mode hands those same bytes to the LD_PRELOADed interposer, whose
-// ArmPlans is the only routine that arms them:
-//   spawn                  — hex-encoded in AFEX_PLAN (HexEncodePlanEntries);
-//                            the constructor of every process image in the
-//                            target's tree decodes and arms it;
-//   forkserver, persistent — raw, behind an FsRequest header on the control
-//                            pipe.
-// A plan is written and read within one test by code built from the same
-// tree, so it carries no version. Zero entries is a valid plan (run without
+// The fault plan's one format and one channel. The parent encodes a test's
+// specs into fixed-size FsPlanEntry records (exec/feedback_block.h) once and
+// writes them into the test's feedback block before the test runs: a fresh
+// block in spawn mode, the plan region of the mapped block in the server
+// modes. The LD_PRELOADed interposer's ArmPlans is the only routine that
+// arms them, and it reads them only from the block: in a spawned process
+// and in every image a target exec()s (its constructor), in the forkserver
+// before each fork, and in a persistent child before each iteration. A plan
+// is written and read within one test by code built from the same tree, so
+// it carries no version. Zero entries is a valid plan (run without
 // injection — the Phi_coreutils call-label-0 convention).
 #ifndef AFEX_EXEC_FAULT_PLAN_H_
 #define AFEX_EXEC_FAULT_PLAN_H_
 
-#include <string>
 #include <vector>
 
-#include "exec/forkserver_protocol.h"
+#include "exec/feedback_block.h"
 #include "injection/fault_bus.h"
 
 namespace afex {
@@ -34,10 +32,6 @@ bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
 // interposer's ArmPlans accepts.
 bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
                        std::vector<FaultSpec>& out);
-
-// The AFEX_PLAN value for spawn mode: the entries' raw bytes as lowercase
-// hex, two digits per byte in memory order, no separators.
-std::string HexEncodePlanEntries(const std::vector<FsPlanEntry>& entries);
 
 }  // namespace exec
 }  // namespace afex

@@ -1,10 +1,12 @@
 // Shared-memory contract between libafex_interpose.so (running inside a real
-// target process) and the parent-side exec layer. The parent creates a
-// zero-filled feedback file and points the child at it via AFEX_FEEDBACK; the
-// interposer mmaps it MAP_SHARED and streams per-function call counts and
-// injected-site hits into it as the target runs. After the child exits the
-// parent reads the block back and translates it into the TestOutcome the
-// exploration machinery consumes (real_target_harness.cc).
+// target process) and the parent-side exec layer, and the one channel a
+// test's fault plan travels on. The parent creates the feedback file, writes
+// the test's encoded plan (exec/fault_plan.h) into it and points the child at
+// it via AFEX_FEEDBACK; the interposer mmaps it MAP_SHARED, arms the plan
+// from it and streams per-function call counts and injected-site hits into
+// it as the target runs. After the child exits the parent reads the block
+// back and translates it into the TestOutcome the exploration machinery
+// consumes (real_target_harness.cc).
 //
 // The layout is a fixed-size POD — no pointers, no lengths to trust — so a
 // crashed or SIGKILLed child always leaves a readable block behind: whatever
@@ -21,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 
 #include "injection/libc_table.h"
 
@@ -50,10 +53,11 @@ inline constexpr uint32_t kMaxInterposedFunctions = 32;
 static_assert(kInterposedFunctionCount <= kMaxInterposedFunctions);
 
 inline constexpr uint64_t kFeedbackMagic = 0x3130424658454641ULL;  // "AFEXFB01"
-// Version 2 added the SanitizerCoverage edge-hit region. The parent creates
-// the feedback file per test and the interposer is built from the same tree,
-// so a block of any other version can only come from a skewed build.
-inline constexpr uint32_t kFeedbackVersion = 2;
+// Version 2 added the SanitizerCoverage edge-hit region, version 3 the plan
+// region. The parent creates the feedback file and the interposer is built
+// from the same tree, so a block of any other version can only come from a
+// skewed build.
+inline constexpr uint32_t kFeedbackVersion = 3;
 // Fixed capacity of the per-test new-edge list. The interposer dedups
 // edges child-side (an edge id is reported at most once per process), so
 // this bounds *new* edges per test, not total edges per test; overruns
@@ -74,6 +78,37 @@ inline int InterposedSlot(const char* name) {
     }
   }
   return -1;
+}
+
+// One armed fault: the plan's only format, written by the parent's plan codec
+// (exec/fault_plan.h) into FeedbackBlock::plan. Slot indexes
+// kInterposedFunctions.
+struct FsPlanEntry {
+  int32_t slot = -1;
+  int32_t errno_value = 0;
+  uint64_t call_lo = 0;
+  uint64_t call_hi = 0;
+  int64_t retval = -1;
+  // Storage-failure class (numeric FaultKind, injection/libc_table.h) and
+  // its parameter (short_write: the byte/item count actually performed).
+  int32_t kind = 0;
+  int32_t pad = 0;  // keep the struct 8-byte aligned, deterministic bytes
+  int64_t param = 0;
+};
+
+// The interposer's plan table capacity and the block's plan region size; a
+// plan_count above it arms nothing.
+inline constexpr uint32_t kFsMaxPlans = 8;
+
+// The one rule for an entry the interposer can honour, applied by its
+// ArmPlans (which drops anything else) and by the parent's plan codec
+// (exec/fault_plan.h): a wrapped slot, a 1-based ordinal window, a kind that
+// applies to the slot's function, and a non-negative short_write count.
+inline bool ValidPlanEntry(const FsPlanEntry& e) {
+  return e.slot >= 0 && e.slot < static_cast<int32_t>(kInterposedFunctionCount) &&
+         e.call_lo >= 1 && e.call_hi >= e.call_lo &&
+         KindAppliesTo(e.kind, kInterposedStorageKinds[e.slot]) &&
+         (e.kind != static_cast<int32_t>(FaultKind::kShortWrite) || e.param >= 0);
 }
 
 struct FeedbackBlock {
@@ -101,8 +136,7 @@ struct FeedbackBlock {
   // for, written by the server when it resets the block before each child
   // or iteration. The client checks it after the test so a crashed child's
   // stale counts can never be attributed to the next test. Spawn mode
-  // creates a fresh zero file per test and leaves this 0. (Was `reserved`;
-  // same layout, so no version bump.)
+  // creates a fresh zero file per test and leaves this 0.
   uint32_t test_seq = 0;
 
   // --- version 2: SanitizerCoverage edge feedback ----------------------
@@ -125,13 +159,26 @@ struct FeedbackBlock {
   // indices into the module's counter region (or hashed PCs in trace-pc
   // mode); each id appears at most once per child process.
   uint32_t edge_hits[kMaxEdgeHits] = {};
+
+  // --- version 3: the fault plan ---------------------------------------
+  // Written by the parent before every test and read only by the
+  // interposer's ArmPlans; the server's per-test reset leaves it alone.
+  // The first plan_count entries of plan are the test's plan.
+  uint64_t plan_count = 0;
+  FsPlanEntry plan[kFsMaxPlans] = {};
 };
 
 // Parent-side helpers (implemented in feedback_block.cc; not used by the
-// interposer, which maps the file itself).
+// interposer, which maps the file itself). Both refuse a plan wider than
+// kFsMaxPlans.
 //
-// Creates (truncating) a zero-filled feedback file sized for one block.
-bool CreateFeedbackFile(const char* path);
+// Creates (truncating) a feedback file: a fresh block (zero counters, no
+// magic) whose plan region holds `plan` — spawn mode's block per test.
+bool CreateFeedbackFile(const char* path, std::span<const FsPlanEntry> plan = {});
+// Rewrites the plan region of the feedback file open at `fd` with one
+// pwrite and no truncation: the server modes' per-test plan, written while
+// the server (and a live persistent child) keep the file mapped.
+bool WriteFeedbackPlan(int fd, std::span<const FsPlanEntry> plan);
 
 // Why a feedback read failed — the real backend counts these separately
 // (real.feedback_missing vs real.feedback_short vs real.feedback_bad_magic)

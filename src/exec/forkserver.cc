@@ -86,9 +86,6 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   std::vector<std::pair<std::string, std::string>> env = options_.env;
   env.emplace_back(kForkserverEnvVar, options_.persistent ? kForkserverEnvPersistent
                                                           : kForkserverEnvFork);
-  // Plans travel over the pipe; a leaked AFEX_PLAN from the outer
-  // environment must not arm anything.
-  env.emplace_back("AFEX_PLAN", "");
   std::vector<std::string> env_strings = MaterializeEnv(env, options_.preload);
   std::vector<char*> envp;
   envp.reserve(env_strings.size() + 1);
@@ -244,19 +241,12 @@ ProcessResult ForkserverClient::Observe(const KillLadder& ladder, int status) {
   return result;
 }
 
-bool ForkserverClient::WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                                    uint32_t seq) {
-  char buf[sizeof(FsRequest) + kFsMaxPlans * sizeof(FsPlanEntry)];
+bool ForkserverClient::WriteRequest(uint32_t test_id, uint32_t seq) {
   FsRequest req;
   req.magic = kFsRequestMagic;
   req.test_seq = seq;
   req.test_id = test_id;
-  req.plan_count = static_cast<uint32_t>(entries.size());
-  std::memcpy(buf, &req, sizeof(req));
-  if (!entries.empty()) {  // an empty vector's data() may be null
-    std::memcpy(buf + sizeof(req), entries.data(), entries.size() * sizeof(FsPlanEntry));
-  }
-  return WriteAll(ctl_write_, buf, sizeof(req) + entries.size() * sizeof(FsPlanEntry));
+  return WriteAll(ctl_write_, &req, sizeof(req));
 }
 
 int ForkserverClient::NoteServerDeath() {
@@ -348,20 +338,14 @@ bool ForkserverClient::ReadHello(std::string& error) {
   return true;
 }
 
-ProcessResult ForkserverClient::RunTest(uint32_t test_id,
-                                        const std::vector<FsPlanEntry>& entries,
-                                        uint32_t seq) {
-  if (entries.size() > kFsMaxPlans) {
-    // Wider than the server's table (and WriteRequest's buffer).
-    return NotStarted("forkserver: fault plan exceeds kFsMaxPlans entries");
-  }
+ProcessResult ForkserverClient::RunTest(uint32_t test_id, uint32_t seq) {
   output_.clear();
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string error;
     if (!EnsureServer(error)) {
       return NotStarted(error);
     }
-    if (!WriteRequest(test_id, entries, seq)) {
+    if (!WriteRequest(test_id, seq)) {
       KillServer();  // a failed write does not prove the server is gone
       continue;
     }

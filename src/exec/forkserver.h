@@ -2,7 +2,9 @@
 // (exec/forkserver_protocol.h). One client owns one long-lived target
 // process: it spawns the target with the control/status pipes dup'd to the
 // protocol fds, performs the Hello handshake, and then turns each RunTest
-// call into one request. The server forks a child per test; in persistent
+// call into one request. The request carries no plan: the caller has
+// already written it into the feedback block the server maps
+// (exec/fault_plan.h). The server forks a child per test; in persistent
 // mode a child that adopted afex_persistent_run stays live and runs the
 // following requests in-process, until exit(), a crash or a timeout ends it
 // and the next test forks a new one. This is what collapses the real
@@ -47,7 +49,7 @@ struct ForkserverOptions {
   // libafex_interpose.so — required; the server loop lives inside it.
   std::string preload;
   // Extra environment (AFEX_FEEDBACK, ...). AFEX_FORKSERVER is set by the
-  // client; AFEX_PLAN is cleared (plans travel over the pipe).
+  // client.
   std::vector<std::pair<std::string, std::string>> env;
   bool persistent = false;
   uint64_t timeout_ms = 5000;
@@ -66,15 +68,13 @@ class ForkserverClient {
   // timeout, wrong protocol magic/version); `error` gets the reason.
   bool EnsureServer(std::string& error);
 
-  // Runs one test: test_id is substituted into the argv placeholders,
-  // entries (EncodePlanEntries, exec/fault_plan.h) are armed as the fault
-  // plan, seq stamps the feedback block (FeedbackBlock::test_seq) and
-  // sequences the protocol messages. More than kFsMaxPlans entries is
-  // refused before anything is written. started == false only when the
-  // test could not be executed at all (server unstartable even after a
-  // respawn); `error` then says why. The spawn-timing fields stay 0.
-  ProcessResult RunTest(uint32_t test_id, const std::vector<FsPlanEntry>& entries,
-                        uint32_t seq);
+  // Runs one test: test_id is substituted into the argv placeholders, the
+  // plan the caller wrote into the feedback block (WriteFeedbackPlan) is
+  // armed, seq stamps the block (FeedbackBlock::test_seq) and sequences the
+  // protocol messages. started == false only when the test could not be
+  // executed at all (server unstartable even after a respawn); `error` then
+  // says why. The spawn-timing fields stay 0.
+  ProcessResult RunTest(uint32_t test_id, uint32_t seq);
 
   // Graceful shutdown: close the control pipe (the server's read loop sees
   // EOF and exits), wait up to 2 s for the exit (exec::ChildWatch), SIGKILL
@@ -113,7 +113,7 @@ class ForkserverClient {
   // The test's observation: the ladder's flags, a waitpid `status`, and
   // the output drained so far.
   ProcessResult Observe(const KillLadder& ladder, int status);
-  bool WriteRequest(uint32_t test_id, const std::vector<FsPlanEntry>& entries, uint32_t seq);
+  bool WriteRequest(uint32_t test_id, uint32_t seq);
   void DrainOutput();
   // Reaps the dead server and closes its pipes. Returns its waitpid
   // status, or -1 when there was none to collect.

@@ -9,13 +9,15 @@
 // following requests itself, until it exits or crashes and the server forks
 // the next one.
 //
-// A request is a fixed-size binary header plus the test's FsPlanEntry
-// records — the same bytes spawn mode passes hex-encoded in AFEX_PLAN
-// (exec/fault_plan.h), armed by the same interposer routine. All messages
-// are fixed-size PODs written/read whole; a short read or a bad magic on
-// either side means the peer is gone or corrupted, and the correct response
-// is always the same — server: _exit; client: kill the server and respawn
-// it.
+// A request names the test (its sequence number and id) and nothing else:
+// the plan is not on the pipe. The parent writes it into the feedback block
+// (exec/feedback_block.h) before the request, and the server arms it from
+// there before each fork, a persistent child before each iteration — the
+// same routine, reading the same bytes, as a spawned process or any image
+// a child exec()s. All messages are fixed-size PODs written/read whole; a
+// short read or a bad magic on either side means the peer is gone or
+// corrupted, and the correct response is always the same — server: _exit;
+// client: kill the server and respawn it.
 //
 // This header is included by the interposer, which is built free-standing
 // (no gtest, no afex libraries, no sanitizers): keep it to constants, POD
@@ -24,8 +26,6 @@
 #define AFEX_EXEC_FORKSERVER_PROTOCOL_H_
 
 #include <cstdint>
-
-#include "exec/feedback_block.h"
 
 namespace afex {
 namespace exec {
@@ -42,10 +42,11 @@ inline constexpr const char* kForkserverEnvFork = "1";
 inline constexpr const char* kForkserverEnvPersistent = "2";
 
 // v2 widened FsPlanEntry with the storage-failure fields (kind, param); v3
-// moved persistent iterations into the forked child (no ack, no hello flag).
-// Client and server are compiled from the same tree, so the version is a
-// handshake sanity check, not a negotiation.
-inline constexpr uint32_t kForkserverProtocolVersion = 3;
+// moved persistent iterations into the forked child (no ack, no hello flag);
+// v4 moved the plan from the request into the feedback block. Client and
+// server are compiled from the same tree, so the version is a handshake
+// sanity check, not a negotiation.
+inline constexpr uint32_t kForkserverProtocolVersion = 4;
 
 inline constexpr uint32_t kFsMsgMagic = 0x4146534DU;      // "AFSM"
 inline constexpr uint32_t kFsRequestMagic = 0x41465351U;  // "AFSQ"
@@ -78,45 +79,12 @@ struct FsMsg {
   uint32_t seq = 0;
 };
 
-// Client → server request header, followed by plan_count FsPlanEntry
-// records on the same pipe.
+// Client → server request: one test, armed from the feedback block's plan.
 struct FsRequest {
   uint32_t magic = 0;  // kFsRequestMagic
   uint32_t test_seq = 0;
   uint32_t test_id = 0;  // 1-based; substituted into "{test}" argv slots
-  uint32_t plan_count = 0;
 };
-
-// One armed fault: the plan's only wire format in every exec mode
-// (exec/fault_plan.h). Slot indexes kInterposedFunctions (feedback_block.h).
-struct FsPlanEntry {
-  int32_t slot = -1;
-  int32_t errno_value = 0;
-  uint64_t call_lo = 0;
-  uint64_t call_hi = 0;
-  int64_t retval = -1;
-  // Storage-failure class (numeric FaultKind, injection/libc_table.h) and
-  // its parameter (short_write: the byte/item count actually performed).
-  int32_t kind = 0;
-  int32_t pad = 0;  // keep the struct 8-byte aligned, deterministic bytes
-  int64_t param = 0;
-};
-
-// Matches the interposer's plan table capacity; a request claiming more is
-// a protocol violation and the server exits, an AFEX_PLAN holding more arms
-// nothing.
-inline constexpr uint32_t kFsMaxPlans = 8;
-
-// The one rule for an entry the interposer can honour, applied by its
-// ArmPlans (which drops anything else) and by the parent's plan codec
-// (exec/fault_plan.h): a wrapped slot, a 1-based ordinal window, a kind that
-// applies to the slot's function, and a non-negative short_write count.
-inline bool ValidPlanEntry(const FsPlanEntry& e) {
-  return e.slot >= 0 && e.slot < static_cast<int32_t>(kInterposedFunctionCount) &&
-         e.call_lo >= 1 && e.call_hi >= e.call_lo &&
-         KindAppliesTo(e.kind, kInterposedStorageKinds[e.slot]) &&
-         (e.kind != static_cast<int32_t>(FaultKind::kShortWrite) || e.param >= 0);
-}
 
 }  // namespace exec
 }  // namespace afex

@@ -7,17 +7,18 @@
 // the call ordinal falls inside an armed plan's window, injects the planned
 // fault: set errno, return the profiled error value, never enter libc.
 //
-// In spawn mode the per-run plan arrives via two environment variables set by
-// the process runner:
-//   AFEX_PLAN     — the plan's FsPlanEntry records, hex-encoded
-//                   (exec/fault_plan.h), decoded into a static table and
-//                   armed by ArmPlans, the routine every exec mode uses
-//   AFEX_FEEDBACK — feedback file, pre-sized by the parent, mmapped here
+// One environment variable, set by the parent, names the feedback file
+// (AFEX_FEEDBACK), pre-sized by the parent and mmapped here. The test's plan
+// lives in that block (exec/feedback_block.h): ArmPlans, the one arming
+// routine, copies its valid FsPlanEntry records into a static table in a
+// spawned process and in every image a target exec()s (the constructor),
+// in the forkserver before each fork, and in a persistent child before each
+// iteration.
 //
 // Engineering constraints, all consequences of living inside an arbitrary
 // target process:
 //  * No C++ runtime facilities that allocate or throw: a malloc interposer
-//    cannot call the allocator it replaces. Plan decoding and feedback setup
+//    cannot call the allocator it replaces. Plan arming and feedback setup
 //    use raw syscalls and fixed buffers.
 //  * dlsym(RTLD_NEXT, ...) itself may allocate (dlerror state) before
 //    real_malloc is resolved; a small static bump arena serves those
@@ -25,29 +26,30 @@
 //  * Counting starts only once the constructor has run (g_active): loader
 //    and pre-main libc initialization calls are excluded, so call ordinals
 //    are stable properties of the target program, not of ld.so internals.
-//  * Internal calls (decoding the plan, mapping feedback) run with
+//  * Internal calls (mapping feedback, arming the plan) run with
 //    g_internal set so they are neither counted nor injected.
 //  * Built with -fno-sanitize=all: preloading a sanitized .so into an
 //    arbitrary child would require the sanitizer runtime to lead the
 //    library list, which no plain target satisfies.
-//  * LD_PRELOAD, AFEX_PLAN, and the MAP_SHARED feedback block are
-//    inherited by every process the target spawns: the whole tree shares
-//    one ordinal space. Deterministic for sequential trees; concurrent
-//    children interleave ordinals nondeterministically (per-process
-//    counting is future work).
+//  * LD_PRELOAD, AFEX_FEEDBACK, and the MAP_SHARED feedback block with its
+//    plan are inherited by every process the target spawns, in every exec
+//    mode: the whole tree shares one plan and one ordinal space.
+//    Deterministic for sequential trees; concurrent children interleave
+//    ordinals nondeterministically (per-process counting is future work).
 //
 // Execution modes (exec/forkserver_protocol.h): when AFEX_FORKSERVER is set
 // the constructor does not fall through into the target. It announces itself
 // on the status pipe and serves tests, forking one pristine child per
-// request (plan armed and feedback reset *before* the fork, so the child
-// starts counting from zero exactly like a spawned process). In persistent
-// mode the child keeps the protocol fds: once the target's main hands its
-// entry function to afex_persistent_run(), the child runs the request it was
-// forked for and then reads and runs further requests in-process, one
-// iteration each, until it exits or crashes and the server forks the next
-// child. The serve loop uses only async-signal-safe primitives (raw
-// g_real_read/g_real_write on fixed fds, fork, waitpid, _exit): it runs
-// before main in an arbitrary target and forks while holding no locks.
+// request (feedback reset and the block's plan armed *before* the fork, so
+// the child starts counting from zero exactly like a spawned process). In
+// persistent mode the child keeps the protocol fds: once the target's main
+// hands its entry function to afex_persistent_run(), the child runs the
+// request it was forked for and then reads and runs further requests
+// in-process, one iteration each, until it exits or crashes and the server
+// forks the next child. The serve loop uses only async-signal-safe
+// primitives (raw g_real_read/g_real_write on fixed fds, fork, waitpid,
+// _exit): it runs before main in an arbitrary target and forks while
+// holding no locks.
 #ifndef _LARGEFILE64_SOURCE
 #define _LARGEFILE64_SOURCE 1  // off64_t / lseek64 for the LP64 alias wrappers
 #endif
@@ -192,7 +194,9 @@ void Undo(int fd);
   }
 }
 
-// The armed entries, as they arrived (only ValidPlanEntry ones).
+// The armed entries: the block's plan as ArmPlans found it, ValidPlanEntry
+// ones only. A copy, so the parent's next plan write never reaches a test
+// already under way.
 FsPlanEntry g_plans[kFsMaxPlans];
 int g_plan_count = 0;
 
@@ -525,9 +529,8 @@ char** g_argv = nullptr;  // to ELF constructors) for per-child rewriting
 int g_persistent_entered = 0;
 
 // The request in flight: read by the server, inherited by the child it forks
-// for it; a persistent child reads its later requests into the same slots.
+// for it; a persistent child reads its later requests into the same slot.
 FsRequest g_request;
-FsPlanEntry g_request_plans[kFsMaxPlans];
 
 // Whole-buffer pipe I/O on the raw fds, EINTR-proof. False means the peer is
 // gone (EOF / hard error): the server's only correct move is to exit, the
@@ -575,24 +578,18 @@ bool SendMsg(FsMsgKind kind, int32_t value, uint32_t seq) {
   return WriteFull(kForkserverStatusFd, &msg, sizeof(msg));
 }
 
-// Reads one request (header + plan entries). Any violation — short read,
-// wrong magic, impossible plan count — is indistinguishable from a torn
-// client write, and the server exits rather than resynchronize.
-bool ReadRequest(FsRequest& req, FsPlanEntry* entries) {
-  if (!ReadFull(kForkserverCtlFd, &req, sizeof(req))) {
-    return false;
-  }
-  if (req.magic != kFsRequestMagic || req.plan_count > kFsMaxPlans) {
-    return false;
-  }
-  return req.plan_count == 0 ||
-         ReadFull(kForkserverCtlFd, entries, req.plan_count * sizeof(FsPlanEntry));
+// Reads one request. Any violation — short read, wrong magic — is
+// indistinguishable from a torn client write, and the server exits rather
+// than resynchronize.
+bool ReadRequest(FsRequest& req) {
+  return ReadFull(kForkserverCtlFd, &req, sizeof(req)) && req.magic == kFsRequestMagic;
 }
 
 // Re-arms the shared block for one test: every counter back to zero, the
-// request's sequence number stamped in. A crashed child's stale counts can
-// never leak into the next test because the reset happens on the server
-// side, before the child that would read them exists.
+// request's sequence number stamped in, the parent's plan region untouched.
+// A crashed child's stale counts can never leak into the next test because
+// the reset happens on the server side, before the child that would read
+// them exists.
 void ResetFeedbackForTest(uint32_t seq) {
   FeedbackBlock* b = g_block;
   for (uint32_t i = 0; i < kMaxInterposedFunctions; ++i) {
@@ -616,18 +613,21 @@ void ResetFeedbackForTest(uint32_t seq) {
   b->test_seq = seq;
 }
 
-// Arms one test's plan; the only arming routine, in every exec mode (spawn:
-// LoadPlanFromEnv; forkserver / persistent: each request). Entries failing
-// ValidPlanEntry are dropped.
-void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
+// Arms the block's plan for one test; the only arming routine, in every exec
+// mode (see the file comment for where it runs). A plan_count above
+// kFsMaxPlans arms nothing; entries failing ValidPlanEntry are dropped.
+void ArmPlans() {
+  const FeedbackBlock* b = g_block;
+  const uint64_t count = b->plan_count <= kFsMaxPlans ? b->plan_count : 0;
   g_plan_count = 0;
   int logging = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (!ValidPlanEntry(entries[i])) {
+  for (uint64_t i = 0; i < count; ++i) {
+    const FsPlanEntry entry = b->plan[i];
+    if (!ValidPlanEntry(entry)) {
       continue;
     }
-    g_plans[g_plan_count++] = entries[i];
-    if (entries[i].kind >= static_cast<int32_t>(FaultKind::kDropSync)) {
+    g_plans[g_plan_count++] = entry;
+    if (entry.kind >= static_cast<int32_t>(FaultKind::kDropSync)) {
       logging = 1;
     }
   }
@@ -635,45 +635,6 @@ void ArmPlans(const FsPlanEntry* entries, uint32_t count) {
   // Runs in the server before the fork (or between persistent iterations):
   // every test starts with an empty undo log and a clean fd table.
   ResetLog(logging);
-}
-
-// Lowercase only, as HexEncodePlanEntries writes it.
-int HexDigit(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  return -1;
-}
-
-// Spawn mode: decodes AFEX_PLAN's hex FsPlanEntry records and arms them. A
-// child that exec()s inherits the variable and re-arms the same plan in its
-// new image. A malformed value — odd length, a non-hex digit, a trailing
-// partial entry, more than kFsMaxPlans entries — arms nothing; ArmPlans
-// drops any well-formed entry it cannot honour.
-void LoadPlanFromEnv() {
-  const char* hex = getenv("AFEX_PLAN");
-  if (hex == nullptr || *hex == '\0') {
-    return;
-  }
-  static FsPlanEntry entries[kFsMaxPlans];
-  constexpr size_t kEntryHex = 2 * sizeof(FsPlanEntry);
-  const size_t len = strlen(hex);
-  if (len % kEntryHex != 0 || len / kEntryHex > kFsMaxPlans) {
-    return;
-  }
-  unsigned char* out = reinterpret_cast<unsigned char*>(entries);
-  for (size_t i = 0; i < len; i += 2) {
-    const int hi = HexDigit(hex[i]);
-    const int lo = HexDigit(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return;
-    }
-    out[i / 2] = static_cast<unsigned char>(hi << 4 | lo);
-  }
-  ArmPlans(entries, static_cast<uint32_t>(len / kEntryHex));
 }
 
 // Substitutes the request's test id for every "{test}" placeholder in the
@@ -715,11 +676,11 @@ void ServeForkserver() {
   }
   const pid_t server = getpid();
   for (;;) {
-    if (!ReadRequest(g_request, g_request_plans)) {
+    if (!ReadRequest(g_request)) {
       _exit(0);  // client gone or protocol torn: clean shutdown
     }
     ResetFeedbackForTest(g_request.test_seq);
-    ArmPlans(g_request_plans, g_request.plan_count);
+    ArmPlans();
     pid_t pid = fork();
     if (pid == 0) {
       // Die with the server: a persistent child holds the status pipe's
@@ -809,7 +770,9 @@ __attribute__((constructor)) void AfexInterposeInit(int argc, char** argv,
     // before the fork: fall through and activate like a spawned process.
     ServeForkserver();
   } else {
-    LoadPlanFromEnv();
+    // A spawned process, or any image a test's process exec()s in any mode:
+    // the block already holds this test's plan.
+    ArmPlans();
   }
   g_internal = 0;
   __atomic_store_n(&g_active, 1, __ATOMIC_RELEASE);
@@ -1285,12 +1248,12 @@ int afex_persistent_run(int (*entry)(int test_id)) {
     // soon as kIterStatus arrives.
     SancovHarvest();
     if (!SendMsg(FsMsgKind::kIterStatus, code, g_request.test_seq) ||
-        !ReadRequest(g_request, g_request_plans)) {
+        !ReadRequest(g_request)) {
       --g_internal;
       return 0;
     }
     ResetFeedbackForTest(g_request.test_seq);
-    ArmPlans(g_request_plans, g_request.plan_count);
+    ArmPlans();
     --g_internal;
   }
 }

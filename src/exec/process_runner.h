@@ -1,7 +1,8 @@
 // Fork/exec runner for real targets — the node manager's "start the system
 // under test" script (paper §6.1) as a library. Runs one command in a
-// sandbox working directory with LD_PRELOAD and the AFEX control
-// environment set, captures combined stdout/stderr, enforces a wall-clock
+// sandbox working directory with LD_PRELOAD and AFEX_FEEDBACK set (the
+// block that file holds carries the test's fault plan, exec/fault_plan.h),
+// captures combined stdout/stderr, enforces a wall-clock
 // timeout through the KillLadder every exec mode shares, and reports how
 // the process died (exit code, terminating signal, or timeout) as the
 // ProcessResult every exec mode returns.
@@ -28,8 +29,8 @@ struct ProcessRequest {
   std::vector<std::string> argv;
   // Working directory for the child; must exist. Empty = inherit.
   std::string working_dir;
-  // Extra environment (AFEX_PLAN, AFEX_FEEDBACK, ...), appended to the
-  // inherited environment.
+  // Extra environment (AFEX_FEEDBACK, ...), appended to the inherited
+  // environment.
   std::vector<std::pair<std::string, std::string>> env;
   // Shared library to LD_PRELOAD into the child ("" = none).
   std::string preload;

@@ -228,6 +228,9 @@ RealTargetHarness::RealTargetHarness(RealTargetConfig config)
 RealTargetHarness::~RealTargetHarness() {
   // Stop the server before its working directory disappears.
   forkserver_.reset();
+  if (feedback_fd_ >= 0) {
+    ::close(feedback_fd_);
+  }
   std::error_code ec;
   if (own_work_root_) {
     fs::remove_all(work_root_, ec);
@@ -248,8 +251,10 @@ bool RealTargetHarness::EnsureForkserver(std::string& why) {
     return true;
   }
   // The server maps the feedback file once, in its constructor: the file
-  // must exist (and keeps its identity across every test and respawn).
-  if (!CreateFeedbackFile(feedback_path_.c_str())) {
+  // must exist (and keeps its identity across every test and respawn). The
+  // harness keeps it open to write each test's plan into it.
+  if (!CreateFeedbackFile(feedback_path_.c_str()) ||
+      (feedback_fd_ = ::open(feedback_path_.c_str(), O_WRONLY | O_CLOEXEC)) < 0) {
     why = "exec: cannot create feedback file " + feedback_path_;
     return false;
   }
@@ -300,8 +305,8 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
       specs.push_back(*plan.spec);
     }
   }
-  // One encoding for every exec mode: spawn passes these bytes hex-encoded
-  // in AFEX_PLAN, the server modes send them over the control pipe.
+  // One encoding and one channel for every exec mode: these entries go into
+  // the test's feedback block, which every process image of the test maps.
   std::vector<FsPlanEntry> entries;
   if (!EncodePlanEntries(specs, entries)) {
     // E.g. a --space call interval past INT_MAX, wrapped negative on decode.
@@ -395,7 +400,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   uint32_t expect_seq = 0;
 
   if (config_.exec_mode == ExecMode::kSpawn) {
-    // ---- spawn: plan in the environment, one process per test ----
+    // ---- spawn: a fresh block holding the plan, one process per test ----
     obs::PhaseTimer plan_timer(metrics_, obs::Phase::kRealPlanWrite);
     std::error_code ec;
     fs::create_directories(sandbox_dir_, ec);
@@ -404,7 +409,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       outcome.detail = "exec: cannot create sandbox " + sandbox_dir_;
       return live;
     }
-    if (!CreateFeedbackFile(feedback_path_.c_str())) {
+    if (!CreateFeedbackFile(feedback_path_.c_str(), entries)) {
       outcome.test_failed = true;
       outcome.detail = "exec: cannot create feedback file under " + instance_dir_;
       return live;
@@ -415,8 +420,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
     request.argv = SubstituteTest(config_.target_argv, test_label);
     request.working_dir = sandbox_dir_;
     request.preload = config_.interposer_path;
-    request.env = {{"AFEX_PLAN", HexEncodePlanEntries(entries)},
-                   {"AFEX_FEEDBACK", feedback_path_}};
+    request.env = {{"AFEX_FEEDBACK", feedback_path_}};
     request.timeout_ms = config_.timeout_ms;
     run = RunProcess(request);
     if (metrics_ != nullptr) {
@@ -429,7 +433,8 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       }
     }
   } else {
-    // ---- forkserver / persistent: one pipe round-trip per test ----
+    // ---- forkserver / persistent: the plan into the mapped block, then
+    // one pipe round-trip per test ----
     std::string why;
     if (!EnsureForkserver(why)) {
       outcome.test_failed = true;
@@ -438,7 +443,12 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
     }
     expect_seq = ++next_seq_;
     obs::PhaseTimer roundtrip(metrics_, obs::Phase::kRealFsRoundtrip);
-    run = forkserver_->RunTest(static_cast<uint32_t>(test_id + 1), entries, expect_seq);
+    if (!WriteFeedbackPlan(feedback_fd_, entries)) {
+      outcome.test_failed = true;
+      outcome.detail = "exec: cannot write the fault plan into " + feedback_path_;
+      return live;
+    }
+    run = forkserver_->RunTest(static_cast<uint32_t>(test_id + 1), expect_seq);
     roundtrip.Finish();
   }
 

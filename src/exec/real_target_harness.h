@@ -5,11 +5,12 @@
 // Per test it: decodes the abstract fault through the same FaultDecoder the
 // sim backend uses (the libc profile names real functions, so the fault
 // space vocabulary transfers verbatim), encodes the fault plan once
-// (exec/fault_plan.h), creates the feedback file, runs the target under
-// LD_PRELOAD in a recycled scratch sandbox (process_runner or the
-// forkserver client, both reporting an exec::ProcessResult), reads the
-// feedback block back,
-// and translates it into a TestOutcome: per-function call profiles become
+// (exec/fault_plan.h) and writes it into the feedback block (spawn: a fresh
+// file per test; forkserver/persistent: the plan region of the block the
+// server maps), runs the target under LD_PRELOAD in a recycled scratch
+// sandbox (process_runner or the forkserver client, both reporting an
+// exec::ProcessResult), reads the feedback block back, and translates it
+// into a TestOutcome: per-function call profiles become
 // black-box "coverage" (one block per profiled libc function), injected-
 // site hits become fault_triggered plus a synthetic injection stack for
 // redundancy clustering, and the exit status / terminating signal /
@@ -60,7 +61,6 @@
 
 #include "core/session.h"
 #include "exec/feedback_block.h"
-#include "exec/forkserver_protocol.h"
 #include "injection/plan.h"
 #include "sim/coverage.h"
 
@@ -252,6 +252,7 @@ class RealTargetHarness : public TargetBackend {
   std::string instance_dir_;
   std::string sandbox_dir_;
   std::string feedback_path_;
+  int feedback_fd_ = -1;  // server modes: the mapped block, open for plan writes
   std::unique_ptr<ForkserverClient> forkserver_;
   uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (fs modes)
   CoverageAccumulator coverage_;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 namespace afex {
 namespace obs {
@@ -82,49 +83,14 @@ uint32_t ThreadSlot() {
 }
 
 const char* PhaseName(Phase phase) {
-  switch (phase) {
-    case Phase::kExplorerNext:
-      return "explorer.next";
-    case Phase::kBackendRun:
-      return "backend.run";
-    case Phase::kClusterObserve:
-      return "cluster.observe";
-    case Phase::kJournalAppend:
-      return "journal.append";
-    case Phase::kJournalFlush:
-      return "journal.flush";
-    case Phase::kSimDecode:
-      return "sim.decode";
-    case Phase::kSimRun:
-      return "sim.run";
-    case Phase::kSimFeedbackMerge:
-      return "sim.feedback_merge";
-    case Phase::kRealPlanWrite:
-      return "real.plan_write";
-    case Phase::kRealForkExec:
-      return "real.fork_exec";
-    case Phase::kRealChildWait:
-      return "real.child_wait";
-    case Phase::kRealFeedbackRead:
-      return "real.feedback_read";
-    case Phase::kRealScratchCleanup:
-      return "real.scratch_cleanup";
-    case Phase::kRealFsRoundtrip:
-      return "real.fs_roundtrip";
-    case Phase::kRealFsRestart:
-      return "real.fs_restart";
-    case Phase::kRealRecoveryRun:
-      return "real.recovery_run";
-    case Phase::kRealVerify:
-      return "real.verify";
-    case Phase::kRealEdgeMerge:
-      return "real.edge_merge";
-    case Phase::kRealNoopAnswer:
-      return "real.noop_answer";
-    case Phase::kRealStateDigest:
-      return "real.state_digest";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+#define AFEX_OBS_PHASE_NAME(id, name) name,
+      AFEX_OBS_PHASES(AFEX_OBS_PHASE_NAME)
+#undef AFEX_OBS_PHASE_NAME
+  };
+  static_assert(std::size(kNames) == kPhaseCount);
+  const auto index = static_cast<size_t>(phase);
+  return index < kPhaseCount ? kNames[index] : "unknown";
 }
 
 size_t HistogramBucketIndex(uint64_t value) {

@@ -45,33 +45,39 @@ uint64_t NowNs();
 // thread's events stay on one trace track.
 uint32_t ThreadSlot();
 
-// The instrumented pipeline phases. Fixed ids — these index arrays in the
-// sink implementations; names are the metric/trace labels.
+// The instrumented pipeline phases, one row each: enumerator, dotted
+// metric/trace name, what it times. The row order fixes the ids, which index
+// arrays in the sink implementations; adding a phase is one row.
+#define AFEX_OBS_PHASES(X)                                                                     \
+  X(kExplorerNext, "explorer.next")               /* Explorer::NextCandidate */                \
+  X(kBackendRun, "backend.run")                   /* TargetBackend::RunFault, whole call */    \
+  X(kClusterObserve, "cluster.observe")           /* RedundancyClusterer::Observe */           \
+  X(kJournalAppend, "journal.append")             /* journal: serialize + buffered write */    \
+  X(kJournalFlush, "journal.flush")               /* journal: flush to the OS */               \
+  X(kSimDecode, "sim.decode")                     /* sim backend: fault decode */              \
+  X(kSimRun, "sim.run")                           /* sim: env setup + program execution */     \
+  X(kSimFeedbackMerge, "sim.feedback_merge")      /* sim: outcome fill + coverage merge */     \
+  X(kRealPlanWrite, "real.plan_write")            /* real: sandbox + feedback file */          \
+  X(kRealForkExec, "real.fork_exec")              /* real: env + fork + exec */                \
+  X(kRealChildWait, "real.child_wait")            /* real: child runtime until reaped */       \
+  X(kRealFeedbackRead, "real.feedback_read")      /* real: block read + translation */         \
+  X(kRealScratchCleanup, "real.scratch_cleanup")  /* real: per-run sandbox removal */          \
+  X(kRealFsRoundtrip, "real.fs_roundtrip")        /* real: plan + request → status read */     \
+  X(kRealFsRestart, "real.fs_restart")            /* real: server (re)spawn + handshake */     \
+  X(kRealRecoveryRun, "real.recovery_run")        /* real: two-phase recovery command */       \
+  X(kRealVerify, "real.verify")                   /* real: two-phase verifier command */       \
+  X(kRealEdgeMerge, "real.edge_merge")            /* real: sancov edge translation */          \
+  X(kRealNoopAnswer, "real.noop_answer")          /* real: no-op answered, no process */       \
+  X(kRealStateDigest, "real.state_digest")        /* real: post-crash sandbox digest */
+
 enum class Phase : uint8_t {
-  kExplorerNext = 0,    // Explorer::NextCandidate
-  kBackendRun,          // TargetBackend::RunFault, whole call
-  kClusterObserve,      // RedundancyClusterer::Observe
-  kJournalAppend,       // campaign journal: serialize + buffered write
-  kJournalFlush,        // campaign journal: flush to the OS
-  kSimDecode,           // sim backend: fault decode
-  kSimRun,              // sim backend: env setup + program execution
-  kSimFeedbackMerge,    // sim backend: outcome fill + coverage merge
-  kRealPlanWrite,       // real backend: sandbox + feedback file
-  kRealForkExec,        // real backend: env materialization + fork + exec
-  kRealChildWait,       // real backend: child runtime until reaped
-  kRealFeedbackRead,    // real backend: feedback block read + translation
-  kRealScratchCleanup,  // real backend: per-run sandbox removal
-  kRealFsRoundtrip,     // real backend: forkserver request write → status read
-  kRealFsRestart,       // real backend: forkserver (re)spawn + handshake
-  kRealRecoveryRun,     // real backend: two-phase recovery command
-  kRealVerify,          // real backend: two-phase verifier command
-  kRealEdgeMerge,       // real backend: sancov edge-hit translation + merge
-  kRealNoopAnswer,      // real backend: a no-op test answered from the
-                        // test's fault-free run, no process started
-  kRealStateDigest,     // real backend: post-crash sandbox digest that keys
-                        // the recover/verify answers
+#define AFEX_OBS_PHASE_ID(id, name) id,
+  AFEX_OBS_PHASES(AFEX_OBS_PHASE_ID)
+#undef AFEX_OBS_PHASE_ID
 };
-inline constexpr size_t kPhaseCount = 20;
+#define AFEX_OBS_PHASE_ONE(id, name) +1
+inline constexpr size_t kPhaseCount = 0 AFEX_OBS_PHASES(AFEX_OBS_PHASE_ONE);
+#undef AFEX_OBS_PHASE_ONE
 
 // Dotted metric name for a phase, e.g. "real.fork_exec".
 const char* PhaseName(Phase phase);

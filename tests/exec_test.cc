@@ -33,16 +33,19 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,8 +68,35 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kMs = 1000 * 1000;  // ProcessResult::wait_ns per millisecond
 
+// This process's scratch root: one mkdtemp directory under the gtest temp
+// dir, so two exec_test processes at once (an ASan build's beside a Release
+// one) never remove each other's sandboxes. Removed at exit by the process
+// that made it, never by a forked child.
+const fs::path& TempRoot() {
+  static const struct Root {
+    fs::path path;
+    pid_t owner = ::getpid();
+    Root() {
+      std::string pattern = (fs::path(::testing::TempDir()) / "afex_exec_XXXXXX").string();
+      if (::mkdtemp(pattern.data()) == nullptr) {
+        throw std::runtime_error("mkdtemp failed under " + ::testing::TempDir());
+      }
+      path = pattern;
+    }
+    ~Root() {
+      if (::getpid() == owner) {
+        std::error_code ec;
+        fs::remove_all(path, ec);
+      }
+    }
+  } root;
+  return root.path;
+}
+
+// An empty directory `name` under this process's root (emptied if a
+// previous call handed it out).
 std::string TempDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("afex_exec_" + name);
+  fs::path dir = TempRoot() / name;
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
@@ -76,7 +106,7 @@ std::string TempDir(const std::string& name) {
 // Plan serialization
 // ---------------------------------------------------------------------------
 
-TEST(FaultPlanTest, PipeEntriesRoundTrip) {
+TEST(FaultPlanTest, EntriesRoundTrip) {
   std::vector<FaultSpec> specs = {
       {.function = "open", .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
       {.function = "malloc", .call_lo = 1, .call_hi = 7, .retval = 0, .errno_value = 12},
@@ -143,26 +173,53 @@ TEST(FaultPlanTest, RejectsHostileModeDirectives) {
   EXPECT_FALSE(DecodePlanEntries(entries, back));
 }
 
-TEST(FaultPlanTest, HexEncodingIsTheEntriesRawBytes) {
-  std::vector<FsPlanEntry> entries;
-  ASSERT_TRUE(EncodePlanEntries(
-      {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
-      entries));
-  const std::string hex = HexEncodePlanEntries(entries);
-  ASSERT_EQ(hex.size(), 2 * sizeof(FsPlanEntry));
-  if constexpr (std::endian::native == std::endian::little) {
-    // Slot 9 (open), then errno 13, each as its in-memory bytes.
-    EXPECT_EQ(hex.substr(0, 16), "090000000d000000");
-  }
-  EXPECT_EQ(HexEncodePlanEntries({}), "");
-}
-
 TEST(FeedbackBlockTest, CreateAndReadBackRejectsUnattached) {
   std::string path = TempDir("fb") + "/fb.bin";
   ASSERT_TRUE(CreateFeedbackFile(path.c_str()));
   FeedbackBlock block;
   // Zero-filled file: no magic — the interposer never attached.
   EXPECT_FALSE(ReadFeedbackBlock(path.c_str(), block));
+}
+
+// The whole block file, whatever its header says.
+std::unique_ptr<FeedbackBlock> RawBlock(const std::string& path) {
+  auto block = std::make_unique<FeedbackBlock>();
+  std::ifstream in(path, std::ios::binary);
+  in.read(reinterpret_cast<char*>(block.get()), sizeof(FeedbackBlock));
+  EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(sizeof(FeedbackBlock))) << path;
+  return block;
+}
+
+TEST(FeedbackBlockTest, PlanLandsInTheBlockAndRewritesInPlace) {
+  const std::string path = TempDir("fb_plan") + "/fb.bin";
+  std::vector<FsPlanEntry> two;
+  ASSERT_TRUE(EncodePlanEntries(
+      {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13},
+       {.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync}},
+      two));
+  ASSERT_TRUE(CreateFeedbackFile(path.c_str(), two));
+  std::unique_ptr<FeedbackBlock> block = RawBlock(path);
+  EXPECT_EQ(block->magic, 0u);
+  ASSERT_EQ(block->plan_count, 2u);
+  EXPECT_EQ(std::memcmp(block->plan, two.data(), 2 * sizeof(FsPlanEntry)), 0);
+
+  // The server modes' write: the plan region only, into a live block whose
+  // header and counters stay as they are; unused slots hold default entries.
+  std::ofstream(path, std::ios::binary | std::ios::in | std::ios::out)
+      .write(reinterpret_cast<const char*>(&kFeedbackMagic), sizeof(kFeedbackMagic));
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(WriteFeedbackPlan(fd, std::span(two).first(1)));
+  EXPECT_FALSE(WriteFeedbackPlan(fd, std::vector<FsPlanEntry>(kFsMaxPlans + 1, two[0])));
+  ::close(fd);
+  EXPECT_EQ(fs::file_size(path), sizeof(FeedbackBlock));
+  block = RawBlock(path);
+  EXPECT_EQ(block->magic, kFeedbackMagic);
+  ASSERT_EQ(block->plan_count, 1u);
+  EXPECT_EQ(std::memcmp(&block->plan[0], &two[0], sizeof(FsPlanEntry)), 0);
+  EXPECT_EQ(block->plan[1].slot, -1);
+  EXPECT_FALSE(CreateFeedbackFile(path.c_str(),
+                                  std::vector<FsPlanEntry>(kFsMaxPlans + 1, two[0])));
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +387,8 @@ TEST(ProcessRunnerTest, RunsInWorkingDirWithEnv) {
   request.env = {{"AFEX_PROBE", "probe-value"}};
   ProcessResult result = RunProcess(request);
   ASSERT_TRUE(result.started);
-  EXPECT_NE(result.output.find("afex_exec_cwd"), std::string::npos);
+  EXPECT_NE(result.output.find(fs::canonical(dir).string() + "\n"), std::string::npos)
+      << result.output;
   EXPECT_NE(result.output.find("probe-value"), std::string::npos);
 }
 
@@ -345,21 +403,21 @@ std::vector<FsPlanEntry> Entries(const std::vector<FaultSpec>& specs) {
   return entries;
 }
 
-// Runs `argv` under the interposer in `dir`/sandbox with AFEX_PLAN set to
-// `plan_value`, the way spawn mode does; returns the process result and
-// fills `block`.
+// Runs `argv` under the interposer in `dir`/sandbox, the way spawn mode
+// does, with `plan` in a fresh feedback block; returns the process result
+// and fills `block`.
 ProcessResult RunPreloaded(const std::string& dir, std::vector<std::string> argv,
-                           const std::string& plan_value, FeedbackBlock& block) {
+                           const std::vector<FsPlanEntry>& plan, FeedbackBlock& block) {
   std::string feedback_path = dir + "/fb.bin";
   std::string sandbox = dir + "/sandbox";
   fs::create_directories(sandbox);
-  EXPECT_TRUE(CreateFeedbackFile(feedback_path.c_str()));
+  EXPECT_TRUE(CreateFeedbackFile(feedback_path.c_str(), plan));
 
   ProcessRequest request;
   request.argv = std::move(argv);
   request.working_dir = sandbox;
   request.preload = AFEX_INTERPOSER_PATH;
-  request.env = {{"AFEX_PLAN", plan_value}, {"AFEX_FEEDBACK", feedback_path}};
+  request.env = {{"AFEX_FEEDBACK", feedback_path}};
   request.timeout_ms = 10000;
   ProcessResult result = RunProcess(request);
   EXPECT_TRUE(ReadFeedbackBlock(feedback_path.c_str(), block));
@@ -369,8 +427,7 @@ ProcessResult RunPreloaded(const std::string& dir, std::vector<std::string> argv
 // Runs walutil scenario `test_id` under the interposer with `specs` armed.
 ProcessResult RunWalutil(const std::string& dir, int test_id,
                          const std::vector<FaultSpec>& specs, FeedbackBlock& block) {
-  return RunPreloaded(dir, {AFEX_WALUTIL_PATH, std::to_string(test_id)},
-                      HexEncodePlanEntries(Entries(specs)), block);
+  return RunPreloaded(dir, {AFEX_WALUTIL_PATH, std::to_string(test_id)}, Entries(specs), block);
 }
 
 TEST(InterposerTest, CountsCallsWithoutInjection) {
@@ -411,15 +468,15 @@ TEST(InterposerTest, InjectedErrnoObservedByChild) {
   EXPECT_EQ(block.first_injected_call, 2u);
 }
 
-TEST(InterposerTest, ExecedImageRearmsThePlanFromTheEnvironment) {
+TEST(InterposerTest, ExecedImageRearmsThePlanFromTheBlock) {
   // The spawned tree shares one plan: the shell exec()s walutil, whose
-  // constructor decodes AFEX_PLAN again and fires the same open #2 fault.
+  // constructor arms the block's plan again and fires the same open #2 fault.
   FeedbackBlock block;
   ProcessResult result = RunPreloaded(
       TempDir("inject_exec"),
       {"/bin/sh", "-c", std::string("exec ") + AFEX_WALUTIL_PATH + " 1"},
-      HexEncodePlanEntries(Entries({{.function = "open", .call_lo = 2, .call_hi = 2,
-                                     .retval = -1, .errno_value = 13}})),
+      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+                .errno_value = 13}}),
       block);
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 1);
@@ -430,13 +487,12 @@ TEST(InterposerTest, ExecedImageRearmsThePlanFromTheEnvironment) {
 }
 
 TEST(InterposerTest, HostilePlanValuesArmNothing) {
-  // Each value is a damaged form of a plan that would fail walutil's second
-  // open; a decoder that salvaged any entry would make the run fail.
+  // Each plan region is a damaged form of a plan that would fail walutil's
+  // second open; an interposer that salvaged any entry would make the run
+  // fail. The regions are written into the block byte for byte, past the
+  // checks the parent's writer makes.
   const FsPlanEntry open2 = Entries({{.function = "open", .call_lo = 2, .call_hi = 2,
                                       .retval = -1, .errno_value = 13}})[0];
-  const std::string good = HexEncodePlanEntries({open2});
-  std::string non_hex = good;
-  non_hex[2 * offsetof(FsPlanEntry, pad)] = 'g';  // a byte ArmPlans never reads
   FsPlanEntry bad_slot = open2;
   bad_slot.slot = static_cast<int32_t>(kInterposedFunctionCount);
   FsPlanEntry bad_kind = open2;
@@ -448,28 +504,43 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
   FsPlanEntry negative_short = Entries({{.function = "write", .call_lo = 1, .call_hi = 1,
                                          .kind = FaultKind::kShortWrite, .param = 4}})[0];
   negative_short.param = -1;
-  const std::pair<const char*, std::string> cases[] = {
-      {"odd length", good.substr(0, good.size() - 1)},
-      {"non-hex digit", non_hex},
-      {"trailing partial entry", good + good.substr(0, 16)},
-      {"more than kFsMaxPlans entries",
-       HexEncodePlanEntries(std::vector<FsPlanEntry>(kFsMaxPlans + 1, open2))},
-      {"slot out of range", HexEncodePlanEntries({bad_slot})},
-      {"kind out of range", HexEncodePlanEntries({bad_kind})},
-      {"kind that does not apply to the slot", HexEncodePlanEntries({wrong_kind})},
-      {"call_lo == 0", HexEncodePlanEntries({zero_lo})},
-      {"short_write with a negative param", HexEncodePlanEntries({negative_short})},
+  struct Region {
+    const char* name;
+    uint64_t count;
+    FsPlanEntry entry;  // in every slot
   };
-  int n = 0;
-  for (const auto& [name, value] : cases) {
+  const Region regions[] = {
+      {"more than kFsMaxPlans entries", kFsMaxPlans + 1, open2},
+      {"a count no table holds", UINT64_MAX, open2},
+      {"slot out of range", 1, bad_slot},
+      {"kind out of range", 1, bad_kind},
+      {"kind that does not apply to the slot", 1, wrong_kind},
+      {"call_lo == 0", 1, zero_lo},
+      {"short_write with a negative param", 1, negative_short},
+  };
+  for (const Region& region : regions) {
+    SCOPED_TRACE(region.name);
+    const std::string dir = TempDir("hostile_plan");
+    auto initial = std::make_unique<FeedbackBlock>();
+    initial->plan_count = region.count;
+    std::fill(std::begin(initial->plan), std::end(initial->plan), region.entry);
+    fs::create_directories(dir + "/sandbox");
+    std::ofstream(dir + "/fb.bin", std::ios::binary)
+        .write(reinterpret_cast<const char*>(initial.get()), sizeof(FeedbackBlock));
+    ProcessRequest request;
+    request.argv = {AFEX_WALUTIL_PATH, "1"};
+    request.working_dir = dir + "/sandbox";
+    request.preload = AFEX_INTERPOSER_PATH;
+    request.env = {{"AFEX_FEEDBACK", dir + "/fb.bin"}};
+    request.timeout_ms = 10000;
+    ProcessResult result = RunProcess(request);
     FeedbackBlock block;
-    ProcessResult result = RunPreloaded(TempDir("hostile_plan_" + std::to_string(++n)),
-                                        {AFEX_WALUTIL_PATH, "1"}, value, block);
-    EXPECT_TRUE(result.exited) << name;
-    EXPECT_EQ(result.exit_code, 0) << name << ": " << result.output;
-    EXPECT_EQ(block.attached, 1u) << name;
-    EXPECT_EQ(block.plans_loaded, 0u) << name;
-    EXPECT_EQ(block.injected_total, 0u) << name;
+    ASSERT_TRUE(ReadFeedbackBlock((dir + "/fb.bin").c_str(), block));
+    EXPECT_TRUE(result.exited);
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_EQ(block.attached, 1u);
+    EXPECT_EQ(block.plans_loaded, 0u);
+    EXPECT_EQ(block.injected_total, 0u);
   }
 }
 
@@ -478,7 +549,7 @@ TEST(InterposerTest, TmpfileOpenKeepsItsMode) {
   // a wrapper that passed 0 instead would create the file with mode 000.
   FeedbackBlock block;
   ProcessResult result = RunPreloaded(TempDir("tmpfile"), {AFEX_PERSISTENT_FIXTURE_PATH, "5"},
-                                      "", block);
+                                      {}, block);
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("tmpfile mode 600"), std::string::npos) << result.output;
@@ -512,8 +583,7 @@ TEST(InterposerTest, CatalogReadFaultCrashesChild) {
 ProcessResult RunTxengine(const std::string& dir, const std::vector<FaultSpec>& specs,
                           FeedbackBlock& block, std::string& sandbox_out) {
   sandbox_out = dir + "/sandbox";
-  return RunPreloaded(dir, {AFEX_TXENGINE_PATH, "workload", "1"},
-                      HexEncodePlanEntries(Entries(specs)), block);
+  return RunPreloaded(dir, {AFEX_TXENGINE_PATH, "workload", "1"}, Entries(specs), block);
 }
 
 std::string SlurpFile(const fs::path& path) {
@@ -727,29 +797,37 @@ ForkserverOptions WalutilFsOptions(const std::string& dir, bool persistent) {
   return opts;
 }
 
+// Writes `specs` into the plan region of the block at `dir`/fb.bin, as the
+// harness does before each server-mode test: the plan stays armed for every
+// later test until the next write.
+void WritePlan(const std::string& dir, const std::vector<FaultSpec>& specs) {
+  const int fd = ::open((dir + "/fb.bin").c_str(), O_WRONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(WriteFeedbackPlan(fd, Entries(specs)));
+  ::close(fd);
+}
+
 TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   std::string dir = TempDir("fs_basic");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
 
-  ProcessResult clean = client.RunTest(1, {}, 1);
+  ProcessResult clean = client.RunTest(1, 1);
   ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_TRUE(clean.exited);
   EXPECT_EQ(clean.exit_code, 0);
   EXPECT_NE(clean.output.find("copied source.tbl"), std::string::npos) << clean.output;
 
-  ProcessResult injected = client.RunTest(
-      1,
-      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
-      2);
+  WritePlan(dir, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+                   .errno_value = 13}});
+  ProcessResult injected = client.RunTest(1, 2);
   ASSERT_TRUE(injected.started) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
 
-  ProcessResult crashed = client.RunTest(
-      4,
-      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
-      3);
+  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+                   .errno_value = 5}});
+  ProcessResult crashed = client.RunTest(4, 3);
   ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_FALSE(crashed.exited);
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
@@ -767,10 +845,9 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
   std::string fb = dir + "/fb.bin";
 
-  ProcessResult crashed = client.RunTest(
-      4,
-      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
-      1);
+  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+                   .errno_value = 5}});
+  ProcessResult crashed = client.RunTest(4, 1);
   ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
   FeedbackBlock block;
@@ -778,7 +855,8 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   EXPECT_EQ(block.test_seq, 1u);
   EXPECT_EQ(block.injected_total, 1u);
 
-  ProcessResult clean = client.RunTest(1, {}, 2);
+  WritePlan(dir, {});
+  ProcessResult clean = client.RunTest(1, 2);
   ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_EQ(clean.exit_code, 0);
   ASSERT_TRUE(ReadFeedbackBlock(fb.c_str(), block));
@@ -816,7 +894,7 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   opts.timeout_ms = 300;
   ForkserverClient client(opts);
   pid_t pid = -1;
-  ProcessResult result = client.RunTest(1, {}, 1);
+  ProcessResult result = client.RunTest(1, 1);
   ASSERT_TRUE(result.started) << result.error;
   EXPECT_TRUE(result.timed_out);
   EXPECT_FALSE(result.exited);
@@ -824,7 +902,7 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   pid = client.server_pid();
 
   // The server survived its child's killing and serves the next test.
-  ProcessResult after = client.RunTest(1, {}, 2);
+  ProcessResult after = client.RunTest(1, 2);
   ASSERT_TRUE(after.started) << after.error;
   EXPECT_TRUE(after.timed_out);
   EXPECT_EQ(client.restarts(), 0u);
@@ -834,7 +912,7 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
 TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
   std::string dir = TempDir("fs_torn");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ProcessResult first = client.RunTest(1, {}, 1);
+  ProcessResult first = client.RunTest(1, 1);
   ASSERT_TRUE(first.started) << first.error;
 
   // Desynchronize the control pipe: the server reads these bytes as the
@@ -842,7 +920,7 @@ TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
   ASSERT_GE(client.ctl_fd(), 0);
   ASSERT_EQ(::write(client.ctl_fd(), "garbage", 7), 7);
 
-  ProcessResult second = client.RunTest(1, {}, 2);
+  ProcessResult second = client.RunTest(1, 2);
   ASSERT_TRUE(second.started) << second.error;
   EXPECT_EQ(second.exit_code, 0);
   EXPECT_EQ(client.restarts(), 1u);
@@ -851,13 +929,13 @@ TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
 TEST(ForkserverClientTest, ServerDeathMidCampaignRestartsTransparently) {
   std::string dir = TempDir("fs_death");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ProcessResult first = client.RunTest(1, {}, 1);
+  ProcessResult first = client.RunTest(1, 1);
   ASSERT_TRUE(first.started) << first.error;
   pid_t old_pid = client.server_pid();
   ASSERT_GT(old_pid, 0);
   ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
 
-  ProcessResult second = client.RunTest(2, {}, 2);
+  ProcessResult second = client.RunTest(2, 2);
   ASSERT_TRUE(second.started) << second.error;
   EXPECT_EQ(second.exit_code, 0);
   EXPECT_EQ(client.restarts(), 1u);
@@ -870,7 +948,7 @@ TEST(ForkserverClientTest, ServerDeathWithALivePersistentChildRestartsAtOnce) {
   // server instead of waiting out a timeout.
   std::string dir = TempDir("fs_persist_death");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
-  ProcessResult first = client.RunTest(1, {}, 1);
+  ProcessResult first = client.RunTest(1, 1);
   ASSERT_TRUE(first.started) << first.error;
   ASSERT_GT(client.child_pid(), 0);
   const pid_t old_pid = client.server_pid();
@@ -881,7 +959,7 @@ TEST(ForkserverClientTest, ServerDeathWithALivePersistentChildRestartsAtOnce) {
   ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(old_pid), &info, WEXITED | WNOWAIT), 0);
 
   const uint64_t start = obs::NowNs();
-  ProcessResult second = client.RunTest(2, {}, 2);
+  ProcessResult second = client.RunTest(2, 2);
   const uint64_t elapsed_ns = obs::NowNs() - start;
   ASSERT_TRUE(second.started) << second.error;
   EXPECT_EQ(second.exit_code, 0);
@@ -899,7 +977,7 @@ TEST(ForkserverClientTest, TestIdsWiderThanThePlaceholderAreSubstituted) {
         WalutilFsOptions(TempDir(persistent ? "fs_wide_pers" : "fs_wide"), persistent);
     opts.argv = {"/bin/sh", "-c", "echo \"$0\"", "{test}"};
     ForkserverClient client(opts);
-    ProcessResult result = client.RunTest(1000000, {}, 1);
+    ProcessResult result = client.RunTest(1000000, 1);
     ASSERT_TRUE(result.started) << result.error;
     EXPECT_EQ(result.exit_code, 0);
     EXPECT_EQ(result.output, "1000000\n");
@@ -910,7 +988,7 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   std::string dir = TempDir("fs_persist");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
   uint32_t seq = 0;
-  ProcessResult first = client.RunTest(1, {}, ++seq);
+  ProcessResult first = client.RunTest(1, ++seq);
   ASSERT_TRUE(first.started) << first.error;
   EXPECT_EQ(first.exit_code, 0);
   EXPECT_NE(first.output.find("copied source.tbl"), std::string::npos) << first.output;
@@ -918,7 +996,7 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   ASSERT_GT(child, 0);
 
   for (int i = 0; i < 20; ++i) {
-    ProcessResult r = client.RunTest(static_cast<uint32_t>(1 + (i % 2)), {}, ++seq);
+    ProcessResult r = client.RunTest(static_cast<uint32_t>(1 + (i % 2)), ++seq);
     ASSERT_TRUE(r.started) << r.error;
     EXPECT_EQ(r.exit_code, 0);
   }
@@ -928,17 +1006,17 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
 
   // Injection still works in-process. walutil's Fail() calls exit(), which
   // ends the child with that status; the next test forks a new one.
-  ProcessResult injected = client.RunTest(
-      1,
-      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}}),
-      ++seq);
+  WritePlan(dir, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+                   .errno_value = 13}});
+  ProcessResult injected = client.RunTest(1, ++seq);
   ASSERT_TRUE(injected.started) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
   EXPECT_EQ(client.child_pid(), -1);
 
-  ProcessResult after = client.RunTest(1, {}, ++seq);
+  WritePlan(dir, {});
+  ProcessResult after = client.RunTest(1, ++seq);
   ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
   EXPECT_GT(client.child_pid(), 0);
@@ -949,7 +1027,7 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
 TEST(ForkserverClientTest, PersistentCrashEndsOnlyTheChild) {
   std::string dir = TempDir("fs_persist_crash");
   ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
-  ProcessResult before = client.RunTest(1, {}, 1);
+  ProcessResult before = client.RunTest(1, 1);
   ASSERT_TRUE(before.started) << before.error;
   const pid_t server = client.server_pid();
   const pid_t child = client.child_pid();
@@ -957,15 +1035,15 @@ TEST(ForkserverClientTest, PersistentCrashEndsOnlyTheChild) {
 
   // A crashing iteration takes its child down; the client must report the
   // crash truthfully, and the same server forks the next test's child.
-  ProcessResult crashed = client.RunTest(
-      4,
-      Entries({{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}}),
-      2);
+  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+                   .errno_value = 5}});
+  ProcessResult crashed = client.RunTest(4, 2);
   ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_FALSE(crashed.exited);
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
 
-  ProcessResult after = client.RunTest(1, {}, 3);
+  WritePlan(dir, {});
+  ProcessResult after = client.RunTest(1, 3);
   ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
   EXPECT_EQ(client.server_pid(), server);
@@ -988,14 +1066,14 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"), /*persistent=*/true);
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   ForkserverClient client(opts);
-  ProcessResult warm = client.RunTest(1, {}, 1);
+  ProcessResult warm = client.RunTest(1, 1);
   ASSERT_TRUE(warm.started) << warm.error;
   EXPECT_EQ(warm.output, "fixture alive\n");
   ASSERT_GT(client.child_pid(), 0);
 
   const double cpu_before = CpuSeconds();
   const auto wall_before = std::chrono::steady_clock::now();
-  ProcessResult closed = client.RunTest(2, {}, 2);
+  ProcessResult closed = client.RunTest(2, 2);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_before).count();
   const double cpu = CpuSeconds() - cpu_before;
@@ -1006,7 +1084,7 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
                        << " s iteration";
 
   // The same incarnation keeps serving; its output simply has nowhere to go.
-  ProcessResult after = client.RunTest(1, {}, 3);
+  ProcessResult after = client.RunTest(1, 3);
   ASSERT_TRUE(after.started) << after.error;
   EXPECT_EQ(after.exit_code, 0);
   EXPECT_EQ(client.restarts(), 0u);
@@ -1018,14 +1096,14 @@ TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
   ForkserverOptions opts = WalutilFsOptions(TempDir("fs_non_adopter"), /*persistent=*/true);
   opts.argv = {"/bin/sh", "-c", "echo no-adoption; exit 0"};
   ForkserverClient client(opts);
-  ProcessResult result = client.RunTest(1, {}, 1);
+  ProcessResult result = client.RunTest(1, 1);
   ASSERT_TRUE(result.started) << result.error;
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(result.output, "no-adoption\n");
   EXPECT_EQ(client.child_pid(), -1);
   const pid_t server = client.server_pid();
 
-  ProcessResult next = client.RunTest(1, {}, 2);
+  ProcessResult next = client.RunTest(1, 2);
   ASSERT_TRUE(next.started) << next.error;
   EXPECT_EQ(next.exit_code, 0);
   EXPECT_EQ(client.child_pid(), -1);
@@ -1054,13 +1132,14 @@ FixtureRun RunFixture(ExecMode mode, const std::string& dir, int scenario,
   if (mode == ExecMode::kSpawn) {
     FeedbackBlock block;
     run.result = RunPreloaded(dir, {AFEX_PERSISTENT_FIXTURE_PATH, std::to_string(scenario)},
-                              HexEncodePlanEntries(Entries(specs)), block);
+                              Entries(specs), block);
     return run;
   }
   ForkserverOptions opts = WalutilFsOptions(dir, mode == ExecMode::kPersistent);
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   run.client = std::make_unique<ForkserverClient>(opts);
-  run.result = run.client->RunTest(static_cast<uint32_t>(scenario), Entries(specs), 1);
+  WritePlan(dir, specs);
+  run.result = run.client->RunTest(static_cast<uint32_t>(scenario), 1);
   return run;
 }
 
@@ -1168,7 +1247,7 @@ TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
       std::string error;
       ASSERT_TRUE(client->EnsureServer(error)) << error;
       start = obs::NowNs();
-      result = client->RunTest(3, {}, 1);
+      result = client->RunTest(3, 1);
     }
     const uint64_t elapsed_ns = obs::NowNs() - start;
     ASSERT_TRUE(result.started) << result.error;
@@ -1181,7 +1260,7 @@ TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
     if (mode == ExecMode::kPersistent) {
       // The SIGKILL ended only the child: the same server forks a new one,
       // which stays live for the next iteration.
-      ProcessResult next = client->RunTest(1, {}, 2);
+      ProcessResult next = client->RunTest(1, 2);
       ASSERT_TRUE(next.started) << next.error;
       EXPECT_EQ(next.output, "fixture alive\n");
       EXPECT_EQ(client->restarts(), 0u);
@@ -1285,14 +1364,19 @@ TEST(ExecFdTest, ConcurrentSpawnsAndServersHoldOnlyTheirOwnPipes) {
 // campaign produces byte-identical records in all three modes.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> CampaignRecords(ExecMode mode, const std::string& dir,
-                                         size_t budget) {
-  RealTargetConfig config = WalutilConfig(dir);
-  config.exec_mode = mode;
+constexpr ExecMode kAllModes[] = {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent};
+
+std::string ModeLabel(ExecMode mode) {
+  return "exec mode " + std::to_string(static_cast<int>(mode));
+}
+
+// The serialized records of a seeded fitness campaign of `budget` tests over
+// `space`, run through a fresh harness for `config` (its exec mode included).
+std::vector<std::string> CampaignRecords(const RealTargetConfig& config, const FaultSpace& space,
+                                         uint64_t seed, size_t budget) {
   RealTargetHarness harness(config);
-  FaultSpace space = harness.MakeSpace(/*max_call=*/6);
   FitnessExplorerConfig explorer_config;
-  explorer_config.seed = 23;
+  explorer_config.seed = seed;
   FitnessExplorer explorer(space, explorer_config);
   ExplorationSession session(explorer, harness, space, SessionConfig{});
   session.Run(SearchTarget{.max_tests = budget});
@@ -1303,21 +1387,56 @@ std::vector<std::string> CampaignRecords(ExecMode mode, const std::string& dir,
   return serialized;
 }
 
-TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
-  const size_t budget = 30;
-  std::vector<std::string> spawn =
-      CampaignRecords(ExecMode::kSpawn, TempDir("eq_spawn"), budget);
-  std::vector<std::string> forkserver =
-      CampaignRecords(ExecMode::kForkserver, TempDir("eq_fs"), budget);
-  std::vector<std::string> persistent =
-      CampaignRecords(ExecMode::kPersistent, TempDir("eq_pers"), budget);
-  ASSERT_EQ(spawn.size(), budget);
-  ASSERT_EQ(forkserver.size(), budget);
-  ASSERT_EQ(persistent.size(), budget);
-  for (size_t i = 0; i < budget; ++i) {
-    EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
-    EXPECT_EQ(spawn[i], persistent[i]) << "spawn vs persistent, record " << i;
+// Runs that campaign in each of `modes` (spawn first) and expects every
+// mode to give `budget` records, each equal to spawn's; returns spawn's.
+std::vector<std::string> ExpectRecordsEqualAcrossModes(
+    RealTargetConfig config, const FaultSpace& space, uint64_t seed, size_t budget,
+    std::span<const ExecMode> modes = kAllModes) {
+  std::vector<std::string> spawn;
+  for (ExecMode mode : modes) {
+    config.exec_mode = mode;
+    const std::vector<std::string> records = CampaignRecords(config, space, seed, budget);
+    EXPECT_EQ(records.size(), budget) << ModeLabel(mode);
+    if (mode == ExecMode::kSpawn) {
+      spawn = records;
+      continue;
+    }
+    for (size_t i = 0; i < std::min(spawn.size(), records.size()); ++i) {
+      EXPECT_EQ(spawn[i], records[i]) << "spawn vs " << ModeLabel(mode) << ", record " << i;
+    }
   }
+  return spawn;
+}
+
+TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
+  const RealTargetConfig config = WalutilConfig(TempDir("eq"));
+  ExpectRecordsEqualAcrossModes(config, RealTargetHarness(config).MakeSpace(/*max_call=*/6),
+                                /*seed=*/23, /*budget=*/30);
+}
+
+TEST(ExecModeEquivalenceTest, ExecedImageArmsThePlanInEveryMode) {
+  // A start script that exec()s the target, the way a node manager starts
+  // the system under test: the shell's image arms the plan, then walutil's
+  // image arms it again and fires it, in the server modes as in spawn.
+  const std::string dir = TempDir("exec_wrapper");
+  const std::string script = dir + "/wrap.sh";
+  std::ofstream(script) << "#!/bin/sh\nexec " << AFEX_WALUTIL_PATH << " \"$1\"\n";
+  fs::permissions(script, fs::perms::owner_exec, fs::perm_options::add);
+  RealTargetConfig config = WalutilConfig(dir + "/work");
+  config.target_argv = {script, "{test}"};
+  const FaultSpace space({Axis::MakeInterval("test", 1, 1), Axis::MakeSet("function", {"open"}),
+                          Axis::MakeInterval("call", 1, 3)},
+                         "real:wrap");
+  const std::vector<std::string> spawn =
+      ExpectRecordsEqualAcrossModes(config, space, /*seed=*/23, /*budget=*/3);
+  // Open #1 is the shell's own (it cannot open the script); #2 and #3 are
+  // walutil's, and fail it.
+  size_t walutil_fired = 0;
+  for (const std::string& record : spawn) {
+    EXPECT_NE(record.find("trig=1"), std::string::npos) << record;
+    walutil_fired += record.find("detail=walutil") != std::string::npos ? 1 : 0;
+  }
+  EXPECT_EQ(walutil_fired, 2u);
 }
 
 // Serialized outcomes of every point of `space` (test-major order), run in
@@ -1694,41 +1813,16 @@ TEST(TwoPhaseHarnessTest, SandboxRecycledAfterRecoveryAndVerify) {
   }
 }
 
-// Spawn and forkserver must stay record-identical with the storage-failure
-// axes in play — kills, torn writes, dropped syncs and all.
-std::vector<std::string> TxengineRecords(ExecMode mode, const std::string& dir,
-                                         size_t budget) {
-  RealTargetConfig config = TxengineConfig(dir);
-  config.exec_mode = mode;
-  RealTargetHarness harness(config);
-  FaultSpace space = TxengineSpace(/*max_call=*/12);
-  FitnessExplorerConfig explorer_config;
-  explorer_config.seed = 41;
-  FitnessExplorer explorer(space, explorer_config);
-  ExplorationSession session(explorer, harness, space, SessionConfig{});
-  session.Run(SearchTarget{.max_tests = budget});
-  std::vector<std::string> serialized;
-  for (const SessionRecord& record : session.result().records) {
-    serialized.push_back(SerializeRecord(record));
-  }
-  return serialized;
-}
-
 TEST(TwoPhaseHarnessTest, StorageFaultCampaignRecordIdenticalAcrossExecModes) {
-  const size_t budget = 24;
-  std::vector<std::string> spawn =
-      TxengineRecords(ExecMode::kSpawn, TempDir("tx_eq_spawn"), budget);
-  std::vector<std::string> forkserver =
-      TxengineRecords(ExecMode::kForkserver, TempDir("tx_eq_fs"), budget);
-  ASSERT_EQ(spawn.size(), budget);
-  ASSERT_EQ(forkserver.size(), budget);
-  for (size_t i = 0; i < budget; ++i) {
-    EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
-  }
+  // Spawn and forkserver must stay record-identical with the storage-failure
+  // axes in play — kills, torn writes, dropped syncs and all.
+  constexpr ExecMode kModes[] = {ExecMode::kSpawn, ExecMode::kForkserver};
+  ExpectRecordsEqualAcrossModes(TxengineConfig(TempDir("tx_eq")), TxengineSpace(/*max_call=*/12),
+                                /*seed=*/41, /*budget=*/24, kModes);
 }
 
 // ---------------------------------------------------------------------------
-// FeedbackBlock v2: hostile decoding. The block is parent-trusted input
+// FeedbackBlock: hostile decoding. The block is parent-trusted input
 // written by an arbitrary (possibly crashed, possibly malicious) child —
 // every malformed shape must land in its distinct FeedbackReadStatus.
 // ---------------------------------------------------------------------------
@@ -1853,9 +1947,10 @@ TEST(FeedbackHealthCounterTest, ZeroedBlockCountsBadMagic) {
 TEST(FeedbackHealthCounterTest, FutureVersionCountsVersionSkew) {
   // Patch the version field to kFeedbackVersion+1 after the interposer
   // stamped it; the parent must refuse the block it cannot decode.
+  static_assert(kFeedbackVersion + 1 < 8, "one octal digit");
   std::string script =
-      "exec env LD_PRELOAD= /bin/sh -c 'printf \"\\003\\000\\000\\000\" | "
-      "dd of=\"$AFEX_FEEDBACK\" bs=1 seek=" +
+      "exec env LD_PRELOAD= /bin/sh -c 'printf \"\\00" + std::to_string(kFeedbackVersion + 1) +
+      "\\000\\000\\000\" | dd of=\"$AFEX_FEEDBACK\" bs=1 seek=" +
       std::to_string(offsetof(FeedbackBlock, version)) + " conv=notrunc status=none'";
   obs::MetricsSnapshot snapshot = RunShellTarget("health_skew", script);
   EXPECT_EQ(CounterValue(snapshot, "real.feedback_version"), 1u);
@@ -1929,12 +2024,6 @@ TEST(FeedbackHealthCounterTest, HostileEdgeBlockIsClampedNotTrusted) {
 // cannot fire is answered from it without starting a process. Every answer
 // must be the record a live run would have produced.
 // ---------------------------------------------------------------------------
-
-constexpr ExecMode kAllModes[] = {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent};
-
-std::string ModeLabel(ExecMode mode) {
-  return "exec mode " + std::to_string(static_cast<int>(mode));
-}
 
 // Every point of `space` in enumeration order.
 std::vector<Fault> AllPoints(const FaultSpace& space) {
@@ -2363,43 +2452,14 @@ TEST(SancovCoverageTest, UninstrumentedTargetCountsEdgesMissing) {
   EXPECT_EQ(CounterValue(snapshot, "real.edges_missing"), 1u);
 }
 
-// Edge-fed records must be identical across spawn, forkserver, and
-// persistent execution — cumulative sancov counters plus the child-side
-// seen-bitmap make persistent iterations report exactly what a fresh spawn
-// would.
-std::vector<std::string> EdgeCampaignRecords(ExecMode mode, const std::string& dir,
-                                             size_t budget) {
-  RealTargetConfig config = WalutilCovConfig(dir);
-  config.exec_mode = mode;
-  RealTargetHarness harness(config);
-  FaultSpace space = harness.MakeSpace(/*max_call=*/6);
-  FitnessExplorerConfig explorer_config;
-  explorer_config.seed = 23;
-  FitnessExplorer explorer(space, explorer_config);
-  ExplorationSession session(explorer, harness, space, SessionConfig{});
-  session.Run(SearchTarget{.max_tests = budget});
-  std::vector<std::string> serialized;
-  for (const SessionRecord& record : session.result().records) {
-    serialized.push_back(SerializeRecord(record));
-  }
-  return serialized;
-}
-
 TEST(SancovCoverageTest, EdgeFedCampaignRecordIdenticalAcrossExecModes) {
-  const size_t budget = 30;
-  std::vector<std::string> spawn =
-      EdgeCampaignRecords(ExecMode::kSpawn, TempDir("sancov_eq_spawn"), budget);
-  std::vector<std::string> forkserver =
-      EdgeCampaignRecords(ExecMode::kForkserver, TempDir("sancov_eq_fs"), budget);
-  std::vector<std::string> persistent =
-      EdgeCampaignRecords(ExecMode::kPersistent, TempDir("sancov_eq_pers"), budget);
-  ASSERT_EQ(spawn.size(), budget);
-  ASSERT_EQ(forkserver.size(), budget);
-  ASSERT_EQ(persistent.size(), budget);
-  for (size_t i = 0; i < budget; ++i) {
-    EXPECT_EQ(spawn[i], forkserver[i]) << "spawn vs forkserver, record " << i;
-    EXPECT_EQ(spawn[i], persistent[i]) << "spawn vs persistent, record " << i;
-  }
+  // Edge-fed records must be identical across spawn, forkserver, and
+  // persistent execution — cumulative sancov counters plus the child-side
+  // seen-bitmap make persistent iterations report exactly what a fresh spawn
+  // would.
+  const RealTargetConfig config = WalutilCovConfig(TempDir("sancov_eq"));
+  ExpectRecordsEqualAcrossModes(config, RealTargetHarness(config).MakeSpace(/*max_call=*/6),
+                                /*seed=*/23, /*budget=*/30);
 }
 
 TEST(SancovCoverageTest, AnsweredEdgeOutcomesEqualLiveRuns) {
