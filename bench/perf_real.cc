@@ -1,21 +1,21 @@
 // Real-backend execution-mode benchmark: times identical seeded fitness
 // campaigns against the sample real targets in each exec mode —
 //
-//   spawn      — fork+exec per test,
-//   forkserver — one target process stopped pre-main, one bare fork per
-//                test, the plan armed from the feedback block and the
-//                test started over a pipe, and
-//   persistent — the same server, whose child re-runs walutil's entry
-//                function in-process via the afex_persistent_run hook
-//                until exit() or a crash ends it and the next test forks
-//                a new one.
+//   spawn      — fork+exec per test, and
+//   persistent — one target process stopped pre-main, one bare fork per
+//                test, the plan armed from the feedback block and the test
+//                started over a pipe; walutil's child re-runs its entry
+//                function in-process via the afex_persistent_run hook until
+//                exit() or a crash ends it and the next test forks a new
+//                one, while txengine, which never calls the hook, runs one
+//                test per child.
 //
-// Two campaigns are timed, each cell built from a Recipe (the definition
-// afex_cli wires campaigns from): walutil over its default space in all
-// three modes, and txengine's two-phase crash→recover→verify campaign over
-// recovery_smoke's storage-failure space in spawn and forkserver mode. Each two-phase test
-// runs the workload in the chosen mode plus two plain spawned processes
-// (recover, verify), so those cells carry real.recovery_run/real.verify.
+// Two campaigns are timed in both modes, each cell built from a Recipe (the
+// definition afex_cli wires campaigns from): walutil over its default
+// space, and txengine's two-phase crash→recover→verify campaign over
+// recovery_smoke's storage-failure space. Each two-phase test runs the
+// workload in the chosen mode plus two plain spawned processes (recover,
+// verify), so those cells carry real.recovery_run/real.verify.
 //
 // Within a campaign every mode must produce the identical record sequence
 // (checked with DigestRecords, the digest perf_sim uses) — the run
@@ -34,7 +34,6 @@
 #include <fstream>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench/host_info.h"
 #include "campaign/recipe.h"
@@ -116,7 +115,7 @@ struct CoverageCell {
 
 CoverageCell RunCoverageCell(bool use_edges, size_t budget, uint64_t seed) {
   Recipe recipe = CellRecipe(AFEX_WALUTIL_COV_PATH " {test}", seed);
-  recipe.exec_mode = "forkserver";
+  recipe.exec_mode = "persistent";
   recipe.max_call = 6;
   recipe.coverage = use_edges ? "edges" : "proxy";
   obs::CampaignTelemetry telemetry;
@@ -156,25 +155,22 @@ constexpr char kTxengineStorageSpace[] =
     "txstorage\ntest : [1,1]\nfunction : { write, fsync, rename }\ncall : [1,40]\n"
     "retval : [20,20]\nmode : { kill_at, short_write, drop_sync, crash_after_rename }\n;\n";
 
-// Runs `recipe` once per exec mode (the first is the baseline every other
-// mode must match record for record), prints one line per mode, and writes
-// one JSON object per mode into `out`. speedups[i] is modes[i]'s over
-// modes[0]. Returns false when a mode's records diverged from the
-// baseline's.
-bool RunModes(Recipe recipe, const std::vector<const char*>& modes, size_t budget,
-              std::ofstream& out, std::vector<double>& speedups) {
+// Runs `recipe` in spawn mode, the baseline, and in persistent mode, which
+// must match it record for record; prints one line per mode and writes one
+// JSON object per mode into `out`. `speedup` is persistent's over spawn.
+// Returns false when the persistent records diverged from spawn's.
+bool RunModes(Recipe recipe, size_t budget, std::ofstream& out, double& speedup) {
+  constexpr const char* kModes[] = {"spawn", "persistent"};
   ModeResult baseline;
-  bool all_equivalent = true;
-  speedups.clear();
-  for (size_t i = 0; i < modes.size(); ++i) {
-    const char* mode = modes[i];
+  bool equivalent = true;
+  for (size_t i = 0; i < 2; ++i) {
+    const char* mode = kModes[i];
     std::printf("%-11s ", mode);
     std::fflush(stdout);
     obs::CampaignTelemetry telemetry;
     recipe.exec_mode = mode;
     ModeResult result = RunRecipe(recipe, budget, telemetry);
-    bool equivalent = true;
-    double speedup = 1.0;
+    speedup = 1.0;
     if (i == 0) {
       baseline = result;
     } else {
@@ -182,14 +178,12 @@ bool RunModes(Recipe recipe, const std::vector<const char*>& modes, size_t budge
       equivalent = result.record_digest == baseline.record_digest &&
                    result.tests == baseline.tests && result.crashes == baseline.crashes &&
                    result.clusters == baseline.clusters;
-      all_equivalent = all_equivalent && equivalent;
     }
-    speedups.push_back(speedup);
     std::printf("%8.0f tests/s  (%.3fs, %zu crashes, %zu clusters)  speedup %5.2fx%s\n",
                 result.tests_per_sec, result.seconds, result.crashes, result.clusters,
                 speedup, equivalent ? "" : "  [RECORDS DIVERGED]");
     if (!equivalent) {
-      std::fprintf(stderr, "FATAL: %s mode diverged from %s-mode records\n", mode, modes[0]);
+      std::fprintf(stderr, "FATAL: persistent mode diverged from spawn-mode records\n");
     }
     if (i > 0) {
       out << ",\n";
@@ -210,7 +204,7 @@ bool RunModes(Recipe recipe, const std::vector<const char*>& modes, size_t budge
     telemetry.Snapshot().WriteJson(out, 3);
     out << "\n    }";
   }
-  return all_equivalent;
+  return equivalent;
 }
 
 }  // namespace
@@ -256,13 +250,10 @@ int main(int argc, char** argv) {
          "\"feedback\": true, \"budget\": "
       << budget << ", \"num_tests\": 6, \"max_call\": 6, \"seed\": " << seed << "},\n";
   out << "  \"results\": {\n";
-  std::vector<double> speedups;
   Recipe walutil = CellRecipe(AFEX_WALUTIL_PATH " {test}", seed);
   walutil.max_call = 6;
-  bool all_equivalent =
-      RunModes(walutil, {"spawn", "forkserver", "persistent"}, budget, out, speedups);
-  const double fs_speedup = speedups[1];
-  const double persistent_speedup = speedups[2];
+  double persistent_speedup = 0.0;
+  bool all_equivalent = RunModes(walutil, budget, out, persistent_speedup);
   out << "\n  },\n";
 
   std::printf("two-phase txengine (budget %zu):\n", two_phase_budget);
@@ -273,10 +264,9 @@ int main(int argc, char** argv) {
   txengine.recovery_cmd = AFEX_TXENGINE_PATH " recover";
   txengine.verify_cmd = AFEX_TXENGINE_PATH " verify";
   txengine.space = kTxengineStorageSpace;
+  double two_phase_persistent_speedup = 0.0;
   all_equivalent =
-      RunModes(txengine, {"spawn", "forkserver"}, two_phase_budget, out, speedups) &&
-      all_equivalent;
-  const double two_phase_fs_speedup = speedups[1];
+      RunModes(txengine, two_phase_budget, out, two_phase_persistent_speedup) && all_equivalent;
   out << "\n  },\n";
 #ifdef AFEX_WALUTIL_COV_PATH
   {
@@ -310,16 +300,14 @@ int main(int argc, char** argv) {
   {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "  \"headline\": {\"forkserver_speedup\": %.2f, "
-                  "\"persistent_speedup\": %.2f, \"two_phase_forkserver_speedup\": %.2f, "
-                  "\"budget\": %zu},\n",
-                  fs_speedup, persistent_speedup, two_phase_fs_speedup, budget);
+                  "  \"headline\": {\"persistent_speedup\": %.2f, "
+                  "\"two_phase_persistent_speedup\": %.2f, \"budget\": %zu},\n",
+                  persistent_speedup, two_phase_persistent_speedup, budget);
     out << buf;
   }
   out << "  \"all_modes_equivalent\": " << (all_equivalent ? "true" : "false") << "\n}\n";
   out.close();
-  std::printf("\nheadline: forkserver %.2fx, persistent %.2fx over spawn; two-phase "
-              "forkserver %.2fx -> %s\n",
-              fs_speedup, persistent_speedup, two_phase_fs_speedup, out_path.c_str());
+  std::printf("\nheadline: persistent %.2fx over spawn; two-phase persistent %.2fx -> %s\n",
+              persistent_speedup, two_phase_persistent_speedup, out_path.c_str());
   return all_equivalent ? 0 : 1;
 }

@@ -58,8 +58,8 @@ const Flag kFlags[] = {
      Scope::kReal, &Recipe::recovery_cmd},
     {"verify-cmd", "'BIN ARGS...'", "checks invariants after recovery; exit != 0 marks inv=1",
      Scope::kReal, &Recipe::verify_cmd},
-    {"exec-mode", "<spawn|forkserver|persistent>",
-     "fork+exec per test, a pre-main fork server, or afex_persistent_run iterations",
+    {"exec-mode", "<spawn|persistent>",
+     "fork+exec per test, or a pre-main fork server (afex_persistent_run iterations)",
      Scope::kReal, &Recipe::exec_mode},
     {"coverage", "<auto|proxy|edges>",
      "fitness signal: libc-call proxy, sancov edges, or edges if analysis finds them",
@@ -159,6 +159,9 @@ const Flag& Apply(Recipe& recipe, std::string_view arg, bool file_values) {
       continue;
     }
     std::string value(eq == arg.npos ? "" : arg.substr(eq + 1));
+    if (spelling == "--exec-mode" && value == "forkserver") {
+      value = "persistent";  // the retired server mode, still named by v4 journals
+    }
     if (flag.description && file_values) {
       std::ifstream in(value);
       if (!in) {
@@ -259,9 +262,8 @@ exec::RealTargetConfig RealConfig(const Recipe& r, std::string interposer,
   }
   config.num_tests = r.num_tests;
   config.timeout_ms = r.timeout_ms;
-  config.exec_mode = r.exec_mode == "forkserver"   ? exec::ExecMode::kForkserver
-                     : r.exec_mode == "persistent" ? exec::ExecMode::kPersistent
-                                                   : exec::ExecMode::kSpawn;
+  config.exec_mode =
+      r.exec_mode == "persistent" ? exec::ExecMode::kPersistent : exec::ExecMode::kSpawn;
   // The interposer: as given, else $AFEX_INTERPOSE, else the build tree's
   // copy relative to this executable.
   std::error_code ec;

@@ -43,7 +43,7 @@ struct Recipe {
   std::string target_cmd;
   std::string recovery_cmd;  // two-phase crash→recover→verify
   std::string verify_cmd;
-  std::string exec_mode = "spawn";  // spawn | forkserver | persistent
+  std::string exec_mode = "spawn";  // spawn | persistent
   std::string coverage = "auto";    // auto | proxy | edges
   uint64_t timeout_ms = 5000;
   uint64_t num_tests = 6;  // real test-axis cardinality

@@ -1,10 +1,10 @@
 // The fault plan's one format and one channel. The parent encodes a test's
 // specs into fixed-size FsPlanEntry records (exec/feedback_block.h) once and
 // writes them into the test's feedback block before the test runs: a fresh
-// block in spawn mode, the plan region of the mapped block in the server
-// modes. The LD_PRELOADed interposer's ArmPlans is the only routine that
+// block in spawn mode, the plan region of the mapped block in persistent
+// mode. The LD_PRELOADed interposer's ArmPlans is the only routine that
 // arms them, and it reads them only from the block: in a spawned process
-// and in every image a target exec()s (its constructor), in the forkserver
+// and in every image a target exec()s (its constructor), in the server
 // before each fork, and in a persistent child before each iteration. A plan
 // is written and read within one test by code built from the same tree, so
 // it carries no version. Zero entries is a valid plan (run without

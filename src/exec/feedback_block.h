@@ -132,7 +132,7 @@ struct FeedbackBlock {
   uint64_t first_injected_call = 0;
   // Slot of the first injected call (valid when first_injected_call > 0).
   uint32_t first_injected_slot = 0;
-  // Forkserver/persistent modes: stamp of the test this block was armed
+  // Persistent mode: stamp of the test this block was armed
   // for, written by the server when it resets the block before each child
   // or iteration. The client checks it after the test so a crashed child's
   // stale counts can never be attributed to the next test. Spawn mode
@@ -176,7 +176,7 @@ struct FeedbackBlock {
 // magic) whose plan region holds `plan` — spawn mode's block per test.
 bool CreateFeedbackFile(const char* path, std::span<const FsPlanEntry> plan = {});
 // Rewrites the plan region of the feedback file open at `fd` with one
-// pwrite and no truncation: the server modes' per-test plan, written while
+// pwrite and no truncation: persistent mode's per-test plan, written while
 // the server (and a live persistent child) keep the file mapped.
 bool WriteFeedbackPlan(int fd, std::span<const FsPlanEntry> plan);
 

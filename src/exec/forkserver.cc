@@ -84,8 +84,7 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   }
 
   std::vector<std::pair<std::string, std::string>> env = options_.env;
-  env.emplace_back(kForkserverEnvVar, options_.persistent ? kForkserverEnvPersistent
-                                                          : kForkserverEnvFork);
+  env.emplace_back(kForkserverEnvVar, kForkserverEnvServe);
   std::vector<std::string> env_strings = MaterializeEnv(env, options_.preload);
   std::vector<char*> envp;
   envp.reserve(env_strings.size() + 1);
@@ -188,7 +187,10 @@ ForkserverClient::Wait ForkserverClient::WaitMsg(FsMsg& msg, uint64_t deadline_n
       continue;
     }
     if (n == 0) {
-      return Wait::kDeath;  // EOF: only the server holds the write end
+      // EOF: the server and its live child hold the write end, and the
+      // child dies with the server. A descendant the child fork()ed
+      // without exec() also holds it and delays this until it exits.
+      return Wait::kDeath;
     }
     if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       return Wait::kDeath;

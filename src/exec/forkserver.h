@@ -4,12 +4,12 @@
 // protocol fds, performs the Hello handshake, and then turns each RunTest
 // call into one request. The request carries no plan: the caller has
 // already written it into the feedback block the server maps
-// (exec/fault_plan.h). The server forks a child per test; in persistent
-// mode a child that adopted afex_persistent_run stays live and runs the
-// following requests in-process, until exit(), a crash or a timeout ends it
-// and the next test forks a new one. This is what collapses the real
-// backend's per-test cost from fork+execve+ld.so+libc-init down to a pipe
-// round-trip plus at most a bare fork.
+// (exec/fault_plan.h). The server forks a child per test; a child that
+// adopted afex_persistent_run stays live and runs the following requests
+// in-process, until exit(), a crash or a timeout ends it and the next test
+// forks a new one. This is what collapses the real backend's per-test
+// cost from fork+execve+ld.so+libc-init down to a pipe round-trip plus at
+// most a bare fork.
 //
 // Failure policy, in one sentence: any protocol irregularity — short pipe
 // read, wrong magic, unexpected sequence number, server death — kills the
@@ -51,7 +51,6 @@ struct ForkserverOptions {
   // Extra environment (AFEX_FEEDBACK, ...). AFEX_FORKSERVER is set by the
   // client.
   std::vector<std::pair<std::string, std::string>> env;
-  bool persistent = false;
   uint64_t timeout_ms = 5000;
 };
 
@@ -84,7 +83,7 @@ class ForkserverClient {
   void set_metrics_sink(obs::MetricsSink* sink) { metrics_ = sink; }
 
   // The live child's pid, or -1 when none is (test hook). Between tests only
-  // a persistent child that adopted the hook stays live.
+  // a child that adopted the hook stays live.
   pid_t child_pid() const { return child_pid_; }
   // Respawns after the initial spawn.
   uint64_t restarts() const { return restarts_; }

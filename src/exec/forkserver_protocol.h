@@ -3,11 +3,11 @@
 // side). The client spawns the target once with two inherited pipes dup'd to
 // fixed descriptors (AFL convention: control on 198, status on 199) and sets
 // AFEX_FORKSERVER; the interposer's constructor sees the variable, announces
-// itself with a Hello message, and then serves test requests forever, one
-// forked child per test in both modes. A persistent-mode child keeps the
-// two fds: once its main reaches afex_persistent_run it reads and runs the
-// following requests itself, until it exits or crashes and the server forks
-// the next one.
+// itself with a Hello message, and then serves test requests forever,
+// forking a child per request. Every child keeps the two fds close-on-exec:
+// once its main reaches afex_persistent_run it reads and runs the following
+// requests itself, until it exits or crashes and the server forks the next
+// one. A child whose main never calls the hook runs one test and exits.
 //
 // A request names the test (its sequence number and id) and nothing else:
 // the plan is not on the pipe. The parent writes it into the feedback block
@@ -36,10 +36,9 @@ namespace exec {
 inline constexpr int kForkserverCtlFd = 198;     // server reads requests
 inline constexpr int kForkserverStatusFd = 199;  // server writes messages
 
-// AFEX_FORKSERVER=1 → forkserver; =2 → persistent. Unset/other → plain run.
+// AFEX_FORKSERVER=1 → serve. Unset/other → plain run.
 inline constexpr const char* kForkserverEnvVar = "AFEX_FORKSERVER";
-inline constexpr const char* kForkserverEnvFork = "1";
-inline constexpr const char* kForkserverEnvPersistent = "2";
+inline constexpr const char* kForkserverEnvServe = "1";
 
 // v2 widened FsPlanEntry with the storage-failure fields (kind, param); v3
 // moved persistent iterations into the forked child (no ack, no hello flag);

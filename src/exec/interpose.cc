@@ -12,7 +12,7 @@
 // lives in that block (exec/feedback_block.h): ArmPlans, the one arming
 // routine, copies its valid FsPlanEntry records into a static table in a
 // spawned process and in every image a target exec()s (the constructor),
-// in the forkserver before each fork, and in a persistent child before each
+// in the server before each fork, and in a persistent child before each
 // iteration.
 //
 // Engineering constraints, all consequences of living inside an arbitrary
@@ -37,19 +37,20 @@
 //    Deterministic for sequential trees; concurrent children interleave
 //    ordinals nondeterministically (per-process counting is future work).
 //
-// Execution modes (exec/forkserver_protocol.h): when AFEX_FORKSERVER is set
-// the constructor does not fall through into the target. It announces itself
+// Server mode (exec/forkserver_protocol.h): when AFEX_FORKSERVER=1 the
+// constructor does not fall through into the target. It announces itself
 // on the status pipe and serves tests, forking one pristine child per
 // request (feedback reset and the block's plan armed *before* the fork, so
-// the child starts counting from zero exactly like a spawned process). In
-// persistent mode the child keeps the protocol fds: once the target's main
-// hands its entry function to afex_persistent_run(), the child runs the
-// request it was forked for and then reads and runs further requests
-// in-process, one iteration each, until it exits or crashes and the server
-// forks the next child. The serve loop uses only async-signal-safe
-// primitives (raw g_real_read/g_real_write on fixed fds, fork, waitpid,
-// _exit): it runs before main in an arbitrary target and forks while
-// holding no locks.
+// the child starts counting from zero exactly like a spawned process). The
+// child keeps the protocol fds close-on-exec: once the target's main hands
+// its entry function to afex_persistent_run(), the child runs the request
+// it was forked for and then reads and runs further requests in-process,
+// one iteration each, until it exits or crashes and the server forks the
+// next child. A child that never calls the hook runs one test, like a
+// spawned process, and no image it exec()s sees the fds. The serve loop
+// uses only async-signal-safe primitives (raw g_real_read/g_real_write on
+// fixed fds, fork, waitpid, _exit): it runs before main in an arbitrary
+// target and forks while holding no locks.
 #ifndef _LARGEFILE64_SOURCE
 #define _LARGEFILE64_SOURCE 1  // off64_t / lseek64 for the LP64 alias wrappers
 #endif
@@ -85,6 +86,7 @@ using afex::exec::FsRequest;
 using afex::exec::kFeedbackMagic;
 using afex::exec::kFeedbackVersion;
 using afex::exec::kForkserverCtlFd;
+using afex::exec::kForkserverEnvServe;
 using afex::exec::kForkserverEnvVar;
 using afex::exec::kForkserverProtocolVersion;
 using afex::exec::kForkserverStatusFd;
@@ -498,8 +500,8 @@ void NoteOpen(int fd, int flags) {
 }
 
 // Arms (or disarms) the log for one test and clears all per-test state.
-// Runs from ArmPlans — in forkserver mode in the server, before the fork, so
-// every child starts with an empty log.
+// Runs from ArmPlans — in a server before the fork, so every child starts
+// with an empty log.
 void ResetLog(int active) {
   g_logging = active;
   g_undo_count = 0;
@@ -521,9 +523,9 @@ void MapFeedback() {
 }
 
 // ---------------------------------------------------------------------------
-// Forkserver / persistent serve loop (exec/forkserver_protocol.h).
+// Serve loop (exec/forkserver_protocol.h).
 // ---------------------------------------------------------------------------
-int g_fs_mode = 0;  // 0 = plain run, 1 = forkserver, 2 = persistent
+int g_serving = 0;  // 1 in the server and its children, 0 in a plain run
 int g_argc = 0;     // captured by the constructor (glibc passes main's args
 char** g_argv = nullptr;  // to ELF constructors) for per-child rewriting
 int g_persistent_entered = 0;
@@ -603,9 +605,9 @@ void ResetFeedbackForTest(uint32_t seq) {
   // The per-test edge-hit list is reset; the process-lifetime sancov
   // counters and seen-bitmap are NOT (see the harvest comment: cumulative
   // counters + child-side dedup is what makes exec modes record-equal).
-  // In a forkserver server no region is registered yet (the executable's
-  // initializers only run in the forked children), so these stamp zero and
-  // each child re-stamps at registration time.
+  // In the server no region is registered yet (the executable's initializers
+  // only run in the forked children), so these stamp zero and each child
+  // re-stamps at registration time.
   b->edge_hit_count = 0;
   b->edge_overflow = 0;
   b->edges_supported = g_sancov_start != nullptr ? 1 : 0;
@@ -683,9 +685,9 @@ void ServeForkserver() {
     ArmPlans();
     pid_t pid = fork();
     if (pid == 0) {
-      // Die with the server: a persistent child holds the status pipe's
-      // write end and, outliving it, would keep its death from reading as
-      // EOF on the client side.
+      // Die with the server: the child holds the status pipe's write end
+      // and, outliving it, would keep its death from reading as EOF on the
+      // client side.
       prctl(PR_SET_PDEATHSIG, SIGKILL);
       // The child announces its own pid: written before anything else it
       // sends, so it reaches the client ahead of a persistent child's first
@@ -694,14 +696,9 @@ void ServeForkserver() {
           !SendMsg(FsMsgKind::kChildPid, static_cast<int32_t>(getpid()), g_request.test_seq)) {
         _exit(0);
       }
-      if (g_fs_mode == 2) {
-        // Kept for the iterations, hidden from anything the target execs.
-        fcntl(kForkserverCtlFd, F_SETFD, FD_CLOEXEC);
-        fcntl(kForkserverStatusFd, F_SETFD, FD_CLOEXEC);
-      } else {
-        g_real_close(kForkserverCtlFd);
-        g_real_close(kForkserverStatusFd);
-      }
+      // Kept for the iterations, hidden from anything the target execs.
+      fcntl(kForkserverCtlFd, F_SETFD, FD_CLOEXEC);
+      fcntl(kForkserverStatusFd, F_SETFD, FD_CLOEXEC);
       RewriteArgvForTest(g_request.test_id);
       return;
     }
@@ -759,8 +756,8 @@ __attribute__((constructor)) void AfexInterposeInit(int argc, char** argv,
   g_block->function_count = kInterposedFunctionCount;
   g_block->attached = 1;
   const char* fs = getenv(kForkserverEnvVar);
-  if (fs != nullptr && (fs[0] == '1' || fs[0] == '2') && fs[1] == '\0') {
-    g_fs_mode = fs[0] - '0';
+  if (fs != nullptr && strcmp(fs, kForkserverEnvServe) == 0) {
+    g_serving = 1;
     // Consume the variable before any child exists: a test child that
     // exec()s (sh -c, wrappers) re-runs this constructor in the new image,
     // and a leaked AFEX_FORKSERVER would make it serve the protocol on fds
@@ -1210,7 +1207,7 @@ void afex_sancov_region(void* begin, void* end) {
   g_block->edge_total = g_sancov_full_len;
 }
 
-// The persistent-mode hook (see README "Execution modes"). A target adopts
+// The persistent hook (see README "Execution modes"). A target adopts
 // it by declaring the symbol weak and, early in main, handing over its
 // per-test entry function:
 //
@@ -1220,17 +1217,17 @@ void afex_sancov_region(void* begin, void* end) {
 //     if (rc >= 0) return rc;   // loop ran (or plain preload: rc == -1)
 //   }
 //
-// Returns -1 at once outside a persistent-mode child (plain runs, spawn
-// mode, forkserver children), so adopted targets behave identically there.
-// It also returns -1 when the target already made an interposed call for the
+// Returns -1 at once outside a server child (plain runs, spawn mode, any
+// image a child exec()s), so adopted targets behave identically there. It
+// also returns -1 when the target already made an interposed call for the
 // in-flight test: later iterations would skip that pre-hook call and so
-// shift their ordinals, so the child finishes as a forkserver child, with
-// spawn's records. Otherwise it runs
-// the request the child was forked for, then reads, arms and runs requests
-// itself until the client closes the control pipe, and returns 0. exit()
-// or a crash inside an iteration ends the child, as in forkserver mode.
+// shift their ordinals, so the child runs that one test and exits, with
+// spawn's records. Otherwise it runs the request the child was forked for,
+// then reads, arms and runs requests itself until the client closes the
+// control pipe, and returns 0. exit() or a crash inside an iteration ends
+// the child; the server forks the next one.
 int afex_persistent_run(int (*entry)(int test_id)) {
-  if (g_fs_mode != 2 || g_persistent_entered || entry == nullptr) {
+  if (!g_serving || g_persistent_entered || entry == nullptr) {
     return -1;
   }
   for (uint32_t i = 0; i < kInterposedFunctionCount; ++i) {

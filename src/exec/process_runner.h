@@ -40,7 +40,7 @@ struct ProcessRequest {
 };
 
 // How one test's process ended, in every exec mode: RunProcess (spawn),
-// and ForkserverClient::RunTest (forkserver child or persistent iteration).
+// and ForkserverClient::RunTest (a server child or a persistent iteration).
 struct ProcessResult {
   bool started = false;   // the process (or server round trip) ran
   std::string error;      // why started == false

@@ -42,7 +42,7 @@ std::string FirstLine(const std::string& output) {
 }
 
 // In-place sandbox recycling: unlink the entries, keep the directory — the
-// only option in forkserver/persistent modes, where the server's working
+// only option in persistent mode, where the server's working
 // directory is pinned at exec time. One fd-relative readdir/unlinkat pass
 // (a subdirectory falls back to remove_all); returns whether the directory
 // ended empty, which is the harness's recycling invariant.
@@ -263,7 +263,6 @@ bool RealTargetHarness::EnsureForkserver(std::string& why) {
   opts.working_dir = sandbox_dir_;
   opts.preload = config_.interposer_path;
   opts.env = {{"AFEX_FEEDBACK", feedback_path_}};
-  opts.persistent = config_.exec_mode == ExecMode::kPersistent;
   opts.timeout_ms = config_.timeout_ms;
   forkserver_ = std::make_unique<ForkserverClient>(std::move(opts));
   forkserver_->set_metrics_sink(metrics_);
@@ -433,8 +432,8 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       }
     }
   } else {
-    // ---- forkserver / persistent: the plan into the mapped block, then
-    // one pipe round-trip per test ----
+    // ---- persistent: the plan into the mapped block, then one pipe
+    // round-trip per test ----
     std::string why;
     if (!EnsureForkserver(why)) {
       outcome.test_failed = true;
@@ -498,7 +497,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       Count("real.feedback_version");
       break;
   }
-  // In fs modes the server stamps test_seq before every fork/iteration; a
+  // In persistent mode the server stamps test_seq before every fork/iteration; a
   // mismatch means the block was never re-armed for this test (server died
   // between reset and run) and its counts belong to an earlier test —
   // attributing them here would fabricate coverage/trigger signal.

@@ -6,9 +6,9 @@
 // sim backend uses (the libc profile names real functions, so the fault
 // space vocabulary transfers verbatim), encodes the fault plan once
 // (exec/fault_plan.h) and writes it into the feedback block (spawn: a fresh
-// file per test; forkserver/persistent: the plan region of the block the
-// server maps), runs the target under LD_PRELOAD in a recycled scratch
-// sandbox (process_runner or the forkserver client, both reporting an
+// file per test; persistent: the plan region of the block the server
+// maps), runs the target under LD_PRELOAD in a recycled scratch sandbox
+// (process_runner or the forkserver client, both reporting an
 // exec::ProcessResult), reads the feedback block back, and translates it
 // into a TestOutcome: per-function call profiles become
 // black-box "coverage" (one block per profiled libc function), injected-
@@ -70,15 +70,15 @@ namespace exec {
 class ForkserverClient;
 
 // How each test becomes a process (README "Execution modes"):
-//   kSpawn      — fork+exec the target per test (the PR-5 baseline).
-//   kForkserver — one long-lived target stopped pre-main; fork per test.
-//   kPersistent — same server, but a child whose main adopts
-//                 afex_persistent_run re-runs the target's entry function
-//                 in-process until exit(), a crash or a timeout ends it;
-//                 a target that never adopts the hook runs as kForkserver.
-// All three produce record-identical campaigns for well-behaved targets;
-// they differ only in per-test cost.
-enum class ExecMode { kSpawn, kForkserver, kPersistent };
+//   kSpawn      — fork+exec the target per test, the reference mode.
+//   kPersistent — one long-lived target stopped pre-main forks a child per
+//                 test; a child whose main adopts afex_persistent_run
+//                 re-runs the target's entry function in-process until
+//                 exit(), a crash or a timeout ends it, and a child that
+//                 never adopts the hook runs one test and exits.
+// Both produce record-identical campaigns for well-behaved targets; they
+// differ only in per-test cost.
+enum class ExecMode { kSpawn, kPersistent };
 
 // Coverage block ids for the edge signal start here, above the libc-proxy
 // slot ids (0..kInterposedFunctionCount-1): an edge id E becomes block
@@ -118,9 +118,9 @@ struct RealTargetConfig {
   // (`verify_argv`) in the workload's sandbox — no interposer, no fault
   // plan — and folds the results into the same TestOutcome
   // (recovery_failed / invariant_violated). "{test}" substitutes in both;
-  // neither gets an id appended. Verify runs after every test, even a cleanly exited
-  // workload: silent corruption is exactly the case where only the
-  // verifier notices.
+  // neither gets an id appended. Verify runs after every test, even a
+  // cleanly exited workload: silent corruption is exactly the case where
+  // only the verifier notices.
   std::vector<std::string> recovery_argv;
   std::vector<std::string> verify_argv;
   // Function axis for MakeSpace. Empty = InterposableFunctions().
@@ -172,7 +172,7 @@ class RealTargetHarness : public TargetBackend {
   size_t tests_answered() const override { return tests_answered_; }
   size_t crash_states_answered() const override { return crash_states_answered_; }
   // Sub-phase timing (spawn: real.plan_write / fork_exec / child_wait;
-  // forkserver/persistent: real.fs_roundtrip / fs_restart; all modes:
+  // persistent: real.fs_roundtrip / fs_restart; both modes:
   // feedback_read / scratch_cleanup, plus state_digest / recovery_run /
   // verify when the two-phase commands are configured; real.noop_answer
   // for answered tests) plus outcome-breakdown, real.noop_* and
@@ -181,8 +181,8 @@ class RealTargetHarness : public TargetBackend {
 
   const RealTargetConfig& config() const { return config_; }
   const CoverageAccumulator& coverage() const { return coverage_; }
-  // The long-lived server client, once the first forkserver/persistent
-  // test has run (null in spawn mode). Exposed for tests.
+  // The long-lived server client, once the first persistent-mode test has
+  // run (null in spawn mode). Exposed for tests.
   ForkserverClient* forkserver() { return forkserver_.get(); }
 
  private:
@@ -252,9 +252,9 @@ class RealTargetHarness : public TargetBackend {
   std::string instance_dir_;
   std::string sandbox_dir_;
   std::string feedback_path_;
-  int feedback_fd_ = -1;  // server modes: the mapped block, open for plan writes
+  int feedback_fd_ = -1;  // persistent: the mapped block, open for plan writes
   std::unique_ptr<ForkserverClient> forkserver_;
-  uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (fs modes)
+  uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (persistent)
   CoverageAccumulator coverage_;
   // Edge-signal bookkeeping (use_edges): distinct edges merged so far
   // (drives the real.edges_total gauge) and whether the target's region

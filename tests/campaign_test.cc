@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -763,6 +764,31 @@ TEST(RecipeTest, PreRecipeJournalParsesAndResumesFromFullFlags) {
   // The rewritten header is the resumed campaign's: v4, with its recipe.
   EXPECT_EQ(CampaignStore::Open(path).meta().version, kCampaignFormatVersion);
   EXPECT_EQ(CampaignStore::Open(path).meta().recipe, Recipe::FromArgs(flags).ToArgs());
+}
+
+TEST(RecipeTest, RetiredForkserverModeResumesAsPersistent) {
+  // A v4 journal may name the retired forkserver exec mode: it resumes from
+  // the journal alone, in persistent mode, and the new spelling is no
+  // conflict. Build starts no process, so this test binary stands in for
+  // the target and the interposer.
+  const std::string self = std::filesystem::read_symlink("/proc/self/exe").string();
+  const std::vector<std::string> journaled = {"--backend=real", "--target-cmd=" + self,
+                                              "--exec-mode=forkserver"};
+  const Recipe stored = Recipe::FromArgs(journaled, /*files_inline=*/true);
+  EXPECT_EQ(stored.ToArgs(), (std::vector<std::string>{journaled[0], journaled[1],
+                                                       "--exec-mode=persistent"}));
+  CampaignMeta meta = stored.Build(self, nullptr)->meta;
+  meta.recipe = journaled;
+  const std::string path = TempPath("forkserver.afexj");
+  CampaignStore::Create(path, meta);
+
+  CampaignStore store = CampaignStore::Open(path);
+  const Recipe resumed = Recipe::Resume(Recipe::FromArgs(store.meta().recipe, true),
+                                        {"--exec-mode=persistent", "--budget=600"});
+  store.Verify(resumed.Build(self, nullptr)->meta);
+  store.CommitResume(0);
+  EXPECT_EQ(CampaignStore::Open(path).meta().recipe, resumed.ToArgs());
+  EXPECT_EQ(resumed.exec_mode, "persistent");
 }
 
 }  // namespace

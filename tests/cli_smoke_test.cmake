@@ -106,11 +106,11 @@ expect_cli_error("--interposer '.*' does not exist"
   "--interposer=${CMAKE_CURRENT_BINARY_DIR}/no_such_interposer.so")
 expect_cli_error("--auto-space only applies to --backend=real"
   --target=minidb --budget=5 --auto-space)
-expect_cli_error("--exec-mode expects 'spawn', 'forkserver', or 'persistent'"
+expect_cli_error("--exec-mode expects 'spawn' or 'persistent'"
   --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" "--interposer=${AFEX_INTERPOSER}"
   --budget=5 --exec-mode=turbo)
 expect_cli_error("--exec-mode only applies to --backend=real"
-  --target=minidb --budget=5 --exec-mode=forkserver)
+  --target=minidb --budget=5 --exec-mode=persistent)
 set(space_file "${CMAKE_CURRENT_BINARY_DIR}/smoke_space.afex")
 file(WRITE "${space_file}" "real\ntest : [1,2]\nfunction : { read, write }\ncall : [1,2]\n;\n")
 expect_cli_error("conflicts with --space"
@@ -169,11 +169,11 @@ if(NOT real_leg2 MATCHES "executed 25 tests")
 endif()
 message(STATUS "real-backend campaign: injected site journaled, kill-and-resume ok")
 
-# --- exec modes: determinism across spawn / forkserver / persistent ---------
-# The tentpole's equivalence acceptance, end to end through the CLI: the
-# same seeded campaign — including a kill-and-resume under --jobs=2 — must
-# export byte-identical records in every exec mode.
-foreach(mode spawn forkserver persistent)
+# --- exec modes: determinism across spawn / persistent ----------------------
+# Exec-mode equivalence end to end through the CLI: the same seeded
+# campaign — including a kill-and-resume under --jobs=2 — must export
+# byte-identical records in both exec modes.
+foreach(mode spawn persistent)
   set(journal "${CMAKE_CURRENT_BINARY_DIR}/smoke_mode_${mode}.afexj")
   set(mode_export "${CMAKE_CURRENT_BINARY_DIR}/smoke_mode_${mode}.csv")
   file(REMOVE "${journal}" "${mode_export}")
@@ -197,7 +197,7 @@ foreach(mode spawn forkserver persistent)
   endif()
 endforeach()
 message(STATUS
-  "exec modes: spawn/forkserver/persistent kill-and-resume under --jobs=2 record-identical")
+  "exec modes: spawn/persistent kill-and-resume under --jobs=2 record-identical")
 
 # --- telemetry flag validation ----------------------------------------------
 expect_cli_error("--log-level expects debug.info.warn.error.off"
@@ -316,42 +316,42 @@ if(trace_events EQUAL 0)
 endif()
 message(STATUS "real telemetry: sub-phase timers and outcome counters populated")
 
-# --- telemetry: forkserver mode ---------------------------------------------
-# Forkserver campaigns time the pipe round-trip instead of the spawn-mode
-# per-test phases: real.fs_roundtrip must cover every test, and the phases
-# whose cost the forkserver eliminates (plan_write/fork_exec/child_wait)
+# --- telemetry: persistent mode ---------------------------------------------
+# Persistent campaigns time the pipe round-trip instead of the spawn-mode
+# per-test phases: real.fs_roundtrip must cover every live test, and the
+# phases whose cost the server eliminates (plan_write/fork_exec/child_wait)
 # must be absent from the snapshot entirely.
 set(metrics_file "${CMAKE_CURRENT_BINARY_DIR}/smoke_fs_metrics.json")
 file(REMOVE "${metrics_file}")
 run_cli(fs_telemetry_leg --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" --num-tests=6
   "--interposer=${AFEX_INTERPOSER}" --timeout-ms=10000 --budget=10 --seed=1
-  --exec-mode=forkserver "--metrics-file=${metrics_file}")
+  --exec-mode=persistent "--metrics-file=${metrics_file}")
 file(READ "${metrics_file}" metrics_json)
 live_test_count("${metrics_json}" 10 live_tests)
 string(JSON roundtrip_count GET "${metrics_json}" histograms real.fs_roundtrip count)
 if(NOT roundtrip_count EQUAL live_tests)
   message(FATAL_ERROR
-    "forkserver metrics: real.fs_roundtrip count = ${roundtrip_count}, expected ${live_tests}")
+    "persistent metrics: real.fs_roundtrip count = ${roundtrip_count}, expected ${live_tests}")
 endif()
 string(JSON restart_count GET "${metrics_json}" histograms real.fs_restart count)
 if(NOT restart_count EQUAL 1)
   message(FATAL_ERROR
-    "forkserver metrics: real.fs_restart count = ${restart_count}, expected 1 (initial spawn)")
+    "persistent metrics: real.fs_restart count = ${restart_count}, expected 1 (initial spawn)")
 endif()
 string(JSON feedback_ok GET "${metrics_json}" counters real.feedback_ok)
 if(NOT feedback_ok EQUAL live_tests)
   message(FATAL_ERROR
-    "forkserver metrics: real.feedback_ok = ${feedback_ok}, expected ${live_tests}")
+    "persistent metrics: real.feedback_ok = ${feedback_ok}, expected ${live_tests}")
 endif()
 foreach(phase real.plan_write real.fork_exec real.child_wait)
   string(JSON phase_count ERROR_VARIABLE json_error GET "${metrics_json}" histograms ${phase} count)
   if(NOT phase_count MATCHES "NOTFOUND")
     message(FATAL_ERROR
-      "forkserver metrics: spawn-mode phase ${phase} is in the snapshot "
+      "persistent metrics: spawn-mode phase ${phase} is in the snapshot "
       "(count ${phase_count}), expected it absent")
   endif()
 endforeach()
-message(STATUS "forkserver telemetry: per-test cost is one pipe round-trip")
+message(STATUS "persistent telemetry: per-test cost is one pipe round-trip")
 
 # --- coverage signal selection ----------------------------------------------
 expect_cli_error("--coverage expects 'auto', 'proxy', or 'edges'"

@@ -203,7 +203,7 @@ TEST(FeedbackBlockTest, PlanLandsInTheBlockAndRewritesInPlace) {
   ASSERT_EQ(block->plan_count, 2u);
   EXPECT_EQ(std::memcmp(block->plan, two.data(), 2 * sizeof(FsPlanEntry)), 0);
 
-  // The server modes' write: the plan region only, into a live block whose
+  // Persistent mode's write: the plan region only, into a live block whose
   // header and counters stay as they are; unused slots hold default entries.
   std::ofstream(path, std::ios::binary | std::ios::in | std::ios::out)
       .write(reinterpret_cast<const char*>(&kFeedbackMagic), sizeof(kFeedbackMagic));
@@ -784,7 +784,7 @@ TEST(RealTargetHarnessTest, TranslatesOutcomeAndCoverage) {
 
 // Options for a walutil forkserver rooted at `dir` (sandbox + feedback file
 // are created here; the client maps the feedback file server-side).
-ForkserverOptions WalutilFsOptions(const std::string& dir, bool persistent) {
+ForkserverOptions WalutilFsOptions(const std::string& dir) {
   fs::create_directories(dir + "/sandbox");
   EXPECT_TRUE(CreateFeedbackFile((dir + "/fb.bin").c_str()));
   ForkserverOptions opts;
@@ -792,7 +792,6 @@ ForkserverOptions WalutilFsOptions(const std::string& dir, bool persistent) {
   opts.working_dir = dir + "/sandbox";
   opts.preload = AFEX_INTERPOSER_PATH;
   opts.env = {{"AFEX_FEEDBACK", dir + "/fb.bin"}};
-  opts.persistent = persistent;
   opts.timeout_ms = 10000;
   return opts;
 }
@@ -809,30 +808,41 @@ void WritePlan(const std::string& dir, const std::vector<FaultSpec>& specs) {
 
 TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   std::string dir = TempDir("fs_basic");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
+  ForkserverClient client(WalutilFsOptions(dir));
 
   ProcessResult clean = client.RunTest(1, 1);
   ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_TRUE(clean.exited);
   EXPECT_EQ(clean.exit_code, 0);
   EXPECT_NE(clean.output.find("copied source.tbl"), std::string::npos) << clean.output;
+  const pid_t child = client.child_pid();
+  ASSERT_GT(child, 0);
+
+  // A crashing iteration takes only its child down; the same server forks
+  // the next test's child.
+  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+                   .errno_value = 5}});
+  ProcessResult crashed = client.RunTest(4, 2);
+  ASSERT_TRUE(crashed.started) << crashed.error;
+  EXPECT_FALSE(crashed.exited);
+  EXPECT_EQ(crashed.term_signal, SIGSEGV);
+
+  WritePlan(dir, {});
+  ProcessResult after = client.RunTest(1, 3);
+  ASSERT_TRUE(after.started) << after.error;
+  EXPECT_EQ(after.exit_code, 0);
+  EXPECT_GT(client.child_pid(), 0);
+  EXPECT_NE(client.child_pid(), child);
 
   WritePlan(dir, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
                    .errno_value = 13}});
-  ProcessResult injected = client.RunTest(1, 2);
+  ProcessResult injected = client.RunTest(1, 4);
   ASSERT_TRUE(injected.started) << injected.error;
   EXPECT_EQ(injected.exit_code, 1);
   EXPECT_NE(injected.output.find("copy open source failed: errno=13"), std::string::npos)
       << injected.output;
 
-  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
-                   .errno_value = 5}});
-  ProcessResult crashed = client.RunTest(4, 3);
-  ASSERT_TRUE(crashed.started) << crashed.error;
-  EXPECT_FALSE(crashed.exited);
-  EXPECT_EQ(crashed.term_signal, SIGSEGV);
-
-  // One server incarnation carried all three children, crash included.
+  // One server incarnation carried all four tests, crash included.
   EXPECT_EQ(client.restarts(), 0u);
   EXPECT_EQ(client.generations(), 1u);
 }
@@ -842,7 +852,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   // feedback block BEFORE each fork, so a crashed child's counts can never
   // leak into the next test's attribution.
   std::string dir = TempDir("fs_rearm");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
+  ForkserverClient client(WalutilFsOptions(dir));
   std::string fb = dir + "/fb.bin";
 
   WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
@@ -868,7 +878,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
 TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   // A server that exits without ever speaking the protocol (no preload, so
   // the interposer loop never runs).
-  ForkserverOptions dead = WalutilFsOptions(TempDir("fs_dead"), false);
+  ForkserverOptions dead = WalutilFsOptions(TempDir("fs_dead"));
   dead.argv = {"/bin/true"};
   dead.preload.clear();
   ForkserverClient dead_client(dead);
@@ -877,7 +887,7 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   EXPECT_FALSE(error.empty());
 
   // A server that writes 16 bytes of garbage where the Hello should be.
-  ForkserverOptions noise = WalutilFsOptions(TempDir("fs_noise"), false);
+  ForkserverOptions noise = WalutilFsOptions(TempDir("fs_noise"));
   noise.argv = {"/bin/sh", "-c", "printf 'ABCDEFGHIJKLMNOP' >&199; sleep 1"};
   noise.preload.clear();
   ForkserverClient noise_client(noise);
@@ -889,7 +899,7 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
 TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   // The server is parked in waitpid while the child runs, so timeout kills
   // are delivered by the *client* to the child pid from kChildPid.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_timeout"), false);
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_timeout"));
   opts.argv = {"/bin/sh", "-c", "sleep 30"};
   opts.timeout_ms = 300;
   ForkserverClient client(opts);
@@ -909,84 +919,70 @@ TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   EXPECT_EQ(client.server_pid(), pid);
 }
 
-TEST(ForkserverClientTest, TornRequestWriteTriggersTransparentRestart) {
-  std::string dir = TempDir("fs_torn");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ProcessResult first = client.RunTest(1, 1);
-  ASSERT_TRUE(first.started) << first.error;
+TEST(ForkserverClientTest, TornRequestOrServerDeathRestartsAtOnce) {
+  // Two ways to lose the server mid-campaign, a SIGKILL and request bytes
+  // with a bad magic, each with and without a live child. Without one (the
+  // fixture's pre-hook open keeps it from adopting the hook) the server dies
+  // alone, or reads the bytes and exits by contract. Walutil's live child
+  // holds the status pipe's write end but dies with its server, so that
+  // death still reads as EOF; the bytes it reads itself, and answers the
+  // next test with a stale seq. Each time the next test runs on a new
+  // server at once instead of waiting out a timeout.
+  for (bool kill_server : {true, false}) {
+    for (bool live_child : {false, true}) {
+      const std::string label =
+          std::string(kill_server ? "fs_killed" : "fs_torn") + (live_child ? "_live" : "");
+      SCOPED_TRACE(label);
+      ForkserverOptions opts = WalutilFsOptions(TempDir(label));
+      if (!live_child) {
+        opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}", "open-first"};
+      }
+      ForkserverClient client(opts);
+      ProcessResult first = client.RunTest(1, 1);
+      ASSERT_TRUE(first.started) << first.error;
+      ASSERT_EQ(client.child_pid() > 0, live_child);
+      const pid_t old_pid = client.server_pid();
+      ASSERT_GT(old_pid, 0);
+      if (kill_server) {
+        ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
+        // Wait for the death without reaping it: a child's death signal is
+        // sent as the server exits, so no iteration can answer after this.
+        siginfo_t info{};
+        ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(old_pid), &info, WEXITED | WNOWAIT), 0);
+      } else {
+        ASSERT_EQ(::write(client.ctl_fd(), "garbage", 7), 7);
+      }
 
-  // Desynchronize the control pipe: the server reads these bytes as the
-  // head of the next request, sees a bad magic, and exits by contract.
-  ASSERT_GE(client.ctl_fd(), 0);
-  ASSERT_EQ(::write(client.ctl_fd(), "garbage", 7), 7);
-
-  ProcessResult second = client.RunTest(1, 2);
-  ASSERT_TRUE(second.started) << second.error;
-  EXPECT_EQ(second.exit_code, 0);
-  EXPECT_EQ(client.restarts(), 1u);
-}
-
-TEST(ForkserverClientTest, ServerDeathMidCampaignRestartsTransparently) {
-  std::string dir = TempDir("fs_death");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
-  ProcessResult first = client.RunTest(1, 1);
-  ASSERT_TRUE(first.started) << first.error;
-  pid_t old_pid = client.server_pid();
-  ASSERT_GT(old_pid, 0);
-  ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
-
-  ProcessResult second = client.RunTest(2, 2);
-  ASSERT_TRUE(second.started) << second.error;
-  EXPECT_EQ(second.exit_code, 0);
-  EXPECT_EQ(client.restarts(), 1u);
-  EXPECT_NE(client.server_pid(), old_pid);
-}
-
-TEST(ForkserverClientTest, ServerDeathWithALivePersistentChildRestartsAtOnce) {
-  // The live child holds the status pipe's write end; it dies with its
-  // server, so the death reads as EOF and the next test runs on a new
-  // server instead of waiting out a timeout.
-  std::string dir = TempDir("fs_persist_death");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
-  ProcessResult first = client.RunTest(1, 1);
-  ASSERT_TRUE(first.started) << first.error;
-  ASSERT_GT(client.child_pid(), 0);
-  const pid_t old_pid = client.server_pid();
-  ASSERT_EQ(::kill(old_pid, SIGKILL), 0);
-  // Wait for the death without reaping it: the child's death signal is
-  // sent as the server exits, so no iteration can answer after this.
-  siginfo_t info{};
-  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(old_pid), &info, WEXITED | WNOWAIT), 0);
-
-  const uint64_t start = obs::NowNs();
-  ProcessResult second = client.RunTest(2, 2);
-  const uint64_t elapsed_ns = obs::NowNs() - start;
-  ASSERT_TRUE(second.started) << second.error;
-  EXPECT_EQ(second.exit_code, 0);
-  EXPECT_FALSE(second.timed_out);
-  EXPECT_LT(elapsed_ns, 5000 * kMs);
-  EXPECT_EQ(client.restarts(), 1u);
-  EXPECT_NE(client.server_pid(), old_pid);
+      const uint64_t start = obs::NowNs();
+      ProcessResult second = client.RunTest(1, 2);
+      const uint64_t elapsed_ns = obs::NowNs() - start;
+      ASSERT_TRUE(second.started) << second.error;
+      EXPECT_EQ(second.exit_code, 0);
+      EXPECT_FALSE(second.timed_out);
+      EXPECT_LT(elapsed_ns, 5000 * kMs);
+      EXPECT_EQ(client.restarts(), 1u);
+      EXPECT_NE(client.server_pid(), old_pid);
+      if (!live_child) {
+        EXPECT_EQ(second.output, "fixture alive\n");
+      }
+    }
+  }
 }
 
 TEST(ForkserverClientTest, TestIdsWiderThanThePlaceholderAreSubstituted) {
   // "{test}" is six bytes; a seven-digit id must still reach the program.
-  for (bool persistent : {false, true}) {
-    SCOPED_TRACE(persistent ? "persistent" : "forkserver");
-    ForkserverOptions opts =
-        WalutilFsOptions(TempDir(persistent ? "fs_wide_pers" : "fs_wide"), persistent);
-    opts.argv = {"/bin/sh", "-c", "echo \"$0\"", "{test}"};
-    ForkserverClient client(opts);
-    ProcessResult result = client.RunTest(1000000, 1);
-    ASSERT_TRUE(result.started) << result.error;
-    EXPECT_EQ(result.exit_code, 0);
-    EXPECT_EQ(result.output, "1000000\n");
-  }
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_wide"));
+  opts.argv = {"/bin/sh", "-c", "echo \"$0\"", "{test}"};
+  ForkserverClient client(opts);
+  ProcessResult result = client.RunTest(1000000, 1);
+  ASSERT_TRUE(result.started) << result.error;
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.output, "1000000\n");
 }
 
 TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   std::string dir = TempDir("fs_persist");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
+  ForkserverClient client(WalutilFsOptions(dir));
   uint32_t seq = 0;
   ProcessResult first = client.RunTest(1, ++seq);
   ASSERT_TRUE(first.started) << first.error;
@@ -1024,34 +1020,6 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   EXPECT_EQ(client.restarts(), 0u);
 }
 
-TEST(ForkserverClientTest, PersistentCrashEndsOnlyTheChild) {
-  std::string dir = TempDir("fs_persist_crash");
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/true));
-  ProcessResult before = client.RunTest(1, 1);
-  ASSERT_TRUE(before.started) << before.error;
-  const pid_t server = client.server_pid();
-  const pid_t child = client.child_pid();
-  ASSERT_GT(child, 0);
-
-  // A crashing iteration takes its child down; the client must report the
-  // crash truthfully, and the same server forks the next test's child.
-  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
-                   .errno_value = 5}});
-  ProcessResult crashed = client.RunTest(4, 2);
-  ASSERT_TRUE(crashed.started) << crashed.error;
-  EXPECT_FALSE(crashed.exited);
-  EXPECT_EQ(crashed.term_signal, SIGSEGV);
-
-  WritePlan(dir, {});
-  ProcessResult after = client.RunTest(1, 3);
-  ASSERT_TRUE(after.started) << after.error;
-  EXPECT_EQ(after.exit_code, 0);
-  EXPECT_EQ(client.server_pid(), server);
-  EXPECT_EQ(client.restarts(), 0u);
-  EXPECT_GT(client.child_pid(), 0);
-  EXPECT_NE(client.child_pid(), child);
-}
-
 double CpuSeconds() {
   struct rusage usage;
   ::getrusage(RUSAGE_SELF, &usage);
@@ -1063,7 +1031,7 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   // Once the target closes fds 1 and 2 the output pipe sits at EOF. Left in
   // the poll set, it would wake WaitMsg on every poll for the whole 200 ms
   // the iteration sleeps, burning the client's CPU.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"), /*persistent=*/true);
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"));
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   ForkserverClient client(opts);
   ProcessResult warm = client.RunTest(1, 1);
@@ -1092,14 +1060,16 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
 
 TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
   // /bin/sh never calls afex_persistent_run: each test's child runs main to
-  // completion and exits, exactly as in forkserver mode, on one server.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_non_adopter"), /*persistent=*/true);
-  opts.argv = {"/bin/sh", "-c", "echo no-adoption; exit 0"};
+  // completion and exits, one child per test, on one server. The child
+  // holds the protocol fds close-on-exec, so the ls it execs sees neither.
+  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_non_adopter"));
+  opts.argv = {"/bin/sh", "-c", "echo no-adoption; ls /proc/self/fd"};
   ForkserverClient client(opts);
   ProcessResult result = client.RunTest(1, 1);
   ASSERT_TRUE(result.started) << result.error;
   EXPECT_EQ(result.exit_code, 0);
-  EXPECT_EQ(result.output, "no-adoption\n");
+  // Stdio plus the directory ls reads.
+  EXPECT_EQ(result.output, "no-adoption\n0\n1\n2\n3\n");
   EXPECT_EQ(client.child_pid(), -1);
   const pid_t server = client.server_pid();
 
@@ -1117,8 +1087,15 @@ TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
 // through the persistent fixture's storage scenarios (6-11).
 // ---------------------------------------------------------------------------
 
-// One fixture run; `client` keeps a forkserver or persistent server (and a
-// persistent child) alive while the caller inspects `sandbox`.
+// Both exec modes, spawn (the reference) first.
+constexpr ExecMode kAllModes[] = {ExecMode::kSpawn, ExecMode::kPersistent};
+
+std::string ModeLabel(ExecMode mode) {
+  return mode == ExecMode::kSpawn ? "spawn mode" : "persistent mode";
+}
+
+// One fixture run; in persistent mode `client` keeps the server (and a live
+// child) alive while the caller inspects `sandbox`.
 struct FixtureRun {
   ProcessResult result;
   fs::path sandbox;
@@ -1135,7 +1112,7 @@ FixtureRun RunFixture(ExecMode mode, const std::string& dir, int scenario,
                               Entries(specs), block);
     return run;
   }
-  ForkserverOptions opts = WalutilFsOptions(dir, mode == ExecMode::kPersistent);
+  ForkserverOptions opts = WalutilFsOptions(dir);
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   run.client = std::make_unique<ForkserverClient>(opts);
   WritePlan(dir, specs);
@@ -1149,8 +1126,8 @@ const std::vector<FaultSpec> kNeverFiringKill = {
     {.function = "write", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}};
 
 TEST(UndoLogTest, ReadsSeeUnsyncedWritesInEveryExecMode) {
-  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
-    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
     FixtureRun run = RunFixture(
         mode, TempDir("read_back_" + std::to_string(static_cast<int>(mode))), 6,
         kNeverFiringKill);
@@ -1163,8 +1140,8 @@ TEST(UndoLogTest, ReadsSeeUnsyncedWritesInEveryExecMode) {
 TEST(UndoLogTest, PersistentIterationWritesLandInEveryExecMode) {
   // Scenario 7 returns with p.dat still open: the write is in the file as
   // soon as the test ends, whether or not the process that made it lives on.
-  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
-    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
     FixtureRun run = RunFixture(
         mode, TempDir("iteration_lands_" + std::to_string(static_cast<int>(mode))), 7,
         kNeverFiringKill);
@@ -1227,8 +1204,8 @@ TEST(UndoLogTest, DropSyncUndoesOnlyItsOwnFd) {
 TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
   // Fixture scenario 3 ignores SIGTERM, so only the SIGKILL rung ends it.
   constexpr uint64_t kTimeoutMs = 300;
-  for (ExecMode mode : {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent}) {
-    SCOPED_TRACE("exec mode " + std::to_string(static_cast<int>(mode)));
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
     std::unique_ptr<ForkserverClient> client;
     ProcessResult result;
     uint64_t start = obs::NowNs();
@@ -1238,9 +1215,7 @@ TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
       request.timeout_ms = kTimeoutMs;
       result = RunProcess(request);
     } else {
-      const bool persistent = mode == ExecMode::kPersistent;
-      ForkserverOptions opts =
-          WalutilFsOptions(TempDir(persistent ? "hang_persist" : "hang_fs"), persistent);
+      ForkserverOptions opts = WalutilFsOptions(TempDir("hang_persist"));
       opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
       opts.timeout_ms = kTimeoutMs;
       client = std::make_unique<ForkserverClient>(opts);
@@ -1297,7 +1272,7 @@ TEST(ExecFdTest, ChildrenStartWithStdioOnly) {
   EXPECT_EQ(listed.exit_code, 0) << listed.output;
   EXPECT_EQ(listed.output.find(journal), std::string::npos) << listed.output;
 
-  ForkserverClient client(WalutilFsOptions(dir, /*persistent=*/false));
+  ForkserverClient client(WalutilFsOptions(dir));
   std::string error;
   ASSERT_TRUE(client.EnsureServer(error)) << error;
   for (const auto& [server_fd, target] : OpenFds(client.server_pid())) {
@@ -1307,14 +1282,14 @@ TEST(ExecFdTest, ChildrenStartWithStdioOnly) {
 }
 
 TEST(ExecFdTest, ConcurrentSpawnsAndServersHoldOnlyTheirOwnPipes) {
-  // The --jobs shape: one thread cycles forkserver servers while another
-  // spawns children that list their fds. No child may hold a pipe beyond
-  // its stdio, no server one beyond its stdio and the two protocol fds.
+  // The --jobs shape: one thread cycles servers while another spawns
+  // children that list their fds. No child may hold a pipe beyond its
+  // stdio, no server one beyond its stdio and the two protocol fds.
   std::atomic<bool> stop{false};
   int handshakes = 0;
   std::string server_leak;
   std::thread cycler([&] {
-    const ForkserverOptions opts = WalutilFsOptions(TempDir("fd_stress"), false);
+    const ForkserverOptions opts = WalutilFsOptions(TempDir("fd_stress"));
     while (!stop.load()) {
       ForkserverClient client(opts);
       std::string error;
@@ -1360,15 +1335,9 @@ TEST(ExecFdTest, ConcurrentSpawnsAndServersHoldOnlyTheirOwnPipes) {
 }
 
 // ---------------------------------------------------------------------------
-// Exec-mode equivalence: the tentpole's determinism acceptance — the same
-// campaign produces byte-identical records in all three modes.
+// Exec-mode equivalence: the same campaign produces byte-identical records
+// in both modes.
 // ---------------------------------------------------------------------------
-
-constexpr ExecMode kAllModes[] = {ExecMode::kSpawn, ExecMode::kForkserver, ExecMode::kPersistent};
-
-std::string ModeLabel(ExecMode mode) {
-  return "exec mode " + std::to_string(static_cast<int>(mode));
-}
 
 // The serialized records of a seeded fitness campaign of `budget` tests over
 // `space`, run through a fresh harness for `config` (its exec mode included).
@@ -1387,13 +1356,13 @@ std::vector<std::string> CampaignRecords(const RealTargetConfig& config, const F
   return serialized;
 }
 
-// Runs that campaign in each of `modes` (spawn first) and expects every
-// mode to give `budget` records, each equal to spawn's; returns spawn's.
-std::vector<std::string> ExpectRecordsEqualAcrossModes(
-    RealTargetConfig config, const FaultSpace& space, uint64_t seed, size_t budget,
-    std::span<const ExecMode> modes = kAllModes) {
+// Runs that campaign in both modes and expects each to give `budget`
+// records, persistent's each equal to spawn's; returns spawn's.
+std::vector<std::string> ExpectRecordsEqualAcrossModes(RealTargetConfig config,
+                                                       const FaultSpace& space, uint64_t seed,
+                                                       size_t budget) {
   std::vector<std::string> spawn;
-  for (ExecMode mode : modes) {
+  for (ExecMode mode : kAllModes) {
     config.exec_mode = mode;
     const std::vector<std::string> records = CampaignRecords(config, space, seed, budget);
     EXPECT_EQ(records.size(), budget) << ModeLabel(mode);
@@ -1417,7 +1386,7 @@ TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
 TEST(ExecModeEquivalenceTest, ExecedImageArmsThePlanInEveryMode) {
   // A start script that exec()s the target, the way a node manager starts
   // the system under test: the shell's image arms the plan, then walutil's
-  // image arms it again and fires it, in the server modes as in spawn.
+  // image arms it again and fires it, in persistent mode as in spawn.
   const std::string dir = TempDir("exec_wrapper");
   const std::string script = dir + "/wrap.sh";
   std::ofstream(script) << "#!/bin/sh\nexec " << AFEX_WALUTIL_PATH << " \"$1\"\n";
@@ -1474,8 +1443,6 @@ TEST(ExecModeEquivalenceTest, UnencodablePlanFailsAlikeInEveryMode) {
               std::string::npos)
         << outcome;
   }
-  EXPECT_EQ(SweepSpace(WalutilConfig(TempDir("unencodable_fs")), ExecMode::kForkserver, space),
-            spawn);
 
   const std::string dir = TempDir("unencodable_persistent");
   const std::string listing = dir + "/outcomes.txt";
@@ -1529,9 +1496,6 @@ TEST(ExecModeEquivalenceTest, InterposedCallAheadOfTheHookKeepsSpawnOrdinals) {
   EXPECT_NE(spawn[1].find("exit=3"), std::string::npos) << spawn[1];  // open #2: scenario
   EXPECT_NE(spawn[2].find("exit=5"), std::string::npos) << spawn[2];  // close #1
   EXPECT_NE(spawn[3].find("trig=0"), std::string::npos) << spawn[3];  // close #2: never
-  EXPECT_EQ(SweepSpace(OpenFirstFixtureConfig(TempDir("open_first_fs")), ExecMode::kForkserver,
-                       space),
-            spawn);
   EXPECT_EQ(SweepSpace(OpenFirstFixtureConfig(TempDir("open_first_pers")),
                        ExecMode::kPersistent, space),
             spawn);
@@ -1814,11 +1778,10 @@ TEST(TwoPhaseHarnessTest, SandboxRecycledAfterRecoveryAndVerify) {
 }
 
 TEST(TwoPhaseHarnessTest, StorageFaultCampaignRecordIdenticalAcrossExecModes) {
-  // Spawn and forkserver must stay record-identical with the storage-failure
+  // Spawn and persistent must stay record-identical with the storage-failure
   // axes in play — kills, torn writes, dropped syncs and all.
-  constexpr ExecMode kModes[] = {ExecMode::kSpawn, ExecMode::kForkserver};
   ExpectRecordsEqualAcrossModes(TxengineConfig(TempDir("tx_eq")), TxengineSpace(/*max_call=*/12),
-                                /*seed=*/41, /*budget=*/24, kModes);
+                                /*seed=*/41, /*budget=*/24);
 }
 
 // ---------------------------------------------------------------------------
@@ -1958,8 +1921,8 @@ TEST(FeedbackHealthCounterTest, FutureVersionCountsVersionSkew) {
 }
 
 TEST(FeedbackHealthCounterTest, StaleTestSeqCountsStaleInForkserverMode) {
-  // Forkserver mode stamps test_seq before each fork; a child that mangles
-  // it must be counted stale and contribute no coverage.
+  // The server stamps test_seq before each fork; a child that mangles it
+  // must be counted stale and contribute no coverage.
   RealTargetConfig config;
   config.target_argv = {
       "/bin/sh", "-c",
@@ -1971,7 +1934,7 @@ TEST(FeedbackHealthCounterTest, StaleTestSeqCountsStaleInForkserverMode) {
   config.interposer_path = AFEX_INTERPOSER_PATH;
   config.work_root = TempDir("health_stale");
   config.timeout_ms = 10000;
-  config.exec_mode = ExecMode::kForkserver;
+  config.exec_mode = ExecMode::kPersistent;
   RealTargetHarness harness(config);
   obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
   harness.set_metrics_sink(&telemetry);
@@ -2453,10 +2416,9 @@ TEST(SancovCoverageTest, UninstrumentedTargetCountsEdgesMissing) {
 }
 
 TEST(SancovCoverageTest, EdgeFedCampaignRecordIdenticalAcrossExecModes) {
-  // Edge-fed records must be identical across spawn, forkserver, and
-  // persistent execution — cumulative sancov counters plus the child-side
-  // seen-bitmap make persistent iterations report exactly what a fresh spawn
-  // would.
+  // Edge-fed records must be identical across spawn and persistent
+  // execution — cumulative sancov counters plus the child-side seen-bitmap
+  // make persistent iterations report exactly what a fresh spawn would.
   const RealTargetConfig config = WalutilCovConfig(TempDir("sancov_eq"));
   ExpectRecordsEqualAcrossModes(config, RealTargetHarness(config).MakeSpace(/*max_call=*/6),
                                 /*seed=*/23, /*budget=*/30);

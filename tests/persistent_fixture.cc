@@ -1,4 +1,4 @@
-// Minimal persistent-mode target for exec_test's forkserver-client cases.
+// Minimal persistent-mode target for exec_test's server-mode cases.
 // It adopts afex_persistent_run the way afex_walutil does, with scenarios
 // that do to the process what a real target may do to it:
 //   1 — prints one line and returns 0;

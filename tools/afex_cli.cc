@@ -18,7 +18,7 @@
 //   afex_cli --target=minidb --budget=5000 --journal=run.afexj
 //   afex_cli --resume --journal=run.afexj --budget=8000
 //   afex_cli --target=minidb --budget=500 --warm-start=run.afexj --export=csv
-//   afex_cli --backend=real --target-cmd='./afex_walutil {test}' --exec-mode=forkserver
+//   afex_cli --backend=real --target-cmd='./afex_walutil {test}' --exec-mode=persistent
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

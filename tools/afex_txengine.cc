@@ -38,8 +38,8 @@
 // Deliberately plain C-style code with fixed buffers, like walutil: call
 // ordinals seen by the interposer stay stable properties of the scenario.
 // Built with sanitizers off so LD_PRELOAD works in every CI preset. No
-// persistent-mode hook: under --exec-mode=persistent each test runs as a
-// forkserver child, which is itself a tested path.
+// persistent hook: under --exec-mode=persistent each test runs in its own
+// forked server child, which exits after the one test, a tested path.
 #include <errno.h>
 #include <fcntl.h>
 #include <stdio.h>

@@ -400,7 +400,7 @@ int RunScenario(int id) {
 
 // Persistent-mode hook, exported by libafex_interpose.so. Weak: when the
 // binary runs standalone the symbol is absent and the pointer is null, so
-// adoption costs one branch; under spawn or forkserver mode it returns -1.
+// adoption costs one branch; outside a server child it returns -1.
 extern "C" int afex_persistent_run(int (*entry)(int test_id)) __attribute__((weak));
 
 int main(int argc, char** argv) {
@@ -415,8 +415,8 @@ int main(int argc, char** argv) {
     if (rc >= 0) {
       return rc;
     }
-    // rc < 0: the preload is present but this process is not a persistent
-    // child (spawn or forkserver mode) — run the normal argv path.
+    // rc < 0: the preload is present but this process is not a server
+    // child (spawn mode) — run the normal argv path.
   }
   if (argc != 2) {
     fprintf(stderr, "usage: afex_walutil <test-id 1..%d>\n", kNumScenarios);
