@@ -18,9 +18,12 @@
 // verify), so those cells carry real.recovery_run/real.verify.
 //
 // Within a campaign every mode must produce the identical record sequence
-// (checked with DigestRecords, the digest perf_sim uses) — the run
-// exits non-zero on divergence, so each benchmark run doubles as the
-// determinism acceptance check for the exec modes. Each cell runs with a
+// (checked with DigestRecords, the digest perf_sim uses), and that sequence
+// must match the golden digest committed below for the --quick and the
+// default budgets — the run exits 1 on divergence or on a mismatch, printing
+// the cell, the expected and the observed digest, so each benchmark run
+// doubles as the determinism acceptance check for the exec modes and
+// catches drift that hits every mode alike. Each cell runs with a
 // CampaignTelemetry sink attached and its phase snapshot is embedded in
 // the JSON, so the artifact shows where backend.run goes, not just the
 // end-to-end speedup.
@@ -31,8 +34,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "bench/host_info.h"
@@ -55,6 +60,35 @@ Recipe CellRecipe(std::string target_cmd, uint64_t seed) {
   recipe.seed = seed;
   recipe.feedback = true;
   return recipe;
+}
+
+// Frozen record digest of each timed campaign at the --quick and the
+// default budget, in every exec mode. A change that alters campaign records
+// on purpose copies the printed digest here and explains why in
+// CHANGES.md. A custom --budget has no golden; its modes are still compared.
+// The coverage A/B cell has none either: its records depend on the
+// toolchain's sancov mode.
+struct GoldenCell {
+  const char* campaign;
+  size_t budget;
+  uint64_t digest;
+};
+constexpr GoldenCell kGoldenCells[] = {
+    {"walutil", 300, 0x89db6453dc114e59ULL},
+    {"txengine", 60, 0x1aeae6b354ec78baULL},
+    {"walutil", 2000, 0xa1b7c4689d4233afULL},
+    {"txengine", 240, 0xb05be3a48fdff6d1ULL},
+};
+
+// The committed digest of a campaign at `budget`, or nullopt if the table
+// has none.
+std::optional<uint64_t> GoldenDigest(const char* campaign, size_t budget) {
+  for (const GoldenCell& cell : kGoldenCells) {
+    if (std::strcmp(cell.campaign, campaign) == 0 && cell.budget == budget) {
+      return cell.digest;
+    }
+  }
+  return std::nullopt;
 }
 
 struct ModeResult {
@@ -155,12 +189,16 @@ constexpr char kTxengineStorageSpace[] =
     "txstorage\ntest : [1,1]\nfunction : { write, fsync, rename }\ncall : [1,40]\n"
     "retval : [20,20]\nmode : { kill_at, short_write, drop_sync, crash_after_rename }\n;\n";
 
-// Runs `recipe` in spawn mode, the baseline, and in persistent mode, which
-// must match it record for record; prints one line per mode and writes one
-// JSON object per mode into `out`. `speedup` is persistent's over spawn.
-// Returns false when the persistent records diverged from spawn's.
-bool RunModes(Recipe recipe, size_t budget, std::ofstream& out, double& speedup) {
+// Runs `campaign`'s `recipe` in spawn mode, the baseline, and in persistent
+// mode, which must match it record for record; prints one line per mode and
+// writes one JSON object per mode into `out`. `speedup` is persistent's over
+// spawn. Returns false when the persistent records diverged from spawn's;
+// clears `all_golden` when a mode's digest differs from the campaign's
+// golden.
+bool RunModes(const char* campaign, Recipe recipe, size_t budget, std::ofstream& out,
+              double& speedup, bool& all_golden) {
   constexpr const char* kModes[] = {"spawn", "persistent"};
+  const std::optional<uint64_t> golden = GoldenDigest(campaign, budget);
   ModeResult baseline;
   bool equivalent = true;
   for (size_t i = 0; i < 2; ++i) {
@@ -179,11 +217,21 @@ bool RunModes(Recipe recipe, size_t budget, std::ofstream& out, double& speedup)
                    result.tests == baseline.tests && result.crashes == baseline.crashes &&
                    result.clusters == baseline.clusters;
     }
-    std::printf("%8.0f tests/s  (%.3fs, %zu crashes, %zu clusters)  speedup %5.2fx%s\n",
-                result.tests_per_sec, result.seconds, result.crashes, result.clusters,
-                speedup, equivalent ? "" : "  [RECORDS DIVERGED]");
+    const bool matches_golden = !golden.has_value() || *golden == result.record_digest;
+    all_golden = all_golden && matches_golden;
+    std::printf("%8.0f tests/s  (%.3fs, %zu crashes, %zu clusters)  speedup %5.2fx  "
+                "digest %016llx%s%s\n",
+                result.tests_per_sec, result.seconds, result.crashes, result.clusters, speedup,
+                static_cast<unsigned long long>(result.record_digest),
+                equivalent ? "" : "  [RECORDS DIVERGED]", matches_golden ? "" : "  [GOLDEN]");
     if (!equivalent) {
       std::fprintf(stderr, "FATAL: persistent mode diverged from spawn-mode records\n");
+    }
+    if (!matches_golden) {
+      std::fprintf(stderr,
+                   "FATAL: %s %s budget=%zu: expected digest %016llx, observed %016llx\n",
+                   campaign, mode, budget, static_cast<unsigned long long>(*golden),
+                   static_cast<unsigned long long>(result.record_digest));
     }
     if (i > 0) {
       out << ",\n";
@@ -194,12 +242,12 @@ bool RunModes(Recipe recipe, size_t budget, std::ofstream& out, double& speedup)
                   "\"tests_per_sec\": %.1f, \"failed\": %zu, \"crashes\": %zu, "
                   "\"clusters\": %zu, \"speedup_vs_spawn\": %.2f, "
                   "\"server_restarts\": %llu, \"record_digest\": \"%016llx\", "
-                  "\"equivalent_to_spawn\": %s,\n      \"telemetry\": ",
+                  "\"equivalent_to_spawn\": %s, \"golden\": %s,\n      \"telemetry\": ",
                   mode, result.seconds, result.tests, result.tests_per_sec,
                   result.failed, result.crashes, result.clusters, speedup,
                   static_cast<unsigned long long>(result.server_restarts),
                   static_cast<unsigned long long>(result.record_digest),
-                  equivalent ? "true" : "false");
+                  equivalent ? "true" : "false", matches_golden ? "true" : "false");
     out << buf;
     telemetry.Snapshot().WriteJson(out, 3);
     out << "\n    }";
@@ -253,7 +301,9 @@ int main(int argc, char** argv) {
   Recipe walutil = CellRecipe(AFEX_WALUTIL_PATH " {test}", seed);
   walutil.max_call = 6;
   double persistent_speedup = 0.0;
-  bool all_equivalent = RunModes(walutil, budget, out, persistent_speedup);
+  bool all_golden = true;
+  bool all_equivalent =
+      RunModes("walutil", walutil, budget, out, persistent_speedup, all_golden);
   out << "\n  },\n";
 
   std::printf("two-phase txengine (budget %zu):\n", two_phase_budget);
@@ -265,8 +315,9 @@ int main(int argc, char** argv) {
   txengine.verify_cmd = AFEX_TXENGINE_PATH " verify";
   txengine.space = kTxengineStorageSpace;
   double two_phase_persistent_speedup = 0.0;
-  all_equivalent =
-      RunModes(txengine, two_phase_budget, out, two_phase_persistent_speedup) && all_equivalent;
+  all_equivalent = RunModes("txengine", txengine, two_phase_budget, out,
+                            two_phase_persistent_speedup, all_golden) &&
+                   all_equivalent;
   out << "\n  },\n";
 #ifdef AFEX_WALUTIL_COV_PATH
   {
@@ -305,9 +356,10 @@ int main(int argc, char** argv) {
                   persistent_speedup, two_phase_persistent_speedup, budget);
     out << buf;
   }
-  out << "  \"all_modes_equivalent\": " << (all_equivalent ? "true" : "false") << "\n}\n";
+  out << "  \"all_modes_equivalent\": " << (all_equivalent ? "true" : "false") << ",\n";
+  out << "  \"all_cells_match_golden\": " << (all_golden ? "true" : "false") << "\n}\n";
   out.close();
   std::printf("\nheadline: persistent %.2fx over spawn; two-phase persistent %.2fx -> %s\n",
               persistent_speedup, two_phase_persistent_speedup, out_path.c_str());
-  return all_equivalent ? 0 : 1;
+  return all_equivalent && all_golden ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 // The fault plan's one format and one channel. The parent encodes a test's
 // specs into fixed-size FsPlanEntry records (exec/feedback_block.h) once and
-// writes them into the test's feedback block before the test runs: a fresh
-// block in spawn mode, the plan region of the mapped block in persistent
-// mode. The LD_PRELOADed interposer's ArmPlans is the only routine that
+// writes them into the harness's feedback block, through the fd it holds,
+// before the test runs: the whole block reset around them in spawn mode
+// (ResetFeedbackBlock), the plan region of the mapped block in persistent
+// mode (WriteFeedbackPlan). The LD_PRELOADed interposer's ArmPlans is the only routine that
 // arms them, and it reads them only from the block: in a spawned process
 // and in every image a target exec()s (its constructor), in the server
 // before each fork, and in a persistent child before each iteration. A plan

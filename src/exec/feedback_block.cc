@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cstddef>
-#include <cstdio>
 
 namespace afex {
 namespace exec {
@@ -43,31 +42,33 @@ bool WriteBlockTail(int fd, size_t from, std::span<const FsPlanEntry> plan) {
 
 }  // namespace
 
-bool CreateFeedbackFile(const char* path, std::span<const FsPlanEntry> plan) {
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    return false;
+int OpenFeedbackFile(const char* path) {
+  const int fd = ::open(path, O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd >= 0 && !ResetFeedbackBlock(fd, {})) {
+    ::close(fd);
+    return -1;
   }
-  const bool written = WriteBlockTail(fd, 0, plan);
-  return ::close(fd) == 0 && written;
+  return fd;
+}
+
+bool ResetFeedbackBlock(int fd, std::span<const FsPlanEntry> plan) {
+  return WriteBlockTail(fd, 0, plan);
 }
 
 bool WriteFeedbackPlan(int fd, std::span<const FsPlanEntry> plan) {
   return WriteBlockTail(fd, kPlanRegionOffset, plan);
 }
 
-FeedbackReadStatus ReadFeedbackBlockStatus(const char* path, FeedbackBlock& out) {
-  FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    return FeedbackReadStatus::kMissing;
-  }
+FeedbackReadStatus ReadFeedbackBlockStatus(int fd, FeedbackBlock& out) {
   // Byte-count read. A file shorter than the fixed counter region is torn
   // whatever its header says; past it, the header (magic, version)
   // classifies the block before the edge region's length is checked.
   constexpr size_t kCounterRegionBytes = offsetof(FeedbackBlock, edges_supported);
-  size_t bytes = std::fread(&out, 1, sizeof(out), f);
-  std::fclose(f);
-  if (bytes < kCounterRegionBytes) {
+  const ssize_t bytes = ::pread(fd, &out, sizeof(out), 0);
+  if (bytes < 0) {
+    return FeedbackReadStatus::kMissing;
+  }
+  if (static_cast<size_t>(bytes) < kCounterRegionBytes) {
     return FeedbackReadStatus::kShort;
   }
   if (out.magic != kFeedbackMagic) {
@@ -76,14 +77,10 @@ FeedbackReadStatus ReadFeedbackBlockStatus(const char* path, FeedbackBlock& out)
   if (out.version != kFeedbackVersion) {
     return FeedbackReadStatus::kVersionSkew;
   }
-  if (bytes < sizeof(out)) {
+  if (static_cast<size_t>(bytes) < sizeof(out)) {
     return FeedbackReadStatus::kShort;
   }
   return FeedbackReadStatus::kOk;
-}
-
-bool ReadFeedbackBlock(const char* path, FeedbackBlock& out) {
-  return ReadFeedbackBlockStatus(path, out) == FeedbackReadStatus::kOk;
 }
 
 }  // namespace exec

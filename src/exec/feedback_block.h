@@ -1,12 +1,13 @@
 // Shared-memory contract between libafex_interpose.so (running inside a real
 // target process) and the parent-side exec layer, and the one channel a
-// test's fault plan travels on. The parent creates the feedback file, writes
-// the test's encoded plan (exec/fault_plan.h) into it and points the child at
+// test's fault plan travels on. The parent creates one feedback file per
+// harness and keeps it open; before each test it writes the test's encoded
+// plan (exec/fault_plan.h) into it through that fd and points the child at
 // it via AFEX_FEEDBACK; the interposer mmaps it MAP_SHARED, arms the plan
 // from it and streams per-function call counts and injected-site hits into
-// it as the target runs. After the child exits the parent reads the block
-// back and translates it into the TestOutcome the exploration machinery
-// consumes (real_target_harness.cc).
+// it as the target runs. After the test the parent reads the block back
+// through the same fd and translates it into the TestOutcome the
+// exploration machinery consumes (real_target_harness.cc).
 //
 // The layout is a fixed-size POD — no pointers, no lengths to trust — so a
 // crashed or SIGKILLed child always leaves a readable block behind: whatever
@@ -136,7 +137,7 @@ struct FeedbackBlock {
   // for, written by the server when it resets the block before each child
   // or iteration. The client checks it after the test so a crashed child's
   // stale counts can never be attributed to the next test. Spawn mode
-  // creates a fresh zero file per test and leaves this 0.
+  // rewrites the whole block fresh before each test and leaves this 0.
   uint32_t test_seq = 0;
 
   // --- version 2: SanitizerCoverage edge feedback ----------------------
@@ -169,34 +170,40 @@ struct FeedbackBlock {
 };
 
 // Parent-side helpers (implemented in feedback_block.cc; not used by the
-// interposer, which maps the file itself). Both refuse a plan wider than
-// kFsMaxPlans.
+// interposer, which maps the file itself). A harness creates its feedback
+// file once, keeps the fd for its whole life and does every per-test write
+// and read through it with one positioned syscall. The writers refuse a
+// plan wider than kFsMaxPlans.
 //
-// Creates (truncating) a feedback file: a fresh block (zero counters, no
-// magic) whose plan region holds `plan` — spawn mode's block per test.
-bool CreateFeedbackFile(const char* path, std::span<const FsPlanEntry> plan = {});
-// Rewrites the plan region of the feedback file open at `fd` with one
-// pwrite and no truncation: persistent mode's per-test plan, written while
-// the server (and a live persistent child) keep the file mapped.
+// Creates (truncating) the feedback file at `path` holding a fresh block
+// and returns it open O_RDWR | O_CLOEXEC, or -1.
+int OpenFeedbackFile(const char* path);
+// Rewrites the whole block of the feedback file open at `fd`: a fresh block
+// (zero counters, no magic) whose plan region holds `plan`. Spawn mode's
+// per-test reset.
+bool ResetFeedbackBlock(int fd, std::span<const FsPlanEntry> plan);
+// Rewrites only the plan region of the block at `fd`: persistent mode's
+// per-test plan, written while the server (and a live persistent child)
+// keep the file mapped and the server resets the rest.
 bool WriteFeedbackPlan(int fd, std::span<const FsPlanEntry> plan);
 
 // Why a feedback read failed — the real backend counts these separately
 // (real.feedback_missing vs real.feedback_short vs real.feedback_bad_magic)
-// because each points at a different misconfiguration: a missing file means
-// the sandbox vanished, a short read means the file was truncated mid-write,
-// a bad magic means the interposer never attached (or is incompatible).
+// because each points at a different misconfiguration: a failed read means
+// the file cannot be read at all, a short read means the file was truncated
+// mid-write, a bad magic means the interposer never attached (or is
+// incompatible).
 enum class FeedbackReadStatus {
   kOk = 0,
-  kMissing,      // open failed
+  kMissing,      // the read failed
   kShort,        // fewer bytes than a whole block
   kBadMagic,     // magic mismatch: the interposer never attached
   kVersionSkew,  // magic ok but not kFeedbackVersion (a skewed build)
 };
 
-// Reads the block back after the child exited, reporting what went wrong.
-FeedbackReadStatus ReadFeedbackBlockStatus(const char* path, FeedbackBlock& out);
-// Convenience form: true iff the status is kOk.
-bool ReadFeedbackBlock(const char* path, FeedbackBlock& out);
+// Reads the block at `fd` back with one pread after the test, reporting
+// what went wrong.
+FeedbackReadStatus ReadFeedbackBlockStatus(int fd, FeedbackBlock& out);
 
 }  // namespace exec
 }  // namespace afex

@@ -5,12 +5,12 @@
 #include <poll.h>
 #include <signal.h>
 #include <string.h>
-#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "exec/process_runner.h"
 
@@ -63,8 +63,9 @@ void CloseFd(int& fd) {
 
 }  // namespace
 
-ForkserverClient::ForkserverClient(ForkserverOptions options)
-    : options_(std::move(options)) {}
+ForkserverClient::ForkserverClient(ProcessRequest request) : request_(std::move(request)) {
+  request_.env.emplace_back(kForkserverEnvVar, kForkserverEnvServe);
+}
 
 ForkserverClient::~ForkserverClient() { Shutdown(); }
 
@@ -74,93 +75,35 @@ bool ForkserverClient::SpawnServer(std::string& error) {
   static std::once_flag sigpipe_once;
   std::call_once(sigpipe_once, [] { ::signal(SIGPIPE, SIG_IGN); });
 
-  if (options_.argv.empty()) {
+  if (request_.argv.empty()) {
     error = "forkserver: empty target argv";
     return false;
   }
-  if (options_.preload.empty()) {
+  if (request_.preload.empty()) {
     error = "forkserver: no interposer to preload";
     return false;
   }
 
-  std::vector<std::pair<std::string, std::string>> env = options_.env;
-  env.emplace_back(kForkserverEnvVar, kForkserverEnvServe);
-  std::vector<std::string> env_strings = MaterializeEnv(env, options_.preload);
-  std::vector<char*> envp;
-  envp.reserve(env_strings.size() + 1);
-  for (std::string& entry : env_strings) {
-    envp.push_back(entry.data());
-  }
-  envp.push_back(nullptr);
-  std::vector<char*> argv;
-  argv.reserve(options_.argv.size() + 1);
-  for (const std::string& arg : options_.argv) {
-    argv.push_back(const_cast<char*>(arg.c_str()));
-  }
-  argv.push_back(nullptr);
-
-  // Close-on-exec, so a concurrent spawn (another --jobs node) never
+  // Close-on-exec, so a concurrent launch (another --jobs node) never
   // inherits an end: a status-pipe write end held elsewhere would keep this
   // server's death from ever reading as EOF.
   int ctl[2] = {-1, -1};
   int status[2] = {-1, -1};
-  int out[2] = {-1, -1};
-  if (::pipe2(ctl, O_CLOEXEC) != 0 || ::pipe2(status, O_CLOEXEC) != 0 ||
-      ::pipe2(out, O_CLOEXEC) != 0) {
-    for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1]}) {
-      if (fd >= 0) {
-        ::close(fd);
-      }
-    }
-    error = "forkserver: pipe() failed";
-    return false;
-  }
-
-  pid_t pid = ::fork();
+  int out = -1;
+  const bool piped = ::pipe2(ctl, O_CLOEXEC) == 0 && ::pipe2(status, O_CLOEXEC) == 0;
+  const pid_t pid = piped ? LaunchProcess(request_, out, ctl[0], status[1]) : -1;
+  CloseFd(ctl[0]);
+  CloseFd(status[1]);
   if (pid < 0) {
-    for (int fd : {ctl[0], ctl[1], status[0], status[1], out[0], out[1]}) {
-      ::close(fd);
-    }
-    error = "forkserver: fork() failed";
+    CloseFd(ctl[1]);
+    CloseFd(status[0]);
+    error = "forkserver: cannot start " + request_.argv[0];
     return false;
   }
-
-  if (pid == 0) {
-    // ---- child (the server-to-be): async-signal-safe calls only ----
-    // Lift the server ends clear of the protocol fds before pinning them,
-    // so a pipe() that happened to return 198/199 cannot be clobbered.
-    int ctl_r = ::fcntl(ctl[0], F_DUPFD, 210);
-    int status_w = ::fcntl(status[1], F_DUPFD, 210);
-    if (ctl_r < 0 || status_w < 0) {
-      ::_exit(127);
-    }
-    ::dup2(out[1], STDOUT_FILENO);
-    ::dup2(out[1], STDERR_FILENO);
-    if (::dup2(ctl_r, kForkserverCtlFd) < 0 ||
-        ::dup2(status_w, kForkserverStatusFd) < 0) {
-      ::_exit(127);
-    }
-    // Stdio and the protocol fds only (exec/forkserver_protocol.h).
-    static_assert(kForkserverStatusFd == kForkserverCtlFd + 1);
-    ::syscall(SYS_close_range, 3u, kForkserverCtlFd - 1u, 0u);
-    ::syscall(SYS_close_range, kForkserverStatusFd + 1u, ~0u, 0u);
-    if (!options_.working_dir.empty() &&
-        ::chdir(options_.working_dir.c_str()) != 0) {
-      ::_exit(126);
-    }
-    ::execvpe(argv[0], argv.data(), envp.data());
-    ::_exit(127);
-  }
-
-  // ---- parent ----
-  ::close(ctl[0]);
-  ::close(status[1]);
-  ::close(out[1]);
   ctl_write_ = ctl[1];
   status_read_ = status[0];
-  out_read_ = out[0];
+  out_read_ = out;
   ::fcntl(status_read_, F_SETFL, O_NONBLOCK);
-  ::fcntl(out_read_, F_SETFL, O_NONBLOCK);
   server_pid_ = pid;
   msg_have_ = 0;
   return true;
@@ -372,7 +315,7 @@ ProcessResult ForkserverClient::RunTest(uint32_t test_id, uint32_t seq) {
       }
       child_pid_ = static_cast<pid_t>(msg.value);
     }
-    KillLadder ladder(options_.timeout_ms);
+    KillLadder ladder(request_.timeout_ms);
     FsMsg msg;
     switch (AwaitStatus(seq, ladder, msg)) {
       case Wait::kMsg:

@@ -1,8 +1,9 @@
 // Parent-side client for the interposer's serve loop
 // (exec/forkserver_protocol.h). One client owns one long-lived target
-// process: it spawns the target with the control/status pipes dup'd to the
-// protocol fds, performs the Hello handshake, and then turns each RunTest
-// call into one request. The request carries no plan: the caller has
+// process: it starts the target through LaunchProcess, the routine spawn
+// mode uses (exec/process_runner.h), with the control/status pipes pinned
+// on the protocol fds, performs the Hello handshake, and then turns each
+// RunTest call into one request. The request carries no plan: the caller has
 // already written it into the feedback block the server maps
 // (exec/fault_plan.h). The server forks a child per test; a child that
 // adopted afex_persistent_run stays live and runs the following requests
@@ -30,8 +31,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "exec/forkserver_protocol.h"
 #include "exec/process_runner.h"
@@ -40,23 +39,13 @@
 namespace afex {
 namespace exec {
 
-struct ForkserverOptions {
-  // Target command, with "{test}" placeholders left literal: the server's
-  // forked children substitute the per-request test id.
-  std::vector<std::string> argv;
-  // Working directory for the server (inherited by every child).
-  std::string working_dir;
-  // libafex_interpose.so — required; the server loop lives inside it.
-  std::string preload;
-  // Extra environment (AFEX_FEEDBACK, ...). AFEX_FORKSERVER is set by the
-  // client.
-  std::vector<std::pair<std::string, std::string>> env;
-  uint64_t timeout_ms = 5000;
-};
-
 class ForkserverClient {
  public:
-  explicit ForkserverClient(ForkserverOptions options);
+  // `request` is the target as RunProcess would start it, "{test}"
+  // placeholders left literal for the server's children to fill; its
+  // preload must be libafex_interpose.so, where the server loop lives. The
+  // client adds AFEX_FORKSERVER to its environment.
+  explicit ForkserverClient(ProcessRequest request);
   ~ForkserverClient();
 
   ForkserverClient(const ForkserverClient&) = delete;
@@ -119,7 +108,7 @@ class ForkserverClient {
   int NoteServerDeath();
   void KillServer();  // SIGKILL + NoteServerDeath
 
-  ForkserverOptions options_;
+  ProcessRequest request_;
   obs::MetricsSink* metrics_ = nullptr;
 
   pid_t server_pid_ = -1;

@@ -174,9 +174,10 @@ void Resolve(Fn& slot, const char* name) {
 enum Slot : int { AFEX_LIBC_TABLE(AFEX_SLOT_ROW) };
 #undef AFEX_SLOT_ROW
 
-// Armed entries passed ValidPlanEntry, so their kind is a FaultKind.
+// Armed entries passed ValidPlanEntry, so their kind is a FaultKind; a null
+// plan has no kind.
 bool Is(const FsPlanEntry* plan, FaultKind kind) {
-  return plan->kind == static_cast<int32_t>(kind);
+  return plan != nullptr && plan->kind == static_cast<int32_t>(kind);
 }
 
 // The power cut. The undo log rolls back every unsynced write first, then
@@ -279,25 +280,6 @@ const FsPlanEntry* MatchPlan(int slot, unsigned long n) {
   return nullptr;
 }
 
-// Count one call to `slot`; returns the matching plan *without* recording
-// an injection — the caller decides whether one actually happens (a
-// short_write whose K covers the whole buffer is a no-op and must not be
-// recorded). Relaxed atomics: counters are monotonic and read only after
-// the child exits. g_active is read with acquire to pair with the
-// constructor's release store (plan and feedback state are published
-// before counting starts).
-const FsPlanEntry* OnCallCount(int slot, unsigned long& n) {
-  if (!__atomic_load_n(&g_active, __ATOMIC_ACQUIRE) || g_internal) {
-    return nullptr;
-  }
-  // Every interposed libc call is an edge-harvest point: the block always
-  // reflects the target's coverage up to its most recent libc boundary, so
-  // even a SIGSEGV mid-test leaves the edges that led there readable.
-  SancovHarvest();
-  n = __atomic_add_fetch(&g_block->calls[slot], 1, __ATOMIC_RELAXED);
-  return MatchPlan(slot, n);
-}
-
 void RecordInjection(int slot, unsigned long n) {
   __atomic_add_fetch(&g_block->injected[slot], 1, __ATOMIC_RELAXED);
   if (__atomic_add_fetch(&g_block->injected_total, 1, __ATOMIC_RELAXED) == 1) {
@@ -306,14 +288,28 @@ void RecordInjection(int slot, unsigned long n) {
   }
 }
 
-// The common wrapper path: handles the kinds every function can carry
-// (errno, kill_at) and returns the plan only for an errno injection. The
-// storage-specific kinds (short_write, drop_sync, crash_after_rename) can
-// only be armed on their own slots — those wrappers use OnCallCount
-// directly and finish the job themselves.
-const FsPlanEntry* OnCall(int slot) {
-  unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(slot, n);
+// Every wrapper's entry: counts one call to `slot` and handles the kinds
+// every function can carry. kill_at records the injection and never
+// returns; errno records it and returns the plan, for the wrapper to return
+// Inject<T>(plan). A storage kind (short_write, drop_sync,
+// crash_after_rename, each armed only on its own slots) comes back in
+// `storage`, with the call's ordinal in `ordinal`, and is *not* recorded:
+// the wrapper decides whether it happens (a short_write whose K covers the
+// whole buffer is a no-op and must not be recorded). Relaxed atomics:
+// counters are monotonic and read only after the child exits. g_active is
+// read with acquire to pair with the constructor's release store (plan and
+// feedback state are published before counting starts).
+const FsPlanEntry* OnCall(int slot, const FsPlanEntry** storage = nullptr,
+                          unsigned long* ordinal = nullptr) {
+  if (!__atomic_load_n(&g_active, __ATOMIC_ACQUIRE) || g_internal) {
+    return nullptr;
+  }
+  // Every interposed libc call is an edge-harvest point: the block always
+  // reflects the target's coverage up to its most recent libc boundary, so
+  // even a SIGSEGV mid-test leaves the edges that led there readable.
+  SancovHarvest();
+  const unsigned long n = __atomic_add_fetch(&g_block->calls[slot], 1, __ATOMIC_RELAXED);
+  const FsPlanEntry* plan = MatchPlan(slot, n);
   if (plan == nullptr) {
     return nullptr;
   }
@@ -321,11 +317,15 @@ const FsPlanEntry* OnCall(int slot) {
     RecordInjection(slot, n);
     RawKill();
   }
-  if (!Is(plan, FaultKind::kErrno)) {
-    return nullptr;  // arming validated kind/slot pairs; never reached
+  if (Is(plan, FaultKind::kErrno)) {
+    RecordInjection(slot, n);
+    return plan;
   }
-  RecordInjection(slot, n);
-  return plan;
+  if (storage != nullptr) {
+    *storage = plan;
+    *ordinal = n;
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -835,28 +835,21 @@ FILE* FopenWith(decltype(&::fopen) real, const char* path, const char* mode) {
   return real(path, mode);
 }
 
-// fsync and fdatasync: the same kinds and the same undo-log rules.
+// fsync and fdatasync: the same kinds and the same undo-log rules. An errno
+// fault is classic fsyncgate injection: the fd's entries stay live (a
+// failed sync promises nothing about durability).
 int SyncWith(decltype(&::fsync) real, int slot, int fd) {
+  const FsPlanEntry* storage = nullptr;
   unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(slot, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(slot, n);
-      RawKill();
-    }
-    if (Is(plan, FaultKind::kDropSync)) {
-      // The lying drive: report durable, undo the fd's unsynced writes at
-      // once — they are gone whether or not a crash follows.
-      RecordInjection(slot, n);
-      Undo(fd);
-      return 0;
-    }
-    if (Is(plan, FaultKind::kErrno)) {
-      // Classic fsyncgate injection: the fd's entries stay live (a failed
-      // sync promises nothing about durability).
-      RecordInjection(slot, n);
-      return Inject<int>(plan);
-    }
+  if (const FsPlanEntry* plan = OnCall(slot, &storage, &n)) {
+    return Inject<int>(plan);
+  }
+  if (Is(storage, FaultKind::kDropSync)) {
+    // The lying drive: report durable, undo the fd's unsynced writes at
+    // once — they are gone whether or not a crash follows.
+    RecordInjection(slot, n);
+    Undo(fd);
+    return 0;
   }
   const int rc = real(fd);
   if (rc == 0 && g_logging && !g_internal) {
@@ -978,22 +971,16 @@ ssize_t read(int fd, void* buf, size_t count) {
 
 ssize_t write(int fd, const void* buf, size_t count) {
   Resolve(g_real_write, "write");
+  const FsPlanEntry* storage = nullptr;
   unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(kSlot_write, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(kSlot_write, n);
-      RawKill();
-    } else if (Is(plan, FaultKind::kErrno)) {
-      RecordInjection(kSlot_write, n);
-      return Inject<long>(plan);
-    } else if (Is(plan, FaultKind::kShortWrite) &&
-               static_cast<unsigned long>(plan->param) < count) {
-      // The torn write: only the first K bytes happen. When K covers the
-      // whole buffer the call is untouched and no injection is recorded.
-      RecordInjection(kSlot_write, n);
-      count = static_cast<size_t>(plan->param);
-    }
+  if (const FsPlanEntry* plan = OnCall(kSlot_write, &storage, &n)) {
+    return Inject<long>(plan);
+  }
+  if (Is(storage, FaultKind::kShortWrite) && static_cast<unsigned long>(storage->param) < count) {
+    // The torn write: only the first K bytes happen. When K covers the
+    // whole buffer the call is untouched and no injection is recorded.
+    RecordInjection(kSlot_write, n);
+    count = static_cast<size_t>(storage->param);
   }
   LogWrite(fd, count);
   return g_real_write(fd, buf, count);
@@ -1037,24 +1024,16 @@ size_t fread(void* ptr, size_t size, size_t nmemb, FILE* stream) {
 
 size_t fwrite(const void* ptr, size_t size, size_t nmemb, FILE* stream) {
   Resolve(g_real_fwrite, "fwrite");
+  const FsPlanEntry* storage = nullptr;
   unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(kSlot_fwrite, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(kSlot_fwrite, n);
-      RawKill();
-    }
-    if (Is(plan, FaultKind::kErrno)) {
-      RecordInjection(kSlot_fwrite, n);
-      return Inject<size_t>(plan);
-    }
-    if (Is(plan, FaultKind::kShortWrite) &&
-        static_cast<unsigned long>(plan->param) < nmemb) {
-      // Torn stdio write: only the first K items happen. K covering all
-      // items means the call is untouched and nothing is recorded.
-      RecordInjection(kSlot_fwrite, n);
-      return g_real_fwrite(ptr, size, static_cast<size_t>(plan->param), stream);
-    }
+  if (const FsPlanEntry* plan = OnCall(kSlot_fwrite, &storage, &n)) {
+    return Inject<size_t>(plan);
+  }
+  if (Is(storage, FaultKind::kShortWrite) && static_cast<unsigned long>(storage->param) < nmemb) {
+    // Torn stdio write: only the first K items happen. K covering all
+    // items means the call is untouched and nothing is recorded.
+    RecordInjection(kSlot_fwrite, n);
+    nmemb = static_cast<size_t>(storage->param);
   }
   return g_real_fwrite(ptr, size, nmemb, stream);
 }
@@ -1085,24 +1064,17 @@ int unlink(const char* path) {
 
 int rename(const char* oldpath, const char* newpath) {
   Resolve(g_real_rename, "rename");
+  const FsPlanEntry* storage = nullptr;
   unsigned long n = 0;
-  const FsPlanEntry* plan = OnCallCount(kSlot_rename, n);
-  if (plan != nullptr) {
-    if (Is(plan, FaultKind::kKillAt)) {
-      RecordInjection(kSlot_rename, n);
-      RawKill();
-    }
-    if (Is(plan, FaultKind::kErrno)) {
-      RecordInjection(kSlot_rename, n);
-      return Inject<int>(plan);
-    }
-    if (Is(plan, FaultKind::kCrashAfterRename)) {
-      // The rename reaches the directory; the power dies before anything
-      // else does. RawKill undoes every unsynced write first.
-      RecordInjection(kSlot_rename, n);
-      g_real_rename(oldpath, newpath);
-      RawKill();
-    }
+  if (const FsPlanEntry* plan = OnCall(kSlot_rename, &storage, &n)) {
+    return Inject<int>(plan);
+  }
+  if (Is(storage, FaultKind::kCrashAfterRename)) {
+    // The rename reaches the directory; the power dies before anything
+    // else does. RawKill undoes every unsynced write first.
+    RecordInjection(kSlot_rename, n);
+    g_real_rename(oldpath, newpath);
+    RawKill();
   }
   return g_real_rename(oldpath, newpath);
 }

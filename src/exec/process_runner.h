@@ -1,8 +1,10 @@
 // Fork/exec runner for real targets — the node manager's "start the system
-// under test" script (paper §6.1) as a library. Runs one command in a
-// sandbox working directory with LD_PRELOAD and AFEX_FEEDBACK set (the
-// block that file holds carries the test's fault plan, exec/fault_plan.h),
-// captures combined stdout/stderr, enforces a wall-clock
+// under test" script (paper §6.1) as a library. LaunchProcess is the one
+// routine that starts a process, for a spawned test and for a persistent
+// mode server (exec/forkserver.h) alike: one command from a ProcessRequest,
+// in a sandbox working directory with LD_PRELOAD and AFEX_FEEDBACK set (the
+// block that file holds carries the test's fault plan, exec/fault_plan.h).
+// RunProcess captures its combined stdout/stderr, enforces a wall-clock
 // timeout through the KillLadder every exec mode shares, and reports how
 // the process died (exit code, terminating signal, or timeout) as the
 // ProcessResult every exec mode returns.
@@ -24,6 +26,8 @@ namespace exec {
 // blocks on a full buffer).
 inline constexpr size_t kMaxOutputBytes = 1 << 16;
 
+// What to start, for RunProcess and for a ForkserverClient's server (whose
+// argv keeps its "{test}" placeholders for the server's children to fill).
 struct ProcessRequest {
   // argv[0] is the executable (resolved via PATH, execvp semantics).
   std::vector<std::string> argv;
@@ -34,8 +38,7 @@ struct ProcessRequest {
   std::vector<std::pair<std::string, std::string>> env;
   // Shared library to LD_PRELOAD into the child ("" = none).
   std::string preload;
-  // Wall-clock budget, enforced by a KillLadder. The child starts with
-  // stdio only: every other descriptor of this process is closed in it.
+  // Wall-clock budget per test, enforced by a KillLadder.
   uint64_t timeout_ms = 5000;
 };
 
@@ -88,20 +91,25 @@ class KillLadder {
   int rung_ = 0;           // rungs passed
 };
 
+// The one way every exec mode starts a process, spawned test and server
+// alike: env and argv built before fork, stdout+stderr on one pipe, every
+// other descriptor closed, then chdir (_exit 126 if it fails), execvpe
+// (_exit 127). A server's launch passes its two protocol pipe ends, which
+// the child keeps pinned on kForkserverCtlFd and kForkserverStatusFd
+// (exec/forkserver_protocol.h). Returns the child's pid with `output` set
+// to the nonblocking read end of its output pipe, or -1 when nothing was
+// started (empty argv, pipe or fork failure) and nothing is left open.
+pid_t LaunchProcess(const ProcessRequest& request, int& output, int server_ctl = -1,
+                    int server_status = -1);
+
+// Launches `request`, drains its output while waiting for it under the
+// KillLadder, and reports how it ended: spawn mode's tests and the
+// two-phase recover/verify commands.
 ProcessResult RunProcess(const ProcessRequest& request);
 
 // True when `signal` is one of the crash signals (SEGV, ABRT, BUS, FPE,
 // ILL, TRAP) — the classification the harness maps to TestOutcome::crashed.
 bool IsCrashSignal(int signal);
-
-// Child-environment materialization shared by RunProcess and the forkserver
-// client (exec/forkserver.h): inherited environment with `env` overrides
-// applied and LD_PRELOAD set to `preload` (when non-empty). Built entirely
-// pre-fork because with --jobs the parent is multithreaded and the forked
-// child may only touch async-signal-safe calls.
-std::vector<std::string> MaterializeEnv(
-    const std::vector<std::pair<std::string, std::string>>& env,
-    const std::string& preload);
 
 // Event-driven wait on one forked child. A pidfd (pidfd_open, Linux >= 5.3)
 // polls readable the moment the child exits, so each Wait is one poll over

@@ -223,6 +223,11 @@ RealTargetHarness::RealTargetHarness(RealTargetConfig config)
   sandbox_dir_ = (fs::path(instance_dir_) / "sandbox").string();
   feedback_path_ = (fs::path(instance_dir_) / "feedback.afexfb").string();
   fs::create_directories(sandbox_dir_, ec);
+  target_ = {.argv = config_.target_argv,
+             .working_dir = sandbox_dir_,
+             .env = {{"AFEX_FEEDBACK", feedback_path_}},
+             .preload = config_.interposer_path,
+             .timeout_ms = config_.timeout_ms};
 }
 
 RealTargetHarness::~RealTargetHarness() {
@@ -244,29 +249,6 @@ void RealTargetHarness::set_metrics_sink(obs::MetricsSink* sink) {
   if (forkserver_ != nullptr) {
     forkserver_->set_metrics_sink(sink);
   }
-}
-
-bool RealTargetHarness::EnsureForkserver(std::string& why) {
-  if (forkserver_ != nullptr) {
-    return true;
-  }
-  // The server maps the feedback file once, in its constructor: the file
-  // must exist (and keeps its identity across every test and respawn). The
-  // harness keeps it open to write each test's plan into it.
-  if (!CreateFeedbackFile(feedback_path_.c_str()) ||
-      (feedback_fd_ = ::open(feedback_path_.c_str(), O_WRONLY | O_CLOEXEC)) < 0) {
-    why = "exec: cannot create feedback file " + feedback_path_;
-    return false;
-  }
-  ForkserverOptions opts;
-  opts.argv = config_.target_argv;
-  opts.working_dir = sandbox_dir_;
-  opts.preload = config_.interposer_path;
-  opts.env = {{"AFEX_FEEDBACK", feedback_path_}};
-  opts.timeout_ms = config_.timeout_ms;
-  forkserver_ = std::make_unique<ForkserverClient>(std::move(opts));
-  forkserver_->set_metrics_sink(metrics_);
-  return true;
 }
 
 FaultSpace RealTargetHarness::MakeSpace(size_t max_call, bool include_zero_call) const {
@@ -398,8 +380,17 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   ProcessResult run;
   uint32_t expect_seq = 0;
 
+  // One feedback file per harness, in both modes: created by the first live
+  // test that can (the server maps it once, so it keeps its identity
+  // across every test and respawn) and held open for every plan write and
+  // block read.
+  if (feedback_fd_ < 0 && (feedback_fd_ = OpenFeedbackFile(feedback_path_.c_str())) < 0) {
+    outcome.test_failed = true;
+    outcome.detail = "exec: cannot create feedback file " + feedback_path_;
+    return live;
+  }
   if (config_.exec_mode == ExecMode::kSpawn) {
-    // ---- spawn: a fresh block holding the plan, one process per test ----
+    // ---- spawn: the whole block fresh with the plan, one process per test ----
     obs::PhaseTimer plan_timer(metrics_, obs::Phase::kRealPlanWrite);
     std::error_code ec;
     fs::create_directories(sandbox_dir_, ec);
@@ -408,19 +399,15 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       outcome.detail = "exec: cannot create sandbox " + sandbox_dir_;
       return live;
     }
-    if (!CreateFeedbackFile(feedback_path_.c_str(), entries)) {
+    if (!ResetFeedbackBlock(feedback_fd_, entries)) {
       outcome.test_failed = true;
-      outcome.detail = "exec: cannot create feedback file under " + instance_dir_;
+      outcome.detail = "exec: cannot write the fault plan into " + feedback_path_;
       return live;
     }
     plan_timer.Finish();
 
-    ProcessRequest request;
-    request.argv = SubstituteTest(config_.target_argv, test_label);
-    request.working_dir = sandbox_dir_;
-    request.preload = config_.interposer_path;
-    request.env = {{"AFEX_FEEDBACK", feedback_path_}};
-    request.timeout_ms = config_.timeout_ms;
+    ProcessRequest request = target_;
+    request.argv = SubstituteTest(std::move(request.argv), test_label);
     run = RunProcess(request);
     if (metrics_ != nullptr) {
       // The runner stamps spawn/wait on the obs::NowNs timebase so the two
@@ -434,11 +421,9 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   } else {
     // ---- persistent: the plan into the mapped block, then one pipe
     // round-trip per test ----
-    std::string why;
-    if (!EnsureForkserver(why)) {
-      outcome.test_failed = true;
-      outcome.detail = why;
-      return live;
+    if (forkserver_ == nullptr) {
+      forkserver_ = std::make_unique<ForkserverClient>(target_);
+      forkserver_->set_metrics_sink(metrics_);
     }
     expect_seq = ++next_seq_;
     obs::PhaseTimer roundtrip(metrics_, obs::Phase::kRealFsRoundtrip);
@@ -479,7 +464,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
 
   obs::PhaseTimer feedback_timer(metrics_, obs::Phase::kRealFeedbackRead);
   FeedbackBlock block;
-  FeedbackReadStatus feedback_status = ReadFeedbackBlockStatus(feedback_path_.c_str(), block);
+  FeedbackReadStatus feedback_status = ReadFeedbackBlockStatus(feedback_fd_, block);
   switch (feedback_status) {
     case FeedbackReadStatus::kOk:
       Count("real.feedback_ok");

@@ -5,16 +5,17 @@
 // Per test it: decodes the abstract fault through the same FaultDecoder the
 // sim backend uses (the libc profile names real functions, so the fault
 // space vocabulary transfers verbatim), encodes the fault plan once
-// (exec/fault_plan.h) and writes it into the feedback block (spawn: a fresh
-// file per test; persistent: the plan region of the block the server
-// maps), runs the target under LD_PRELOAD in a recycled scratch sandbox
-// (process_runner or the forkserver client, both reporting an
-// exec::ProcessResult), reads the feedback block back, and translates it
-// into a TestOutcome: per-function call profiles become
-// black-box "coverage" (one block per profiled libc function), injected-
-// site hits become fault_triggered plus a synthetic injection stack for
-// redundancy clustering, and the exit status / terminating signal /
-// timeout map onto failed / crashed / hung. Everything downstream —
+// (exec/fault_plan.h) and writes it into the harness's one feedback file
+// through the fd it holds (spawn: the whole block, fresh; persistent: the
+// plan region of the block the server maps), runs the target under
+// LD_PRELOAD in a recycled scratch sandbox (the ProcessRequest built once
+// per harness, started by process_runner per test or handed to the
+// forkserver client; both report an exec::ProcessResult), reads the block
+// back through the same fd, and translates it into a TestOutcome:
+// per-function call profiles become black-box "coverage" (one block per
+// profiled libc function), injected-site hits become fault_triggered plus a
+// synthetic injection stack for redundancy clustering, and the exit status
+// / terminating signal / timeout map onto failed / crashed / hung. Everything downstream —
 // fitness, clustering, campaign journaling, resume, --jobs — consumes the
 // result unchanged.
 //
@@ -61,6 +62,7 @@
 
 #include "core/session.h"
 #include "exec/feedback_block.h"
+#include "exec/process_runner.h"
 #include "injection/plan.h"
 #include "sim/coverage.h"
 
@@ -104,9 +106,10 @@ struct RealTargetConfig {
   std::string interposer_path;
   // Scratch root. Each harness makes one sandbox and one feedback file
   // under it and recycles both between tests: the sandbox is emptied in
-  // place after every test (after recovery and verify, which run in it).
-  // Empty = a fresh directory under the system temp dir. The harness
-  // removes its own scratch when destroyed.
+  // place after every test (after recovery and verify, which run in it),
+  // the feedback file, created by the first live test and held open, is
+  // rewritten before every test. Empty = a fresh directory under the system
+  // temp dir. The harness removes its own scratch when destroyed.
   std::string work_root;
   // Per-process budget of every command the harness runs (target,
   // recovery, verify), enforced by exec::KillLadder; output is captured up
@@ -231,7 +234,6 @@ class RealTargetHarness : public TargetBackend {
     AnswerSampler sampler;
   };
 
-  bool EnsureForkserver(std::string& why);
   LiveRun RunLive(size_t test_id, const std::vector<FsPlanEntry>& entries);
   // The recover/verify verdict on the sandbox the workload left: answered
   // from a seen crash state, or both commands run live.
@@ -248,11 +250,19 @@ class RealTargetHarness : public TargetBackend {
   std::string target_name_;     // basename of argv[0], for injection stacks
   // Per-harness recycled scratch (unique under work_root_, so --jobs nodes
   // sharing one root never collide): one sandbox emptied in place between
-  // tests, one feedback file rewritten per test.
+  // tests, one feedback file rewritten before each test.
   std::string instance_dir_;
   std::string sandbox_dir_;
   std::string feedback_path_;
-  int feedback_fd_ = -1;  // persistent: the mapped block, open for plan writes
+  // The feedback file, open O_RDWR from the first live test to the
+  // destructor, in both exec modes: each test's plan write and block read
+  // go through it (-1 until it could be created).
+  int feedback_fd_ = -1;
+  // The target as every live test starts it: absolute argv with "{test}",
+  // the sandbox as working directory, the interposer, AFEX_FEEDBACK and the
+  // timeout. Spawn substitutes the test id into a copy; persistent hands
+  // it to the forkserver client once.
+  ProcessRequest target_;
   std::unique_ptr<ForkserverClient> forkserver_;
   uint32_t next_seq_ = 0;  // FeedbackBlock::test_seq stamps (persistent)
   CoverageAccumulator coverage_;

@@ -57,7 +57,7 @@ uint32_t ThreadSlot();
   X(kSimDecode, "sim.decode")                     /* sim backend: fault decode */              \
   X(kSimRun, "sim.run")                           /* sim: env setup + program execution */     \
   X(kSimFeedbackMerge, "sim.feedback_merge")      /* sim: outcome fill + coverage merge */     \
-  X(kRealPlanWrite, "real.plan_write")            /* real: sandbox + feedback file */          \
+  X(kRealPlanWrite, "real.plan_write")            /* real spawn: sandbox + block reset */      \
   X(kRealForkExec, "real.fork_exec")              /* real: env + fork + exec */                \
   X(kRealChildWait, "real.child_wait")            /* real: child runtime until reaped */       \
   X(kRealFeedbackRead, "real.feedback_read")      /* real: block read + translation */         \

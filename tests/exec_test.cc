@@ -173,12 +173,27 @@ TEST(FaultPlanTest, RejectsHostileModeDirectives) {
   EXPECT_FALSE(DecodePlanEntries(entries, back));
 }
 
+// Reads the block in the file at `path` through a fresh read-only fd
+// (kMissing when the file cannot be opened).
+FeedbackReadStatus ReadBlockAt(const std::string& path, FeedbackBlock& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return FeedbackReadStatus::kMissing;
+  }
+  const FeedbackReadStatus status = ReadFeedbackBlockStatus(fd, out);
+  ::close(fd);
+  return status;
+}
+
 TEST(FeedbackBlockTest, CreateAndReadBackRejectsUnattached) {
   std::string path = TempDir("fb") + "/fb.bin";
-  ASSERT_TRUE(CreateFeedbackFile(path.c_str()));
+  const int fd = OpenFeedbackFile(path.c_str());
+  ASSERT_GE(fd, 0);
   FeedbackBlock block;
-  // Zero-filled file: no magic — the interposer never attached.
-  EXPECT_FALSE(ReadFeedbackBlock(path.c_str(), block));
+  // A fresh block: no magic — the interposer never attached.
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, block), FeedbackReadStatus::kBadMagic);
+  EXPECT_EQ(fs::file_size(path), sizeof(FeedbackBlock));
+  ::close(fd);
 }
 
 // The whole block file, whatever its header says.
@@ -197,7 +212,9 @@ TEST(FeedbackBlockTest, PlanLandsInTheBlockAndRewritesInPlace) {
       {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13},
        {.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync}},
       two));
-  ASSERT_TRUE(CreateFeedbackFile(path.c_str(), two));
+  const int fd = OpenFeedbackFile(path.c_str());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(ResetFeedbackBlock(fd, two));
   std::unique_ptr<FeedbackBlock> block = RawBlock(path);
   EXPECT_EQ(block->magic, 0u);
   ASSERT_EQ(block->plan_count, 2u);
@@ -207,19 +224,24 @@ TEST(FeedbackBlockTest, PlanLandsInTheBlockAndRewritesInPlace) {
   // header and counters stay as they are; unused slots hold default entries.
   std::ofstream(path, std::ios::binary | std::ios::in | std::ios::out)
       .write(reinterpret_cast<const char*>(&kFeedbackMagic), sizeof(kFeedbackMagic));
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  ASSERT_GE(fd, 0);
   EXPECT_TRUE(WriteFeedbackPlan(fd, std::span(two).first(1)));
   EXPECT_FALSE(WriteFeedbackPlan(fd, std::vector<FsPlanEntry>(kFsMaxPlans + 1, two[0])));
-  ::close(fd);
   EXPECT_EQ(fs::file_size(path), sizeof(FeedbackBlock));
   block = RawBlock(path);
   EXPECT_EQ(block->magic, kFeedbackMagic);
   ASSERT_EQ(block->plan_count, 1u);
   EXPECT_EQ(std::memcmp(&block->plan[0], &two[0], sizeof(FsPlanEntry)), 0);
   EXPECT_EQ(block->plan[1].slot, -1);
-  EXPECT_FALSE(CreateFeedbackFile(path.c_str(),
-                                  std::vector<FsPlanEntry>(kFsMaxPlans + 1, two[0])));
+
+  // Spawn mode's reset: the whole block fresh again, the new plan in place.
+  EXPECT_FALSE(ResetFeedbackBlock(fd, std::vector<FsPlanEntry>(kFsMaxPlans + 1, two[0])));
+  ASSERT_TRUE(ResetFeedbackBlock(fd, std::span(two).last(1)));
+  EXPECT_EQ(fs::file_size(path), sizeof(FeedbackBlock));
+  block = RawBlock(path);
+  EXPECT_EQ(block->magic, 0u);
+  ASSERT_EQ(block->plan_count, 1u);
+  EXPECT_EQ(std::memcmp(&block->plan[0], &two[1], sizeof(FsPlanEntry)), 0);
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,6 +412,18 @@ TEST(ProcessRunnerTest, RunsInWorkingDirWithEnv) {
   EXPECT_NE(result.output.find(fs::canonical(dir).string() + "\n"), std::string::npos)
       << result.output;
   EXPECT_NE(result.output.find("probe-value"), std::string::npos);
+
+  // An override replaces the inherited value, and a later launch on this
+  // thread, which reuses the environment buffers, sees none of the earlier
+  // launch's additions.
+  ::setenv("AFEX_PROBE_INHERITED", "inherited", 1);
+  request.argv = {"/bin/sh", "-c", "env | grep '^AFEX_PROBE' | sort"};
+  request.env = {{"AFEX_PROBE", "probe-value"}, {"AFEX_PROBE_INHERITED", "override"}};
+  EXPECT_EQ(RunProcess(request).output,
+            "AFEX_PROBE=probe-value\nAFEX_PROBE_INHERITED=override\n");
+  request.env.clear();
+  EXPECT_EQ(RunProcess(request).output, "AFEX_PROBE_INHERITED=inherited\n");
+  ::unsetenv("AFEX_PROBE_INHERITED");
 }
 
 // ---------------------------------------------------------------------------
@@ -411,7 +445,9 @@ ProcessResult RunPreloaded(const std::string& dir, std::vector<std::string> argv
   std::string feedback_path = dir + "/fb.bin";
   std::string sandbox = dir + "/sandbox";
   fs::create_directories(sandbox);
-  EXPECT_TRUE(CreateFeedbackFile(feedback_path.c_str(), plan));
+  const int fd = OpenFeedbackFile(feedback_path.c_str());
+  EXPECT_GE(fd, 0);
+  EXPECT_TRUE(ResetFeedbackBlock(fd, plan));
 
   ProcessRequest request;
   request.argv = std::move(argv);
@@ -420,7 +456,8 @@ ProcessResult RunPreloaded(const std::string& dir, std::vector<std::string> argv
   request.env = {{"AFEX_FEEDBACK", feedback_path}};
   request.timeout_ms = 10000;
   ProcessResult result = RunProcess(request);
-  EXPECT_TRUE(ReadFeedbackBlock(feedback_path.c_str(), block));
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, block), FeedbackReadStatus::kOk);
+  ::close(fd);
   return result;
 }
 
@@ -535,7 +572,7 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
     request.timeout_ms = 10000;
     ProcessResult result = RunProcess(request);
     FeedbackBlock block;
-    ASSERT_TRUE(ReadFeedbackBlock((dir + "/fb.bin").c_str(), block));
+    ASSERT_EQ(ReadBlockAt(dir + "/fb.bin", block), FeedbackReadStatus::kOk);
     EXPECT_TRUE(result.exited);
     EXPECT_EQ(result.exit_code, 0) << result.output;
     EXPECT_EQ(block.attached, 1u);
@@ -782,12 +819,14 @@ TEST(RealTargetHarnessTest, TranslatesOutcomeAndCoverage) {
 // Forkserver client
 // ---------------------------------------------------------------------------
 
-// Options for a walutil forkserver rooted at `dir` (sandbox + feedback file
+// The request for a walutil server rooted at `dir` (sandbox + feedback file
 // are created here; the client maps the feedback file server-side).
-ForkserverOptions WalutilFsOptions(const std::string& dir) {
+ProcessRequest WalutilServerRequest(const std::string& dir) {
   fs::create_directories(dir + "/sandbox");
-  EXPECT_TRUE(CreateFeedbackFile((dir + "/fb.bin").c_str()));
-  ForkserverOptions opts;
+  const int fd = OpenFeedbackFile((dir + "/fb.bin").c_str());
+  EXPECT_GE(fd, 0);
+  ::close(fd);
+  ProcessRequest opts;
   opts.argv = {AFEX_WALUTIL_PATH, "{test}"};
   opts.working_dir = dir + "/sandbox";
   opts.preload = AFEX_INTERPOSER_PATH;
@@ -808,7 +847,7 @@ void WritePlan(const std::string& dir, const std::vector<FaultSpec>& specs) {
 
 TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   std::string dir = TempDir("fs_basic");
-  ForkserverClient client(WalutilFsOptions(dir));
+  ForkserverClient client(WalutilServerRequest(dir));
 
   ProcessResult clean = client.RunTest(1, 1);
   ASSERT_TRUE(clean.started) << clean.error;
@@ -852,7 +891,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   // feedback block BEFORE each fork, so a crashed child's counts can never
   // leak into the next test's attribution.
   std::string dir = TempDir("fs_rearm");
-  ForkserverClient client(WalutilFsOptions(dir));
+  ForkserverClient client(WalutilServerRequest(dir));
   std::string fb = dir + "/fb.bin";
 
   WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
@@ -861,7 +900,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   ASSERT_TRUE(crashed.started) << crashed.error;
   EXPECT_EQ(crashed.term_signal, SIGSEGV);
   FeedbackBlock block;
-  ASSERT_TRUE(ReadFeedbackBlock(fb.c_str(), block));
+  ASSERT_EQ(ReadBlockAt(fb, block), FeedbackReadStatus::kOk);
   EXPECT_EQ(block.test_seq, 1u);
   EXPECT_EQ(block.injected_total, 1u);
 
@@ -869,7 +908,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   ProcessResult clean = client.RunTest(1, 2);
   ASSERT_TRUE(clean.started) << clean.error;
   EXPECT_EQ(clean.exit_code, 0);
-  ASSERT_TRUE(ReadFeedbackBlock(fb.c_str(), block));
+  ASSERT_EQ(ReadBlockAt(fb, block), FeedbackReadStatus::kOk);
   EXPECT_EQ(block.test_seq, 2u);
   EXPECT_EQ(block.injected_total, 0u) << "stale injection counts survived the re-arm";
   EXPECT_EQ(block.attached, 1u);
@@ -878,7 +917,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
 TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   // A server that exits without ever speaking the protocol (no preload, so
   // the interposer loop never runs).
-  ForkserverOptions dead = WalutilFsOptions(TempDir("fs_dead"));
+  ProcessRequest dead = WalutilServerRequest(TempDir("fs_dead"));
   dead.argv = {"/bin/true"};
   dead.preload.clear();
   ForkserverClient dead_client(dead);
@@ -887,7 +926,7 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
   EXPECT_FALSE(error.empty());
 
   // A server that writes 16 bytes of garbage where the Hello should be.
-  ForkserverOptions noise = WalutilFsOptions(TempDir("fs_noise"));
+  ProcessRequest noise = WalutilServerRequest(TempDir("fs_noise"));
   noise.argv = {"/bin/sh", "-c", "printf 'ABCDEFGHIJKLMNOP' >&199; sleep 1"};
   noise.preload.clear();
   ForkserverClient noise_client(noise);
@@ -899,7 +938,7 @@ TEST(ForkserverClientTest, HandshakeFailsOnDeadServerAndWrongMagic) {
 TEST(ForkserverClientTest, TimeoutKillsChildAndClassifies) {
   // The server is parked in waitpid while the child runs, so timeout kills
   // are delivered by the *client* to the child pid from kChildPid.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_timeout"));
+  ProcessRequest opts = WalutilServerRequest(TempDir("fs_timeout"));
   opts.argv = {"/bin/sh", "-c", "sleep 30"};
   opts.timeout_ms = 300;
   ForkserverClient client(opts);
@@ -933,7 +972,7 @@ TEST(ForkserverClientTest, TornRequestOrServerDeathRestartsAtOnce) {
       const std::string label =
           std::string(kill_server ? "fs_killed" : "fs_torn") + (live_child ? "_live" : "");
       SCOPED_TRACE(label);
-      ForkserverOptions opts = WalutilFsOptions(TempDir(label));
+      ProcessRequest opts = WalutilServerRequest(TempDir(label));
       if (!live_child) {
         opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}", "open-first"};
       }
@@ -971,7 +1010,7 @@ TEST(ForkserverClientTest, TornRequestOrServerDeathRestartsAtOnce) {
 
 TEST(ForkserverClientTest, TestIdsWiderThanThePlaceholderAreSubstituted) {
   // "{test}" is six bytes; a seven-digit id must still reach the program.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_wide"));
+  ProcessRequest opts = WalutilServerRequest(TempDir("fs_wide"));
   opts.argv = {"/bin/sh", "-c", "echo \"$0\"", "{test}"};
   ForkserverClient client(opts);
   ProcessResult result = client.RunTest(1000000, 1);
@@ -982,7 +1021,7 @@ TEST(ForkserverClientTest, TestIdsWiderThanThePlaceholderAreSubstituted) {
 
 TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
   std::string dir = TempDir("fs_persist");
-  ForkserverClient client(WalutilFsOptions(dir));
+  ForkserverClient client(WalutilServerRequest(dir));
   uint32_t seq = 0;
   ProcessResult first = client.RunTest(1, ++seq);
   ASSERT_TRUE(first.started) << first.error;
@@ -1031,7 +1070,7 @@ TEST(ForkserverClientTest, PersistentIterationClosingStdioDoesNotSpinTheClient) 
   // Once the target closes fds 1 and 2 the output pipe sits at EOF. Left in
   // the poll set, it would wake WaitMsg on every poll for the whole 200 ms
   // the iteration sleeps, burning the client's CPU.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_closed_stdio"));
+  ProcessRequest opts = WalutilServerRequest(TempDir("fs_closed_stdio"));
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   ForkserverClient client(opts);
   ProcessResult warm = client.RunTest(1, 1);
@@ -1062,7 +1101,7 @@ TEST(ForkserverClientTest, PersistentNonAdopterRunsAsForkserverChildren) {
   // /bin/sh never calls afex_persistent_run: each test's child runs main to
   // completion and exits, one child per test, on one server. The child
   // holds the protocol fds close-on-exec, so the ls it execs sees neither.
-  ForkserverOptions opts = WalutilFsOptions(TempDir("fs_non_adopter"));
+  ProcessRequest opts = WalutilServerRequest(TempDir("fs_non_adopter"));
   opts.argv = {"/bin/sh", "-c", "echo no-adoption; ls /proc/self/fd"};
   ForkserverClient client(opts);
   ProcessResult result = client.RunTest(1, 1);
@@ -1112,7 +1151,7 @@ FixtureRun RunFixture(ExecMode mode, const std::string& dir, int scenario,
                               Entries(specs), block);
     return run;
   }
-  ForkserverOptions opts = WalutilFsOptions(dir);
+  ProcessRequest opts = WalutilServerRequest(dir);
   opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
   run.client = std::make_unique<ForkserverClient>(opts);
   WritePlan(dir, specs);
@@ -1215,7 +1254,7 @@ TEST(KillLadderTest, HangEscalatesToSigkillInEveryExecMode) {
       request.timeout_ms = kTimeoutMs;
       result = RunProcess(request);
     } else {
-      ForkserverOptions opts = WalutilFsOptions(TempDir("hang_persist"));
+      ProcessRequest opts = WalutilServerRequest(TempDir("hang_persist"));
       opts.argv = {AFEX_PERSISTENT_FIXTURE_PATH, "{test}"};
       opts.timeout_ms = kTimeoutMs;
       client = std::make_unique<ForkserverClient>(opts);
@@ -1272,11 +1311,29 @@ TEST(ExecFdTest, ChildrenStartWithStdioOnly) {
   EXPECT_EQ(listed.exit_code, 0) << listed.output;
   EXPECT_EQ(listed.output.find(journal), std::string::npos) << listed.output;
 
-  ForkserverClient client(WalutilFsOptions(dir));
+  ForkserverClient client(WalutilServerRequest(dir));
   std::string error;
   ASSERT_TRUE(client.EnsureServer(error)) << error;
   for (const auto& [server_fd, target] : OpenFds(client.server_pid())) {
     EXPECT_NE(target, journal) << "server fd " << server_fd;
+  }
+
+  // Nor do the harness's own: it holds the feedback file open for its whole
+  // life in both modes. A non-adopting target lists its fds (ls's are the
+  // shell's, plus the directory it reads) and fails, so the list becomes
+  // the outcome's detail.
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = WalutilConfig(TempDir("fd_harness"));
+    config.target_argv = {"/bin/sh", "-c", "echo $(ls /proc/self/fd); exit 1"};
+    config.exec_mode = mode;
+    RealTargetHarness harness(config);
+    FaultSpace space = harness.MakeSpace(/*max_call=*/2);
+    for (size_t test = 1; test <= 2; ++test) {
+      TestOutcome listed = harness.RunFault(space, MakeFault(space, test, "send", 2));
+      EXPECT_EQ(listed.exit_code, 1);
+      EXPECT_EQ(listed.detail, "0 1 2 3") << "test " << test;
+    }
   }
   ::close(fd);
 }
@@ -1289,7 +1346,7 @@ TEST(ExecFdTest, ConcurrentSpawnsAndServersHoldOnlyTheirOwnPipes) {
   int handshakes = 0;
   std::string server_leak;
   std::thread cycler([&] {
-    const ForkserverOptions opts = WalutilFsOptions(TempDir("fd_stress"));
+    const ProcessRequest opts = WalutilServerRequest(TempDir("fd_stress"));
     while (!stop.load()) {
       ForkserverClient client(opts);
       std::string error;
@@ -1803,50 +1860,66 @@ FeedbackBlock AttachedBlock() {
   return block;
 }
 
-TEST(FeedbackBlockHostileTest, MissingFileReadsMissing) {
+// Each case reads through a feedback fd held open the way the harness holds
+// its own, while the block's bytes are rewritten by path, as a target would.
+
+TEST(FeedbackBlockHostileTest, FailedReadReadsMissing) {
+  const std::string path = TempDir("fb_missing") + "/fb.bin";
+  WriteBlockBytes(path, AttachedBlock(), sizeof(FeedbackBlock));
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);  // not readable
+  ASSERT_GE(fd, 0);
   FeedbackBlock block;
-  EXPECT_EQ(ReadFeedbackBlockStatus((TempDir("fb_missing") + "/none.bin").c_str(), block),
-            FeedbackReadStatus::kMissing);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, block), FeedbackReadStatus::kMissing);
+  ::close(fd);
 }
 
 TEST(FeedbackBlockHostileTest, TruncatedBlockReadsShort) {
   std::string path = TempDir("fb_short") + "/fb.bin";
+  const int fd = OpenFeedbackFile(path.c_str());
+  ASSERT_GE(fd, 0);
   FeedbackBlock block = AttachedBlock();
   // Cut inside the fixed counter region: unreadable regardless of version.
   WriteBlockBytes(path, block, 100);
   FeedbackBlock out;
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kShort);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kShort);
   // A block whose edge region is cut off is short too — the interposer
   // always produces the full block, so a partial one is torn output.
   WriteBlockBytes(path, block, offsetof(FeedbackBlock, edges_supported) + 16);
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kShort);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kShort);
+  ::close(fd);
 }
 
 TEST(FeedbackBlockHostileTest, BadMagicRejected) {
   std::string path = TempDir("fb_magic") + "/fb.bin";
+  const int fd = OpenFeedbackFile(path.c_str());
+  ASSERT_GE(fd, 0);
   FeedbackBlock block = AttachedBlock();
   block.magic = 0x4141414141414141ULL;
   WriteBlockBytes(path, block, sizeof(block));
   FeedbackBlock out;
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kBadMagic);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kBadMagic);
+  ::close(fd);
 }
 
 TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
   std::string path = TempDir("fb_skew") + "/fb.bin";
+  const int fd = OpenFeedbackFile(path.c_str());
+  ASSERT_GE(fd, 0);
   FeedbackBlock block = AttachedBlock();
   block.version = kFeedbackVersion + 1;  // from a future interposer
   WriteBlockBytes(path, block, sizeof(block));
   FeedbackBlock out;
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kVersionSkew);
   block.version = 0;
   WriteBlockBytes(path, block, sizeof(block));
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kVersionSkew);
   // A version-1 block (no edge region on disk) can only come from a skewed
-  // build: the parent creates the file per test for an interposer built
-  // from the same tree.
+  // build: the parent writes every block for an interposer built from the
+  // same tree.
   block.version = 1;
   WriteBlockBytes(path, block, offsetof(FeedbackBlock, edges_supported));
-  EXPECT_EQ(ReadFeedbackBlockStatus(path.c_str(), out), FeedbackReadStatus::kVersionSkew);
+  EXPECT_EQ(ReadFeedbackBlockStatus(fd, out), FeedbackReadStatus::kVersionSkew);
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
