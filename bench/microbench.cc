@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks for the library's hot paths: explorer
 // candidate generation, redundancy clustering, simulated-libc calls, and
 // whole target tests. These quantify the §6.1 claim that candidate
-// generation is orders of magnitude cheaper than test execution.
+// generation is orders of magnitude cheaper than test execution. The real
+// backend's process launch is measured from a small and a large parent heap.
 #include <benchmark/benchmark.h>
 
 #include "core/clustering.h"
 #include "core/fitness_explorer.h"
 #include "core/random_explorer.h"
+#include "exec/process_runner.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -116,6 +118,24 @@ void BM_WebServerTestExecution(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WebServerTestExecution);
+
+// Starts /bin/true, as spawn mode starts each target, from a parent that has
+// touched state.range(0) MB of heap (a campaign's caches and records): a
+// launch that copied the parent's address space would slow down with it.
+void BM_RunProcessTrue(benchmark::State& state) {
+  std::vector<char> heap(static_cast<size_t>(state.range(0)) << 20, 1);
+  exec::ProcessRequest request;
+  request.argv = {"/bin/true"};
+  for (auto _ : state) {
+    const exec::ProcessResult result = exec::RunProcess(request);
+    if (!result.exited || result.exit_code != 0) {
+      state.SkipWithError("/bin/true did not exit 0");
+      break;
+    }
+  }
+  benchmark::DoNotOptimize(heap.data());
+}
+BENCHMARK(BM_RunProcessTrue)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 }  // namespace
 }  // namespace afex

@@ -29,29 +29,5 @@ bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
   return true;
 }
 
-bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
-                       std::vector<FaultSpec>& out) {
-  if (entries.size() > kFsMaxPlans) {
-    return false;
-  }
-  out.clear();
-  out.reserve(entries.size());
-  for (const FsPlanEntry& entry : entries) {
-    if (!ValidPlanEntry(entry)) {
-      return false;
-    }
-    FaultSpec spec;
-    spec.function = kInterposedFunctions[entry.slot];
-    spec.call_lo = static_cast<int>(entry.call_lo);
-    spec.call_hi = static_cast<int>(entry.call_hi);
-    spec.retval = entry.retval;
-    spec.errno_value = entry.errno_value;
-    spec.kind = static_cast<FaultKind>(entry.kind);
-    spec.param = entry.param;
-    out.push_back(spec);
-  }
-  return true;
-}
-
 }  // namespace exec
 }  // namespace afex

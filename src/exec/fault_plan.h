@@ -29,11 +29,6 @@ namespace exec {
 bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
                        std::vector<FsPlanEntry>& out);
 
-// Inverse, for tests and tooling round-trips; accepts exactly what the
-// interposer's ArmPlans accepts.
-bool DecodePlanEntries(const std::vector<FsPlanEntry>& entries,
-                       std::vector<FaultSpec>& out);
-
 }  // namespace exec
 }  // namespace afex
 

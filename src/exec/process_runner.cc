@@ -32,34 +32,24 @@ int OpenPidfd(pid_t pid) {
 #endif
 }
 
-// Fills `out` with the child's environment: the inherited one with `env`
-// overrides applied and LD_PRELOAD set to `preload` (when non-empty). The
-// strings already in `out` are overwritten in place, so a caller that keeps
-// `out` allocates nothing here in the steady state.
-void MaterializeEnv(const std::vector<std::pair<std::string, std::string>>& env,
-                    const std::string& preload, std::vector<std::string>& out) {
-  size_t n = 0;
-  auto append = [&out, &n]() -> std::string& {
-    if (n == out.size()) {
-      out.emplace_back();
-    }
-    return out[n++];
-  };
+// The child's environment: the inherited one with `env` overrides applied
+// and LD_PRELOAD set to `preload` (when non-empty).
+std::vector<std::string> MaterializeEnv(
+    const std::vector<std::pair<std::string, std::string>>& env, const std::string& preload) {
+  std::vector<std::string> out;
   for (char** e = environ; *e != nullptr; ++e) {
-    append().assign(*e);
+    out.emplace_back(*e);
   }
-  auto set_var = [&](const std::string& key, const std::string& value) {
-    std::string* slot = nullptr;
-    for (size_t i = 0; i < n && slot == nullptr; ++i) {
-      if (out[i].size() > key.size() && out[i][key.size()] == '=' &&
-          out[i].compare(0, key.size(), key) == 0) {
-        slot = &out[i];
+  auto set_var = [&out](const std::string& key, const std::string& value) {
+    std::string entry = key + "=" + value;
+    const size_t prefix = key.size() + 1;  // "KEY="
+    for (std::string& existing : out) {
+      if (existing.compare(0, prefix, entry, 0, prefix) == 0) {
+        existing = std::move(entry);
+        return;
       }
     }
-    if (slot == nullptr) {
-      slot = &append();
-    }
-    slot->assign(key).append(1, '=').append(value);
+    out.push_back(std::move(entry));
   };
   for (const auto& [key, value] : env) {
     set_var(key, value);
@@ -67,7 +57,7 @@ void MaterializeEnv(const std::vector<std::pair<std::string, std::string>>& env,
   if (!preload.empty()) {
     set_var("LD_PRELOAD", preload);
   }
-  out.resize(n);
+  return out;
 }
 
 // Where a server's protocol pipe ends are lifted before they are pinned:
@@ -179,24 +169,18 @@ pid_t LaunchProcess(const ProcessRequest& request, int& output, int server_ctl,
   if (request.argv.empty()) {
     return -1;
   }
-  // Everything the child needs is materialized BEFORE fork: with --jobs the
-  // parent is multithreaded, so the child may only touch async-signal-safe
-  // calls (dup2/chdir/execvpe) — no setenv, no allocation. The buffers are
-  // this thread's, refilled in place by every launch and never freed on
-  // return: freed right after the fork, while the child still shares the
-  // parent's heap pages, they cost a copy-on-write fault per page touched
-  // (about 70 µs per launch, measured on walutil and txengine), and
-  // reallocated per launch they cost about 10 µs more in the allocator.
-  thread_local std::vector<std::string> env_strings;
-  thread_local std::vector<char*> envp;
-  thread_local std::vector<char*> argv;
-  MaterializeEnv(request.env, request.preload, env_strings);
-  envp.clear();
+  // Everything the child needs is built before vfork: the child shares this
+  // process's memory, so it may only make async-signal-safe calls
+  // (dup2/chdir/execvpe), with no allocation. Plain locals are safe, with
+  // --jobs too: vfork suspends this thread until its child has exec'd or
+  // exited.
+  std::vector<std::string> env_strings = MaterializeEnv(request.env, request.preload);
+  std::vector<char*> envp;
   for (std::string& entry : env_strings) {
     envp.push_back(entry.data());
   }
   envp.push_back(nullptr);
-  argv.clear();
+  std::vector<char*> argv;
   for (const std::string& arg : request.argv) {
     argv.push_back(const_cast<char*>(arg.c_str()));
   }
@@ -207,15 +191,27 @@ pid_t LaunchProcess(const ProcessRequest& request, int& output, int server_ctl,
   if (::pipe2(out, O_CLOEXEC) != 0) {
     return -1;
   }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(out[0]);
-    ::close(out[1]);
-    return -1;
-  }
-
+  // Every signal stays blocked until the child has reset its handlers: a
+  // handler run in the child would run on the parent's memory.
+  sigset_t all;
+  sigset_t old_mask;
+  ::sigfillset(&all);
+  ::pthread_sigmask(SIG_SETMASK, &all, &old_mask);
+  const pid_t pid = ::vfork();
   if (pid == 0) {
-    // ---- child: async-signal-safe calls only ----
+    // ---- child: async-signal-safe calls only, on the parent's memory ----
+    // Handlers back to SIG_DFL (exec resets them anyway), then the parent's
+    // mask again.
+    for (int sig = 1; sig < NSIG; ++sig) {
+      struct sigaction action = {};
+      if (::sigaction(sig, nullptr, &action) == 0 && action.sa_handler != SIG_DFL &&
+          action.sa_handler != SIG_IGN) {
+        action.sa_handler = SIG_DFL;
+        action.sa_flags = 0;
+        ::sigaction(sig, &action, nullptr);
+      }
+    }
+    ::pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
     const bool server = server_ctl >= 0;
     // Lift a server's ends clear of the protocol fds before pinning them, so
     // a pipe() that happened to return 198/199 cannot be clobbered.
@@ -242,8 +238,13 @@ pid_t LaunchProcess(const ProcessRequest& request, int& output, int server_ctl,
     ::_exit(127);
   }
 
-  // ---- parent ----
+  // ---- parent: resumed once the child has exec'd or exited ----
+  ::pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
   ::close(out[1]);
+  if (pid < 0) {
+    ::close(out[0]);
+    return -1;
+  }
   ::fcntl(out[0], F_SETFL, O_NONBLOCK);
   output = out[0];
   return pid;

@@ -1,4 +1,4 @@
-// Fork/exec runner for real targets — the node manager's "start the system
+// Process runner for real targets — the node manager's "start the system
 // under test" script (paper §6.1) as a library. LaunchProcess is the one
 // routine that starts a process, for a spawned test and for a persistent
 // mode server (exec/forkserver.h) alike: one command from a ProcessRequest,
@@ -54,9 +54,10 @@ struct ProcessResult {
   bool kill_escalated = false;  // SIGTERM grace expired; SIGKILL was sent
   std::string output;     // combined stdout+stderr, possibly truncated
   // Spawn-mode timing on the obs::NowNs timebase, filled unconditionally
-  // (three clock reads are noise next to a fork): spawn covers env
-  // materialization through fork-return, wait covers the child's lifetime
-  // until it is reaped.
+  // (three clock reads are noise next to a launch): spawn covers env
+  // materialization until the child has exec'd (vfork suspends the parent
+  // until then), wait covers the rest of the child's lifetime until it is
+  // reaped.
   uint64_t spawn_start_ns = 0;
   uint64_t spawn_ns = 0;
   uint64_t wait_ns = 0;
@@ -92,13 +93,15 @@ class KillLadder {
 };
 
 // The one way every exec mode starts a process, spawned test and server
-// alike: env and argv built before fork, stdout+stderr on one pipe, every
+// alike: env and argv built before vfork, which shares this process's
+// memory with the child and suspends the calling thread until the child
+// has exec'd or exited; in the child, stdout+stderr on one pipe, every
 // other descriptor closed, then chdir (_exit 126 if it fails), execvpe
 // (_exit 127). A server's launch passes its two protocol pipe ends, which
 // the child keeps pinned on kForkserverCtlFd and kForkserverStatusFd
 // (exec/forkserver_protocol.h). Returns the child's pid with `output` set
 // to the nonblocking read end of its output pipe, or -1 when nothing was
-// started (empty argv, pipe or fork failure) and nothing is left open.
+// started (empty argv, pipe or vfork failure) and nothing is left open.
 pid_t LaunchProcess(const ProcessRequest& request, int& output, int server_ctl = -1,
                     int server_status = -1);
 

@@ -72,7 +72,7 @@ namespace exec {
 class ForkserverClient;
 
 // How each test becomes a process (README "Execution modes"):
-//   kSpawn      — fork+exec the target per test, the reference mode.
+//   kSpawn      — vfork+exec the target per test, the reference mode.
 //   kPersistent — one long-lived target stopped pre-main forks a child per
 //                 test; a child whose main adopts afex_persistent_run
 //                 re-runs the target's entry function in-process until

@@ -58,8 +58,8 @@ uint32_t ThreadSlot();
   X(kSimRun, "sim.run")                           /* sim: env setup + program execution */     \
   X(kSimFeedbackMerge, "sim.feedback_merge")      /* sim: outcome fill + coverage merge */     \
   X(kRealPlanWrite, "real.plan_write")            /* real spawn: sandbox + block reset */      \
-  X(kRealForkExec, "real.fork_exec")              /* real: env + fork + exec */                \
-  X(kRealChildWait, "real.child_wait")            /* real: child runtime until reaped */       \
+  X(kRealForkExec, "real.fork_exec")              /* real: env + vfork until exec'd */         \
+  X(kRealChildWait, "real.child_wait")            /* real: exec'd child until reaped */        \
   X(kRealFeedbackRead, "real.feedback_read")      /* real: block read + translation */         \
   X(kRealScratchCleanup, "real.scratch_cleanup")  /* real: per-run sandbox removal */          \
   X(kRealFsRoundtrip, "real.fs_roundtrip")        /* real: plan + request → status read */     \

@@ -42,6 +42,11 @@ if(cli_stdout_stripped STREQUAL "")
   message(FATAL_ERROR "afex_cli exited 0 but produced an empty report")
 endif()
 
+# Sim targets measure recovery coverage (their suites set a recovery base).
+if(NOT cli_stdout MATCHES "coverage [0-9.]+% \\(recovery [0-9.]+%\\)")
+  message(FATAL_ERROR "sim synopsis has no recovery coverage figure:\n${cli_stdout}")
+endif()
+
 string(LENGTH "${cli_stdout_stripped}" report_len)
 message(STATUS "afex_cli report: ${report_len} bytes, exit 0")
 
@@ -152,6 +157,10 @@ file(REMOVE "${journal}")
 run_cli(real_leg1 --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" --num-tests=6
   "--interposer=${AFEX_INTERPOSER}" --timeout-ms=10000 --budget=12 --seed=1
   "--journal=${journal}")
+# The real backend does not measure recovery coverage: n/a, not 0%.
+if(NOT real_leg1 MATCHES "coverage [0-9.]+% \\(recovery n/a\\)")
+  message(FATAL_ERROR "real synopsis does not print recovery n/a:\n${real_leg1}")
+endif()
 file(READ "${journal}" journal_text)
 if(NOT journal_text MATCHES "trig=1")
   message(FATAL_ERROR

@@ -106,7 +106,18 @@ std::string TempDir(const std::string& name) {
 // Plan serialization
 // ---------------------------------------------------------------------------
 
-TEST(FaultPlanTest, EntriesRoundTrip) {
+// Checks that `entry` is `spec` in the block's encoding.
+void ExpectEncodes(const FsPlanEntry& entry, const FaultSpec& spec) {
+  EXPECT_EQ(entry.slot, InterposedSlot(spec.function.c_str())) << spec.function;
+  EXPECT_EQ(entry.call_lo, static_cast<uint64_t>(spec.call_lo)) << spec.function;
+  EXPECT_EQ(entry.call_hi, static_cast<uint64_t>(spec.call_hi)) << spec.function;
+  EXPECT_EQ(entry.retval, spec.retval) << spec.function;
+  EXPECT_EQ(entry.errno_value, spec.errno_value) << spec.function;
+  EXPECT_EQ(entry.kind, static_cast<int32_t>(spec.kind)) << spec.function;
+  EXPECT_EQ(entry.param, spec.param) << spec.function;
+}
+
+TEST(FaultPlanTest, EncodesEntryFields) {
   std::vector<FaultSpec> specs = {
       {.function = "open", .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
       {.function = "malloc", .call_lo = 1, .call_hi = 7, .retval = 0, .errno_value = 12},
@@ -114,14 +125,9 @@ TEST(FaultPlanTest, EntriesRoundTrip) {
   std::vector<FsPlanEntry> entries;
   ASSERT_TRUE(EncodePlanEntries(specs, entries));
   ASSERT_EQ(entries.size(), 2u);
-  std::vector<FaultSpec> back;
-  ASSERT_TRUE(DecodePlanEntries(entries, back));
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].function, "open");
-  EXPECT_EQ(back[0].call_lo, 3);
-  EXPECT_EQ(back[0].errno_value, 13);
-  EXPECT_EQ(back[1].function, "malloc");
-  EXPECT_EQ(back[1].retval, 0);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ExpectEncodes(entries[i], specs[i]);
+  }
 
   // Rejected: functions the interposer does not wrap (strtol is in the libc
   // profile, but arming it could never trigger) and plans wider than the
@@ -132,7 +138,7 @@ TEST(FaultPlanTest, EntriesRoundTrip) {
   EXPECT_FALSE(EncodePlanEntries(wide, entries));
 }
 
-TEST(FaultPlanTest, ModeFieldsRoundTrip) {
+TEST(FaultPlanTest, EncodesModeFields) {
   std::vector<FaultSpec> specs = {
       {.function = "write", .call_lo = 2, .call_hi = 2, .retval = 40, .errno_value = 0,
        .kind = FaultKind::kShortWrite, .param = 40},
@@ -143,13 +149,9 @@ TEST(FaultPlanTest, ModeFieldsRoundTrip) {
   };
   std::vector<FsPlanEntry> entries;
   ASSERT_TRUE(EncodePlanEntries(specs, entries));
-  std::vector<FaultSpec> back;
-  ASSERT_TRUE(DecodePlanEntries(entries, back));
-  ASSERT_EQ(back.size(), 4u);
-  for (size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].kind, specs[i].kind) << i;
-    EXPECT_EQ(back[i].param, specs[i].param) << i;
-    EXPECT_EQ(back[i].function, specs[i].function) << i;
+  ASSERT_EQ(entries.size(), 4u);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ExpectEncodes(entries[i], specs[i]);
   }
 }
 
@@ -166,11 +168,11 @@ TEST(FaultPlanTest, RejectsHostileModeDirectives) {
   EXPECT_FALSE(EncodePlanEntries(
       {{.function = "fsync", .kind = FaultKind::kCrashAfterRename}}, entries));
 
-  // The decoder refuses a kind number outside FaultKind.
+  // A kind number outside FaultKind is not an entry ArmPlans would arm.
   ASSERT_TRUE(EncodePlanEntries({{.function = "write", .call_lo = 1, .call_hi = 1}}, entries));
+  EXPECT_TRUE(ValidPlanEntry(entries[0]));
   entries[0].kind = static_cast<int32_t>(FaultKind::kCrashAfterRename) + 1;
-  std::vector<FaultSpec> back;
-  EXPECT_FALSE(DecodePlanEntries(entries, back));
+  EXPECT_FALSE(ValidPlanEntry(entries[0]));
 }
 
 // Reads the block in the file at `path` through a fresh read-only fd
@@ -413,9 +415,8 @@ TEST(ProcessRunnerTest, RunsInWorkingDirWithEnv) {
       << result.output;
   EXPECT_NE(result.output.find("probe-value"), std::string::npos);
 
-  // An override replaces the inherited value, and a later launch on this
-  // thread, which reuses the environment buffers, sees none of the earlier
-  // launch's additions.
+  // An override replaces the inherited value, and a later launch sees none
+  // of the earlier launch's additions.
   ::setenv("AFEX_PROBE_INHERITED", "inherited", 1);
   request.argv = {"/bin/sh", "-c", "env | grep '^AFEX_PROBE' | sort"};
   request.env = {{"AFEX_PROBE", "probe-value"}, {"AFEX_PROBE_INHERITED", "override"}};
@@ -424,6 +425,60 @@ TEST(ProcessRunnerTest, RunsInWorkingDirWithEnv) {
   request.env.clear();
   EXPECT_EQ(RunProcess(request).output, "AFEX_PROBE_INHERITED=inherited\n");
   ::unsetenv("AFEX_PROBE_INHERITED");
+
+  // preload replaces an inherited LD_PRELOAD.
+  const char* inherited = std::getenv("LD_PRELOAD");
+  const std::string saved = inherited != nullptr ? inherited : "";
+  ::setenv("LD_PRELOAD", "", 1);
+  request.argv = {"/bin/sh", "-c", "echo \"[$LD_PRELOAD]\""};
+  request.preload = AFEX_INTERPOSER_PATH;
+  EXPECT_EQ(RunProcess(request).output, std::string("[") + AFEX_INTERPOSER_PATH + "]\n");
+  request.preload.clear();
+  EXPECT_EQ(RunProcess(request).output, "[]\n");
+  if (inherited != nullptr) {
+    ::setenv("LD_PRELOAD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("LD_PRELOAD");
+  }
+}
+
+// The launch contract every exec mode relies on: a program that cannot be
+// exec'd exits 127 and a working directory that cannot be entered exits
+// 126, as a shell reports them.
+TEST(ProcessRunnerTest, LaunchFailuresExitLikeAShell) {
+  ProcessRequest request;
+  for (const char* program : {"/nonexistent/afex-no-such-program", "afex-no-such-program"}) {
+    request.argv = {program};
+    ProcessResult result = RunProcess(request);
+    ASSERT_TRUE(result.started) << program;
+    EXPECT_TRUE(result.exited) << program;
+    EXPECT_EQ(result.exit_code, 127) << program;
+  }
+  request.argv = {"/bin/sh", "-c", "echo should-not-run"};
+  request.working_dir = TempDir("gone") + "/missing";
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 126);
+  EXPECT_TRUE(result.output.empty()) << result.output;
+}
+
+TEST(ProcessRunnerTest, ScriptWithoutShebangRunsUnderSh) {
+  // execvpe runs an executable that the kernel refuses (ENOEXEC) under
+  // /bin/sh, as a shell would.
+  const std::string script = TempDir("noshebang") + "/script";
+  {
+    std::ofstream out(script);
+    out << "echo ran-by-sh $#\nexit 5\n";
+  }
+  fs::permissions(script, fs::perms::owner_all);
+  ProcessRequest request;
+  request.argv = {script, "a", "b"};
+  ProcessResult result = RunProcess(request);
+  ASSERT_TRUE(result.started);
+  EXPECT_TRUE(result.exited);
+  EXPECT_EQ(result.exit_code, 5);
+  EXPECT_EQ(result.output, "ran-by-sh 2\n");
 }
 
 // ---------------------------------------------------------------------------

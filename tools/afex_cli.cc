@@ -284,8 +284,14 @@ void Run(const CliFlags& flags, const std::vector<std::string>& recipe_args, Rec
   for (const SessionRecord& r : result.records) {
     covered.MergeIds(r.outcome.new_block_ids);
   }
-  std::printf("coverage %.1f%% (recovery %.1f%%)", 100 * covered.Fraction(),
-              100 * covered.RecoveryFraction());
+  std::printf("coverage %.1f%%", 100 * covered.Fraction());
+  // A backend without a recovery base (every real target) does not measure
+  // recovery coverage, so its share is n/a rather than 0%.
+  if (backend->coverage_recovery_base() == 0) {
+    std::printf(" (recovery n/a)");
+  } else {
+    std::printf(" (recovery %.1f%%)", 100 * covered.RecoveryFraction());
+  }
   if (recipe.jobs > 1) {
     std::printf(" across %zu nodes", recipe.jobs);
   }
