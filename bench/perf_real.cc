@@ -161,7 +161,7 @@ CoverageCell RunCoverageCell(bool use_edges, size_t budget, uint64_t seed) {
     cell.last_growth_test = snapshot.coverage_growth.back().tests;
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    if (name == "real.edges_total") {
+    if (name == obs::GaugeName(obs::Gauge::kRealEdgesTotal)) {
       cell.edges_total = value;
     }
   }

@@ -106,14 +106,9 @@ void Journal::Append(const std::string& line) {
   obs::PhaseTimer append_timer(metrics_, obs::Phase::kJournalAppend);
   out_ << line << '\n';
   append_timer.Finish();
-  uint64_t flush_start = metrics_ != nullptr ? obs::NowNs() : 0;
+  obs::PhaseTimer flush_timer(metrics_, obs::Phase::kJournalFlush);
   out_.flush();
-  if (metrics_ != nullptr) {
-    uint64_t flush_ns = obs::NowNs() - flush_start;
-    metrics_->RecordPhase(obs::Phase::kJournalFlush, flush_start, flush_ns);
-    metrics_->SetGauge("journal.flush_last_ns", static_cast<double>(flush_ns));
-    metrics_->AddCounter("journal.records", 1);
-  }
+  flush_timer.Finish();
   if (!out_) {
     throw CampaignError("failed to append to journal '" + path_ + "'");
   }

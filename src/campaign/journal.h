@@ -52,9 +52,9 @@ class Journal {
   void Append(const std::string& line);
 
   // Telemetry: times the serialize+write (journal.append) and the flush
-  // (journal.flush) separately, keeps a journal.flush_last_ns gauge, and
-  // counts journal.records. Null detaches. Survives move-assignment of the
-  // Journal itself only if re-applied — CampaignStore handles that.
+  // (journal.flush) separately; each phase's sample count is the record
+  // count. Null detaches. Survives move-assignment of the Journal itself
+  // only if re-applied — CampaignStore handles that.
   void set_metrics_sink(obs::MetricsSink* sink) { metrics_ = sink; }
 
  private:

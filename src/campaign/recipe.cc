@@ -59,7 +59,7 @@ const Flag kFlags[] = {
     {"verify-cmd", "'BIN ARGS...'", "checks invariants after recovery; exit != 0 marks inv=1",
      Scope::kReal, &Recipe::verify_cmd},
     {"exec-mode", "<spawn|persistent>",
-     "fork+exec per test, or a pre-main fork server (afex_persistent_run iterations)",
+     "vfork+exec per test, or a pre-main fork server (afex_persistent_run iterations)",
      Scope::kReal, &Recipe::exec_mode},
     {"coverage", "<auto|proxy|edges>",
      "fitness signal: libc-call proxy, sancov edges, or edges if analysis finds them",

@@ -256,7 +256,7 @@ bool ForkserverClient::EnsureServer(std::string& error) {
   if (respawn) {
     ++restarts_;
     if (metrics_ != nullptr) {
-      metrics_->AddCounter("real.fs_restarts", 1);
+      metrics_->AddCounter(obs::Counter::kRealFsRestarts, 1);
     }
   }
   return true;

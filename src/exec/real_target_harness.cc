@@ -256,9 +256,9 @@ FaultSpace RealTargetHarness::MakeSpace(size_t max_call, bool include_zero_call)
                        include_zero_call);
 }
 
-void RealTargetHarness::Count(const char* name) {
+void RealTargetHarness::Count(obs::Counter counter) {
   if (metrics_ != nullptr) {
-    metrics_->AddCounter(name, 1);
+    metrics_->AddCounter(counter, 1);
   }
 }
 
@@ -281,7 +281,7 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
       // points whose kind cannot mean anything on that function
       // (short_write × read). They run fault-free — the campaign's
       // baseline observations — and are counted, not failed.
-      Count("real.kind_incompatible");
+      Count(obs::Counter::kRealKindIncompatible);
     } else {
       specs.push_back(*plan.spec);
     }
@@ -311,7 +311,6 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
     outcome = baseline->run.outcome;
     MergeTouched(baseline->run.touched, outcome);
     ++tests_answered_;
-    Count("real.noop_answered");
     return outcome;
   }
 
@@ -342,10 +341,10 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
           outcome.recovery_failed == want.recovery_failed &&
           outcome.invariant_violated == want.invariant_violated &&
           outcome.detail == want.detail)) {
-    Count("real.noop_verified");
+    Count(obs::Counter::kRealNoopVerified);
   } else {
     // The live result is the record; the cache no longer speaks for this test.
-    Count("real.noop_mismatch");
+    Count(obs::Counter::kRealNoopMismatch);
     AFEX_LOG(kWarn) << "test " << plan.test_id + 1
                     << " differs from its fault-free run; its no-op points run live from now on";
   }
@@ -365,9 +364,9 @@ void RealTargetHarness::MergeTouched(const CoverageSet& touched, TestOutcome& ou
     edges_total_ += edges_new;
     if (metrics_ != nullptr) {
       if (edges_new > 0) {
-        metrics_->AddCounter("real.edges_new", edges_new);
+        metrics_->AddCounter(obs::Counter::kRealEdgesNew, edges_new);
       }
-      metrics_->SetGauge("real.edges_total", edges_total_);
+      metrics_->SetGauge(obs::Gauge::kRealEdgesTotal, static_cast<double>(edges_total_));
     }
   }
 }
@@ -383,7 +382,19 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   // One feedback file per harness, in both modes: created by the first live
   // test that can (the server maps it once, so it keeps its identity
   // across every test and respawn) and held open for every plan write and
-  // block read.
+  // block read. A target that unlinked $AFEX_FEEDBACK left the held fd on
+  // an inode no later process opens: the file is made anew, and a server
+  // still mapping the old one is stopped, so that its respawn maps the new.
+  struct stat feedback_stat{};
+  if (feedback_fd_ >= 0 && ::fstat(feedback_fd_, &feedback_stat) == 0 &&
+      feedback_stat.st_nlink == 0) {
+    Count(obs::Counter::kRealFeedbackRecreated);
+    ::close(feedback_fd_);
+    feedback_fd_ = -1;
+    if (forkserver_ != nullptr) {
+      forkserver_->Shutdown();
+    }
+  }
   if (feedback_fd_ < 0 && (feedback_fd_ = OpenFeedbackFile(feedback_path_.c_str())) < 0) {
     outcome.test_failed = true;
     outcome.detail = "exec: cannot create feedback file " + feedback_path_;
@@ -446,20 +457,20 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   // Outcome breakdown: every run lands in exactly one of the first six
   // counters; escalation and feedback health are tracked on top.
   if (!run.started) {
-    Count("real.start_failed");
+    Count(obs::Counter::kRealStartFailed);
   } else if (outcome.hung) {
-    Count("real.hang");
+    Count(obs::Counter::kRealHang);
   } else if (outcome.crashed) {
-    Count("real.crash_signal");
+    Count(obs::Counter::kRealCrashSignal);
   } else if (run.term_signal != 0) {
-    Count("real.signal_exit");
+    Count(obs::Counter::kRealSignalExit);
   } else if (run.exit_code != 0) {
-    Count("real.exit_nonzero");
+    Count(obs::Counter::kRealExitNonzero);
   } else {
-    Count("real.exit_clean");
+    Count(obs::Counter::kRealExitClean);
   }
   if (run.kill_escalated) {
-    Count("real.kill_escalated");
+    Count(obs::Counter::kRealKillEscalated);
   }
 
   obs::PhaseTimer feedback_timer(metrics_, obs::Phase::kRealFeedbackRead);
@@ -467,19 +478,19 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   FeedbackReadStatus feedback_status = ReadFeedbackBlockStatus(feedback_fd_, block);
   switch (feedback_status) {
     case FeedbackReadStatus::kOk:
-      Count("real.feedback_ok");
+      Count(obs::Counter::kRealFeedbackOk);
       break;
     case FeedbackReadStatus::kMissing:
-      Count("real.feedback_missing");
+      Count(obs::Counter::kRealFeedbackMissing);
       break;
     case FeedbackReadStatus::kShort:
-      Count("real.feedback_short");
+      Count(obs::Counter::kRealFeedbackShort);
       break;
     case FeedbackReadStatus::kBadMagic:
-      Count("real.feedback_bad_magic");
+      Count(obs::Counter::kRealFeedbackBadMagic);
       break;
     case FeedbackReadStatus::kVersionSkew:
-      Count("real.feedback_version");
+      Count(obs::Counter::kRealFeedbackVersion);
       break;
   }
   // In persistent mode the server stamps test_seq before every fork/iteration; a
@@ -489,7 +500,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   const bool feedback_stale = feedback_status == FeedbackReadStatus::kOk &&
                               expect_seq != 0 && block.test_seq != expect_seq;
   if (feedback_stale) {
-    Count("real.feedback_stale");
+    Count(obs::Counter::kRealFeedbackStale);
   }
   if (feedback_status == FeedbackReadStatus::kOk && !feedback_stale) {
     CoverageSet& touched = live.touched;
@@ -510,7 +521,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       // counter region — uninstrumented target, or the preload didn't
       // take. Surfaced per test: a campaign with this counter at its test
       // count is exploring with no coverage signal at all.
-      Count("real.edges_missing");
+      Count(obs::Counter::kRealEdgesMissing);
     } else {
       // Edge ids become coverage blocks above kEdgeBlockBase. The block
       // is hostile input (a crashed child wrote it): entry count and ids
@@ -533,7 +544,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       if (block.edge_overflow > 0) {
         // The per-test new-edge list saturated; dropped edges re-surface
         // on later tests, so discovery ordering (not totals) degrades.
-        Count("real.edge_overflow");
+        Count(obs::Counter::kRealEdgeOverflow);
         coverage_complete = false;
       }
     }
@@ -590,12 +601,12 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
     };
     if (verdict.recovery_failed) {
       outcome.recovery_failed = true;
-      Count("real.recovery_failed");
+      Count(obs::Counter::kRealRecoveryFailed);
       fold_detail("recovery failed", verdict.recovery_line);
     }
     if (verdict.invariant_violated) {
       outcome.invariant_violated = true;
-      Count("real.invariant_violated");
+      Count(obs::Counter::kRealInvariantViolated);
       fold_detail("invariant violated", verdict.verify_line);
     }
     if (outcome.recovery_failed || outcome.invariant_violated) {
@@ -609,7 +620,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
   // surfaced, not silently tolerated.
   obs::PhaseTimer cleanup_timer(metrics_, obs::Phase::kRealScratchCleanup);
   if (!CleanDirInPlace(sandbox_dir_)) {
-    Count("real.recycle_leak");
+    Count(obs::Counter::kRealRecycleLeak);
     AFEX_LOG(kWarn) << "sandbox not empty after recycle: " << sandbox_dir_;
   }
   return live;
@@ -634,15 +645,15 @@ RealTargetHarness::PhaseVerdict RealTargetHarness::RecoverAndVerify(
   }
   if (state.sampler.Answer()) {
     ++crash_states_answered_;
-    Count("real.state_answered");
+    Count(obs::Counter::kRealStateAnswered);
     return state.verdict;
   }
   PhaseVerdict live = RunPhasesLive(test_label);
   if (state.sampler.Settle(live == state.verdict)) {
-    Count("real.state_verified");
+    Count(obs::Counter::kRealStateVerified);
   } else {
     // The live verdict is the record; the cache no longer speaks for this state.
-    Count("real.state_mismatch");
+    Count(obs::Counter::kRealStateMismatch);
     AFEX_LOG(kWarn) << "test " << test_id + 1
                     << ": recover/verify disagree with an earlier run on the same crash state;"
                        " that state runs live from now on";

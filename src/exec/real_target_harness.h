@@ -242,7 +242,7 @@ class RealTargetHarness : public TargetBackend {
   // Merges `touched` into the session coverage, filling the outcome's
   // new-block fields (and the edge counters) exactly as a live run does.
   void MergeTouched(const CoverageSet& touched, TestOutcome& outcome);
-  void Count(const char* name);
+  void Count(obs::Counter counter);
 
   RealTargetConfig config_;
   std::string work_root_;       // resolved scratch root

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <iterator>
 
 namespace afex {
 namespace obs {
@@ -13,18 +12,6 @@ namespace {
 
 std::atomic<uint32_t> g_next_thread_slot{0};
 thread_local uint32_t t_thread_slot = UINT32_MAX;
-
-std::string JsonEscape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
 
 std::string FormatNumber(double v) {
   char buf[48];
@@ -82,17 +69,6 @@ uint32_t ThreadSlot() {
   return t_thread_slot;
 }
 
-const char* PhaseName(Phase phase) {
-  static constexpr const char* kNames[] = {
-#define AFEX_OBS_PHASE_NAME(id, name) name,
-      AFEX_OBS_PHASES(AFEX_OBS_PHASE_NAME)
-#undef AFEX_OBS_PHASE_NAME
-  };
-  static_assert(std::size(kNames) == kPhaseCount);
-  const auto index = static_cast<size_t>(phase);
-  return index < kPhaseCount ? kNames[index] : "unknown";
-}
-
 size_t HistogramBucketIndex(uint64_t value) {
   if (value < kHistogramSubBuckets) {
     return static_cast<size_t>(value);
@@ -118,7 +94,7 @@ uint64_t HistogramBucketLowerBound(size_t index) {
 // own cachelines. Threads hash onto shards by ThreadSlot(), so with up to
 // kShards live threads there is no sharing at all.
 struct alignas(64) MetricsRegistry::Shard {
-  std::array<std::atomic<uint64_t>, kMaxCounters> counters{};
+  std::array<std::atomic<uint64_t>, kCounterCount> counters{};
   struct Hist {
     std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> sum{0};
@@ -127,14 +103,14 @@ struct alignas(64) MetricsRegistry::Shard {
     std::atomic<uint64_t> max{0};
     std::array<std::atomic<uint64_t>, kHistogramBuckets> buckets{};
   };
-  std::array<Hist, kMaxHistograms> hists{};
+  std::array<Hist, kPhaseCount> hists{};
 };
 
 MetricsRegistry::MetricsRegistry() {
   for (auto& shard : shards_) {
     shard.store(nullptr, std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < kMaxGauges; ++i) {
+  for (size_t i = 0; i < kGaugeCount; ++i) {
     gauges_[i].store(0.0, std::memory_order_relaxed);
     gauge_set_[i].store(false, std::memory_order_relaxed);
   }
@@ -154,7 +130,7 @@ MetricsRegistry::Shard& MetricsRegistry::ShardForThisThread() {
   size_t index = ThreadSlot() % kShards;
   Shard* shard = shards_[index].load(std::memory_order_acquire);
   if (shard == nullptr) {
-    std::lock_guard<std::mutex> lock(names_mutex_);
+    std::lock_guard<std::mutex> lock(shard_mutex_);
     shard = shards_[index].load(std::memory_order_relaxed);
     if (shard == nullptr) {
       shard = new Shard();
@@ -164,58 +140,19 @@ MetricsRegistry::Shard& MetricsRegistry::ShardForThisThread() {
   return *shard;
 }
 
-namespace {
-
-uint32_t RegisterName(std::vector<std::string>& names, std::string_view name, size_t cap) {
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) {
-      return static_cast<uint32_t>(i);
-    }
-  }
-  if (names.size() >= cap) {
-    return MetricsRegistry::kInvalidMetric;
-  }
-  names.emplace_back(name);
-  return static_cast<uint32_t>(names.size() - 1);
+void MetricsRegistry::AddCounter(Counter counter, uint64_t delta) {
+  ShardForThisThread().counters[static_cast<size_t>(counter)].fetch_add(
+      delta, std::memory_order_relaxed);
 }
 
-}  // namespace
-
-uint32_t MetricsRegistry::RegisterCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(names_mutex_);
-  return RegisterName(counter_names_, name, kMaxCounters);
-}
-
-uint32_t MetricsRegistry::RegisterGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(names_mutex_);
-  return RegisterName(gauge_names_, name, kMaxGauges);
-}
-
-uint32_t MetricsRegistry::RegisterHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(names_mutex_);
-  return RegisterName(histogram_names_, name, kMaxHistograms);
-}
-
-void MetricsRegistry::AddCounter(uint32_t id, uint64_t delta) {
-  if (id >= kMaxCounters) {
-    return;
-  }
-  ShardForThisThread().counters[id].fetch_add(delta, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::SetGauge(uint32_t id, double value) {
-  if (id >= kMaxGauges) {
-    return;
-  }
+void MetricsRegistry::SetGauge(Gauge gauge, double value) {
+  const auto id = static_cast<size_t>(gauge);
   gauges_[id].store(value, std::memory_order_relaxed);
   gauge_set_[id].store(true, std::memory_order_release);
 }
 
-void MetricsRegistry::RecordLatencyNs(uint32_t id, uint64_t ns) {
-  if (id >= kMaxHistograms) {
-    return;
-  }
-  Shard::Hist& hist = ShardForThisThread().hists[id];
+void MetricsRegistry::RecordLatencyNs(Phase phase, uint64_t ns) {
+  Shard::Hist& hist = ShardForThisThread().hists[static_cast<size_t>(phase)];
   hist.count.fetch_add(1, std::memory_order_relaxed);
   hist.sum.fetch_add(ns, std::memory_order_relaxed);
   hist.buckets[HistogramBucketIndex(ns)].fetch_add(1, std::memory_order_relaxed);
@@ -232,36 +169,27 @@ void MetricsRegistry::RecordLatencyNs(uint32_t id, uint64_t ns) {
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
-  std::vector<std::string> counter_names;
-  std::vector<std::string> gauge_names;
-  std::vector<std::string> histogram_names;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    counter_names = counter_names_;
-    gauge_names = gauge_names_;
-    histogram_names = histogram_names_;
-  }
-
   MetricsSnapshot snapshot;
-  for (size_t id = 0; id < counter_names.size(); ++id) {
+  for (size_t id = 0; id < kCounterCount; ++id) {
     uint64_t total = 0;
     for (size_t s = 0; s < kShards; ++s) {
       if (const Shard* shard = ShardAt(s)) {
         total += shard->counters[id].load(std::memory_order_relaxed);
       }
     }
-    snapshot.counters.emplace_back(counter_names[id], total);
+    if (total > 0) {
+      snapshot.counters.emplace_back(kCounterNames[id], total);
+    }
   }
-  for (size_t id = 0; id < gauge_names.size(); ++id) {
+  for (size_t id = 0; id < kGaugeCount; ++id) {
     if (gauge_set_[id].load(std::memory_order_acquire)) {
-      snapshot.gauges.emplace_back(gauge_names[id],
-                                   gauges_[id].load(std::memory_order_relaxed));
+      snapshot.gauges.emplace_back(kGaugeNames[id], gauges_[id].load(std::memory_order_relaxed));
     }
   }
   std::vector<uint64_t> buckets(kHistogramBuckets);
-  for (size_t id = 0; id < histogram_names.size(); ++id) {
+  for (size_t id = 0; id < kPhaseCount; ++id) {
     HistogramSummary summary;
-    summary.name = histogram_names[id];
+    summary.name = kPhaseNames[id];
     std::fill(buckets.begin(), buckets.end(), 0);
     uint64_t min_plus1 = 0;
     for (size_t s = 0; s < kShards; ++s) {
@@ -282,7 +210,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       }
     }
     if (summary.count == 0) {
-      continue;  // registered but never recorded: not part of the snapshot
+      continue;  // never recorded: not part of the snapshot
     }
     summary.min_ns = min_plus1 == 0 ? 0 : min_plus1 - 1;
     summary.mean_ns = static_cast<double>(summary.sum_ns) / static_cast<double>(summary.count);
@@ -297,25 +225,27 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snapshot;
 }
 
+// Names come from the metric tables, whose rows need no JSON escaping
+// (obs_test checks every name against [a-z]+\.[a-z_]+).
 void MetricsSnapshot::WriteJson(std::ostream& out, int indent) const {
   std::string pad(static_cast<size_t>(indent), ' ');
   out << "{\n";
   out << pad << "  \"counters\": {";
   for (size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << JsonEscape(counters[i].first)
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << counters[i].first
         << "\": " << counters[i].second;
   }
   out << (counters.empty() ? "" : "\n" + pad + "  ") << "},\n";
   out << pad << "  \"gauges\": {";
   for (size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << JsonEscape(gauges[i].first)
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << gauges[i].first
         << "\": " << FormatNumber(gauges[i].second);
   }
   out << (gauges.empty() ? "" : "\n" + pad + "  ") << "},\n";
   out << pad << "  \"histograms\": {";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSummary& h = histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << JsonEscape(h.name) << "\": {"
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << h.name << "\": {"
         << "\"count\": " << h.count << ", \"sum_ns\": " << h.sum_ns
         << ", \"min_ns\": " << h.min_ns << ", \"max_ns\": " << h.max_ns
         << ", \"mean_ns\": " << FormatNumber(h.mean_ns)

@@ -1,8 +1,8 @@
 // Campaign telemetry substrate (paper §6.4 step 7: the node manager
 // "provides progress metrics in a log"). This layer is the measurement side
-// of that promise: a process-wide registry of named counters, gauges, and
-// log-bucketed latency histograms, plus the phase vocabulary and RAII timer
-// the per-test pipeline is instrumented with.
+// of that promise: a process-wide registry of counters, gauges, and
+// log-bucketed latency histograms, plus the metric vocabulary and the RAII
+// timer the per-test pipeline is instrumented with.
 //
 // Design constraints, in order:
 //   * Off means off. Every instrumentation site is a `sink != nullptr`
@@ -12,24 +12,25 @@
 //     across kShards cacheline-aligned shards; a thread picks its shard
 //     from a thread-local slot, so `--jobs` workers touch disjoint
 //     cachelines and synchronize only through relaxed atomics.
-//   * Fixed capacity. Metric registration is bounded (kMaxCounters, ...)
-//     and shard storage never resizes, so readers (Snapshot) race only
-//     against relaxed counter updates, never against reallocation.
+//   * One declared vocabulary. Every phase, counter and gauge is a row of
+//     one of the three tables below; a metric that is not a row does not
+//     compile. Shard storage is sized by the tables and never resizes, so
+//     readers (Snapshot) race only against relaxed updates.
 //
-// Registration returns a dense id; per-event paths are array indexing plus
-// one relaxed atomic add. Snapshot() merges the shards into plain structs
-// with derived quantiles — that is the only place bucket math turns into
-// milliseconds.
+// Per-event paths are array indexing plus one relaxed atomic add.
+// Snapshot() merges the shards into plain structs with derived quantiles —
+// that is the only place bucket math turns into milliseconds.
 #ifndef AFEX_OBS_METRICS_H_
 #define AFEX_OBS_METRICS_H_
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace afex {
@@ -45,9 +46,12 @@ uint64_t NowNs();
 // thread's events stay on one trace track.
 uint32_t ThreadSlot();
 
-// The instrumented pipeline phases, one row each: enumerator, dotted
-// metric/trace name, what it times. The row order fixes the ids, which index
-// arrays in the sink implementations; adding a phase is one row.
+// The metric vocabulary: three tables with one row shape — enumerator,
+// dotted metric/trace name, what it times or counts. The row order fixes
+// the ids, which index the sinks' arrays, and the snapshot lists metrics in
+// that order; adding a metric is one row.
+
+// The instrumented pipeline phases; each feeds a latency histogram.
 #define AFEX_OBS_PHASES(X)                                                                     \
   X(kExplorerNext, "explorer.next")               /* Explorer::NextCandidate */                \
   X(kBackendRun, "backend.run")                   /* TargetBackend::RunFault, whole call */    \
@@ -70,17 +74,64 @@ uint32_t ThreadSlot();
   X(kRealNoopAnswer, "real.noop_answer")          /* real: no-op answered, no process */       \
   X(kRealStateDigest, "real.state_digest")        /* real: post-crash sandbox digest */
 
-enum class Phase : uint8_t {
-#define AFEX_OBS_PHASE_ID(id, name) id,
-  AFEX_OBS_PHASES(AFEX_OBS_PHASE_ID)
-#undef AFEX_OBS_PHASE_ID
-};
-#define AFEX_OBS_PHASE_ONE(id, name) +1
-inline constexpr size_t kPhaseCount = 0 AFEX_OBS_PHASES(AFEX_OBS_PHASE_ONE);
-#undef AFEX_OBS_PHASE_ONE
+// Event counters. Every live real run lands in exactly one of the first six
+// (the outcome partition) and in exactly one of the five read statuses
+// feedback_ok..feedback_version; the rest count on top.
+#define AFEX_OBS_COUNTERS(X)                                                                   \
+  X(kRealStartFailed, "real.start_failed")             /* live run: process never started */   \
+  X(kRealHang, "real.hang")                            /* live run: timed out */               \
+  X(kRealCrashSignal, "real.crash_signal")             /* live run: crash signal */            \
+  X(kRealSignalExit, "real.signal_exit")               /* live run: other fatal signal */      \
+  X(kRealExitNonzero, "real.exit_nonzero")             /* live run: exit status != 0 */        \
+  X(kRealExitClean, "real.exit_clean")                 /* live run: exit status 0 */           \
+  X(kRealKillEscalated, "real.kill_escalated")         /* live run: ladder reached SIGKILL */  \
+  X(kRealFeedbackOk, "real.feedback_ok")               /* block read back whole */             \
+  X(kRealFeedbackMissing, "real.feedback_missing")     /* block unreadable */                  \
+  X(kRealFeedbackShort, "real.feedback_short")         /* block truncated */                   \
+  X(kRealFeedbackBadMagic, "real.feedback_bad_magic")  /* block header not ours */             \
+  X(kRealFeedbackVersion, "real.feedback_version")     /* block of another version */          \
+  X(kRealFeedbackStale, "real.feedback_stale")         /* ok block of an earlier test */       \
+  X(kRealFeedbackRecreated, "real.feedback_recreated") /* file unlinked, made anew */          \
+  X(kRealKindIncompatible, "real.kind_incompatible")   /* kind cannot apply, ran plain */      \
+  X(kRealNoopVerified, "real.noop_verified")           /* no-op sample agreed */               \
+  X(kRealNoopMismatch, "real.noop_mismatch")           /* no-op sample disagreed */            \
+  X(kRealEdgesNew, "real.edges_new")                   /* edges first seen (sum) */            \
+  X(kRealEdgesMissing, "real.edges_missing")           /* edge run with no counter region */   \
+  X(kRealEdgeOverflow, "real.edge_overflow")           /* per-test edge list saturated */      \
+  X(kRealRecoveryFailed, "real.recovery_failed")       /* recovery command failed */           \
+  X(kRealInvariantViolated, "real.invariant_violated") /* verifier command failed */           \
+  X(kRealRecycleLeak, "real.recycle_leak")             /* sandbox not empty after recycle */   \
+  X(kRealStateAnswered, "real.state_answered")         /* recover/verify answered */           \
+  X(kRealStateVerified, "real.state_verified")         /* crash-state sample agreed */         \
+  X(kRealStateMismatch, "real.state_mismatch")         /* crash-state sample disagreed */      \
+  X(kRealFsRestarts, "real.fs_restarts")               /* server respawns after the first */
 
-// Dotted metric name for a phase, e.g. "real.fork_exec".
-const char* PhaseName(Phase phase);
+// Last-writer-wins values.
+#define AFEX_OBS_GAUGES(X) \
+  X(kRealEdgesTotal, "real.edges_total")  /* distinct edges merged, resumed ones included */
+
+#define AFEX_OBS_ID(id, name) id,
+enum class Phase : uint8_t { AFEX_OBS_PHASES(AFEX_OBS_ID) };
+enum class Counter : uint8_t { AFEX_OBS_COUNTERS(AFEX_OBS_ID) };
+enum class Gauge : uint8_t { AFEX_OBS_GAUGES(AFEX_OBS_ID) };
+#undef AFEX_OBS_ID
+
+#define AFEX_OBS_NAME(id, name) name,
+inline constexpr const char* kPhaseNames[] = {AFEX_OBS_PHASES(AFEX_OBS_NAME)};
+inline constexpr const char* kCounterNames[] = {AFEX_OBS_COUNTERS(AFEX_OBS_NAME)};
+inline constexpr const char* kGaugeNames[] = {AFEX_OBS_GAUGES(AFEX_OBS_NAME)};
+#undef AFEX_OBS_NAME
+
+inline constexpr size_t kPhaseCount = std::size(kPhaseNames);
+inline constexpr size_t kCounterCount = std::size(kCounterNames);
+inline constexpr size_t kGaugeCount = std::size(kGaugeNames);
+
+// Dotted metric name of a row, e.g. "real.fork_exec".
+inline const char* PhaseName(Phase phase) { return kPhaseNames[static_cast<size_t>(phase)]; }
+inline const char* CounterName(Counter counter) {
+  return kCounterNames[static_cast<size_t>(counter)];
+}
+inline const char* GaugeName(Gauge gauge) { return kGaugeNames[static_cast<size_t>(gauge)]; }
 
 // ---- log-bucketed histogram math -------------------------------------------
 //
@@ -121,9 +172,9 @@ struct CoveragePoint {
 };
 
 struct MetricsSnapshot {
-  std::vector<std::pair<std::string, uint64_t>> counters;  // registration order
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSummary> histograms;  // only those with samples
+  std::vector<std::pair<std::string, uint64_t>> counters;  // only those that counted
+  std::vector<std::pair<std::string, double>> gauges;      // only those that were set
+  std::vector<HistogramSummary> histograms;                // only those with samples
   // Coverage-growth curve, recorded by CampaignTelemetry whenever covered
   // grows (decimated to a bounded point count). Empty when the campaign
   // produced no coverage signal; omitted from the JSON then.
@@ -141,31 +192,22 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   static constexpr size_t kShards = 16;
-  static constexpr size_t kMaxCounters = 64;
-  static constexpr size_t kMaxGauges = 32;
-  static constexpr size_t kMaxHistograms = 32;
-  static constexpr uint32_t kInvalidMetric = UINT32_MAX;
 
   MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Registration is mutex-guarded and idempotent per name; do it at setup
-  // time, not per event. Returns kInvalidMetric when the fixed capacity is
-  // exhausted (updates against it are dropped, never UB).
-  uint32_t RegisterCounter(std::string_view name);
-  uint32_t RegisterGauge(std::string_view name);
-  uint32_t RegisterHistogram(std::string_view name);
-
   // Hot-path updates: relaxed atomics on the calling thread's shard.
-  void AddCounter(uint32_t id, uint64_t delta = 1);
-  void SetGauge(uint32_t id, double value);
-  void RecordLatencyNs(uint32_t id, uint64_t ns);
+  void AddCounter(Counter counter, uint64_t delta = 1);
+  void SetGauge(Gauge gauge, double value);
+  void RecordLatencyNs(Phase phase, uint64_t ns);
 
-  // Merges every shard into plain values. Safe to call concurrently with
-  // updates (the result is a consistent-enough live read: each cell is
-  // atomically loaded, cross-cell skew is bounded by in-flight updates).
+  // Merges every shard into plain values, in table order: the counters that
+  // counted, the gauges that were set, the phases with samples. Safe to call
+  // concurrently with updates (the result is a consistent-enough live read:
+  // each cell is atomically loaded, cross-cell skew is bounded by in-flight
+  // updates).
   MetricsSnapshot Snapshot() const;
 
  private:
@@ -177,13 +219,10 @@ class MetricsRegistry {
   std::array<std::atomic<Shard*>, kShards> shards_;
   // Gauges are last-writer-wins and written off the per-test fast path;
   // they live unsharded in the registry.
-  std::array<std::atomic<double>, kMaxGauges> gauges_;
-  std::array<std::atomic<bool>, kMaxGauges> gauge_set_;
+  std::array<std::atomic<double>, kGaugeCount> gauges_;
+  std::array<std::atomic<bool>, kGaugeCount> gauge_set_;
 
-  mutable std::mutex names_mutex_;  // guards registration + shard allocation
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
-  std::vector<std::string> histogram_names_;
+  std::mutex shard_mutex_;  // guards shard allocation
 };
 
 // ---- sink + timer ----------------------------------------------------------
@@ -212,8 +251,8 @@ class MetricsSink {
  public:
   virtual ~MetricsSink() = default;
   virtual void RecordPhase(Phase phase, uint64_t start_ns, uint64_t duration_ns) = 0;
-  virtual void AddCounter(std::string_view name, uint64_t delta) = 0;
-  virtual void SetGauge(std::string_view name, double value) = 0;
+  virtual void AddCounter(Counter counter, uint64_t delta) = 0;
+  virtual void SetGauge(Gauge gauge, double value) = 0;
   virtual void OnTestExecuted(const ProgressUpdate& update) = 0;
 };
 

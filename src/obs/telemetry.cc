@@ -27,47 +27,21 @@ std::string FormatNs(double ns) {
 
 CampaignTelemetry::CampaignTelemetry(TelemetryConfig config)
     : config_(std::move(config)),
-      progress_(config_.progress) {
-  for (size_t p = 0; p < kPhaseCount; ++p) {
-    phase_histograms_[p] = registry_.RegisterHistogram(PhaseName(static_cast<Phase>(p)));
-  }
-}
+      progress_(config_.progress) {}
 
 void CampaignTelemetry::RecordPhase(Phase phase, uint64_t start_ns, uint64_t duration_ns) {
-  registry_.RecordLatencyNs(phase_histograms_[static_cast<size_t>(phase)], duration_ns);
+  registry_.RecordLatencyNs(phase, duration_ns);
   if (config_.trace) {
     trace_.Append(phase, start_ns, duration_ns);
   }
 }
 
-void CampaignTelemetry::AddCounter(std::string_view name, uint64_t delta) {
-  uint32_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    auto it = counter_ids_.find(std::string(name));
-    if (it == counter_ids_.end()) {
-      id = registry_.RegisterCounter(name);
-      counter_ids_.emplace(std::string(name), id);
-    } else {
-      id = it->second;
-    }
-  }
-  registry_.AddCounter(id, delta);
+void CampaignTelemetry::AddCounter(Counter counter, uint64_t delta) {
+  registry_.AddCounter(counter, delta);
 }
 
-void CampaignTelemetry::SetGauge(std::string_view name, double value) {
-  uint32_t id = 0;
-  {
-    std::lock_guard<std::mutex> lock(names_mutex_);
-    auto it = gauge_ids_.find(std::string(name));
-    if (it == gauge_ids_.end()) {
-      id = registry_.RegisterGauge(name);
-      gauge_ids_.emplace(std::string(name), id);
-    } else {
-      id = it->second;
-    }
-  }
-  registry_.SetGauge(id, value);
+void CampaignTelemetry::SetGauge(Gauge gauge, double value) {
+  registry_.SetGauge(gauge, value);
 }
 
 void CampaignTelemetry::OnTestExecuted(const ProgressUpdate& update) {

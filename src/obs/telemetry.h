@@ -2,9 +2,9 @@
 // SessionConfig::metrics. Bundles the three observability outputs behind
 // the one interface the instrumented layers see:
 //
-//   * MetricsRegistry  — every timed phase feeds a latency histogram named
-//                        after the phase; named counters/gauges pass
-//                        through (registered lazily, cached by name).
+//   * MetricsRegistry  — every timed phase feeds the phase's latency
+//                        histogram; counters and gauges pass through, each
+//                        a row of the tables in obs/metrics.h.
 //   * TraceWriter      — when tracing is enabled, every timed phase also
 //                        becomes a Chrome-trace event on its thread's track.
 //   * ProgressReporter — per-test progress updates drive the periodic
@@ -16,11 +16,9 @@
 #ifndef AFEX_OBS_TELEMETRY_H_
 #define AFEX_OBS_TELEMETRY_H_
 
-#include <array>
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -41,8 +39,8 @@ class CampaignTelemetry : public MetricsSink {
   explicit CampaignTelemetry(TelemetryConfig config = {});
 
   void RecordPhase(Phase phase, uint64_t start_ns, uint64_t duration_ns) override;
-  void AddCounter(std::string_view name, uint64_t delta) override;
-  void SetGauge(std::string_view name, double value) override;
+  void AddCounter(Counter counter, uint64_t delta) override;
+  void SetGauge(Gauge gauge, double value) override;
   void OnTestExecuted(const ProgressUpdate& update) override;
 
   MetricsRegistry& registry() { return registry_; }
@@ -68,11 +66,6 @@ class CampaignTelemetry : public MetricsSink {
   MetricsRegistry registry_;
   TraceWriter trace_;
   ProgressReporter progress_;
-  std::array<uint32_t, kPhaseCount> phase_histograms_{};
-
-  std::mutex names_mutex_;
-  std::unordered_map<std::string, uint32_t> counter_ids_;
-  std::unordered_map<std::string, uint32_t> gauge_ids_;
 
   mutable std::mutex coverage_mutex_;
   std::vector<CoveragePoint> coverage_curve_;

@@ -808,10 +808,20 @@ TEST(StorageFaultTest, FsyncErrnoFaultGoesUnnoticedByTheEngine) {
 // RealTargetHarness
 // ---------------------------------------------------------------------------
 
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
-  for (const auto& [counter, value] : snapshot.counters) {
-    if (counter == name) {
+uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, obs::Counter counter) {
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name == obs::CounterName(counter)) {
       return value;
+    }
+  }
+  return 0;
+}
+
+// Samples of `phase`: for real.noop_answer, the tests answered as no-ops.
+uint64_t PhaseCount(const obs::MetricsSnapshot& snapshot, obs::Phase phase) {
+  for (const obs::HistogramSummary& h : snapshot.histograms) {
+    if (h.name == obs::PhaseName(phase)) {
+      return h.count;
     }
   }
   return 0;
@@ -1495,6 +1505,49 @@ TEST(ExecModeEquivalenceTest, AllModesProduceIdenticalRecordSequences) {
                                 /*seed=*/23, /*budget=*/30);
 }
 
+TEST(RealCampaignTest, EveryLiveRunLandsInOneOutcomeAndOneReadStatus) {
+  // The outcome counters partition the live runs, and so do the five
+  // block read statuses; answered tests are in neither.
+  constexpr obs::Counter kOutcomes[] = {
+      obs::Counter::kRealStartFailed, obs::Counter::kRealHang,
+      obs::Counter::kRealCrashSignal, obs::Counter::kRealSignalExit,
+      obs::Counter::kRealExitNonzero, obs::Counter::kRealExitClean};
+  constexpr obs::Counter kReadStatuses[] = {
+      obs::Counter::kRealFeedbackOk,    obs::Counter::kRealFeedbackMissing,
+      obs::Counter::kRealFeedbackShort, obs::Counter::kRealFeedbackBadMagic,
+      obs::Counter::kRealFeedbackVersion};
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = WalutilConfig(TempDir("partition"));
+    config.exec_mode = mode;
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    FaultSpace space = harness.MakeSpace(/*max_call=*/6);
+    FitnessExplorerConfig explorer_config;
+    explorer_config.seed = 23;
+    FitnessExplorer explorer(space, explorer_config);
+    SessionConfig session_config;
+    session_config.metrics = &telemetry;
+    ExplorationSession session(explorer, harness, space, session_config);
+    session.Run(SearchTarget{.max_tests = 60});
+    const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+    auto sum = [&snapshot](std::span<const obs::Counter> counters) {
+      uint64_t total = 0;
+      for (obs::Counter counter : counters) {
+        total += CounterValue(snapshot, counter);
+      }
+      return total;
+    };
+    ASSERT_GT(harness.tests_answered(), 0u);
+    EXPECT_EQ(PhaseCount(snapshot, obs::Phase::kRealNoopAnswer), harness.tests_answered());
+    const uint64_t live = harness.tests_run() - harness.tests_answered();
+    EXPECT_EQ(sum(kOutcomes), live);
+    EXPECT_EQ(sum(kReadStatuses), live);
+    EXPECT_GT(CounterValue(snapshot, obs::Counter::kRealCrashSignal), 0u);
+  }
+}
+
 TEST(ExecModeEquivalenceTest, ExecedImageArmsThePlanInEveryMode) {
   // A start script that exec()s the target, the way a node manager starts
   // the system under test: the shell's image arms the plan, then walutil's
@@ -1885,7 +1938,7 @@ TEST(TwoPhaseHarnessTest, SandboxRecycledAfterRecoveryAndVerify) {
     }
     ASSERT_FALSE(sandbox.empty());
     EXPECT_TRUE(fs::is_empty(sandbox));
-    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.recycle_leak"), 0u);
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), obs::Counter::kRealRecycleLeak), 0u);
   }
 }
 
@@ -1984,9 +2037,9 @@ TEST(FeedbackBlockHostileTest, UnknownVersionReadsVersionSkew) {
 // so no interposer holds a live mapping of the block while it is mangled.
 // ---------------------------------------------------------------------------
 
-double GaugeValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
-  for (const auto& [gauge, value] : snapshot.gauges) {
-    if (gauge == name) {
+double GaugeValue(const obs::MetricsSnapshot& snapshot, obs::Gauge gauge) {
+  for (const auto& [name, value] : snapshot.gauges) {
+    if (name == obs::GaugeName(gauge)) {
       return value;
     }
   }
@@ -2022,8 +2075,8 @@ TEST(FeedbackHealthCounterTest, TruncatedBlockCountsShort) {
   obs::MetricsSnapshot snapshot = RunShellTarget(
       "health_short",
       "exec env LD_PRELOAD= /bin/sh -c 'printf AFEX > \"$AFEX_FEEDBACK\"'");
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_short"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_ok"), 0u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackShort), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 0u);
 }
 
 TEST(FeedbackHealthCounterTest, ZeroedBlockCountsBadMagic) {
@@ -2031,8 +2084,8 @@ TEST(FeedbackHealthCounterTest, ZeroedBlockCountsBadMagic) {
       "health_magic",
       "exec env LD_PRELOAD= /bin/sh -c "
       "'dd if=/dev/zero of=\"$AFEX_FEEDBACK\" bs=600 count=1 conv=notrunc status=none'");
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_bad_magic"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_ok"), 0u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackBadMagic), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 0u);
 }
 
 TEST(FeedbackHealthCounterTest, FutureVersionCountsVersionSkew) {
@@ -2044,8 +2097,8 @@ TEST(FeedbackHealthCounterTest, FutureVersionCountsVersionSkew) {
       "\\000\\000\\000\" | dd of=\"$AFEX_FEEDBACK\" bs=1 seek=" +
       std::to_string(offsetof(FeedbackBlock, version)) + " conv=notrunc status=none'";
   obs::MetricsSnapshot snapshot = RunShellTarget("health_skew", script);
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_version"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_ok"), 0u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackVersion), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 0u);
 }
 
 TEST(FeedbackHealthCounterTest, StaleTestSeqCountsStaleInForkserverMode) {
@@ -2069,8 +2122,43 @@ TEST(FeedbackHealthCounterTest, StaleTestSeqCountsStaleInForkserverMode) {
   FaultSpace space = harness.MakeSpace(/*max_call=*/2);
   TestOutcome outcome = harness.RunFault(space, MakeFault(space, 1, "send", 2));
   obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_stale"), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackStale), 1u);
   EXPECT_TRUE(outcome.new_block_ids.empty());
+}
+
+TEST(FeedbackHealthCounterTest, UnlinkedFeedbackFileIsMadeAnewInEveryExecMode) {
+  // Test 1 unlinks $AFEX_FEEDBACK. The harness must make the file anew
+  // before test 2, whose feedback then reads back whole and current.
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config;
+    config.target_argv = {"/bin/sh", "-c",
+                          "test \"$1\" != 1 || env LD_PRELOAD= rm -f \"$AFEX_FEEDBACK\"",
+                          "afex-unlink-feedback"};
+    config.num_tests = 2;
+    config.interposer_path = AFEX_INTERPOSER_PATH;
+    config.work_root = TempDir("health_unlink");
+    config.timeout_ms = 10000;
+    config.exec_mode = mode;
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    FaultSpace space = harness.MakeSpace(/*max_call=*/2);
+    harness.RunFault(space, MakeFault(space, 1, "send", 2));
+    if (mode == ExecMode::kPersistent) {
+      // The live server still maps the unlinked file; the next one opens
+      // whatever the path names.
+      harness.forkserver()->Shutdown();
+    }
+    harness.RunFault(space, MakeFault(space, 2, "send", 2));
+    const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 2u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackStale), 0u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackRecreated), 1u);
+    if (mode == ExecMode::kPersistent) {
+      EXPECT_EQ(harness.forkserver()->restarts(), 1u);
+    }
+  }
 }
 
 TEST(FeedbackHealthCounterTest, HostileEdgeBlockIsClampedNotTrusted) {
@@ -2099,10 +2187,10 @@ TEST(FeedbackHealthCounterTest, HostileEdgeBlockIsClampedNotTrusted) {
       "exec env LD_PRELOAD= /bin/sh -c 'dd if=" + crafted_path +
           " of=\"$AFEX_FEEDBACK\" conv=notrunc status=none'",
       &outcome, /*use_edges=*/true);
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_ok"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.edge_overflow"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.edges_new"), 11u);
-  EXPECT_EQ(GaugeValue(snapshot, "real.edges_total"), 11.0);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealEdgeOverflow), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealEdgesNew), 11u);
+  EXPECT_EQ(GaugeValue(snapshot, obs::Gauge::kRealEdgesTotal), 11.0);
   // Exactly the in-range edges surface, offset into the edge block range.
   ASSERT_EQ(outcome.new_block_ids.size(), 11u);
   for (uint32_t i = 0; i < 11; ++i) {
@@ -2194,7 +2282,7 @@ TEST(NoopAnswerTest, CallZeroAndKindIncompatiblePointsAreAnsweredOnceWarm) {
   // The first predicted no-op of the test id is the determinism sample.
   harness.RunFault(space, MakeModeFault(space, 1, "fsync", 2, "crash_after_rename"));
   EXPECT_EQ(harness.tests_answered(), 0u);
-  EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.noop_verified"), 1u);
+  EXPECT_EQ(CounterValue(telemetry.Snapshot(), obs::Counter::kRealNoopVerified), 1u);
   // Kind-incompatible points from now on: answered.
   harness.RunFault(space, MakeModeFault(space, 1, "fsync", 3, "short_write"));
   harness.RunFault(space, MakeModeFault(space, 1, "rename", 1, "drop_sync"));
@@ -2207,10 +2295,10 @@ TEST(NoopAnswerTest, CallZeroAndKindIncompatiblePointsAreAnsweredOnceWarm) {
   EXPECT_EQ(harness.tests_answered(), 3u);
   EXPECT_FALSE(call0.test_failed);
   const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "real.noop_answered"), 3u);
-  EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 0u);
+  EXPECT_EQ(PhaseCount(snapshot, obs::Phase::kRealNoopAnswer), 3u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealNoopMismatch), 0u);
   // Answered tests start nothing: only the two live runs counted an exit.
-  EXPECT_EQ(CounterValue(snapshot, "real.exit_clean"), 2u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealExitClean), 2u);
 }
 
 TEST(NoopAnswerTest, APointWhoseWindowReachesTheCachedCountRunsLive) {
@@ -2235,8 +2323,8 @@ TEST(NoopAnswerTest, APointWhoseWindowReachesTheCachedCountRunsLive) {
   EXPECT_TRUE(harness.RunFault(space, MakeModeFault(space, 1, "fsync", 5, "kill_at")).fault_triggered);
   EXPECT_EQ(harness.tests_answered(), 1u);
   const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "real.noop_verified"), 1u);
-  EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 0u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealNoopVerified), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealNoopMismatch), 0u);
 }
 
 TEST(NoopAnswerTest, NondeterministicTargetTripsMismatchAndRunsLive) {
@@ -2263,7 +2351,7 @@ TEST(NoopAnswerTest, NondeterministicTargetTripsMismatchAndRunsLive) {
     // The sampled no-op disagrees with the cache: the live run is the record.
     const TestOutcome sampled = harness.RunFault(space, Fault(std::vector<size_t>{0, 0, 2}));
     EXPECT_NE(sampled.detail, baseline.detail);
-    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.noop_mismatch"), 1u);
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), obs::Counter::kRealNoopMismatch), 1u);
     // From then on every no-op of the test id runs live.
     const size_t later = 2 * kNoopVerifyEvery;
     for (size_t i = 0; i < later; ++i) {
@@ -2271,9 +2359,9 @@ TEST(NoopAnswerTest, NondeterministicTargetTripsMismatchAndRunsLive) {
     }
     EXPECT_EQ(harness.tests_answered(), 0u);
     const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-    EXPECT_EQ(CounterValue(snapshot, "real.exit_nonzero"), 2 + later);
-    EXPECT_EQ(CounterValue(snapshot, "real.noop_mismatch"), 1u);
-    EXPECT_EQ(CounterValue(snapshot, "real.noop_answered"), 0u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealExitNonzero), 2 + later);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealNoopMismatch), 1u);
+    EXPECT_EQ(PhaseCount(snapshot, obs::Phase::kRealNoopAnswer), 0u);
   }
 }
 
@@ -2382,7 +2470,7 @@ TEST(CrashStateAnswerTest, SameNamesAndSizesWithOtherBytesAreAnotherState) {
     RealTargetHarness fresh(config);
     fresh.SeedCoverage(covered);
     EXPECT_EQ(SerializeOutcome(answer), SerializeOutcome(fresh.RunFault(space, torn)));
-    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.state_mismatch"), 0u);
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), obs::Counter::kRealStateMismatch), 0u);
   }
 }
 
@@ -2414,7 +2502,7 @@ TEST(CrashStateAnswerTest, NondeterministicRecoveryTripsMismatchAndRunsLive) {
     const TestOutcome sampled = harness.RunFault(space, point);
     EXPECT_NE(sampled.detail.find("recovery failed: recovery run 2"), std::string::npos)
         << sampled.detail;
-    EXPECT_EQ(CounterValue(telemetry.Snapshot(), "real.state_mismatch"), 1u);
+    EXPECT_EQ(CounterValue(telemetry.Snapshot(), obs::Counter::kRealStateMismatch), 1u);
     // From then on the state runs recover live every time.
     const size_t later = 2 * kNoopVerifyEvery;
     for (size_t i = 0; i < later; ++i) {
@@ -2424,10 +2512,10 @@ TEST(CrashStateAnswerTest, NondeterministicRecoveryTripsMismatchAndRunsLive) {
     }
     EXPECT_EQ(harness.crash_states_answered(), 0u);
     const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-    EXPECT_EQ(CounterValue(snapshot, "real.recovery_failed"), 2 + later);
-    EXPECT_EQ(CounterValue(snapshot, "real.state_mismatch"), 1u);
-    EXPECT_EQ(CounterValue(snapshot, "real.state_answered"), 0u);
-    EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 0u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealRecoveryFailed), 2 + later);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateMismatch), 1u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateAnswered), 0u);
+    EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateVerified), 0u);
   }
 }
 
@@ -2469,13 +2557,13 @@ TEST(CrashStateAnswerTest, SandboxWithASubdirectoryOrFifoIsNeverAnswered) {
         // One live run, then kNoopVerifyEvery repeats: the first is the
         // determinism sample, the rest are answered.
         EXPECT_EQ(harness.crash_states_answered(), runs - 2);
-        EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 1u);
+        EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateVerified), 1u);
       } else {
         EXPECT_EQ(harness.crash_states_answered(), 0u);
-        EXPECT_EQ(CounterValue(snapshot, "real.state_verified"), 0u);
+        EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateVerified), 0u);
       }
-      EXPECT_EQ(CounterValue(snapshot, "real.state_mismatch"), 0u);
-      EXPECT_EQ(CounterValue(snapshot, "real.recycle_leak"), 0u);
+      EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealStateMismatch), 0u);
+      EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealRecycleLeak), 0u);
     }
   }
 }
@@ -2519,9 +2607,9 @@ TEST(SancovCoverageTest, InstrumentedTargetStreamsRealEdges) {
   EXPECT_GT(other.new_blocks_covered, 0u);
 
   obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "real.feedback_ok"), 3u);
-  EXPECT_EQ(CounterValue(snapshot, "real.edges_missing"), 0u);
-  EXPECT_EQ(GaugeValue(snapshot, "real.edges_total"),
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealFeedbackOk), 3u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealEdgesMissing), 0u);
+  EXPECT_EQ(GaugeValue(snapshot, obs::Gauge::kRealEdgesTotal),
             static_cast<double>(first.new_blocks_covered + other.new_blocks_covered));
   // The edge signal sized the coverage universe from the counter region.
   EXPECT_GT(harness.coverage_total_blocks(), kEdgeBlockBase);
@@ -2540,7 +2628,7 @@ TEST(SancovCoverageTest, UninstrumentedTargetCountsEdgesMissing) {
   TestOutcome outcome = harness.RunFault(space, MakeFault(space, 1, "send", 8));
   EXPECT_TRUE(outcome.new_block_ids.empty());
   obs::MetricsSnapshot snapshot = telemetry.Snapshot();
-  EXPECT_EQ(CounterValue(snapshot, "real.edges_missing"), 1u);
+  EXPECT_EQ(CounterValue(snapshot, obs::Counter::kRealEdgesMissing), 1u);
 }
 
 TEST(SancovCoverageTest, EdgeFedCampaignRecordIdenticalAcrossExecModes) {

@@ -1,13 +1,16 @@
 // Tests for the observability layer (src/obs): histogram bucket math and
 // quantiles against exact oracles, sharded-counter sums under concurrent
-// writers, trace-event serialization, progress-line rate/ETA math, the RAII
-// phase timer, and the CampaignTelemetry sink end to end (including the
-// journal's flush instrumentation and the no-telemetry determinism guard).
+// writers, the metric tables' names, trace-event serialization,
+// progress-line rate/ETA math, the RAII phase timer, and the
+// CampaignTelemetry sink end to end (including the journal's flush
+// instrumentation and the no-telemetry determinism guard).
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -76,15 +79,14 @@ TEST(HistogramBuckets, ValuesAboveCapSaturate) {
 
 TEST(MetricsRegistry, CountersSumAcrossThreads) {
   MetricsRegistry registry;
-  uint32_t id = registry.RegisterCounter("test.counter");
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 20000;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, id] {
+    threads.emplace_back([&registry] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        registry.AddCounter(id);
+        registry.AddCounter(Counter::kRealExitClean);
       }
     });
   }
@@ -93,20 +95,19 @@ TEST(MetricsRegistry, CountersSumAcrossThreads) {
   }
   MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.counters.size(), 1u);
-  EXPECT_EQ(snapshot.counters[0].first, "test.counter");
+  EXPECT_EQ(snapshot.counters[0].first, "real.exit_clean");
   EXPECT_EQ(snapshot.counters[0].second, kThreads * kPerThread);
 }
 
 TEST(MetricsRegistry, HistogramCountAndSumAcrossThreads) {
   MetricsRegistry registry;
-  uint32_t id = registry.RegisterHistogram("test.latency");
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 5000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, id, t] {
+    threads.emplace_back([&registry, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        registry.RecordLatencyNs(id, 100 + static_cast<uint64_t>(t));
+        registry.RecordLatencyNs(Phase::kBackendRun, 100 + static_cast<uint64_t>(t));
       }
     });
   }
@@ -124,19 +125,17 @@ TEST(MetricsRegistry, HistogramCountAndSumAcrossThreads) {
 
 TEST(MetricsRegistry, SnapshotOmitsHistogramsWithoutSamples) {
   MetricsRegistry registry;
-  registry.RegisterHistogram("never.recorded");
-  registry.RecordLatencyNs(registry.RegisterHistogram("recorded"), 42);
+  registry.RecordLatencyNs(Phase::kSimRun, 42);
   MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.histograms.size(), 1u);
-  EXPECT_EQ(snapshot.histograms[0].name, "recorded");
+  EXPECT_EQ(snapshot.histograms[0].name, "sim.run");
   std::ostringstream out;
   snapshot.WriteJson(out);
-  EXPECT_EQ(out.str().find("never.recorded"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("backend.run"), std::string::npos) << out.str();
 }
 
 TEST(MetricsRegistry, HistogramMatchesRunningStatsOracle) {
   MetricsRegistry registry;
-  uint32_t id = registry.RegisterHistogram("oracle");
   RunningStats oracle;
   std::vector<double> values;
   // Deterministic LCG spanning several octaves (no Date/random in tests
@@ -145,7 +144,7 @@ TEST(MetricsRegistry, HistogramMatchesRunningStatsOracle) {
   for (int i = 0; i < 4000; ++i) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     uint64_t v = (state >> 33) % 1000000;
-    registry.RecordLatencyNs(id, v);
+    registry.RecordLatencyNs(Phase::kSimRun, v);
     oracle.Add(static_cast<double>(v));
     values.push_back(static_cast<double>(v));
   }
@@ -173,61 +172,52 @@ TEST(MetricsRegistry, HistogramMatchesRunningStatsOracle) {
 
 TEST(MetricsRegistry, GaugesAreLastWriterWinsAndUnsetOnesHidden) {
   MetricsRegistry registry;
-  uint32_t set_id = registry.RegisterGauge("gauge.set");
-  registry.RegisterGauge("gauge.never_set");
-  registry.SetGauge(set_id, 1.0);
-  registry.SetGauge(set_id, 42.5);
+  EXPECT_TRUE(registry.Snapshot().gauges.empty());
+  registry.SetGauge(Gauge::kRealEdgesTotal, 1.0);
+  registry.SetGauge(Gauge::kRealEdgesTotal, 42.5);
   MetricsSnapshot snapshot = registry.Snapshot();
   ASSERT_EQ(snapshot.gauges.size(), 1u);
-  EXPECT_EQ(snapshot.gauges[0].first, "gauge.set");
+  EXPECT_EQ(snapshot.gauges[0].first, "real.edges_total");
   EXPECT_DOUBLE_EQ(snapshot.gauges[0].second, 42.5);
-}
-
-TEST(MetricsRegistry, RegistrationIsIdempotentAndCapacityBounded) {
-  MetricsRegistry registry;
-  uint32_t a = registry.RegisterCounter("same");
-  uint32_t b = registry.RegisterCounter("same");
-  EXPECT_EQ(a, b);
-  for (size_t i = 0; i < MetricsRegistry::kMaxCounters + 8; ++i) {
-    registry.RegisterCounter("c" + std::to_string(i));
-  }
-  uint32_t overflow = registry.RegisterCounter("one.too.many");
-  EXPECT_EQ(overflow, MetricsRegistry::kInvalidMetric);
-  // Updates against the invalid id are dropped, not UB.
-  registry.AddCounter(overflow, 7);
-  registry.RecordLatencyNs(MetricsRegistry::kInvalidMetric, 7);
-  registry.SetGauge(MetricsRegistry::kInvalidMetric, 7.0);
-  SUCCEED();
 }
 
 TEST(MetricsSnapshot, WriteJsonIsWellFormed) {
   MetricsRegistry registry;
-  registry.AddCounter(registry.RegisterCounter("runs \"quoted\""), 3);
-  registry.SetGauge(registry.RegisterGauge("g"), 1.5);
-  registry.RecordLatencyNs(registry.RegisterHistogram("h"), 1234);
+  registry.AddCounter(Counter::kRealHang, 3);
+  registry.SetGauge(Gauge::kRealEdgesTotal, 1.5);
+  registry.RecordLatencyNs(Phase::kBackendRun, 1234);
   std::ostringstream out;
   registry.Snapshot().WriteJson(out);
   std::string json = out.str();
-  // Structural sanity: balanced braces, escaped quote, all three sections.
+  // Structural sanity: balanced braces, all three sections.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("runs \\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(json.find("\"counters\": {\n    \"real.hang\": 3\n  }"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"gauges\": {\n    \"real.edges_total\": 1.500\n  }"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"histograms\": {\n    \"backend.run\": {\"count\": 1"),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
 }
 
-// ---- phases + timer ---------------------------------------------------------
+// ---- metric tables + timer --------------------------------------------------
 
-TEST(Phases, EveryPhaseHasADistinctName) {
+TEST(MetricTables, EveryRowHasADistinctDottedName) {
   std::vector<std::string> names;
-  for (size_t p = 0; p < kPhaseCount; ++p) {
-    names.emplace_back(PhaseName(static_cast<Phase>(p)));
+  names.insert(names.end(), std::begin(kPhaseNames), std::end(kPhaseNames));
+  names.insert(names.end(), std::begin(kCounterNames), std::end(kCounterNames));
+  names.insert(names.end(), std::begin(kGaugeNames), std::end(kGaugeNames));
+  EXPECT_EQ(names.size(), kPhaseCount + kCounterCount + kGaugeCount);
+  const std::regex dotted("[a-z]+\\.[a-z_]+");
+  for (const std::string& name : names) {
+    EXPECT_TRUE(std::regex_match(name, dotted)) << name;
   }
   std::sort(names.begin(), names.end());
-  EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
   EXPECT_EQ(PhaseName(Phase::kRealForkExec), std::string("real.fork_exec"));
+  EXPECT_EQ(CounterName(Counter::kRealFeedbackOk), std::string("real.feedback_ok"));
+  EXPECT_EQ(GaugeName(Gauge::kRealEdgesTotal), std::string("real.edges_total"));
 }
 
 class RecordingSink : public MetricsSink {
@@ -236,17 +226,15 @@ class RecordingSink : public MetricsSink {
     phases.emplace_back(phase, duration_ns);
     last_start_ns = start_ns;
   }
-  void AddCounter(std::string_view name, uint64_t delta) override {
-    counters.emplace_back(std::string(name), delta);
+  void AddCounter(Counter counter, uint64_t delta) override {
+    counters.emplace_back(counter, delta);
   }
-  void SetGauge(std::string_view name, double value) override {
-    gauges.emplace_back(std::string(name), value);
-  }
+  void SetGauge(Gauge gauge, double value) override { gauges.emplace_back(gauge, value); }
   void OnTestExecuted(const ProgressUpdate& update) override { updates.push_back(update); }
 
   std::vector<std::pair<Phase, uint64_t>> phases;
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<std::pair<Counter, uint64_t>> counters;
+  std::vector<std::pair<Gauge, double>> gauges;
   std::vector<ProgressUpdate> updates;
   uint64_t last_start_ns = 0;
 };
@@ -435,20 +423,17 @@ TEST(CampaignTelemetry, PhasesFeedHistogramsAndOptionallyTrace) {
   EXPECT_EQ(untraced.trace().total_events(), 0u);
 }
 
-TEST(CampaignTelemetry, NamedCountersAndGaugesRoundTrip) {
+TEST(CampaignTelemetry, SnapshotListsCountersThatCountedInTableOrder) {
   CampaignTelemetry telemetry;
-  telemetry.AddCounter("real.exit_clean", 2);
-  telemetry.AddCounter("real.exit_clean", 1);
-  telemetry.AddCounter("real.hang", 1);
-  telemetry.SetGauge("journal.flush_last_ns", 1234.0);
+  telemetry.AddCounter(Counter::kRealExitClean, 2);
+  telemetry.AddCounter(Counter::kRealFsRestarts, 0);
+  telemetry.AddCounter(Counter::kRealHang, 1);
+  telemetry.AddCounter(Counter::kRealExitClean, 1);
+  telemetry.SetGauge(Gauge::kRealEdgesTotal, 1234.0);
   MetricsSnapshot snapshot = telemetry.Snapshot();
-  uint64_t clean = 0, hang = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "real.exit_clean") clean = value;
-    if (name == "real.hang") hang = value;
-  }
-  EXPECT_EQ(clean, 3u);
-  EXPECT_EQ(hang, 1u);
+  const std::vector<std::pair<std::string, uint64_t>> want = {{"real.hang", 1},
+                                                              {"real.exit_clean", 3}};
+  EXPECT_EQ(snapshot.counters, want);
   ASSERT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snapshot.gauges[0].second, 1234.0);
 }
@@ -613,26 +598,14 @@ TEST(Integration, JournalAppendRecordsFlushMetrics) {
     journal.Append("R two");
     journal.Append("R three");
   }
+  // The record count is each journal phase's sample count.
   MetricsSnapshot snapshot = telemetry.Snapshot();
-  uint64_t records = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "journal.records") {
-      records = value;
-    }
-  }
-  EXPECT_EQ(records, 3u);
-  bool gauge_found = false;
-  for (const auto& [name, value] : snapshot.gauges) {
-    if (name == "journal.flush_last_ns") {
-      gauge_found = true;
-      EXPECT_GE(value, 0.0);
-    }
-  }
-  EXPECT_TRUE(gauge_found);
+  EXPECT_TRUE(snapshot.counters.empty());
+  EXPECT_TRUE(snapshot.gauges.empty());
+  ASSERT_EQ(snapshot.histograms.size(), 2u);
   for (const HistogramSummary& h : snapshot.histograms) {
-    if (h.name == "journal.append" || h.name == "journal.flush") {
-      EXPECT_EQ(h.count, 3u) << h.name;
-    }
+    EXPECT_TRUE(h.name == "journal.append" || h.name == "journal.flush") << h.name;
+    EXPECT_EQ(h.count, 3u) << h.name;
   }
   fs::remove_all(dir);
 }

@@ -16,7 +16,7 @@
 # hook, so the persistent leg runs the non-adopting path end to end. Most of the space can never fire (a kind that does not
 # apply to the function, or a call past what the workload makes), and
 # each leg must answer some of those points from the fault-free run
-# (real.noop_answered > 0). Whether a never-firing point really leaves the
+# (real.noop_answer samples > 0). Whether a never-firing point really leaves the
 # run fault-free is checked live, point by point, in exec_test
 # (NoopAnswerTest.UntriggeredReadBackPointsNeverFailLive). Many crash points
 # leave the same state on disk, so each leg must also answer some
@@ -125,9 +125,11 @@ foreach(mode spawn persistent)
   # Both legs answer never-firing points from the fault-free run (each leg
   # is a fresh process, so each starts with a cold cache).
   foreach(json leg1_metrics_json metrics_json)
-    string(JSON answered ERROR_VARIABLE json_error GET "${${json}}" counters real.noop_answered)
+    string(JSON answered ERROR_VARIABLE json_error
+      GET "${${json}}" histograms real.noop_answer count)
     if(NOT answered GREATER 0)
-      message(FATAL_ERROR "${mode}: ${json} has real.noop_answered = '${answered}', expected > 0")
+      message(FATAL_ERROR
+        "${mode}: ${json} has real.noop_answer count = '${answered}', expected > 0")
     endif()
     # Repeated crash states answer recover/verify, and every determinism
     # sample of a state agrees with its first run.
