@@ -267,7 +267,7 @@ std::string ScenarioKey(const FaultDecoder& decoder, const Fault& fault) {
   if (!plan.spec.has_value()) {
     return "";
   }
-  return std::to_string(plan.test_id) + "|" + plan.spec->function + "|" +
+  return std::to_string(plan.test_id) + "|" + LibcRow(plan.spec->function).name + "|" +
          std::to_string(plan.spec->call_lo);
 }
 

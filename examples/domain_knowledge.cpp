@@ -3,18 +3,18 @@
 // space to the functions the target actually calls and (b) supplies a
 // statistical environment model; each step roughly halves the time to the
 // search target. Also demonstrates multi-fault scenario support in the
-// FaultBus and the tracer-driven space-definition methodology (§7).
+// FaultBus and the ltrace-style space-definition methodology (§7).
 //
 // Build & run:  ./build/examples/domain_knowledge
+#include <algorithm>
 #include <cstdio>
 
 #include "core/fitness_explorer.h"
 #include "core/relevance.h"
 #include "core/session.h"
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 #include "sim/process.h"
-#include "sim/tracer.h"
 #include "targets/coreutils/suite.h"
 #include "targets/coreutils/utils.h"
 #include "targets/harness.h"
@@ -40,10 +40,19 @@ int main() {
   TargetSuite suite = coreutils::MakeSuite();
 
   // ---- methodology step (paper §7): trace the suite to define the space ----
-  auto traces = Tracer::TraceSuite(suite.run_test, suite.num_tests);
-  auto used = Tracer::UsedFunctions(traces);
+  // Each test runs once without injection; the bus's per-function call
+  // counts are the ltrace-equivalent profile.
+  size_t max_calls[kLibcFnCount] = {};
+  for (size_t t = 0; t < suite.num_tests; ++t) {
+    SimEnv env;
+    RunProgram(env, [&](SimEnv& e) { return suite.run_test(e, t); });
+    for (size_t row = 0; row < kLibcFnCount; ++row) {
+      max_calls[row] = std::max(max_calls[row], env.bus().CallCount(static_cast<LibcFn>(row)));
+    }
+  }
+  const size_t used = kLibcFnCount - std::count(max_calls, max_calls + kLibcFnCount, 0u);
   std::printf("ltrace-equivalent found %zu libc functions in use; e.g. fopen called up to %zu"
-              " times in one test\n", used.size(), Tracer::MaxCallCount(traces, "fopen"));
+              " times in one test\n", used, max_calls[static_cast<size_t>(LibcFn::fopen)]);
 
   // ---- black-box space ----
   TargetHarness space_builder(suite);
@@ -79,9 +88,9 @@ int main() {
   SimEnv env;
   env.AddFile("/dev/stdout", "");
   env.AddFile("/big", std::string(100, 'z'));
-  env.bus().Arm({.function = "read", .call_lo = 3, .call_hi = 3, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 3, .call_hi = 3, .retval = -1,
                  .errno_value = sim_errno::kEINTR});
-  env.bus().Arm({.function = "calloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::calloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   RunOutcome out = RunProgram(
       env, [](SimEnv& e) { return coreutils::CpMain(e, "/big", "/copy"); });

@@ -4,8 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/elf_reader.h"
-#include "exec/feedback_block.h"
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "util/fnv1a.h"
 
 namespace afex {
@@ -155,9 +154,9 @@ std::vector<std::string> TargetProfile::InterposableImports() const {
   // Slot (table) order, so the pruned axis keeps the neighbour similarity
   // the Gaussian mutation exploits — same order as the full axis.
   std::vector<std::string> names;
-  for (const char* name : exec::kInterposedFunctions) {
-    if (Imports(name)) {
-      names.push_back(name);
+  for (const LibcTableRow& row : kLibcTable) {
+    if (row.slot >= 0 && Imports(row.name)) {
+      names.push_back(row.name);
     }
   }
   return names;
@@ -205,8 +204,9 @@ std::optional<TargetProfile> AnalyzeTargetBinary(const std::string& path,
     }
     ImportedFunction fn;
     fn.name = name;
-    fn.profiled = LibcProfile::Default().Find(fn.name).has_value();
-    fn.interposable = exec::InterposedSlot(fn.name.c_str()) >= 0;
+    const std::optional<LibcFn> row = FindLibcFn(fn.name);
+    fn.profiled = row.has_value();
+    fn.interposable = row.has_value() && LibcRow(*row).slot >= 0;
     profile.imports.push_back(std::move(fn));
     index_by_name.emplace(std::move(name), profile.imports.size() - 1);
   }

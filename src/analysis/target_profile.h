@@ -39,7 +39,7 @@ struct ImportedFunction {
   // function, used to prioritize exploration. 0 when the scan did not run
   // (non-x86-64 binary) or genuinely found none.
   uint64_t callsites = 0;
-  bool profiled = false;      // in the LibcProfile vocabulary
+  bool profiled = false;      // a row of the libc table
   bool interposable = false;  // wrapped by libafex_interpose.so
 };
 
@@ -57,7 +57,7 @@ struct TargetProfile {
   const ImportedFunction* Find(std::string_view name) const;
   bool Imports(std::string_view name) const { return Find(name) != nullptr; }
 
-  // Names of the interposable imports, in libc-profile (category) order —
+  // Names of the interposable imports, in libc table (category) order —
   // the pruned function axis. Subset of exec::InterposableFunctions().
   std::vector<std::string> InterposableImports() const;
   // Sum of callsites over the interposable imports.

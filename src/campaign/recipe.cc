@@ -11,6 +11,7 @@
 #include <iterator>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <variant>
 
@@ -18,8 +19,8 @@
 #include "campaign/store.h"
 #include "core/fitness_explorer.h"
 #include "core/space_lang.h"
-#include "exec/feedback_block.h"
 #include "exec/real_target_harness.h"
+#include "injection/plan.h"
 #include "targets/harness.h"
 #include "util/log.h"
 #include "util/strings.h"
@@ -299,10 +300,11 @@ void CheckRealSpace(const FaultSpace& space, const analysis::TargetProfile* prof
       continue;
     }
     for (const std::string& label : axis.labels()) {
-      if (exec::InterposedSlot(label.c_str()) < 0) {
+      const std::optional<LibcFn> fn = FindLibcFn(label);
+      if (!fn.has_value() || LibcRow(*fn).slot < 0) {
         throw CampaignError("space function axis names '" + label +
                             "', which the real-process interposer does not wrap (see "
-                            "src/exec/feedback_block.h)");
+                            "src/injection/libc_table.h)");
       }
     }
   }
@@ -440,6 +442,13 @@ std::unique_ptr<Campaign> Recipe::Build(const std::string& interposer, std::FILE
     c.space = static_cast<exec::RealTargetHarness&>(*c.nodes[0]).MakeSpace(calls, zero_call);
   } else {
     c.space = static_cast<TargetHarness&>(*c.nodes[0]).MakeSpace(calls, zero_call);
+  }
+  try {
+    // Every node decodes with this space; a label it cannot decode fails
+    // here, before any test runs or any journal is written.
+    FaultDecoder{c.space};
+  } catch (const std::invalid_argument& e) {
+    throw CampaignError(std::string("--space: ") + e.what());
   }
   if (real) {
     CheckRealSpace(c.space, profile.has_value() ? &*profile : nullptr, !space.empty());

@@ -12,7 +12,7 @@ bool EncodePlanEntries(const std::vector<FaultSpec>& specs,
   out.reserve(specs.size());
   for (const FaultSpec& spec : specs) {
     FsPlanEntry entry;
-    entry.slot = InterposedSlot(spec.function.c_str());
+    entry.slot = LibcRow(spec.function).slot;
     entry.errno_value = spec.errno_value;
     // A negative ordinal becomes 0, which no valid window holds, instead of
     // wrapping to a huge unsigned one.

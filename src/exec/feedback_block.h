@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 
 #include "injection/libc_table.h"
@@ -34,18 +33,13 @@ namespace exec {
 // The interposer's slots: the wrapped rows of the libc function table
 // (injection/libc_table.h), in table order, so the real backend's function
 // axis keeps the category neighbour-similarity the Gaussian mutation
-// exploits. Slot = a function's rank among the wrapped rows = index into
-// FeedbackBlock::calls / ::injected; an LP64 alias (open64, ...) counts in
-// its row's slot.
-#define AFEX_EXEC_SLOT_NAME(name, retval, errnos, category, wrapped, kinds, ...) \
-  AFEX_LIBC_IF_##wrapped(#name, )
-#define AFEX_EXEC_SLOT_KINDS(name, retval, errnos, category, wrapped, kinds, ...) \
-  AFEX_LIBC_IF_##wrapped(kinds, )
-inline constexpr const char* kInterposedFunctions[] = {AFEX_LIBC_TABLE(AFEX_EXEC_SLOT_NAME)};
-// Each slot's storage-kinds column, for KindAppliesTo.
-inline constexpr uint32_t kInterposedStorageKinds[] = {AFEX_LIBC_TABLE(AFEX_EXEC_SLOT_KINDS)};
-#undef AFEX_EXEC_SLOT_NAME
-#undef AFEX_EXEC_SLOT_KINDS
+// exploits. Slot = a function's rank among the wrapped rows (its row's slot
+// column) = index into FeedbackBlock::calls / ::injected; an LP64 alias
+// (open64, ...) counts in its row's slot.
+#define AFEX_EXEC_SLOT_FN(name, retval, errnos, category, wrapped, kinds, ...) \
+  AFEX_LIBC_IF_##wrapped(LibcFn::name, )
+inline constexpr LibcFn kInterposedFunctions[] = {AFEX_LIBC_TABLE(AFEX_EXEC_SLOT_FN)};
+#undef AFEX_EXEC_SLOT_FN
 inline constexpr uint32_t kInterposedFunctionCount =
     sizeof(kInterposedFunctions) / sizeof(kInterposedFunctions[0]);
 // Fixed array size in the block; > kInterposedFunctionCount so the layout
@@ -68,18 +62,6 @@ inline constexpr uint32_t kMaxEdgeHits = 4096;
 // regions longer than this are truncated (edge_total still records the
 // real length so the parent can see the truncation).
 inline constexpr uint32_t kMaxSancovEdges = 65536;
-
-// Slot index for a logical function name, or -1 when not interposed.
-// Linear scan: called per plan encode/decode on the parent, never per libc
-// call.
-inline int InterposedSlot(const char* name) {
-  for (uint32_t i = 0; i < kInterposedFunctionCount; ++i) {
-    if (std::strcmp(kInterposedFunctions[i], name) == 0) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
 
 // One armed fault: the plan's only format, written by the parent's plan codec
 // (exec/fault_plan.h) into FeedbackBlock::plan. Slot indexes
@@ -108,7 +90,7 @@ inline constexpr uint32_t kFsMaxPlans = 8;
 inline bool ValidPlanEntry(const FsPlanEntry& e) {
   return e.slot >= 0 && e.slot < static_cast<int32_t>(kInterposedFunctionCount) &&
          e.call_lo >= 1 && e.call_hi >= e.call_lo &&
-         KindAppliesTo(e.kind, kInterposedStorageKinds[e.slot]) &&
+         KindAppliesTo(e.kind, LibcRow(kInterposedFunctions[e.slot]).storage_kinds) &&
          (e.kind != static_cast<int32_t>(FaultKind::kShortWrite) || e.param >= 0);
 }
 

@@ -167,8 +167,8 @@ void Resolve(Fn& slot, const char* name) {
 // ---------------------------------------------------------------------------
 // Plan + feedback state.
 // ---------------------------------------------------------------------------
-// kSlot_<name>: a wrapped row's rank among the wrapped rows, the same
-// number InterposedSlot gives the parent.
+// kSlot_<name>: a wrapped row's rank among the wrapped rows, the row's slot
+// column the parent encodes plans with.
 #define AFEX_SLOT_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
   AFEX_LIBC_IF_##wrapped(kSlot_##name, )
 enum Slot : int { AFEX_LIBC_TABLE(AFEX_SLOT_ROW) };

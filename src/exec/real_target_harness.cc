@@ -158,7 +158,11 @@ std::vector<std::string> SubstituteTest(std::vector<std::string> argv,
 }  // namespace
 
 std::vector<std::string> InterposableFunctions() {
-  return {std::begin(kInterposedFunctions), std::end(kInterposedFunctions)};
+  std::vector<std::string> names;
+  for (LibcFn fn : kInterposedFunctions) {
+    names.emplace_back(LibcRow(fn).name);
+  }
+  return names;
 }
 
 static_assert(kEdgeBlockBase >= kMaxInterposedFunctions,
@@ -269,11 +273,12 @@ TestOutcome RealTargetHarness::RunFault(const FaultSpace& space, const Fault& fa
 
   std::vector<FaultSpec> specs;
   if (plan.spec.has_value()) {
-    if (InterposedSlot(plan.spec->function.c_str()) < 0) {
-      // A custom space can name profile functions the interposer does not
+    const LibcTableRow& row = LibcRow(plan.spec->function);
+    if (row.slot < 0) {
+      // A custom space can name table functions the interposer does not
       // wrap; surface it rather than silently running without injection.
       outcome.test_failed = true;
-      outcome.detail = "exec: function not interposable: " + plan.spec->function;
+      outcome.detail = std::string("exec: function not interposable: ") + row.name;
       return outcome;
     }
     if (!FaultKindAppliesTo(plan.spec->kind, plan.spec->function)) {
@@ -557,7 +562,7 @@ RealTargetHarness::LiveRun RealTargetHarness::RunLive(size_t test_id,
       // function, and the call ordinal that actually fired.
       outcome.injection_stack = {
           target_name_, "test" + test_label,
-          kInterposedFunctions[block.first_injected_slot],
+          LibcRow(kInterposedFunctions[block.first_injected_slot]).name,
           "call" + std::to_string(block.first_injected_call)};
     }
   } else if (feedback_status != FeedbackReadStatus::kOk &&

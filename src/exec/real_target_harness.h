@@ -139,7 +139,7 @@ struct RealTargetConfig {
   bool use_edges = false;
 };
 
-// The libc-profile functions the interposer wraps, in profile (category)
+// The libc table functions the interposer wraps, in table (category)
 // order — the function axis the real backend explores by default.
 std::vector<std::string> InterposableFunctions();
 

@@ -1,24 +1,30 @@
 // The one libc function table. Every profiled libc function is one row of
 // AFEX_LIBC_TABLE (paper §7, "Fault Space Definition Methodology": the
-// per-function error profile the fault space is built from), and every layer
-// derives its view of the function set from it:
-//   * injection/libc_profile.cc — LibcProfile::Default(), the simulated
-//     libc's profile and the order of every function axis;
+// per-function error profile the fault space is built from). Each row's
+// generated enumerator, LibcFn, is the function's identity everywhere inside
+// the program: a FaultSpec names its function by it, the simulated libc
+// passes it to the fault bus, the bus indexes its counters by it, and the
+// fault-kind rule, the plan encoder and the analyzer read its row of
+// kLibcTable (name, error return, default errno, category, storage kinds,
+// LP64 alias, interposer slot). Text meets the identity in one place,
+// FindLibcFn (injection/fault_bus.h), where names enter from outside the
+// program: fault-space labels and a binary's imports. The other views
+// derived from the rows are:
 //   * exec/feedback_block.h — the interposer's slots (kInterposedFunctions):
 //     a function's slot is its rank among the wrapped rows;
 //   * exec/interpose.cc — the slot enum, the real-libc pointers and their
 //     resolution (the LFI role of paper §6.1);
-//   * KindAppliesTo below — which FaultKind a function can take;
-//   * analysis/target_profile.cc — LP64 alias folding.
+//   * KindAppliesTo below — which FaultKind a function can take.
 // Adding an interposed function is one row here plus one wrapper in
-// interpose.cc. Rows must keep their order: slot numbers and the function
-// axis follow it, and journals and plan bytes record both.
+// interpose.cc. Rows must keep their order: enumerators, slot numbers and
+// the function axis follow it, and journals and plan bytes record them.
 //
 // Included by libafex_interpose.so, which is built free-standing (no afex
 // libraries, no C++ runtime): keep this header to constants and macros.
 #ifndef AFEX_INJECTION_LIBC_TABLE_H_
 #define AFEX_INJECTION_LIBC_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace afex {
@@ -38,6 +44,7 @@ inline constexpr int kENOSPC = 28;
 inline constexpr int kEBADF = 9;
 inline constexpr int kEMFILE = 24;
 inline constexpr int kECONNRESET = 104;
+inline constexpr int kNone = 0;  // a row without errnos sets none
 }  // namespace sim_errno
 
 // What an armed fault *does* at the matched call. kErrno is the classic
@@ -81,6 +88,7 @@ constexpr bool KindAppliesTo(int kind, uint32_t storage_kinds) {
 // X(name, error_retval, (errnos...), category, wrapped, storage_kinds[, alias])
 //   error_retval  — what a failed call returns;
 //   errnos        — plausible errno values (sim_errno names), parenthesized;
+//                   the first is what a point without an errno axis sets;
 //   category      — memory | file | dir | net | misc;
 //   wrapped       — true when libafex_interpose.so wraps it (takes a slot);
 //   storage_kinds — k*Kind bits, 0 for errno and kill_at only;
@@ -144,24 +152,51 @@ constexpr bool KindAppliesTo(int kind, uint32_t storage_kinds) {
   X(pthread_mutex_unlock, -1, (), misc, false, 0)
 
 // Helpers for X macros: AFEX_LIBC_IF_##wrapped(...) keeps its arguments on
-// wrapped rows only; `AFEX_LIBC_LIST errnos` turns the parenthesized errno
-// column into a braced list.
+// wrapped rows only; `AFEX_LIBC_FIRST errnos` is the parenthesized errno
+// column's first name, kNone when the column is empty.
 #define AFEX_LIBC_IF_true(...) __VA_ARGS__
 #define AFEX_LIBC_IF_false(...)
-#define AFEX_LIBC_LIST(...) {__VA_ARGS__}
+#define AFEX_LIBC_FIRST(...) AFEX_LIBC_FIRST_(__VA_ARGS__ __VA_OPT__(, ) kNone)
+#define AFEX_LIBC_FIRST_(first, ...) first
 
-// The columns read by name at run time (kind rule, alias folding), one
-// entry per row in table order, so an index here is a LibcFunctionId.
+// One enumerator per row, in table order: LibcFn::malloc, LibcFn::open, ...
+#define AFEX_LIBC_ENUM_ROW(name, ...) name,
+enum class LibcFn : uint8_t { AFEX_LIBC_TABLE(AFEX_LIBC_ENUM_ROW) };
+#undef AFEX_LIBC_ENUM_ROW
+
+#define AFEX_LIBC_WRAPPED_ROW(name, retval, errnos, category, wrapped, ...) wrapped,
+inline constexpr bool kLibcWrapped[] = {AFEX_LIBC_TABLE(AFEX_LIBC_WRAPPED_ROW)};
+#undef AFEX_LIBC_WRAPPED_ROW
+inline constexpr size_t kLibcFnCount = sizeof(kLibcWrapped) / sizeof(kLibcWrapped[0]);
+
+// A wrapped row's interposer slot: its rank among the wrapped rows; -1 for a
+// row the interposer does not wrap.
+constexpr int LibcSlot(LibcFn fn) {
+  const size_t row = static_cast<size_t>(fn);
+  int slot = 0;
+  for (size_t i = 0; i < row; ++i) {
+    slot += kLibcWrapped[i] ? 1 : 0;
+  }
+  return kLibcWrapped[row] ? slot : -1;
+}
+
 struct LibcTableRow {
   const char* name;
+  int64_t error_retval;  // what a failed call returns
+  int default_errno;     // the errno column's first value; 0 when it is empty
+  const char* category;
   uint32_t storage_kinds;
   const char* alias;  // "" when the row has none
+  int slot;           // LibcSlot
 };
 
-#define AFEX_LIBC_TABLE_ROW(name, retval, errnos, category, wrapped, kinds, ...) \
-  {#name, kinds, #__VA_ARGS__},
+#define AFEX_LIBC_TABLE_ROW(name, retval, errnos, category, wrapped, kinds, ...)         \
+  {#name, retval, sim_errno::AFEX_LIBC_FIRST errnos, #category, kinds, #__VA_ARGS__, \
+   LibcSlot(LibcFn::name)},
 inline constexpr LibcTableRow kLibcTable[] = {AFEX_LIBC_TABLE(AFEX_LIBC_TABLE_ROW)};
 #undef AFEX_LIBC_TABLE_ROW
+
+constexpr const LibcTableRow& LibcRow(LibcFn fn) { return kLibcTable[static_cast<size_t>(fn)]; }
 
 }  // namespace afex
 

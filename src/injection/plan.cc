@@ -6,7 +6,7 @@
 
 namespace afex {
 
-FaultDecoder::FaultDecoder(const FaultSpace& space, const LibcProfile& profile) {
+FaultDecoder::FaultDecoder(const FaultSpace& space) {
   roles_.test = space.AxisIndexByName("test");
   if (!roles_.test.has_value()) {
     throw std::invalid_argument("fault space has no 'test' axis: " + space.name());
@@ -40,13 +40,14 @@ FaultDecoder::FaultDecoder(const FaultSpace& space, const LibcProfile& profile) 
   const Axis& func_axis = space.axis(*roles_.function);
   spec_by_function_.reserve(func_axis.cardinality());
   for (size_t v = 0; v < func_axis.cardinality(); ++v) {
-    FaultSpec spec;
-    spec.function = func_axis.Label(v);
-    auto fn_profile = profile.Find(spec.function);
-    spec.retval = fn_profile.has_value() ? fn_profile->error_retval : -1;
-    spec.errno_value =
-        fn_profile.has_value() && !fn_profile->errnos.empty() ? fn_profile->errnos.front() : 0;
-    spec_by_function_.push_back(std::move(spec));
+    std::string label = func_axis.Label(v);
+    std::optional<LibcFn> function = FindLibcFn(label);
+    if (!function.has_value()) {
+      throw std::invalid_argument("unknown function label '" + label + "'");
+    }
+    const LibcTableRow& row = LibcRow(*function);
+    spec_by_function_.push_back(
+        {.function = *function, .retval = row.error_retval, .errno_value = row.default_errno});
   }
 
   roles_.errno_axis = space.AxisIndexByName("errno");
@@ -146,7 +147,8 @@ std::string FormatPlan(const InjectionPlan& plan) {
   if (!plan.spec.has_value()) {
     return out + " (no injection)";
   }
-  out += " function " + plan.spec->function;
+  out += " function ";
+  out += LibcRow(plan.spec->function).name;
   out += " errno " + sim_errno::Name(plan.spec->errno_value);
   out += " retval " + std::to_string(plan.spec->retval);
   out += " callNumber " + std::to_string(plan.spec->call_lo);

@@ -27,7 +27,6 @@
 #include "core/fault.h"
 #include "core/fault_space.h"
 #include "injection/fault_bus.h"
-#include "injection/libc_profile.h"
 
 namespace afex {
 
@@ -37,15 +36,14 @@ struct InjectionPlan {
 };
 
 // Decodes faults of one space using the axis-name conventions above. Axis
-// roles are resolved and every axis label parsed/profiled once up front, so
-// the per-test decode — which the harness runs before every single
-// execution — is table lookups. The constructor throws
-// std::invalid_argument when the space lacks a "test" axis or a label
-// doesn't parse.
+// roles are resolved and every axis label parsed once up front (a function
+// label through FindLibcFn), so the per-test decode — which the harness
+// runs before every single execution — is table lookups. The constructor
+// throws std::invalid_argument when the space lacks a "test" axis or a
+// label doesn't parse or names no libc table row.
 class FaultDecoder {
  public:
-  explicit FaultDecoder(const FaultSpace& space,
-                        const LibcProfile& profile = LibcProfile::Default());
+  explicit FaultDecoder(const FaultSpace& space);
 
   InjectionPlan Decode(const Fault& fault) const;
 
@@ -62,8 +60,8 @@ class FaultDecoder {
   AxisRoles roles_;
   std::vector<size_t> test_id_by_value_;
   std::vector<uint64_t> call_by_value_;
-  // Per function-axis value: spec template with function/retval/errno
-  // resolved (call window filled per decode).
+  // Per function-axis value: spec template with the row's function, retval
+  // and errno (call window filled per decode).
   std::vector<FaultSpec> spec_by_function_;
   std::vector<int> errno_by_value_;
   std::vector<int64_t> retval_by_value_;

@@ -46,7 +46,7 @@ void SimEnv::ResetForRun(uint64_t seed, size_t step_budget) {
   cwd_ = "/";
 }
 
-void SimEnv::RecordInjection(const char* function) {
+void SimEnv::RecordInjection(LibcFn function) {
   if (injection_stack_.empty()) {
     injection_stack_.reserve(stack_.size() + 2);
     for (const char* frame : stack_) {
@@ -56,7 +56,7 @@ void SimEnv::RecordInjection(const char* function) {
       // A trigger outside any annotated frame still counts as triggered.
       injection_stack_.emplace_back("<top>");
     }
-    injection_stack_.emplace_back(function);
+    injection_stack_.emplace_back(LibcRow(function).name);
   }
 }
 

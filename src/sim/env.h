@@ -84,7 +84,7 @@ class SimEnv {
   // Called by SimLibc when an armed fault fires; records the first
   // trigger's stack with the failing libc function as the innermost frame
   // (exactly what a real backtrace at the interposer would show).
-  void RecordInjection(const char* function);
+  void RecordInjection(LibcFn function);
 
   // ---- watchdog ----
   // Consumes `cost` steps; throws SimHang when the budget is exhausted.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 
 namespace afex {
@@ -13,9 +13,9 @@ using sim_errno::kEIO;
 using sim_errno::kENOENT;
 using sim_errno::kENOMEM;
 
-const FaultSpec* SimLibc::CheckFault(const char* function) {
+const FaultSpec* SimLibc::CheckFault(LibcFn function) {
   env_->Tick();
-  const FaultSpec* spec = env_->bus().OnCallLiteral(function);
+  const FaultSpec* spec = env_->bus().OnCall(function);
   if (spec != nullptr) {
     env_->RecordInjection(function);
     env_->set_sim_errno(spec->errno_value);
@@ -26,21 +26,21 @@ const FaultSpec* SimLibc::CheckFault(const char* function) {
 // ---- memory ----
 
 uint64_t SimLibc::Malloc(size_t bytes) {
-  if (CheckFault("malloc")) {
+  if (CheckFault(LibcFn::malloc)) {
     return 0;
   }
   return env_->AllocHandle(bytes);
 }
 
 uint64_t SimLibc::Calloc(size_t n, size_t bytes) {
-  if (CheckFault("calloc")) {
+  if (CheckFault(LibcFn::calloc)) {
     return 0;
   }
   return env_->AllocHandle(n * bytes);
 }
 
 uint64_t SimLibc::Realloc(uint64_t handle, size_t bytes) {
-  if (CheckFault("realloc")) {
+  if (CheckFault(LibcFn::realloc)) {
     return 0;  // original allocation stays valid, as in C
   }
   if (handle != 0) {
@@ -56,7 +56,7 @@ void SimLibc::Free(uint64_t handle) {
 }
 
 uint64_t SimLibc::Strdup(std::string_view s) {
-  if (CheckFault("strdup")) {
+  if (CheckFault(LibcFn::strdup)) {
     return 0;
   }
   // Real strdup allocates through malloc; an armed malloc fault can
@@ -72,7 +72,7 @@ uint64_t SimLibc::Strdup(std::string_view s) {
 // ---- stream I/O ----
 
 uint64_t SimLibc::Fopen(std::string_view path, std::string_view mode) {
-  if (CheckFault("fopen")) {
+  if (CheckFault(LibcFn::fopen)) {
     return 0;
   }
   bool for_write =
@@ -101,7 +101,7 @@ uint64_t SimLibc::Fopen(std::string_view path, std::string_view mode) {
 }
 
 int SimLibc::Fclose(uint64_t stream) {
-  if (const FaultSpec* spec = CheckFault("fclose")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::fclose)) {
     // Even a failed fclose invalidates the stream, per POSIX.
     env_->RemoveOpenFile(static_cast<int>(stream));
     return static_cast<int>(spec->retval);
@@ -113,35 +113,8 @@ int SimLibc::Fclose(uint64_t stream) {
   return 0;
 }
 
-size_t SimLibc::Fread(uint64_t stream, std::string& out, size_t n) {
-  if (CheckFault("fread")) {
-    if (SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(stream))) {
-      of->error_flag = true;
-    }
-    return 0;
-  }
-  SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(stream));
-  if (of == nullptr) {
-    env_->set_sim_errno(kEBADF);
-    return 0;
-  }
-  const SimEnv::FileNode* node = env_->FindById(of->path_id);
-  if (node == nullptr) {
-    of->error_flag = true;
-    return 0;
-  }
-  size_t off = of->offset;
-  if (off >= node->content.size()) {
-    return 0;  // EOF
-  }
-  size_t take = std::min(n, node->content.size() - off);
-  out.append(node->content, off, take);
-  of->offset += take;
-  return take;
-}
-
 size_t SimLibc::Fwrite(uint64_t stream, std::string_view data) {
-  if (CheckFault("fwrite")) {
+  if (CheckFault(LibcFn::fwrite)) {
     if (SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(stream))) {
       of->error_flag = true;
     }
@@ -168,7 +141,7 @@ size_t SimLibc::Fwrite(uint64_t stream, std::string_view data) {
 
 bool SimLibc::Fgets(uint64_t stream, std::string& line) {
   line.clear();
-  if (CheckFault("fgets")) {
+  if (CheckFault(LibcFn::fgets)) {
     if (SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(stream))) {
       of->error_flag = true;
     }
@@ -192,7 +165,7 @@ bool SimLibc::Fgets(uint64_t stream, std::string& line) {
 }
 
 int SimLibc::Fflush(uint64_t stream) {
-  if (const FaultSpec* spec = CheckFault("fflush")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::fflush)) {
     return static_cast<int>(spec->retval);
   }
   if (!env_->HasOpenFile(static_cast<int>(stream))) {
@@ -205,7 +178,7 @@ int SimLibc::Fflush(uint64_t stream) {
 int SimLibc::Ferror(uint64_t stream) {
   // ferror itself is injectable in LFI's profile of libc; a fault makes it
   // report a phantom error.
-  if (const FaultSpec* spec = CheckFault("ferror")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::ferror)) {
     return static_cast<int>(spec->retval);
   }
   const SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(stream));
@@ -218,18 +191,10 @@ void SimLibc::Clearerr(uint64_t stream) {
   }
 }
 
-int SimLibc::Fputc(uint64_t stream, char c) {
-  if (const FaultSpec* spec = CheckFault("fputc")) {
-    return static_cast<int>(spec->retval);
-  }
-  size_t written = Fwrite(stream, std::string_view(&c, 1));
-  return written == 1 ? static_cast<unsigned char>(c) : -1;
-}
-
 // ---- fd I/O ----
 
 int SimLibc::Open(std::string_view path, int flags) {
-  if (const FaultSpec* spec = CheckFault("open")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::open)) {
     return static_cast<int>(spec->retval);
   }
   uint32_t path_id = env_->InternPath(path);
@@ -255,7 +220,7 @@ int SimLibc::Open(std::string_view path, int flags) {
 }
 
 long SimLibc::Read(int fd, std::string& out, size_t n) {
-  if (const FaultSpec* spec = CheckFault("read")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::read)) {
     return spec->retval;
   }
   SimEnv::OpenFile* of = env_->FindOpenFile(fd);
@@ -279,7 +244,7 @@ long SimLibc::Read(int fd, std::string& out, size_t n) {
 }
 
 long SimLibc::Write(int fd, std::string_view data) {
-  if (const FaultSpec* spec = CheckFault("write")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::write)) {
     return spec->retval;
   }
   SimEnv::OpenFile* of = env_->FindOpenFile(fd);
@@ -302,7 +267,7 @@ long SimLibc::Write(int fd, std::string_view data) {
 }
 
 int SimLibc::Close(int fd) {
-  if (const FaultSpec* spec = CheckFault("close")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::close)) {
     env_->RemoveOpenFile(fd);  // descriptor state is undefined; drop it
     return static_cast<int>(spec->retval);
   }
@@ -314,7 +279,7 @@ int SimLibc::Close(int fd) {
 }
 
 long SimLibc::Lseek(int fd, long offset, int whence) {
-  if (const FaultSpec* spec = CheckFault("lseek")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::lseek)) {
     return spec->retval;
   }
   SimEnv::OpenFile* of = env_->FindOpenFile(fd);
@@ -335,7 +300,7 @@ long SimLibc::Lseek(int fd, long offset, int whence) {
 }
 
 int SimLibc::Stat(std::string_view path, StatBuf& out) {
-  if (const FaultSpec* spec = CheckFault("stat")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::stat)) {
     return static_cast<int>(spec->retval);
   }
   const SimEnv::FileNode* node = env_->Find(path);
@@ -349,7 +314,7 @@ int SimLibc::Stat(std::string_view path, StatBuf& out) {
 }
 
 int SimLibc::Rename(std::string_view from, std::string_view to) {
-  if (const FaultSpec* spec = CheckFault("rename")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::rename)) {
     return static_cast<int>(spec->retval);
   }
   uint32_t from_id = env_->InternPath(from);
@@ -369,7 +334,7 @@ int SimLibc::Rename(std::string_view from, std::string_view to) {
 }
 
 int SimLibc::Unlink(std::string_view path) {
-  if (const FaultSpec* spec = CheckFault("unlink")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::unlink)) {
     return static_cast<int>(spec->retval);
   }
   if (!env_->Remove(path)) {
@@ -382,7 +347,7 @@ int SimLibc::Unlink(std::string_view path) {
 // ---- directories ----
 
 uint64_t SimLibc::Opendir(std::string_view path) {
-  if (CheckFault("opendir")) {
+  if (CheckFault(LibcFn::opendir)) {
     return 0;
   }
   if (!env_->IsDir(path)) {
@@ -398,7 +363,7 @@ uint64_t SimLibc::Opendir(std::string_view path) {
 
 bool SimLibc::Readdir(uint64_t dir, std::string& name) {
   name.clear();
-  if (CheckFault("readdir")) {
+  if (CheckFault(LibcFn::readdir)) {
     return false;
   }
   SimEnv::OpenFile* of = env_->FindOpenFile(static_cast<int>(dir));
@@ -415,7 +380,7 @@ bool SimLibc::Readdir(uint64_t dir, std::string& name) {
 }
 
 int SimLibc::Closedir(uint64_t dir) {
-  if (const FaultSpec* spec = CheckFault("closedir")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::closedir)) {
     env_->RemoveOpenFile(static_cast<int>(dir));
     return static_cast<int>(spec->retval);
   }
@@ -427,7 +392,7 @@ int SimLibc::Closedir(uint64_t dir) {
 }
 
 int SimLibc::Chdir(std::string_view path) {
-  if (const FaultSpec* spec = CheckFault("chdir")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::chdir)) {
     return static_cast<int>(spec->retval);
   }
   if (!env_->IsDir(path)) {
@@ -439,7 +404,7 @@ int SimLibc::Chdir(std::string_view path) {
 }
 
 uint64_t SimLibc::Getcwd() {
-  if (CheckFault("getcwd")) {
+  if (CheckFault(LibcFn::getcwd)) {
     return 0;
   }
   uint64_t h = env_->AllocHandle(env_->cwd().size() + 1);
@@ -448,7 +413,7 @@ uint64_t SimLibc::Getcwd() {
 }
 
 int SimLibc::Mkdir(std::string_view path) {
-  if (const FaultSpec* spec = CheckFault("mkdir")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::mkdir)) {
     return static_cast<int>(spec->retval);
   }
   if (env_->Exists(path)) {
@@ -462,7 +427,7 @@ int SimLibc::Mkdir(std::string_view path) {
 // ---- networking ----
 
 int SimLibc::Socket() {
-  if (const FaultSpec* spec = CheckFault("socket")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::socket)) {
     return static_cast<int>(spec->retval);
   }
   int fd = env_->NextFd();
@@ -471,7 +436,7 @@ int SimLibc::Socket() {
 }
 
 int SimLibc::Bind(int fd, std::string_view address) {
-  if (const FaultSpec* spec = CheckFault("bind")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::bind)) {
     return static_cast<int>(spec->retval);
   }
   SimEnv::Socket* socket = env_->FindSocket(fd);
@@ -485,7 +450,7 @@ int SimLibc::Bind(int fd, std::string_view address) {
 }
 
 int SimLibc::Listen(int fd) {
-  if (const FaultSpec* spec = CheckFault("listen")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::listen)) {
     return static_cast<int>(spec->retval);
   }
   SimEnv::Socket* socket = env_->FindSocket(fd);
@@ -498,7 +463,7 @@ int SimLibc::Listen(int fd) {
 }
 
 int SimLibc::Accept(int fd) {
-  if (const FaultSpec* spec = CheckFault("accept")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::accept)) {
     return static_cast<int>(spec->retval);
   }
   SimEnv::Socket* listener = env_->FindSocket(fd);
@@ -519,7 +484,7 @@ int SimLibc::Accept(int fd) {
 }
 
 long SimLibc::Send(int fd, std::string_view data) {
-  if (const FaultSpec* spec = CheckFault("send")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::send)) {
     return spec->retval;
   }
   SimEnv::Socket* socket = env_->FindSocket(fd);
@@ -531,7 +496,7 @@ long SimLibc::Send(int fd, std::string_view data) {
 }
 
 long SimLibc::Recv(int fd, std::string& out, size_t n) {
-  if (const FaultSpec* spec = CheckFault("recv")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::recv)) {
     return spec->retval;
   }
   SimEnv::Socket* socket = env_->FindSocket(fd);
@@ -546,7 +511,7 @@ long SimLibc::Recv(int fd, std::string& out, size_t n) {
 }
 
 int SimLibc::Pipe(int& read_fd, int& write_fd) {
-  if (const FaultSpec* spec = CheckFault("pipe")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::pipe)) {
     return static_cast<int>(spec->retval);
   }
   std::string path = "/.pipe/" + std::to_string(env_->NextFd());
@@ -564,7 +529,7 @@ int SimLibc::Pipe(int& read_fd, int& write_fd) {
 // ---- misc ----
 
 int SimLibc::ClockGettime(long& out) {
-  if (const FaultSpec* spec = CheckFault("clock_gettime")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::clock_gettime)) {
     return static_cast<int>(spec->retval);
   }
   out = static_cast<long>(env_->steps_used());
@@ -572,7 +537,7 @@ int SimLibc::ClockGettime(long& out) {
 }
 
 uint64_t SimLibc::Setlocale(std::string_view locale) {
-  if (CheckFault("setlocale")) {
+  if (CheckFault(LibcFn::setlocale)) {
     return 0;
   }
   uint64_t h = env_->AllocHandle(locale.size() + 1);
@@ -580,23 +545,8 @@ uint64_t SimLibc::Setlocale(std::string_view locale) {
   return h;
 }
 
-int SimLibc::Getrlimit(long& soft_limit) {
-  if (const FaultSpec* spec = CheckFault("getrlimit")) {
-    return static_cast<int>(spec->retval);
-  }
-  soft_limit = 1024;
-  return 0;
-}
-
-int SimLibc::Setrlimit(long /*soft_limit*/) {
-  if (const FaultSpec* spec = CheckFault("setrlimit")) {
-    return static_cast<int>(spec->retval);
-  }
-  return 0;
-}
-
 long SimLibc::Strtol(std::string_view s, bool& ok) {
-  if (CheckFault("strtol")) {
+  if (CheckFault(LibcFn::strtol)) {
     ok = false;
     return 0;
   }
@@ -624,7 +574,7 @@ long SimLibc::Strtol(std::string_view s, bool& ok) {
 }
 
 int SimLibc::Wait(int& status) {
-  if (const FaultSpec* spec = CheckFault("wait")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::wait)) {
     return static_cast<int>(spec->retval);
   }
   status = 0;
@@ -632,7 +582,7 @@ int SimLibc::Wait(int& status) {
 }
 
 int SimLibc::MutexLock(std::string_view name) {
-  if (const FaultSpec* spec = CheckFault("pthread_mutex_lock")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::pthread_mutex_lock)) {
     return static_cast<int>(spec->retval);
   }
   env_->MutexLock(name);
@@ -640,7 +590,7 @@ int SimLibc::MutexLock(std::string_view name) {
 }
 
 int SimLibc::MutexUnlock(std::string_view name) {
-  if (const FaultSpec* spec = CheckFault("pthread_mutex_unlock")) {
+  if (const FaultSpec* spec = CheckFault(LibcFn::pthread_mutex_unlock)) {
     return static_cast<int>(spec->retval);
   }
   env_->MutexUnlock(name);

@@ -1,6 +1,6 @@
 // SimLibc: the simulated C library every target runs against. Each entry
 // point routes through the FaultBus (one bus call per libc call, counted
-// per function name), then either performs the simulated effect or fails
+// per LibcFn), then either performs the simulated effect or fails
 // with the armed error return + errno — the exact failure semantics LFI
 // injects at the real application-library boundary.
 //
@@ -12,7 +12,7 @@
 //    loops made only of libc calls.
 //  * Path and data parameters are std::string_view, so call sites passing
 //    literals, strings, or substrings never materialize a temporary.
-//  * Fread/Read/Recv APPEND into the caller's buffer (the sim analogue of
+//  * Read/Recv APPEND into the caller's buffer (the sim analogue of
 //    reading into a caller-provided char*): accumulation loops pass their
 //    result buffer directly and no intermediate chunk string exists. Fgets
 //    overwrites the caller's line buffer in place, reusing its capacity.
@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "injection/libc_table.h"
 
 namespace afex {
 
@@ -58,9 +60,6 @@ class SimLibc {
   // ---- stream I/O ----
   uint64_t Fopen(std::string_view path, std::string_view mode);
   int Fclose(uint64_t stream);
-  // Appends up to n bytes to `out`; returns bytes read (0 on EOF or error;
-  // error sets the stream's error flag, distinguishable via Ferror).
-  size_t Fread(uint64_t stream, std::string& out, size_t n);
   size_t Fwrite(uint64_t stream, std::string_view data);
   // Reads one '\n'-terminated line (newline included) into `line`,
   // overwriting it in place (the caller's buffer is the resident line
@@ -71,7 +70,6 @@ class SimLibc {
   // clearerr(3): resets the stream's error indicator. Void in C and not
   // interposable by LFI, so not routed through the fault bus.
   void Clearerr(uint64_t stream);
-  int Fputc(uint64_t stream, char c);
 
   // ---- fd I/O ----
   int Open(std::string_view path, int flags);
@@ -107,8 +105,6 @@ class SimLibc {
   // ---- misc ----
   int ClockGettime(long& out);  // simulated nanoseconds = steps used
   uint64_t Setlocale(std::string_view locale);
-  int Getrlimit(long& soft_limit);
-  int Setrlimit(long soft_limit);
   // strtol; ok=false on injected failure or unparsable input.
   long Strtol(std::string_view s, bool& ok);
   int Wait(int& status);
@@ -117,9 +113,8 @@ class SimLibc {
 
  private:
   // Routes one call through the bus; on a hit records the injection and
-  // sets errno. Returns the armed spec or nullptr. `function` must be a
-  // string literal (the bus caches by pointer identity).
-  const FaultSpec* CheckFault(const char* function);
+  // sets errno. Returns the armed spec or nullptr.
+  const FaultSpec* CheckFault(LibcFn function);
 
   SimEnv* env_;
 };

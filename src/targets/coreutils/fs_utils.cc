@@ -1,4 +1,4 @@
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"
 #include "targets/coreutils/utils.h"

@@ -1,6 +1,6 @@
 #include <algorithm>
 
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"
 #include "targets/coreutils/utils.h"

@@ -2,7 +2,7 @@
 // query layer on top of the storage engine, and error logging.
 #include <algorithm>
 
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/crash.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"

@@ -2,7 +2,7 @@
 // WAL append, table load/store, checkpoint and crash recovery.
 #include <algorithm>
 
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"
 #include "targets/minidb/minidb.h"

@@ -23,7 +23,7 @@ struct TargetSuite {
   // Blocks with id >= recovery_base are recovery/error-handling code
   // (0 = recovery blocks not marked).
   uint32_t recovery_base = 0;
-  // libc functions for the Xfunc axis, in LibcProfile (category-grouped)
+  // libc functions for the Xfunc axis, in libc table (category-grouped)
   // order — the order is part of the fault space's structure.
   std::vector<std::string> functions;
   // Runs one test (0-based); returns 0 on pass. May throw simulated

@@ -1,6 +1,6 @@
 #include "targets/webserver/webserver.h"
 
-#include "injection/libc_profile.h"
+#include "injection/libc_table.h"
 #include "sim/env.h"
 #include "sim/simlibc.h"
 #include "util/strings.h"

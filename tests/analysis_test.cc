@@ -17,7 +17,7 @@
 #include "core/space_lang.h"
 #include "exec/feedback_block.h"
 #include "exec/real_target_harness.h"
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 
 namespace afex {
 namespace analysis {
@@ -411,7 +411,7 @@ TEST(TargetProfileTest, FingerprintIsStableAndSensitive) {
 
 // ---- auto space --------------------------------------------------------
 
-TEST(AutoSpaceTest, EveryFaultIsWithinTheLibcProfileVocabulary) {
+TEST(AutoSpaceTest, EveryFaultIsWithinTheLibcTable) {
   std::string error;
   auto profile = AnalyzeTargetBinary(Walutil(), error);
   ASSERT_TRUE(profile.has_value()) << error;
@@ -423,8 +423,9 @@ TEST(AutoSpaceTest, EveryFaultIsWithinTheLibcProfileVocabulary) {
   for (std::optional<Fault> f = space.FirstValid(); f.has_value();
        f = space.NextValid(*f)) {
     const std::string label = space.axis(*fn_axis).Label((*f)[*fn_axis]);
-    EXPECT_TRUE(LibcProfile::Default().Find(label).has_value()) << label;
-    EXPECT_GE(exec::InterposedSlot(label.c_str()), 0) << label;
+    const std::optional<LibcFn> fn = FindLibcFn(label);
+    ASSERT_TRUE(fn.has_value()) << label;
+    EXPECT_GE(LibcRow(*fn).slot, 0) << label;
     ++points;
   }
   EXPECT_EQ(points, 4u * profile->InterposableImports().size() * 3u);

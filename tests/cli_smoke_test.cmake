@@ -123,6 +123,37 @@ expect_cli_error("conflicts with --space"
   --budget=5 --auto-space "--space=${space_file}")
 message(STATUS "backend flag validation: bad flags rejected")
 
+# --- space label validation -------------------------------------------------
+# A --space the fault decoder cannot read (an unknown errno, mode or function
+# label, or no test axis) exits 2 with the decoder's message before any test
+# runs, and leaves no journal behind.
+set(label_space "${CMAKE_CURRENT_BINARY_DIR}/smoke_bad_errno.afex")
+file(WRITE "${label_space}" "coreutils\ntest : [1,2]\nfunction : { malloc, read }\ncall : [1,2]\n"
+  "errno : { ENOMEM, EWHAT }\n;\n")
+expect_cli_error("unknown errno label 'EWHAT'"
+  --target=coreutils --budget=5 "--space=${label_space}")
+set(label_space "${CMAKE_CURRENT_BINARY_DIR}/smoke_bad_mode.afex")
+file(WRITE "${label_space}"
+  "real\ntest : [1,2]\nfunction : { read, write }\ncall : [1,2]\nmode : { errno, bogus }\n;\n")
+expect_cli_error("unknown mode label 'bogus'"
+  --backend=real "--target-cmd=${AFEX_WALUTIL} {test}" "--interposer=${AFEX_INTERPOSER}"
+  --budget=5 "--space=${label_space}")
+set(label_space "${CMAKE_CURRENT_BINARY_DIR}/smoke_no_test_axis.afex")
+file(WRITE "${label_space}" "coreutils\nfunction : { malloc, read }\ncall : [1,2]\n;\n")
+set(journal "${CMAKE_CURRENT_BINARY_DIR}/smoke_no_test_axis.afexj")
+file(REMOVE "${journal}")
+expect_cli_error("fault space has no 'test' axis"
+  --target=coreutils --budget=5 "--space=${label_space}" "--journal=${journal}")
+if(EXISTS "${journal}")
+  message(FATAL_ERROR "a rejected --space still created the journal ${journal}")
+endif()
+set(label_space "${CMAKE_CURRENT_BINARY_DIR}/smoke_bad_function.afex")
+file(WRITE "${label_space}"
+  "coreutils\ntest : [1,2]\nfunction : { malloc, nosuchfn }\ncall : [1,2]\n;\n")
+expect_cli_error("unknown function label 'nosuchfn'"
+  --target=coreutils --budget=5 "--space=${label_space}")
+message(STATUS "space label validation: undecodable spaces rejected before any test")
+
 # --- static analysis: --space import check + --auto-space -------------------
 # A hand-written space naming a function walutil never imports must be
 # rejected before any test runs.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "injection/libc_profile.h"
+#include <string>
+#include <vector>
+
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -42,7 +45,7 @@ TEST(CoreutilsLsTest, StatFailureKeepsListing) {
   env.AddDir("/d");
   env.AddFile("/d/a", "1");
   env.AddFile("/d/b", "2");
-  env.bus().Arm({.function = "stat", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::stat, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEACCES});
   int rc = LsMain(env, "/d", /*long_format=*/true, false);
   EXPECT_EQ(rc, 1);  // error reported but listing continued
@@ -54,7 +57,7 @@ TEST(CoreutilsLsTest, MallocFailureOnSortFatal) {
   AddStdout(env);
   env.AddDir("/d");
   env.AddFile("/d/a", "");
-  env.bus().Arm({.function = "malloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   EXPECT_EQ(LsMain(env, "/d", false, /*sort_entries=*/true), 2);
 }
@@ -81,7 +84,7 @@ TEST(CoreutilsCatTest, EintrRetryRecovers) {
   AddStdout(env);
   env.AddFile("/1", "content\n");
   // Fail the first fgets with EINTR; cat retries once and succeeds.
-  env.bus().Arm({.function = "fgets", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::fgets, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kEINTR});
   EXPECT_EQ(CatMain(env, {"/1"}), 0);
   EXPECT_NE(Stdout(env).find("content"), std::string::npos);
@@ -104,7 +107,7 @@ TEST(CoreutilsLnTest, MallocFailureExitsTwo) {
     SimEnv fresh;
     AddStdout(fresh);
     fresh.AddFile("/f", "x");
-    fresh.bus().Arm({.function = "malloc", .call_lo = call, .call_hi = call, .retval = 0,
+    fresh.bus().Arm({.function = LibcFn::malloc, .call_lo = call, .call_hi = call, .retval = 0,
                      .errno_value = sim_errno::kENOMEM});
     EXPECT_EQ(LnMain(fresh, "/f", "/g", false, false), 2) << "call " << call;
     EXPECT_FALSE(fresh.Exists("/g"));
@@ -145,7 +148,7 @@ TEST(CoreutilsMvTest, FallbackWriteFailureLeavesSource) {
   env.AddDir("/a");
   env.AddDir("/mnt");
   env.AddFile("/a/f", "payload");
-  env.bus().Arm({.function = "write", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::write, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kENOSPC});
   EXPECT_EQ(MvMain(env, "/a/f", "/mnt/f", false), 1);
   EXPECT_TRUE(env.Exists("/a/f"));  // source must survive a failed move
@@ -163,7 +166,7 @@ TEST(CoreutilsCpTest, ReadEintrRetry) {
   SimEnv env;
   AddStdout(env);
   env.AddFile("/src", "abc");
-  env.bus().Arm({.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEINTR});
   EXPECT_EQ(CpMain(env, "/src", "/dst"), 0);
   EXPECT_EQ(env.Find("/dst")->content, "abc");
@@ -284,6 +287,31 @@ TEST(CoreutilsSuiteTest, Exactly28MallocFaultsFailLnMv) {
     }
   }
   EXPECT_EQ(failing, 28u);
+}
+
+TEST(CoreutilsSuiteTest, FaultFreeCallProfileMatchesTheAxis) {
+  // The ltrace-style profile the space is defined from (paper §7): every
+  // axis function but strdup is called by some test, and every ln/mv test
+  // calls malloc exactly twice (Table 6's 28 scenarios depend on it).
+  TargetSuite suite = MakeSuite();
+  const auto& utilities = TestUtilities();
+  std::vector<bool> used(kLibcFnCount, false);
+  for (size_t t = 0; t < suite.num_tests; ++t) {
+    SimEnv env;
+    RunOutcome outcome = RunProgram(env, [&](SimEnv& e) { return suite.run_test(e, t); });
+    EXPECT_EQ(outcome.exit_code, 0) << "test " << t;
+    if (utilities[t] == "ln" || utilities[t] == "mv") {
+      EXPECT_EQ(env.bus().CallCount(LibcFn::malloc), 2u) << "test " << t;
+    }
+    for (size_t row = 0; row < kLibcFnCount; ++row) {
+      used[row] = used[row] || env.bus().CallCount(static_cast<LibcFn>(row)) > 0;
+    }
+  }
+  for (const std::string& fn : suite.functions) {
+    if (fn != "strdup") {
+      EXPECT_TRUE(used[static_cast<size_t>(*FindLibcFn(fn))]) << fn;
+    }
+  }
 }
 
 TEST(CoreutilsSuiteTest, InjectionRunsAreDeterministic) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -48,7 +48,7 @@ TEST(DocStoreV08Test, SnapshotRoundTrip) {
 TEST(DocStoreV08Test, OomOnPutIsGraceful) {
   SimEnv env;
   InstallFixture(env);
-  env.bus().Arm({.function = "malloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   DocStoreV08 store(env);
   EXPECT_EQ(store.Put("a", "{1}"), -1);
@@ -60,7 +60,7 @@ TEST(DocStoreV08Test, SaveWriteFailureReported) {
   InstallFixture(env);
   DocStoreV08 store(env);
   store.Put("a", "{1}");
-  env.bus().Arm({.function = "fwrite", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::fwrite, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOSPC});
   EXPECT_EQ(store.Save(), -1);
 }
@@ -96,8 +96,8 @@ TEST(DocStoreV20Test, SnapshotIsAtomic) {
 
   // A failed re-save must leave the previous snapshot intact.
   store.Put("b", "{2}");
-  size_t writes = env.bus().CallCount("write");
-  env.bus().Arm({.function = "write",
+  size_t writes = env.bus().CallCount(LibcFn::write);
+  env.bus().Arm({.function = LibcFn::write,
                  .call_lo = static_cast<int>(writes + 2),
                  .call_hi = static_cast<int>(writes + 2),
                  .retval = -1,
@@ -139,7 +139,7 @@ TEST(DocStoreV20Test, EncodeOomIsGraceful) {
   InstallFixture(env);
   DocStoreV20 store(env);
   ASSERT_EQ(store.Open(), 0);
-  env.bus().Arm({.function = "realloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::realloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   EXPECT_EQ(store.Put("a", "{1}"), -1);
   EXPECT_EQ(store.size(), 0u);
@@ -154,8 +154,8 @@ TEST(DocStoreV20Test, ReplayIndexOomCrashes) {
   ASSERT_EQ(store.Put("a", "{1}"), 0);
   DocStoreV20 recovered(env);
   ASSERT_EQ(recovered.Open(), 0);
-  size_t mallocs = env.bus().CallCount("malloc");
-  env.bus().Arm({.function = "malloc",
+  size_t mallocs = env.bus().CallCount(LibcFn::malloc);
+  env.bus().Arm({.function = LibcFn::malloc,
                  .call_lo = static_cast<int>(mallocs + 1),
                  .call_hi = static_cast<int>(mallocs + 1),
                  .retval = 0,
@@ -179,8 +179,8 @@ TEST(DocStoreSuiteTest, V20UsesMoreLibcCallsThanV08) {
     for (size_t t = 0; t < suite.num_tests; ++t) {
       SimEnv env;
       RunProgram(env, [&](SimEnv& e) { return suite.run_test(e, t); });
-      for (const auto& [fn, n] : env.bus().call_counts()) {
-        total += n;
+      for (size_t row = 0; row < kLibcFnCount; ++row) {
+        total += env.bus().CallCount(static_cast<LibcFn>(row));
       }
     }
     return total;

@@ -42,6 +42,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -50,6 +51,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/elf_reader.h"
 #include "analysis/target_profile.h"
 #include "campaign/store.h"
 #include "core/fitness_explorer.h"
@@ -108,19 +110,20 @@ std::string TempDir(const std::string& name) {
 
 // Checks that `entry` is `spec` in the block's encoding.
 void ExpectEncodes(const FsPlanEntry& entry, const FaultSpec& spec) {
-  EXPECT_EQ(entry.slot, InterposedSlot(spec.function.c_str())) << spec.function;
-  EXPECT_EQ(entry.call_lo, static_cast<uint64_t>(spec.call_lo)) << spec.function;
-  EXPECT_EQ(entry.call_hi, static_cast<uint64_t>(spec.call_hi)) << spec.function;
-  EXPECT_EQ(entry.retval, spec.retval) << spec.function;
-  EXPECT_EQ(entry.errno_value, spec.errno_value) << spec.function;
-  EXPECT_EQ(entry.kind, static_cast<int32_t>(spec.kind)) << spec.function;
-  EXPECT_EQ(entry.param, spec.param) << spec.function;
+  const char* name = LibcRow(spec.function).name;
+  EXPECT_EQ(entry.slot, LibcRow(spec.function).slot) << name;
+  EXPECT_EQ(entry.call_lo, static_cast<uint64_t>(spec.call_lo)) << name;
+  EXPECT_EQ(entry.call_hi, static_cast<uint64_t>(spec.call_hi)) << name;
+  EXPECT_EQ(entry.retval, spec.retval) << name;
+  EXPECT_EQ(entry.errno_value, spec.errno_value) << name;
+  EXPECT_EQ(entry.kind, static_cast<int32_t>(spec.kind)) << name;
+  EXPECT_EQ(entry.param, spec.param) << name;
 }
 
 TEST(FaultPlanTest, EncodesEntryFields) {
   std::vector<FaultSpec> specs = {
-      {.function = "open", .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
-      {.function = "malloc", .call_lo = 1, .call_hi = 7, .retval = 0, .errno_value = 12},
+      {.function = LibcFn::open, .call_lo = 3, .call_hi = 3, .retval = -1, .errno_value = 13},
+      {.function = LibcFn::malloc, .call_lo = 1, .call_hi = 7, .retval = 0, .errno_value = 12},
   };
   std::vector<FsPlanEntry> entries;
   ASSERT_TRUE(EncodePlanEntries(specs, entries));
@@ -129,22 +132,22 @@ TEST(FaultPlanTest, EncodesEntryFields) {
     ExpectEncodes(entries[i], specs[i]);
   }
 
-  // Rejected: functions the interposer does not wrap (strtol is in the libc
-  // profile, but arming it could never trigger) and plans wider than the
+  // Rejected: functions the interposer does not wrap (strtol is a libc
+  // table row, but arming it could never trigger) and plans wider than the
   // interposer's fixed table.
-  EXPECT_FALSE(EncodePlanEntries({{.function = "strtol"}}, entries));
+  EXPECT_FALSE(EncodePlanEntries({{.function = LibcFn::strtol}}, entries));
   std::vector<FaultSpec> wide(kFsMaxPlans + 1,
-                              {.function = "open", .call_lo = 1, .call_hi = 1});
+                              {.function = LibcFn::open, .call_lo = 1, .call_hi = 1});
   EXPECT_FALSE(EncodePlanEntries(wide, entries));
 }
 
 TEST(FaultPlanTest, EncodesModeFields) {
   std::vector<FaultSpec> specs = {
-      {.function = "write", .call_lo = 2, .call_hi = 2, .retval = 40, .errno_value = 0,
+      {.function = LibcFn::write, .call_lo = 2, .call_hi = 2, .retval = 40, .errno_value = 0,
        .kind = FaultKind::kShortWrite, .param = 40},
-      {.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
-      {.function = "close", .call_lo = 3, .call_hi = 3, .kind = FaultKind::kKillAt},
-      {.function = "rename", .call_lo = 1, .call_hi = 1,
+      {.function = LibcFn::fsync, .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
+      {.function = LibcFn::close, .call_lo = 3, .call_hi = 3, .kind = FaultKind::kKillAt},
+      {.function = LibcFn::rename, .call_lo = 1, .call_hi = 1,
        .kind = FaultKind::kCrashAfterRename},
   };
   std::vector<FsPlanEntry> entries;
@@ -159,17 +162,18 @@ TEST(FaultPlanTest, RejectsHostileModeDirectives) {
   std::vector<FsPlanEntry> entries;
   // short_write with a negative K.
   EXPECT_FALSE(EncodePlanEntries(
-      {{.function = "write", .kind = FaultKind::kShortWrite, .param = -1}}, entries));
+      {{.function = LibcFn::write, .kind = FaultKind::kShortWrite, .param = -1}}, entries));
   // Kind incompatible with the function.
   EXPECT_FALSE(EncodePlanEntries(
-      {{.function = "read", .kind = FaultKind::kShortWrite, .param = 4}}, entries));
+      {{.function = LibcFn::read, .kind = FaultKind::kShortWrite, .param = 4}}, entries));
   EXPECT_FALSE(EncodePlanEntries(
-      {{.function = "write", .kind = FaultKind::kDropSync}}, entries));
+      {{.function = LibcFn::write, .kind = FaultKind::kDropSync}}, entries));
   EXPECT_FALSE(EncodePlanEntries(
-      {{.function = "fsync", .kind = FaultKind::kCrashAfterRename}}, entries));
+      {{.function = LibcFn::fsync, .kind = FaultKind::kCrashAfterRename}}, entries));
 
   // A kind number outside FaultKind is not an entry ArmPlans would arm.
-  ASSERT_TRUE(EncodePlanEntries({{.function = "write", .call_lo = 1, .call_hi = 1}}, entries));
+  ASSERT_TRUE(
+      EncodePlanEntries({{.function = LibcFn::write, .call_lo = 1, .call_hi = 1}}, entries));
   EXPECT_TRUE(ValidPlanEntry(entries[0]));
   entries[0].kind = static_cast<int32_t>(FaultKind::kCrashAfterRename) + 1;
   EXPECT_FALSE(ValidPlanEntry(entries[0]));
@@ -211,8 +215,8 @@ TEST(FeedbackBlockTest, PlanLandsInTheBlockAndRewritesInPlace) {
   const std::string path = TempDir("fb_plan") + "/fb.bin";
   std::vector<FsPlanEntry> two;
   ASSERT_TRUE(EncodePlanEntries(
-      {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13},
-       {.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync}},
+      {{.function = LibcFn::open, .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13},
+       {.function = LibcFn::fsync, .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync}},
       two));
   const int fd = OpenFeedbackFile(path.c_str());
   ASSERT_GE(fd, 0);
@@ -522,6 +526,33 @@ ProcessResult RunWalutil(const std::string& dir, int test_id,
   return RunPreloaded(dir, {AFEX_WALUTIL_PATH, std::to_string(test_id)}, Entries(specs), block);
 }
 
+TEST(InterposerTest, ExportsExactlyTheTable) {
+  // The interposer's defined dynamic symbols are its wrappers: one per
+  // wrapped table row and per such row's LP64 alias, plus free and the two
+  // hand-off hooks. A row marked wrapped whose wrapper is missing would let
+  // the target's calls reach libc unseen, injecting nothing and failing
+  // nowhere.
+  std::string error;
+  std::optional<analysis::ElfReader> elf = analysis::ElfReader::Load(AFEX_INTERPOSER_PATH, error);
+  ASSERT_TRUE(elf.has_value()) << error;
+  std::set<std::string> exported;
+  for (const analysis::ElfSymbol& symbol : elf->dynamic_symbols()) {
+    if (!symbol.IsUndefined() && !symbol.name.empty()) {
+      exported.insert(symbol.name);
+    }
+  }
+  std::set<std::string> want = {"free", "afex_persistent_run", "afex_sancov_region"};
+  for (const LibcTableRow& row : kLibcTable) {
+    if (row.slot >= 0) {
+      want.insert(row.name);
+      if (*row.alias != '\0') {
+        want.insert(row.alias);
+      }
+    }
+  }
+  EXPECT_EQ(exported, want);
+}
+
 TEST(InterposerTest, CountsCallsWithoutInjection) {
   FeedbackBlock block;
   ProcessResult result = RunWalutil(TempDir("count"), /*copy*/ 1, {}, block);
@@ -531,9 +562,9 @@ TEST(InterposerTest, CountsCallsWithoutInjection) {
   EXPECT_EQ(block.plans_loaded, 0u);
   EXPECT_EQ(block.injected_total, 0u);
   // Scenario 1 (fd copy): fixture write + source open/read/write/close.
-  int open_slot = InterposedSlot("open");
-  int read_slot = InterposedSlot("read");
-  int write_slot = InterposedSlot("write");
+  int open_slot = LibcSlot(LibcFn::open);
+  int read_slot = LibcSlot(LibcFn::read);
+  int write_slot = LibcSlot(LibcFn::write);
   ASSERT_GE(open_slot, 0);
   EXPECT_GE(block.calls[open_slot], 3u);  // fixture + source + dest
   EXPECT_GE(block.calls[read_slot], 1u);
@@ -546,7 +577,7 @@ TEST(InterposerTest, InjectedErrnoObservedByChild) {
   FeedbackBlock block;
   ProcessResult result = RunWalutil(
       TempDir("inject"), /*copy*/ 1,
-      {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
+      {{.function = LibcFn::open, .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 13}},
       block);
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 1);
@@ -554,7 +585,7 @@ TEST(InterposerTest, InjectedErrnoObservedByChild) {
       << result.output;
   EXPECT_EQ(block.plans_loaded, 1u);
   EXPECT_EQ(block.injected_total, 1u);
-  int open_slot = InterposedSlot("open");
+  int open_slot = LibcSlot(LibcFn::open);
   EXPECT_EQ(block.injected[open_slot], 1u);
   EXPECT_EQ(block.first_injected_slot, static_cast<uint32_t>(open_slot));
   EXPECT_EQ(block.first_injected_call, 2u);
@@ -567,7 +598,7 @@ TEST(InterposerTest, ExecedImageRearmsThePlanFromTheBlock) {
   ProcessResult result = RunPreloaded(
       TempDir("inject_exec"),
       {"/bin/sh", "-c", std::string("exec ") + AFEX_WALUTIL_PATH + " 1"},
-      Entries({{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+      Entries({{.function = LibcFn::open, .call_lo = 2, .call_hi = 2, .retval = -1,
                 .errno_value = 13}}),
       block);
   EXPECT_TRUE(result.exited);
@@ -583,7 +614,7 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
   // second open; an interposer that salvaged any entry would make the run
   // fail. The regions are written into the block byte for byte, past the
   // checks the parent's writer makes.
-  const FsPlanEntry open2 = Entries({{.function = "open", .call_lo = 2, .call_hi = 2,
+  const FsPlanEntry open2 = Entries({{.function = LibcFn::open, .call_lo = 2, .call_hi = 2,
                                       .retval = -1, .errno_value = 13}})[0];
   FsPlanEntry bad_slot = open2;
   bad_slot.slot = static_cast<int32_t>(kInterposedFunctionCount);
@@ -593,7 +624,7 @@ TEST(InterposerTest, HostilePlanValuesArmNothing) {
   wrong_kind.kind = static_cast<int32_t>(FaultKind::kDropSync);
   FsPlanEntry zero_lo = open2;
   zero_lo.call_lo = 0;
-  FsPlanEntry negative_short = Entries({{.function = "write", .call_lo = 1, .call_hi = 1,
+  FsPlanEntry negative_short = Entries({{.function = LibcFn::write, .call_lo = 1, .call_hi = 1,
                                          .kind = FaultKind::kShortWrite, .param = 4}})[0];
   negative_short.param = -1;
   struct Region {
@@ -645,7 +676,7 @@ TEST(InterposerTest, TmpfileOpenKeepsItsMode) {
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 0) << result.output;
   EXPECT_NE(result.output.find("tmpfile mode 600"), std::string::npos) << result.output;
-  EXPECT_EQ(block.calls[InterposedSlot("open")], 1u);
+  EXPECT_EQ(block.calls[LibcSlot(LibcFn::open)], 1u);
 }
 
 TEST(InterposerTest, CatalogReadFaultCrashesChild) {
@@ -655,7 +686,7 @@ TEST(InterposerTest, CatalogReadFaultCrashesChild) {
   FeedbackBlock block;
   ProcessResult result = RunWalutil(
       TempDir("crash"), /*catalog*/ 4,
-      {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}},
+      {{.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 5}},
       block);
   EXPECT_FALSE(result.exited);
   EXPECT_EQ(result.term_signal, SIGSEGV);
@@ -691,14 +722,14 @@ TEST(StorageFaultTest, ShortWriteObservedByChild) {
   FeedbackBlock block;
   ProcessResult result = RunWalutil(
       TempDir("short_write"), /*copy*/ 1,
-      {{.function = "write", .call_lo = 1, .call_hi = 1, .retval = 0, .errno_value = 0,
+      {{.function = LibcFn::write, .call_lo = 1, .call_hi = 1, .retval = 0, .errno_value = 0,
         .kind = FaultKind::kShortWrite, .param = 4}},
       block);
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_NE(result.output.find("fixture write failed: errno=0"), std::string::npos)
       << result.output;
-  int write_slot = InterposedSlot("write");
+  int write_slot = LibcSlot(LibcFn::write);
   ASSERT_GE(write_slot, 0);
   EXPECT_EQ(block.injected_total, 1u);
   EXPECT_EQ(block.injected[write_slot], 1u);
@@ -711,7 +742,7 @@ TEST(StorageFaultTest, ShortWriteBeyondCountInjectsNothing) {
   FeedbackBlock block;
   ProcessResult result = RunWalutil(
       TempDir("short_write_big"), /*copy*/ 1,
-      {{.function = "write", .call_lo = 1, .call_hi = 1, .retval = 0, .errno_value = 0,
+      {{.function = LibcFn::write, .call_lo = 1, .call_hi = 1, .retval = 0, .errno_value = 0,
         .kind = FaultKind::kShortWrite, .param = 1 << 20}},
       block);
   EXPECT_TRUE(result.exited);
@@ -725,12 +756,12 @@ TEST(StorageFaultTest, KillAtFiresAtTheExactOrdinal) {
   std::string sandbox;
   ProcessResult result = RunTxengine(
       TempDir("kill_at"),
-      {{.function = "write", .call_lo = 5, .call_hi = 5, .kind = FaultKind::kKillAt}},
+      {{.function = LibcFn::write, .call_lo = 5, .call_hi = 5, .kind = FaultKind::kKillAt}},
       block, sandbox);
   ASSERT_TRUE(result.started);
   EXPECT_FALSE(result.exited);
   EXPECT_EQ(result.term_signal, SIGKILL);
-  int write_slot = InterposedSlot("write");
+  int write_slot = LibcSlot(LibcFn::write);
   ASSERT_GE(write_slot, 0);
   // The matched call is counted, recorded, and never returns.
   EXPECT_EQ(block.calls[write_slot], 5u);
@@ -749,8 +780,8 @@ TEST(StorageFaultTest, DropSyncLeavesLogStaleAfterKill) {
   std::string sandbox;
   ProcessResult result = RunTxengine(
       TempDir("drop_sync"),
-      {{.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
-       {.function = "write", .call_lo = 14, .call_hi = 14, .kind = FaultKind::kKillAt}},
+      {{.function = LibcFn::fsync, .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
+       {.function = LibcFn::write, .call_lo = 14, .call_hi = 14, .kind = FaultKind::kKillAt}},
       block, sandbox);
   ASSERT_TRUE(result.started);
   EXPECT_EQ(result.term_signal, SIGKILL);
@@ -774,7 +805,7 @@ TEST(StorageFaultTest, CrashAfterRenamePerformsTheRenameFirst) {
   std::string sandbox;
   ProcessResult result = RunTxengine(
       TempDir("crash_rename"),
-      {{.function = "rename", .call_lo = 1, .call_hi = 1,
+      {{.function = LibcFn::rename, .call_lo = 1, .call_hi = 1,
         .kind = FaultKind::kCrashAfterRename}},
       block, sandbox);
   ASSERT_TRUE(result.started);
@@ -793,13 +824,13 @@ TEST(StorageFaultTest, FsyncErrnoFaultGoesUnnoticedByTheEngine) {
   std::string sandbox;
   ProcessResult result = RunTxengine(
       TempDir("fsync_errno"),
-      {{.function = "fsync", .call_lo = 1, .call_hi = 1, .retval = -1,
+      {{.function = LibcFn::fsync, .call_lo = 1, .call_hi = 1, .retval = -1,
         .errno_value = 5}},
       block, sandbox);
   EXPECT_TRUE(result.exited);
   EXPECT_EQ(result.exit_code, 0);
   EXPECT_EQ(block.injected_total, 1u);
-  int fsync_slot = InterposedSlot("fsync");
+  int fsync_slot = LibcSlot(LibcFn::fsync);
   ASSERT_GE(fsync_slot, 0);
   EXPECT_EQ(block.injected[fsync_slot], 1u);
 }
@@ -924,7 +955,7 @@ TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
 
   // A crashing iteration takes only its child down; the same server forks
   // the next test's child.
-  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+  WritePlan(dir, {{.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1,
                    .errno_value = 5}});
   ProcessResult crashed = client.RunTest(4, 2);
   ASSERT_TRUE(crashed.started) << crashed.error;
@@ -938,7 +969,7 @@ TEST(ForkserverClientTest, RunsTestsAndClassifiesOutcomesInOneServer) {
   EXPECT_GT(client.child_pid(), 0);
   EXPECT_NE(client.child_pid(), child);
 
-  WritePlan(dir, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+  WritePlan(dir, {{.function = LibcFn::open, .call_lo = 2, .call_hi = 2, .retval = -1,
                    .errno_value = 13}});
   ProcessResult injected = client.RunTest(1, 4);
   ASSERT_TRUE(injected.started) << injected.error;
@@ -959,7 +990,7 @@ TEST(ForkserverClientTest, FeedbackBlockRearmedBetweenChildren) {
   ForkserverClient client(WalutilServerRequest(dir));
   std::string fb = dir + "/fb.bin";
 
-  WritePlan(dir, {{.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+  WritePlan(dir, {{.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1,
                    .errno_value = 5}});
   ProcessResult crashed = client.RunTest(4, 1);
   ASSERT_TRUE(crashed.started) << crashed.error;
@@ -1106,7 +1137,7 @@ TEST(ForkserverClientTest, PersistentRunsManyIterationsInOneChild) {
 
   // Injection still works in-process. walutil's Fail() calls exit(), which
   // ends the child with that status; the next test forks a new one.
-  WritePlan(dir, {{.function = "open", .call_lo = 2, .call_hi = 2, .retval = -1,
+  WritePlan(dir, {{.function = LibcFn::open, .call_lo = 2, .call_hi = 2, .retval = -1,
                    .errno_value = 13}});
   ProcessResult injected = client.RunTest(1, ++seq);
   ASSERT_TRUE(injected.started) << injected.error;
@@ -1227,7 +1258,7 @@ FixtureRun RunFixture(ExecMode mode, const std::string& dir, int scenario,
 // A kill_at on a write ordinal the scenario never reaches: it arms the
 // undo log for the whole run and never fires.
 const std::vector<FaultSpec> kNeverFiringKill = {
-    {.function = "write", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}};
+    {.function = LibcFn::write, .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}};
 
 TEST(UndoLogTest, ReadsSeeUnsyncedWritesInEveryExecMode) {
   for (ExecMode mode : kAllModes) {
@@ -1266,13 +1297,13 @@ TEST(UndoLogTest, KillUndoesAnInPlaceOverwriteThroughEitherAccessMode) {
     const std::string tag = std::to_string(scenario);
     FixtureRun clean = RunFixture(
         ExecMode::kSpawn, TempDir("overwrite_clean_" + tag), scenario,
-        {{.function = "close", .call_lo = 3, .call_hi = 3, .kind = FaultKind::kKillAt}});
+        {{.function = LibcFn::close, .call_lo = 3, .call_hi = 3, .kind = FaultKind::kKillAt}});
     EXPECT_EQ(clean.result.exit_code, 0) << clean.result.output;
     EXPECT_EQ(SlurpFile(clean.sandbox / "u.dat"), "01abcdefghijkl");
 
     FixtureRun killed = RunFixture(
         ExecMode::kSpawn, TempDir("overwrite_killed_" + tag), scenario,
-        {{.function = "close", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
+        {{.function = LibcFn::close, .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
     EXPECT_EQ(killed.result.term_signal, SIGKILL);
     EXPECT_EQ(SlurpFile(killed.sandbox / "u.dat"), "0123456789");
   }
@@ -1281,7 +1312,7 @@ TEST(UndoLogTest, KillUndoesAnInPlaceOverwriteThroughEitherAccessMode) {
 TEST(UndoLogTest, KillCutsAnAppendBackToTheSyncedSize) {
   FixtureRun run = RunFixture(
       ExecMode::kSpawn, TempDir("append_killed"), 10,
-      {{.function = "close", .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
+      {{.function = LibcFn::close, .call_lo = 2, .call_hi = 2, .kind = FaultKind::kKillAt}});
   EXPECT_EQ(run.result.term_signal, SIGKILL);
   EXPECT_EQ(SlurpFile(run.sandbox / "a.dat"), "base");
 }
@@ -1291,8 +1322,8 @@ TEST(UndoLogTest, DropSyncUndoesOnlyItsOwnFd) {
   // write stays until the power cut at the first close undoes it too.
   FixtureRun run = RunFixture(
       ExecMode::kSpawn, TempDir("drop_sync_own_fd"), 11,
-      {{.function = "fsync", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
-       {.function = "close", .call_lo = 1, .call_hi = 1, .kind = FaultKind::kKillAt}});
+      {{.function = LibcFn::fsync, .call_lo = 1, .call_hi = 1, .kind = FaultKind::kDropSync},
+       {.function = LibcFn::close, .call_lo = 1, .call_hi = 1, .kind = FaultKind::kKillAt}});
   EXPECT_NE(run.result.output.find("after fsync: d1.dat=0 d2.dat=4"), std::string::npos)
       << run.result.output;
   EXPECT_EQ(run.result.term_signal, SIGKILL);
@@ -1545,6 +1576,60 @@ TEST(RealCampaignTest, EveryLiveRunLandsInOneOutcomeAndOneReadStatus) {
     EXPECT_EQ(sum(kOutcomes), live);
     EXPECT_EQ(sum(kReadStatuses), live);
     EXPECT_GT(CounterValue(snapshot, obs::Counter::kRealCrashSignal), 0u);
+  }
+}
+
+TEST(RealTargetHarnessTest, UninterposableFunctionFailsItsPointsWithoutAProcess) {
+  // strdup is a libc table row the interposer does not wrap. A space naming
+  // it reaches the harness only when built directly (the recipe refuses it),
+  // and each of its points fails without starting anything; the open points
+  // run exactly as on a space without strdup.
+  constexpr obs::Counter kOutcomes[] = {
+      obs::Counter::kRealStartFailed, obs::Counter::kRealHang,
+      obs::Counter::kRealCrashSignal, obs::Counter::kRealSignalExit,
+      obs::Counter::kRealExitNonzero, obs::Counter::kRealExitClean};
+  for (ExecMode mode : kAllModes) {
+    SCOPED_TRACE(ModeLabel(mode));
+    RealTargetConfig config = WalutilConfig(TempDir("uninterposable"));
+    config.exec_mode = mode;
+    config.functions = {"strdup", "open"};
+    RealTargetHarness harness(config);
+    obs::CampaignTelemetry telemetry{obs::TelemetryConfig{}};
+    harness.set_metrics_sink(&telemetry);
+    RealTargetConfig open_config = WalutilConfig(TempDir("uninterposable_open"));
+    open_config.exec_mode = mode;
+    open_config.functions = {"open"};
+    RealTargetHarness open_only(open_config);
+    const FaultSpace space = harness.MakeSpace(/*max_call=*/2);
+    const FaultSpace open_space = open_only.MakeSpace(/*max_call=*/2);
+    auto outcomes_counted = [&] {
+      const obs::MetricsSnapshot snapshot = telemetry.Snapshot();
+      uint64_t total = 0;
+      for (obs::Counter counter : kOutcomes) {
+        total += CounterValue(snapshot, counter);
+      }
+      return total;
+    };
+    for (size_t test = 1; test <= config.num_tests; ++test) {
+      for (size_t call = 1; call <= 2; ++call) {
+        const uint64_t counted = outcomes_counted();
+        TestOutcome strdup = harness.RunFault(space, MakeFault(space, test, "strdup", call));
+        EXPECT_TRUE(strdup.test_failed);
+        EXPECT_FALSE(strdup.fault_triggered);
+        EXPECT_EQ(strdup.detail, "exec: function not interposable: strdup");
+        EXPECT_EQ(outcomes_counted(), counted) << "test " << test << " call " << call;
+
+        // MakeFault looks "open" up by label, wherever the axis holds it.
+        TestOutcome open = harness.RunFault(space, MakeFault(space, test, "open", call));
+        TestOutcome want =
+            open_only.RunFault(open_space, MakeFault(open_space, test, "open", call));
+        EXPECT_EQ(SerializeOutcome(open), SerializeOutcome(want))
+            << "test " << test << " call " << call;
+      }
+    }
+    // Half the points named strdup; every live open point counted one outcome.
+    const uint64_t open_points = harness.tests_run() / 2;
+    EXPECT_EQ(outcomes_counted(), open_points - harness.tests_answered());
   }
 }
 

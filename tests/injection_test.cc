@@ -1,15 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "exec/feedback_block.h"
 #include "injection/fault_bus.h"
-#include "injection/libc_profile.h"
 #include "injection/plan.h"
-#include "sim/env.h"
-#include "sim/simlibc.h"
-#include "sim/tracer.h"
-#include "targets/coreutils/suite.h"
 
 namespace afex {
 namespace {
@@ -18,97 +19,117 @@ namespace {
 
 TEST(FaultBusTest, CountsCallsPerFunction) {
   FaultBus bus;
-  bus.OnCall("read");
-  bus.OnCall("read");
-  bus.OnCall("write");
-  EXPECT_EQ(bus.CallCount("read"), 2u);
-  EXPECT_EQ(bus.CallCount("write"), 1u);
-  EXPECT_EQ(bus.CallCount("open"), 0u);
+  bus.OnCall(LibcFn::read);
+  bus.OnCall(LibcFn::read);
+  bus.OnCall(LibcFn::write);
+  EXPECT_EQ(bus.CallCount(LibcFn::read), 2u);
+  EXPECT_EQ(bus.CallCount(LibcFn::write), 1u);
+  EXPECT_EQ(bus.CallCount(LibcFn::open), 0u);
 }
 
 TEST(FaultBusTest, FiresOnMatchingCallNumber) {
   FaultBus bus;
-  bus.Arm({.function = "read", .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 5});
-  EXPECT_EQ(bus.OnCall("read"), nullptr);
-  const FaultSpec* spec = bus.OnCall("read");
+  bus.Arm({.function = LibcFn::read, .call_lo = 2, .call_hi = 2, .retval = -1, .errno_value = 5});
+  EXPECT_EQ(bus.OnCall(LibcFn::read), nullptr);
+  const FaultSpec* spec = bus.OnCall(LibcFn::read);
   ASSERT_NE(spec, nullptr);
   EXPECT_EQ(spec->retval, -1);
-  EXPECT_EQ(bus.OnCall("read"), nullptr);
+  EXPECT_EQ(bus.OnCall(LibcFn::read), nullptr);
   EXPECT_TRUE(bus.triggered());
   EXPECT_EQ(bus.trigger_count(), 1u);
 }
 
 TEST(FaultBusTest, DifferentFunctionUnaffected) {
   FaultBus bus;
-  bus.Arm({.function = "read", .call_lo = 1, .call_hi = 1});
-  EXPECT_EQ(bus.OnCall("write"), nullptr);
+  bus.Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1});
+  EXPECT_EQ(bus.OnCall(LibcFn::write), nullptr);
   EXPECT_FALSE(bus.triggered());
 }
 
 TEST(FaultBusTest, MultiFaultScenario) {
   FaultBus bus;
-  bus.Arm({.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 4});
-  bus.Arm({.function = "malloc", .call_lo = 2, .call_hi = 2, .retval = 0, .errno_value = 12});
-  EXPECT_NE(bus.OnCall("read"), nullptr);
-  EXPECT_EQ(bus.OnCall("malloc"), nullptr);
-  EXPECT_NE(bus.OnCall("malloc"), nullptr);
+  bus.Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1, .errno_value = 4});
+  bus.Arm({.function = LibcFn::malloc, .call_lo = 2, .call_hi = 2, .retval = 0, .errno_value = 12});
+  EXPECT_NE(bus.OnCall(LibcFn::read), nullptr);
+  EXPECT_EQ(bus.OnCall(LibcFn::malloc), nullptr);
+  EXPECT_NE(bus.OnCall(LibcFn::malloc), nullptr);
   EXPECT_EQ(bus.trigger_count(), 2u);
 }
 
 TEST(FaultBusTest, ResetClearsEverything) {
   FaultBus bus;
-  bus.Arm({.function = "read", .call_lo = 1, .call_hi = 1});
-  bus.OnCall("read");
+  bus.Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1});
+  bus.OnCall(LibcFn::read);
   bus.Reset();
   EXPECT_FALSE(bus.triggered());
-  EXPECT_EQ(bus.CallCount("read"), 0u);
-  EXPECT_EQ(bus.OnCall("read"), nullptr);  // spec gone too
+  EXPECT_EQ(bus.CallCount(LibcFn::read), 0u);
+  EXPECT_EQ(bus.OnCall(LibcFn::read), nullptr);  // spec gone too
 }
 
-// ---- LibcProfile ----
+// ---- the libc function table ----
 
-TEST(LibcProfileTest, KnownFunctionsPresent) {
-  const LibcProfile& profile = LibcProfile::Default();
-  auto malloc_profile = profile.Find("malloc");
-  ASSERT_TRUE(malloc_profile.has_value());
-  EXPECT_EQ(malloc_profile->error_retval, 0);
-  EXPECT_EQ(malloc_profile->errnos, (std::vector<int>{sim_errno::kENOMEM}));
-  EXPECT_EQ(malloc_profile->category, "memory");
-  EXPECT_FALSE(profile.Find("nonexistent_fn").has_value());
+TEST(LibcTableTest, KnownFunctionsPresent) {
+  const std::optional<LibcFn> malloc_fn = FindLibcFn("malloc");
+  ASSERT_TRUE(malloc_fn.has_value());
+  EXPECT_EQ(*malloc_fn, LibcFn::malloc);
+  const LibcTableRow& row = LibcRow(LibcFn::malloc);
+  EXPECT_STREQ(row.name, "malloc");
+  EXPECT_EQ(row.error_retval, 0);
+  EXPECT_EQ(row.default_errno, sim_errno::kENOMEM);
+  EXPECT_STREQ(row.category, "memory");
+  EXPECT_FALSE(FindLibcFn("nonexistent_fn").has_value());
+  EXPECT_EQ(LibcRow(LibcFn::ferror).default_errno, 0);  // a row without errnos
 }
 
-TEST(LibcProfileTest, CategoryGrouping) {
-  const LibcProfile& profile = LibcProfile::Default();
-  auto memory = profile.FunctionNames("memory");
-  EXPECT_EQ(memory, (std::vector<std::string>{"malloc", "calloc", "realloc", "strdup"}));
-  EXPECT_FALSE(profile.FunctionNames("file").empty());
-  EXPECT_FALSE(profile.FunctionNames("net").empty());
+std::vector<std::string> CategoryMembers(std::string_view category) {
+  std::vector<std::string> names;
+  for (const LibcTableRow& row : kLibcTable) {
+    if (row.category == category) {
+      names.push_back(row.name);
+    }
+  }
+  return names;
 }
 
-TEST(LibcProfileTest, OrderGroupsCategories) {
+TEST(LibcTableTest, CategoryGrouping) {
+  EXPECT_EQ(CategoryMembers("memory"),
+            (std::vector<std::string>{"malloc", "calloc", "realloc", "strdup"}));
+  EXPECT_FALSE(CategoryMembers("file").empty());
+  EXPECT_FALSE(CategoryMembers("net").empty());
+}
+
+TEST(LibcTableTest, OrderGroupsCategories) {
   // Functions of the same category must be contiguous, giving the function
   // axis the neighbour structure the Gaussian mutation exploits.
-  const LibcProfile& profile = LibcProfile::Default();
   std::string last_category;
   std::vector<std::string> seen_categories;
-  for (const auto& fn : profile.functions()) {
-    if (fn.category != last_category) {
-      EXPECT_EQ(std::count(seen_categories.begin(), seen_categories.end(), fn.category), 0)
-          << "category " << fn.category << " is not contiguous";
-      seen_categories.push_back(fn.category);
-      last_category = fn.category;
+  for (const LibcTableRow& row : kLibcTable) {
+    if (row.category != last_category) {
+      EXPECT_EQ(std::count(seen_categories.begin(), seen_categories.end(), row.category), 0)
+          << "category " << row.category << " is not contiguous";
+      seen_categories.push_back(row.category);
+      last_category = row.category;
     }
   }
 }
 
-TEST(LibcProfileTest, ErrnoNames) {
+TEST(LibcTableTest, ErrnoNames) {
   EXPECT_EQ(sim_errno::Name(sim_errno::kENOMEM), "ENOMEM");
   EXPECT_EQ(sim_errno::Name(0), "OK");
   EXPECT_EQ(sim_errno::ValueFromName("EINTR"), std::optional<int>(sim_errno::kEINTR));
   EXPECT_EQ(sim_errno::ValueFromName("EWHAT"), std::nullopt);
 }
 
-// ---- the libc function table ----
+TEST(LibcTableTest, EnumeratorsAreRowsAndNamesFindThem) {
+  ASSERT_EQ(kLibcFnCount, std::size(kLibcTable));
+  for (size_t row = 0; row < kLibcFnCount; ++row) {
+    EXPECT_EQ(FindLibcFn(kLibcTable[row].name), std::optional<LibcFn>(static_cast<LibcFn>(row)))
+        << kLibcTable[row].name;
+  }
+  // Aliases fold in the analyzer, not here: open64 is not a row.
+  EXPECT_FALSE(FindLibcFn("open64").has_value());
+  EXPECT_STREQ(LibcRow(LibcFn::open).alias, "open64");
+}
 
 TEST(LibcTableTest, KindMatrixAndSlotOrder) {
   // errno and kill_at apply to every function; each storage kind only to
@@ -118,37 +139,35 @@ TEST(LibcTableTest, KindMatrixAndSlotOrder) {
       {"fsync", FaultKind::kDropSync},       {"fdatasync", FaultKind::kDropSync},
       {"rename", FaultKind::kCrashAfterRename},
   };
-  for (const FunctionErrorProfile& fn : LibcProfile::Default().functions()) {
-    const auto it = storage_kind.find(fn.function);
+  for (size_t row = 0; row < kLibcFnCount; ++row) {
+    const LibcFn fn = static_cast<LibcFn>(row);
+    const std::string name = kLibcTable[row].name;
+    const auto it = storage_kind.find(name);
     for (int k = 0; k < kFaultKindCount; ++k) {
       const FaultKind kind = static_cast<FaultKind>(k);
       const bool expected = kind == FaultKind::kErrno || kind == FaultKind::kKillAt ||
                             (it != storage_kind.end() && it->second == kind);
-      EXPECT_EQ(FaultKindAppliesTo(kind, fn.function), expected)
-          << fn.function << " x " << FaultKindName(kind);
+      EXPECT_EQ(FaultKindAppliesTo(kind, fn), expected) << name << " x " << FaultKindName(kind);
     }
   }
   EXPECT_FALSE(KindAppliesTo(-1, ~0u));
   EXPECT_FALSE(KindAppliesTo(kFaultKindCount, ~0u));
 
-  // Wrapped functions take consecutive slots in profile order, and the
-  // slot-level kinds agree with the by-name rule.
+  // Wrapped functions take consecutive slots in table order, and each slot
+  // maps back to its row.
   int last_slot = -1;
-  for (const FunctionErrorProfile& fn : LibcProfile::Default().functions()) {
-    const int slot = exec::InterposedSlot(fn.function.c_str());
+  for (size_t row = 0; row < kLibcFnCount; ++row) {
+    const int slot = kLibcTable[row].slot;
     if (slot < 0) {
       continue;
     }
-    EXPECT_EQ(slot, last_slot + 1) << fn.function;
+    EXPECT_EQ(slot, last_slot + 1) << kLibcTable[row].name;
+    EXPECT_EQ(exec::kInterposedFunctions[slot], static_cast<LibcFn>(row)) << slot;
     last_slot = slot;
-    for (int k = 0; k < kFaultKindCount; ++k) {
-      EXPECT_EQ(KindAppliesTo(k, exec::kInterposedStorageKinds[slot]),
-                FaultKindAppliesTo(static_cast<FaultKind>(k), fn.function))
-          << fn.function << " x " << k;
-    }
   }
   EXPECT_EQ(last_slot + 1, static_cast<int>(exec::kInterposedFunctionCount));
-  EXPECT_EQ(exec::InterposedSlot("open"), 9);
+  EXPECT_EQ(LibcRow(LibcFn::open).slot, 9);
+  EXPECT_EQ(LibcRow(LibcFn::strdup).slot, -1);
 }
 
 // ---- plan decoding ----
@@ -168,7 +187,7 @@ TEST(PlanTest, DecodesTestFunctionCall) {
   InjectionPlan plan = FaultDecoder(space).Decode(Fault({4, 1, 2}));
   EXPECT_EQ(plan.test_id, 4u);
   ASSERT_TRUE(plan.spec.has_value());
-  EXPECT_EQ(plan.spec->function, "read");
+  EXPECT_EQ(plan.spec->function, LibcFn::read);
   EXPECT_EQ(plan.spec->call_lo, 2);
   EXPECT_EQ(plan.spec->retval, -1);
   EXPECT_EQ(plan.spec->errno_value, sim_errno::kEINTR);  // read's first errno
@@ -239,6 +258,20 @@ TEST(PlanTest, MissingTestAxisThrows) {
   EXPECT_THROW(FaultDecoder{space}, std::invalid_argument);
 }
 
+TEST(PlanTest, UnknownFunctionLabelThrows) {
+  // A label outside the libc table names no function; the decoder refuses
+  // it as it refuses unknown errno and mode labels.
+  std::vector<Axis> axes = MakeCanonicalSpace().axes();
+  axes[1] = Axis::MakeSet("function", {"malloc", "nosuchfn"});
+  FaultSpace space(std::move(axes), "bad-function");
+  try {
+    FaultDecoder decoder(space);
+    FAIL() << "decoded a space naming nosuchfn";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown function label 'nosuchfn'");
+  }
+}
+
 TEST(PlanTest, PermutedAxesStillDecodeByLabel) {
   FaultSpace space = MakeCanonicalSpace();
   // Shuffle the test axis: position 0 now carries label "3" (original
@@ -259,49 +292,6 @@ TEST(PlanTest, FormatMatchesPaperShape) {
   EXPECT_NE(rendered.find("errno ENOMEM"), std::string::npos);
   EXPECT_NE(rendered.find("retval 0"), std::string::npos);
   EXPECT_NE(rendered.find("callNumber 1"), std::string::npos);
-}
-
-// ---- Tracer ----
-
-TEST(TracerTest, TracesCoreutilsSuite) {
-  TargetSuite suite = coreutils::MakeSuite();
-  auto traces = Tracer::TraceSuite(suite.run_test, suite.num_tests);
-  ASSERT_EQ(traces.size(), coreutils::kNumTests);
-  // Without injection the whole suite passes.
-  for (const TraceResult& t : traces) {
-    EXPECT_EQ(t.exit_code, 0) << "test " << t.test_id << " fails without injection";
-  }
-  // Every ln/mv test calls malloc exactly twice (Table 6's 28 scenarios
-  // depend on this).
-  const auto& utilities = coreutils::TestUtilities();
-  for (const TraceResult& t : traces) {
-    if (utilities[t.test_id] == "ln" || utilities[t.test_id] == "mv") {
-      auto it = t.call_counts.find("malloc");
-      ASSERT_NE(it, t.call_counts.end()) << "test " << t.test_id;
-      EXPECT_EQ(it->second, 2u) << "test " << t.test_id;
-    }
-  }
-}
-
-TEST(TracerTest, UsedFunctionsInProfileOrder) {
-  TargetSuite suite = coreutils::MakeSuite();
-  auto traces = Tracer::TraceSuite(suite.run_test, suite.num_tests);
-  auto used = Tracer::UsedFunctions(traces);
-  EXPECT_FALSE(used.empty());
-  // The 19 functions the suite axis declares must all be observed in use.
-  for (const std::string& fn : suite.functions) {
-    if (fn == "strdup") {
-      continue;  // declared on the axis but unused by these utilities
-    }
-    EXPECT_NE(std::find(used.begin(), used.end(), fn), used.end()) << fn;
-  }
-}
-
-TEST(TracerTest, MaxCallCount) {
-  TargetSuite suite = coreutils::MakeSuite();
-  auto traces = Tracer::TraceSuite(suite.run_test, suite.num_tests);
-  EXPECT_GE(Tracer::MaxCallCount(traces, "fopen"), 1u);
-  EXPECT_EQ(Tracer::MaxCallCount(traces, "bogus_function"), 0u);
 }
 
 }  // namespace

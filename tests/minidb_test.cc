@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -119,9 +119,9 @@ TEST(MiniDbBug1Test, CloseFailureDuringCreateAborts) {
   InstallFixture(probe);
   MiniDb probe_db(probe);
   probe_db.Bootstrap();
-  size_t closes_before = probe.bus().CallCount("close");
+  size_t closes_before = probe.bus().CallCount(LibcFn::close);
 
-  env.bus().Arm({.function = "close",
+  env.bus().Arm({.function = LibcFn::close,
                  .call_lo = static_cast<int>(closes_before + 1),
                  .call_hi = static_cast<int>(closes_before + 1),
                  .retval = -1,
@@ -136,7 +136,7 @@ TEST(MiniDbBug1Test, EarlierFailuresRecoverCorrectly) {
   InstallFixture(env);
   MiniDb db(env);
   ASSERT_EQ(db.Bootstrap(), 0);
-  env.bus().Arm({.function = "write", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::write, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEIO});
   EXPECT_EQ(db.CreateTable("t"), -1);
   EXPECT_FALSE(db.TableExists("t"));           // cleanup removed the file
@@ -150,7 +150,7 @@ TEST(MiniDbBug2Test, FailedErrmsgReadCrashesInParse) {
   InstallFixture(env);
   // With the default fixture, bootstrap reads the config in calls 1-2; the
   // errmsg read is call 3.
-  env.bus().Arm({.function = "read", .call_lo = 3, .call_hi = 3, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 3, .call_hi = 3, .retval = -1,
                  .errno_value = sim_errno::kEIO});
   MiniDb db(env);
   EXPECT_THROW(db.Bootstrap(), SimCrash);
@@ -163,7 +163,7 @@ TEST(MiniDbBug2Test, ConfigReadFailureIsGraceful) {
   // Unlike the errmsg path, a failed config read degrades to defaults.
   SimEnv env;
   InstallFixture(env);
-  env.bus().Arm({.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEIO});
   MiniDb db(env);
   EXPECT_EQ(db.Bootstrap(), 0);
@@ -175,7 +175,7 @@ TEST(MiniDbBug2Test, FailedErrmsgOpenAlsoCrashes) {
   InstallFixture(env);
   // Fail every open: the config open failure is handled, the errmsg open
   // failure leads into the buggy parse.
-  env.bus().Arm({.function = "open", .call_lo = 1, .call_hi = 20, .retval = -1,
+  env.bus().Arm({.function = LibcFn::open, .call_lo = 1, .call_hi = 20, .retval = -1,
                  .errno_value = sim_errno::kEACCES});
   MiniDb db(env);
   EXPECT_THROW(db.Bootstrap(), SimCrash);
@@ -184,7 +184,7 @@ TEST(MiniDbBug2Test, FailedErrmsgOpenAlsoCrashes) {
 TEST(MiniDbBug2Test, InjectionStackIdentifiesErrmsgPath) {
   SimEnv env;
   InstallFixture(env);
-  env.bus().Arm({.function = "read", .call_lo = 3, .call_hi = 3, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 3, .call_hi = 3, .retval = -1,
                  .errno_value = sim_errno::kEIO});
   MiniDb db(env);
   RunOutcome out = RunProgram(env, [&db](SimEnv&) { return db.Bootstrap(); });
@@ -277,8 +277,8 @@ TEST(MiniDbSuiteTest, WalWriteFailureIsGraceful) {
   ASSERT_EQ(db.Bootstrap(), 0);
   ASSERT_EQ(db.CreateTable("t"), 0);
   // Count writes used so far, then fail the next one (the WAL record).
-  size_t writes = env.bus().CallCount("write");
-  env.bus().Arm({.function = "write",
+  size_t writes = env.bus().CallCount(LibcFn::write);
+  env.bus().Arm({.function = LibcFn::write,
                  .call_lo = static_cast<int>(writes + 1),
                  .call_hi = static_cast<int>(writes + 1),
                  .retval = -1,

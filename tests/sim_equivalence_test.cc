@@ -13,12 +13,14 @@
 // explains why in CHANGES.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -140,7 +142,7 @@ TEST(SimEquivalenceTest, ErrnoRoundTrips) {
     env.AddFile("/exists", "");
     note("mkdir_exists", libc.Mkdir("/exists"));
     // An injected fault's errno round-trips too (read_badf was read call 1).
-    env.bus().Arm({.function = "read", .call_lo = 2, .call_hi = 2, .retval = -1,
+    env.bus().Arm({.function = LibcFn::read, .call_lo = 2, .call_hi = 2, .retval = -1,
                    .errno_value = sim_errno::kEINTR});
     int fd = env.libc().Open("/exists", kRdOnly);
     note("read_injected", libc.Read(fd, out, 1));
@@ -185,7 +187,7 @@ TEST(SimEquivalenceTest, HeapHandlesAndPayloads) {
 TEST(SimEquivalenceTest, BusCountersAndWindows) {
   auto script = [](SimEnv& env, std::string& log) {
     SimLibc& libc = env.libc();
-    env.bus().Arm({.function = "malloc", .call_lo = 2, .call_hi = 3, .retval = 0,
+    env.bus().Arm({.function = LibcFn::malloc, .call_lo = 2, .call_hi = 3, .retval = 0,
                    .errno_value = sim_errno::kENOMEM});
     for (int i = 0; i < 4; ++i) {
       log += std::to_string(libc.Malloc(4) != 0);
@@ -197,23 +199,24 @@ TEST(SimEquivalenceTest, BusCountersAndWindows) {
       log += line;
     }
     libc.Fclose(s);
-    log += " malloc=" + std::to_string(env.bus().CallCount("malloc"));
-    log += " fgets=" + std::to_string(env.bus().CallCount("fgets"));
-    log += " never=" + std::to_string(env.bus().CallCount("never_called"));
+    log += " malloc=" + std::to_string(env.bus().CallCount(LibcFn::malloc));
+    log += " fgets=" + std::to_string(env.bus().CallCount(LibcFn::fgets));
+    log += " never=" + std::to_string(env.bus().CallCount(LibcFn::socket));
     log += " triggers=" + std::to_string(env.bus().trigger_count());
-    for (const auto& [fn, count] : env.bus().call_counts()) {
+    // The per-function profile, listed by name.
+    std::vector<std::pair<std::string, size_t>> counts;
+    for (size_t row = 0; row < kLibcFnCount; ++row) {
+      if (size_t count = env.bus().CallCount(static_cast<LibcFn>(row)); count > 0) {
+        counts.emplace_back(kLibcTable[row].name, count);
+      }
+    }
+    std::sort(counts.begin(), counts.end());
+    for (const auto& [fn, count] : counts) {
       log += ' ' + fn + ':' + std::to_string(count);
     }
-    // Names outside the libc profile take the overflow lane but count and
-    // match specs the same way.
-    env.bus().Arm({.function = "custom_fn", .call_lo = 2, .call_hi = 2, .retval = -7});
-    log += " c1=" + std::to_string(env.bus().OnCall("custom_fn") != nullptr);
-    log += " c2=" + std::to_string(env.bus().OnCall(std::string_view("custom_fn")) != nullptr);
-    log += " custom=" + std::to_string(env.bus().CallCount("custom_fn"));
   };
   ExpectTranscript(script,
-    "1001x\ny\n malloc=4 fgets=3 never=0 triggers=2 fclose:1 fgets:3 fopen:1 malloc:4 c1=0 "
-    "c2=1 custom=2");
+    "1001x\ny\n malloc=4 fgets=3 never=0 triggers=2 fclose:1 fgets:3 fopen:1 malloc:4");
 }
 
 // ---- randomized op-script fuzz goldens ----

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -117,7 +117,7 @@ TEST(SimEnvTest, StackFrameRaii) {
 
 TEST(SimEnvTest, InjectionStackCapturedOnce) {
   SimEnv env;
-  env.bus().Arm({.function = "malloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   {
     StackFrame a(env, "first_site");
@@ -272,7 +272,7 @@ TEST(SimLibcTest, StrtolParsesAndFlags) {
 
 TEST(SimLibcTest, InjectedMallocFails) {
   SimEnv env;
-  env.bus().Arm({.function = "malloc", .call_lo = 2, .call_hi = 2, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 2, .call_hi = 2, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   EXPECT_NE(env.libc().Malloc(8), 0u);  // call 1 succeeds
   EXPECT_EQ(env.libc().Malloc(8), 0u);  // call 2 fails
@@ -283,7 +283,7 @@ TEST(SimLibcTest, InjectedMallocFails) {
 TEST(SimLibcTest, StrdupFailsWhenInnerMallocInjected) {
   SimEnv env;
   // Arm malloc, not strdup: strdup allocates through malloc internally.
-  env.bus().Arm({.function = "malloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   EXPECT_EQ(env.libc().Strdup("x"), 0u);
   EXPECT_EQ(env.sim_errno(), sim_errno::kENOMEM);
@@ -294,7 +294,7 @@ TEST(SimLibcTest, InjectedReadFailsOnce) {
   env.AddFile("/f", "data");
   int fd = env.libc().Open("/f", kRdOnly);
   env.bus().Reset();  // forget the open() call count
-  env.bus().Arm({.function = "read", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::read, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEINTR});
   std::string out;
   EXPECT_EQ(env.libc().Read(fd, out, 4), -1);
@@ -305,7 +305,7 @@ TEST(SimLibcTest, InjectedReadFailsOnce) {
 
 TEST(SimLibcTest, CallWindowInjectsWholeRange) {
   SimEnv env;
-  env.bus().Arm({.function = "malloc", .call_lo = 2, .call_hi = 4, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 2, .call_hi = 4, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   EXPECT_NE(env.libc().Malloc(1), 0u);
   EXPECT_EQ(env.libc().Malloc(1), 0u);
@@ -317,7 +317,7 @@ TEST(SimLibcTest, CallWindowInjectsWholeRange) {
 TEST(SimLibcTest, FcloseInjectionInvalidatesStream) {
   SimEnv env;
   uint64_t s = env.libc().Fopen("/f", "w");
-  env.bus().Arm({.function = "fclose", .call_lo = 1, .call_hi = 1, .retval = -1,
+  env.bus().Arm({.function = LibcFn::fclose, .call_lo = 1, .call_hi = 1, .retval = -1,
                  .errno_value = sim_errno::kEIO});
   EXPECT_EQ(env.libc().Fclose(s), -1);
   EXPECT_FALSE(env.HasOpenFile(static_cast<int>(s)));

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "injection/libc_profile.h"
+#include "injection/fault_bus.h"
 #include "sim/env.h"
 #include "sim/process.h"
 #include "sim/simlibc.h"
@@ -41,7 +41,7 @@ TEST(WebServerTest, CheckedOomPathIsGraceful) {
   // The config pool calloc IS checked: OOM there fails cleanly, no crash.
   SimEnv env;
   InstallFixture(env, 1);
-  env.bus().Arm({.function = "calloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::calloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   WebServer server(env);
   EXPECT_EQ(server.LoadConfig("/etc/httpd.conf"), -1);
@@ -52,7 +52,7 @@ TEST(WebServerTest, CheckedOomPathIsGraceful) {
 TEST(WebServerBugTest, StrdupFailureCrashesModuleRegistration) {
   SimEnv env;
   InstallFixture(env, 3);
-  env.bus().Arm({.function = "strdup", .call_lo = 2, .call_hi = 2, .retval = 0,
+  env.bus().Arm({.function = LibcFn::strdup, .call_lo = 2, .call_hi = 2, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   WebServer server(env);
   EXPECT_THROW(server.LoadConfig("/etc/httpd.conf"), SimCrash);
@@ -64,7 +64,7 @@ TEST(WebServerBugTest, InnerMallocFailureAlsoCrashes) {
   SimEnv env;
   InstallFixture(env, 1);
   // calloc(pool) does not use malloc; the first malloc call is strdup's.
-  env.bus().Arm({.function = "malloc", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::malloc, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   WebServer server(env);
   EXPECT_THROW(server.LoadConfig("/etc/httpd.conf"), SimCrash);
@@ -73,7 +73,7 @@ TEST(WebServerBugTest, InnerMallocFailureAlsoCrashes) {
 TEST(WebServerBugTest, CrashStackNamesModuleRegistration) {
   SimEnv env;
   InstallFixture(env, 1);
-  env.bus().Arm({.function = "strdup", .call_lo = 1, .call_hi = 1, .retval = 0,
+  env.bus().Arm({.function = LibcFn::strdup, .call_lo = 1, .call_hi = 1, .retval = 0,
                  .errno_value = sim_errno::kENOMEM});
   WebServer server(env);
   RunOutcome out =
@@ -125,8 +125,8 @@ TEST(WebServerTest, UploadWriteFailureLeavesNoPartialFile) {
   WebServer server(env);
   ASSERT_EQ(server.LoadConfig("/etc/httpd.conf"), 0);
   ASSERT_EQ(server.Start(), 0);
-  size_t writes = env.bus().CallCount("write");
-  env.bus().Arm({.function = "write",
+  size_t writes = env.bus().CallCount(LibcFn::write);
+  env.bus().Arm({.function = LibcFn::write,
                  .call_lo = static_cast<int>(writes + 1),
                  .call_hi = static_cast<int>(writes + 1),
                  .retval = -1,
@@ -164,8 +164,8 @@ TEST(WebServerTest, ReadFailureReturns500) {
   WebServer server(env);
   ASSERT_EQ(server.LoadConfig("/etc/httpd.conf"), 0);
   ASSERT_EQ(server.Start(), 0);
-  size_t reads = env.bus().CallCount("read");
-  env.bus().Arm({.function = "read",
+  size_t reads = env.bus().CallCount(LibcFn::read);
+  env.bus().Arm({.function = LibcFn::read,
                  .call_lo = static_cast<int>(reads + 1),
                  .call_hi = static_cast<int>(reads + 1),
                  .retval = -1,
