@@ -1,6 +1,7 @@
 #include "core/space_lang.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace afex {
 namespace {
@@ -94,7 +95,10 @@ class Lexer {
       }
       t.kind = TokenKind::kNumber;
       t.text = std::string(text_.substr(start, pos_ - start));
-      t.number = std::stoll(t.text);
+      if (std::from_chars(t.text.data(), t.text.data() + t.text.size(), t.number).ec !=
+          std::errc()) {
+        throw SpaceLangError("number out of range: " + t.text, t.line, t.column);
+      }
       return t;
     }
     Advance();

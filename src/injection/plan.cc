@@ -1,5 +1,6 @@
 #include "injection/plan.h"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -66,7 +67,14 @@ FaultDecoder::FaultDecoder(const FaultSpace& space) {
   if (roles_.retval.has_value()) {
     const Axis& retval_axis = space.axis(*roles_.retval);
     for (size_t v = 0; v < retval_axis.cardinality(); ++v) {
-      retval_by_value_.push_back(std::stoll(retval_axis.Label(v)));
+      const std::string label = retval_axis.Label(v);
+      int64_t retval = 0;
+      const char* end = label.data() + label.size();
+      const auto [stop, error] = std::from_chars(label.data(), end, retval);
+      if (error != std::errc() || stop != end) {
+        throw std::invalid_argument("unparsable retval label '" + label + "'");
+      }
+      retval_by_value_.push_back(retval);
     }
   }
   roles_.mode = space.AxisIndexByName("mode");

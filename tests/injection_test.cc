@@ -272,6 +272,15 @@ TEST(PlanTest, UnknownFunctionLabelThrows) {
   }
 }
 
+TEST(PlanTest, UnparsableRetvalLabelThrows) {
+  for (const char* label : {"abc", "5x", "99999999999999999999"}) {
+    std::vector<Axis> axes = MakeCanonicalSpace().axes();
+    axes.push_back(Axis::MakeSet("retval", {"-1", label}));
+    FaultSpace space(std::move(axes), "bad-retval");
+    EXPECT_THROW(FaultDecoder{space}, std::invalid_argument) << label;
+  }
+}
+
 TEST(PlanTest, PermutedAxesStillDecodeByLabel) {
   FaultSpace space = MakeCanonicalSpace();
   // Shuffle the test axis: position 0 now carries label "3" (original

@@ -99,6 +99,13 @@ TEST(SpaceLangTest, ErrorOnSpaceWithoutParameters) {
   EXPECT_THROW(ParseFaultSpaceDescription("onlytag ;"), SpaceLangError);
 }
 
+TEST(SpaceLangTest, ErrorOnNumberOutOfRange) {
+  EXPECT_THROW(ParseFaultSpaceDescription("call : [ 1 , 99999999999999999999 ] ;"),
+               SpaceLangError);
+  EXPECT_THROW(ParseFaultSpaceDescription("retval : { -99999999999999999999 } ;"),
+               SpaceLangError);
+}
+
 TEST(SpaceLangTest, ErrorOnGarbageCharacter) {
   EXPECT_THROW(ParseFaultSpaceDescription("a : { x } @ ;"), SpaceLangError);
 }
